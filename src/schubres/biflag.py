@@ -13,24 +13,24 @@ never by filtering the ambient product, and is budget-guarded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
+    Stage,
     Subspace,
     check_field,
     contains,
-    enumerate_between,
-    full_space,
-    gaussian_binomial,
     intersect,
     span,
+    tower,
+    tower_bound,
     unit_vector,
     zero_subspace,
 )
-from schubres.permcomb import Permutation, all_permutations, length, rank_matrix
+from schubres.permcomb import Permutation, length, rank_matrix
 from schubres.report import EnumReport, subspace_witness, timed
 
 Flag = tuple[Subspace, ...]
@@ -60,58 +60,43 @@ def standard_frames(n: int, p: int) -> tuple[Flag, Flag]:
     return f, g
 
 
-def grid_count_estimate(w: Permutation, p: int, pinned_last_row: bool) -> int:
-    """Exact point count of the grid tower, from cell-choice dimensions."""
-    d = rank_matrix(w)
+def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
+    """The grid tower as tower stages: rows from the bottom up, each left
+    to right; cell (row, col) lies between its left and lower neighbours."""
     n = w.n
-    total = 1
+    d = rank_matrix(w)
+    frames, _ = standard_frames(n, p)
     top = n - 1 if pinned_last_row else n
+    stages = []
     for row in range(top, 0, -1):
         for col in range(1, n + 1):
-            upper = d[row + 1][col] if row < n else n
-            lower = d[row][col - 1]
-            total *= gaussian_binomial(upper - lower, d[row][col] - lower, p)
-    return total
+            # the left neighbour is the previous choice, the lower one n choices
+            # back; the top row lies under the pinned row or the whole space
+            fixed_upper = frames[col] if pinned_last_row else frames[n]
+
+            def spaces(c, row=row, col=col, fixed_upper=fixed_upper):
+                lower = c[-1] if col > 1 else frames[0]
+                return lower, c[-n] if row < top else fixed_upper
+
+            up = d[row + 1][col] if row < n else n
+            stages.append(Stage(spaces, d[row][col - 1], up, d[row][col]))
+    return stages
+
+
+def grid_count_estimate(w: Permutation, p: int, pinned_last_row: bool) -> int:
+    """Exact point count of the grid tower, from cell-choice dimensions."""
+    return tower_bound(grid_stages(w, p, pinned_last_row), p)
 
 
 def _enumerate_grid(
     w: Permutation, p: int, pinned_last_row: bool, budget: int
 ) -> Iterator[GridPoint]:
     n = w.n
-    d = rank_matrix(w)
-    estimate = grid_count_estimate(w, p, pinned_last_row)
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"grid enumeration needs {estimate} points, budget is {budget}"
-        )
     frames, _ = standard_frames(n, p)
-    full = frames[n]
-    zero = zero_subspace(n, p)
-
-    cells = [(row, col) for row in range(n, 0, -1) for col in range(1, n + 1)]
-    current: dict[tuple[int, int], Subspace] = {}
-    if pinned_last_row:
-        for col in range(1, n + 1):
-            current[(n, col)] = frames[col]
-        cells = [(row, col) for row, col in cells if row < n]
-
-    def rec(idx: int) -> Iterator[GridPoint]:
-        if idx == len(cells):
-            grid = tuple(
-                tuple(current[(row, col)] for col in range(1, n + 1))
-                for row in range(1, n + 1)
-            )
-            yield GridPoint(n, p, grid)
-            return
-        row, col = cells[idx]
-        lower = current[(row, col - 1)] if col > 1 else zero
-        upper = current[(row + 1, col)] if row < n else full
-        for s in enumerate_between(lower, upper, d[row][col]):
-            current[(row, col)] = s
-            yield from rec(idx + 1)
-        current.pop((row, col), None)
-
-    yield from rec(0)
+    pinned = (frames[1:],) if pinned_last_row else ()
+    for c in tower(grid_stages(w, p, pinned_last_row), p, budget):
+        rows = tuple(c[i : i + n] for i in range(len(c) - n, -1, -n))
+        yield GridPoint(n, p, rows + pinned)
 
 
 def enumerate_flw(
@@ -136,24 +121,19 @@ def project_to_flag(pt: GridPoint) -> Flag:
     return tuple(pt.grid[row][pt.n - 1] for row in range(pt.n))
 
 
+def complete_flag_stages(n: int, p: int) -> list[Stage]:
+    """Complete flags as tower stages: each space extends the previous one
+    by one dimension inside the whole space."""
+    frames, _ = standard_frames(n, p)
+    return [
+        Stage(lambda c: (c[-1] if c else frames[0], frames[n]), i, n, i + 1)
+        for i in range(n)
+    ]
+
+
 def enumerate_complete_flags(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Flag]:
     """All complete flags of GF(p)^n, by extending one dimension at a time."""
-    total = 1
-    for i in range(n):
-        total *= gaussian_binomial(n - i, 1, p)
-    if total > budget:
-        raise BudgetExceededError(f"{total} flags exceed budget {budget}")
-    full = full_space(n, p)
-
-    def rec(chain: tuple[Subspace, ...]) -> Iterator[Flag]:
-        if len(chain) == n:
-            yield chain
-            return
-        prev = chain[-1] if chain else zero_subspace(n, p)
-        for s in enumerate_between(prev, full, len(chain) + 1):
-            yield from rec(chain + (s,))
-
-    yield from rec(())
+    yield from tower(complete_flag_stages(n, p), p, budget)
 
 
 def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
@@ -161,6 +141,19 @@ def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(intersect(flag[pp - 1], frames[q]).dim for q in range(1, n + 1))
         for pp in range(1, n + 1)
+    )
+
+
+def meets_rank_conditions(
+    flag: Flag, frames: Flag, d: tuple[tuple[int, ...], ...], mode: str
+) -> bool:
+    """dim(l_p ∩ F_q) equals d_pq for every p, q in ``cell`` mode and is at
+    least d_pq in ``closed`` mode, d a rank matrix from ``rank_matrix``."""
+    test = operator.eq if mode == "cell" else operator.ge
+    return all(
+        test(got, want)
+        for got_row, want_row in zip(flag_rank_profile(flag, frames), d[1:])
+        for got, want in zip(got_row, want_row[1:])
     )
 
 
@@ -177,20 +170,7 @@ def schubert_flag_points(
     d = rank_matrix(w)
     frames, _ = standard_frames(w.n, p)
     for flag in enumerate_complete_flags(w.n, p, budget):
-        profile = flag_rank_profile(flag, frames)
-        if mode == "cell":
-            ok = all(
-                profile[pp - 1][q - 1] == d[pp][q]
-                for pp in range(1, w.n + 1)
-                for q in range(1, w.n + 1)
-            )
-        else:
-            ok = all(
-                profile[pp - 1][q - 1] >= d[pp][q]
-                for pp in range(1, w.n + 1)
-                for q in range(1, w.n + 1)
-            )
-        if ok:
+        if meets_rank_conditions(flag, frames, d, mode):
             yield flag
 
 
@@ -252,12 +232,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         for pt in points:
             flag = project_to_flag(pt)
             by_flag.setdefault(flag, []).append(pt)
-            profile = flag_rank_profile(flag, frames)
-            if not all(
-                profile[pp - 1][q - 1] >= d[pp][q]
-                for pp in range(1, w.n + 1)
-                for q in range(1, w.n + 1)
-            ):
+            if not meets_rank_conditions(flag, frames, d, "closed"):
                 closed_ok = False
                 if not witness:
                     witness = [subspace_witness(s) for s in flag]
@@ -292,7 +267,3 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
             informational=True,
         )
     return report
-
-
-def sweep_flres(n: int, p: int, budget: int = DEFAULT_BUDGET) -> list[EnumReport]:
-    return [verify_flres(w, p, budget) for w in all_permutations(n)]

@@ -20,13 +20,7 @@ from schubres.biflag import (
     project_to_flag,
     standard_frames,
 )
-from schubres.exactlin import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    Subspace,
-    contains,
-    enumerate_between,
-)
+from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, contains, tower
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -40,6 +34,24 @@ from schubres.report import EnumReport, timed
 BSPoint = tuple[Subspace, ...]
 
 
+def bs_stages(word: ReducedWord, p: int) -> list[Stage]:
+    """One tower stage per letter: a subspace of dimension the letter index
+    between the latest earlier choices one dimension below and above, or
+    the fixed flag spaces when no such letter precedes."""
+    frames, _ = standard_frames(word.n, p)
+    inc = bs_incidence(word)
+
+    def stage(d: int, li: int | None, ri: int | None) -> Stage:
+        def spaces(c: BSPoint) -> tuple[Subspace, Subspace]:
+            lower = c[li - 1] if li is not None else frames[d - 1]
+            upper = c[ri - 1] if ri is not None else frames[d + 1]
+            return lower, upper
+
+        return Stage(spaces, d - 1, d + 1, d)
+
+    return [stage(*letter) for letter in zip(word.letters, inc.left, inc.right)]
+
+
 def enumerate_bs(
     word: ReducedWord, p: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[BSPoint]:
@@ -50,28 +62,7 @@ def enumerate_bs(
     dimension the letter index.  For a reduced word every step is a
     projective line, so the count is (p+1)^len(word).
     """
-    n = word.n
-    letters = word.letters
-    if (p + 1) ** len(letters) > budget:
-        raise BudgetExceededError(
-            f"tower needs up to {(p + 1) ** len(letters)} points, budget {budget}"
-        )
-    frames, _ = standard_frames(n, p)
-    inc = bs_incidence(word)
-
-    def rec(chosen: BSPoint) -> Iterator[BSPoint]:
-        j = len(chosen)
-        if j == len(letters):
-            yield chosen
-            return
-        d = letters[j]
-        li, ri = inc.left[j], inc.right[j]
-        lower = chosen[li - 1] if li is not None else frames[d - 1]
-        upper = chosen[ri - 1] if ri is not None else frames[d + 1]
-        for s in enumerate_between(lower, upper, d):
-            yield from rec(chosen + (s,))
-
-    yield from rec(())
+    yield from tower(bs_stages(word, p), p, budget)
 
 
 def bs_point_is_valid(point: BSPoint, word: ReducedWord, p: int) -> bool:
@@ -128,28 +119,28 @@ def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
     return tuple(out)
 
 
-def first_block_chains(w: Permutation, p: int) -> set[tuple[Subspace, ...]]:
-    """Independent tower oracle for the first block's image.
-
-    Chains W_1 ⊂ ... ⊂ W_m with F_{w(n)-1} ⊆ W_j ⊆ F_{w(n)+j} and
-    dim W_j = w(n)+j-1, where m = n - w(n): the Kempf-Laksov-type chains
-    in the window above F_{w(n)-1}.
-    """
+def first_block_stages(w: Permutation, p: int) -> list[Stage]:
+    """Chains W_1 ⊂ ... ⊂ W_m with F_{w(n)-1} ⊆ W_j ⊆ F_{w(n)+j} and
+    dim W_j = w(n)+j-1, where m = n - w(n), as tower stages."""
     n = w.n
     v = w(n)
-    m = n - v
     frames, _ = standard_frames(n, p)
+    return [
+        Stage(
+            lambda c, j=j: (c[-1] if c else frames[v - 1], frames[v + j + 1]),
+            v + j - 1,
+            v + j + 1,
+            v + j,
+        )
+        for j in range(n - v)
+    ]
 
-    def rec(chain: tuple[Subspace, ...]) -> Iterator[tuple[Subspace, ...]]:
-        j = len(chain)
-        if j == m:
-            yield chain
-            return
-        lower = chain[-1] if chain else frames[v - 1]
-        for s in enumerate_between(lower, frames[v + j + 1], v + j):
-            yield from rec(chain + (s,))
 
-    return set(rec(()))
+def first_block_chains(w: Permutation, p: int) -> set[tuple[Subspace, ...]]:
+    """Independent tower oracle for the first block's image: the
+    Kempf-Laksov-type chains of ``first_block_stages`` in the window
+    above F_{w(n)-1}."""
+    return set(tower(first_block_stages(w, p), p, DEFAULT_BUDGET))
 
 
 def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:

@@ -18,9 +18,9 @@ from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     LinearMap,
+    Stage,
     Subspace,
     contains,
-    enumerate_between,
     enumerate_maps,
     enumerate_subspaces,
     full_space,
@@ -30,6 +30,7 @@ from schubres.exactlin import (
     linear_map_from_pairs,
     project,
     subspace_sum,
+    tower,
     zero_subspace,
 )
 from schubres.grassfib import FrameConfig
@@ -51,23 +52,12 @@ def kl_points(
 ) -> Iterator[KLChain]:
     """Chains L_1 ⊂ ... ⊂ L_k with L_i inside the i-th flag space,
     dim L_i = i: the resolution tower of the flag's Schubert variety."""
-    k = len(flag)
-    estimate = kl_count_formula(tuple(s.dim for s in flag), p)
-    if estimate > budget:
-        raise BudgetExceededError(f"chain tower needs {estimate} points")
-    n = flag[0].n
-    zero = zero_subspace(n, p)
-
-    def rec(chain: KLChain) -> Iterator[KLChain]:
-        i = len(chain)
-        if i == k:
-            yield chain
-            return
-        lower = chain[-1] if chain else zero
-        for s in enumerate_between(lower, flag[i], i + 1):
-            yield from rec(chain + (s,))
-
-    yield from rec(())
+    zero = zero_subspace(flag[0].n, p)
+    stages = [
+        Stage(lambda c, space=space: (c[-1] if c else zero, space), i, space.dim, i + 1)
+        for i, space in enumerate(flag)
+    ]
+    yield from tower(stages, p, budget)
 
 
 def kl_count_formula(dims: tuple[int, ...], p: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Vec = tuple[int, ...]
 Rows = tuple[Vec, ...]
@@ -409,3 +409,53 @@ def enumerate_between(lower: Subspace, upper: Subspace, dim: int) -> Iterator[Su
     infeasible.  Count: [dim upper - dim lower choose dim - dim lower]_p.
     """
     yield from _between_tuple(lower, upper, dim)
+
+
+Choices = tuple[Subspace, ...]
+
+
+class Stage(NamedTuple):
+    """One level of a subspace tower.
+
+    ``spaces`` maps the choices of the earlier levels to (lower, upper);
+    the level chooses each ``dim``-dimensional S with lower ⊆ S ⊆ upper.
+    For every input dim lower must be at least ``lo`` and dim upper at
+    most ``up``, so the level offers at most [up - lo choose dim - lo]_p
+    choices.
+    """
+
+    spaces: Callable[[Choices], tuple[Subspace, Subspace]]
+    lo: int
+    up: int
+    dim: int
+
+
+def tower_bound(stages: Sequence[Stage], p: int) -> int:
+    """Point-count bound of a tower: the product of its level bounds."""
+    total = 1
+    for st in stages:
+        total *= gaussian_binomial(st.up - st.lo, st.dim - st.lo, p)
+    return total
+
+
+def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[Choices]:
+    """Yield every tuple of choices, one per stage, depth first.
+
+    Each level runs in ``enumerate_between`` order.  The whole tower is
+    refused before its first point when ``tower_bound`` exceeds the
+    budget.
+    """
+    bound = tower_bound(stages, p)
+    if bound > budget:
+        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+
+    def rec(chosen: Choices) -> Iterator[Choices]:
+        if len(chosen) == len(stages):
+            yield chosen
+            return
+        stage = stages[len(chosen)]
+        lower, upper = stage.spaces(chosen)
+        for s in enumerate_between(lower, upper, stage.dim):
+            yield from rec(chosen + (s,))
+
+    yield from rec(())

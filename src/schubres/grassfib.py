@@ -12,6 +12,7 @@ injective with image equal to the rank-filtered point sets.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -220,7 +221,19 @@ def phi_star(
     return out
 
 
-MODES = ("cell", "open", "closed", "star_open", "star_closed")
+# Per-index conditions of each locus: (flag family, node shift, dimension,
+# comparison) requires dim(L ∩ family[b_i + shift]) compared with dimension(i, k).
+VBETA_CONDITIONS = {
+    "cell": (
+        ("frames", 0, lambda i, k: i, operator.eq),
+        ("frames", -1, lambda i, k: i - 1, operator.eq),
+    ),
+    "open": (("frames", 0, lambda i, k: i, operator.eq),),
+    "closed": (("frames", 0, lambda i, k: i, operator.ge),),
+    "star_open": (("coframes", 0, lambda i, k: k - i, operator.eq),),
+    "star_closed": (("coframes", 0, lambda i, k: k - i, operator.ge),),
+}
+MODES = tuple(VBETA_CONDITIONS)
 
 
 def vbeta_points(
@@ -238,33 +251,13 @@ def vbeta_points(
     total = gaussian_binomial(cfg.n, k, cfg.p)
     if total > budget:
         raise BudgetExceededError(f"Gr_{k}(GF({cfg.p})^{cfg.n}) has {total} points")
-    full = full_space(cfg.n, cfg.p)
-    for l in enumerate_subspaces(full, k):
-        if mode == "closed":
-            ok = all(
-                intersect(l, cfg.frames[cfg.beta[i - 1]]).dim >= i for i in range(1, k + 1)
-            )
-        elif mode == "open":
-            ok = all(
-                intersect(l, cfg.frames[cfg.beta[i - 1]]).dim == i for i in range(1, k + 1)
-            )
-        elif mode == "cell":
-            ok = all(
-                intersect(l, cfg.frames[cfg.beta[i - 1]]).dim == i
-                and intersect(l, cfg.frames[cfg.beta[i - 1] - 1]).dim == i - 1
-                for i in range(1, k + 1)
-            )
-        elif mode == "star_open":
-            ok = all(
-                intersect(l, cfg.coframes[cfg.beta[i - 1]]).dim == k - i
-                for i in range(1, k + 1)
-            )
-        else:  # star_closed
-            ok = all(
-                intersect(l, cfg.coframes[cfg.beta[i - 1]]).dim >= k - i
-                for i in range(1, k + 1)
-            )
-        if ok:
+    checks = [
+        (getattr(cfg, family)[cfg.beta[i - 1] + shift], dim(i, k), compare)
+        for i in range(1, k + 1)
+        for family, shift, dim, compare in VBETA_CONDITIONS[mode]
+    ]
+    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), k):
+        if all(compare(intersect(l, node).dim, want) for node, want, compare in checks):
             yield l
 
 

@@ -18,13 +18,11 @@ from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     LinearMap,
+    Stage,
     Subspace,
     contains,
-    enumerate_between,
     enumerate_maps,
-    enumerate_subspaces,
     gaussian_binomial,
     graph,
     intersect,
@@ -32,6 +30,7 @@ from schubres.exactlin import (
     project,
     span,
     subspace_sum,
+    tower,
     zero_subspace,
 )
 from schubres.grassfib import FrameConfig
@@ -105,13 +104,6 @@ def gcal_membership(cfg: FrameConfig, pt: GCalPoint) -> bool:
     return True
 
 
-def gcal_estimate(cfg: FrameConfig) -> int:
-    total = 1
-    for i in range(1, cfg.k + 1):
-        total *= gaussian_binomial(cfg.nested(i, i).dim, i, cfg.p)
-    return total
-
-
 def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GCalPoint]:
     """Top-down tower enumeration of the chain variety.
 
@@ -120,24 +112,20 @@ def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
     are visited.
     """
     k = cfg.k
-    if gcal_estimate(cfg) > budget:
-        raise BudgetExceededError(f"chain variety bound exceeds budget {budget}")
+    zero = zero_subspace(cfg.n, cfg.p)
 
-    def rec(suffix: tuple[Subspace, ...]) -> Iterator[GCalPoint]:
-        i = k - len(suffix)
-        if i == 0:
-            yield suffix
-            return
-        if i == k:
-            pool = cfg.nested(k, k)
-        else:
-            pool = intersect(
-                subspace_sum(suffix[0], cfg.complement(i + 1)), cfg.nested(i, i)
-            )
-        for s in enumerate_subspaces(pool, i):
-            yield from rec((s,) + suffix)
+    def level(i: int) -> Stage:
+        # l_i is chosen right after l_{i+1}
+        def spaces(c: tuple[Subspace, ...]) -> tuple[Subspace, Subspace]:
+            if i == k:
+                return zero, cfg.nested(k, k)
+            above = subspace_sum(c[-1], cfg.complement(i + 1))
+            return zero, intersect(above, cfg.nested(i, i))
 
-    yield from rec(())
+        return Stage(spaces, 0, cfg.nested(i, i).dim, i)
+
+    for c in tower([level(i) for i in range(k, 0, -1)], cfg.p, budget):
+        yield c[::-1]
 
 
 def ghat_count_formula(cfg: FrameConfig) -> int:
@@ -158,29 +146,25 @@ def enumerate_ghat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
     complement of the interleaving line's window.
     """
     k = cfg.k
-    if ghat_count_formula(cfg) > budget:
-        raise BudgetExceededError(f"grid tower bound exceeds budget {budget}")
     zero = zero_subspace(cfg.n, cfg.p)
 
-    def rec_row(i: int, below: tuple[Subspace, ...], rows_acc) -> Iterator[GHatPoint]:
-        def rec_cell(j: int, row: tuple[Subspace, ...]) -> Iterator[GHatPoint]:
-            if j > i:
-                if i == 1:
-                    yield (row,) + rows_acc
-                else:
-                    yield from rec_row(i - 1, row, (row,) + rows_acc)
-                return
-            lower = row[j - 2] if j >= 2 else zero
+    def cell(i: int, j: int) -> Stage:
+        # rows are chosen from k down to 1, so the cell below is i+1 choices back
+        def spaces(c: tuple[Subspace, ...]) -> tuple[Subspace, Subspace]:
+            lower = c[-1] if j > 1 else zero
             if i == k:
-                upper = cfg.nested(j, k)
-            else:
-                upper = subspace_sum(below[j - 1], cfg.complement(i + 1))
-            for s in enumerate_between(lower, upper, j):
-                yield from rec_cell(j + 1, row + (s,))
+                return lower, cfg.nested(j, k)
+            return lower, subspace_sum(c[-i - 1], cfg.complement(i + 1))
 
-        yield from rec_cell(1, ())
+        gap = cfg.window(i + 1).dim - 1 if i < k else cfg.tail.dim
+        return Stage(spaces, j - 1, j + gap, j)
 
-    yield from rec_row(k, (), ())
+    stages = [cell(i, j) for i in range(k, 0, -1) for j in range(1, i + 1)]
+    # row i holds the i choices that follow rows k..i+1
+    end = len(stages)
+    rows = [slice(end - i * (i + 1) // 2, end - i * (i - 1) // 2) for i in range(1, k + 1)]
+    for c in tower(stages, cfg.p, budget):
+        yield tuple(c[row] for row in rows)
 
 
 def ghat_membership(cfg: FrameConfig, pt: GHatPoint) -> bool:

@@ -316,3 +316,89 @@ class TestGaussianBinomial:
         for n in range(6):
             for k in range(n + 1):
                 assert ex.gaussian_binomial(n, k, 3) == ex.gaussian_binomial(n, n - k, 3)
+
+
+def _mixed_stages(n, p):
+    """Levels bounded by fixed spaces, earlier choices and their sums and
+    intersections; the last level is empty for some prefixes."""
+    full, zero = ex.full_space(n, p), ex.zero_subspace(n, p)
+    hyper = ex.span([ex.unit_vector(i, n) for i in range(n - 1)], n, p)
+    last = ex.span([ex.unit_vector(n - 1, n)], n, p)
+    return [
+        ex.Stage(lambda c: (zero, full), 0, n, 1),
+        ex.Stage(lambda c: (zero, ex.subspace_sum(c[0], last)), 0, 2, 1),
+        ex.Stage(lambda c: (ex.subspace_sum(c[0], c[1]), full), 1, n, 2),
+        ex.Stage(lambda c: (c[0], ex.intersect(c[2], hyper)), 1, 2, 1),
+    ]
+
+
+def _chain_stages(n, p):
+    full, zero = ex.full_space(n, p), ex.zero_subspace(n, p)
+    return [ex.Stage(lambda c: (c[-1] if c else zero, full), i, n, i + 1) for i in range(n - 1)]
+
+
+class TestTower:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("stages_of", [_mixed_stages, _chain_stages])
+    def test_equals_filtered_product(self, n, stages_of):
+        stages = stages_of(n, 2)
+        full = ex.full_space(n, 2)
+        want = []
+        levels = [list(ex.enumerate_subspaces(full, st.dim)) for st in stages]
+        for choice in itertools.product(*levels):
+            for i, st in enumerate(stages):
+                lower, upper = st.spaces(choice[:i])
+                if not (ex.contains(choice[i], lower) and ex.contains(upper, choice[i])):
+                    break
+            else:
+                want.append(choice)
+        got = list(ex.tower(stages, 2, ex.DEFAULT_BUDGET))
+        assert got == want
+        assert len(got) <= ex.tower_bound(stages, 2)
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
+    def test_bound_equals_count(self, n, p):
+        from schubres.biflag import complete_flag_stages, grid_stages
+        from schubres.bottsamelson import bs_stages, first_block_stages
+        from schubres.permcomb import all_permutations, bubblesort_word
+
+        stage_lists = [complete_flag_stages(n, p)]
+        for w in all_permutations(n):
+            stage_lists += [
+                grid_stages(w, p, pinned_last_row=True),
+                bs_stages(bubblesort_word(w), p),
+                first_block_stages(w, p),
+            ]
+            if n == 3:  # the unpinned grids of S_4 take seconds
+                stage_lists.append(grid_stages(w, p, pinned_last_row=False))
+        for stages in stage_lists:
+            bound = ex.tower_bound(stages, p)
+            assert len(list(ex.tower(stages, p, bound))) == bound
+
+
+def _enumerators():
+    from schubres import biflag, bottsamelson, embres, wflag
+    from schubres.grassfib import make_frame
+    from schubres.permcomb import Permutation, bubblesort_word
+
+    w = Permutation((3, 1, 2))
+    cfg = make_frame(4, 2, (2, 4))
+    flag = tuple(cfg.frames[b] for b in cfg.beta)
+    return {
+        "enumerate_flw": lambda b: biflag.enumerate_flw(w, 2, b),
+        "enumerate_shat": lambda b: biflag.enumerate_shat(w, 2, b),
+        "enumerate_complete_flags": lambda b: biflag.enumerate_complete_flags(3, 2, b),
+        "enumerate_bs": lambda b: bottsamelson.enumerate_bs(bubblesort_word(w), 2, b),
+        "kl_points": lambda b: embres.kl_points(flag, 2, b),
+        "enumerate_gcal": lambda b: wflag.enumerate_gcal(cfg, b),
+        "enumerate_ghat": lambda b: wflag.enumerate_ghat(cfg, b),
+    }
+
+
+@pytest.mark.parametrize("name", list(_enumerators()))
+def test_enumerator_refuses_budget_below_bound(name):
+    make = _enumerators()[name]
+    count = len(list(make(ex.DEFAULT_BUDGET)))
+    it = make(count - 1)  # every bound is at least the point count
+    with pytest.raises(ex.BudgetExceededError):
+        next(it)

@@ -14,6 +14,7 @@ CASES = [
     ("embres-n4-beta2-4-p2.json", ["embres", "verify", "--n", "4", "--beta", "2,4"]),
     ("embres-n4-beta1-3-p2.json", ["embres", "verify", "--n", "4", "--beta", "1,3"]),
     ("wflag-n5-beta2-4-p2.json", ["wflag", "verify", "--n", "5", "--beta", "2,4"]),
+    ("suite.json", ["suite"]),
 ]
 
 
