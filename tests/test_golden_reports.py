@@ -15,6 +15,25 @@ CASES = [
     ("embres-n4-beta1-3-p2.json", ["embres", "verify", "--n", "4", "--beta", "1,3"]),
     ("wflag-n5-beta2-4-p2.json", ["wflag", "verify", "--n", "5", "--beta", "2,4"]),
     ("suite.json", ["suite"]),
+    ("rankmatrix-3-1-2.json", ["rankmatrix", "--perm", "3,1,2"]),
+    ("bubblesort-4-1-3-2.json", ["bubblesort", "--perm", "4,1,3,2"]),
+    ("biflag-enumerate-2-3-1-p2.json", ["biflag", "enumerate", "--perm", "2,3,1"]),
+    (
+        "biflag-enumerate-flw-1-2-3-p2.json",
+        ["biflag", "enumerate", "--perm", "1,2,3", "--variety", "flw"],
+    ),
+    ("bs-enumerate-3-1-2-p3.json", ["bs", "enumerate", "--perm", "3,1,2", "--field", "3"]),
+    ("wflag-enumerate-n5-beta1-3-p2.json", ["wflag", "enumerate", "--n", "5", "--beta", "1,3"]),
+    ("wflag-lift-n4-beta1-3-p2.json", ["wflag", "lift", "--n", "4", "--beta", "1,3"]),
+    ("grass-phi-n4-beta2-4-p2.json", ["grass", "verify-phi", "--n", "4", "--beta", "2,4"]),
+    (
+        "grass-phistar-n4-beta2-4-p2.json",
+        ["grass", "verify-phistar", "--n", "4", "--beta", "2,4"],
+    ),
+    (
+        "grass-transversal-n4-beta2-4-p2.json",
+        ["grass", "verify-transversal", "--n", "4", "--beta", "2,4"],
+    ),
 ]
 
 
