@@ -202,6 +202,30 @@ def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
     return True
 
 
+def enumerate_report(
+    w: Permutation, variety: str, p: int, budget: int = DEFAULT_BUDGET
+) -> EnumReport:
+    """Point count of the pinned tower (``shat``) or of the full grid
+    (``flw``) of w against its closed form."""
+    report = EnumReport(
+        "biflag enumerate",
+        {"perm": list(w.one_line), "field": p, "budget": budget, "variety": variety},
+    )
+    with timed(report):
+        if variety == "shat":
+            count = sum(1 for _ in enumerate_shat(w, p, budget))
+            expected = (p + 1) ** length(w)
+            name = "count_is_(p+1)^l"
+        else:
+            count = sum(1 for _ in enumerate_flw(w, p, budget))
+            expected = grid_count_estimate(w, p, pinned_last_row=False)
+            name = "count_matches_cell_product"
+        report.counts["points"] = count
+        report.counts["expected"] = expected
+        report.add(name, count == expected)
+    return report
+
+
 def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Set-level checks for the grid tower resolving the Schubert variety.
 

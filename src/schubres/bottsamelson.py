@@ -143,6 +143,21 @@ def first_block_chains(w: Permutation, p: int) -> set[tuple[Subspace, ...]]:
     return set(tower(first_block_stages(w, p), p, DEFAULT_BUDGET))
 
 
+def enumerate_report(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """Point count of the Bott-Samelson tower of the bubblesort word of w
+    against (p+1)^length(w)."""
+    report = EnumReport("bs enumerate", {"perm": list(w.one_line), "field": p, "budget": budget})
+    with timed(report):
+        word = bubblesort_word(w)
+        count = sum(1 for _ in enumerate_bs(word, p, budget))
+        expected = (p + 1) ** length(w)
+        report.counts["points"] = count
+        report.counts["expected"] = expected
+        report.counts["word"] = list(word.letters)
+        report.add("count_is_(p+1)^l", count == expected)
+    return report
+
+
 def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Verify the grid tower and the bubblesort tower are one resolution.
 

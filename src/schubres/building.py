@@ -22,6 +22,7 @@ length(w) + n - 1.
 from __future__ import annotations
 
 from schubres.permcomb import Permutation, length, rank_matrix
+from schubres.report import EnumReport, timed
 
 Label = tuple[int, int]
 
@@ -88,3 +89,18 @@ def check_counts(w: Permutation) -> bool:
     """Cross-check: building floors = dedup survivors, total = l(w)+n-1."""
     counts = nonredundant_counts(w)
     return counts == dedup_rank_matrix(w) and sum(counts) == length(w) + w.n - 1
+
+
+def building_report(w: Permutation) -> EnumReport:
+    """Non-redundant factor counts per floor, checked against the
+    rank-matrix dedup oracle and the total length(w) + n - 1."""
+    report = EnumReport("building", {"perm": list(w.one_line)})
+    with timed(report):
+        counts = nonredundant_counts(w)
+        report.counts["per_level"] = list(counts)
+        report.counts["total"] = sum(counts)
+        report.counts["raw_per_level"] = list(raw_factor_counts(w))
+        report.counts["length"] = length(w)
+        report.add("total_is_l_plus_n_minus_1", sum(counts) == length(w) + w.n - 1)
+        report.add("matches_dedup_oracle", counts == dedup_rank_matrix(w))
+    return report

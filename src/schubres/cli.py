@@ -1,5 +1,8 @@
 """Command-line front end: every verification as a subcommand with JSON output.
 
+Each (command, action) pair maps to the one domain function that builds
+its report; this module parses arguments, dispatches and prints.
+
 Exit codes: 0 when all non-informational checks pass, 1 on a check
 failure (the report is still emitted), 2 on invalid configuration
 (including exceeded enumeration budgets).
@@ -10,25 +13,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from schubres import biflag, bottsamelson, building, embres, grassfib, wflag
+from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, wflag
 from schubres.exactlin import DEFAULT_BUDGET, BudgetExceededError
-from schubres.permcomb import (
-    Permutation,
-    bubblesort_word,
-    jump_points,
-    length,
-    rank_matrix,
-    word_product,
-)
+from schubres.permcomb import Permutation
 from schubres.report import EnumReport, timed
 from schubres.suite import run_suite
 
 
-def _parse_perm(text: str) -> Permutation:
+def _perm(args: argparse.Namespace) -> Permutation:
     try:
-        return Permutation(tuple(int(x) for x in text.split(",")))
+        return Permutation(tuple(int(x) for x in args.perm.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"bad permutation {text!r}: {exc}") from exc
+        raise ConfigError(f"bad permutation {args.perm!r}: {exc}") from exc
 
 
 def _parse_beta(text: str) -> tuple[int, ...]:
@@ -42,99 +38,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _cmd_rankmatrix(args: argparse.Namespace) -> EnumReport:
-    w = _parse_perm(args.perm)
-    report = EnumReport("rankmatrix", {"perm": list(w.one_line)})
-    with timed(report):
-        d = rank_matrix(w)
-        matrix = [list(d[p][1:]) for p in range(1, w.n + 1)]
-        report.counts["matrix"] = matrix
-        report.counts["jump_points"] = list(jump_points(w))
-        slow = all(
-            d[p][q] - d[p][q - 1] in (0, 1) and d[p][q] - d[p - 1][q] in (0, 1)
-            for p in range(1, w.n + 1)
-            for q in range(1, w.n + 1)
-        )
-        report.add("slowly_increasing", slow)
-        report.add("jumps_equal_one_line", jump_points(w) == w.one_line)
-    return report
-
-
-def _cmd_building(args: argparse.Namespace) -> EnumReport:
-    w = _parse_perm(args.perm)
-    report = EnumReport("building", {"perm": list(w.one_line)})
-    with timed(report):
-        counts = building.nonredundant_counts(w)
-        report.counts["per_level"] = list(counts)
-        report.counts["total"] = sum(counts)
-        report.counts["raw_per_level"] = list(building.raw_factor_counts(w))
-        report.counts["length"] = length(w)
-        report.add("total_is_l_plus_n_minus_1", sum(counts) == length(w) + w.n - 1)
-        report.add("matches_dedup_oracle", counts == building.dedup_rank_matrix(w))
-    return report
-
-
-def _cmd_bubblesort(args: argparse.Namespace) -> EnumReport:
-    w = _parse_perm(args.perm)
-    report = EnumReport("bubblesort", {"perm": list(w.one_line)})
-    with timed(report):
-        word = bubblesort_word(w)
-        report.counts["word"] = list(word.letters)
-        report.counts["blocks"] = [list(b) for b in word.blocks]
-        report.counts["length"] = len(word)
-        report.add("product_is_perm", word_product(word.letters, w.n) == w)
-        report.add("letter_count_is_length", len(word) == length(w))
-    return report
-
-
-def _cmd_biflag(args: argparse.Namespace) -> EnumReport:
-    w = _parse_perm(args.perm)
-    if args.action == "verify":
-        return biflag.verify_flres(w, args.field, args.budget)
-    report = EnumReport(
-        "biflag enumerate",
-        {
-            "perm": list(w.one_line),
-            "field": args.field,
-            "budget": args.budget,
-            "variety": args.variety,
-        },
-    )
-    with timed(report):
-        if args.variety == "shat":
-            count = sum(1 for _ in biflag.enumerate_shat(w, args.field, args.budget))
-            expected = (args.field + 1) ** length(w)
-            report.counts["points"] = count
-            report.counts["expected"] = expected
-            report.add("count_is_(p+1)^l", count == expected)
-        else:
-            count = sum(1 for _ in biflag.enumerate_flw(w, args.field, args.budget))
-            expected = biflag.grid_count_estimate(w, args.field, pinned_last_row=False)
-            report.counts["points"] = count
-            report.counts["expected"] = expected
-            report.add("count_matches_cell_product", count == expected)
-    return report
-
-
-def _cmd_bs(args: argparse.Namespace) -> EnumReport:
-    w = _parse_perm(args.perm)
-    if args.action == "iso":
-        return bottsamelson.bbs_iso(w, args.field, args.budget)
-    report = EnumReport(
-        "bs enumerate", {"perm": list(w.one_line), "field": args.field, "budget": args.budget}
-    )
-    with timed(report):
-        word = bubblesort_word(w)
-        count = sum(1 for _ in bottsamelson.enumerate_bs(word, args.field, args.budget))
-        expected = (args.field + 1) ** length(w)
-        report.counts["points"] = count
-        report.counts["expected"] = expected
-        report.counts["word"] = list(word.letters)
-        report.add("count_is_(p+1)^l", count == expected)
-    return report
-
-
-def _frame_from_args(args: argparse.Namespace) -> grassfib.FrameConfig:
+def _frame(args: argparse.Namespace) -> grassfib.FrameConfig:
     beta = _parse_beta(args.beta)
     if args.k is not None and args.k != len(beta):
         raise ConfigError(f"--k {args.k} disagrees with beta of length {len(beta)}")
@@ -142,75 +46,6 @@ def _frame_from_args(args: argparse.Namespace) -> grassfib.FrameConfig:
         return grassfib.make_frame(args.n, args.field, beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _cmd_grass(args: argparse.Namespace) -> EnumReport:
-    cfg = _frame_from_args(args)
-    if args.action == "verify-phi":
-        return grassfib.verify_phi(cfg, args.budget)
-    if args.action == "verify-phistar":
-        return grassfib.verify_phi_star(cfg, args.budget)
-    return grassfib.verify_transversal_identity(cfg, args.budget)
-
-
-def _cmd_wflag(args: argparse.Namespace) -> EnumReport:
-    cfg = _frame_from_args(args)
-    if args.action == "verify":
-        return wflag.verify_chain_resolution(cfg, args.budget)
-    if args.action == "lift":
-        report = EnumReport(
-            "wflag lift",
-            {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": args.budget},
-        )
-        with timed(report):
-            pts = list(wflag.enumerate_gcal(cfg, args.budget))
-            section_ok = True
-            member_ok = True
-            for pt in pts:
-                grid = wflag.lift_to_ghat(cfg, pt)
-                section_ok = section_ok and wflag.pi_diag(grid) == pt
-                member_ok = member_ok and wflag.ghat_membership(cfg, grid)
-            report.counts["chain_points"] = len(pts)
-            report.add("lift_is_a_section", section_ok)
-            report.add("lift_lands_in_grid_variety", member_ok)
-        return report
-    report = EnumReport(
-        "wflag enumerate",
-        {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": args.budget},
-    )
-    with timed(report):
-        gcal = list(wflag.enumerate_gcal(cfg, args.budget))
-        grid = sum(1 for _ in wflag.enumerate_ghat(cfg, args.budget))
-        opens = sum(1 for pt in gcal if wflag.in_u(cfg, pt))
-        report.counts["chain_points"] = len(gcal)
-        report.counts["grid_points"] = grid
-        report.counts["open_locus_points"] = opens
-        report.counts["grid_formula"] = wflag.ghat_count_formula(cfg)
-        report.counts["open_locus_formula"] = wflag.u_count_formula(cfg.n, cfg.p, cfg.beta)
-        report.add("grid_count_matches_row_product", grid == report.counts["grid_formula"])
-        report.add(
-            "open_locus_count_matches_formula",
-            opens == report.counts["open_locus_formula"],
-        )
-    return report
-
-
-def _cmd_embres(args: argparse.Namespace) -> EnumReport:
-    cfg = _frame_from_args(args)
-    chart = embres.verify_chart_family(cfg, args.budget)
-    resolution = embres.verify_embedded_resolution(cfg, args.budget)
-    merged = EnumReport(
-        "embres verify",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": args.budget},
-    )
-    merged.counts = {**chart.counts, **resolution.counts}
-    for prefix, rep in (("chart", chart), ("resolution", resolution)):
-        for c in rep.checks:
-            merged.checks.append(
-                type(c)(f"{prefix}.{c.name}", c.passed, c.detail, c.witnesses, c.informational)
-            )
-    merged.wall_time_s = chart.wall_time_s + resolution.wall_time_s
-    return merged
 
 
 def _cmd_suite(args: argparse.Namespace) -> EnumReport:
@@ -278,16 +113,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-HANDLERS = {
-    "rankmatrix": _cmd_rankmatrix,
-    "building": _cmd_building,
-    "bubblesort": _cmd_bubblesort,
-    "biflag": _cmd_biflag,
-    "bs": _cmd_bs,
-    "grass": _cmd_grass,
-    "wflag": _cmd_wflag,
-    "embres": _cmd_embres,
-    "suite": _cmd_suite,
+# the lambdas look the report functions up at call time, so a wrapper
+# installed on the domain module (a tracer, a test double) is honoured
+REPORTS = {
+    ("rankmatrix", None): lambda a: permcomb.rank_matrix_report(_perm(a)),
+    ("building", None): lambda a: building.building_report(_perm(a)),
+    ("bubblesort", None): lambda a: permcomb.bubblesort_report(_perm(a)),
+    ("biflag", "enumerate"): lambda a: biflag.enumerate_report(
+        _perm(a), a.variety, a.field, a.budget
+    ),
+    ("biflag", "verify"): lambda a: biflag.verify_flres(_perm(a), a.field, a.budget),
+    ("bs", "enumerate"): lambda a: bottsamelson.enumerate_report(_perm(a), a.field, a.budget),
+    ("bs", "iso"): lambda a: bottsamelson.bbs_iso(_perm(a), a.field, a.budget),
+    ("grass", "verify-phi"): lambda a: grassfib.verify_phi(_frame(a), a.budget),
+    ("grass", "verify-phistar"): lambda a: grassfib.verify_phi_star(_frame(a), a.budget),
+    ("grass", "verify-transversal"): lambda a: grassfib.verify_transversal_identity(
+        _frame(a), a.budget
+    ),
+    ("wflag", "enumerate"): lambda a: wflag.enumerate_report(_frame(a), a.budget),
+    ("wflag", "lift"): lambda a: wflag.lift_report(_frame(a), a.budget),
+    ("wflag", "verify"): lambda a: wflag.verify_chain_resolution(_frame(a), a.budget),
+    ("embres", "verify"): lambda a: embres.verify_report(_frame(a), a.budget),
+    ("suite", None): _cmd_suite,
 }
 
 
@@ -295,7 +142,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = HANDLERS[args.command](args)
+        report = REPORTS[args.command, getattr(args, "action", None)](args)
     except (ConfigError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,8 +33,8 @@ from schubres.exactlin import (
     tower,
     zero_subspace,
 )
-from schubres.grassfib import FrameConfig
-from schubres.report import EnumReport, subspace_witness, timed
+from schubres.grassfib import FrameConfig, vbeta_points
+from schubres.report import EnumReport, merge_reports, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
     enumerate_ghat,
@@ -282,11 +282,7 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
         over_o = {chain[-1] for (pt, chain) in itertools.chain(*census.values()) if pt == o}
         standard_tower_tops = {chain[-1] for chain in kl_points(standard, cfg.p, budget)}
         report.add("special_fiber_is_standard_tower", over_o == standard_tower_tops)
-        closed = {
-            l
-            for l in grass
-            if all(intersect(l, cfg.frames[b]).dim >= i for i, b in enumerate(cfg.beta, 1))
-        }
+        closed = set(vbeta_points(cfg, "closed", budget))
         report.counts["closed_locus_points"] = len(closed)
         report.add(
             "special_fiber_covers_closed_locus",
@@ -295,3 +291,14 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
             informational=True,
         )
     return report
+
+
+def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """The chart-family and embedded-resolution checks as one report,
+    under the ``chart.`` and ``resolution.`` prefixes."""
+    return merge_reports(
+        "embres verify",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+        chart=verify_chart_family(cfg, budget),
+        resolution=verify_embedded_resolution(cfg, budget),
+    )

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from schubres.report import EnumReport, timed
+
 
 @dataclass(frozen=True, order=True)
 class Permutation:
@@ -197,3 +199,36 @@ def bruhat_interval_oracle(w: Permutation) -> frozenset[Permutation]:
         for subset in itertools.combinations(letters, size):
             out.add(word_product(subset, w.n))
     return frozenset(out)
+
+
+def rank_matrix_report(w: Permutation) -> EnumReport:
+    """The rank matrix of w and its jump points; checks that the matrix
+    grows by 0 or 1 per step along rows and columns and that the jumps
+    spell w."""
+    report = EnumReport("rankmatrix", {"perm": list(w.one_line)})
+    with timed(report):
+        d = rank_matrix(w)
+        report.counts["matrix"] = [list(d[p][1:]) for p in range(1, w.n + 1)]
+        report.counts["jump_points"] = list(jump_points(w))
+        slow = all(
+            d[p][q] - d[p][q - 1] in (0, 1) and d[p][q] - d[p - 1][q] in (0, 1)
+            for p in range(1, w.n + 1)
+            for q in range(1, w.n + 1)
+        )
+        report.add("slowly_increasing", slow)
+        report.add("jumps_equal_one_line", jump_points(w) == w.one_line)
+    return report
+
+
+def bubblesort_report(w: Permutation) -> EnumReport:
+    """The bubblesort word of w; checks that it multiplies to w and has
+    length(w) letters."""
+    report = EnumReport("bubblesort", {"perm": list(w.one_line)})
+    with timed(report):
+        word = bubblesort_word(w)
+        report.counts["word"] = list(word.letters)
+        report.counts["blocks"] = [list(b) for b in word.blocks]
+        report.counts["length"] = len(word)
+        report.add("product_is_perm", word_product(word.letters, w.n) == w)
+        report.add("letter_count_is_length", len(word) == length(w))
+    return report

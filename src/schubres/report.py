@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 from schubres.exactlin import Subspace
@@ -78,6 +78,18 @@ class EnumReport:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
+
+
+def merge_reports(command: str, config: dict[str, Any], **parts: EnumReport) -> EnumReport:
+    """One report from several, in keyword order: each part's checks
+    renamed ``<keyword>.<name>``, the counts united (a later part wins a
+    shared key) and the wall times summed."""
+    merged = EnumReport(command, config)
+    for prefix, part in parts.items():
+        merged.counts.update(part.counts)
+        merged.checks += [replace(c, name=f"{prefix}.{c.name}") for c in part.checks]
+        merged.wall_time_s += part.wall_time_s
+    return merged
 
 
 @contextmanager

@@ -13,7 +13,6 @@ a deterministic section computed diagonal by diagonal.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Iterator
 
 from schubres.exactlin import (
@@ -38,11 +37,6 @@ from schubres.report import EnumReport, subspace_witness, timed
 
 GCalPoint = tuple[Subspace, ...]
 GHatPoint = tuple[tuple[Subspace, ...], ...]  # row i (1-based) has i entries
-
-
-def hom_space_dims(cfg: FrameConfig) -> list[int]:
-    """Target dimensions of the fixed-line map spaces, per line."""
-    return [cfg.complements_suffix(i + 1).dim for i in range(1, cfg.k + 1)]
 
 
 def fixed_map_tuples(cfg: FrameConfig) -> Iterator[tuple[LinearMap, ...]]:
@@ -296,6 +290,50 @@ def psi_tilde(cfg: FrameConfig, pt: GCalPoint) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
+def enumerate_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """Point counts of the chain variety, its grid resolution and its
+    open locus, the last two against their closed forms."""
+    report = EnumReport(
+        "wflag enumerate",
+        {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        gcal = list(enumerate_gcal(cfg, budget))
+        grid = sum(1 for _ in enumerate_ghat(cfg, budget))
+        opens = sum(1 for pt in gcal if in_u(cfg, pt))
+        report.counts["chain_points"] = len(gcal)
+        report.counts["grid_points"] = grid
+        report.counts["open_locus_points"] = opens
+        report.counts["grid_formula"] = ghat_count_formula(cfg)
+        report.counts["open_locus_formula"] = u_count_formula(cfg.n, cfg.p, cfg.beta)
+        report.add("grid_count_matches_row_product", grid == report.counts["grid_formula"])
+        report.add(
+            "open_locus_count_matches_formula",
+            opens == report.counts["open_locus_formula"],
+        )
+    return report
+
+
+def lift_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """The lift of every chain point is a grid point over it."""
+    report = EnumReport(
+        "wflag lift",
+        {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        pts = list(enumerate_gcal(cfg, budget))
+        section_ok = True
+        member_ok = True
+        for pt in pts:
+            grid = lift_to_ghat(cfg, pt)
+            section_ok = section_ok and pi_diag(grid) == pt
+            member_ok = member_ok and ghat_membership(cfg, grid)
+        report.counts["chain_points"] = len(pts)
+        report.add("lift_is_a_section", section_ok)
+        report.add("lift_lands_in_grid_variety", member_ok)
+    return report
+
+
 def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Point-level checks for the grid resolution of the chain variety.
 
@@ -344,9 +382,13 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
         report.add("open_fibers_are_singletons", singleton_ok)
         report.add("open_fibers_match_closed_form", closed_ok)
 
-        section_ok = all(pi_diag(lift_to_ghat(cfg, pt)) == pt for pt in gcal)
+        section_ok = True
+        lift_in_fiber = True
+        for pt in gcal:
+            grid = lift_to_ghat(cfg, pt)
+            section_ok = section_ok and pi_diag(grid) == pt
+            lift_in_fiber = lift_in_fiber and grid in fibers.get(pt, [])
         report.add("lift_is_a_section", section_ok)
-        lift_in_fiber = all(lift_to_ghat(cfg, pt) in fibers.get(pt, []) for pt in gcal)
         report.add("lift_lands_in_enumerated_grid", lift_in_fiber)
 
         multi = {pt: len(f) for pt, f in fibers.items() if len(f) > 1}
@@ -370,58 +412,4 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
                 not multi,
                 "no branching pair; projection bijective",
             )
-    return report
-
-
-def verify_embedding_of_map_space(
-    cfg: FrameConfig, samples: int = 100, seed: int = 0
-) -> EnumReport:
-    """Compressed graph tuples land in the open locus of the chain
-    variety, distinct tuples landing on distinct points; checked
-    exhaustively over GF(2) and on random samples otherwise."""
-    report = EnumReport(
-        "wflag embed",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p},
-    )
-    with timed(report):
-        if cfg.p == 2:
-            tuples = list(fixed_map_tuples(cfg))
-        else:
-            rng = random.Random(seed)
-            dims = hom_space_dims(cfg)
-            tuples = []
-            for _ in range(samples):
-                maps = []
-                for i in range(1, cfg.k + 1):
-                    target = cfg.complements_suffix(i + 1)
-                    matrix = tuple(
-                        tuple(rng.randrange(cfg.p) for _ in range(1))
-                        for _ in range(dims[i - 1])
-                    )
-                    maps.append(LinearMap(cfg.line(i), target, matrix))
-                tuples.append(tuple(maps))
-        seen: dict[tuple, GCalPoint] = {}
-        member_ok = True
-        open_ok = True
-        nesting_ok = True
-        nesting_ok_pairs = True
-        for maps in tuples:
-            pt = graph_tuple(cfg, maps)
-            seen[tuple(m.matrix for m in maps)] = pt
-            member_ok = member_ok and gcal_membership(cfg, pt)
-            open_ok = open_ok and in_u(cfg, pt)
-            for i in range(1, cfg.k):
-                upper = subspace_sum(pt[i], cfg.complement(i + 1))
-                nesting_ok_pairs = nesting_ok_pairs and contains(upper, pt[i - 1])
-            for i in range(1, cfg.k + 1):
-                for j in range(1, i):
-                    if intersect(pt[i - 1], cfg.nested(j, i)).dim != j:
-                        nesting_ok = False
-        report.counts["map_tuples"] = len(seen)
-        report.counts["distinct_points"] = len(set(seen.values()))
-        report.add("graphs_in_chain_variety", member_ok)
-        report.add("prefix_graph_nesting", nesting_ok_pairs)
-        report.add("graphs_in_open_locus", open_ok)
-        report.add("graph_meets_nested_in_dim_j", nesting_ok)
-        report.add("tuple_to_point_injective", len(set(seen.values())) == len(seen))
     return report

@@ -1,10 +1,11 @@
 """CLI surface: subcommands, JSON reports, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from schubres.cli import run
+from schubres.cli import REPORTS, build_parser, run
 
 
 def run_json(capsys, argv):
@@ -32,6 +33,21 @@ class TestBuilding:
         code, rep = run_json(capsys, ["rankmatrix", "--perm", "1,2,3"])
         assert code == 0
         assert rep["counts"]["matrix"] == [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
+
+
+class TestDispatch:
+    def test_table_matches_parser(self):
+        # every (command, action) the parser accepts has one report
+        # function, and every table entry is reachable from the parser
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        pairs = []
+        for command, parser in sub.choices.items():
+            actions = [a.choices for a in parser._actions if a.dest == "action"]
+            pairs += [(command, action) for action in (actions[0] if actions else [None])]
+        assert len(pairs) == len(set(pairs)) == len(REPORTS)
+        assert set(pairs) == set(REPORTS)
 
 
 class TestExitCodes:

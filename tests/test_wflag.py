@@ -30,7 +30,6 @@ from schubres.wflag import (
     u_count_formula,
     u_dimension_formula,
     verify_chain_resolution,
-    verify_embedding_of_map_space,
 )
 
 
@@ -230,6 +229,18 @@ class TestPsiTilde:
                 assert flag[i - 1] == direct
 
 
+EMBED_CASES = [
+    (4, 2, (1, 3)),
+    (4, 2, (2, 4)),
+    (4, 3, (1, 3)),
+    (4, 3, (2, 4)),
+    (5, 3, (1, 3)),
+    (5, 3, (2, 4)),
+    (5, 3, (1, 3, 5)),
+]
+EMBED_IDS = [f"n{n}-p{p}-beta{'-'.join(map(str, beta))}" for n, p, beta in EMBED_CASES]
+
+
 class TestVerify:
     @pytest.mark.parametrize("n,beta", [(4, (2, 4)), (4, (1, 3)), (5, (2, 4))])
     def test_configs_pass(self, n, beta):
@@ -246,16 +257,16 @@ class TestVerify:
         assert u_dimension_formula(4, (1, 3)) == 3
         assert u_dimension_formula(5, (1, 3, 5)) == 3
 
-    def test_embedding_exhaustive_gf2(self):
-        for beta in [(2, 4), (1, 3)]:
-            cfg = make_frame(4, 2, beta)
-            rep = verify_embedding_of_map_space(cfg)
-            assert rep.passed, [c.name for c in rep.checks if not c.passed]
-            assert rep.counts["map_tuples"] == 2 ** u_dimension_formula(4, beta)
-
-    def test_embedding_random_gf3(self):
-        rep = verify_embedding_of_map_space(make_frame(4, 3, (1, 3)), samples=100)
-        assert rep.passed, [c.name for c in rep.checks if not c.passed]
+    @pytest.mark.parametrize("n,p,beta", EMBED_CASES, ids=EMBED_IDS)
+    def test_map_space_embeds_in_open_locus(self, n, p, beta):
+        # every compressed graph tuple is a chain point of the open
+        # locus, and distinct map tuples give distinct points
+        cfg = make_frame(n, p, beta)
+        points = [graph_tuple(cfg, maps) for maps in fixed_map_tuples(cfg)]
+        for pt in points:
+            assert gcal_membership(cfg, pt)
+            assert in_u(cfg, pt)
+        assert len(set(points)) == len(points) == p ** u_dimension_formula(n, beta)
 
     def test_all_short_indices_n4_n5(self):
         # degenerate windows included: adjacent nodes give zero
