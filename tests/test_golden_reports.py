@@ -34,6 +34,9 @@ CASES = [
         "grass-transversal-n4-beta2-4-p2.json",
         ["grass", "verify-transversal", "--n", "4", "--beta", "2,4"],
     ),
+    ("biflag-verify-3-4-1-2-p2.json", ["biflag", "verify", "--perm", "3,4,1,2", "--field", "2"]),
+    ("bs-iso-3-4-1-2-p2.json", ["bs", "iso", "--perm", "3,4,1,2", "--field", "2"]),
+    ("biflag-verify-2-4-1-3-p3.json", ["biflag", "verify", "--perm", "2,4,1,3", "--field", "3"]),
 ]
 
 
