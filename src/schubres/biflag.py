@@ -9,13 +9,19 @@ bijection over the Schubert cell, which is verified point by point here.
 
 Enumeration is by constraint propagation from the bottom row upward,
 never by filtering the ambient product, and is budget-guarded.
+
+Schubert cells and varieties of the flag manifold come from the Bruhat
+decomposition: every complete flag has one position permutation u, read
+off a single echelon reduction, and lies in the cell of u, which has
+p^length(u) points; the closed variety of w is the union of the cells of
+all u <= w in the Bruhat order.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -30,7 +36,7 @@ from schubres.exactlin import (
     unit_vector,
     zero_subspace,
 )
-from schubres.permcomb import Permutation, length, rank_matrix
+from schubres.permcomb import Permutation, bruhat_leq, length, rank_matrix
 from schubres.report import EnumReport, subspace_witness, timed
 
 Flag = tuple[Subspace, ...]
@@ -51,9 +57,10 @@ class GridPoint:
         return self.grid[row - 1][col - 1]
 
 
+@lru_cache(maxsize=None)
 def standard_frames(n: int, p: int) -> tuple[Flag, Flag]:
     """The increasing flag F_i = <e_1..e_i> and decreasing complement
-    G^i = <e_{i+1}..e_n>, both indexed 0..n."""
+    G^i = <e_{i+1}..e_n>, both indexed 0..n.  Built once per (n, p)."""
     check_field(p)
     f = tuple(span([unit_vector(j, n) for j in range(i)], n, p) for i in range(n + 1))
     g = tuple(span([unit_vector(j, n) for j in range(i, n)], n, p) for i in range(n + 1))
@@ -137,6 +144,8 @@ def enumerate_complete_flags(n: int, p: int, budget: int = DEFAULT_BUDGET) -> It
 
 
 def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
+    """dim(l_p ∩ F_q) for p, q = 1..n by n^2 intersections: the slow
+    independent oracle for ``flag_position``."""
     n = len(flag)
     return tuple(
         tuple(intersect(flag[pp - 1], frames[q]).dim for q in range(1, n + 1))
@@ -144,17 +153,63 @@ def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def meets_rank_conditions(
-    flag: Flag, frames: Flag, d: tuple[tuple[int, ...], ...], mode: str
-) -> bool:
-    """dim(l_p ∩ F_q) equals d_pq for every p, q in ``cell`` mode and is at
-    least d_pq in ``closed`` mode, d a rank matrix from ``rank_matrix``."""
-    test = operator.eq if mode == "cell" else operator.ge
-    return all(
-        test(got, want)
-        for got_row, want_row in zip(flag_rank_profile(flag, frames), d[1:])
-        for got, want in zip(got_row, want_row[1:])
-    )
+def flag_position(flag: Flag) -> Permutation:
+    """The permutation u with dim(l_p ∩ F_q) = rank_matrix(u)[p][q].
+
+    l_p has one pivot more than l_{p-1}, and its canonical row at that
+    pivot lies outside l_{p-1}.  Reduced against the earlier rows until
+    its last nonzero coordinate is new, that row puts the coordinate at
+    u(p).  The reduced rows span l_p and end at distinct coordinates, so
+    l_p ∩ F_q is spanned by those ending at or before q.  u(n) is the
+    value left over.
+    """
+    n = len(flag)
+    p = flag[0].p
+    # last nonzero coordinate -> (row, inverse of its entry there)
+    reduced: dict[int, tuple[Sequence[int], int]] = {}
+    one_line = []
+    prev: tuple[int, ...] = ()
+    for space in flag[:-1]:
+        new = next((i for i, (a, b) in enumerate(zip(prev, space.pivots)) if a != b), len(prev))
+        v = space.basis[new]
+        last = n - 1
+        while not v[last]:
+            last -= 1
+        while last in reduced:
+            row, inv = reduced[last]
+            f = v[last] * inv
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+            while not v[last]:
+                last -= 1
+        reduced[last] = v, pow(v[last], -1, p)
+        one_line.append(last + 1)
+        prev = space.pivots
+    one_line.append(n * (n + 1) // 2 - sum(one_line))
+    return Permutation(tuple(one_line))
+
+
+def flag_census(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict[Permutation, list[Flag]]:
+    """All complete flags of GF(p)^n grouped by position, each group in
+    ``enumerate_complete_flags`` order: the Bruhat cells."""
+    census: dict[Permutation, list[Flag]] = {}
+    for flag in enumerate_complete_flags(n, p, budget):
+        census.setdefault(flag_position(flag), []).append(flag)
+    return census
+
+
+def _position_test(w: Permutation, mode: str) -> Callable[[Permutation], bool]:
+    """Whether the cell of a position lies in the Schubert cell of w
+    (u = w) or in its closed variety (u <= w), remembered per position."""
+    if mode not in ("cell", "closed"):
+        raise ValueError(f"mode must be 'cell' or 'closed', got {mode!r}")
+    seen: dict[Permutation, bool] = {}
+
+    def test(u: Permutation) -> bool:
+        if u not in seen:
+            seen[u] = u == w if mode == "cell" else bruhat_leq(u, w)
+        return seen[u]
+
+    return test
 
 
 def schubert_flag_points(
@@ -162,15 +217,13 @@ def schubert_flag_points(
 ) -> Iterator[Flag]:
     """Complete flags satisfying the rank conditions of w against F_*.
 
-    ``cell`` filters by equalities dim(l_p ∩ F_q) = d_pq, ``closed`` by
-    the inequalities >=.  Brute force over all complete flags.
+    ``cell`` keeps the flags with dim(l_p ∩ F_q) = d_pq, ``closed`` those
+    with >=; that is, position u = w and u <= w.  One pass over all
+    complete flags, in their enumeration order.
     """
-    if mode not in ("cell", "closed"):
-        raise ValueError(f"mode must be 'cell' or 'closed', got {mode!r}")
-    d = rank_matrix(w)
-    frames, _ = standard_frames(w.n, p)
+    keep = _position_test(w, mode)
     for flag in enumerate_complete_flags(w.n, p, budget):
-        if meets_rank_conditions(flag, frames, d, mode):
+        if keep(flag_position(flag)):
             yield flag
 
 
@@ -248,21 +301,16 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
             f"{len(points)} vs {expected}",
         )
 
-        d = rank_matrix(w)
-        frames, _ = standard_frames(w.n, p)
         by_flag: dict[Flag, list[GridPoint]] = {}
-        closed_ok = True
-        witness: list = []
         for pt in points:
-            flag = project_to_flag(pt)
-            by_flag.setdefault(flag, []).append(pt)
-            if not meets_rank_conditions(flag, frames, d, "closed"):
-                closed_ok = False
-                if not witness:
-                    witness = [subspace_witness(s) for s in flag]
-        report.add("image_in_closed_variety", closed_ok, witnesses=witness)
+            by_flag.setdefault(project_to_flag(pt), []).append(pt)
+        in_closed = _position_test(w, "closed")
+        outside = [flag for flag in by_flag if not in_closed(flag_position(flag))]
+        witness = [subspace_witness(s) for s in outside[0]] if outside else []
+        report.add("image_in_closed_variety", not outside, witnesses=witness)
 
-        cell_flags = list(schubert_flag_points(w, p, "cell", budget))
+        census = flag_census(w.n, p, budget)
+        cell_flags = census.get(w, [])
         report.counts["cell_points"] = len(cell_flags)
         report.counts["expected_cell_points"] = p ** length(w)
         report.add(
@@ -282,7 +330,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.add("cell_fibers_are_singletons", bijective)
         report.add("cell_fiber_is_intersection_grid", recon_ok)
 
-        closed_flags = set(schubert_flag_points(w, p, "closed", budget))
+        closed_flags = {flag for u, flags in census.items() if in_closed(u) for flag in flags}
         report.counts["closed_points"] = len(closed_flags)
         report.add(
             "image_equals_closed_variety",

@@ -31,7 +31,6 @@ from schubres.exactlin import (
     gaussian_binomial,
     graph,
     intersect,
-    project,
     project_subspace,
     span,
     subspace_sum,

@@ -1,11 +1,16 @@
 """Bioriented flag grids and the flag-manifold Schubert resolution."""
 
+import operator
+
 import pytest
 
 from schubres.biflag import (
     enumerate_complete_flags,
     enumerate_flw,
     enumerate_shat,
+    flag_census,
+    flag_position,
+    flag_rank_profile,
     grid_count_estimate,
     grid_is_valid,
     project_to_flag,
@@ -15,7 +20,24 @@ from schubres.biflag import (
     verify_flres,
 )
 from schubres.exactlin import BudgetExceededError, intersect
-from schubres.permcomb import Permutation, all_permutations, length
+from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
+
+# every complete flag of these spaces is checked against the rank-profile oracle
+ORACLE_SPACES = [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3)]
+
+
+def rank_filter(w, p, mode):
+    """The brute-force Schubert filter: every complete flag whose
+    n^2 intersections with F_* meet the rank conditions of w."""
+    test = operator.eq if mode == "cell" else operator.ge
+    d = rank_matrix(w)
+    frames, _ = standard_frames(w.n, p)
+    for flag in enumerate_complete_flags(w.n, p):
+        profile = flag_rank_profile(flag, frames)
+        if all(
+            test(profile[i][j], d[i + 1][j + 1]) for i in range(w.n) for j in range(w.n)
+        ):
+            yield flag
 
 
 class TestStandardFrames:
@@ -35,6 +57,11 @@ class TestStandardFrames:
         for i in range(5):
             assert intersect(f[i], g[i]).dim == 0
             assert f[i].dim + g[i].dim == 4
+
+    def test_built_once_per_space(self):
+        assert standard_frames(4, 2) is standard_frames(4, 2)
+        with pytest.raises(ValueError):
+            standard_frames(3, 4)
 
 
 class TestEnumerateFlw:
@@ -117,6 +144,35 @@ class TestProjection:
         assert len(lines) == 3
 
 
+class TestFlagPosition:
+    @pytest.mark.parametrize("n,p", ORACLE_SPACES)
+    def test_rank_matrix_is_rank_profile(self, n, p):
+        frames, _ = standard_frames(n, p)
+        for flag in enumerate_complete_flags(n, p):
+            profile = flag_rank_profile(flag, frames)
+            padded = ((0,) * (n + 1),) + tuple((0,) + row for row in profile)
+            assert rank_matrix(flag_position(flag)) == padded
+
+    @pytest.mark.parametrize("n,p", ORACLE_SPACES)
+    def test_census_is_bruhat_decomposition(self, n, p):
+        # the cells partition the flags, the cell of u has p^length(u)
+        # points, and each cell keeps the enumeration order
+        flags = list(enumerate_complete_flags(n, p))
+        index = {flag: i for i, flag in enumerate(flags)}
+        census = flag_census(n, p)
+        assert set(census) == set(all_permutations(n))
+        for u, cell in census.items():
+            assert len(cell) == p ** length(u)
+            assert [index[flag] for flag in cell] == sorted(index[flag] for flag in cell)
+        assert sorted(index[f] for cell in census.values() for f in cell) == list(
+            range(len(flags))
+        )
+
+    def test_census_budget_guard(self):
+        with pytest.raises(BudgetExceededError):
+            flag_census(3, 2, budget=20)
+
+
 class TestSchubertFlagPoints:
     @pytest.mark.parametrize("p", [2, 3])
     def test_cell_counts_s3(self, p):
@@ -137,16 +193,21 @@ class TestSchubertFlagPoints:
         with pytest.raises(ValueError):
             list(schubert_flag_points(Permutation.identity(2), 2, "open"))
 
+    @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("mode", ["cell", "closed"])
+    def test_same_flags_as_rank_filter(self, n, p, mode):
+        for w in all_permutations(n):
+            assert list(schubert_flag_points(w, p, mode)) == list(rank_filter(w, p, mode))
+
 
 class TestBruhatGeometry:
     def test_order_matches_point_containment(self):
         # u <= w exactly when u's cell sits inside w's closed locus:
-        # the point-level meaning of the rank-matrix comparison
-        from schubres.permcomb import bruhat_leq
-
+        # the point-level meaning of the rank-matrix comparison; the
+        # closed loci come from the intersection oracle, not the order
         perms = list(all_permutations(3))
         cells = {w: set(schubert_flag_points(w, 2, "cell")) for w in perms}
-        closed = {w: set(schubert_flag_points(w, 2, "closed")) for w in perms}
+        closed = {w: set(rank_filter(w, 2, "closed")) for w in perms}
         for u in perms:
             for w in perms:
                 assert (cells[u] <= closed[w]) == bruhat_leq(u, w)
@@ -180,8 +241,6 @@ class TestVerifyFlres:
     def test_flag_meets_frame_at_least_grid(self, one_line):
         # every grid point bounds the rank profile of its flag from
         # below, with equality exactly when the intersection is the cell
-        from schubres.permcomb import rank_matrix
-
         w = Permutation(one_line)
         d = rank_matrix(w)
         f, _ = standard_frames(3, 2)
