@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -36,7 +36,7 @@ from schubres.exactlin import (
     unit_vector,
     zero_subspace,
 )
-from schubres.permcomb import Permutation, bruhat_leq, length, rank_matrix
+from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
 from schubres.report import EnumReport, subspace_witness, timed
 
 Flag = tuple[Subspace, ...]
@@ -188,45 +188,6 @@ def flag_position(flag: Flag) -> Permutation:
     return Permutation(tuple(one_line))
 
 
-def flag_census(n: int, p: int, budget: int = DEFAULT_BUDGET) -> dict[Permutation, list[Flag]]:
-    """All complete flags of GF(p)^n grouped by position, each group in
-    ``enumerate_complete_flags`` order: the Bruhat cells."""
-    census: dict[Permutation, list[Flag]] = {}
-    for flag in enumerate_complete_flags(n, p, budget):
-        census.setdefault(flag_position(flag), []).append(flag)
-    return census
-
-
-def _position_test(w: Permutation, mode: str) -> Callable[[Permutation], bool]:
-    """Whether the cell of a position lies in the Schubert cell of w
-    (u = w) or in its closed variety (u <= w), remembered per position."""
-    if mode not in ("cell", "closed"):
-        raise ValueError(f"mode must be 'cell' or 'closed', got {mode!r}")
-    seen: dict[Permutation, bool] = {}
-
-    def test(u: Permutation) -> bool:
-        if u not in seen:
-            seen[u] = u == w if mode == "cell" else bruhat_leq(u, w)
-        return seen[u]
-
-    return test
-
-
-def schubert_flag_points(
-    w: Permutation, p: int, mode: str, budget: int = DEFAULT_BUDGET
-) -> Iterator[Flag]:
-    """Complete flags satisfying the rank conditions of w against F_*.
-
-    ``cell`` keeps the flags with dim(l_p ∩ F_q) = d_pq, ``closed`` those
-    with >=; that is, position u = w and u <= w.  One pass over all
-    complete flags, in their enumeration order.
-    """
-    keep = _position_test(w, mode)
-    for flag in enumerate_complete_flags(w.n, p, budget):
-        if keep(flag_position(flag)):
-            yield flag
-
-
 def reconstruct_grid(flag: Flag, w: Permutation) -> GridPoint:
     """The candidate preimage over the cell: cell (p, q) = l_p ∩ F_q."""
     n = w.n
@@ -304,13 +265,20 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         by_flag: dict[Flag, list[GridPoint]] = {}
         for pt in points:
             by_flag.setdefault(project_to_flag(pt), []).append(pt)
-        in_closed = _position_test(w, "closed")
-        outside = [flag for flag in by_flag if not in_closed(flag_position(flag))]
+        below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}
+        outside = [flag for flag in by_flag if flag_position(flag) not in below]
         witness = [subspace_witness(s) for s in outside[0]] if outside else []
         report.add("image_in_closed_variety", not outside, witnesses=witness)
 
-        census = flag_census(w.n, p, budget)
-        cell_flags = census.get(w, [])
+        # one pass over all complete flags keeps the closed locus of w and
+        # the cell inside it
+        cell_flags, closed_flags = [], set()
+        for flag in enumerate_complete_flags(w.n, p, budget):
+            u = flag_position(flag)
+            if u in below:
+                closed_flags.add(flag)
+                if u == w:
+                    cell_flags.append(flag)
         report.counts["cell_points"] = len(cell_flags)
         report.counts["expected_cell_points"] = p ** length(w)
         report.add(
@@ -330,7 +298,6 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.add("cell_fibers_are_singletons", bijective)
         report.add("cell_fiber_is_intersection_grid", recon_ok)
 
-        closed_flags = {flag for u, flags in census.items() if in_closed(u) for flag in flags}
         report.counts["closed_points"] = len(closed_flags)
         report.add(
             "image_equals_closed_variety",

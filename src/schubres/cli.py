@@ -40,8 +40,6 @@ class ConfigError(ValueError):
 
 def _frame(args: argparse.Namespace) -> grassfib.FrameConfig:
     beta = _parse_beta(args.beta)
-    if args.k is not None and args.k != len(beta):
-        raise ConfigError(f"--k {args.k} disagrees with beta of length {len(beta)}")
     try:
         return grassfib.make_frame(args.n, args.field, beta)
     except ValueError as exc:
@@ -76,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--perm", required=True, help="one-line notation, e.g. 2,3,1")
         if frame:
             p.add_argument("--n", type=int, required=True)
-            p.add_argument("--k", type=int, default=None)
             p.add_argument("--beta", required=True, help="multi-index, e.g. 2,4")
         if field_default is not None:
             p.add_argument("--field", type=int, default=field_default)

@@ -12,18 +12,15 @@ the standard flag.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     LinearMap,
     Stage,
     Subspace,
     contains,
     enumerate_maps,
-    enumerate_subspaces,
-    full_space,
     gaussian_binomial,
     graph,
     intersect,
@@ -33,7 +30,7 @@ from schubres.exactlin import (
     tower,
     zero_subspace,
 )
-from schubres.grassfib import FrameConfig, vbeta_points
+from schubres.grassfib import LOCI, FrameConfig, grassmannian, schubert_position
 from schubres.report import EnumReport, merge_reports, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
@@ -127,28 +124,33 @@ def enumerate_embres(
             yield pt, chain
 
 
-def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """The Schubert cell cut out by both node families of the frame.
-
-    The lower nodes are the sums of the first i-1 lines and first i
-    complements; with default lines these are the standard flag spaces
-    one below each beta node.
-    """
-    k = cfg.k
-    total = gaussian_binomial(cfg.n, k, cfg.p)
-    if total > budget:
-        raise BudgetExceededError(f"Gr_{k} has {total} points, budget {budget}")
-    nodes = [cfg.frames[b] for b in cfg.beta]
+def _cell_test(cfg: FrameConfig) -> Callable[..., bool]:
+    """Membership in ``cell_points`` of a point L at Schubert position (a, c)."""
     lower_nodes = [
         subspace_sum(cfg.lines_prefix(i - 1), cfg.complements_prefix(i))
-        for i in range(1, k + 1)
+        for i in range(1, cfg.k + 1)
     ]
-    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), k):
-        if all(
-            intersect(l, nodes[i - 1]).dim == i
-            and intersect(l, lower_nodes[i - 1]).dim == i - 1
-            for i in range(1, k + 1)
-        ):
+    return lambda l, a, c: LOCI["open"](cfg.beta, a, c) and all(
+        intersect(l, node).dim == i for i, node in enumerate(lower_nodes)
+    )
+
+
+def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
+    """The Schubert cell cut out by the beta nodes and the frame's lower nodes.
+
+    L lies in it when it meets F_{b_i} in dimension i, read off its
+    Schubert position, and the lower node N_i (the first i-1 lines and
+    the first i complements) in dimension i-1.  N_i is a complement of
+    line i in F_{b_i}, not a standard flag space: the default line i is
+    e_{b_{i-1}+1}, so for n=4, beta=(1,3), N_2 = <e1,e3> while
+    F_2 = <e1,e2>.  This cell therefore differs as a set from
+    ``vbeta_points(cfg, "cell")``, and it is the one whose preimages lie
+    over the special grid point.
+    """
+    points = grassmannian(cfg, budget)
+    in_cell = _cell_test(cfg)
+    for l in points:
+        if in_cell(l, *schubert_position(l)):
             yield l
 
 
@@ -244,11 +246,24 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
         )
         report.add("pairs_satisfy_incidence", incidence_ok)
 
-        grass = set(enumerate_subspaces(full_space(cfg.n, cfg.p), cfg.k))
-        report.counts["grassmannian_points"] = len(grass)
+        # one pass over the Grassmannian gives its size and both loci
+        grass_points = 0
+        covered = True
+        cell: list[Subspace] = []
+        closed: set[Subspace] = set()
+        in_cell = _cell_test(cfg)
+        for l in grassmannian(cfg, budget):
+            grass_points += 1
+            covered = covered and l in census
+            a, c = schubert_position(l)
+            if in_cell(l, a, c):
+                cell.append(l)
+            if LOCI["closed"](cfg.beta, a, c):
+                closed.add(l)
+        report.counts["grassmannian_points"] = grass_points
         report.add(
             "hits_whole_grassmannian",
-            set(census) == grass,
+            covered and len(census) == grass_points,
             "surjectivity observed at this field size",
             informational=True,
         )
@@ -270,7 +285,6 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
         report.add("chart_points_have_unique_preimage", not chart_fail, witnesses=chart_fail[:3])
         report.add("chart_preimage_diagonals_are_graphs", diag_graph_ok)
 
-        cell = set(cell_points(cfg, budget))
         report.counts["cell_points"] = len(cell)
         over_o_only = all(
             pt == o for l in cell for (pt, _) in census.get(l, [])
@@ -282,7 +296,6 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
         over_o = {chain[-1] for (pt, chain) in itertools.chain(*census.values()) if pt == o}
         standard_tower_tops = {chain[-1] for chain in kl_points(standard, cfg.p, budget)}
         report.add("special_fiber_is_standard_tower", over_o == standard_tower_tops)
-        closed = set(vbeta_points(cfg, "closed", budget))
         report.counts["closed_locus_points"] = len(closed)
         report.add(
             "special_fiber_covers_closed_locus",

@@ -6,15 +6,16 @@ yields a frame; summing graphs of linear maps out of moving window lines
 parametrizes the regular Schubert variety (maps into earlier-window
 complements) and its conjugate (maps into later-window complements plus
 the tail of the flag).  Both parametrizations are verified to be
-injective with image equal to the rank-filtered point sets.
+injective with image equal to the Schubert loci, where a point's locus
+is read off its Schubert position: the jumps of its intersections with
+the standard flag and co-flag.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from schubres.biflag import Flag, standard_frames
 from schubres.exactlin import (
@@ -32,6 +33,7 @@ from schubres.exactlin import (
     graph,
     intersect,
     project_subspace,
+    rref,
     span,
     subspace_sum,
     unit_vector,
@@ -84,24 +86,15 @@ class FrameConfig:
 
     def lines_prefix(self, i: int) -> Subspace:
         """Sum of lines 1..i."""
-        out = zero_subspace(self.n, self.p)
-        for j in range(1, i + 1):
-            out = subspace_sum(out, self.line(j))
-        return out
+        return _sum_all((self.line(j) for j in range(1, i + 1)), self.n, self.p)
 
     def complements_prefix(self, i: int) -> Subspace:
         """Sum of complements 1..i."""
-        out = zero_subspace(self.n, self.p)
-        for j in range(1, i + 1):
-            out = subspace_sum(out, self.complement(j))
-        return out
+        return _sum_all((self.complement(j) for j in range(1, i + 1)), self.n, self.p)
 
     def complements_suffix(self, i: int) -> Subspace:
         """Sum of complements i..k+1 (the tail included)."""
-        out = zero_subspace(self.n, self.p)
-        for j in range(i, self.k + 2):
-            out = subspace_sum(out, self.complement(j))
-        return out
+        return _sum_all((self.complement(j) for j in range(i, self.k + 2)), self.n, self.p)
 
     def nested(self, j: int, i: int) -> Subspace:
         """Sum of lines 1..j and complements i+1..k+1 (for j <= i)."""
@@ -156,7 +149,7 @@ def moving_complements(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[S
     ) + (cfg.tail,)
 
 
-def _sum_all(spaces: list[Subspace], n: int, p: int) -> Subspace:
+def _sum_all(spaces: Iterable[Subspace], n: int, p: int) -> Subspace:
     out = zero_subspace(n, p)
     for s in spaces:
         out = subspace_sum(out, s)
@@ -207,7 +200,7 @@ def phi_star(
     graphs = []
     for i in range(1, k + 1):
         a = maps[i - 1]
-        target = _sum_all(list(comps[i:]), cfg.n, cfg.p)
+        target = _sum_all(comps[i:], cfg.n, cfg.p)
         if a.domain != lines[i - 1] or a.target != target:
             raise ValueError(f"map {i} has wrong domain or target")
         graphs.append(graph(a))
@@ -220,43 +213,66 @@ def phi_star(
     return out
 
 
-# Per-index conditions of each locus: (flag family, node shift, dimension,
-# comparison) requires dim(L ∩ family[b_i + shift]) compared with dimension(i, k).
-VBETA_CONDITIONS = {
-    "cell": (
-        ("frames", 0, lambda i, k: i, operator.eq),
-        ("frames", -1, lambda i, k: i - 1, operator.eq),
-    ),
-    "open": (("frames", 0, lambda i, k: i, operator.eq),),
-    "closed": (("frames", 0, lambda i, k: i, operator.ge),),
-    "star_open": (("coframes", 0, lambda i, k: k - i, operator.eq),),
-    "star_closed": (("coframes", 0, lambda i, k: k - i, operator.ge),),
+def schubert_position(l: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The jump sets (a, c) of L against the standard flag and co-flag:
+    dim(L ∩ F_q) = #{a_j <= q} and dim(L ∩ G^q) = #{c_j > q}.
+
+    A vector lies in F_q when its last nonzero coordinate is at most q,
+    and in G^q when its first is past q.  The first nonzero coordinates
+    met in L are its pivots; the last ones are the pivots of L with the
+    coordinates reversed.  Both are 1-based and increasing.
+    """
+    _, reversed_pivots = rref([row[::-1] for row in l.basis], l.p)
+    return tuple(sorted(l.n - q for q in reversed_pivots)), tuple(q + 1 for q in l.pivots)
+
+
+def _leq(xs: Iterable[int], ys: Iterable[int]) -> bool:
+    return all(x <= y for x, y in zip(xs, ys))
+
+
+def _less(xs: Iterable[int], ys: Iterable[int]) -> bool:
+    return all(x < y for x, y in zip(xs, ys))
+
+
+# Each locus of beta as a test on the Schubert position (a, c) of a point:
+# dim(L ∩ F_{b_i}) >= i is a_i <= b_i, and == i adds b_i < a_{i+1};
+# dim(L ∩ G^{b_i}) >= k-i is b_i < c_{i+1}, and == k-i adds c_i <= b_i;
+# the cell pins F_{b_i - 1} too, which leaves a = beta.
+LOCI = {
+    "cell": lambda b, a, c: a == b,
+    "open": lambda b, a, c: _leq(a, b) and _less(b, a[1:]),
+    "closed": lambda b, a, c: _leq(a, b),
+    "star_open": lambda b, a, c: _leq(c, b) and _less(b, c[1:]),
+    "star_closed": lambda b, a, c: _less(b, c[1:]),
 }
-MODES = tuple(VBETA_CONDITIONS)
+MODES = tuple(LOCI)
+
+
+def grassmannian(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
+    """All of Gr_k(GF(p)^n) in ``enumerate_subspaces`` order, refused
+    before any work when it has more points than the budget."""
+    k = cfg.k
+    total = gaussian_binomial(cfg.n, k, cfg.p)
+    if total > budget:
+        raise BudgetExceededError(f"Gr_{k}(GF({cfg.p})^{cfg.n}) has {total} points")
+    return enumerate_subspaces(full_space(cfg.n, cfg.p), k)
 
 
 def vbeta_points(
     cfg: FrameConfig, mode: str, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Subspace]:
-    """Rank-filtered point sets of the Schubert loci in Gr_k(GF(p)^n).
+    """Point sets of the Schubert loci in Gr_k(GF(p)^n), in enumeration order.
 
-    Brute force over the full Grassmannian: ``closed``/``open`` filter
-    dim(L ∩ F_{b_i}) >= i / == i; ``cell`` additionally pins the nodes
-    one below each b_i; ``star_*`` use the co-flag G^{b_i} with k-i.
+    ``closed``/``open`` hold dim(L ∩ F_{b_i}) >= i / == i; ``cell``
+    additionally pins the nodes one below each b_i; ``star_*`` use the
+    co-flag G^{b_i} with k-i.  One pass over the Grassmannian, each point
+    kept by its ``schubert_position``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    k = cfg.k
-    total = gaussian_binomial(cfg.n, k, cfg.p)
-    if total > budget:
-        raise BudgetExceededError(f"Gr_{k}(GF({cfg.p})^{cfg.n}) has {total} points")
-    checks = [
-        (getattr(cfg, family)[cfg.beta[i - 1] + shift], dim(i, k), compare)
-        for i in range(1, k + 1)
-        for family, shift, dim, compare in VBETA_CONDITIONS[mode]
-    ]
-    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), k):
-        if all(compare(intersect(l, node).dim, want) for node, want, compare in checks):
+    keep = LOCI[mode]
+    for l in grassmannian(cfg, budget):
+        if keep(cfg.beta, *schubert_position(l)):
             yield l
 
 
@@ -314,7 +330,7 @@ def phi_star_inputs(
         comps = moving_complements(cfg, lines)
         map_choices = []
         for i in range(1, cfg.k + 1):
-            target = _sum_all(list(comps[i:]), cfg.n, cfg.p)
+            target = _sum_all(comps[i:], cfg.n, cfg.p)
             map_choices.append(list(enumerate_maps(lines[i - 1], target)))
         for maps in itertools.product(*map_choices):
             yield lines, maps
@@ -419,16 +435,16 @@ def verify_transversal_identity(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) 
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
     )
     with timed(report):
-        open_set = set(vbeta_points(cfg, "open", budget))
-        star_set = set(vbeta_points(cfg, "star_open", budget))
-        closed_set = set(vbeta_points(cfg, "closed", budget))
-        star_closed_set = set(vbeta_points(cfg, "star_closed", budget))
-        base = {_sum_all(list(lines), cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
-        report.counts["intersection"] = len(open_set & star_set)
+        meet, closed_meet = set(), set()
+        for l in grassmannian(cfg, budget):
+            a, c = schubert_position(l)
+            if LOCI["open"](cfg.beta, a, c) and LOCI["star_open"](cfg.beta, a, c):
+                meet.add(l)
+            if LOCI["closed"](cfg.beta, a, c) and LOCI["star_closed"](cfg.beta, a, c):
+                closed_meet.add(l)
+        base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
+        report.counts["intersection"] = len(meet)
         report.counts["base_points"] = len(base)
-        report.add("open_intersection_is_base", open_set & star_set == base)
-        report.add(
-            "closed_intersection_no_bigger",
-            closed_set & star_closed_set == open_set & star_set,
-        )
+        report.add("open_intersection_is_base", meet == base)
+        report.add("closed_intersection_no_bigger", closed_meet == meet)
     return report

@@ -1,6 +1,7 @@
 """Bioriented flag grids and the flag-manifold Schubert resolution."""
 
 import operator
+from collections import Counter
 
 import pytest
 
@@ -8,14 +9,12 @@ from schubres.biflag import (
     enumerate_complete_flags,
     enumerate_flw,
     enumerate_shat,
-    flag_census,
     flag_position,
     flag_rank_profile,
     grid_count_estimate,
     grid_is_valid,
     project_to_flag,
     reconstruct_grid,
-    schubert_flag_points,
     standard_frames,
     verify_flres,
 )
@@ -155,49 +154,42 @@ class TestFlagPosition:
 
     @pytest.mark.parametrize("n,p", ORACLE_SPACES)
     def test_census_is_bruhat_decomposition(self, n, p):
-        # the cells partition the flags, the cell of u has p^length(u)
-        # points, and each cell keeps the enumeration order
-        flags = list(enumerate_complete_flags(n, p))
-        index = {flag: i for i, flag in enumerate(flags)}
-        census = flag_census(n, p)
-        assert set(census) == set(all_permutations(n))
-        for u, cell in census.items():
-            assert len(cell) == p ** length(u)
-            assert [index[flag] for flag in cell] == sorted(index[flag] for flag in cell)
-        assert sorted(index[f] for cell in census.values() for f in cell) == list(
-            range(len(flags))
-        )
-
-    def test_census_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            flag_census(3, 2, budget=20)
+        # every permutation u is the position of exactly p^length(u)
+        # complete flags: the Bruhat cells partition the flag manifold
+        census = Counter(flag_position(flag) for flag in enumerate_complete_flags(n, p))
+        assert dict(census) == {u: p ** length(u) for u in all_permutations(n)}
 
 
 class TestSchubertFlagPoints:
+    # the Schubert cell and closed locus of w are what the one pass of
+    # verify_flres keeps; rank_filter is the brute-force oracle for both
     @pytest.mark.parametrize("p", [2, 3])
     def test_cell_counts_s3(self, p):
         for w in all_permutations(3):
-            cells = list(schubert_flag_points(w, p, "cell"))
-            assert len(cells) == p ** length(w)
-
-    def test_closed_longest_word_is_everything(self):
-        w0 = Permutation((3, 2, 1))
-        assert len(list(schubert_flag_points(w0, 2, "closed"))) == 21
+            rep = verify_flres(w, p)
+            assert rep.passed, (w, [c.name for c in rep.checks if not c.passed])
+            assert rep.counts["cell_points"] == p ** length(w)
 
     def test_identity_cell_is_standard_flag(self):
         f, _ = standard_frames(3, 2)
-        cells = list(schubert_flag_points(Permutation.identity(3), 2, "cell"))
+        flags = enumerate_complete_flags(3, 2)
+        cells = [flag for flag in flags if flag_position(flag) == Permutation.identity(3)]
         assert cells == [tuple(f[1:])]
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            list(schubert_flag_points(Permutation.identity(2), 2, "open"))
 
     @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
     @pytest.mark.parametrize("mode", ["cell", "closed"])
     def test_same_flags_as_rank_filter(self, n, p, mode):
         for w in all_permutations(n):
-            assert list(schubert_flag_points(w, p, mode)) == list(rank_filter(w, p, mode))
+            rep = verify_flres(w, p)
+            checks = {c.name: c.passed for c in rep.checks}
+            assert all(checks.values()), (w, checks)
+            want = list(rank_filter(w, p, mode))
+            assert rep.counts[f"{mode}_points"] == len(want)
+            if mode == "closed":
+                # the closed locus the report counted equals the tower image
+                # (image_equals_closed_variety), so the oracle must too
+                image = {project_to_flag(pt) for pt in enumerate_shat(w, p)}
+                assert image == set(want)
 
 
 class TestBruhatGeometry:
@@ -206,13 +198,12 @@ class TestBruhatGeometry:
         # the point-level meaning of the rank-matrix comparison; the
         # closed loci come from the intersection oracle, not the order
         perms = list(all_permutations(3))
-        cells = {w: set(schubert_flag_points(w, 2, "cell")) for w in perms}
-        closed = {w: set(rank_filter(w, 2, "closed")) for w in perms}
-        for u in perms:
-            for w in perms:
-                assert (cells[u] <= closed[w]) == bruhat_leq(u, w)
-        # cells partition the full flag manifold
-        assert sum(len(c) for c in cells.values()) == 21
+        for w in perms:
+            inside = Counter(flag_position(flag) for flag in rank_filter(w, 2, "closed"))
+            for u in perms:
+                # a cell lies wholly inside the closed locus or misses it
+                assert inside[u] in (0, 2 ** length(u))
+                assert (inside[u] > 0) == bruhat_leq(u, w)
 
 
 class TestVerifyFlres:
@@ -234,8 +225,15 @@ class TestVerifyFlres:
 
     def test_reconstruction_grid_is_member(self):
         w = Permutation((2, 3, 1))
-        for flag in schubert_flag_points(w, 2, "cell"):
+        cell = [flag for flag in enumerate_complete_flags(3, 2) if flag_position(flag) == w]
+        assert len(cell) == 2 ** length(w)
+        for flag in cell:
             assert grid_is_valid(reconstruct_grid(flag, w), w)
+
+    def test_flag_pass_budget_guard(self):
+        # the tower of (2,1,3) has 3 points, but GF(2)^3 has 21 complete flags
+        with pytest.raises(BudgetExceededError):
+            verify_flres(Permutation((2, 1, 3)), 2, budget=20)
 
     @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 1, 2), (3, 2, 1)])
     def test_flag_meets_frame_at_least_grid(self, one_line):

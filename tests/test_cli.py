@@ -57,8 +57,11 @@ class TestExitCodes:
     def test_invalid_beta_is_2(self, capsys):
         assert run(["grass", "verify-phi", "--n", "4", "--beta", "4,2"]) == 2
 
-    def test_k_beta_mismatch_is_2(self, capsys):
-        assert run(["grass", "verify-phi", "--n", "4", "--k", "3", "--beta", "2,4"]) == 2
+    def test_k_option_is_rejected_2(self, capsys):
+        # k is the length of --beta; there is no separate option for it
+        with pytest.raises(SystemExit) as exc:
+            run(["grass", "verify-phi", "--n", "4", "--k", "2", "--beta", "2,4"])
+        assert exc.value.code == 2
 
     def test_budget_exceeded_is_2(self, capsys):
         assert run(["biflag", "enumerate", "--perm", "4,3,2,1", "--budget", "2"]) == 2

@@ -24,6 +24,7 @@ from schubres.exactlin import (
     full_space,
     graph,
     intersect,
+    subspace_sum,
     zero_map,
 )
 from schubres.grassfib import make_frame, vbeta_points
@@ -129,6 +130,28 @@ class TestCellPoints:
         cfg = make_frame(n, p, beta)
         dim = sum(b - (i + 1) for i, b in enumerate(beta))
         assert len(list(cell_points(cfg))) == p ** dim
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (4, 3)])
+    def test_same_points_as_intersection_filter(self, n, p):
+        # the oracle intersects with the beta nodes, which cell_points
+        # reads off the Schubert position instead, and with the lower nodes
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, p, beta)
+                lower = [
+                    subspace_sum(cfg.lines_prefix(i), cfg.complements_prefix(i + 1))
+                    for i in range(k)
+                ]
+                want = [
+                    l
+                    for l in enumerate_subspaces(full_space(n, p), k)
+                    if all(
+                        intersect(l, cfg.frames[b]).dim == i + 1
+                        and intersect(l, lower[i]).dim == i
+                        for i, b in enumerate(beta)
+                    )
+                ]
+                assert list(cell_points(cfg)) == want, beta
 
     def test_line_sum_is_cell_point(self):
         cfg = make_frame(4, 2, (2, 4))

@@ -1,17 +1,23 @@
 """Graph-sum parametrizations of Grassmannian Schubert loci."""
 
+import itertools
+import operator
+
 import pytest
 
+from schubres.biflag import standard_frames
 from schubres.exactlin import (
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
+    intersect,
     span,
     subspace_sum,
     zero_map,
 )
 from schubres.grassfib import (
     base_point_count,
+    MODES,
     hom_rank,
     make_frame,
     moving_complements,
@@ -19,6 +25,7 @@ from schubres.grassfib import (
     phi_star,
     phi_inputs,
     phi_star_inputs,
+    schubert_position,
     vbeta_points,
     verify_phi,
     verify_phi_star,
@@ -29,6 +36,38 @@ from schubres.grassfib import (
 
 def e(i, n):
     return tuple(1 if j == i - 1 else 0 for j in range(n))
+
+
+# Per-index conditions of each locus: (flag family, node shift, dimension,
+# comparison) requires dim(L ∩ family[b_i + shift]) compared with dimension(i, k).
+RANK_CONDITIONS = {
+    "cell": (
+        ("frames", 0, lambda i, k: i, operator.eq),
+        ("frames", -1, lambda i, k: i - 1, operator.eq),
+    ),
+    "open": (("frames", 0, lambda i, k: i, operator.eq),),
+    "closed": (("frames", 0, lambda i, k: i, operator.ge),),
+    "star_open": (("coframes", 0, lambda i, k: k - i, operator.eq),),
+    "star_closed": (("coframes", 0, lambda i, k: k - i, operator.ge),),
+}
+
+
+def rank_filter(cfg, mode):
+    """The brute-force locus filter: every point of Gr_k whose
+    intersections with the flag nodes have the dimensions of ``mode``."""
+    k = cfg.k
+    checks = [
+        (getattr(cfg, family)[cfg.beta[i - 1] + shift], dim(i, k), compare)
+        for i in range(1, k + 1)
+        for family, shift, dim, compare in RANK_CONDITIONS[mode]
+    ]
+    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), k):
+        if all(compare(intersect(l, node).dim, want) for node, want, compare in checks):
+            yield l
+
+
+# (n, p) spaces on which every locus is checked against the oracle
+ORACLE_SPACES = [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)]
 
 
 class TestMakeFrame:
@@ -115,7 +154,32 @@ class TestPhiStar:
         assert got == star
 
 
+class TestSchubertPosition:
+    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)] + [(4, 3)])
+    def test_jumps_give_intersection_dims(self, n, p):
+        frames, coframes = standard_frames(n, p)
+        for k in range(n + 1):
+            for l in enumerate_subspaces(full_space(n, p), k):
+                a, c = schubert_position(l)
+                assert list(a) == sorted(a) and list(c) == sorted(c)
+                for q in range(n + 1):
+                    assert intersect(l, frames[q]).dim == sum(x <= q for x in a)
+                    assert intersect(l, coframes[q]).dim == sum(x > q for x in c)
+
+
 class TestVbetaPoints:
+    @pytest.mark.parametrize("n,p", ORACLE_SPACES)
+    def test_same_points_as_rank_filter(self, n, p):
+        # every locus of every multi-index, same points in the same order
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, p, beta)
+                for mode in MODES:
+                    assert list(vbeta_points(cfg, mode)) == list(rank_filter(cfg, mode)), (
+                        beta,
+                        mode,
+                    )
+
     def test_closed_everything_for_trailing_beta(self):
         cfg = make_frame(4, 2, (3, 4))
         assert len(list(vbeta_points(cfg, "closed"))) == gaussian_binomial(4, 2, 2)
