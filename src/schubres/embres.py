@@ -12,8 +12,9 @@ the standard flag.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
+from schubres.biflag import Flag
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
@@ -154,6 +155,19 @@ def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subs
             yield l
 
 
+def chart_hits(
+    graphs: Iterable[Subspace], flags: Sequence[Flag], p: int, budget: int = DEFAULT_BUDGET
+) -> dict[Subspace, list[int]]:
+    """For each chart graph, the indices of the flags it meets in a chain
+    (dim(L ∩ flag[i]) >= i+1 for all i): the flags whose tower it tops."""
+    hits: dict[Subspace, list[int]] = {gt: [] for gt in graphs}
+    for idx, flag in enumerate(flags):
+        for top in {chain[-1] for chain in kl_points(flag, p, budget)}:
+            if top in hits:
+                hits[top].append(idx)
+    return hits
+
+
 def verify_chart_family(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Every chart graph is hit by exactly one flag of the map-space
     family, with the forced chain; the reconstruction recovers the maps."""
@@ -164,35 +178,29 @@ def verify_chart_family(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumR
     with timed(report):
         tuples = list(fixed_map_tuples(cfg))
         flags = [psi_embed(cfg, maps) for maps in tuples]
+        charts = [(t, graph(t)) for t in chart_maps(cfg)]
+        hits = chart_hits((gt for _, gt in charts), flags, cfg.p, budget)
         chart_ok = True
         unique_ok = True
         recon_ok = True
         chain_ok = True
-        count = 0
-        for t in chart_maps(cfg):
-            gt = graph(t)
-            count += 1
+        for t, gt in charts:
             chart_ok = chart_ok and in_chart(cfg, gt)
-            hits = [
-                idx
-                for idx, flag in enumerate(flags)
-                if all(intersect(gt, flag[i]).dim >= i + 1 for i in range(cfg.k))
-            ]
-            if len(hits) != 1:
+            if len(hits[gt]) != 1:
                 unique_ok = False
                 continue
-            maps = tuples[hits[0]]
+            maps = tuples[hits[gt][0]]
             if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
                 m.matrix for m in maps
             ):
                 recon_ok = False
-            flag = flags[hits[0]]
+            flag = flags[hits[gt][0]]
             chain = tuple(intersect(gt, flag[i]) for i in range(cfg.k))
             if chain[-1] != gt or any(
                 chain[i].dim != i + 1 for i in range(cfg.k)
             ) or any(not contains(chain[i + 1], chain[i]) for i in range(cfg.k - 1)):
                 chain_ok = False
-        report.counts["chart_points"] = count
+        report.counts["chart_points"] = len(charts)
         report.counts["family_flags"] = len(flags)
         report.add("graphs_lie_in_chart", chart_ok)
         report.add("unique_flag_per_chart_point", unique_ok)

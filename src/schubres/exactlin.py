@@ -243,11 +243,6 @@ def project(v: Vec, onto: Subspace, along: Subspace) -> Vec:
     return out
 
 
-def project_subspace(s: Subspace, onto: Subspace, along: Subspace) -> Subspace:
-    """Image of a subspace under the projection onto ⊕ along -> onto."""
-    return span([project(v, onto, along) for v in s.basis], s.n, s.p)
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """A linear map between subspaces in their canonical bases.

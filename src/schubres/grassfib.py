@@ -14,7 +14,8 @@ the standard flag and co-flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from schubres.biflag import Flag, standard_frames
@@ -32,7 +33,6 @@ from schubres.exactlin import (
     gaussian_binomial,
     graph,
     intersect,
-    project_subspace,
     rref,
     span,
     subspace_sum,
@@ -55,7 +55,8 @@ class FrameConfig:
 
     ``lines[i-1]`` and ``complements[i-1]`` split window i; index k+1 of
     a complement means the tail G^{beta_k}.  ``nested(j, i)`` is the sum
-    of the first j lines and the complements past window i.
+    of the first j lines and the complements past window i.  The sums
+    are built once, when the frame is made.
     """
 
     n: int
@@ -67,6 +68,29 @@ class FrameConfig:
     lines: tuple[Subspace, ...]
     complements: tuple[Subspace, ...]  # within the windows
     tail: Subspace                     # G^{beta_k}
+    _lines_prefix: tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
+    _complements_prefix: tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
+    _complements_suffix: tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
+    _nested: dict[tuple[int, int], Subspace] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        zero = zero_subspace(self.n, self.p)
+        comps = self.complements + (self.tail,)
+
+        def partial_sums(spaces: Iterable[Subspace]) -> tuple[Subspace, ...]:
+            return tuple(itertools.accumulate(spaces, subspace_sum, initial=zero))
+
+        lines_prefix = partial_sums(self.lines)  # entry i: lines 1..i
+        suffix = partial_sums(reversed(comps))[::-1]  # entry i: complements i+1..k+1
+        nested = {
+            (j, i): subspace_sum(lines_prefix[j], suffix[i])
+            for i in range(self.k + 1)
+            for j in range(i + 1)
+        }
+        object.__setattr__(self, "_lines_prefix", lines_prefix)
+        object.__setattr__(self, "_complements_prefix", partial_sums(comps))
+        object.__setattr__(self, "_complements_suffix", suffix)
+        object.__setattr__(self, "_nested", nested)
 
     @property
     def k(self) -> int:
@@ -86,19 +110,19 @@ class FrameConfig:
 
     def lines_prefix(self, i: int) -> Subspace:
         """Sum of lines 1..i."""
-        return _sum_all((self.line(j) for j in range(1, i + 1)), self.n, self.p)
+        return self._lines_prefix[i]
 
     def complements_prefix(self, i: int) -> Subspace:
         """Sum of complements 1..i."""
-        return _sum_all((self.complement(j) for j in range(1, i + 1)), self.n, self.p)
+        return self._complements_prefix[i]
 
     def complements_suffix(self, i: int) -> Subspace:
         """Sum of complements i..k+1 (the tail included)."""
-        return _sum_all((self.complement(j) for j in range(i, self.k + 2)), self.n, self.p)
+        return self._complements_suffix[i - 1]
 
     def nested(self, j: int, i: int) -> Subspace:
         """Sum of lines 1..j and complements i+1..k+1 (for j <= i)."""
-        return subspace_sum(self.lines_prefix(j), self.complements_suffix(i + 1))
+        return self._nested[j, i]
 
 
 def make_frame(
@@ -163,7 +187,8 @@ def phi(
 
     ``maps[i-2]`` sends line i into the sum of the complements of lines
     1..i-1; the first line contributes itself.  The result meets F_{b_i}
-    in dimension exactly i for every i (asserted).
+    in dimension exactly i for every i, which ``verify_phi`` checks as
+    ``image_equals_regular_locus``.
     """
     k = cfg.k
     if len(lines) != k or len(maps) != k - 1:
@@ -177,11 +202,7 @@ def phi(
             raise ValueError(f"map {i} has wrong domain or target")
         parts.append(graph(a))
         target = subspace_sum(target, comps[i - 1])
-    out = _sum_all(parts, cfg.n, cfg.p)
-    assert out.dim == k
-    for i in range(1, k + 1):
-        assert intersect(out, cfg.frames[cfg.beta[i - 1]]).dim == i
-    return out
+    return _sum_all(parts, cfg.n, cfg.p)
 
 
 def phi_star(
@@ -191,7 +212,9 @@ def phi_star(
 
     ``maps[i-1]`` sends line i into the sum of the complements of lines
     i+1..k and the tail.  The result meets G^{b_i} in dimension exactly
-    k-i, and that intersection is the sum of the later graphs (asserted).
+    k-i, which ``verify_phi_star`` checks as
+    ``image_equals_conjugate_locus``, and that meet is the sum of the
+    later graphs (asserted).
     """
     k = cfg.k
     if len(lines) != k or len(maps) != k:
@@ -205,12 +228,31 @@ def phi_star(
             raise ValueError(f"map {i} has wrong domain or target")
         graphs.append(graph(a))
     out = _sum_all(graphs, cfg.n, cfg.p)
-    assert out.dim == k
     for i in range(1, k + 1):
-        inter = intersect(out, cfg.coframes[cfg.beta[i - 1]])
-        assert inter.dim == k - i
-        assert inter == _sum_all(graphs[i:], cfg.n, cfg.p)
+        assert coframe_slice(out, cfg.beta[i - 1]) == _sum_all(graphs[i:], cfg.n, cfg.p)
     return out
+
+
+def coframe_slice(l: Subspace, q: int) -> Subspace:
+    """L ∩ G^q, read off the echelon form of L.
+
+    A vector of L starts at the first pivot among the canonical rows it
+    uses, so it lies in G^q exactly when it uses only rows with pivot at
+    least q (0-based).  Those rows are already a canonical basis.
+    """
+    j = bisect_left(l.pivots, q)
+    return Subspace(l.n, l.p, l.basis[j:], l.pivots[j:])
+
+
+def frame_slice(l: Subspace, q: int) -> Subspace:
+    """L ∩ F_q, read off the echelon form of L with its coordinates reversed.
+
+    Read back, the rows of that form end at distinct coordinates, and a
+    vector of L ends at the last of the ends of the rows it uses.  So
+    the rows that end before coordinate q (0-based) span L ∩ F_q.
+    """
+    rows, pivots = rref([row[::-1] for row in l.basis], l.p)
+    return span([row[::-1] for row, r in zip(rows, pivots) if r >= l.n - q], l.n, l.p)
 
 
 def schubert_position(l: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -336,35 +378,31 @@ def phi_star_inputs(
             yield lines, maps
 
 
+def _window_part(s: Subspace, lo: int, hi: int) -> Subspace:
+    """Projection of s into the coordinate window lo..hi-1 (0-based) along
+    the coordinates outside it: those coordinates set to zero."""
+    rows = [(0,) * lo + row[lo:hi] + (0,) * (s.n - hi) for row in s.basis]
+    return span(rows, s.n, s.p)
+
+
 def recover_lines_from_open(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
     """The base-point of a regular locus member: project L ∩ F_{b_i}
     into window i along F_{b_{i-1}}."""
-    out = []
-    for i in range(1, cfg.k + 1):
-        inter = intersect(l, cfg.frames[cfg.beta[i - 1]])
-        prev = cfg.frames[cfg.beta[i - 2]] if i >= 2 else cfg.frames[0]
-        proj = project_subspace(inter, cfg.window(i), prev)
-        assert proj.dim == 1
-        out.append(proj)
-    return tuple(out)
+    bounds = zip((0,) + cfg.beta, cfg.beta)
+    return tuple(_window_part(frame_slice(l, hi), lo, hi) for lo, hi in bounds)
 
 
 def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
     """The base-point of a conjugate member: project L ∩ G^{b_{i-1}}
     into window i along G^{b_i}."""
-    out = []
-    for i in range(1, cfg.k + 1):
-        prev = cfg.coframes[cfg.beta[i - 2]] if i >= 2 else cfg.coframes[0]
-        inter = intersect(l, prev)
-        proj = project_subspace(inter, cfg.window(i), cfg.coframes[cfg.beta[i - 1]])
-        assert proj.dim == 1
-        out.append(proj)
-    return tuple(out)
+    bounds = zip((0,) + cfg.beta, cfg.beta)
+    return tuple(_window_part(coframe_slice(l, lo), lo, hi) for lo, hi in bounds)
 
 
 def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Injectivity, image identity and fiber compatibility of the
     graph-sum parametrization of the regular Schubert locus."""
+    grassmannian(cfg, budget)  # refuse an oversized Gr_k before enumerating inputs
     report = EnumReport(
         "grass verify-phi",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
@@ -399,6 +437,7 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Same checks for the conjugate parametrization."""
+    grassmannian(cfg, budget)  # refuse an oversized Gr_k before enumerating inputs
     report = EnumReport(
         "grass verify-phistar",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},

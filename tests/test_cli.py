@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,16 @@ class TestExitCodes:
 
     def test_budget_exceeded_is_2(self, capsys):
         assert run(["biflag", "enumerate", "--perm", "4,3,2,1", "--budget", "2"]) == 2
+
+    @pytest.mark.parametrize("action", ["verify-phi", "verify-phistar"])
+    def test_oversized_grassmannian_refused_before_inputs(self, action, capsys):
+        # Gr_2(GF(3)^7) has 99463 points; the refusal must come before the
+        # 34992 inputs of the conjugate parametrization are enumerated
+        argv = ["grass", action, "--n", "7", "--beta", "2,4", "--field", "3"]
+        start = time.perf_counter()
+        assert run(argv + ["--budget", "100"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "Gr_2(GF(3)^7)" in capsys.readouterr().err
 
     def test_non_prime_field_is_2(self, capsys):
         assert run(["biflag", "verify", "--perm", "2,1", "--field", "4"]) == 2

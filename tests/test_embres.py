@@ -6,6 +6,7 @@ import pytest
 
 from schubres.embres import (
     cell_points,
+    chart_hits,
     chart_maps,
     enumerate_embres,
     flag_of_grid,
@@ -29,6 +30,16 @@ from schubres.exactlin import (
 )
 from schubres.grassfib import make_frame, vbeta_points
 from schubres.wflag import enumerate_ghat, fixed_map_tuples, pi_diag
+
+
+def all_pairs_hits(cfg, flags, gt):
+    """Chart-family oracle: the flags the graph meets in a chain, each
+    flag tested by its intersections with the graph."""
+    return [
+        idx
+        for idx, flag in enumerate(flags)
+        if all(intersect(gt, flag[i]).dim >= i + 1 for i in range(cfg.k))
+    ]
 
 
 def zero_tuple(cfg):
@@ -102,6 +113,20 @@ class TestChart:
         chart_set = {graph(t) for t in chart_maps(cfg)}
         for l in enumerate_subspaces(full_space(4, 2), 2):
             assert (l in chart_set) == in_chart(cfg, l)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_hits_match_all_pairs_search(self, n):
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, 2, beta)
+                flags = [psi_embed(cfg, maps) for maps in fixed_map_tuples(cfg)]
+                # a last flag that meets every graph in many chains
+                flags.append((full_space(n, 2),) * k)
+                graphs = [graph(t) for t in chart_maps(cfg)]
+                hits = chart_hits(graphs, flags, 2)
+                assert list(hits) == graphs
+                for gt in graphs:
+                    assert hits[gt] == all_pairs_hits(cfg, flags, gt), (beta, gt)
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_chart_family(self, beta):

@@ -1,13 +1,17 @@
 """Recorded report files stay byte-stable modulo wall time."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from schubres.cli import run
 
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "reports"
 
 CASES = [
     ("building-sigma.json", ["building", "--perm", "4,8,6,2,7,3,1,5"]),
@@ -45,6 +49,32 @@ def test_report_matches_golden(fname, argv, capsys):
     code = run(argv)
     assert code == 0
     got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN_DIR / fname).read_text())
+    got.pop("wall_time_s")
+    want.pop("wall_time_s")
+    assert got == want
+
+
+# the verifiers whose verdicts must not rest on assert statements
+OPTIMIZED_CASES = [
+    c for c in CASES if c[1][0] in ("grass", "embres") or c[1][:2] == ["wflag", "verify"]
+]
+
+
+@pytest.mark.parametrize("fname,argv", OPTIMIZED_CASES, ids=[c[0] for c in OPTIMIZED_CASES])
+def test_report_matches_golden_under_optimize(fname, argv):
+    # python -O strips asserts, so every check must live in the report
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "schubres", *argv, "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
     want = json.loads((GOLDEN_DIR / fname).read_text())
     got.pop("wall_time_s")
     want.pop("wall_time_s")

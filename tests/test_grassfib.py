@@ -11,12 +11,16 @@ from schubres.exactlin import (
     full_space,
     gaussian_binomial,
     intersect,
+    project,
     span,
     subspace_sum,
     zero_map,
 )
 from schubres.grassfib import (
+    _sum_all,
     base_point_count,
+    coframe_slice,
+    frame_slice,
     MODES,
     hom_rank,
     make_frame,
@@ -25,6 +29,8 @@ from schubres.grassfib import (
     phi_star,
     phi_inputs,
     phi_star_inputs,
+    recover_lines_from_open,
+    recover_lines_from_star,
     schubert_position,
     vbeta_points,
     verify_phi,
@@ -69,6 +75,41 @@ def rank_filter(cfg, mode):
 # (n, p) spaces on which every locus is checked against the oracle
 ORACLE_SPACES = [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)]
 
+# (n, p) spaces on which the echelon slices are checked against intersect
+SLICE_SPACES = [(n, 2) for n in range(1, 6)] + [(4, 3)]
+
+
+def all_frames(n, p):
+    """The default frame of every multi-index of GF(p)^n."""
+    for k in range(1, n + 1):
+        for beta in itertools.combinations(range(1, n + 1), k):
+            yield make_frame(n, p, beta)
+
+
+def project_subspace(s, onto, along):
+    """Image of a subspace under the projection onto ⊕ along -> onto."""
+    return span([project(v, onto, along) for v in s.basis], s.n, s.p)
+
+
+def intersect_recover_open(cfg, l):
+    """Base-point oracle: project L ∩ F_{b_i} into window i along F_{b_{i-1}}."""
+    out = []
+    for i in range(1, cfg.k + 1):
+        inter = intersect(l, cfg.frames[cfg.beta[i - 1]])
+        prev = cfg.frames[cfg.beta[i - 2]] if i >= 2 else cfg.frames[0]
+        out.append(project_subspace(inter, cfg.window(i), prev))
+    return tuple(out)
+
+
+def intersect_recover_star(cfg, l):
+    """Base-point oracle: project L ∩ G^{b_{i-1}} into window i along G^{b_i}."""
+    out = []
+    for i in range(1, cfg.k + 1):
+        prev = cfg.coframes[cfg.beta[i - 2]] if i >= 2 else cfg.coframes[0]
+        inter = intersect(l, prev)
+        out.append(project_subspace(inter, cfg.window(i), cfg.coframes[cfg.beta[i - 1]]))
+    return tuple(out)
+
 
 class TestMakeFrame:
     def test_default_frame_n4(self):
@@ -106,6 +147,22 @@ class TestMakeFrame:
             make_frame(4, 2, (2, 2))
         with pytest.raises(ValueError):
             make_frame(4, 2, (0, 3))
+
+    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)] + [(4, 3)])
+    def test_frame_sums_match_fresh_sums(self, n, p):
+        # the sums built with the frame equal sums taken on demand
+        for cfg in all_frames(n, p):
+            k = cfg.k
+            comps = [cfg.complement(j) for j in range(1, k + 2)]
+            for i in range(k + 1):
+                assert cfg.lines_prefix(i) == _sum_all(cfg.lines[:i], n, p)
+                for j in range(i + 1):
+                    want = subspace_sum(cfg.lines_prefix(j), cfg.complements_suffix(i + 1))
+                    assert cfg.nested(j, i) == want
+            for i in range(k + 2):
+                assert cfg.complements_prefix(i) == _sum_all(comps[:i], n, p)
+            for i in range(1, k + 3):
+                assert cfg.complements_suffix(i) == _sum_all(comps[i - 1 :], n, p)
 
 
 class TestPhi:
@@ -165,6 +222,26 @@ class TestSchubertPosition:
                 for q in range(n + 1):
                     assert intersect(l, frames[q]).dim == sum(x <= q for x in a)
                     assert intersect(l, coframes[q]).dim == sum(x > q for x in c)
+
+
+class TestEchelonSlices:
+    @pytest.mark.parametrize("n,p", SLICE_SPACES)
+    def test_slices_equal_intersections(self, n, p):
+        frames, coframes = standard_frames(n, p)
+        for k in range(n + 1):
+            for l in enumerate_subspaces(full_space(n, p), k):
+                for q in range(n + 1):
+                    assert frame_slice(l, q) == intersect(l, frames[q])
+                    assert coframe_slice(l, q) == intersect(l, coframes[q])
+
+    @pytest.mark.parametrize("n,p", SLICE_SPACES)
+    def test_recovered_lines_equal_projections(self, n, p):
+        # on every regular and conjugate locus point of every frame
+        for cfg in all_frames(n, p):
+            for l in vbeta_points(cfg, "open"):
+                assert recover_lines_from_open(cfg, l) == intersect_recover_open(cfg, l)
+            for l in vbeta_points(cfg, "star_open"):
+                assert recover_lines_from_star(cfg, l) == intersect_recover_star(cfg, l)
 
 
 class TestVbetaPoints:
