@@ -19,12 +19,14 @@ all u <= w in the Bruhat order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     Stage,
     Subspace,
     check_field,
@@ -128,21 +130,6 @@ def project_to_flag(pt: GridPoint) -> Flag:
     return tuple(pt.grid[row][pt.n - 1] for row in range(pt.n))
 
 
-def complete_flag_stages(n: int, p: int) -> list[Stage]:
-    """Complete flags as tower stages: each space extends the previous one
-    by one dimension inside the whole space."""
-    frames, _ = standard_frames(n, p)
-    return [
-        Stage(lambda c: (c[-1] if c else frames[0], frames[n]), i, n, i + 1)
-        for i in range(n)
-    ]
-
-
-def enumerate_complete_flags(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Flag]:
-    """All complete flags of GF(p)^n, by extending one dimension at a time."""
-    yield from tower(complete_flag_stages(n, p), p, budget)
-
-
 def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
     """dim(l_p ∩ F_q) for p, q = 1..n by n^2 intersections: the slow
     independent oracle for ``flag_position``."""
@@ -186,6 +173,56 @@ def flag_position(flag: Flag) -> Permutation:
         prev = space.pivots
     one_line.append(n * (n + 1) // 2 - sum(one_line))
     return Permutation(tuple(one_line))
+
+
+def _cell_flags(u: Permutation, frames: Flag) -> Iterator[Flag]:
+    """The flags of the Bruhat cell of u, one per echelon form."""
+    n = u.n
+    p = frames[0].p
+    rows = [
+        (u(i) - 1, [j for j in range(u(i) - 1) if j + 1 not in u.one_line[: i - 1]])
+        for i in range(1, n)
+    ]
+
+    def rec(prefix: Flag, space: Subspace) -> Iterator[Flag]:
+        if len(prefix) == n - 1:
+            yield prefix + (frames[n],)
+            return
+        last, free = rows[len(prefix)]
+        for entries in itertools.product(range(p), repeat=len(free)):
+            v = [0] * n
+            v[last] = 1
+            for j, x in zip(free, entries):
+                v[j] = x
+            nxt = space.extend(v)
+            yield from rec(prefix + (nxt,), nxt)
+
+    yield from rec((), frames[0])
+
+
+def schubert_cells(
+    w: Permutation, p: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[Permutation, Flag]]:
+    """(u, flag) for every point of the closed Schubert variety of w, cell
+    by cell: u runs over the permutations below w in the Bruhat order.
+
+    A flag of the cell of u has one echelon form: row i is e_{u(i)} plus
+    a free entry at each coordinate j < u(i) not among u(1..i-1), one per
+    inversion of u, so the cell has p^length(u) points.  Its last nonzero
+    coordinate is the one ``flag_position`` reads u(i) off.  Each l_i is
+    l_{i-1}'s canonical basis extended by row i.  Refused before the
+    first point when the sum of the p^length(u) exceeds the budget.
+    """
+    frames, _ = standard_frames(w.n, p)
+    below = [u for u in all_permutations(w.n) if bruhat_leq(u, w)]
+    bound = sum(p ** length(u) for u in below)
+    if bound > budget:
+        raise BudgetExceededError(
+            f"closed Schubert variety has {bound} points, budget is {budget}"
+        )
+    for u in below:
+        for flag in _cell_flags(u, frames):
+            yield u, flag
 
 
 def reconstruct_grid(flag: Flag, w: Permutation) -> GridPoint:
@@ -270,38 +307,43 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         witness = [subspace_witness(s) for s in outside[0]] if outside else []
         report.add("image_in_closed_variety", not outside, witnesses=witness)
 
-        # one pass over all complete flags keeps the closed locus of w and
-        # the cell inside it
-        cell_flags, closed_flags = [], set()
-        for flag in enumerate_complete_flags(w.n, p, budget):
-            u = flag_position(flag)
-            if u in below:
-                closed_flags.add(flag)
-                if u == w:
-                    cell_flags.append(flag)
-        report.counts["cell_points"] = len(cell_flags)
-        report.counts["expected_cell_points"] = p ** length(w)
-        report.add(
-            "cell_count_is_p^l",
-            len(cell_flags) == p ** length(w),
-            f"{len(cell_flags)} vs {p ** length(w)}",
-        )
+        # the closed locus of w cell by cell: a flag counts once, and only
+        # at its own position.  It is marked among the image flags, not
+        # kept; a flag outside the image fails the image check anyway, so
+        # only image flags need telling apart from their repeats.
+        hits = dict.fromkeys(by_flag, False)
+        cell_points = closed_points = 0
         bijective = True
         recon_ok = True
-        for flag in cell_flags:
+        for u, flag in schubert_cells(w, p, budget):
+            seen = hits.get(flag)
+            if seen or flag_position(flag) != u:
+                continue
+            if seen is not None:
+                hits[flag] = True
+            closed_points += 1
+            if u != w:
+                continue
+            cell_points += 1
             fiber = by_flag.get(flag, [])
             if len(fiber) != 1:
                 bijective = False
-                continue
-            if fiber[0] != reconstruct_grid(flag, w):
+            elif fiber[0] != reconstruct_grid(flag, w):
                 recon_ok = False
+        report.counts["cell_points"] = cell_points
+        report.counts["expected_cell_points"] = p ** length(w)
+        report.add(
+            "cell_count_is_p^l",
+            cell_points == p ** length(w),
+            f"{cell_points} vs {p ** length(w)}",
+        )
         report.add("cell_fibers_are_singletons", bijective)
         report.add("cell_fiber_is_intersection_grid", recon_ok)
 
-        report.counts["closed_points"] = len(closed_flags)
+        report.counts["closed_points"] = closed_points
         report.add(
             "image_equals_closed_variety",
-            set(by_flag) == closed_flags,
+            all(hits.values()) and closed_points == len(hits),
             "point surjectivity observed at this field size",
             informational=True,
         )

@@ -37,6 +37,7 @@ from schubres.wflag import (
     GHatPoint,
     enumerate_ghat,
     fixed_map_tuples,
+    ghat_membership,
     lift_to_ghat,
     pi_diag,
     psi_tilde,
@@ -226,7 +227,10 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
     with timed(report):
         o = special_point(cfg)
         standard = tuple(cfg.frames[b] for b in cfg.beta)
-        report.add("special_point_flag_is_standard", flag_of_grid(cfg, o) == standard)
+        report.add(
+            "special_point_flag_is_standard",
+            ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard,
+        )
 
         census: dict[Subspace, list[tuple[GHatPoint, KLChain]]] = {}
         fiber_sizes = set()

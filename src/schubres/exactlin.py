@@ -13,6 +13,7 @@ tuples.  Coordinates are 0-based throughout this module.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -102,15 +103,40 @@ class Subspace:
 
     def reduce_vector(self, v: Vec) -> Vec:
         """Residue of v after eliminating all pivot coordinates."""
-        w = [x % self.p for x in v]
+        p = self.p
+        w = [x % p for x in v]
         for row, c in zip(self.basis, self.pivots):
-            if w[c]:
-                f = w[c]
-                w = [(a - f * b) % self.p for a, b in zip(w, row)]
+            f = w[c]
+            if f:
+                w = [(a - f * b) % p for a, b in zip(w, row)]
         return tuple(w)
 
     def contains_vector(self, v: Vec) -> bool:
         return not any(self.reduce_vector(v))
+
+    def extend(self, v: Vec) -> "Subspace":
+        """Canonical form of self + <v>, without a fresh row reduction.
+
+        The residue of v, scaled to 1 at its first nonzero coordinate,
+        is the new canonical row; that coordinate is cleared from the
+        old rows, whose pivots the residue does not touch.
+        """
+        p = self.p
+        r = self.reduce_vector(v)
+        c = next((i for i, x in enumerate(r) if x), None)
+        if c is None:
+            raise ValueError("vector already lies in the subspace")
+        if r[c] != 1:
+            inv = pow(r[c], -1, p)
+            r = tuple([x * inv % p for x in r])
+        rows = list(self.basis)
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f:
+                rows[i] = tuple([(a - f * b) % p for a, b in zip(row, r)])
+        j = bisect_left(self.pivots, c)
+        rows.insert(j, r)
+        return Subspace(self.n, p, tuple(rows), self.pivots[:j] + (c,) + self.pivots[j:])
 
     def coords(self, v: Vec) -> Vec | None:
         """Coordinates of v in the canonical basis, or None if v is outside."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from schubres.biflag import Flag, standard_frames
 from schubres.exactlin import (
@@ -29,7 +29,6 @@ from schubres.exactlin import (
     contains,
     enumerate_maps,
     enumerate_subspaces,
-    full_space,
     gaussian_binomial,
     graph,
     intersect,
@@ -180,51 +179,67 @@ def _sum_all(spaces: Iterable[Subspace], n: int, p: int) -> Subspace:
     return out
 
 
+def phi_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
+    """Targets of the maps of ``phi`` on these lines: for line i >= 2, the
+    sum of the moving complements of lines 1..i-1."""
+    comps = moving_complements(cfg, lines)
+    return tuple(itertools.accumulate(comps[: cfg.k - 1], subspace_sum))
+
+
+def phi_star_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
+    """Targets of the maps of ``phi_star`` on these lines: for line i, the
+    sum of the moving complements of lines i+1..k and the tail."""
+    comps = moving_complements(cfg, lines)
+    return tuple(itertools.accumulate(reversed(comps[1:]), subspace_sum))[::-1]
+
+
 def phi(
-    cfg: FrameConfig, lines: tuple[Subspace, ...], maps: tuple[LinearMap, ...]
+    cfg: FrameConfig,
+    lines: tuple[Subspace, ...],
+    targets: tuple[Subspace, ...],
+    maps: tuple[LinearMap, ...],
 ) -> Subspace:
     """Sum of graphs of maps into earlier-window complements.
 
-    ``maps[i-2]`` sends line i into the sum of the complements of lines
-    1..i-1; the first line contributes itself.  The result meets F_{b_i}
-    in dimension exactly i for every i, which ``verify_phi`` checks as
+    ``maps[i-2]`` sends line i into ``targets[i-2]``, the sum of the
+    complements of lines 1..i-1 (``phi_targets``); the first line
+    contributes itself.  The result meets F_{b_i} in dimension exactly i
+    for every i, which ``verify_phi`` checks as
     ``image_equals_regular_locus``.
     """
     k = cfg.k
     if len(lines) != k or len(maps) != k - 1:
         raise ValueError("need k moving lines and k-1 maps")
-    comps = moving_complements(cfg, lines)
     parts = [lines[0]]
-    target = comps[0]
     for i in range(2, k + 1):
         a = maps[i - 2]
-        if a.domain != lines[i - 1] or a.target != target:
+        if a.domain != lines[i - 1] or a.target != targets[i - 2]:
             raise ValueError(f"map {i} has wrong domain or target")
         parts.append(graph(a))
-        target = subspace_sum(target, comps[i - 1])
     return _sum_all(parts, cfg.n, cfg.p)
 
 
 def phi_star(
-    cfg: FrameConfig, lines: tuple[Subspace, ...], maps: tuple[LinearMap, ...]
+    cfg: FrameConfig,
+    lines: tuple[Subspace, ...],
+    targets: tuple[Subspace, ...],
+    maps: tuple[LinearMap, ...],
 ) -> Subspace:
     """Sum of graphs of maps into later-window complements plus the tail.
 
-    ``maps[i-1]`` sends line i into the sum of the complements of lines
-    i+1..k and the tail.  The result meets G^{b_i} in dimension exactly
-    k-i, which ``verify_phi_star`` checks as
-    ``image_equals_conjugate_locus``, and that meet is the sum of the
-    later graphs (asserted).
+    ``maps[i-1]`` sends line i into ``targets[i-1]``, the sum of the
+    complements of lines i+1..k and the tail (``phi_star_targets``).  The
+    result meets G^{b_i} in dimension exactly k-i, which
+    ``verify_phi_star`` checks as ``image_equals_conjugate_locus``, and
+    that meet is the sum of the later graphs (asserted).
     """
     k = cfg.k
     if len(lines) != k or len(maps) != k:
         raise ValueError("need k moving lines and k maps")
-    comps = moving_complements(cfg, lines)
     graphs = []
     for i in range(1, k + 1):
         a = maps[i - 1]
-        target = _sum_all(comps[i:], cfg.n, cfg.p)
-        if a.domain != lines[i - 1] or a.target != target:
+        if a.domain != lines[i - 1] or a.target != targets[i - 1]:
             raise ValueError(f"map {i} has wrong domain or target")
         graphs.append(graph(a))
     out = _sum_all(graphs, cfg.n, cfg.p)
@@ -276,7 +291,8 @@ def _less(xs: Iterable[int], ys: Iterable[int]) -> bool:
     return all(x < y for x, y in zip(xs, ys))
 
 
-# Each locus of beta as a test on the Schubert position (a, c) of a point:
+# Each locus of beta as a test on the Schubert position (a, c) of a point;
+# each test reads only one side, a or c (``vbeta_points`` relies on it).
 # dim(L ∩ F_{b_i}) >= i is a_i <= b_i, and == i adds b_i < a_{i+1};
 # dim(L ∩ G^{b_i}) >= k-i is b_i < c_{i+1}, and == k-i adds c_i <= b_i;
 # the cell pins F_{b_i - 1} too, which leaves a = beta.
@@ -290,6 +306,39 @@ LOCI = {
 MODES = tuple(LOCI)
 
 
+def grassmannian_cells(
+    cfg: FrameConfig, keep: Callable[[tuple[int, ...]], bool], reverse: bool
+) -> Iterator[Subspace]:
+    """The Schubert cells of Gr_k(GF(p)^n) whose jump set passes ``keep``,
+    as one union in ``enumerate_subspaces`` order.
+
+    The jump set is c, or a with ``reverse``.  A point of the c cell has
+    one echelon form: a 1 at each coordinate c_j - 1 (0-based) and a free
+    entry at each later coordinate outside those; that form is already
+    canonical.  The same forms read with the coordinates reversed give the
+    a cells, and each of their points takes one row reduction.
+    """
+    n, p = cfg.n, cfg.p
+    points = []
+    for jumps in itertools.combinations(range(1, n + 1), cfg.k):
+        if not keep(jumps):
+            continue
+        pivots = tuple(n - j for j in reversed(jumps)) if reverse else tuple(j - 1 for j in jumps)
+        free = [(r, c) for r, q in enumerate(pivots) for c in range(q + 1, n) if c not in pivots]
+        for entries in itertools.product(range(p), repeat=len(free)):
+            rows = [[0] * n for _ in pivots]
+            for row, q in zip(rows, pivots):
+                row[q] = 1
+            for (r, c), x in zip(free, entries):
+                rows[r][c] = x
+            if reverse:
+                points.append(span([row[::-1] for row in rows], n, p))
+            else:
+                points.append(Subspace(n, p, tuple(map(tuple, rows)), pivots))
+    points.sort()
+    yield from points
+
+
 def grassmannian(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
     """All of Gr_k(GF(p)^n) in ``enumerate_subspaces`` order, refused
     before any work when it has more points than the budget."""
@@ -297,7 +346,7 @@ def grassmannian(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Sub
     total = gaussian_binomial(cfg.n, k, cfg.p)
     if total > budget:
         raise BudgetExceededError(f"Gr_{k}(GF({cfg.p})^{cfg.n}) has {total} points")
-    return enumerate_subspaces(full_space(cfg.n, cfg.p), k)
+    return grassmannian_cells(cfg, lambda jumps: True, reverse=False)
 
 
 def vbeta_points(
@@ -307,13 +356,20 @@ def vbeta_points(
 
     ``closed``/``open`` hold dim(L ∩ F_{b_i}) >= i / == i; ``cell``
     additionally pins the nodes one below each b_i; ``star_*`` use the
-    co-flag G^{b_i} with k-i.  One pass over the Grassmannian, each point
-    kept by its ``schubert_position``.
+    co-flag G^{b_i} with k-i.  Refused like the whole Grassmannian.  The
+    locus is a union of Schubert cells, of the a cells or, for ``star_*``,
+    the c cells; each point is kept by its ``schubert_position``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    grassmannian(cfg, budget)  # refuse an oversized Gr_k
     keep = LOCI[mode]
-    for l in grassmannian(cfg, budget):
+    reverse = not mode.startswith("star_")
+
+    def cell_kept(jumps: tuple[int, ...]) -> bool:
+        return keep(cfg.beta, jumps, None) if reverse else keep(cfg.beta, None, jumps)
+
+    for l in grassmannian_cells(cfg, cell_kept, reverse):
         if keep(cfg.beta, *schubert_position(l)):
             yield l
 
@@ -350,32 +406,26 @@ def hom_star_rank(cfg: FrameConfig) -> int:
 
 def phi_inputs(
     cfg: FrameConfig,
-) -> Iterator[tuple[tuple[Subspace, ...], tuple[LinearMap, ...]]]:
+) -> Iterator[tuple[tuple[Subspace, ...], tuple[Subspace, ...], tuple[LinearMap, ...]]]:
+    """(lines, targets, maps) for every tuple of moving lines and every
+    map tuple of ``phi`` on them."""
     for lines in window_line_tuples(cfg):
-        comps = moving_complements(cfg, lines)
-        targets = []
-        acc = zero_subspace(cfg.n, cfg.p)
-        for i in range(1, cfg.k):
-            acc = subspace_sum(acc, comps[i - 1])
-            targets.append(acc)
-        map_choices = [
-            list(enumerate_maps(lines[i - 1], targets[i - 2])) for i in range(2, cfg.k + 1)
-        ]
-        for maps in itertools.product(*map_choices):
-            yield lines, maps
+        targets = phi_targets(cfg, lines)
+        choices = [list(enumerate_maps(line, t)) for line, t in zip(lines[1:], targets)]
+        for maps in itertools.product(*choices):
+            yield lines, targets, maps
 
 
 def phi_star_inputs(
     cfg: FrameConfig,
-) -> Iterator[tuple[tuple[Subspace, ...], tuple[LinearMap, ...]]]:
+) -> Iterator[tuple[tuple[Subspace, ...], tuple[Subspace, ...], tuple[LinearMap, ...]]]:
+    """(lines, targets, maps) for every tuple of moving lines and every
+    map tuple of ``phi_star`` on them."""
     for lines in window_line_tuples(cfg):
-        comps = moving_complements(cfg, lines)
-        map_choices = []
-        for i in range(1, cfg.k + 1):
-            target = _sum_all(comps[i:], cfg.n, cfg.p)
-            map_choices.append(list(enumerate_maps(lines[i - 1], target)))
-        for maps in itertools.product(*map_choices):
-            yield lines, maps
+        targets = phi_star_targets(cfg, lines)
+        choices = [list(enumerate_maps(line, t)) for line, t in zip(lines, targets)]
+        for maps in itertools.product(*choices):
+            yield lines, targets, maps
 
 
 def _window_part(s: Subspace, lo: int, hi: int) -> Subspace:
@@ -411,8 +461,8 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         inputs = 0
         image: dict[Subspace, tuple] = {}
         fiber_ok = True
-        for lines, maps in phi_inputs(cfg):
-            out = phi(cfg, lines, maps)
+        for lines, targets, maps in phi_inputs(cfg):
+            out = phi(cfg, lines, targets, maps)
             inputs += 1
             image[out] = (lines, maps)
             if recover_lines_from_open(cfg, out) != lines:
@@ -446,8 +496,8 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
         inputs = 0
         image: dict[Subspace, tuple] = {}
         fiber_ok = True
-        for lines, maps in phi_star_inputs(cfg):
-            out = phi_star(cfg, lines, maps)
+        for lines, targets, maps in phi_star_inputs(cfg):
+            out = phi_star(cfg, lines, targets, maps)
             inputs += 1
             image[out] = (lines, maps)
             if recover_lines_from_star(cfg, out) != lines:
@@ -474,12 +524,13 @@ def verify_transversal_identity(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) 
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
     )
     with timed(report):
+        # both meets lie in the closed locus
         meet, closed_meet = set(), set()
-        for l in grassmannian(cfg, budget):
+        for l in vbeta_points(cfg, "closed", budget):
             a, c = schubert_position(l)
             if LOCI["open"](cfg.beta, a, c) and LOCI["star_open"](cfg.beta, a, c):
                 meet.add(l)
-            if LOCI["closed"](cfg.beta, a, c) and LOCI["star_closed"](cfg.beta, a, c):
+            if LOCI["star_closed"](cfg.beta, a, c):
                 closed_meet.add(l)
         base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
         report.counts["intersection"] = len(meet)

@@ -1,12 +1,14 @@
 """Bioriented flag grids and the flag-manifold Schubert resolution."""
 
+import json
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
+from oracles import enumerate_complete_flags
 
+from schubres import biflag
 from schubres.biflag import (
-    enumerate_complete_flags,
     enumerate_flw,
     enumerate_shat,
     flag_position,
@@ -15,6 +17,7 @@ from schubres.biflag import (
     grid_is_valid,
     project_to_flag,
     reconstruct_grid,
+    schubert_cells,
     standard_frames,
     verify_flres,
 )
@@ -192,6 +195,55 @@ class TestSchubertFlagPoints:
                 assert image == set(want)
 
 
+# spaces whose every Bruhat cell is checked against the walk over all flags
+CELL_SPACES = [(1, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+
+
+def _without_time(text):
+    report = json.loads(text)
+    report.pop("wall_time_s")
+    return report
+
+
+def _longest(n):
+    return Permutation(tuple(range(n, 0, -1)))
+
+
+class TestSchubertCells:
+    @pytest.mark.parametrize("n,p", CELL_SPACES)
+    def test_cells_equal_walk(self, n, p):
+        # grouped by u, the generated flags are the walk's flags at
+        # position u; sorted, they come in the walk's tower order
+        walk = defaultdict(list)
+        for flag in enumerate_complete_flags(n, p):
+            walk[flag_position(flag)].append(flag)
+        cells = defaultdict(list)
+        for u, flag in schubert_cells(_longest(n), p):
+            cells[u].append(flag)
+        assert {u: sorted(flags) for u, flags in cells.items()} == dict(walk)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cells_are_those_below(self, n):
+        for w in all_permutations(n):
+            got = Counter(u for u, _ in schubert_cells(w, 2))
+            assert got == {u: 2 ** length(u) for u in all_permutations(n) if bruhat_leq(u, w)}
+
+    @pytest.mark.parametrize(
+        "one_line",
+        [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (2, 4, 1, 3)],
+        ids=lambda one_line: "".join(map(str, one_line)),
+    )
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_budget_guard(self, one_line, p):
+        # the bound is exact: one point less is refused before the first
+        # point, the bound itself is accepted
+        w = Permutation(one_line)
+        bound = sum(p ** length(u) for u in all_permutations(w.n) if bruhat_leq(u, w))
+        with pytest.raises(BudgetExceededError):
+            next(schubert_cells(w, p, bound - 1))
+        assert len(list(schubert_cells(w, p, bound))) == bound
+
+
 class TestBruhatGeometry:
     def test_order_matches_point_containment(self):
         # u <= w exactly when u's cell sits inside w's closed locus:
@@ -230,10 +282,39 @@ class TestVerifyFlres:
         for flag in cell:
             assert grid_is_valid(reconstruct_grid(flag, w), w)
 
-    def test_flag_pass_budget_guard(self):
-        # the tower of (2,1,3) has 3 points, but GF(2)^3 has 21 complete flags
-        with pytest.raises(BudgetExceededError):
-            verify_flres(Permutation((2, 1, 3)), 2, budget=20)
+    def test_repeated_flags_count_once(self, monkeypatch):
+        # a generator that yields every flag twice changes nothing
+        w = Permutation((2, 3, 1))
+        want = verify_flres(w, 2).to_json()
+
+        def twice(w, p, budget):
+            for u, flag in schubert_cells(w, p, budget):
+                yield u, flag
+                yield u, flag
+
+        monkeypatch.setattr(biflag, "schubert_cells", twice)
+        assert _without_time(verify_flres(w, 2).to_json()) == _without_time(want)
+
+    @pytest.mark.parametrize("fault", ["drop", "misplace"])
+    def test_faulty_generator_fails_cell_count(self, monkeypatch, fault):
+        # a flag missing from its cell, or yielded under another
+        # permutation, is not counted in the cell
+        w = Permutation((2, 3, 1))
+        other = Permutation((1, 3, 2))
+
+        def faulty(w, p, budget):
+            points = list(schubert_cells(w, p, budget))
+            u, flag = points.pop()  # the cell of w comes last
+            assert u == w
+            if fault == "misplace":
+                points.append((other, flag))
+            yield from points
+
+        monkeypatch.setattr(biflag, "schubert_cells", faulty)
+        rep = verify_flres(w, 2)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert "cell_count_is_p^l" in failed
+        assert not rep.passed
 
     @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 1, 2), (3, 2, 1)])
     def test_flag_meets_frame_at_least_grid(self, one_line):

@@ -81,6 +81,19 @@ class TestSpan:
         with pytest.raises(ValueError):
             ex.span([E1], 3, 257)
 
+    @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
+    def test_extend_is_span_exhaustive(self, n, p):
+        # extending the canonical rows by one vector gives the canonical
+        # form of the span, for every subspace and every vector
+        full = ex.full_space(n, p)
+        for s in all_subspaces(n, p):
+            for v in full.vectors():
+                if s.contains_vector(v):
+                    with pytest.raises(ValueError):
+                        s.extend(v)
+                else:
+                    assert s.extend(v) == sp(s.basis + (v,), n, p)
+
 
 class TestSumIntersectContains:
     def test_sum_of_axes(self):
@@ -358,7 +371,8 @@ class TestTower:
 
     @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
     def test_bound_equals_count(self, n, p):
-        from schubres.biflag import complete_flag_stages, grid_stages
+        from oracles import complete_flag_stages
+        from schubres.biflag import grid_stages
         from schubres.bottsamelson import bs_stages, first_block_stages
         from schubres.permcomb import all_permutations, bubblesort_word
 
@@ -377,6 +391,7 @@ class TestTower:
 
 
 def _enumerators():
+    from oracles import enumerate_complete_flags
     from schubres import biflag, bottsamelson, embres, wflag
     from schubres.grassfib import make_frame
     from schubres.permcomb import Permutation, bubblesort_word
@@ -387,7 +402,7 @@ def _enumerators():
     return {
         "enumerate_flw": lambda b: biflag.enumerate_flw(w, 2, b),
         "enumerate_shat": lambda b: biflag.enumerate_shat(w, 2, b),
-        "enumerate_complete_flags": lambda b: biflag.enumerate_complete_flags(3, 2, b),
+        "enumerate_complete_flags": lambda b: enumerate_complete_flags(3, 2, b),
         "enumerate_bs": lambda b: bottsamelson.enumerate_bs(bubblesort_word(w), 2, b),
         "kl_points": lambda b: embres.kl_points(flag, 2, b),
         "enumerate_gcal": lambda b: wflag.enumerate_gcal(cfg, b),

@@ -57,7 +57,10 @@ def test_report_matches_golden(fname, argv, capsys):
 
 # the verifiers whose verdicts must not rest on assert statements
 OPTIMIZED_CASES = [
-    c for c in CASES if c[1][0] in ("grass", "embres") or c[1][:2] == ["wflag", "verify"]
+    c
+    for c in CASES
+    if c[1][0] in ("grass", "embres")
+    or c[1][:2] in (["wflag", "verify"], ["wflag", "lift"], ["biflag", "verify"])
 ]
 
 

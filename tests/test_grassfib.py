@@ -1,12 +1,15 @@
 """Graph-sum parametrizations of Grassmannian Schubert loci."""
 
 import itertools
+import json
 import operator
 
 import pytest
 
 from schubres.biflag import standard_frames
 from schubres.exactlin import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
@@ -17,10 +20,12 @@ from schubres.exactlin import (
     zero_map,
 )
 from schubres.grassfib import (
+    LOCI,
     _sum_all,
     base_point_count,
     coframe_slice,
     frame_slice,
+    grassmannian,
     MODES,
     hom_rank,
     make_frame,
@@ -29,6 +34,8 @@ from schubres.grassfib import (
     phi_star,
     phi_inputs,
     phi_star_inputs,
+    phi_star_targets,
+    phi_targets,
     recover_lines_from_open,
     recover_lines_from_star,
     schubert_position,
@@ -38,6 +45,7 @@ from schubres.grassfib import (
     verify_transversal_identity,
     window_line_tuples,
 )
+from schubres.report import EnumReport, timed
 
 
 def e(i, n):
@@ -111,6 +119,35 @@ def intersect_recover_star(cfg, l):
     return tuple(out)
 
 
+def transversal_by_walk(cfg, budget=DEFAULT_BUDGET):
+    """``verify_transversal_identity`` over one walk of all of Gr_k: the
+    oracle for the version that walks only the closed locus."""
+    report = EnumReport(
+        "grass verify-transversal",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        meet, closed_meet = set(), set()
+        for l in enumerate_subspaces(full_space(cfg.n, cfg.p), cfg.k):
+            a, c = schubert_position(l)
+            if LOCI["open"](cfg.beta, a, c) and LOCI["star_open"](cfg.beta, a, c):
+                meet.add(l)
+            if LOCI["closed"](cfg.beta, a, c) and LOCI["star_closed"](cfg.beta, a, c):
+                closed_meet.add(l)
+        base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
+        report.counts["intersection"] = len(meet)
+        report.counts["base_points"] = len(base)
+        report.add("open_intersection_is_base", meet == base)
+        report.add("closed_intersection_no_bigger", closed_meet == meet)
+    return report
+
+
+def without_time(report):
+    out = json.loads(report.to_json())
+    out.pop("wall_time_s")
+    return out
+
+
 class TestMakeFrame:
     def test_default_frame_n4(self):
         cfg = make_frame(4, 2, (2, 4))
@@ -165,18 +202,41 @@ class TestMakeFrame:
                 assert cfg.complements_suffix(i) == _sum_all(comps[i - 1 :], n, p)
 
 
+class TestMapTargets:
+    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)] + [(4, 3)])
+    def test_targets_match_fresh_sums(self, n, p):
+        # the targets shared by the inputs and the maps equal the sums of
+        # the moving complements taken on demand
+        for cfg in all_frames(n, p):
+            for lines in window_line_tuples(cfg):
+                comps = moving_complements(cfg, lines)
+                want = tuple(_sum_all(comps[: i - 1], n, p) for i in range(2, cfg.k + 1))
+                assert phi_targets(cfg, lines) == want
+                want = tuple(_sum_all(comps[i:], n, p) for i in range(1, cfg.k + 1))
+                assert phi_star_targets(cfg, lines) == want
+
+
 class TestPhi:
     def test_zero_maps_give_line_sum(self):
         cfg = make_frame(4, 2, (2, 4))
         comps = moving_complements(cfg, cfg.lines)
+        targets = (comps[0],)
+        assert phi_targets(cfg, cfg.lines) == targets
         maps = (zero_map(cfg.line(2), comps[0]),)
-        assert phi(cfg, cfg.lines, maps) == subspace_sum(cfg.line(1), cfg.line(2))
+        assert phi(cfg, cfg.lines, targets, maps) == subspace_sum(cfg.line(1), cfg.line(2))
+
+    def test_wrong_target_rejected(self):
+        cfg = make_frame(4, 2, (2, 4))
+        targets = phi_targets(cfg, cfg.lines)
+        maps = (zero_map(cfg.line(2), cfg.complement(2)),)
+        with pytest.raises(ValueError):
+            phi(cfg, cfg.lines, targets, maps)
 
     def test_image_in_regular_locus(self):
         cfg = make_frame(4, 2, (2, 4))
         regular = set(vbeta_points(cfg, "open"))
-        for lines, maps in phi_inputs(cfg):
-            assert phi(cfg, lines, maps) in regular
+        for lines, targets, maps in phi_inputs(cfg):
+            assert phi(cfg, lines, targets, maps) in regular
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_phi_n4(self, beta):
@@ -196,8 +256,17 @@ class TestPhiStar:
         comps = moving_complements(cfg, cfg.lines)
         t2 = cfg.tail
         t1 = subspace_sum(comps[1], cfg.tail)
+        assert phi_star_targets(cfg, cfg.lines) == (t1, t2)
         maps = (zero_map(cfg.line(1), t1), zero_map(cfg.line(2), t2))
-        assert phi_star(cfg, cfg.lines, maps) == subspace_sum(cfg.line(1), cfg.line(2))
+        got = phi_star(cfg, cfg.lines, (t1, t2), maps)
+        assert got == subspace_sum(cfg.line(1), cfg.line(2))
+
+    def test_wrong_target_rejected(self):
+        cfg = make_frame(4, 2, (1, 3))
+        targets = phi_star_targets(cfg, cfg.lines)
+        maps = (zero_map(cfg.line(1), targets[1]), zero_map(cfg.line(2), targets[1]))
+        with pytest.raises(ValueError):
+            phi_star(cfg, cfg.lines, targets, maps)
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_phi_star_n4(self, beta):
@@ -207,7 +276,7 @@ class TestPhiStar:
     def test_inputs_cover_conjugate_locus(self):
         cfg = make_frame(4, 2, (1, 3))
         star = set(vbeta_points(cfg, "star_open"))
-        got = {phi_star(cfg, lines, maps) for lines, maps in phi_star_inputs(cfg)}
+        got = {phi_star(cfg, *inputs) for inputs in phi_star_inputs(cfg)}
         assert got == star
 
 
@@ -257,6 +326,13 @@ class TestVbetaPoints:
                         mode,
                     )
 
+    @pytest.mark.parametrize("n,p", ORACLE_SPACES)
+    def test_grassmannian_is_enumerate_subspaces(self, n, p):
+        # the union of the echelon cells, in the same order
+        for k in range(1, n + 1):
+            cfg = make_frame(n, p, tuple(range(1, k + 1)))
+            assert list(grassmannian(cfg)) == list(enumerate_subspaces(full_space(n, p), k))
+
     def test_closed_everything_for_trailing_beta(self):
         cfg = make_frame(4, 2, (3, 4))
         assert len(list(vbeta_points(cfg, "closed"))) == gaussian_binomial(4, 2, 2)
@@ -277,6 +353,15 @@ class TestVbetaPoints:
         closed = set(vbeta_points(cfg, "closed"))
         assert cell <= open_ <= closed
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_budget_guard_is_whole_grassmannian(self, mode):
+        # the locus is generated cell by cell, but the refusal is still
+        # the one of all of Gr_2(GF(2)^4), 35 points
+        cfg = make_frame(4, 2, (1, 2))
+        with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
+            next(vbeta_points(cfg, mode, 34))
+        assert list(vbeta_points(cfg, mode, 35)) == list(rank_filter(cfg, mode))
+
     def test_bad_mode(self):
         cfg = make_frame(4, 2, (2, 4))
         with pytest.raises(ValueError):
@@ -295,6 +380,13 @@ class TestTransversal:
     def test_identity_n4(self, beta):
         rep = verify_transversal_identity(make_frame(4, 2, beta))
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_full_walk(self, n):
+        for cfg in all_frames(n, 2):
+            assert without_time(verify_transversal_identity(cfg)) == without_time(
+                transversal_by_walk(cfg)
+            ), cfg.beta
 
     def test_deep_incidence_excluded(self):
         # a plane inside F_2 meets F_2 in dim 2 > 1, so it sits in the
