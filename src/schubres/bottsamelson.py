@@ -93,8 +93,6 @@ def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
         idx = occ[i - 1]
         flag.append(frames[i] if idx is None else point[idx - 1])
     flag.append(frames[n])
-    for i, s in enumerate(flag, start=1):
-        assert s.dim == i
     return tuple(flag)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -82,20 +82,29 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tuple[int, ...]]:
     return tuple(tuple(r) for r in mat[:row]), tuple(pivots)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Subspace:
     """A linear subspace of GF(p)^n in canonical reduced-row-echelon form.
 
     Two subspaces are equal iff their canonical basis matrices are equal.
     The dataclass ordering sorts same-shape subspaces lexicographically
     on the canonical basis matrix, which fixes every enumeration order
-    in this package.
+    in this package.  The hash is that of (n, p, basis, pivots), computed
+    on first use and stored in a slot that equality and ordering ignore.
     """
 
     n: int
     p: int
     basis: Rows
     pivots: tuple[int, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.p, self.basis, self.pivots))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:
@@ -356,7 +365,15 @@ def graph(a: LinearMap) -> Subspace:
     if intersect(a.domain, a.target).dim:
         raise ValueError("graph requires domain ∩ target = 0")
     p = a.domain.p
-    rows = [vec_add(b, a.apply(b), p) for b in a.domain.basis]
+    # A maps the j-th canonical row of the domain to column j of the matrix
+    # in target coordinates, so the graph's j-th row is b_j + sum_r m[r][j] t_r
+    rows = []
+    for j, row in enumerate(a.domain.basis):
+        for r, t in enumerate(a.target.basis):
+            c = a.matrix[r][j]
+            if c:
+                row = tuple([(x + c * y) % p for x, y in zip(row, t)])
+        rows.append(row)
     g = span(rows, a.domain.n, p)
     assert g.dim == a.domain.dim
     return g
@@ -424,15 +441,12 @@ def _between_tuple(lower: Subspace, upper: Subspace, dim: int) -> tuple[Subspace
 
 
 def enumerate_between(lower: Subspace, upper: Subspace, dim: int) -> Iterator[Subspace]:
-    """Yield each subspace S with lower ⊆ S ⊆ upper and dim S = dim.
+    """Iterate over each subspace S with lower ⊆ S ⊆ upper and dim S = dim.
 
     Empty when lower is not contained in upper or the dimension is
     infeasible.  Count: [dim upper - dim lower choose dim - dim lower]_p.
     """
-    yield from _between_tuple(lower, upper, dim)
-
-
-Choices = tuple[Subspace, ...]
+    return iter(_between_tuple(lower, upper, dim))
 
 
 class Stage(NamedTuple):
@@ -440,12 +454,13 @@ class Stage(NamedTuple):
 
     ``spaces`` maps the choices of the earlier levels to (lower, upper);
     the level chooses each ``dim``-dimensional S with lower ⊆ S ⊆ upper.
-    For every input dim lower must be at least ``lo`` and dim upper at
-    most ``up``, so the level offers at most [up - lo choose dim - lo]_p
-    choices.
+    ``tower`` passes the earlier choices as its own live list, which the
+    callback may index but must not keep or change.  For every input dim
+    lower must be at least ``lo`` and dim upper at most ``up``, so the
+    level offers at most [up - lo choose dim - lo]_p choices.
     """
 
-    spaces: Callable[[Choices], tuple[Subspace, Subspace]]
+    spaces: Callable[[Sequence[Subspace]], tuple[Subspace, Subspace]]
     lo: int
     up: int
     dim: int
@@ -459,24 +474,41 @@ def tower_bound(stages: Sequence[Stage], p: int) -> int:
     return total
 
 
-def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[Choices]:
+def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspace, ...]]:
     """Yield every tuple of choices, one per stage, depth first.
 
     Each level runs in ``enumerate_between`` order.  The whole tower is
     refused before its first point when ``tower_bound`` exceeds the
-    budget.
+    budget.  The walk keeps one open iterator per level above the last
+    and calls ``enumerate_between`` once per node.
     """
     bound = tower_bound(stages, p)
     if bound > budget:
         raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
-
-    def rec(chosen: Choices) -> Iterator[Choices]:
-        if len(chosen) == len(stages):
-            yield chosen
+    last = len(stages) - 1
+    if last < 0:
+        yield ()
+        return
+    chosen: list[Subspace] = []
+    # open_levels[i] runs over the choices at level i; chosen[i] is the current one
+    open_levels: list[Iterator[Subspace]] = []
+    while True:
+        st = stages[len(chosen)]
+        lower, upper = st.spaces(chosen)
+        level = enumerate_between(lower, upper, st.dim)
+        if len(chosen) == last:
+            prefix = tuple(chosen)
+            for s in level:
+                yield prefix + (s,)
+        else:
+            open_levels.append(level)
+        # advance the deepest open level that has a choice left
+        while open_levels:
+            s = next(open_levels[-1], None)
+            if s is not None:
+                del chosen[len(open_levels) - 1 :]
+                chosen.append(s)
+                break
+            open_levels.pop()
+        else:
             return
-        stage = stages[len(chosen)]
-        lower, upper = stage.spaces(chosen)
-        for s in enumerate_between(lower, upper, stage.dim):
-            yield from rec(chosen + (s,))
-
-    yield from rec(())

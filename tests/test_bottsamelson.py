@@ -2,6 +2,7 @@
 
 import pytest
 
+from schubres import bottsamelson
 from schubres.bottsamelson import (
     bbs_iso,
     bs_point_is_valid,
@@ -92,6 +93,23 @@ class TestBbsIso:
         for w in all_permutations(3):
             rep = bbs_iso(w, 2)
             assert rep.passed, (w, [c.name for c in rep.checks if not c.passed])
+
+    def test_wrong_dimension_projection_fails_commute_check(self, monkeypatch):
+        # bs_projection does not check the dimensions of its components;
+        # the report's commute check catches a component of the wrong one
+        w = Permutation((2, 3, 1))
+        word = bubblesort_word(w)
+        right = bs_projection
+
+        def wrong(point, wd, p):
+            flag = right(point, wd, p)
+            return (flag[1],) + flag[1:]
+
+        assert wrong(next(enumerate_bs(word, 2)), word, 2)[0].dim == 2
+        monkeypatch.setattr(bottsamelson, "bs_projection", wrong)
+        rep = bbs_iso(w, 2)
+        failed = [c.name for c in rep.checks if not c.passed]
+        assert failed == ["map_commutes_with_projections"]
 
     def test_simple_transposition_gf3(self):
         rep = bbs_iso(Permutation((2, 1, 3)), 3)

@@ -95,6 +95,28 @@ class TestSpan:
                     assert s.extend(v) == sp(s.basis + (v,), n, p)
 
 
+class TestSubspaceHash:
+    def test_hash_is_tuple_hash(self):
+        for s in all_subspaces(3, 3):
+            h = hash((s.n, s.p, s.basis, s.pivots))
+            assert hash(s) == h and hash(s) == h  # computed, then stored
+
+    def test_no_instance_dict(self):
+        s = sp([E1, E2], 3)
+        assert not hasattr(s, "__dict__")
+
+    def test_stored_hash_ignored_by_eq_order_and_repr(self):
+        spaces = all_subspaces(3, 2)
+        fresh = all_subspaces(3, 2)
+        for s in spaces[::2]:
+            hash(s)
+        for s, t in zip(spaces, fresh):
+            assert s == t and not s < t and not t < s and s <= t
+            assert repr(s) == repr(t)
+        assert sorted(spaces) == sorted(fresh)
+        assert sorted(spaces, reverse=True) == sorted(fresh, reverse=True)
+
+
 class TestSumIntersectContains:
     def test_sum_of_axes(self):
         assert ex.subspace_sum(sp([E1], 3), sp([E2], 3)) == sp([E1, E2], 3)
@@ -218,6 +240,25 @@ class TestLinearMapsAndGraphs:
         d = sp([E1], 3)
         with pytest.raises(ValueError):
             ex.graph(ex.zero_map(d, d))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_graph_matches_apply_oracle(self, p):
+        # every map out of one line or a prefix of lines into the later
+        # complements, and every chart map, of each default frame, n <= 4
+        from oracles import graph_by_apply
+        from schubres.grassfib import make_frame
+
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for beta in itertools.combinations(range(1, n + 1), k):
+                    cfg = make_frame(n, p, beta)
+                    pairs = [(cfg.lines_prefix(k), cfg.complements_suffix(1))]
+                    for i in range(1, k + 1):
+                        target = cfg.complements_suffix(i + 1)
+                        pairs += [(cfg.line(i), target), (cfg.lines_prefix(i), target)]
+                    for domain, target in pairs:
+                        for a in ex.enumerate_maps(domain, target):
+                            assert ex.graph(a) == graph_by_apply(a)
 
     def test_enumerate_maps_count(self):
         d, t = sp([E1, E2], 3), sp([E3], 3)
@@ -350,6 +391,30 @@ def _chain_stages(n, p):
     return [ex.Stage(lambda c: (c[-1] if c else zero, full), i, n, i + 1) for i in range(n - 1)]
 
 
+# (n, p) spaces on which tower bounds are checked against point counts
+BOUND_SPACES = [(3, 2), (3, 3), (4, 2)]
+
+
+def _bound_stage_lists(n, p):
+    """Complete flags, and the pinned grid, Bott-Samelson and first-block
+    towers of every permutation of S_n (unpinned grids too for n = 3)."""
+    from oracles import complete_flag_stages
+    from schubres.biflag import grid_stages
+    from schubres.bottsamelson import bs_stages, first_block_stages
+    from schubres.permcomb import all_permutations, bubblesort_word
+
+    stage_lists = [complete_flag_stages(n, p)]
+    for w in all_permutations(n):
+        stage_lists += [
+            grid_stages(w, p, pinned_last_row=True),
+            bs_stages(bubblesort_word(w), p),
+            first_block_stages(w, p),
+        ]
+        if n == 3:  # the unpinned grids of S_4 take seconds
+            stage_lists.append(grid_stages(w, p, pinned_last_row=False))
+    return stage_lists
+
+
 class TestTower:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("stages_of", [_mixed_stages, _chain_stages])
@@ -369,25 +434,49 @@ class TestTower:
         assert got == want
         assert len(got) <= ex.tower_bound(stages, 2)
 
-    @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("n,p", BOUND_SPACES)
     def test_bound_equals_count(self, n, p):
-        from oracles import complete_flag_stages
-        from schubres.biflag import grid_stages
-        from schubres.bottsamelson import bs_stages, first_block_stages
-        from schubres.permcomb import all_permutations, bubblesort_word
-
-        stage_lists = [complete_flag_stages(n, p)]
-        for w in all_permutations(n):
-            stage_lists += [
-                grid_stages(w, p, pinned_last_row=True),
-                bs_stages(bubblesort_word(w), p),
-                first_block_stages(w, p),
-            ]
-            if n == 3:  # the unpinned grids of S_4 take seconds
-                stage_lists.append(grid_stages(w, p, pinned_last_row=False))
-        for stages in stage_lists:
+        for stages in _bound_stage_lists(n, p):
             bound = ex.tower_bound(stages, p)
             assert len(list(ex.tower(stages, p, bound))) == bound
+
+    def test_no_stages_yield_one_empty_point(self):
+        assert list(ex.tower([], 2, 1)) == [()]
+
+    @pytest.mark.parametrize("n,p", BOUND_SPACES)
+    def test_matches_recursive_oracle(self, n, p):
+        from oracles import recursive_tower
+
+        for stages in _bound_stage_lists(n, p):
+            got = list(ex.tower(stages, p, ex.DEFAULT_BUDGET))
+            assert got == list(recursive_tower(stages, p, ex.DEFAULT_BUDGET))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_frame_towers_match_recursive_oracle(self, n, monkeypatch):
+        # the chain, chain-variety and grid towers of every default frame
+        import oracles
+        from schubres import embres, wflag
+        from schubres.grassfib import make_frame
+
+        frames = [
+            make_frame(n, 2, beta)
+            for k in range(1, n + 1)
+            for beta in itertools.combinations(range(1, n + 1), k)
+        ]
+
+        def points():
+            out = []
+            for cfg in frames:
+                flag = tuple(cfg.frames[b] for b in cfg.beta)
+                out.append(list(embres.kl_points(flag, 2)))
+                out.append(list(wflag.enumerate_gcal(cfg)))
+                out.append(list(wflag.enumerate_ghat(cfg)))
+            return out
+
+        got = points()
+        monkeypatch.setattr(embres, "tower", oracles.recursive_tower)
+        monkeypatch.setattr(wflag, "tower", oracles.recursive_tower)
+        assert got == points()
 
 
 def _enumerators():
