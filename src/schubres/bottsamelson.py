@@ -181,8 +181,10 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         )
 
         mapped = [grid_to_bs(pt, w) for pt in grid_points]
-        report.add("map_is_injective", len(set(mapped)) == len(grid_points))
-        report.add("map_image_is_tower", set(mapped) == bs_points)
+        image = set(mapped)
+        report.add("map_is_injective", len(image) == len(grid_points))
+        report.add("map_image_is_tower", image == bs_points)
+        del image, bs_points  # as large as the tower; free them before the oracle
 
         commutes = all(
             project_to_flag(pt) == bs_projection(img, word, p)

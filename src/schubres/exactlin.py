@@ -41,8 +41,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
+_PRIMES = frozenset(q for q in range(MAX_FIELD + 1) if is_prime(q))
+
+
 def check_field(p: int) -> None:
-    if not is_prime(p) or p > MAX_FIELD:
+    if p not in _PRIMES:
         raise ValueError(f"field modulus must be a prime <= {MAX_FIELD}, got {p}")
 
 
@@ -58,26 +61,42 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row echelon form of a matrix over GF(p).
 
     Returns the canonical basis of the row space (zero rows dropped)
-    together with the strictly increasing pivot column indices.
+    together with the strictly increasing pivot column indices.  A single
+    row is only scaled at its first nonzero entry; otherwise a pivot row
+    is normalised only when its pivot is not already 1.
     """
     mat = [[x % p for x in r] for r in rows]
+    nrows = len(mat)
+    if nrows == 1:
+        r = mat[0]
+        for col, x in enumerate(r):
+            if x:
+                if x != 1:
+                    inv = pow(x, -1, p)
+                    r = [y * inv % p for y in r]
+                return (tuple(r),), (col,)
+        return (), ()
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        pr = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pr is None:
+        for pr in range(row, nrows):
+            if mat[pr][col]:
+                break
+        else:
             continue
-        mat[row], mat[pr] = mat[pr], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[row])]
+        prow = mat[pr]
+        if prow[col] != 1:
+            inv = pow(prow[col], -1, p)
+            prow = [(x * inv) % p for x in prow]
+        mat[pr], mat[row] = mat[row], prow
+        for r in range(nrows):
+            f = mat[r][col]
+            if f and r != row:
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], prow)]
         pivots.append(col)
         row += 1
-        if row == len(mat):
+        if row == nrows:
             break
     return tuple(tuple(r) for r in mat[:row]), tuple(pivots)
 
@@ -199,9 +218,15 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 
 @lru_cache(maxsize=None)
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical form of a + b."""
+    """Canonical form of a + b: the larger canonical basis extended by
+    each row of the other space that it does not contain."""
     _check_compatible(a, b)
-    return span(a.basis + b.basis, a.n, a.p)
+    if a.dim < b.dim:
+        a, b = b, a
+    for v in b.basis:
+        if not a.contains_vector(v):
+            a = a.extend(v)
+    return a
 
 
 @lru_cache(maxsize=None)

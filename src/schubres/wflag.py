@@ -257,15 +257,11 @@ def _pair_step(
     inter = intersect(y, v_target)
     if inter.dim == x.dim:
         return inter
-    proj = span([project(v, v_target, l_perp) for v in x.basis], cfg.n, cfg.p)
-    rows = list(proj.basis)
+    z = span([project(v, v_target, l_perp) for v in x.basis], cfg.n, cfg.p)
     for row in y.basis:
-        if len(rows) == x.dim:
-            break
-        cand = span(rows + [row], cfg.n, cfg.p)
-        if cand.dim > len(rows):
-            rows = list(cand.basis)
-    return span(rows, cfg.n, cfg.p)
+        if z.dim < x.dim and not z.contains_vector(row):
+            z = z.extend(row)
+    return z
 
 
 def closed_form_fiber(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:

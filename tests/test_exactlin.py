@@ -57,6 +57,37 @@ class TestRref:
         red, piv = ex.rref(((2, 4, 1),), 5)
         assert red == ((1, 2, 3),)  # scaled by 2^{-1} = 3 mod 5
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_elimination_oracle_exhaustive(self, p):
+        # every matrix of 1 to 3 rows and 1 to 3 columns
+        from oracles import rref_by_elimination
+
+        for r, c in itertools.product(range(1, 4), repeat=2):
+            for entries in itertools.product(range(p), repeat=r * c):
+                rows = [entries[i * c : (i + 1) * c] for i in range(r)]
+                assert ex.rref(rows, p) == rref_by_elimination(rows, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 251])
+    def test_matches_elimination_oracle_random(self, p):
+        # entries from -2p to 2p, with zero rows and repeated rows mixed in
+        from oracles import rref_by_elimination
+
+        rng = random.Random(p)
+        for _ in range(300):
+            r, c = rng.randint(1, 6), rng.randint(1, 10)
+            rows = [[rng.randrange(-2 * p, 2 * p) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(r)] = [0] * c
+            if r < 6 and rng.random() < 0.3:
+                rows.insert(rng.randrange(r + 1), list(rng.choice(rows)))
+            assert ex.rref(rows, p) == rref_by_elimination(rows, p)
+
+    def test_empty_inputs(self):
+        from oracles import rref_by_elimination
+
+        for rows in ([], [()]):
+            assert ex.rref(rows, 3) == rref_by_elimination(rows, 3) == ((), ())
+
 
 class TestSpan:
     def test_hand_reduction(self):
@@ -136,6 +167,15 @@ class TestSumIntersectContains:
             ex.subspace_sum(sp([E1], 3), ex.span([(1, 0)], 2, 2))
         with pytest.raises(ValueError):
             ex.intersect(sp([E1], 3), ex.span([E1], 3, 3))
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_sum_is_span_of_both_bases_exhaustive(self, n, p):
+        # uncached, in both argument orders
+        add = ex.subspace_sum.__wrapped__
+        spaces = all_subspaces(n, p)
+        for a, b in itertools.product(spaces, repeat=2):
+            want = ex.span(a.basis + b.basis, n, p)
+            assert add(a, b) == add(b, a) == want
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_modularity_exhaustive_small(self, p):

@@ -179,6 +179,31 @@ class TestLift:
         with pytest.raises(ValueError):
             lift_to_ghat(cfg, bad)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pair_step_matches_span_oracle(self, n, p, monkeypatch):
+        # every lift that ``wflag verify`` builds over the default frames
+        import itertools
+
+        import oracles
+        from schubres import wflag
+
+        lifts = []
+        build = wflag.build_lift
+
+        def recording(cfg, pt):
+            lifts.append((cfg, pt, build(cfg, pt)))
+            return lifts[-1][2]
+
+        monkeypatch.setattr(wflag, "build_lift", recording)
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                verify_chain_resolution(make_frame(n, p, beta))
+        assert lifts
+        monkeypatch.setattr(wflag, "_pair_step", oracles.pair_step_by_span)
+        for cfg, pt, grid in lifts:
+            assert build(cfg, pt) == grid
+
 
 class TestInU:
     def test_zero_point_in_u(self):
