@@ -30,7 +30,6 @@ from schubres.exactlin import (
     Stage,
     Subspace,
     check_field,
-    contains,
     intersect,
     span,
     tower,
@@ -130,16 +129,6 @@ def project_to_flag(pt: GridPoint) -> Flag:
     return tuple(pt.grid[row][pt.n - 1] for row in range(pt.n))
 
 
-def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
-    """dim(l_p ∩ F_q) for p, q = 1..n by n^2 intersections: the slow
-    independent oracle for ``flag_position``."""
-    n = len(flag)
-    return tuple(
-        tuple(intersect(flag[pp - 1], frames[q]).dim for q in range(1, n + 1))
-        for pp in range(1, n + 1)
-    )
-
-
 def flag_position(flag: Flag) -> Permutation:
     """The permutation u with dim(l_p ∩ F_q) = rank_matrix(u)[p][q].
 
@@ -235,22 +224,6 @@ def reconstruct_grid(flag: Flag, w: Permutation) -> GridPoint:
         for row in range(1, n + 1)
     )
     return GridPoint(n, p, grid)
-
-
-def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
-    """Dimensions follow the rank matrix and all inclusions hold."""
-    d = rank_matrix(w)
-    n = pt.n
-    for row in range(1, n + 1):
-        for col in range(1, n + 1):
-            s = pt.cell(row, col)
-            if s.dim != d[row][col]:
-                return False
-            if col < n and not contains(pt.cell(row, col + 1), s):
-                return False
-            if row < n and not contains(pt.cell(row + 1, col), s):
-                return False
-    return True
 
 
 def enumerate_report(

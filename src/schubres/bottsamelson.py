@@ -20,7 +20,7 @@ from schubres.biflag import (
     project_to_flag,
     standard_frames,
 )
-from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, contains, tower
+from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, tower
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -63,23 +63,6 @@ def enumerate_bs(
     projective line, so the count is (p+1)^len(word).
     """
     yield from tower(bs_stages(word, p), p, budget)
-
-
-def bs_point_is_valid(point: BSPoint, word: ReducedWord, p: int) -> bool:
-    """All incidence relations of the word hold for the point."""
-    frames, _ = standard_frames(word.n, p)
-    inc = bs_incidence(word)
-    letters = word.letters
-    if len(point) != len(letters):
-        return False
-    for j, d in enumerate(letters, start=1):
-        s = point[j - 1]
-        li, ri = inc.left[j - 1], inc.right[j - 1]
-        lower = point[li - 1] if li is not None else frames[d - 1]
-        upper = point[ri - 1] if ri is not None else frames[d + 1]
-        if s.dim != d or not contains(s, lower) or not contains(upper, s):
-            return False
-    return True
 
 
 def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:

@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, wflag
+from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, suite, wflag
 from schubres.exactlin import DEFAULT_BUDGET, BudgetExceededError
 from schubres.permcomb import Permutation
-from schubres.report import EnumReport, timed
-from schubres.suite import run_suite
 
 
 def _perm(args: argparse.Namespace) -> Permutation:
@@ -44,22 +42,6 @@ def _frame(args: argparse.Namespace) -> grassfib.FrameConfig:
         return grassfib.make_frame(args.n, args.field, beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _cmd_suite(args: argparse.Namespace) -> EnumReport:
-    # measured times go to stderr only, keeping the report deterministic
-    merged = EnumReport("suite", {"budget": args.budget})
-    with timed(merged):
-        for name, rep, limit in run_suite(args.budget):
-            merged.add(name, rep.passed)
-            merged.add(f"{name}-within-time", rep.wall_time_s < limit)
-            merged.counts[name] = rep.counts
-            print(
-                f"{'PASS' if rep.passed else 'FAIL'} {name} "
-                f"({rep.wall_time_s:.2f}s, limit {limit:.0f}s)",
-                file=sys.stderr,
-            )
-    return merged
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +113,7 @@ REPORTS = {
     ("wflag", "lift"): lambda a: wflag.lift_report(_frame(a), a.budget),
     ("wflag", "verify"): lambda a: wflag.verify_chain_resolution(_frame(a), a.budget),
     ("embres", "verify"): lambda a: embres.verify_report(_frame(a), a.budget),
-    ("suite", None): _cmd_suite,
+    ("suite", None): lambda a: suite.suite_report(a.budget),
 }
 
 

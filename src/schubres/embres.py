@@ -22,7 +22,6 @@ from schubres.exactlin import (
     Subspace,
     contains,
     enumerate_maps,
-    gaussian_binomial,
     graph,
     intersect,
     linear_map_from_pairs,
@@ -35,10 +34,10 @@ from schubres.grassfib import LOCI, FrameConfig, grassmannian, schubert_position
 from schubres.report import EnumReport, merge_reports, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
+    build_lift,
     enumerate_ghat,
     fixed_map_tuples,
     ghat_membership,
-    lift_to_ghat,
     pi_diag,
     psi_tilde,
 )
@@ -57,14 +56,6 @@ def kl_points(
         for i, space in enumerate(flag)
     ]
     yield from tower(stages, p, budget)
-
-
-def kl_count_formula(dims: tuple[int, ...], p: int) -> int:
-    """Tower point count from the flag dimensions alone."""
-    total = 1
-    for i, d in enumerate(dims, start=1):
-        total *= gaussian_binomial(d - (i - 1), 1, p)
-    return total
 
 
 def psi_embed(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[Subspace, ...]:
@@ -109,36 +100,16 @@ def reconstruct_map_tuple(cfg: FrameConfig, t: LinearMap) -> tuple[LinearMap, ..
 def special_point(cfg: FrameConfig) -> GHatPoint:
     """The grid point over the all-lines diagonal (all maps zero)."""
     diag = tuple(cfg.lines_prefix(i) for i in range(1, cfg.k + 1))
-    return lift_to_ghat(cfg, diag)
+    return build_lift(cfg, diag)
 
 
 def flag_of_grid(cfg: FrameConfig, pt: GHatPoint) -> tuple[Subspace, ...]:
     return psi_tilde(cfg, pi_diag(pt))
 
 
-def enumerate_embres(
-    cfg: FrameConfig, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[GHatPoint, KLChain]]:
-    """All pairs (grid point, chain over its flag)."""
-    for pt in enumerate_ghat(cfg, budget):
-        flag = flag_of_grid(cfg, pt)
-        for chain in kl_points(flag, cfg.p, budget):
-            yield pt, chain
-
-
 def _cell_test(cfg: FrameConfig) -> Callable[..., bool]:
-    """Membership in ``cell_points`` of a point L at Schubert position (a, c)."""
-    lower_nodes = [
-        subspace_sum(cfg.lines_prefix(i - 1), cfg.complements_prefix(i))
-        for i in range(1, cfg.k + 1)
-    ]
-    return lambda l, a, c: LOCI["open"](cfg.beta, a, c) and all(
-        intersect(l, node).dim == i for i, node in enumerate(lower_nodes)
-    )
-
-
-def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """The Schubert cell cut out by the beta nodes and the frame's lower nodes.
+    """Membership of a point L at Schubert position (a, c) in the Schubert
+    cell cut out by the beta nodes and the frame's lower nodes.
 
     L lies in it when it meets F_{b_i} in dimension i, read off its
     Schubert position, and the lower node N_i (the first i-1 lines and
@@ -149,11 +120,13 @@ def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subs
     ``vbeta_points(cfg, "cell")``, and it is the one whose preimages lie
     over the special grid point.
     """
-    points = grassmannian(cfg, budget)
-    in_cell = _cell_test(cfg)
-    for l in points:
-        if in_cell(l, *schubert_position(l)):
-            yield l
+    lower_nodes = [
+        subspace_sum(cfg.lines_prefix(i - 1), cfg.complements_prefix(i))
+        for i in range(1, cfg.k + 1)
+    ]
+    return lambda l, a, c: LOCI["open"](cfg.beta, a, c) and all(
+        intersect(l, node).dim == i for i, node in enumerate(lower_nodes)
+    )
 
 
 def chart_hits(

@@ -147,13 +147,14 @@ class Subspace:
 
         The residue of v, scaled to 1 at its first nonzero coordinate,
         is the new canonical row; that coordinate is cleared from the
-        old rows, whose pivots the residue does not touch.
+        old rows, whose pivots the residue does not touch.  A v inside
+        self has residue zero and leaves self unchanged.
         """
         p = self.p
         r = self.reduce_vector(v)
         c = next((i for i, x in enumerate(r) if x), None)
         if c is None:
-            raise ValueError("vector already lies in the subspace")
+            return self
         if r[c] != 1:
             inv = pow(r[c], -1, p)
             r = tuple([x * inv % p for x in r])
@@ -219,13 +220,12 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 @lru_cache(maxsize=None)
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Canonical form of a + b: the larger canonical basis extended by
-    each row of the other space that it does not contain."""
+    each row of the other space."""
     _check_compatible(a, b)
     if a.dim < b.dim:
         a, b = b, a
     for v in b.basis:
-        if not a.contains_vector(v):
-            a = a.extend(v)
+        a = a.extend(v)
     return a
 
 
@@ -333,11 +333,6 @@ class LinearMap:
             if coeff:
                 out = vec_add(out, vec_scale(coeff, self.target.basis[r], p), p)
         return out
-
-
-def zero_map(domain: Subspace, target: Subspace) -> LinearMap:
-    _check_compatible(domain, target)
-    return LinearMap(domain, target, tuple((0,) * domain.dim for _ in range(target.dim)))
 
 
 def enumerate_maps(domain: Subspace, target: Subspace) -> Iterator[LinearMap]:

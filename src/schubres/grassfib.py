@@ -404,26 +404,18 @@ def hom_star_rank(cfg: FrameConfig) -> int:
     return total
 
 
-def phi_inputs(
+def map_inputs(
     cfg: FrameConfig,
+    targets_of: Callable[[FrameConfig, tuple[Subspace, ...]], tuple[Subspace, ...]],
 ) -> Iterator[tuple[tuple[Subspace, ...], tuple[Subspace, ...], tuple[LinearMap, ...]]]:
     """(lines, targets, maps) for every tuple of moving lines and every
-    map tuple of ``phi`` on them."""
+    map tuple on them, with ``targets_of`` ``phi_targets`` or
+    ``phi_star_targets``.  The maps start from the last len(targets)
+    lines: lines 2..k for ``phi``, lines 1..k for ``phi_star``."""
     for lines in window_line_tuples(cfg):
-        targets = phi_targets(cfg, lines)
-        choices = [list(enumerate_maps(line, t)) for line, t in zip(lines[1:], targets)]
-        for maps in itertools.product(*choices):
-            yield lines, targets, maps
-
-
-def phi_star_inputs(
-    cfg: FrameConfig,
-) -> Iterator[tuple[tuple[Subspace, ...], tuple[Subspace, ...], tuple[LinearMap, ...]]]:
-    """(lines, targets, maps) for every tuple of moving lines and every
-    map tuple of ``phi_star`` on them."""
-    for lines in window_line_tuples(cfg):
-        targets = phi_star_targets(cfg, lines)
-        choices = [list(enumerate_maps(line, t)) for line, t in zip(lines, targets)]
+        targets = targets_of(cfg, lines)
+        sources = lines[len(lines) - len(targets) :]
+        choices = [list(enumerate_maps(line, t)) for line, t in zip(sources, targets)]
         for maps in itertools.product(*choices):
             yield lines, targets, maps
 
@@ -461,7 +453,7 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         inputs = 0
         image: dict[Subspace, tuple] = {}
         fiber_ok = True
-        for lines, targets, maps in phi_inputs(cfg):
+        for lines, targets, maps in map_inputs(cfg, phi_targets):
             out = phi(cfg, lines, targets, maps)
             inputs += 1
             image[out] = (lines, maps)
@@ -496,7 +488,7 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
         inputs = 0
         image: dict[Subspace, tuple] = {}
         fiber_ok = True
-        for lines, targets, maps in phi_star_inputs(cfg):
+        for lines, targets, maps in map_inputs(cfg, phi_star_targets):
             out = phi_star(cfg, lines, targets, maps)
             inputs += 1
             image[out] = (lines, maps)

@@ -146,22 +146,6 @@ def last_occurrence_indices(word: ReducedWord) -> tuple[int | None, ...]:
     return tuple(out)
 
 
-def cumulative_block_formula(w: Permutation) -> tuple[int, ...]:
-    """The closed-form candidate for p(i): the total number of
-    transpositions needed to move w(n), ..., w(i+1) into place, i.e. the
-    letter count of blocks t_1..t_{n-i}.  Moving w(j) into position j
-    costs one transposition per earlier value exceeding it.  Agrees with
-    the last occurrence of s_i exactly when block t_{n-i} is nonempty."""
-    n = w.n
-    out = []
-    for i in range(1, n):
-        total = sum(
-            sum(1 for k in range(1, j) if w(k) > w(j)) for j in range(i + 1, n + 1)
-        )
-        out.append(total)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BSIncidence:
     """Per-letter incidence data for a Bott-Samelson tower.
@@ -188,17 +172,6 @@ def bs_incidence(word: ReducedWord) -> BSIncidence:
         left.append(lj)
         right.append(rj)
     return BSIncidence(word.n, letters, tuple(left), tuple(right))
-
-
-def bruhat_interval_oracle(w: Permutation) -> frozenset[Permutation]:
-    """Subword oracle for the lower Bruhat interval: the set of products
-    of all subwords of one fixed reduced word of w."""
-    letters = bubblesort_word(w).letters
-    out = set()
-    for size in range(len(letters) + 1):
-        for subset in itertools.combinations(letters, size):
-            out.add(word_product(subset, w.n))
-    return frozenset(out)
 
 
 def rank_matrix_report(w: Permutation) -> EnumReport:

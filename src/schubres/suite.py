@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from schubres import biflag, bottsamelson, building, embres, exactlin, grassfib, wflag
 from schubres.exactlin import DEFAULT_BUDGET
@@ -309,6 +310,20 @@ CRITERIA = [
 ]
 
 
-def run_suite(budget: int = DEFAULT_BUDGET) -> list[tuple[str, EnumReport, float]]:
-    """Run every criterion; returns (name, report, time_limit_s) triples."""
-    return [(name, fn(budget), limit) for name, fn, limit in CRITERIA]
+def suite_report(budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """Every criterion as one report: its verdict and whether it ran within
+    its time limit.  The measured times go to stderr only, keeping the
+    report deterministic."""
+    merged = EnumReport("suite", {"budget": budget})
+    with timed(merged):
+        for name, fn, limit in CRITERIA:
+            rep = fn(budget)
+            merged.add(name, rep.passed)
+            merged.add(f"{name}-within-time", rep.wall_time_s < limit)
+            merged.counts[name] = rep.counts
+            print(
+                f"{'PASS' if rep.passed else 'FAIL'} {name} "
+                f"({rep.wall_time_s:.2f}s, limit {limit:.0f}s)",
+                file=sys.stderr,
+            )
+    return merged

@@ -23,9 +23,7 @@ from schubres.exactlin import (
     contains,
     enumerate_maps,
     gaussian_binomial,
-    graph,
     intersect,
-    linear_map_from_pairs,
     project,
     span,
     subspace_sum,
@@ -46,56 +44,6 @@ def fixed_map_tuples(cfg: FrameConfig) -> Iterator[tuple[LinearMap, ...]]:
         for i in range(1, cfg.k + 1)
     ]
     yield from itertools.product(*choices)
-
-
-def compress_maps(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[LinearMap, ...]:
-    """Assemble the prefix maps B_i on the sums of the first i lines.
-
-    B_i restricted to line j is A_j with the components in the
-    complements of windows j+1..i dropped, so that the graph of B_i
-    spans the same space as the graphs of A_1..A_j modulo those
-    complements.
-    """
-    k = cfg.k
-    out = []
-    for i in range(1, k + 1):
-        domain = cfg.lines_prefix(i)
-        target = cfg.complements_suffix(i + 1)
-        pairs = []
-        for j in range(1, i + 1):
-            x = cfg.line(j).basis[0]
-            y = maps[j - 1].apply(x)
-            if j < i:
-                drop = span(
-                    [v for t in range(j + 1, i + 1) for v in cfg.complement(t).basis],
-                    cfg.n,
-                    cfg.p,
-                )
-                y = project(y, target, drop) if drop.dim else y
-            pairs.append((x, y))
-        out.append(linear_map_from_pairs(domain, target, pairs))
-    return tuple(out)
-
-
-def graph_tuple(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> GCalPoint:
-    """Diagonal of compressed graphs; always a chain-variety point (asserted)."""
-    pt = tuple(graph(b) for b in compress_maps(cfg, maps))
-    assert gcal_membership(cfg, pt)
-    return pt
-
-
-def gcal_membership(cfg: FrameConfig, pt: GCalPoint) -> bool:
-    k = cfg.k
-    if len(pt) != k:
-        return False
-    for i in range(1, k + 1):
-        if pt[i - 1].dim != i or not contains(cfg.nested(i, i), pt[i - 1]):
-            return False
-    for i in range(1, k):
-        upper = subspace_sum(pt[i], cfg.complement(i + 1))
-        if not contains(upper, pt[i - 1]):
-            return False
-    return True
 
 
 def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GCalPoint]:
@@ -214,17 +162,9 @@ def u_dimension_formula(n: int, beta: tuple[int, ...]) -> int:
     )
 
 
-def lift_to_ghat(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
-    """``build_lift`` of ``pt``, refused with ValueError when ``pt`` is not
-    in the chain variety."""
-    if not gcal_membership(cfg, pt):
-        raise ValueError("point is not in the chain variety")
-    return build_lift(cfg, pt)
-
-
 def build_lift(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
     """A deterministic section of the diagonal projection, for a point
-    of the chain variety (not checked; see ``lift_to_ghat``).
+    of the chain variety (not checked).
 
     Built diagonal by diagonal: each new cell is the intersection of the
     cell above-right with the nested space when that intersection has
@@ -259,8 +199,9 @@ def _pair_step(
         return inter
     z = span([project(v, v_target, l_perp) for v in x.basis], cfg.n, cfg.p)
     for row in y.basis:
-        if z.dim < x.dim and not z.contains_vector(row):
-            z = z.extend(row)
+        if z.dim == x.dim:
+            break
+        z = z.extend(row)
     return z
 
 

@@ -5,16 +5,14 @@ import operator
 from collections import Counter, defaultdict
 
 import pytest
-from oracles import enumerate_complete_flags
+from oracles import enumerate_complete_flags, flag_rank_profile, grid_is_valid
 
 from schubres import biflag
 from schubres.biflag import (
     enumerate_flw,
     enumerate_shat,
     flag_position,
-    flag_rank_profile,
     grid_count_estimate,
-    grid_is_valid,
     project_to_flag,
     reconstruct_grid,
     schubert_cells,

@@ -1,11 +1,11 @@
 """Bott-Samelson towers and the bubblesort grid isomorphism."""
 
 import pytest
+from oracles import bs_point_is_valid
 
 from schubres import bottsamelson
 from schubres.bottsamelson import (
     bbs_iso,
-    bs_point_is_valid,
     bs_projection,
     enumerate_bs,
     first_block_chains,

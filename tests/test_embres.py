@@ -3,15 +3,13 @@
 import itertools
 
 import pytest
+from oracles import cell_points, enumerate_embres, graph_tuple, kl_count_formula, zero_map
 
 from schubres.embres import (
-    cell_points,
     chart_hits,
     chart_maps,
-    enumerate_embres,
     flag_of_grid,
     in_chart,
-    kl_count_formula,
     kl_points,
     psi_embed,
     reconstruct_map_tuple,
@@ -26,7 +24,6 @@ from schubres.exactlin import (
     graph,
     intersect,
     subspace_sum,
-    zero_map,
 )
 from schubres.grassfib import make_frame, vbeta_points
 from schubres.wflag import enumerate_ghat, fixed_map_tuples, pi_diag
@@ -94,7 +91,7 @@ class TestPsiEmbed:
         assert len(set(flags)) == len(flags)
 
     def test_matches_compressed_graph_flag(self):
-        from schubres.wflag import graph_tuple, psi_tilde
+        from schubres.wflag import psi_tilde
 
         cfg = make_frame(4, 3, (1, 3))
         for maps in itertools.islice(fixed_map_tuples(cfg), 40):

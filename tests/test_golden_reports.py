@@ -59,7 +59,7 @@ def test_report_matches_golden(fname, argv, capsys):
 OPTIMIZED_CASES = [
     c
     for c in CASES
-    if c[1][0] in ("grass", "embres")
+    if c[1][0] in ("grass", "embres", "suite")
     or c[1][:2] in (["wflag", "verify"], ["wflag", "lift"], ["biflag", "verify"])
 ]
 

@@ -5,6 +5,7 @@ import json
 import operator
 
 import pytest
+from oracles import zero_map
 
 from schubres.biflag import standard_frames
 from schubres.exactlin import (
@@ -17,7 +18,6 @@ from schubres.exactlin import (
     project,
     span,
     subspace_sum,
-    zero_map,
 )
 from schubres.grassfib import (
     LOCI,
@@ -29,11 +29,10 @@ from schubres.grassfib import (
     MODES,
     hom_rank,
     make_frame,
+    map_inputs,
     moving_complements,
     phi,
     phi_star,
-    phi_inputs,
-    phi_star_inputs,
     phi_star_targets,
     phi_targets,
     recover_lines_from_open,
@@ -235,7 +234,7 @@ class TestPhi:
     def test_image_in_regular_locus(self):
         cfg = make_frame(4, 2, (2, 4))
         regular = set(vbeta_points(cfg, "open"))
-        for lines, targets, maps in phi_inputs(cfg):
+        for lines, targets, maps in map_inputs(cfg, phi_targets):
             assert phi(cfg, lines, targets, maps) in regular
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
@@ -276,7 +275,7 @@ class TestPhiStar:
     def test_inputs_cover_conjugate_locus(self):
         cfg = make_frame(4, 2, (1, 3))
         star = set(vbeta_points(cfg, "star_open"))
-        got = {phi_star(cfg, *inputs) for inputs in phi_star_inputs(cfg)}
+        got = {phi_star(cfg, *inputs) for inputs in map_inputs(cfg, phi_star_targets)}
         assert got == star
 
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public module-level function or class is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -20,11 +21,66 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - used)
 
 
+def unused_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of every public module-level function or class of
+    the package's ``modules`` that none of them uses.
+
+    A name is used when its own module loads it outside its definition,
+    another module imports it by name (``from schubres.mod import name``),
+    or another module reads it as ``mod.name`` after ``from schubres
+    import mod``.  A same-named variable in another module does not count.
+    """
+    defined, used = set(), set()
+    for mod, tree in modules.items():
+        package_modules = {}
+        for stmt in tree.body:
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and not stmt.name.startswith("_"):
+                defined.add((mod, stmt.name))
+            loads = {
+                node.id
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            used |= {(mod, name) for name in loads - ({stmt.name} if is_def else set())}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "schubres":
+                package_modules |= {alias.asname or alias.name: alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("schubres."):
+                used |= {(node.module.split(".", 1)[1], alias.name) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in package_modules:
+                    used.add((package_modules[node.value.id], node.attr))
+    return sorted(f"{mod}.{name}" for mod, name in defined - used)
+
+
 def test_scanner_finds_unused_names():
     tree = ast.parse("import os.path\nimport sys\nfrom a import b, c as d\nb(sys.argv)\n")
     assert unused_imports(tree) == ["d", "os"]
 
 
+def test_scanner_finds_unused_definitions():
+    a = (
+        "def unused(): pass\n"
+        "def recursive(): recursive()\n"
+        "def _private(): pass\n"
+        "class Loaded: pass\n"
+        "x = Loaded\n"
+        "def imported(): pass\n"
+        "def read(): pass\n"
+        "def shadowed(): pass\n"
+    )
+    b = "from schubres.a import imported\nfrom schubres import a\na.read()\nshadowed = 1\nshadowed\n"
+    modules = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert unused_definitions(modules) == ["a.recursive", "a.shadowed", "a.unused"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_no_unused_definitions():
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+    assert unused_definitions(modules) == []

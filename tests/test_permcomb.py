@@ -1,17 +1,16 @@
 """Permutation combinatorics: inversions, rank matrices, bubblesort words."""
 
 import pytest
+from oracles import bruhat_interval_oracle, cumulative_block_formula
 
 from schubres.permcomb import (
     BSIncidence,
     Permutation,
     ReducedWord,
     all_permutations,
-    bruhat_interval_oracle,
     bruhat_leq,
     bs_incidence,
     bubblesort_word,
-    cumulative_block_formula,
     jump_points,
     last_occurrence_indices,
     length,
