@@ -1,11 +1,14 @@
 """Command-line front end: every verification as a subcommand with JSON output.
 
 Each (command, action) pair maps to the one domain function that builds
-its report; this module parses arguments, dispatches and prints.
+its report; this module parses and validates arguments, dispatches and
+prints.
 
 Exit codes: 0 when all non-informational checks pass, 1 on a check
 failure (the report is still emitted), 2 on invalid configuration
-(including exceeded enumeration budgets).
+(including exceeded enumeration budgets), 3 on an internal error: any
+other exception raised while a report is built, which is a fault in the
+program rather than in its input.
 """
 
 from __future__ import annotations
@@ -14,34 +17,30 @@ import argparse
 import sys
 
 from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, suite, wflag
-from schubres.exactlin import DEFAULT_BUDGET, BudgetExceededError
+from schubres.exactlin import DEFAULT_BUDGET, BudgetExceededError, check_field
 from schubres.permcomb import Permutation
-
-
-def _perm(args: argparse.Namespace) -> Permutation:
-    try:
-        return Permutation(tuple(int(x) for x in args.perm.split(",")))
-    except ValueError as exc:
-        raise ConfigError(f"bad permutation {args.perm!r}: {exc}") from exc
-
-
-def _parse_beta(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad multi-index {text!r}") from exc
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _frame(args: argparse.Namespace) -> grassfib.FrameConfig:
-    beta = _parse_beta(args.beta)
+def _validate(args: argparse.Namespace) -> None:
+    """Check --perm, --n/--beta and --field before any report is built,
+    storing the permutation as ``args.w`` and the frame as ``args.cfg``."""
+    what = "bad --field"
     try:
-        return grassfib.make_frame(args.n, args.field, beta)
+        if getattr(args, "field", None) is not None:
+            check_field(args.field)
+        if getattr(args, "perm", None) is not None:
+            what = f"bad permutation {args.perm!r}"
+            args.w = Permutation(tuple(int(x) for x in args.perm.split(",")))
+        if getattr(args, "beta", None) is not None:
+            what = f"bad multi-index {args.beta!r} for n={args.n}"
+            beta = tuple(int(x) for x in args.beta.split(","))
+            args.cfg = grassfib.make_frame(args.n, args.field, beta)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,24 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
 # the lambdas look the report functions up at call time, so a wrapper
 # installed on the domain module (a tracer, a test double) is honoured
 REPORTS = {
-    ("rankmatrix", None): lambda a: permcomb.rank_matrix_report(_perm(a)),
-    ("building", None): lambda a: building.building_report(_perm(a)),
-    ("bubblesort", None): lambda a: permcomb.bubblesort_report(_perm(a)),
+    ("rankmatrix", None): lambda a: permcomb.rank_matrix_report(a.w),
+    ("building", None): lambda a: building.building_report(a.w),
+    ("bubblesort", None): lambda a: permcomb.bubblesort_report(a.w),
     ("biflag", "enumerate"): lambda a: biflag.enumerate_report(
-        _perm(a), a.variety, a.field, a.budget
+        a.w, a.variety, a.field, a.budget
     ),
-    ("biflag", "verify"): lambda a: biflag.verify_flres(_perm(a), a.field, a.budget),
-    ("bs", "enumerate"): lambda a: bottsamelson.enumerate_report(_perm(a), a.field, a.budget),
-    ("bs", "iso"): lambda a: bottsamelson.bbs_iso(_perm(a), a.field, a.budget),
-    ("grass", "verify-phi"): lambda a: grassfib.verify_phi(_frame(a), a.budget),
-    ("grass", "verify-phistar"): lambda a: grassfib.verify_phi_star(_frame(a), a.budget),
+    ("biflag", "verify"): lambda a: biflag.verify_flres(a.w, a.field, a.budget),
+    ("bs", "enumerate"): lambda a: bottsamelson.enumerate_report(a.w, a.field, a.budget),
+    ("bs", "iso"): lambda a: bottsamelson.bbs_iso(a.w, a.field, a.budget),
+    ("grass", "verify-phi"): lambda a: grassfib.verify_phi(a.cfg, a.budget),
+    ("grass", "verify-phistar"): lambda a: grassfib.verify_phi_star(a.cfg, a.budget),
     ("grass", "verify-transversal"): lambda a: grassfib.verify_transversal_identity(
-        _frame(a), a.budget
+        a.cfg, a.budget
     ),
-    ("wflag", "enumerate"): lambda a: wflag.enumerate_report(_frame(a), a.budget),
-    ("wflag", "lift"): lambda a: wflag.lift_report(_frame(a), a.budget),
-    ("wflag", "verify"): lambda a: wflag.verify_chain_resolution(_frame(a), a.budget),
-    ("embres", "verify"): lambda a: embres.verify_report(_frame(a), a.budget),
+    ("wflag", "enumerate"): lambda a: wflag.enumerate_report(a.cfg, a.budget),
+    ("wflag", "lift"): lambda a: wflag.lift_report(a.cfg, a.budget),
+    ("wflag", "verify"): lambda a: wflag.verify_chain_resolution(a.cfg, a.budget),
+    ("embres", "verify"): lambda a: embres.verify_report(a.cfg, a.budget),
     ("suite", None): lambda a: suite.suite_report(a.budget),
 }
 
@@ -121,10 +120,17 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _validate(args)
         report = REPORTS[args.command, getattr(args, "action", None)](args)
-    except (ConfigError, BudgetExceededError, ValueError) as exc:
+    except (ConfigError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # loaded only on this path: it adds to every run's memory
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     text = report.to_json()
     if args.json:
         print(text)

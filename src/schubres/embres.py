@@ -24,8 +24,6 @@ from schubres.exactlin import (
     enumerate_maps,
     graph,
     intersect,
-    linear_map_from_pairs,
-    project,
     subspace_sum,
     tower,
     zero_subspace,
@@ -85,15 +83,21 @@ def in_chart(cfg: FrameConfig, l: Subspace) -> bool:
 
 
 def reconstruct_map_tuple(cfg: FrameConfig, t: LinearMap) -> tuple[LinearMap, ...]:
-    """Project the restrictions of a chart map onto the late complements."""
+    """Project the restrictions of a chart map onto the late complements.
+
+    Windows are disjoint blocks of consecutive coordinates, and lines and
+    complements are unit vectors in them.  So the chart's domain basis
+    is the lines in order, and its target basis the complement
+    coordinates in order, the early complements 1..i taking the first
+    ``complements_prefix(i).dim``.  The restriction to line i is column
+    i-1 of the matrix, and the projection along the early complements
+    drops their rows: map i is the rest of that column.
+    """
     out = []
     for i in range(1, cfg.k + 1):
-        x = cfg.line(i).basis[0]
-        y = t.apply(x)
-        late = cfg.complements_suffix(i + 1)
-        early = cfg.complements_prefix(i)
-        y_late = project(y, late, early) if early.dim else y
-        out.append(linear_map_from_pairs(cfg.line(i), late, [(x, y_late)]))
+        skip = cfg.complements_prefix(i).dim
+        column = tuple((row[i - 1],) for row in t.matrix[skip:])
+        out.append(LinearMap(cfg.line(i), cfg.complements_suffix(i + 1), column))
     return tuple(out)
 
 

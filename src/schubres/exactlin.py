@@ -30,6 +30,11 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured candidate budget."""
 
 
+class InvariantError(RuntimeError):
+    """A computed value broke an invariant that holds for every valid
+    input: a fault in the program, not in its configuration."""
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -173,16 +178,6 @@ class Subspace:
             return None
         return tuple(v[c] % self.p for c in self.pivots)
 
-    def vectors(self) -> Iterator[Vec]:
-        """All p^dim member vectors (small subspaces only)."""
-        zero = (0,) * self.n
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            v = zero
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, self.p), self.p)
-            yield v
-
 
 def span(vectors: Iterable[Sequence[int]], n: int, p: int) -> Subspace:
     """Canonical subspace of GF(p)^n spanned by the given vectors."""
@@ -269,40 +264,6 @@ def canonical_complement(inner: Subspace, outer: Subspace) -> Subspace:
     return span(rows, outer.n, outer.p)
 
 
-def solve_coords(rows: Rows, v: Vec, p: int) -> Vec | None:
-    """One solution x of sum_i x_i rows[i] = v, or None if inconsistent.
-
-    Free coefficients are set to 0; for independent rows the solution is
-    unique.
-    """
-    m = len(rows)
-    n = len(v)
-    aug = [[rows[c][r] % p for c in range(m)] + [v[r] % p] for r in range(n)]
-    red, piv = rref(aug, p)
-    sol = [0] * m
-    for row, c in zip(red, piv):
-        if c == m:
-            return None  # pivot in the augmented column: inconsistent
-        sol[c] = row[m]
-    return tuple(sol)
-
-
-def project(v: Vec, onto: Subspace, along: Subspace) -> Vec:
-    """Component of v in ``onto`` for the decomposition onto ⊕ along."""
-    _check_compatible(onto, along)
-    if intersect(onto, along).dim:
-        raise ValueError("onto and along do not form a direct sum")
-    rows = onto.basis + along.basis
-    coeffs = solve_coords(rows, tuple(v), onto.p)
-    if coeffs is None:
-        raise ValueError("vector outside onto + along")
-    out = (0,) * onto.n
-    for c, row in zip(coeffs[: onto.dim], onto.basis):
-        if c:
-            out = vec_add(out, vec_scale(c, row, onto.p), onto.p)
-    return out
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """A linear map between subspaces in their canonical bases.
@@ -322,18 +283,6 @@ class LinearMap:
         if any(len(r) != self.domain.dim for r in self.matrix):
             raise ValueError("matrix column count != domain dimension")
 
-    def apply(self, v: Vec) -> Vec:
-        c = self.domain.coords(v)
-        if c is None:
-            raise ValueError("vector outside map domain")
-        p = self.domain.p
-        out = (0,) * self.domain.n
-        for r, row in enumerate(self.matrix):
-            coeff = sum(row[j] * c[j] for j in range(len(c))) % p
-            if coeff:
-                out = vec_add(out, vec_scale(coeff, self.target.basis[r], p), p)
-        return out
-
 
 def enumerate_maps(domain: Subspace, target: Subspace) -> Iterator[LinearMap]:
     """All p^(dim target * dim domain) linear maps, in lexicographic matrix order."""
@@ -345,48 +294,14 @@ def enumerate_maps(domain: Subspace, target: Subspace) -> Iterator[LinearMap]:
         yield LinearMap(domain, target, matrix)
 
 
-def linear_map_from_pairs(
-    domain: Subspace, target: Subspace, pairs: Sequence[tuple[Vec, Vec]]
-) -> LinearMap:
-    """Build the map sending x to y for each (x, y) pair.
+def graph_rows(a: LinearMap) -> list[Vec]:
+    """Rows spanning the graph {v + A v : v in domain}, one per domain row.
 
-    The x's must span the domain and the assignment must be linear and
-    land in the target; otherwise ValueError.
+    A maps the j-th canonical row b_j of the domain to column j of the
+    matrix in target coordinates, so the j-th row is b_j + sum_r m[r][j] t_r,
+    t_r the target's canonical rows.
     """
-    _check_compatible(domain, target)
-    p = domain.p
-    xs = tuple(x for x, _ in pairs)
-    cols: list[Vec] = []
-    for b in domain.basis:
-        c = solve_coords(xs, b, p)
-        if c is None:
-            raise ValueError("pair inputs do not span the domain")
-        y = (0,) * domain.n
-        for coeff, (_, yi) in zip(c, pairs):
-            if coeff:
-                y = vec_add(y, vec_scale(coeff, yi, p), p)
-        tc = target.coords(y)
-        if tc is None:
-            raise ValueError("image vector outside the target")
-        cols.append(tc)
-    matrix = tuple(tuple(cols[j][r] for j in range(domain.dim)) for r in range(target.dim))
-    m = LinearMap(domain, target, matrix)
-    for x, y in pairs:  # reject non-linear assignments
-        if m.apply(x) != tuple(yi % p for yi in y):
-            raise ValueError("assignment is not linear on the given pairs")
-    return m
-
-
-def graph(a: LinearMap) -> Subspace:
-    """The graph {v + A v : v in domain} as a canonical subspace.
-
-    Requires domain ∩ target = 0 so that dim graph = dim domain.
-    """
-    if intersect(a.domain, a.target).dim:
-        raise ValueError("graph requires domain ∩ target = 0")
     p = a.domain.p
-    # A maps the j-th canonical row of the domain to column j of the matrix
-    # in target coordinates, so the graph's j-th row is b_j + sum_r m[r][j] t_r
     rows = []
     for j, row in enumerate(a.domain.basis):
         for r, t in enumerate(a.target.basis):
@@ -394,8 +309,20 @@ def graph(a: LinearMap) -> Subspace:
             if c:
                 row = tuple([(x + c * y) % p for x, y in zip(row, t)])
         rows.append(row)
-    g = span(rows, a.domain.n, p)
-    assert g.dim == a.domain.dim
+    return rows
+
+
+def graph(a: LinearMap) -> Subspace:
+    """The graph {v + A v : v in domain} as a canonical subspace.
+
+    Requires domain ∩ target = 0 so that dim graph = dim domain; a graph
+    of any other dimension raises InvariantError.
+    """
+    if intersect(a.domain, a.target).dim:
+        raise ValueError("graph requires domain ∩ target = 0")
+    g = span(graph_rows(a), a.domain.n, a.domain.p)
+    if g.dim != a.domain.dim:
+        raise InvariantError(f"graph has dimension {g.dim}, its domain {a.domain.dim}")
     return g
 
 

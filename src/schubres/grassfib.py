@@ -22,6 +22,7 @@ from schubres.biflag import Flag, standard_frames
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    InvariantError,
     LinearMap,
     Subspace,
     canonical_complement,
@@ -30,7 +31,7 @@ from schubres.exactlin import (
     enumerate_maps,
     enumerate_subspaces,
     gaussian_binomial,
-    graph,
+    graph_rows,
     intersect,
     rref,
     span,
@@ -56,6 +57,12 @@ class FrameConfig:
     a complement means the tail G^{beta_k}.  ``nested(j, i)`` is the sum
     of the first j lines and the complements past window i.  The sums
     are built once, when the frame is made.
+
+    Window i is the block of consecutive coordinates ``window_bounds(i)``;
+    its line is the unit vector at the block's first coordinate and its
+    complement the unit vectors at the others.  The graphs, projections
+    and base points of this module, ``wflag`` and ``embres`` are read off
+    these blocks.
     """
 
     n: int
@@ -98,6 +105,12 @@ class FrameConfig:
     def window(self, i: int) -> Subspace:
         return self.windows[i - 1]
 
+    def window_bounds(self, i: int) -> tuple[int, int]:
+        """Window i as the 0-based coordinates lo..hi-1, lo = b_{i-1} and
+        hi = b_i; index k+1 gives the tail's, b_k..n-1."""
+        edges = (0,) + self.beta + (self.n,)
+        return edges[i - 1], edges[i]
+
     def line(self, i: int) -> Subspace:
         return self.lines[i - 1]
 
@@ -124,13 +137,8 @@ class FrameConfig:
         return self._nested[j, i]
 
 
-def make_frame(
-    n: int,
-    p: int,
-    beta: tuple[int, ...],
-    line_choices: tuple[Subspace, ...] | None = None,
-) -> FrameConfig:
-    """Build a frame; default lines are the first unit vector per window."""
+def make_frame(n: int, p: int, beta: tuple[int, ...]) -> FrameConfig:
+    """Build the frame whose line in each window is its first unit vector."""
     check_field(p)
     beta = tuple(beta)
     check_multi_index(beta, n)
@@ -140,16 +148,8 @@ def make_frame(
         intersect(frames[beta[i - 1]], coframes[beta[i - 2] if i >= 2 else 0])
         for i in range(1, k + 1)
     )
-    if line_choices is None:
-        prev = (0,) + beta
-        lines = tuple(span([unit_vector(prev[i - 1], n)], n, p) for i in range(1, k + 1))
-    else:
-        lines = tuple(line_choices)
-        if len(lines) != k:
-            raise ValueError(f"need {k} lines, got {len(lines)}")
-        for i, line in enumerate(lines, start=1):
-            if line.dim != 1 or not contains(windows[i - 1], line):
-                raise ValueError(f"line {i} is not a line inside window {i}")
+    prev = (0,) + beta
+    lines = tuple(span([unit_vector(prev[i - 1], n)], n, p) for i in range(1, k + 1))
     complements = tuple(
         canonical_complement(lines[i - 1], windows[i - 1]) for i in range(1, k + 1)
     )
@@ -193,6 +193,34 @@ def phi_star_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Sub
     return tuple(itertools.accumulate(reversed(comps[1:]), subspace_sum))[::-1]
 
 
+def _graph_sums(
+    cfg: FrameConfig,
+    lines: tuple[Subspace, ...],
+    targets: tuple[Subspace, ...],
+    maps: tuple[LinearMap, ...],
+) -> list[Subspace]:
+    """Suffix sums of the parts of ``phi`` or ``phi_star``: entry i is the
+    sum of parts i+1..k, so entry 0 is their whole sum.
+
+    ``maps`` send the last len(maps) lines into ``targets``; the part of
+    such a line is the graph of its map, and an earlier line is its own
+    part.  A map out of a line is one matrix column, so its graph is the
+    one row ``graph_rows`` reads off that column.  Each sum extends the
+    next by one row, from the last line backwards, with no row reduction
+    of the whole.
+    """
+    first = cfg.k - len(maps)
+    rows = [line.basis[0] for line in lines[:first]]
+    for i, (line, target, a) in enumerate(zip(lines[first:], targets, maps), start=first + 1):
+        if a.domain != line or a.target != target:
+            raise ValueError(f"map {i} has wrong domain or target")
+        rows += graph_rows(a)
+    sums = [zero_subspace(cfg.n, cfg.p)]
+    for row in reversed(rows):
+        sums.append(sums[-1].extend(row))
+    return sums[::-1]
+
+
 def phi(
     cfg: FrameConfig,
     lines: tuple[Subspace, ...],
@@ -205,18 +233,12 @@ def phi(
     complements of lines 1..i-1 (``phi_targets``); the first line
     contributes itself.  The result meets F_{b_i} in dimension exactly i
     for every i, which ``verify_phi`` checks as
-    ``image_equals_regular_locus``.
+    ``image_equals_regular_locus``.  Each graph is one row, read off the
+    map's matrix (``_graph_sums``).
     """
-    k = cfg.k
-    if len(lines) != k or len(maps) != k - 1:
+    if len(lines) != cfg.k or len(maps) != cfg.k - 1:
         raise ValueError("need k moving lines and k-1 maps")
-    parts = [lines[0]]
-    for i in range(2, k + 1):
-        a = maps[i - 2]
-        if a.domain != lines[i - 1] or a.target != targets[i - 2]:
-            raise ValueError(f"map {i} has wrong domain or target")
-        parts.append(graph(a))
-    return _sum_all(parts, cfg.n, cfg.p)
+    return _graph_sums(cfg, lines, targets, maps)[0]
 
 
 def phi_star(
@@ -230,21 +252,20 @@ def phi_star(
     ``maps[i-1]`` sends line i into ``targets[i-1]``, the sum of the
     complements of lines i+1..k and the tail (``phi_star_targets``).  The
     result meets G^{b_i} in dimension exactly k-i, which
-    ``verify_phi_star`` checks as ``image_equals_conjugate_locus``, and
-    that meet is the sum of the later graphs (asserted).
+    ``verify_phi_star`` checks as ``image_equals_conjugate_locus``.  Each
+    graph is one row, read off the map's matrix (``_graph_sums``).  The
+    graph of map i starts in window i, and windows are disjoint blocks of
+    consecutive coordinates, so the meet with G^{b_i} is the sum of the
+    later graphs; a meet that is not raises InvariantError.
     """
     k = cfg.k
     if len(lines) != k or len(maps) != k:
         raise ValueError("need k moving lines and k maps")
-    graphs = []
+    sums = _graph_sums(cfg, lines, targets, maps)
+    out = sums[0]
     for i in range(1, k + 1):
-        a = maps[i - 1]
-        if a.domain != lines[i - 1] or a.target != targets[i - 1]:
-            raise ValueError(f"map {i} has wrong domain or target")
-        graphs.append(graph(a))
-    out = _sum_all(graphs, cfg.n, cfg.p)
-    for i in range(1, k + 1):
-        assert coframe_slice(out, cfg.beta[i - 1]) == _sum_all(graphs[i:], cfg.n, cfg.p)
+        if coframe_slice(out, cfg.beta[i - 1]) != sums[i]:
+            raise InvariantError(f"phi_star meets G^{cfg.beta[i - 1]} off the later graphs")
     return out
 
 
@@ -257,17 +278,6 @@ def coframe_slice(l: Subspace, q: int) -> Subspace:
     """
     j = bisect_left(l.pivots, q)
     return Subspace(l.n, l.p, l.basis[j:], l.pivots[j:])
-
-
-def frame_slice(l: Subspace, q: int) -> Subspace:
-    """L ∩ F_q, read off the echelon form of L with its coordinates reversed.
-
-    Read back, the rows of that form end at distinct coordinates, and a
-    vector of L ends at the last of the ends of the rows it uses.  So
-    the rows that end before coordinate q (0-based) span L ∩ F_q.
-    """
-    rows, pivots = rref([row[::-1] for row in l.basis], l.p)
-    return span([row[::-1] for row, r in zip(rows, pivots) if r >= l.n - q], l.n, l.p)
 
 
 def schubert_position(l: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -420,25 +430,47 @@ def map_inputs(
             yield lines, targets, maps
 
 
-def _window_part(s: Subspace, lo: int, hi: int) -> Subspace:
-    """Projection of s into the coordinate window lo..hi-1 (0-based) along
-    the coordinates outside it: those coordinates set to zero."""
-    rows = [(0,) * lo + row[lo:hi] + (0,) * (s.n - hi) for row in s.basis]
-    return span(rows, s.n, s.p)
-
-
 def recover_lines_from_open(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
     """The base-point of a regular locus member: project L ∩ F_{b_i}
-    into window i along F_{b_{i-1}}."""
-    bounds = zip((0,) + cfg.beta, cfg.beta)
-    return tuple(_window_part(frame_slice(l, hi), lo, hi) for lo, hi in bounds)
+    into window i along F_{b_{i-1}}.
+
+    One row reduction of L with its coordinates reversed serves every
+    window.  Read back, its rows end at distinct coordinates, and a
+    vector of L ends at the last of the ends of the rows it uses, so the
+    rows ending before b_i span L ∩ F_{b_i}.  Window i is the coordinates
+    b_{i-1}..b_i - 1, so the projection sends a row that ends before the
+    window to zero and cuts one that ends inside it down to the window.
+    """
+    n, p = l.n, l.p
+    rows, ends = rref([row[::-1] for row in l.basis], p)
+    rows = [(row[::-1], n - 1 - e) for row, e in zip(rows, ends)]
+    out = []
+    for i in range(1, cfg.k + 1):
+        lo, hi = cfg.window_bounds(i)
+        cut = [(0,) * lo + row[lo:hi] + (0,) * (n - hi) for row, e in rows if lo <= e < hi]
+        out.append(span(cut, n, p))
+    return tuple(out)
 
 
 def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
     """The base-point of a conjugate member: project L ∩ G^{b_{i-1}}
-    into window i along G^{b_i}."""
-    bounds = zip((0,) + cfg.beta, cfg.beta)
-    return tuple(_window_part(coframe_slice(l, lo), lo, hi) for lo, hi in bounds)
+    into window i along G^{b_i}.
+
+    L ∩ G^{b_{i-1}} is spanned by the canonical rows of L with pivot at
+    least b_{i-1} (``coframe_slice``).  Window i is the coordinates
+    b_{i-1}..b_i - 1, so the projection sends the rows with pivot past
+    the window to zero and cuts the others down to the window.  Those
+    keep their pivots, and the other rows are zero there, so the cut
+    rows are already a canonical basis.
+    """
+    n = l.n
+    out = []
+    for i in range(1, cfg.k + 1):
+        lo, hi = cfg.window_bounds(i)
+        a, b = bisect_left(l.pivots, lo), bisect_left(l.pivots, hi)
+        rows = tuple((0,) * lo + row[lo:hi] + (0,) * (n - hi) for row in l.basis[a:b])
+        out.append(Subspace(n, l.p, rows, l.pivots[a:b]))
+    return tuple(out)
 
 
 def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:

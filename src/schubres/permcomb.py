@@ -33,10 +33,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.one_line[i - 1]
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     for one_line in itertools.permutations(range(1, n + 1)):

@@ -24,7 +24,6 @@ from schubres.exactlin import (
     enumerate_maps,
     gaussian_binomial,
     intersect,
-    project,
     span,
     subspace_sum,
     tower,
@@ -181,9 +180,7 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
         for idx in range(1, k - c + 1):
             x = prev[idx - 1]                # dimension idx, superscript idx+c-1
             y = prev[idx]                    # dimension idx+1, superscript idx+c
-            v_target = cfg.nested(idx, idx + c)
-            l_perp = cfg.complement(idx + c)
-            new.append(_pair_step(cfg, x, y, v_target, l_perp))
+            new.append(_pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c))
         diags.append(tuple(new))
     return tuple(
         tuple(diags[i - j][j - 1] for j in range(1, i + 1)) for i in range(1, k + 1)
@@ -191,13 +188,32 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
 
 
 def _pair_step(
-    cfg: FrameConfig, x: Subspace, y: Subspace, v_target: Subspace, l_perp: Subspace
+    cfg: FrameConfig, x: Subspace, y: Subspace, v_target: Subspace, window: int
 ) -> Subspace:
-    """One cell of the lift: z ⊆ y with x ⊆ z + l_perp and z ⊆ v_target."""
+    """One cell of the lift: z ⊆ y with x ⊆ z + l_perp and z ⊆ v_target,
+    where l_perp is the complement of line ``window`` in its window.
+
+    ``v_target``, a nested space of earlier lines and later complements,
+    has no coordinate in that window and l_perp has coordinates only
+    there, because windows are disjoint blocks of consecutive
+    coordinates.  So the projection onto v_target along l_perp zeroes the
+    window.  A row of x that does not split that way between the two lies
+    outside v_target ⊕ l_perp and raises ValueError.
+    """
     inter = intersect(y, v_target)
     if inter.dim == x.dim:
         return inter
-    z = span([project(v, v_target, l_perp) for v in x.basis], cfg.n, cfg.p)
+    l_perp = cfg.complement(window)
+    lo, hi = cfg.window_bounds(window)
+    n = cfg.n
+    rows = []
+    for v in x.basis:
+        u = v[:lo] + (0,) * (hi - lo) + v[hi:]
+        w = (0,) * lo + v[lo:hi] + (0,) * (n - hi)
+        if not (v_target.contains_vector(u) and l_perp.contains_vector(w)):
+            raise ValueError("vector outside onto + along")
+        rows.append(u)
+    z = span(rows, n, cfg.p)
     for row in y.basis:
         if z.dim == x.dim:
             break

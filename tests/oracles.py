@@ -1,5 +1,9 @@
 """Slow reference enumerations and independent checks that the package's
-fast paths are checked against; nothing in the package calls them."""
+fast paths are checked against; nothing in the package calls them.
+
+Among them is the generic linear-map path (``solve_coords``, ``project``,
+``apply``, ``linear_map_from_pairs``) that the package's coordinate
+read-offs replace."""
 
 import itertools
 from typing import Iterable, Iterator, Sequence
@@ -14,20 +18,21 @@ from schubres.exactlin import (
     Rows,
     Stage,
     Subspace,
+    Vec,
     contains,
     enumerate_between,
     gaussian_binomial,
     graph,
     intersect,
-    linear_map_from_pairs,
-    project,
+    rref,
     span,
     subspace_sum,
     tower,
     tower_bound,
     vec_add,
+    vec_scale,
 )
-from schubres.grassfib import FrameConfig, grassmannian, schubert_position
+from schubres.grassfib import FrameConfig, coframe_slice, grassmannian, schubert_position
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -37,6 +42,148 @@ from schubres.permcomb import (
     word_product,
 )
 from schubres.wflag import GCalPoint, GHatPoint, enumerate_ghat
+
+
+def identity(n: int) -> Permutation:
+    """The identity permutation of S_n."""
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def vectors(s: Subspace) -> Iterator[Vec]:
+    """All p^dim member vectors of s (small subspaces only)."""
+    zero = (0,) * s.n
+    for coeffs in itertools.product(range(s.p), repeat=s.dim):
+        v = zero
+        for c, row in zip(coeffs, s.basis):
+            if c:
+                v = vec_add(v, vec_scale(c, row, s.p), s.p)
+        yield v
+
+
+def solve_coords(rows: Rows, v: Vec, p: int) -> Vec | None:
+    """One solution x of sum_i x_i rows[i] = v, or None if inconsistent.
+
+    Free coefficients are set to 0; for independent rows the solution is
+    unique.
+    """
+    m = len(rows)
+    n = len(v)
+    aug = [[rows[c][r] % p for c in range(m)] + [v[r] % p] for r in range(n)]
+    red, piv = rref(aug, p)
+    sol = [0] * m
+    for row, c in zip(red, piv):
+        if c == m:
+            return None  # pivot in the augmented column: inconsistent
+        sol[c] = row[m]
+    return tuple(sol)
+
+
+def project(v: Vec, onto: Subspace, along: Subspace) -> Vec:
+    """Component of v in ``onto`` for the decomposition onto ⊕ along, by
+    solving for v's coordinates in the two bases."""
+    if onto.n != along.n or onto.p != along.p:
+        raise ValueError("incompatible subspaces")
+    if intersect(onto, along).dim:
+        raise ValueError("onto and along do not form a direct sum")
+    coeffs = solve_coords(onto.basis + along.basis, tuple(v), onto.p)
+    if coeffs is None:
+        raise ValueError("vector outside onto + along")
+    out = (0,) * onto.n
+    for c, row in zip(coeffs[: onto.dim], onto.basis):
+        if c:
+            out = vec_add(out, vec_scale(c, row, onto.p), onto.p)
+    return out
+
+
+def apply(a: LinearMap, v: Vec) -> Vec:
+    """A v, through v's coordinates in the domain's canonical basis."""
+    c = a.domain.coords(v)
+    if c is None:
+        raise ValueError("vector outside map domain")
+    p = a.domain.p
+    out = (0,) * a.domain.n
+    for r, row in enumerate(a.matrix):
+        coeff = sum(row[j] * c[j] for j in range(len(c))) % p
+        if coeff:
+            out = vec_add(out, vec_scale(coeff, a.target.basis[r], p), p)
+    return out
+
+
+def linear_map_from_pairs(
+    domain: Subspace, target: Subspace, pairs: Sequence[tuple[Vec, Vec]]
+) -> LinearMap:
+    """Build the map sending x to y for each (x, y) pair.
+
+    The x's must span the domain and the assignment must be linear and
+    land in the target; otherwise ValueError.
+    """
+    p = domain.p
+    xs = tuple(x for x, _ in pairs)
+    cols: list[Vec] = []
+    for b in domain.basis:
+        c = solve_coords(xs, b, p)
+        if c is None:
+            raise ValueError("pair inputs do not span the domain")
+        y = (0,) * domain.n
+        for coeff, (_, yi) in zip(c, pairs):
+            if coeff:
+                y = vec_add(y, vec_scale(coeff, yi, p), p)
+        tc = target.coords(y)
+        if tc is None:
+            raise ValueError("image vector outside the target")
+        cols.append(tc)
+    matrix = tuple(tuple(cols[j][r] for j in range(domain.dim)) for r in range(target.dim))
+    m = LinearMap(domain, target, matrix)
+    for x, y in pairs:  # reject non-linear assignments
+        if apply(m, x) != tuple(yi % p for yi in y):
+            raise ValueError("assignment is not linear on the given pairs")
+    return m
+
+
+def reconstruct_map_tuple_by_projection(
+    cfg: FrameConfig, t: LinearMap
+) -> tuple[LinearMap, ...]:
+    """``embres.reconstruct_map_tuple`` by applying t to each line,
+    projecting the image onto the late complements along the early ones
+    and solving for the map that sends the line there."""
+    out = []
+    for i in range(1, cfg.k + 1):
+        x = cfg.line(i).basis[0]
+        y = apply(t, x)
+        late = cfg.complements_suffix(i + 1)
+        early = cfg.complements_prefix(i)
+        y_late = project(y, late, early) if early.dim else y
+        out.append(linear_map_from_pairs(cfg.line(i), late, [(x, y_late)]))
+    return tuple(out)
+
+
+def window_part(s: Subspace, lo: int, hi: int) -> Subspace:
+    """Projection of s into the coordinate window lo..hi-1 (0-based) along
+    the coordinates outside it: those coordinates set to zero."""
+    rows = [(0,) * lo + row[lo:hi] + (0,) * (s.n - hi) for row in s.basis]
+    return span(rows, s.n, s.p)
+
+
+def frame_slice(l: Subspace, q: int) -> Subspace:
+    """L ∩ F_q, read off the echelon form of L with its coordinates
+    reversed, as ``grassfib.recover_lines_from_open`` reads it.
+
+    Read back, the rows of that form end at distinct coordinates, and a
+    vector of L ends at the last of the ends of the rows it uses.  So
+    the rows that end before coordinate q (0-based) span L ∩ F_q.
+    """
+    rows, pivots = rref([row[::-1] for row in l.basis], l.p)
+    return span([row[::-1] for row, r in zip(rows, pivots) if r >= l.n - q], l.n, l.p)
+
+
+def recover_lines_by_slices(cfg: FrameConfig, l: Subspace, star: bool) -> tuple[Subspace, ...]:
+    """``grassfib.recover_lines_from_open`` (``recover_lines_from_star``
+    with ``star``) as one echelon slice of L and one row reduction of its
+    window part per window."""
+    bounds = zip((0,) + cfg.beta, cfg.beta)
+    if star:
+        return tuple(window_part(coframe_slice(l, lo), lo, hi) for lo, hi in bounds)
+    return tuple(window_part(frame_slice(l, hi), lo, hi) for lo, hi in bounds)
 
 
 def complete_flag_stages(n: int, p: int) -> list[Stage]:
@@ -80,7 +227,7 @@ def graph_by_apply(a: LinearMap) -> Subspace:
     if intersect(a.domain, a.target).dim:
         raise ValueError("graph requires domain ∩ target = 0")
     p = a.domain.p
-    return span([vec_add(b, a.apply(b), p) for b in a.domain.basis], a.domain.n, p)
+    return span([vec_add(b, apply(a, b), p) for b in a.domain.basis], a.domain.n, p)
 
 
 def rref_by_elimination(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tuple[int, ...]]:
@@ -109,12 +256,14 @@ def rref_by_elimination(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tu
 
 
 def pair_step_by_span(
-    cfg: FrameConfig, x: Subspace, y: Subspace, v_target: Subspace, l_perp: Subspace
+    cfg: FrameConfig, x: Subspace, y: Subspace, v_target: Subspace, window: int
 ) -> Subspace:
-    """``wflag._pair_step`` with one ``span`` per candidate row of y."""
+    """``wflag._pair_step`` with ``project`` along the complement of line
+    ``window`` and one ``span`` per candidate row of y."""
     inter = intersect(y, v_target)
     if inter.dim == x.dim:
         return inter
+    l_perp = cfg.complement(window)
     proj = span([project(v, v_target, l_perp) for v in x.basis], cfg.n, cfg.p)
     rows = list(proj.basis)
     for row in y.basis:
@@ -217,7 +366,7 @@ def compress_maps(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[Linear
         pairs = []
         for j in range(1, i + 1):
             x = cfg.line(j).basis[0]
-            y = maps[j - 1].apply(x)
+            y = apply(maps[j - 1], x)
             if j < i:
                 drop = span(
                     [v for t in range(j + 1, i + 1) for v in cfg.complement(t).basis],

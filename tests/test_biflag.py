@@ -5,7 +5,7 @@ import operator
 from collections import Counter, defaultdict
 
 import pytest
-from oracles import enumerate_complete_flags, flag_rank_profile, grid_is_valid
+from oracles import enumerate_complete_flags, flag_rank_profile, grid_is_valid, identity
 
 from schubres import biflag
 from schubres.biflag import (
@@ -67,7 +67,7 @@ class TestStandardFrames:
 class TestEnumerateFlw:
     def test_identity_gives_complete_flags(self):
         # (q+1)(q^2+q+1) flags for n=3, q=2
-        pts = list(enumerate_flw(Permutation.identity(3), 2))
+        pts = list(enumerate_flw(identity(3), 2))
         assert len(pts) == 21
         assert len(list(enumerate_complete_flags(3, 2))) == 21
 
@@ -89,7 +89,7 @@ class TestEnumerateFlw:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            list(enumerate_flw(Permutation.identity(4), 3, budget=10))
+            list(enumerate_flw(identity(4), 3, budget=10))
 
     def test_estimate_matches_actual(self):
         for w in all_permutations(3):
@@ -99,7 +99,7 @@ class TestEnumerateFlw:
 
 class TestEnumerateShat:
     def test_identity_single_point(self):
-        pts = list(enumerate_shat(Permutation.identity(3), 2))
+        pts = list(enumerate_shat(identity(3), 2))
         assert len(pts) == 1
 
     def test_cycle_nine_points(self):
@@ -131,7 +131,7 @@ class TestEnumerateShat:
 class TestProjection:
     def test_identity_projects_to_standard_flag(self):
         f, _ = standard_frames(3, 2)
-        (pt,) = enumerate_shat(Permutation.identity(3), 2)
+        (pt,) = enumerate_shat(identity(3), 2)
         assert project_to_flag(pt) == tuple(f[1:])
 
     def test_projection_dims(self):
@@ -174,7 +174,7 @@ class TestSchubertFlagPoints:
     def test_identity_cell_is_standard_flag(self):
         f, _ = standard_frames(3, 2)
         flags = enumerate_complete_flags(3, 2)
-        cells = [flag for flag in flags if flag_position(flag) == Permutation.identity(3)]
+        cells = [flag for flag in flags if flag_position(flag) == identity(3)]
         assert cells == [tuple(f[1:])]
 
     @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2)])
@@ -258,7 +258,7 @@ class TestBruhatGeometry:
 
 class TestVerifyFlres:
     def test_identity_trivial(self):
-        rep = verify_flres(Permutation.identity(3), 2)
+        rep = verify_flres(identity(3), 2)
         assert rep.passed
         assert rep.counts["tower_points"] == 1
 

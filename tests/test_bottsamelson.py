@@ -1,7 +1,7 @@
 """Bott-Samelson towers and the bubblesort grid isomorphism."""
 
 import pytest
-from oracles import bs_point_is_valid
+from oracles import bs_point_is_valid, identity
 
 from schubres import bottsamelson
 from schubres.bottsamelson import (
@@ -24,7 +24,7 @@ from schubres.permcomb import (
 
 class TestEnumerateBs:
     def test_empty_word(self):
-        word = bubblesort_word(Permutation.identity(3))
+        word = bubblesort_word(identity(3))
         assert list(enumerate_bs(word, 2)) == [()]
 
     def test_two_letter_word(self):
@@ -57,7 +57,7 @@ class TestEnumerateBs:
 
 class TestBsProjection:
     def test_empty_word_gives_standard_flag(self):
-        word = bubblesort_word(Permutation.identity(3))
+        word = bubblesort_word(identity(3))
         f, _ = standard_frames(3, 2)
         assert bs_projection((), word, 2) == tuple(f[1:])
 
@@ -85,7 +85,7 @@ class TestGridToBs:
 
 class TestBbsIso:
     def test_identity_singletons(self):
-        rep = bbs_iso(Permutation.identity(3), 2)
+        rep = bbs_iso(identity(3), 2)
         assert rep.passed
         assert rep.counts["grid_points"] == 1
 

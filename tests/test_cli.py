@@ -2,11 +2,18 @@
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+from schubres import grassfib
 from schubres.cli import REPORTS, build_parser, run
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
@@ -85,6 +92,54 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_fault_in_a_verifier_is_3(self, capsys, monkeypatch):
+        # a ValueError raised once the configuration is valid is a fault
+        # in the program, not an invalid configuration
+        def broken(cfg, budget):
+            raise ValueError("vector outside onto + along")
+
+        monkeypatch.setattr(grassfib, "verify_phi", broken)
+        assert run(["grass", "verify-phi", "--n", "4", "--beta", "2,4"]) == 3
+        assert "internal error: ValueError" in capsys.readouterr().err
+
+
+def run_optimized(script):
+    """Exit code and stderr of ``script`` under ``python -O``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestChecksSurviveOptimize:
+    # python -O strips asserts; these checks must still stop the run
+    def test_phi_star_meet_check(self):
+        # a meet with G^{b_i} that keeps all of L is not the sum of the later graphs
+        code, err = run_optimized(
+            "import sys\n"
+            "from schubres import cli, grassfib\n"
+            "assert False, 'asserts are on'\n"
+            "grassfib.coframe_slice = lambda l, q: l\n"
+            "sys.exit(cli.run(['grass', 'verify-phistar', '--n', '4', '--beta', '2,4']))\n"
+        )
+        assert code == 3, err
+        assert "internal error: InvariantError" in err
+
+    def test_graph_dimension_check(self):
+        # with the disjointness check fooled, the graph of -1 on a line
+        # inside the target is zero
+        code, err = run_optimized(
+            "from schubres import exactlin as ex\n"
+            "assert False, 'asserts are on'\n"
+            "ex.intersect = lambda a, b: ex.zero_subspace(a.n, a.p)\n"
+            "line = ex.span([(1, 0)], 2, 2)\n"
+            "ex.graph(ex.LinearMap(line, line, ((1,),)))\n"
+        )
+        assert code == 1
+        assert "InvariantError: graph has dimension 0, its domain 1" in err
 
 
 class TestEnumerationCommands:

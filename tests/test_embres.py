@@ -3,7 +3,14 @@
 import itertools
 
 import pytest
-from oracles import cell_points, enumerate_embres, graph_tuple, kl_count_formula, zero_map
+from oracles import (
+    cell_points,
+    enumerate_embres,
+    graph_tuple,
+    kl_count_formula,
+    reconstruct_map_tuple_by_projection,
+    zero_map,
+)
 
 from schubres.embres import (
     chart_hits,
@@ -105,6 +112,18 @@ class TestChart:
         maps = reconstruct_map_tuple(cfg, t)
         assert all(all(x == 0 for row in m.matrix for x in row) for m in maps)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_reconstruction_matches_projection_oracle(self, n, p):
+        # every chart map of every default frame of GF(p)^n
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, p, beta)
+                for t in chart_maps(cfg):
+                    assert reconstruct_map_tuple(cfg, t) == reconstruct_map_tuple_by_projection(
+                        cfg, t
+                    )
+
     def test_chart_membership_criterion(self):
         cfg = make_frame(4, 2, (2, 4))
         chart_set = {graph(t) for t in chart_maps(cfg)}
@@ -187,10 +206,17 @@ class TestCellPoints:
     def test_matches_standard_node_cell_for_window_end_lines(self):
         # the adapted lower nodes equal the standard flag nodes exactly
         # when each chosen line is the last unit vector of its window
-        from schubres.exactlin import span
+        from schubres.exactlin import canonical_complement, span
+        from schubres.grassfib import FrameConfig
 
+        # make_frame puts each line at its window's first coordinate, so
+        # this frame is assembled by hand
+        std = make_frame(4, 2, (2, 4))
         lines = (span([(0, 1, 0, 0)], 4, 2), span([(0, 0, 0, 1)], 4, 2))
-        cfg = make_frame(4, 2, (2, 4), lines)
+        comps = tuple(canonical_complement(l, w) for l, w in zip(lines, std.windows))
+        cfg = FrameConfig(
+            4, 2, (2, 4), std.frames, std.coframes, std.windows, lines, comps, std.tail
+        )
         assert set(cell_points(cfg)) == set(vbeta_points(cfg, "cell"))
 
     def test_default_lines_give_equinumerous_cell(self):

@@ -5,7 +5,7 @@ import json
 import operator
 
 import pytest
-from oracles import zero_map
+from oracles import frame_slice, graph_by_apply, project, recover_lines_by_slices, zero_map
 
 from schubres.biflag import standard_frames
 from schubres.exactlin import (
@@ -15,7 +15,6 @@ from schubres.exactlin import (
     full_space,
     gaussian_binomial,
     intersect,
-    project,
     span,
     subspace_sum,
 )
@@ -24,7 +23,6 @@ from schubres.grassfib import (
     _sum_all,
     base_point_count,
     coframe_slice,
-    frame_slice,
     grassmannian,
     MODES,
     hom_rank,
@@ -168,16 +166,6 @@ class TestMakeFrame:
                 want = j + sum(cfg.window(t).dim - 1 for t in range(i + 1, 4))
                 assert cfg.nested(j, i).dim == want + cfg.tail.dim
 
-    def test_custom_lines(self):
-        line = span([(1, 1, 0, 0)], 4, 2)
-        cfg = make_frame(4, 2, (2, 4), (line, span([e(3, 4)], 4, 2)))
-        assert cfg.line(1) == line
-        assert subspace_sum(cfg.line(1), cfg.complement(1)) == cfg.window(1)
-
-    def test_invalid_line_rejected(self):
-        with pytest.raises(ValueError):
-            make_frame(4, 2, (2, 4), (span([e(3, 4)], 4, 2), span([e(3, 4)], 4, 2)))
-
     def test_invalid_beta_rejected(self):
         with pytest.raises(ValueError):
             make_frame(4, 2, (2, 2))
@@ -310,6 +298,42 @@ class TestEchelonSlices:
                 assert recover_lines_from_open(cfg, l) == intersect_recover_open(cfg, l)
             for l in vbeta_points(cfg, "star_open"):
                 assert recover_lines_from_star(cfg, l) == intersect_recover_star(cfg, l)
+
+
+class TestReadOffs:
+    # each coordinate read-off against the generic path it replaced, on
+    # every default frame of GF(p)^n
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_graph_sums_match_apply_oracle(self, n, p):
+        for cfg in all_frames(n, p):
+            for lines, targets, maps in map_inputs(cfg, phi_targets):
+                want = _sum_all([lines[0]] + [graph_by_apply(a) for a in maps], n, p)
+                assert phi(cfg, lines, targets, maps) == want
+            for lines, targets, maps in map_inputs(cfg, phi_star_targets):
+                want = _sum_all([graph_by_apply(a) for a in maps], n, p)
+                assert phi_star(cfg, lines, targets, maps) == want
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_recovered_lines_match_slices(self, n, p):
+        # on every point of Gr_k, not only on the loci the verifiers feed in
+        for cfg in all_frames(n, p):
+            for l in grassmannian(cfg):
+                assert recover_lines_from_open(cfg, l) == recover_lines_by_slices(cfg, l, False)
+                assert recover_lines_from_star(cfg, l) == recover_lines_by_slices(cfg, l, True)
+
+    def test_window_bounds_split_the_frame(self):
+        for cfg in all_frames(5, 2):
+            for i in range(1, cfg.k + 2):
+                lo, hi = cfg.window_bounds(i)
+                block = span([e(j + 1, 5) for j in range(lo, hi)], 5, 2)
+                if i <= cfg.k:
+                    assert cfg.line(i) == span([e(lo + 1, 5)], 5, 2)
+                    assert block == cfg.window(i)
+                    assert subspace_sum(cfg.line(i), cfg.complement(i)) == block
+                else:
+                    assert block == cfg.tail
 
 
 class TestVbetaPoints:

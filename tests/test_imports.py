@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every public module-level function or class is used somewhere in the package."""
+every public module-level function or class, and every public method of a
+package class, is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,38 @@ def unused_definitions(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(f"{mod}.{name}" for mod, name in defined - used)
 
 
+def unused_methods(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.Class.name`` of every public method or property of a class
+    of the package's ``modules`` that none of them reads as an attribute.
+
+    Any ``x.name`` anywhere counts, whatever x is: the scan cannot tell
+    receivers apart, so a method is caught only when its name is read
+    nowhere.  A read inside the method itself does not count.
+    """
+    defined = []
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined += [
+                    (f"{mod}.{cls.name}.{node.name}", node)
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                ]
+    out = []
+    for name, method in defined:
+        inside = {id(node) for node in ast.walk(method)}
+        read = any(
+            isinstance(node, ast.Attribute) and node.attr == method.name
+            for tree in modules.values()
+            for node in ast.walk(tree)
+            if id(node) not in inside
+        )
+        if not read:
+            out.append(name)
+    return sorted(out)
+
+
 def test_scanner_finds_unused_names():
     tree = ast.parse("import os.path\nimport sys\nfrom a import b, c as d\nb(sys.argv)\n")
     assert unused_imports(tree) == ["d", "os"]
@@ -81,6 +114,31 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
+def test_scanner_finds_unused_methods():
+    a = (
+        "class A:\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "    def recursive(self): self.recursive()\n"
+        "    def _private(self): pass\n"
+        "    @property\n"
+        "    def prop(self): pass\n"
+        "    @staticmethod\n"
+        "    def static(): pass\n"
+        "def f(x): return x.used(), A.static()\n"
+    )
+    b = "from schubres.a import A\nA().prop\n"
+    modules = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert unused_methods(modules) == ["a.A.recursive", "a.A.unused"]
+
+
+def package_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
 def test_no_unused_definitions():
-    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
-    assert unused_definitions(modules) == []
+    assert unused_definitions(package_modules()) == []
+
+
+def test_no_unused_methods():
+    assert unused_methods(package_modules()) == []

@@ -1,7 +1,7 @@
 """Permutation combinatorics: inversions, rank matrices, bubblesort words."""
 
 import pytest
-from oracles import bruhat_interval_oracle, cumulative_block_formula
+from oracles import bruhat_interval_oracle, cumulative_block_formula, identity
 
 from schubres.permcomb import (
     BSIncidence,
@@ -27,7 +27,7 @@ class TestBasics:
             Permutation((1, 1, 3))
 
     def test_length_identity(self):
-        assert length(Permutation.identity(5)) == 0
+        assert length(identity(5)) == 0
 
     def test_length_sigma(self):
         assert length(SIGMA) == 18
@@ -38,7 +38,7 @@ class TestBasics:
 
 class TestRankMatrix:
     def test_identity_is_min(self):
-        d = rank_matrix(Permutation.identity(3))
+        d = rank_matrix(identity(3))
         for p in range(1, 4):
             for q in range(1, 4):
                 assert d[p][q] == min(p, q)
@@ -74,7 +74,7 @@ class TestRankMatrix:
 
 class TestJumpPoints:
     def test_identity(self):
-        assert jump_points(Permutation.identity(4)) == (1, 2, 3, 4)
+        assert jump_points(identity(4)) == (1, 2, 3, 4)
 
     def test_equals_one_line(self):
         assert jump_points(Permutation((2, 3, 1))) == (2, 3, 1)
@@ -92,13 +92,13 @@ class TestBruhat:
             assert bruhat_leq(w, w)
 
     def test_identity_minimum(self):
-        e = Permutation.identity(3)
+        e = identity(3)
         for w in all_permutations(3):
             assert bruhat_leq(e, w)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            bruhat_leq(Permutation.identity(2), Permutation.identity(3))
+            bruhat_leq(identity(2), identity(3))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_subword_oracle(self, n):
@@ -111,7 +111,7 @@ class TestBruhat:
 
 class TestBubblesort:
     def test_identity_word_empty(self):
-        word = bubblesort_word(Permutation.identity(4))
+        word = bubblesort_word(identity(4))
         assert word.letters == ()
         assert word.blocks == ((), (), ())
 
@@ -139,7 +139,7 @@ class TestBubblesort:
 
 class TestLastOccurrence:
     def test_identity_all_absent(self):
-        word = bubblesort_word(Permutation.identity(4))
+        word = bubblesort_word(identity(4))
         assert last_occurrence_indices(word) == (None, None, None)
 
     def test_simple_word(self):

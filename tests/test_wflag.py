@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from oracles import compress_maps, gcal_membership, graph_tuple, zero_map
+from oracles import apply, compress_maps, gcal_membership, graph_tuple, zero_map
 
 from schubres.exactlin import (
     LinearMap,
@@ -57,13 +57,13 @@ class TestCompressMaps:
                 maps.append(LinearMap(cfg.line(i), target, matrix))
             b1, b2 = compress_maps(cfg, tuple(maps))
             x1 = cfg.line(1).basis[0]
-            assert b1.apply(x1) == maps[0].apply(x1)
-            y = maps[0].apply(x1)
-            dropped = b2.apply(x1)
+            assert apply(b1, x1) == apply(maps[0], x1)
+            y = apply(maps[0], x1)
+            dropped = apply(b2, x1)
             diff = tuple((a - c) % 3 for a, c in zip(y, dropped))
             assert cfg.complement(2).contains_vector(diff)
             x2 = cfg.line(2).basis[0]
-            assert b2.apply(x2) == maps[1].apply(x2)
+            assert apply(b2, x2) == apply(maps[1], x2)
 
     def test_truncation_identity_random_gf3(self):
         # dropping map components inside the first i complements does
@@ -151,6 +151,20 @@ class TestEnumerateGhat:
 
 
 class TestLift:
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_pair_step_rejects_vector_outside_the_sum(self, j):
+        # window 2 of beta (1,3,5) is coordinates 1..2, its complement e_2,
+        # and nested(1, 2) = <e_0, e_4>: e_1 has its window part outside
+        # the complement and e_3 the rest outside nested(1, 2)
+        from schubres import wflag
+        from schubres.exactlin import span
+
+        cfg = make_frame(5, 2, (1, 3, 5))
+        e = [tuple(int(i == c) for i in range(5)) for c in range(5)]
+        x, y = span([e[j]], 5, 2), span([e[1], e[3]], 5, 2)
+        with pytest.raises(ValueError, match="outside onto"):
+            wflag._pair_step(cfg, x, y, cfg.nested(1, 2), 2)
+
     def test_zero_point_lifts_to_prefix_grid(self):
         cfg = make_frame(4, 2, (1, 3))
         zero_pt = tuple(cfg.lines_prefix(i) for i in range(1, cfg.k + 1))
