@@ -41,6 +41,7 @@ from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length,
 from schubres.report import EnumReport, subspace_witness, timed
 
 Flag = tuple[Subspace, ...]
+Row = tuple[Subspace, ...]
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class GridPoint:
 
     n: int
     p: int
-    grid: tuple[tuple[Subspace, ...], ...]
+    grid: tuple[Row, ...]
 
     def cell(self, row: int, col: int) -> Subspace:
         """1-based access; row or column 0 is the zero subspace."""
@@ -91,20 +92,43 @@ def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
     return stages
 
 
-def grid_count_estimate(w: Permutation, p: int, pinned_last_row: bool) -> int:
-    """Exact point count of the grid tower, from cell-choice dimensions."""
-    return tower_bound(grid_stages(w, p, pinned_last_row), p)
-
-
 def _enumerate_grid(
     w: Permutation, p: int, pinned_last_row: bool, budget: int
 ) -> Iterator[GridPoint]:
+    """The tower of ``grid_stages``, in its order, one row at a time.
+
+    A row lies under the row below it and nothing else chosen, so each
+    row's choices over each distinct lower row come from ``tower`` once,
+    kept for this walk in a dict; the points share these row tuples.
+    """
     n = w.n
+    stages = grid_stages(w, p, pinned_last_row)
+    bound = tower_bound(stages, p)
+    if bound > budget:
+        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
     frames, _ = standard_frames(n, p)
-    pinned = (frames[1:],) if pinned_last_row else ()
-    for c in tower(grid_stages(w, p, pinned_last_row), p, budget):
-        rows = tuple(c[i : i + n] for i in range(len(c) - n, -1, -n))
-        yield GridPoint(n, p, rows + pinned)
+    top = n - 1 if pinned_last_row else n
+    above_all = (frames[n],) * n
+    rows_over: dict[tuple[int, Row], tuple[Row, ...]] = {}  # (row, row below) -> choices
+    if pinned_last_row:
+        rows_over[n, above_all] = (frames[1:],)  # the pinned row
+
+    def walk(row: int, below: Row, chosen: tuple[Row, ...]) -> Iterator[GridPoint]:
+        level = rows_over.get((row, below))
+        if level is None:
+            row_stages = [
+                st._replace(spaces=lambda c, upper=upper: (c[-1] if c else frames[0], upper))
+                for st, upper in zip(stages[(top - row) * n : (top - row + 1) * n], below)
+            ]
+            level = rows_over[row, below] = tuple(tower(row_stages, p, budget))
+        if row == 1:
+            for r in level:
+                yield GridPoint(n, p, (r,) + chosen)
+        else:
+            for r in level:
+                yield from walk(row - 1, r, (r,) + chosen)
+
+    yield from walk(n, above_all, ())
 
 
 def enumerate_flw(
@@ -126,7 +150,7 @@ def enumerate_shat(
 
 def project_to_flag(pt: GridPoint) -> Flag:
     """The last column of the grid, a complete flag."""
-    return tuple(pt.grid[row][pt.n - 1] for row in range(pt.n))
+    return tuple([row[-1] for row in pt.grid])
 
 
 def flag_position(flag: Flag) -> Permutation:
@@ -242,7 +266,7 @@ def enumerate_report(
             name = "count_is_(p+1)^l"
         else:
             count = sum(1 for _ in enumerate_flw(w, p, budget))
-            expected = grid_count_estimate(w, p, pinned_last_row=False)
+            expected = tower_bound(grid_stages(w, p, pinned_last_row=False), p)
             name = "count_matches_cell_product"
         report.counts["points"] = count
         report.counts["expected"] = expected
@@ -257,51 +281,64 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
     (b) over the Schubert cell the projection is a bijection whose
         inverse is cellwise intersection with the standard flag;
     (c) the image equals the closed point set (empirical at this size).
+
+    One pass over the grid tower keeps each image flag's position and,
+    over the cell of w, the flag's point while no second one comes; the
+    witness of (a) is the first outside flag in tower order.
     """
-    report = EnumReport(
-        "biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget}
-    )
+    report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
-        points = list(enumerate_shat(w, p, budget))
+        # each image flag refers to one of these, not to a position of its own
+        positions = {u: u for u in all_permutations(w.n)}
+        below = {u for u in positions if bruhat_leq(u, w)}
+        image: dict[Flag, Permutation | None] = {}
+        over_cell: dict[Flag, GridPoint | None] = {}
+        tower_points = 0
+        outside = None
+        for pt in enumerate_shat(w, p, budget):
+            tower_points += 1
+            flag = project_to_flag(pt)
+            u = image.get(flag)
+            if u is None:
+                u = image[flag] = positions[flag_position(flag)]
+                if u == w:
+                    over_cell[flag] = pt
+                elif outside is None and u not in below:
+                    outside = flag
+            elif u == w:
+                over_cell[flag] = None
         expected = (p + 1) ** length(w)
-        report.counts["tower_points"] = len(points)
+        report.counts["tower_points"] = tower_points
         report.counts["expected_tower_points"] = expected
         report.add(
             "tower_count_is_(p+1)^l",
-            len(points) == expected,
-            f"{len(points)} vs {expected}",
+            tower_points == expected,
+            f"{tower_points} vs {expected}",
         )
-
-        by_flag: dict[Flag, list[GridPoint]] = {}
-        for pt in points:
-            by_flag.setdefault(project_to_flag(pt), []).append(pt)
-        below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}
-        outside = [flag for flag in by_flag if flag_position(flag) not in below]
-        witness = [subspace_witness(s) for s in outside[0]] if outside else []
-        report.add("image_in_closed_variety", not outside, witnesses=witness)
+        witness = [subspace_witness(s) for s in outside] if outside else []
+        report.add("image_in_closed_variety", outside is None, witnesses=witness)
 
         # the closed locus of w cell by cell: a flag counts once, and only
-        # at its own position.  It is marked among the image flags, not
-        # kept; a flag outside the image fails the image check anyway, so
-        # only image flags need telling apart from their repeats.
-        hits = dict.fromkeys(by_flag, False)
+        # at its own position.  An image flag's position is set to None when
+        # it is counted; a flag outside the image fails the image check
+        # anyway, so only image flags need telling apart from their repeats.
         cell_points = closed_points = 0
-        bijective = True
-        recon_ok = True
+        bijective = recon_ok = True
         for u, flag in schubert_cells(w, p, budget):
-            seen = hits.get(flag)
-            if seen or flag_position(flag) != u:
+            if flag in image:
+                if image[flag] != u:
+                    continue
+                image[flag] = None
+            elif flag_position(flag) != u:
                 continue
-            if seen is not None:
-                hits[flag] = True
             closed_points += 1
             if u != w:
                 continue
             cell_points += 1
-            fiber = by_flag.get(flag, [])
-            if len(fiber) != 1:
+            grid = over_cell.get(flag)
+            if grid is None:
                 bijective = False
-            elif fiber[0] != reconstruct_grid(flag, w):
+            elif grid != reconstruct_grid(flag, w):
                 recon_ok = False
         report.counts["cell_points"] = cell_points
         report.counts["expected_cell_points"] = p ** length(w)
@@ -316,7 +353,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.counts["closed_points"] = closed_points
         report.add(
             "image_equals_closed_variety",
-            all(hits.values()) and closed_points == len(hits),
+            closed_points == len(image) and all(u is None for u in image.values()),
             "point surjectivity observed at this field size",
             informational=True,
         )

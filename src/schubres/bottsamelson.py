@@ -11,6 +11,7 @@ recursing on the restricted bijection one row up.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator
 
 from schubres.biflag import (
@@ -26,7 +27,6 @@ from schubres.permcomb import (
     ReducedWord,
     bs_incidence,
     bubblesort_word,
-    last_occurrence_indices,
     length,
 )
 from schubres.report import EnumReport, timed
@@ -68,15 +68,10 @@ def enumerate_bs(
 def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
     """Flag component i is the subspace at the last occurrence of s_i,
     falling back to the fixed F_i for letters that never occur."""
-    n = word.n
-    frames, _ = standard_frames(n, p)
-    occ = last_occurrence_indices(word)
-    flag = []
-    for i in range(1, n):
-        idx = occ[i - 1]
-        flag.append(frames[i] if idx is None else point[idx - 1])
-    flag.append(frames[n])
-    return tuple(flag)
+    frames, _ = standard_frames(word.n, p)
+    occ = word.last_occurrences
+    flag = [frames[i] if j is None else point[j - 1] for i, j in enumerate(occ, start=1)]
+    return tuple(flag) + (frames[word.n],)
 
 
 def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
@@ -86,16 +81,11 @@ def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
     columns larger than the value w(n-s+1), then retires that value's
     column; the emitted dimensions match the bubblesort block letters.
     """
-    n = pt.n
-    cols = list(range(1, n + 1))
+    cols = list(range(1, pt.n + 1))
     out: list[Subspace] = []
-    for s in range(1, n):
-        m = n - s + 1
-        v = w(m)
-        row = n - s
-        for q in cols:
-            if q > v:
-                out.append(pt.cell(row, q))
+    for row in range(pt.n - 1, 0, -1):
+        v = w(row + 1)
+        out += [pt.cell(row, q) for q in cols if q > v]
         cols.remove(v)
     return tuple(out)
 
@@ -142,42 +132,51 @@ def enumerate_report(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> En
 def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Verify the grid tower and the bubblesort tower are one resolution.
 
-    Checks that the coordinate-selection map is a bijection between the
-    GF(p) point sets commuting with both projections to the flag
-    manifold, and that the first-block image matches the independent
-    chain oracle.
+    ``grid_to_bs`` sends ``enumerate_shat(w)`` onto ``enumerate_bs`` of the
+    bubblesort word in the same order, so the towers are walked in lockstep
+    and neither is kept: the map is injective when its images increase
+    strictly, and onto the tower when every pair agrees and both walks end
+    together; orders that ever differ fail, never pass.  Each pair must
+    commute with both projections, and the images' first blocks must be
+    the chains of the independent chain tower.
     """
-    report = EnumReport(
-        "bs iso", {"perm": list(w.one_line), "field": p, "budget": budget}
-    )
+    report = EnumReport("bs iso", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
+        n = w.n
         word = bubblesort_word(w)
-        grid_points = list(enumerate_shat(w, p, budget))
-        bs_points = set(enumerate_bs(word, p, budget))
+        # the selection depends on w only: read it once, off a grid of cell indices
+        index_grid = GridPoint(n, p, tuple(tuple((r, c) for c in range(n)) for r in range(n)))
+        cells = grid_to_bs(index_grid, w)  # type: ignore[arg-type]
+        m = n - w(n)
+        grid_count = tower_count = 0
+        injective = image_is_tower = commutes = True
+        prev: BSPoint | None = None
+        first_blocks: set[BSPoint] = set()
+        for pt, b in zip_longest(enumerate_shat(w, p, budget), enumerate_bs(word, p, budget)):
+            tower_count += b is not None
+            if pt is None:
+                image_is_tower = False
+                continue
+            grid_count += 1
+            img = tuple([pt.grid[r][c] for r, c in cells])
+            image_is_tower = image_is_tower and img == b
+            injective = injective and (prev is None or prev < img)
+            prev = img
+            commutes = commutes and project_to_flag(pt) == bs_projection(img, word, p)
+            if m:
+                first_blocks.add(img[:m])
         expected = (p + 1) ** length(w)
-        report.counts["grid_points"] = len(grid_points)
-        report.counts["tower_points"] = len(bs_points)
+        report.counts["grid_points"] = grid_count
+        report.counts["tower_points"] = tower_count
         report.add(
             "counts_match_(p+1)^l",
-            len(grid_points) == expected == len(bs_points),
-            f"{len(grid_points)}, {len(bs_points)} vs {expected}",
+            grid_count == expected == tower_count,
+            f"{grid_count}, {tower_count} vs {expected}",
         )
-
-        mapped = [grid_to_bs(pt, w) for pt in grid_points]
-        image = set(mapped)
-        report.add("map_is_injective", len(image) == len(grid_points))
-        report.add("map_image_is_tower", image == bs_points)
-        del image, bs_points  # as large as the tower; free them before the oracle
-
-        commutes = all(
-            project_to_flag(pt) == bs_projection(img, word, p)
-            for pt, img in zip(grid_points, mapped)
-        )
+        report.add("map_is_injective", injective)
+        report.add("map_image_is_tower", image_is_tower)
         report.add("map_commutes_with_projections", commutes)
-
-        m = w.n - w(w.n)
         if m > 0:
-            first_blocks = {img[:m] for img in mapped}
             oracle = first_block_chains(w, p)
             report.add(
                 "first_block_image_is_chain_tower",

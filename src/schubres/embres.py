@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from schubres.biflag import Flag
 from schubres.exactlin import (
     DEFAULT_BUDGET,
+    InvariantError,
     LinearMap,
     Stage,
     Subspace,
@@ -59,12 +60,13 @@ def kl_points(
 def psi_embed(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[Subspace, ...]:
     """Flag of the map tuple: i-th space is the sum of the first i graphs
     and the first i complements.  Equals the chain-variety flag of the
-    compressed graphs."""
+    compressed graphs; a dimension other than b_i raises InvariantError."""
     out = []
     acc = zero_subspace(cfg.n, cfg.p)
     for i in range(1, cfg.k + 1):
         acc = subspace_sum(acc, subspace_sum(graph(maps[i - 1]), cfg.complement(i)))
-        assert acc.dim == cfg.beta[i - 1]
+        if acc.dim != cfg.beta[i - 1]:
+            raise InvariantError(f"psi_embed space {i} has dimension {acc.dim}, not b_{i}")
         out.append(acc)
     return tuple(out)
 
@@ -75,6 +77,11 @@ def chart_maps(cfg: FrameConfig) -> Iterator[LinearMap]:
     domain = cfg.lines_prefix(cfg.k)
     target = cfg.complements_suffix(1)
     yield from enumerate_maps(domain, target)
+
+
+def chart_graphs(cfg: FrameConfig) -> list[Subspace]:
+    """The graph of each chart map, in ``chart_maps`` order."""
+    return [graph(t) for t in chart_maps(cfg)]
 
 
 def in_chart(cfg: FrameConfig, l: Subspace) -> bool:
@@ -146,9 +153,12 @@ def chart_hits(
     return hits
 
 
-def verify_chart_family(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+def verify_chart_family(
+    cfg: FrameConfig, budget: int = DEFAULT_BUDGET, graphs: Sequence[Subspace] | None = None
+) -> EnumReport:
     """Every chart graph is hit by exactly one flag of the map-space
-    family, with the forced chain; the reconstruction recovers the maps."""
+    family, with the forced chain; the reconstruction recovers the maps.
+    ``graphs`` is ``chart_graphs(cfg)``, built here if not given."""
     report = EnumReport(
         "embres chart",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
@@ -156,13 +166,14 @@ def verify_chart_family(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumR
     with timed(report):
         tuples = list(fixed_map_tuples(cfg))
         flags = [psi_embed(cfg, maps) for maps in tuples]
-        charts = [(t, graph(t)) for t in chart_maps(cfg)]
-        hits = chart_hits((gt for _, gt in charts), flags, cfg.p, budget)
+        if graphs is None:
+            graphs = chart_graphs(cfg)
+        hits = chart_hits(graphs, flags, cfg.p, budget)
         chart_ok = True
         unique_ok = True
         recon_ok = True
         chain_ok = True
-        for t, gt in charts:
+        for t, gt in zip(chart_maps(cfg), graphs, strict=True):
             chart_ok = chart_ok and in_chart(cfg, gt)
             if len(hits[gt]) != 1:
                 unique_ok = False
@@ -178,7 +189,7 @@ def verify_chart_family(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumR
                 chain[i].dim != i + 1 for i in range(cfg.k)
             ) or any(not contains(chain[i + 1], chain[i]) for i in range(cfg.k - 1)):
                 chain_ok = False
-        report.counts["chart_points"] = len(charts)
+        report.counts["chart_points"] = len(graphs)
         report.counts["family_flags"] = len(flags)
         report.add("graphs_lie_in_chart", chart_ok)
         report.add("unique_flag_per_chart_point", unique_ok)
@@ -188,7 +199,9 @@ def verify_chart_family(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumR
     return report
 
 
-def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+def verify_embedded_resolution(
+    cfg: FrameConfig, budget: int = DEFAULT_BUDGET, graphs: Sequence[Subspace] | None = None
+) -> EnumReport:
     """Point-level checks of the embedded-resolution contract.
 
     (a) the top-space map hits every Grassmannian point (empirical);
@@ -196,6 +209,7 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
     (c) preimages of the cell all sit over the special grid point, whose
         fiber is the chain tower of the standard flag and projects onto
         the closed Schubert locus (empirical at this size).
+    ``graphs`` is ``chart_graphs(cfg)``, built here if not given.
     """
     report = EnumReport(
         "embres verify",
@@ -260,8 +274,9 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
         chart_fail: list = []
         diag_graph_ok = True
         late = [cfg.complements_suffix(i + 1) for i in range(1, cfg.k + 1)]
-        for t in chart_maps(cfg):
-            gt = graph(t)
+        if graphs is None:
+            graphs = chart_graphs(cfg)
+        for gt in graphs:
             hits = census.get(gt, [])
             if len(hits) != 1:
                 chart_fail.append(subspace_witness(gt))
@@ -298,9 +313,10 @@ def verify_embedded_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -
 def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """The chart-family and embedded-resolution checks as one report,
     under the ``chart.`` and ``resolution.`` prefixes."""
+    graphs = chart_graphs(cfg)
     return merge_reports(
         "embres verify",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-        chart=verify_chart_family(cfg, budget),
-        resolution=verify_embedded_resolution(cfg, budget),
+        chart=verify_chart_family(cfg, budget, graphs),
+        resolution=verify_embedded_resolution(cfg, budget, graphs),
     )

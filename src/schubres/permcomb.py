@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from schubres.report import EnumReport, timed
@@ -111,6 +111,16 @@ class ReducedWord:
     def __len__(self) -> int:
         return sum(len(b) for b in self.blocks)
 
+    @cached_property
+    def last_occurrences(self) -> tuple[int | None, ...]:
+        """p(i) = 1-based index of the last occurrence of s_i in the word,
+        or None when s_i never occurs (the fixed space F_i is used then).
+        Computed once per word."""
+        out: list[int | None] = [None] * (self.n - 1)
+        for j, d in enumerate(self.letters, start=1):
+            out[d - 1] = j
+        return tuple(out)
+
 
 def bubblesort_word(w: Permutation) -> ReducedWord:
     """The bubblesort reduced word of w.
@@ -130,16 +140,6 @@ def bubblesort_word(w: Permutation) -> ReducedWord:
         blocks.append(block)
     assert tuple(cur) == w.one_line
     return ReducedWord(n, tuple(blocks))
-
-
-def last_occurrence_indices(word: ReducedWord) -> tuple[int | None, ...]:
-    """p(i) = 1-based index of the last occurrence of s_i in the word,
-    or None when s_i never occurs (the fixed space F_i is used then)."""
-    letters = word.letters
-    out: list[int | None] = [None] * (word.n - 1)
-    for j, d in enumerate(letters, start=1):
-        out[d - 1] = j
-    return tuple(out)
 
 
 @dataclass(frozen=True)

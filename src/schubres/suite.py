@@ -171,8 +171,9 @@ def criterion_8_embedded_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport
         for n, k, beta in EMBRES_CONFIGS:
             cfg = grassfib.make_frame(n, 2, beta)
             tag = f"n{n}_beta{'-'.join(map(str, beta))}"
-            r1 = embres.verify_chart_family(cfg, budget)
-            r2 = embres.verify_embedded_resolution(cfg, budget)
+            graphs = embres.chart_graphs(cfg)
+            r1 = embres.verify_chart_family(cfg, budget, graphs)
+            r2 = embres.verify_embedded_resolution(cfg, budget, graphs)
             surj = {c.name: c for c in r2.checks}["hits_whole_grassmannian"]
             report.add(f"{tag}_chart_family", r1.passed)
             report.add(f"{tag}_embedded_resolution", r2.passed)

@@ -17,6 +17,7 @@ from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
+    InvariantError,
     LinearMap,
     Stage,
     Subspace,
@@ -232,11 +233,13 @@ def closed_form_fiber(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
 
 
 def psi_tilde(cfg: FrameConfig, pt: GCalPoint) -> tuple[Subspace, ...]:
-    """Partial flag with i-th space l_i plus the first i complements."""
+    """Partial flag with i-th space l_i plus the first i complements; a
+    dimension other than b_i raises InvariantError."""
     out = []
     for i in range(1, cfg.k + 1):
         s = subspace_sum(pt[i - 1], cfg.complements_prefix(i))
-        assert s.dim == cfg.beta[i - 1]
+        if s.dim != cfg.beta[i - 1]:
+            raise InvariantError(f"psi_tilde space {i} has dimension {s.dim}, not b_{i}")
         out.append(s)
     return tuple(out)
 

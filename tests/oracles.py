@@ -8,8 +8,25 @@ read-offs replace."""
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from schubres.biflag import Flag, GridPoint, standard_frames
-from schubres.bottsamelson import BSPoint
+from schubres import biflag, exactlin, permcomb
+from schubres.biflag import (
+    Flag,
+    GridPoint,
+    enumerate_shat,
+    flag_position,
+    grid_stages,
+    project_to_flag,
+    reconstruct_grid,
+    schubert_cells,
+    standard_frames,
+)
+from schubres.bottsamelson import (
+    BSPoint,
+    bs_projection,
+    enumerate_bs,
+    first_block_chains,
+    grid_to_bs,
+)
 from schubres.embres import KLChain, _cell_test, flag_of_grid, kl_points
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -36,12 +53,25 @@ from schubres.grassfib import FrameConfig, coframe_slice, grassmannian, schubert
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
+    all_permutations,
+    bruhat_leq,
     bs_incidence,
     bubblesort_word,
+    length,
     rank_matrix,
     word_product,
 )
+from schubres.report import EnumReport, subspace_witness, timed
 from schubres.wflag import GCalPoint, GHatPoint, enumerate_ghat
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` of the package, so that a measurement
+    starts from the state of a fresh process."""
+    for mod in (exactlin, biflag, permcomb):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 def identity(n: int) -> Permutation:
@@ -426,3 +456,111 @@ def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subs
     for l in grassmannian(cfg, budget):
         if in_cell(l, *schubert_position(l)):
             yield l
+
+
+def enumerate_grid_flat(
+    w: Permutation, p: int, pinned_last_row: bool, budget: int = DEFAULT_BUDGET
+) -> Iterator[GridPoint]:
+    """``biflag._enumerate_grid`` as one ``tower`` over every cell, each
+    point's rows sliced out of its tuple of choices."""
+    n = w.n
+    frames, _ = standard_frames(n, p)
+    pinned = (frames[1:],) if pinned_last_row else ()
+    for c in tower(grid_stages(w, p, pinned_last_row), p, budget):
+        rows = tuple(c[i : i + n] for i in range(len(c) - n, -1, -n))
+        yield GridPoint(n, p, rows + pinned)
+
+
+def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """``bottsamelson.bbs_iso`` with both towers held: the image of the
+    grid tower as a set against the Bott-Samelson tower as a set."""
+    report = EnumReport("bs iso", {"perm": list(w.one_line), "field": p, "budget": budget})
+    with timed(report):
+        word = bubblesort_word(w)
+        grid_points = list(enumerate_shat(w, p, budget))
+        bs_points = set(enumerate_bs(word, p, budget))
+        expected = (p + 1) ** length(w)
+        report.counts["grid_points"] = len(grid_points)
+        report.counts["tower_points"] = len(bs_points)
+        report.add(
+            "counts_match_(p+1)^l",
+            len(grid_points) == expected == len(bs_points),
+            f"{len(grid_points)}, {len(bs_points)} vs {expected}",
+        )
+        mapped = [grid_to_bs(pt, w) for pt in grid_points]
+        image = set(mapped)
+        report.add("map_is_injective", len(image) == len(grid_points))
+        report.add("map_image_is_tower", image == bs_points)
+        commutes = all(
+            project_to_flag(pt) == bs_projection(img, word, p)
+            for pt, img in zip(grid_points, mapped)
+        )
+        report.add("map_commutes_with_projections", commutes)
+        m = w.n - w(w.n)
+        if m > 0:
+            first_blocks = {img[:m] for img in mapped}
+            oracle = first_block_chains(w, p)
+            report.add(
+                "first_block_image_is_chain_tower",
+                first_blocks == oracle,
+                f"{len(first_blocks)} chains vs oracle {len(oracle)}",
+            )
+        else:
+            report.add("first_block_image_is_chain_tower", True, "empty first block")
+    return report
+
+
+def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """``biflag.verify_flres`` with the grid tower held as a list and every
+    image flag's fiber as a list of its points."""
+    report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
+    with timed(report):
+        points = list(enumerate_shat(w, p, budget))
+        expected = (p + 1) ** length(w)
+        report.counts["tower_points"] = len(points)
+        report.counts["expected_tower_points"] = expected
+        report.add(
+            "tower_count_is_(p+1)^l", len(points) == expected, f"{len(points)} vs {expected}"
+        )
+        by_flag: dict[Flag, list[GridPoint]] = {}
+        for pt in points:
+            by_flag.setdefault(project_to_flag(pt), []).append(pt)
+        below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}
+        outside = [flag for flag in by_flag if flag_position(flag) not in below]
+        witness = [subspace_witness(s) for s in outside[0]] if outside else []
+        report.add("image_in_closed_variety", not outside, witnesses=witness)
+        hits = dict.fromkeys(by_flag, False)
+        cell_points = closed_points = 0
+        bijective = recon_ok = True
+        for u, flag in schubert_cells(w, p, budget):
+            seen = hits.get(flag)
+            if seen or flag_position(flag) != u:
+                continue
+            if seen is not None:
+                hits[flag] = True
+            closed_points += 1
+            if u != w:
+                continue
+            cell_points += 1
+            fiber = by_flag.get(flag, [])
+            if len(fiber) != 1:
+                bijective = False
+            elif fiber[0] != reconstruct_grid(flag, w):
+                recon_ok = False
+        report.counts["cell_points"] = cell_points
+        report.counts["expected_cell_points"] = p ** length(w)
+        report.add(
+            "cell_count_is_p^l",
+            cell_points == p ** length(w),
+            f"{cell_points} vs {p ** length(w)}",
+        )
+        report.add("cell_fibers_are_singletons", bijective)
+        report.add("cell_fiber_is_intersection_grid", recon_ok)
+        report.counts["closed_points"] = closed_points
+        report.add(
+            "image_equals_closed_variety",
+            all(hits.values()) and closed_points == len(hits),
+            "point surjectivity observed at this field size",
+            informational=True,
+        )
+    return report

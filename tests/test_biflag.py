@@ -3,27 +3,40 @@
 import json
 import operator
 from collections import Counter, defaultdict
+from itertools import zip_longest
 
+import oracles
 import pytest
-from oracles import enumerate_complete_flags, flag_rank_profile, grid_is_valid, identity
+from oracles import (
+    enumerate_complete_flags,
+    enumerate_grid_flat,
+    flag_rank_profile,
+    grid_is_valid,
+    identity,
+    verify_flres_by_lists,
+)
 
 from schubres import biflag
 from schubres.biflag import (
     enumerate_flw,
     enumerate_shat,
     flag_position,
-    grid_count_estimate,
+    grid_stages,
     project_to_flag,
     reconstruct_grid,
     schubert_cells,
     standard_frames,
     verify_flres,
 )
-from schubres.exactlin import BudgetExceededError, intersect
+from schubres.exactlin import BudgetExceededError, intersect, tower_bound
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
 
 # every complete flag of these spaces is checked against the rank-profile oracle
 ORACLE_SPACES = [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3)]
+
+# every permutation of these spaces, and the longest word of S_5 at p=2, is
+# walked row by row and checked against the flat tower and the list oracle
+STREAM_SPACES = [(3, 2), (3, 3), (4, 2), (4, 3)]
 
 
 def rank_filter(w, p, mode):
@@ -93,7 +106,7 @@ class TestEnumerateFlw:
 
     def test_estimate_matches_actual(self):
         for w in all_permutations(3):
-            est = grid_count_estimate(w, 2, pinned_last_row=False)
+            est = tower_bound(grid_stages(w, 2, pinned_last_row=False), 2)
             assert est == len(list(enumerate_flw(w, 2)))
 
 
@@ -328,3 +341,108 @@ class TestVerifyFlres:
                     inter = intersect(flag[p - 1], f[q])
                     assert inter.dim >= d[p][q]
                     assert (inter.dim == d[p][q]) == (inter == pt.cell(p, q))
+
+
+class TestRowWalk:
+    """``_enumerate_grid`` against the flat tower over all cells."""
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), *STREAM_SPACES])
+    def test_pinned_order_is_flat_order(self, n, p):
+        for w in all_permutations(n):
+            assert list(enumerate_shat(w, p)) == list(enumerate_grid_flat(w, p, True)), w
+
+    def test_pinned_order_longest_s5(self):
+        w = _longest(5)
+        pairs = zip_longest(enumerate_shat(w, 2), enumerate_grid_flat(w, 2, True))
+        assert all(a == b for a, b in pairs)
+
+    # the full grid of S_4 at p=3 has 18.5 million points, and that of the
+    # longest word of S_4 at p=2 230 thousand; the S_4 case stops at length 3
+    @pytest.mark.parametrize(
+        "n, p, max_length", [(1, 2, 0), (2, 3, 1), (3, 2, 3), (3, 3, 3), (4, 2, 3)]
+    )
+    def test_unpinned_order_is_flat_order(self, n, p, max_length):
+        for w in all_permutations(n):
+            if length(w) <= max_length:
+                assert list(enumerate_flw(w, p)) == list(enumerate_grid_flat(w, p, False)), w
+
+    def test_points_share_rows(self):
+        # a row is built once over each distinct row below it, so the
+        # points hold fewer row objects than there are points
+        points = list(enumerate_shat(_longest(4), 2))
+        rows = {id(row) for pt in points for row in pt.grid}
+        assert len(rows) < len(points) == 3 ** 6
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_refused_before_first_point(self, monkeypatch, pinned):
+        # the whole tower is refused with the flat tower's message, and no
+        # row is walked first
+        w = _longest(4)
+        with pytest.raises(BudgetExceededError) as flat:
+            next(enumerate_grid_flat(w, 3, pinned, budget=100))
+
+        def no_row(stages, p, budget):
+            raise AssertionError("a row was walked")
+
+        monkeypatch.setattr(biflag, "tower", no_row)
+        walk = enumerate_shat if pinned else enumerate_flw
+        with pytest.raises(BudgetExceededError) as rows:
+            next(walk(w, 3, budget=100))
+        assert str(rows.value) == str(flat.value)
+        assert str(rows.value).startswith("tower needs up to ")
+
+
+class TestVerifyFlresStreams:
+    """The one-pass ``verify_flres`` against the list-based oracle."""
+
+    @pytest.mark.parametrize("n, p", STREAM_SPACES)
+    def test_same_report_as_list_oracle(self, n, p):
+        for w in all_permutations(n):
+            got = _without_time(verify_flres(w, p).to_json())
+            assert got == _without_time(verify_flres_by_lists(w, p).to_json()), w
+
+    def test_same_report_longest_s5(self):
+        w = _longest(5)
+        got = _without_time(verify_flres(w, 2).to_json())
+        assert got == _without_time(verify_flres_by_lists(w, 2).to_json())
+
+    def test_two_points_over_a_cell_flag(self, monkeypatch):
+        # a tower that yields a point over the cell twice loses the bijection
+        w = Permutation((2, 3, 1))
+        points = list(enumerate_shat(w, 2))
+        twice = next(pt for pt in points if flag_position(project_to_flag(pt)) == w)
+        for module in (biflag, oracles):
+            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points + [twice]))
+        got = verify_flres(w, 2)
+        assert "cell_fibers_are_singletons" in {c.name for c in got.checks if not c.passed}
+        assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
+
+    def test_swapped_closed_flag_fails_surjectivity(self, monkeypatch):
+        # a closed walk that swaps an image flag for one outside the
+        # variety, at its own position, keeps the count but not the image
+        w = Permutation((2, 3, 1))
+        outside = next(f for u, f in schubert_cells(_longest(3), 2) if u == _longest(3))
+
+        def swapped(w, p, budget):
+            points = list(schubert_cells(w, p, budget))
+            points[0] = (_longest(3), outside)
+            yield from points
+
+        for module in (biflag, oracles):
+            monkeypatch.setattr(module, "schubert_cells", swapped)
+        got = verify_flres(w, 2)
+        surj = next(c for c in got.checks if c.name == "image_equals_closed_variety")
+        assert not surj.passed and got.counts["closed_points"] == 9  # as when not swapped
+        assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
+
+    def test_witness_is_first_outside_flag(self, monkeypatch):
+        # with every position read as the longest word, every image flag
+        # lies outside; the witness is the first one in tower order
+        w = Permutation((2, 3, 1))
+        for module in (biflag, oracles):
+            monkeypatch.setattr(module, "flag_position", lambda flag: _longest(3))
+        got = json.loads(verify_flres(w, 2).to_json())
+        want = json.loads(verify_flres_by_lists(w, 2).to_json())
+        check = next(c for c in got["checks"] if c["name"] == "image_in_closed_variety")
+        assert not check["passed"] and check["witnesses"]
+        assert got["checks"] == want["checks"]

@@ -1,7 +1,10 @@
 """Bott-Samelson towers and the bubblesort grid isomorphism."""
 
+import json
+import tracemalloc
+
 import pytest
-from oracles import bs_point_is_valid, identity
+from oracles import bbs_iso_by_sets, bs_point_is_valid, clear_caches, identity
 
 from schubres import bottsamelson
 from schubres.bottsamelson import (
@@ -12,6 +15,7 @@ from schubres.bottsamelson import (
     grid_to_bs,
 )
 from schubres.biflag import enumerate_shat, standard_frames
+from schubres.report import EnumReport
 from schubres.exactlin import BudgetExceededError
 from schubres.permcomb import (
     Permutation,
@@ -135,3 +139,72 @@ class TestBbsIso:
             fibers.setdefault(pt[:m], []).append(pt)
         sizes = {len(v) for v in fibers.values()}
         assert sizes == {3 ** (length(w) - m)}
+
+
+def _without_time(report: EnumReport) -> dict:
+    out = json.loads(report.to_json())
+    out.pop("wall_time_s")
+    return out
+
+
+class TestLockstep:
+    """The streamed ``bbs_iso`` against the set-based oracle, and faults
+    that put the two towers out of step."""
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_same_report_as_set_oracle(self, n, p):
+        for w in all_permutations(n):
+            assert _without_time(bbs_iso(w, p)) == _without_time(bbs_iso_by_sets(w, p)), w
+
+    def test_same_report_longest_s5(self):
+        w = Permutation((5, 4, 3, 2, 1))
+        assert _without_time(bbs_iso(w, 2)) == _without_time(bbs_iso_by_sets(w, 2))
+
+    @pytest.mark.parametrize("fault", ["repeat", "swap", "short"])
+    def test_out_of_step_tower_fails(self, monkeypatch, fault):
+        w = Permutation((2, 3, 1))
+
+        def faulty(word, p, budget):
+            points = list(enumerate_bs(word, p, budget))
+            if fault == "repeat":
+                points.insert(4, points[4])
+            elif fault == "swap":
+                points[3], points[4] = points[4], points[3]
+            else:
+                points.pop()
+            yield from points
+
+        monkeypatch.setattr(bottsamelson, "enumerate_bs", faulty)
+        rep = bbs_iso(w, 2)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed & {"map_is_injective", "map_image_is_tower"}
+        assert not rep.passed
+
+    @pytest.mark.parametrize("fault", ["repeat", "short"])
+    def test_out_of_step_grid_fails(self, monkeypatch, fault):
+        w = Permutation((2, 3, 1))
+
+        def faulty(w, p, budget):
+            points = list(enumerate_shat(w, p, budget))
+            if fault == "repeat":
+                points[5] = points[4]  # two grid points with one image
+            else:
+                points.pop()
+            yield from points
+
+        monkeypatch.setattr(bottsamelson, "enumerate_shat", faulty)
+        failed = {c.name for c in bbs_iso(w, 2).checks if not c.passed}
+        assert "map_image_is_tower" in failed
+        assert ("map_is_injective" in failed) == (fault == "repeat")
+
+    def test_traced_peak_is_small(self):
+        # neither tower is held: 3^8 points at p=2 peak near 1 MiB, where
+        # holding both towers took 6 MiB
+        clear_caches()
+        tracemalloc.start()
+        try:
+            assert bbs_iso(Permutation((4, 3, 5, 2, 1)), 2).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

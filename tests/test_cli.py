@@ -141,6 +141,30 @@ class TestChecksSurviveOptimize:
         assert code == 1
         assert "InvariantError: graph has dimension 0, its domain 1" in err
 
+    def test_psi_embed_dimension_check(self):
+        # with the sums dropped, the first space of the flag is zero
+        code, err = run_optimized(
+            "import sys\n"
+            "from schubres import cli, embres\n"
+            "assert False, 'asserts are on'\n"
+            "embres.subspace_sum = lambda a, b: a\n"
+            "sys.exit(cli.run(['embres', 'verify', '--n', '4', '--beta', '2,4']))\n"
+        )
+        assert code == 3, err
+        assert "internal error: InvariantError: psi_embed space 1 has dimension 0, not b_1" in err
+
+    def test_psi_tilde_dimension_check(self):
+        # with the complements dropped, space i is the i-dimensional l_i
+        code, err = run_optimized(
+            "from schubres import grassfib, wflag\n"
+            "assert False, 'asserts are on'\n"
+            "cfg = grassfib.make_frame(4, 2, (2, 4))\n"
+            "wflag.subspace_sum = lambda a, b: a\n"
+            "wflag.psi_tilde(cfg, (cfg.lines_prefix(1), cfg.lines_prefix(2)))\n"
+        )
+        assert code == 1
+        assert "InvariantError: psi_tilde space 1 has dimension 1, not b_1" in err
+
 
 class TestEnumerationCommands:
     def test_biflag_enumerate(self, capsys):

@@ -12,7 +12,6 @@ from schubres.permcomb import (
     bs_incidence,
     bubblesort_word,
     jump_points,
-    last_occurrence_indices,
     length,
     rank_matrix,
     word_product,
@@ -140,11 +139,11 @@ class TestBubblesort:
 class TestLastOccurrence:
     def test_identity_all_absent(self):
         word = bubblesort_word(identity(4))
-        assert last_occurrence_indices(word) == (None, None, None)
+        assert word.last_occurrences == (None, None, None)
 
     def test_simple_word(self):
         word = bubblesort_word(Permutation((2, 3, 1)))
-        assert last_occurrence_indices(word) == (1, 2)
+        assert word.last_occurrences == (1, 2)
 
     def test_formula_discrepancy_witness(self):
         # with an empty block the closed formula counts past the last
@@ -152,13 +151,13 @@ class TestLastOccurrence:
         w = Permutation((2, 3, 1))
         word = bubblesort_word(w)
         assert cumulative_block_formula(w) == (2, 2)
-        assert last_occurrence_indices(word) == (1, 2)
+        assert word.last_occurrences == (1, 2)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_formula_agrees_when_final_block_nonempty(self, n):
         for w in all_permutations(n):
             word = bubblesort_word(w)
-            occ = last_occurrence_indices(word)
+            occ = word.last_occurrences
             formula = cumulative_block_formula(w)
             for i in range(1, n):
                 # block t_{n-i} ends with s_i whenever it is nonempty
