@@ -29,13 +29,10 @@ from schubres.exactlin import (
     BudgetExceededError,
     Stage,
     Subspace,
-    check_field,
+    coordinate_space,
     intersect,
-    span,
     tower,
     tower_bound,
-    unit_vector,
-    zero_subspace,
 )
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
 from schubres.report import EnumReport, subspace_witness, timed
@@ -52,20 +49,13 @@ class GridPoint:
     p: int
     grid: tuple[Row, ...]
 
-    def cell(self, row: int, col: int) -> Subspace:
-        """1-based access; row or column 0 is the zero subspace."""
-        if row == 0 or col == 0:
-            return zero_subspace(self.n, self.p)
-        return self.grid[row - 1][col - 1]
-
 
 @lru_cache(maxsize=None)
 def standard_frames(n: int, p: int) -> tuple[Flag, Flag]:
     """The increasing flag F_i = <e_1..e_i> and decreasing complement
     G^i = <e_{i+1}..e_n>, both indexed 0..n.  Built once per (n, p)."""
-    check_field(p)
-    f = tuple(span([unit_vector(j, n) for j in range(i)], n, p) for i in range(n + 1))
-    g = tuple(span([unit_vector(j, n) for j in range(i, n)], n, p) for i in range(n + 1))
+    f = tuple(coordinate_space(range(i), n, p) for i in range(n + 1))
+    g = tuple(coordinate_space(range(i, n), n, p) for i in range(n + 1))
     return f, g
 
 

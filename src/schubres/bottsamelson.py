@@ -15,8 +15,6 @@ from itertools import zip_longest
 from typing import Iterator
 
 from schubres.biflag import (
-    Flag,
-    GridPoint,
     enumerate_shat,
     project_to_flag,
     standard_frames,
@@ -65,27 +63,19 @@ def enumerate_bs(
     yield from tower(bs_stages(word, p), p, budget)
 
 
-def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
-    """Flag component i is the subspace at the last occurrence of s_i,
-    falling back to the fixed F_i for letters that never occur."""
-    frames, _ = standard_frames(word.n, p)
-    occ = word.last_occurrences
-    flag = [frames[i] if j is None else point[j - 1] for i, j in enumerate(occ, start=1)]
-    return tuple(flag) + (frames[word.n],)
+def bs_cells(w: Permutation) -> tuple[tuple[int, int], ...]:
+    """The 0-based grid cells (row, column) whose entries, in order, are
+    the tower coordinates of a pinned grid point of w.
 
-
-def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
-    """Read the tower coordinates of a pinned grid point.
-
-    Stage s emits the entries of grid row n-s at the still-active
+    Stage s reads the entries of grid row n-s at the still-active
     columns larger than the value w(n-s+1), then retires that value's
-    column; the emitted dimensions match the bubblesort block letters.
+    column; the dimensions read match the bubblesort block letters.
     """
-    cols = list(range(1, pt.n + 1))
-    out: list[Subspace] = []
-    for row in range(pt.n - 1, 0, -1):
+    cols = list(range(1, w.n + 1))
+    out: list[tuple[int, int]] = []
+    for row in range(w.n - 1, 0, -1):
         v = w(row + 1)
-        out += [pt.cell(row, q) for q in cols if q > v]
+        out += [(row - 1, q - 1) for q in cols if q > v]
         cols.remove(v)
     return tuple(out)
 
@@ -132,21 +122,23 @@ def enumerate_report(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> En
 def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Verify the grid tower and the bubblesort tower are one resolution.
 
-    ``grid_to_bs`` sends ``enumerate_shat(w)`` onto ``enumerate_bs`` of the
-    bubblesort word in the same order, so the towers are walked in lockstep
-    and neither is kept: the map is injective when its images increase
-    strictly, and onto the tower when every pair agrees and both walks end
-    together; orders that ever differ fail, never pass.  Each pair must
-    commute with both projections, and the images' first blocks must be
-    the chains of the independent chain tower.
+    The entries at ``bs_cells(w)`` send ``enumerate_shat(w)`` onto
+    ``enumerate_bs`` of the bubblesort word in the same order, so the
+    towers are walked in lockstep and neither is kept: the map is
+    injective when its images increase strictly, and onto the tower when
+    every pair agrees and both walks end together; orders that ever
+    differ fail, never pass.  Each pair must commute with both
+    projections, and the images' first blocks must be the chains of the
+    independent chain tower.
     """
     report = EnumReport("bs iso", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
         n = w.n
         word = bubblesort_word(w)
-        # the selection depends on w only: read it once, off a grid of cell indices
-        index_grid = GridPoint(n, p, tuple(tuple((r, c) for c in range(n)) for r in range(n)))
-        cells = grid_to_bs(index_grid, w)  # type: ignore[arg-type]
+        # what is read of each point depends on w only: read it once
+        cells = bs_cells(w)
+        frames, _ = standard_frames(n, p)
+        slots = word.last_occurrences
         m = n - w(n)
         grid_count = tower_count = 0
         injective = image_is_tower = commutes = True
@@ -162,7 +154,9 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
             image_is_tower = image_is_tower and img == b
             injective = injective and (prev is None or prev < img)
             prev = img
-            commutes = commutes and project_to_flag(pt) == bs_projection(img, word, p)
+            # flag space i is at the last s_i, or the fixed F_i without one
+            flag = [frames[i] if j is None else img[j - 1] for i, j in enumerate(slots, start=1)]
+            commutes = commutes and project_to_flag(pt) == tuple(flag) + (frames[n],)
             if m:
                 first_blocks.add(img[:m])
         expected = (p + 1) ** length(w)

@@ -21,6 +21,7 @@ length(w) + n - 1.
 
 from __future__ import annotations
 
+from schubres.exactlin import InvariantError
 from schubres.permcomb import Permutation, length, rank_matrix
 from schubres.report import EnumReport, timed
 
@@ -38,10 +39,12 @@ def build_building(w: Permutation) -> tuple[tuple[Label, ...], ...]:
     for level in range(1, n + 1):
         floors[level].sort()
         firsts = [a for a, _ in floors[level]]
-        assert firsts == sorted(set(firsts)), "floor labels must have distinct rows"
+        if firsts != sorted(set(firsts)):
+            raise InvariantError(f"floor {level} labels share a row: {floors[level]}")
         for (a, b), (c, d) in zip(floors[level], floors[level][1:]):
             floors[level + 1].append((max(a, c), max(b, d)))
-    assert floors[n] == [(n, n)], "the discarded top apartment must be (n, n)"
+    if floors[n] != [(n, n)]:
+        raise InvariantError(f"the top floor is {floors[n]}, not the apartment ({n}, {n})")
     return tuple(tuple(f) for f in floors[1:n])
 
 

@@ -54,14 +54,6 @@ def check_field(p: int) -> None:
         raise ValueError(f"field modulus must be a prime <= {MAX_FIELD}, got {p}")
 
 
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_scale(c: int, v: Vec, p: int) -> Vec:
-    return tuple((c * a) % p for a in v)
-
-
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row echelon form of a matrix over GF(p).
 
@@ -197,12 +189,22 @@ def zero_subspace(n: int, p: int) -> Subspace:
     return Subspace(n, p, (), ())
 
 
+def coordinate_space(coords: Iterable[int], n: int, p: int) -> Subspace:
+    """The span of the unit vectors e_c, c in ``coords`` (0-based).
+
+    Unit rows in increasing coordinate order are reduced already, so
+    they are the canonical basis and their coordinates the pivots.
+    """
+    check_field(p)
+    pivots = tuple(sorted(set(coords)))
+    if pivots and not 0 <= pivots[0] <= pivots[-1] < n:
+        raise ValueError(f"coordinates {pivots} out of range 0..{n - 1}")
+    rows = tuple(tuple(1 if j == c else 0 for j in range(n)) for c in pivots)
+    return Subspace(n, p, rows, pivots)
+
+
 def full_space(n: int, p: int) -> Subspace:
-    return span([unit_vector(i, n) for i in range(n)], n, p)
-
-
-def unit_vector(i: int, n: int) -> Vec:
-    return tuple(1 if j == i else 0 for j in range(n))
+    return coordinate_space(range(n), n, p)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -338,34 +340,44 @@ def gaussian_binomial(m: int, j: int, p: int) -> int:
     return num // den
 
 
+def _echelon_forms(v: Subspace, piv: tuple[int, ...]) -> Iterator[Subspace]:
+    """The Schubert cell of v with pivot rows ``piv``: each point's
+    echelon form in v's canonical rows, one per choice of free entries.
+
+    Read through v's canonical rows, row r is 1 at v's pivot piv[r] and
+    0 at the other chosen pivots: it is v's row piv[r] plus multiples of
+    v's rows past it outside ``piv``.  Each row of v is 0 before its own
+    pivot, 1 there and 0 at v's other pivots, so row r starts at its
+    pivot and the rows are the reduced echelon form: every point is
+    built canonical, with no row reduction.  Points run in the order of
+    their free entries, row by row; each row's choices are built once.
+    """
+    n, p, basis = v.n, v.p, v.basis
+    choices = []
+    for q in piv:
+        free = [c for c in range(q + 1, v.dim) if c not in piv]
+        rows = []
+        for xs in itertools.product(range(p), repeat=len(free)):
+            row = basis[q]
+            for c, x in zip(free, xs):
+                if x:
+                    row = tuple([(a + x * b) % p for a, b in zip(row, basis[c])])
+            rows.append(row)
+        choices.append(rows)
+    pivots = tuple(v.pivots[q] for q in piv)
+    for rows in itertools.product(*choices):
+        yield Subspace(n, p, rows, pivots)
+
+
 @lru_cache(maxsize=None)
 def _subspaces_tuple(v: Subspace, j: int) -> tuple[Subspace, ...]:
-    m = v.dim
-    if j < 0 or j > m:
+    """The j-dimensional subspaces of v, sorted: the union of the cells of
+    ``_echelon_forms`` over all j-sets of pivot rows."""
+    if j < 0:
         return ()
-    if j == 0:
-        return (zero_subspace(v.n, v.p),)
-    p = v.p
-    out = []
-    for piv in itertools.combinations(range(m), j):
-        pivset = set(piv)
-        free = [(r, c) for r in range(j) for c in range(m) if c > piv[r] and c not in pivset]
-        for vals in itertools.product(range(p), repeat=len(free)):
-            coord = [[0] * m for _ in range(j)]
-            for r in range(j):
-                coord[r][piv[r]] = 1
-            for (r, c), val in zip(free, vals):
-                coord[r][c] = val
-            rows = []
-            for r in range(j):
-                w = (0,) * v.n
-                for c in range(m):
-                    if coord[r][c]:
-                        w = vec_add(w, vec_scale(coord[r][c], v.basis[c], p), p)
-                rows.append(w)
-            out.append(span(rows, v.n, p))
-    out.sort()
-    return tuple(out)
+    return tuple(
+        sorted(s for piv in itertools.combinations(range(v.dim), j) for s in _echelon_forms(v, piv))
+    )
 
 
 def enumerate_subspaces(v: Subspace, j: int) -> Iterator[Subspace]:

@@ -25,18 +25,18 @@ from schubres.exactlin import (
     InvariantError,
     LinearMap,
     Subspace,
-    canonical_complement,
+    _echelon_forms,
     check_field,
     contains,
+    coordinate_space,
     enumerate_maps,
     enumerate_subspaces,
+    full_space,
     gaussian_binomial,
     graph_rows,
-    intersect,
     rref,
     span,
     subspace_sum,
-    unit_vector,
     zero_subspace,
 )
 from schubres.report import EnumReport, subspace_witness, timed
@@ -49,54 +49,67 @@ def check_multi_index(beta: tuple[int, ...], n: int) -> None:
         raise ValueError(f"multi-index {beta} out of range 1..{n}")
 
 
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class FrameConfig:
-    """The fixed frame data attached to (n, p, beta).
+    """The fixed frame of (n, p, beta), built from coordinates.
 
-    ``lines[i-1]`` and ``complements[i-1]`` split window i; index k+1 of
-    a complement means the tail G^{beta_k}.  ``nested(j, i)`` is the sum
-    of the first j lines and the complements past window i.  The sums
-    are built once, when the frame is made.
-
-    Window i is the block of consecutive coordinates ``window_bounds(i)``;
-    its line is the unit vector at the block's first coordinate and its
-    complement the unit vectors at the others.  The graphs, projections
-    and base points of this module, ``wflag`` and ``embres`` are read off
-    these blocks.
+    Window i is the block of coordinates ``window_bounds(i)``, that is
+    F_{b_i} ∩ G^{b_{i-1}}.  Its line is the unit vector at its first
+    coordinate, its complement the unit vectors at the others, and the
+    tail G^{b_k} the block past the last window; index k+1 of a
+    complement means the tail.  ``nested(j, i)`` sums the first j lines
+    and the complements past window i.  Each space and sum is the span of
+    unit vectors, built canonical by ``coordinate_space`` once, when the
+    frame is made from (n, p, beta).  The graphs, projections and base
+    points of this module, ``wflag`` and ``embres`` are read off the
+    blocks.
     """
 
     n: int
     p: int
     beta: tuple[int, ...]
-    frames: Flag                       # F_0 .. F_n
-    coframes: Flag                     # G^0 .. G^n
-    windows: tuple[Subspace, ...]      # window i = F_{b_i} ∩ G^{b_{i-1}}
-    lines: tuple[Subspace, ...]
-    complements: tuple[Subspace, ...]  # within the windows
-    tail: Subspace                     # G^{beta_k}
-    _lines_prefix: tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
-    _complements_prefix: tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
-    _complements_suffix: tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
-    _nested: dict[tuple[int, int], Subspace] = field(init=False, repr=False, compare=False)
+    frames: Flag = _derived()  # F_0 .. F_n
+    coframes: Flag = _derived()  # G^0 .. G^n
+    windows: tuple[Subspace, ...] = _derived()
+    lines: tuple[Subspace, ...] = _derived()
+    complements: tuple[Subspace, ...] = _derived()  # within the windows
+    tail: Subspace = _derived()
+    _lines_prefix: tuple[Subspace, ...] = _derived()
+    _complements_prefix: tuple[Subspace, ...] = _derived()
+    _complements_suffix: tuple[Subspace, ...] = _derived()
+    _nested: dict[tuple[int, int], Subspace] = _derived()
 
     def __post_init__(self) -> None:
-        zero = zero_subspace(self.n, self.p)
-        comps = self.complements + (self.tail,)
+        n, p, k = self.n, self.p, self.k
+        edges = (0,) + self.beta + (n,)
+        frames, coframes = standard_frames(n, p)
 
-        def partial_sums(spaces: Iterable[Subspace]) -> tuple[Subspace, ...]:
-            return tuple(itertools.accumulate(spaces, subspace_sum, initial=zero))
+        def space(*blocks: Iterable[int]) -> Subspace:
+            return coordinate_space(itertools.chain(*blocks), n, p)
 
-        lines_prefix = partial_sums(self.lines)  # entry i: lines 1..i
-        suffix = partial_sums(reversed(comps))[::-1]  # entry i: complements i+1..k+1
-        nested = {
-            (j, i): subspace_sum(lines_prefix[j], suffix[i])
-            for i in range(self.k + 1)
-            for j in range(i + 1)
+        firsts = edges[:k]  # the coordinate of each window's line
+        comps = [range(edges[i] + 1, edges[i + 1]) for i in range(k)] + [range(edges[k], n)]
+        derived = {
+            "frames": frames,
+            "coframes": coframes,
+            "windows": tuple(space(range(edges[i], edges[i + 1])) for i in range(k)),
+            "lines": tuple(space((c,)) for c in firsts),
+            "complements": tuple(space(c) for c in comps[:k]),
+            "tail": space(comps[k]),
+            "_lines_prefix": tuple(space(firsts[:i]) for i in range(k + 1)),
+            "_complements_prefix": tuple(space(*comps[:i]) for i in range(k + 2)),
+            # entry i: complements i+1..k+1
+            "_complements_suffix": tuple(space(*comps[i:]) for i in range(k + 2)),
+            "_nested": {
+                (j, i): space(firsts[:j], *comps[i:]) for i in range(k + 1) for j in range(i + 1)
+            },
         }
-        object.__setattr__(self, "_lines_prefix", lines_prefix)
-        object.__setattr__(self, "_complements_prefix", partial_sums(comps))
-        object.__setattr__(self, "_complements_suffix", suffix)
-        object.__setattr__(self, "_nested", nested)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -138,38 +151,28 @@ class FrameConfig:
 
 
 def make_frame(n: int, p: int, beta: tuple[int, ...]) -> FrameConfig:
-    """Build the frame whose line in each window is its first unit vector."""
+    """The frame of (n, p, beta), once the three are checked."""
     check_field(p)
     beta = tuple(beta)
     check_multi_index(beta, n)
-    frames, coframes = standard_frames(n, p)
-    k = len(beta)
-    windows = tuple(
-        intersect(frames[beta[i - 1]], coframes[beta[i - 2] if i >= 2 else 0])
-        for i in range(1, k + 1)
-    )
-    prev = (0,) + beta
-    lines = tuple(span([unit_vector(prev[i - 1], n)], n, p) for i in range(1, k + 1))
-    complements = tuple(
-        canonical_complement(lines[i - 1], windows[i - 1]) for i in range(1, k + 1)
-    )
-    cfg = FrameConfig(
-        n, p, beta, frames, coframes, windows, lines, complements, coframes[beta[-1]]
-    )
-    for i in range(1, k + 1):
-        assert subspace_sum(cfg.line(i), cfg.complement(i)) == cfg.window(i)
-        assert intersect(cfg.line(i), cfg.complement(i)).dim == 0
-    return cfg
+    return FrameConfig(n, p, beta)
 
 
 def moving_complements(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
-    """Deterministic complements of moving window lines, tail appended."""
+    """Deterministic complements of moving window lines, tail appended.
+
+    The complement of a line in window i is spanned by the window's unit
+    vectors other than the one at the line's pivot: the canonical
+    complement, as the window's canonical rows are those unit vectors and
+    the line's first nonzero coordinate in the window is its pivot.
+    """
+    out = []
     for i, line in enumerate(lines, start=1):
         if line.dim != 1 or not contains(cfg.window(i), line):
             raise ValueError(f"moving line {i} must be a line in window {i}")
-    return tuple(
-        canonical_complement(line, cfg.window(i)) for i, line in enumerate(lines, start=1)
-    ) + (cfg.tail,)
+        lo, hi = cfg.window_bounds(i)
+        out.append(coordinate_space(set(range(lo, hi)) - set(line.pivots), cfg.n, cfg.p))
+    return tuple(out) + (cfg.tail,)
 
 
 def _sum_all(spaces: Iterable[Subspace], n: int, p: int) -> Subspace:
@@ -322,29 +325,23 @@ def grassmannian_cells(
     """The Schubert cells of Gr_k(GF(p)^n) whose jump set passes ``keep``,
     as one union in ``enumerate_subspaces`` order.
 
-    The jump set is c, or a with ``reverse``.  A point of the c cell has
-    one echelon form: a 1 at each coordinate c_j - 1 (0-based) and a free
-    entry at each later coordinate outside those; that form is already
-    canonical.  The same forms read with the coordinates reversed give the
-    a cells, and each of their points takes one row reduction.
+    The jump set is c, or a with ``reverse``.  The c cell is the chart of
+    echelon forms with a 1 at each coordinate c_j - 1 (0-based), whose
+    points ``_echelon_forms`` builds canonical.  The same forms read with
+    the coordinates reversed give the a cells, and each of their points
+    takes one row reduction.
     """
     n, p = cfg.n, cfg.p
-    points = []
+    full = full_space(n, p)
+    points: list[Subspace] = []
     for jumps in itertools.combinations(range(1, n + 1), cfg.k):
         if not keep(jumps):
             continue
-        pivots = tuple(n - j for j in reversed(jumps)) if reverse else tuple(j - 1 for j in jumps)
-        free = [(r, c) for r, q in enumerate(pivots) for c in range(q + 1, n) if c not in pivots]
-        for entries in itertools.product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in pivots]
-            for row, q in zip(rows, pivots):
-                row[q] = 1
-            for (r, c), x in zip(free, entries):
-                rows[r][c] = x
-            if reverse:
-                points.append(span([row[::-1] for row in rows], n, p))
-            else:
-                points.append(Subspace(n, p, tuple(map(tuple, rows)), pivots))
+        if reverse:
+            forms = _echelon_forms(full, tuple(n - j for j in reversed(jumps)))
+            points += (span([row[::-1] for row in form.basis], n, p) for form in forms)
+        else:
+            points += _echelon_forms(full, tuple(j - 1 for j in jumps))
     points.sort()
     yield from points
 
@@ -483,12 +480,12 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     )
     with timed(report):
         inputs = 0
-        image: dict[Subspace, tuple] = {}
+        image: set[Subspace] = set()
         fiber_ok = True
         for lines, targets, maps in map_inputs(cfg, phi_targets):
             out = phi(cfg, lines, targets, maps)
             inputs += 1
-            image[out] = (lines, maps)
+            image.add(out)
             if recover_lines_from_open(cfg, out) != lines:
                 fiber_ok = False
         report.counts["inputs"] = inputs
@@ -500,8 +497,8 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         report.counts["regular_locus_points"] = len(open_set)
         report.add(
             "image_equals_regular_locus",
-            set(image) == open_set,
-            witnesses=[subspace_witness(s) for s in sorted(set(image) ^ open_set)][:3],
+            image == open_set,
+            witnesses=[subspace_witness(s) for s in sorted(image ^ open_set)][:3],
         )
         predicted = base_point_count(cfg) * cfg.p ** hom_rank(cfg)
         report.counts["predicted_points"] = predicted
@@ -518,12 +515,12 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
     )
     with timed(report):
         inputs = 0
-        image: dict[Subspace, tuple] = {}
+        image: set[Subspace] = set()
         fiber_ok = True
         for lines, targets, maps in map_inputs(cfg, phi_star_targets):
             out = phi_star(cfg, lines, targets, maps)
             inputs += 1
-            image[out] = (lines, maps)
+            image.add(out)
             if recover_lines_from_star(cfg, out) != lines:
                 fiber_ok = False
         report.counts["inputs"] = inputs
@@ -533,7 +530,7 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
 
         star_set = set(vbeta_points(cfg, "star_open", budget))
         report.counts["conjugate_locus_points"] = len(star_set)
-        report.add("image_equals_conjugate_locus", set(image) == star_set)
+        report.add("image_equals_conjugate_locus", image == star_set)
         predicted = base_point_count(cfg) * cfg.p ** hom_star_rank(cfg)
         report.counts["predicted_points"] = predicted
         report.add("count_identity", len(star_set) == predicted)

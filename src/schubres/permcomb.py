@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
+from schubres.exactlin import InvariantError
 from schubres.report import EnumReport, timed
 
 
@@ -138,7 +139,8 @@ def bubblesort_word(w: Permutation) -> ReducedWord:
         for i in block:
             cur[i - 1], cur[i] = cur[i], cur[i - 1]
         blocks.append(block)
-    assert tuple(cur) == w.one_line
+    if tuple(cur) != w.one_line:
+        raise InvariantError(f"bubblesort of {w.one_line} ends at {tuple(cur)}")
     return ReducedWord(n, tuple(blocks))
 
 

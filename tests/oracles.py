@@ -3,7 +3,9 @@ fast paths are checked against; nothing in the package calls them.
 
 Among them is the generic linear-map path (``solve_coords``, ``project``,
 ``apply``, ``linear_map_from_pairs``) that the package's coordinate
-read-offs replace."""
+read-offs replace, and the subspace arithmetic (``frame_by_arithmetic``,
+``subspaces_by_span``) that its coordinate-built frames and echelon
+charts replace."""
 
 import itertools
 from typing import Iterable, Iterator, Sequence
@@ -20,13 +22,7 @@ from schubres.biflag import (
     schubert_cells,
     standard_frames,
 )
-from schubres.bottsamelson import (
-    BSPoint,
-    bs_projection,
-    enumerate_bs,
-    first_block_chains,
-    grid_to_bs,
-)
+from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
 from schubres.embres import KLChain, _cell_test, flag_of_grid, kl_points
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -36,6 +32,7 @@ from schubres.exactlin import (
     Stage,
     Subspace,
     Vec,
+    canonical_complement,
     contains,
     enumerate_between,
     gaussian_binomial,
@@ -46,8 +43,7 @@ from schubres.exactlin import (
     subspace_sum,
     tower,
     tower_bound,
-    vec_add,
-    vec_scale,
+    zero_subspace,
 )
 from schubres.grassfib import FrameConfig, coframe_slice, grassmannian, schubert_position
 from schubres.permcomb import (
@@ -77,6 +73,94 @@ def clear_caches() -> None:
 def identity(n: int) -> Permutation:
     """The identity permutation of S_n."""
     return Permutation(tuple(range(1, n + 1)))
+
+
+def unit_vector(i: int, n: int) -> Vec:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def vec_add(u: Vec, v: Vec, p: int) -> Vec:
+    return tuple((a + b) % p for a, b in zip(u, v))
+
+
+def vec_scale(c: int, v: Vec, p: int) -> Vec:
+    return tuple((c * a) % p for a in v)
+
+
+def frame_by_arithmetic(n: int, p: int, beta: tuple[int, ...]) -> dict:
+    """The frame spaces and sum tables of ``FrameConfig`` by subspace
+    arithmetic: window i is F_{b_i} ∩ G^{b_{i-1}}, line i the span of
+    e_{b_{i-1}+1}, complement i its canonical complement in the window,
+    and each table a run of ``subspace_sum``s.  Keyed like the
+    ``FrameConfig`` fields, with the sum tables as tuples and a dict."""
+    frames, coframes = standard_frames(n, p)
+    k = len(beta)
+    prev = (0,) + beta
+    windows = tuple(intersect(frames[beta[i]], coframes[prev[i]]) for i in range(k))
+    lines = tuple(span([unit_vector(prev[i], n)], n, p) for i in range(k))
+    complements = tuple(canonical_complement(l, w) for l, w in zip(lines, windows))
+    for l, c, w in zip(lines, complements, windows):
+        assert subspace_sum(l, c) == w and intersect(l, c).dim == 0
+    tail = coframes[beta[-1]]
+    zero = zero_subspace(n, p)
+
+    def partial_sums(spaces: Iterable[Subspace]) -> tuple[Subspace, ...]:
+        return tuple(itertools.accumulate(spaces, subspace_sum, initial=zero))
+
+    comps = complements + (tail,)
+    lines_prefix = partial_sums(lines)
+    suffix = partial_sums(reversed(comps))[::-1]
+    return {
+        "frames": frames,
+        "coframes": coframes,
+        "windows": windows,
+        "lines": lines,
+        "complements": complements,
+        "tail": tail,
+        "lines_prefix": lines_prefix,
+        "complements_prefix": partial_sums(comps),
+        "complements_suffix": suffix,
+        "nested": {
+            (j, i): subspace_sum(lines_prefix[j], suffix[i])
+            for i in range(k + 1)
+            for j in range(i + 1)
+        },
+    }
+
+
+def moving_complements_by_arithmetic(
+    cfg: FrameConfig, lines: tuple[Subspace, ...]
+) -> tuple[Subspace, ...]:
+    """The canonical complement of each moving line in its window, tail
+    appended."""
+    comps = (canonical_complement(l, cfg.window(i)) for i, l in enumerate(lines, start=1))
+    return tuple(comps) + (cfg.tail,)
+
+
+def subspaces_by_span(v: Subspace, j: int) -> tuple[Subspace, ...]:
+    """The j-dimensional subspaces of v, sorted: every echelon form in
+    v's canonical rows, each spanned and reduced afresh."""
+    m, p = v.dim, v.p
+    if j < 0 or j > m:
+        return ()
+    out = []
+    for piv in itertools.combinations(range(m), j):
+        free = [(r, c) for r in range(j) for c in range(m) if c > piv[r] and c not in piv]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            coord = [[0] * m for _ in range(j)]
+            for r in range(j):
+                coord[r][piv[r]] = 1
+            for (r, c), val in zip(free, vals):
+                coord[r][c] = val
+            rows = []
+            for r in range(j):
+                w = (0,) * v.n
+                for c in range(m):
+                    if coord[r][c]:
+                        w = vec_add(w, vec_scale(coord[r][c], v.basis[c], p), p)
+                rows.append(w)
+            out.append(span(rows, v.n, p))
+    return tuple(sorted(out))
 
 
 def vectors(s: Subspace) -> Iterator[Vec]:
@@ -326,14 +410,44 @@ def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
     n = pt.n
     for row in range(1, n + 1):
         for col in range(1, n + 1):
-            s = pt.cell(row, col)
+            s = cell(pt, row, col)
             if s.dim != d[row][col]:
                 return False
-            if col < n and not contains(pt.cell(row, col + 1), s):
+            if col < n and not contains(cell(pt, row, col + 1), s):
                 return False
-            if row < n and not contains(pt.cell(row + 1, col), s):
+            if row < n and not contains(cell(pt, row + 1, col), s):
                 return False
     return True
+
+
+def cell(pt: GridPoint, row: int, col: int) -> Subspace:
+    """The cell of ``pt`` in row ``row``, column ``col``, both 1-based;
+    row or column 0 is the zero subspace."""
+    if row == 0 or col == 0:
+        return zero_subspace(pt.n, pt.p)
+    return pt.grid[row - 1][col - 1]
+
+
+def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
+    """The tower coordinates of a pinned grid point, read cell by cell:
+    stage s takes the entries of grid row n-s at the still-active
+    columns larger than w(n-s+1), then retires that value's column."""
+    cols = list(range(1, pt.n + 1))
+    out: list[Subspace] = []
+    for row in range(pt.n - 1, 0, -1):
+        v = w(row + 1)
+        out += [cell(pt, row, q) for q in cols if q > v]
+        cols.remove(v)
+    return tuple(out)
+
+
+def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
+    """Flag component i is the subspace at the last occurrence of s_i,
+    falling back to the fixed F_i for letters that never occur."""
+    frames, _ = standard_frames(word.n, p)
+    occ = word.last_occurrences
+    flag = [frames[i] if j is None else point[j - 1] for i, j in enumerate(occ, start=1)]
+    return tuple(flag) + (frames[word.n],)
 
 
 def bs_point_is_valid(point: BSPoint, word: ReducedWord, p: int) -> bool:

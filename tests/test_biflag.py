@@ -8,6 +8,7 @@ from itertools import zip_longest
 import oracles
 import pytest
 from oracles import (
+    cell,
     enumerate_complete_flags,
     enumerate_grid_flat,
     flag_rank_profile,
@@ -90,8 +91,8 @@ class TestEnumerateFlw:
         pts = list(enumerate_flw(Permutation((2, 1)), 2))
         assert len(pts) == 9
         for pt in pts:
-            assert pt.cell(1, 1).dim == 0
-            assert pt.cell(1, 2).dim == 1
+            assert cell(pt, 1, 1).dim == 0
+            assert cell(pt, 1, 2).dim == 1
         # pinning the bottom row leaves the single free line
         assert len(list(enumerate_shat(Permutation((2, 1)), 2))) == 3
 
@@ -127,7 +128,7 @@ class TestEnumerateShat:
         f, _ = standard_frames(3, 2)
         for pt in enumerate_shat(w, 2):
             for q in range(1, 4):
-                assert pt.cell(3, q) == f[q]
+                assert cell(pt, 3, q) == f[q]
             assert grid_is_valid(pt, w)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -340,7 +341,7 @@ class TestVerifyFlres:
                 for q in range(1, 4):
                     inter = intersect(flag[p - 1], f[q])
                     assert inter.dim >= d[p][q]
-                    assert (inter.dim == d[p][q]) == (inter == pt.cell(p, q))
+                    assert (inter.dim == d[p][q]) == (inter == cell(pt, p, q))
 
 
 class TestRowWalk:

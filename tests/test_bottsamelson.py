@@ -4,16 +4,18 @@ import json
 import tracemalloc
 
 import pytest
-from oracles import bbs_iso_by_sets, bs_point_is_valid, clear_caches, identity
+from oracles import (
+    bbs_iso_by_sets,
+    bs_point_is_valid,
+    bs_projection,
+    cell,
+    clear_caches,
+    grid_to_bs,
+    identity,
+)
 
 from schubres import bottsamelson
-from schubres.bottsamelson import (
-    bbs_iso,
-    bs_projection,
-    enumerate_bs,
-    first_block_chains,
-    grid_to_bs,
-)
+from schubres.bottsamelson import bbs_iso, bs_cells, enumerate_bs, first_block_chains
 from schubres.biflag import enumerate_shat, standard_frames
 from schubres.report import EnumReport
 from schubres.exactlin import BudgetExceededError
@@ -78,13 +80,23 @@ class TestGridToBs:
         w = Permutation((2, 1))
         for pt in enumerate_shat(w, 2):
             (v1,) = grid_to_bs(pt, w)
-            assert v1 == pt.cell(1, 2)
+            assert v1 == cell(pt, 1, 2)
 
     def test_image_is_valid(self):
         w = Permutation((3, 1, 2))
         word = bubblesort_word(w)
         for pt in enumerate_shat(w, 2):
             assert bs_point_is_valid(grid_to_bs(pt, w), word, 2)
+
+
+class TestBsCells:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reads_grid_to_bs(self, n):
+        # the cells, read once per w, pick the entries grid_to_bs reads per point
+        for w in all_permutations(n):
+            cells = bs_cells(w)
+            for pt in enumerate_shat(w, 2):
+                assert tuple(pt.grid[r][c] for r, c in cells) == grid_to_bs(pt, w)
 
 
 class TestBbsIso:
@@ -99,18 +111,17 @@ class TestBbsIso:
             assert rep.passed, (w, [c.name for c in rep.checks if not c.passed])
 
     def test_wrong_dimension_projection_fails_commute_check(self, monkeypatch):
-        # bs_projection does not check the dimensions of its components;
-        # the report's commute check catches a component of the wrong one
+        # neither projection checks the dimensions of its components; the
+        # report's commute check catches a component of the wrong one
         w = Permutation((2, 3, 1))
-        word = bubblesort_word(w)
-        right = bs_projection
+        right = bottsamelson.project_to_flag
 
-        def wrong(point, wd, p):
-            flag = right(point, wd, p)
+        def wrong(pt):
+            flag = right(pt)
             return (flag[1],) + flag[1:]
 
-        assert wrong(next(enumerate_bs(word, 2)), word, 2)[0].dim == 2
-        monkeypatch.setattr(bottsamelson, "bs_projection", wrong)
+        assert wrong(next(enumerate_shat(w, 2)))[0].dim == 2
+        monkeypatch.setattr(bottsamelson, "project_to_flag", wrong)
         rep = bbs_iso(w, 2)
         failed = [c.name for c in rep.checks if not c.passed]
         assert failed == ["map_commutes_with_projections"]

@@ -165,6 +165,42 @@ class TestChecksSurviveOptimize:
         assert code == 1
         assert "InvariantError: psi_tilde space 1 has dimension 1, not b_1" in err
 
+    def test_building_floor_rows_check(self):
+        # with max pinned to 1, the second floor of 3,2,1 holds (1, 1) twice
+        code, err = run_optimized(
+            "import sys\n"
+            "from schubres import building, cli\n"
+            "assert False, 'asserts are on'\n"
+            "building.max = lambda a, b: 1\n"
+            "sys.exit(cli.run(['building', '--perm', '3,2,1']))\n"
+        )
+        assert code == 3, err
+        assert "internal error: InvariantError: floor 2 labels share a row" in err
+
+    def test_building_top_apartment_check(self):
+        # with max taken as min, the top floor of 2,1 is (1, 1)
+        code, err = run_optimized(
+            "import sys\n"
+            "from schubres import building, cli\n"
+            "assert False, 'asserts are on'\n"
+            "building.max = min\n"
+            "sys.exit(cli.run(['building', '--perm', '2,1']))\n"
+        )
+        assert code == 3, err
+        assert "InvariantError: the top floor is [(1, 1)], not the apartment (2, 2)" in err
+
+    def test_bubblesort_word_check(self):
+        # a permutation whose values all read 1 disagrees with its one-line form
+        code, err = run_optimized(
+            "from schubres import permcomb\n"
+            "assert False, 'asserts are on'\n"
+            "w = permcomb.Permutation((1, 2))\n"
+            "permcomb.Permutation.__call__ = lambda self, i: 1\n"
+            "permcomb.bubblesort_word(w)\n"
+        )
+        assert code == 1
+        assert "InvariantError: bubblesort of (1, 2) ends at (2, 1)" in err
+
 
 class TestEnumerationCommands:
     def test_biflag_enumerate(self, capsys):

@@ -1,6 +1,7 @@
 """Chain towers over flag families and the embedded resolution checks."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from oracles import (
@@ -26,6 +27,7 @@ from schubres.embres import (
 )
 from schubres.exactlin import (
     contains,
+    coordinate_space,
     enumerate_subspaces,
     full_space,
     graph,
@@ -206,18 +208,23 @@ class TestCellPoints:
     def test_matches_standard_node_cell_for_window_end_lines(self):
         # the adapted lower nodes equal the standard flag nodes exactly
         # when each chosen line is the last unit vector of its window
-        from schubres.exactlin import canonical_complement, span
-        from schubres.grassfib import FrameConfig
-
-        # make_frame puts each line at its window's first coordinate, so
-        # this frame is assembled by hand
-        std = make_frame(4, 2, (2, 4))
-        lines = (span([(0, 1, 0, 0)], 4, 2), span([(0, 0, 0, 1)], 4, 2))
-        comps = tuple(canonical_complement(l, w) for l, w in zip(lines, std.windows))
-        cfg = FrameConfig(
-            4, 2, (2, 4), std.frames, std.coframes, std.windows, lines, comps, std.tail
+        cfg = make_frame(4, 2, (2, 4))
+        # make_frame puts each line at its window's first coordinate; the
+        # cell test reads only beta and the sums of lines and complements,
+        # so a stand-in gives those sums for the lines e_2 and e_4
+        ends, comps = (1, 3), ((0,), (2,))
+        window_end = SimpleNamespace(
+            n=4,
+            p=2,
+            k=2,
+            beta=(2, 4),
+            lines_prefix=lambda i: coordinate_space(ends[:i], 4, 2),
+            complements_prefix=lambda i: coordinate_space(itertools.chain(*comps[:i]), 4, 2),
         )
-        assert set(cell_points(cfg)) == set(vbeta_points(cfg, "cell"))
+        for i, b in enumerate(cfg.beta, start=1):
+            node = subspace_sum(window_end.lines_prefix(i - 1), window_end.complements_prefix(i))
+            assert node == cfg.frames[b - 1]
+        assert set(cell_points(window_end)) == set(vbeta_points(cfg, "cell"))
 
     def test_default_lines_give_equinumerous_cell(self):
         # first-vector lines tilt the completion away from the standard

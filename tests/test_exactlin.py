@@ -4,7 +4,15 @@ import itertools
 import random
 
 import pytest
-from oracles import apply, linear_map_from_pairs, project, vectors, zero_map
+from oracles import (
+    apply,
+    linear_map_from_pairs,
+    project,
+    subspaces_by_span,
+    unit_vector,
+    vectors,
+    zero_map,
+)
 
 from schubres import exactlin as ex
 
@@ -24,6 +32,36 @@ def all_subspaces(n, p):
     for j in range(n + 1):
         out.extend(ex.enumerate_subspaces(full, j))
     return out
+
+
+class TestCoordinateSpace:
+    @pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (3, 5)])
+    def test_equals_span_of_unit_vectors(self, n, p):
+        for k in range(n + 1):
+            for coords in itertools.combinations(range(n), k):
+                want = ex.span([unit_vector(c, n) for c in coords], n, p)
+                assert ex.coordinate_space(coords, n, p) == want
+                assert ex.coordinate_space(reversed(coords + coords), n, p) == want
+        assert ex.full_space(n, p) == ex.span([unit_vector(c, n) for c in range(n)], n, p)
+
+    def test_rejects_bad_input(self):
+        for coords in ([3], [-1, 0]):
+            with pytest.raises(ValueError):
+                ex.coordinate_space(coords, 3, 2)
+        with pytest.raises(ValueError):
+            ex.coordinate_space([0], 3, 4)
+
+
+class TestEchelonCharts:
+    @pytest.mark.parametrize("n,p", [(5, 2), (4, 3)])
+    def test_subspaces_tuple_equals_span_generator(self, n, p):
+        # in order, for every subspace v of GF(p)^n and every dimension
+        full = ex.span([unit_vector(c, n) for c in range(n)], n, p)
+        spaces = [v for j in range(n + 1) for v in subspaces_by_span(full, j)]
+        assert len(spaces) == sum(ex.gaussian_binomial(n, j, p) for j in range(n + 1))
+        for v in spaces:
+            for j in range(-1, v.dim + 2):
+                assert ex._subspaces_tuple(v, j) == subspaces_by_span(v, j), (v, j)
 
 
 class TestRref:
@@ -416,8 +454,8 @@ def _mixed_stages(n, p):
     """Levels bounded by fixed spaces, earlier choices and their sums and
     intersections; the last level is empty for some prefixes."""
     full, zero = ex.full_space(n, p), ex.zero_subspace(n, p)
-    hyper = ex.span([ex.unit_vector(i, n) for i in range(n - 1)], n, p)
-    last = ex.span([ex.unit_vector(n - 1, n)], n, p)
+    hyper = ex.span([unit_vector(i, n) for i in range(n - 1)], n, p)
+    last = ex.span([unit_vector(n - 1, n)], n, p)
     return [
         ex.Stage(lambda c: (zero, full), 0, n, 1),
         ex.Stage(lambda c: (zero, ex.subspace_sum(c[0], last)), 0, 2, 1),

@@ -5,7 +5,15 @@ import json
 import operator
 
 import pytest
-from oracles import frame_slice, graph_by_apply, project, recover_lines_by_slices, zero_map
+from oracles import (
+    frame_by_arithmetic,
+    frame_slice,
+    graph_by_apply,
+    moving_complements_by_arithmetic,
+    project,
+    recover_lines_by_slices,
+    zero_map,
+)
 
 from schubres.biflag import standard_frames
 from schubres.exactlin import (
@@ -19,6 +27,7 @@ from schubres.exactlin import (
     subspace_sum,
 )
 from schubres.grassfib import (
+    FrameConfig,
     LOCI,
     _sum_all,
     base_point_count,
@@ -187,6 +196,30 @@ class TestMakeFrame:
                 assert cfg.complements_prefix(i) == _sum_all(comps[:i], n, p)
             for i in range(1, k + 3):
                 assert cfg.complements_suffix(i) == _sum_all(comps[i - 1 :], n, p)
+
+
+class TestFrameByCoordinates:
+    @pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3) for n in range(1, 7)])
+    def test_equals_subspace_arithmetic(self, n, p):
+        # every frame space, sum table and moving complement built from
+        # coordinates equals the one built by meets, complements and sums
+        for cfg in all_frames(n, p):
+            k, ref = cfg.k, frame_by_arithmetic(n, p, cfg.beta)
+            for name in ("frames", "coframes", "windows", "lines", "complements", "tail"):
+                assert getattr(cfg, name) == ref[name], (cfg.beta, name)
+            assert tuple(map(cfg.lines_prefix, range(k + 1))) == ref["lines_prefix"]
+            assert tuple(map(cfg.complements_prefix, range(k + 2))) == ref["complements_prefix"]
+            assert tuple(map(cfg.complements_suffix, range(1, k + 3))) == ref["complements_suffix"]
+            assert {key: cfg.nested(*key) for key in ref["nested"]} == ref["nested"]
+            for lines in window_line_tuples(cfg):
+                assert moving_complements(cfg, lines) == moving_complements_by_arithmetic(
+                    cfg, lines
+                )
+
+    def test_only_n_p_beta_are_set(self):
+        cfg = make_frame(5, 3, (2, 4))
+        assert cfg == FrameConfig(5, 3, (2, 4))
+        assert repr(cfg) == "FrameConfig(n=5, p=3, beta=(2, 4))"
 
 
 class TestMapTargets:

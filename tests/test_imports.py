@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every public module-level function or class, and every public method of a
-package class, is used somewhere in the package."""
+package class, is used somewhere in the package, and no module of the
+package holds an ``assert`` statement, which ``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,18 @@ def test_no_unused_definitions():
 
 def test_no_unused_methods():
     assert unused_methods(package_modules()) == []
+
+
+def assert_lines(tree: ast.Module) -> list[int]:
+    """Line numbers of the ``assert`` statements in the module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_scanner_finds_asserts():
+    tree = ast.parse("assert x\ndef f():\n    if y:\n        assert z, 'msg'\nx = 'assert'\n")
+    assert assert_lines(tree) == [1, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_asserts(path):
+    assert assert_lines(ast.parse(path.read_text(), str(path))) == []
