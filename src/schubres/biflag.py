@@ -51,12 +51,10 @@ class GridPoint:
 
 
 @lru_cache(maxsize=None)
-def standard_frames(n: int, p: int) -> tuple[Flag, Flag]:
-    """The increasing flag F_i = <e_1..e_i> and decreasing complement
-    G^i = <e_{i+1}..e_n>, both indexed 0..n.  Built once per (n, p)."""
-    f = tuple(coordinate_space(range(i), n, p) for i in range(n + 1))
-    g = tuple(coordinate_space(range(i, n), n, p) for i in range(n + 1))
-    return f, g
+def standard_frames(n: int, p: int) -> Flag:
+    """The increasing flag F_i = <e_1..e_i>, indexed 0..n.  Built once
+    per (n, p)."""
+    return tuple(coordinate_space(range(i), n, p) for i in range(n + 1))
 
 
 def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
@@ -64,7 +62,7 @@ def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
     to right; cell (row, col) lies between its left and lower neighbours."""
     n = w.n
     d = rank_matrix(w)
-    frames, _ = standard_frames(n, p)
+    frames = standard_frames(n, p)
     top = n - 1 if pinned_last_row else n
     stages = []
     for row in range(top, 0, -1):
@@ -96,7 +94,7 @@ def _enumerate_grid(
     bound = tower_bound(stages, p)
     if bound > budget:
         raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
-    frames, _ = standard_frames(n, p)
+    frames = standard_frames(n, p)
     top = n - 1 if pinned_last_row else n
     above_all = (frames[n],) * n
     rows_over: dict[tuple[int, Row], tuple[Row, ...]] = {}  # (row, row below) -> choices
@@ -216,7 +214,7 @@ def schubert_cells(
     l_{i-1}'s canonical basis extended by row i.  Refused before the
     first point when the sum of the p^length(u) exceeds the budget.
     """
-    frames, _ = standard_frames(w.n, p)
+    frames = standard_frames(w.n, p)
     below = [u for u in all_permutations(w.n) if bruhat_leq(u, w)]
     bound = sum(p ** length(u) for u in below)
     if bound > budget:
@@ -232,7 +230,7 @@ def reconstruct_grid(flag: Flag, w: Permutation) -> GridPoint:
     """The candidate preimage over the cell: cell (p, q) = l_p ∩ F_q."""
     n = w.n
     p = flag[0].p
-    frames, _ = standard_frames(n, p)
+    frames = standard_frames(n, p)
     grid = tuple(
         tuple(intersect(flag[row - 1], frames[col]) for col in range(1, n + 1))
         for row in range(1, n + 1)

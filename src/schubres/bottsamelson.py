@@ -36,7 +36,7 @@ def bs_stages(word: ReducedWord, p: int) -> list[Stage]:
     """One tower stage per letter: a subspace of dimension the letter index
     between the latest earlier choices one dimension below and above, or
     the fixed flag spaces when no such letter precedes."""
-    frames, _ = standard_frames(word.n, p)
+    frames = standard_frames(word.n, p)
     inc = bs_incidence(word)
 
     def stage(d: int, li: int | None, ri: int | None) -> Stage:
@@ -85,7 +85,7 @@ def first_block_stages(w: Permutation, p: int) -> list[Stage]:
     dim W_j = w(n)+j-1, where m = n - w(n), as tower stages."""
     n = w.n
     v = w(n)
-    frames, _ = standard_frames(n, p)
+    frames = standard_frames(n, p)
     return [
         Stage(
             lambda c, j=j: (c[-1] if c else frames[v - 1], frames[v + j + 1]),
@@ -137,7 +137,7 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         word = bubblesort_word(w)
         # what is read of each point depends on w only: read it once
         cells = bs_cells(w)
-        frames, _ = standard_frames(n, p)
+        frames = standard_frames(n, p)
         slots = word.last_occurrences
         m = n - w(n)
         grid_count = tower_count = 0

@@ -29,7 +29,7 @@ from schubres.exactlin import (
     tower,
     zero_subspace,
 )
-from schubres.grassfib import LOCI, FrameConfig, grassmannian, schubert_position
+from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, grassmannian_cells
 from schubres.report import EnumReport, merge_reports, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
@@ -118,9 +118,9 @@ def flag_of_grid(cfg: FrameConfig, pt: GHatPoint) -> tuple[Subspace, ...]:
     return psi_tilde(cfg, pi_diag(pt))
 
 
-def _cell_test(cfg: FrameConfig) -> Callable[..., bool]:
-    """Membership of a point L at Schubert position (a, c) in the Schubert
-    cell cut out by the beta nodes and the frame's lower nodes.
+def _cell_test(cfg: FrameConfig) -> Callable[[Subspace, tuple[int, ...]], bool]:
+    """Membership of a point L with jump set a in the Schubert cell cut
+    out by the beta nodes and the frame's lower nodes.
 
     L lies in it when it meets F_{b_i} in dimension i, read off its
     Schubert position, and the lower node N_i (the first i-1 lines and
@@ -135,7 +135,7 @@ def _cell_test(cfg: FrameConfig) -> Callable[..., bool]:
         subspace_sum(cfg.lines_prefix(i - 1), cfg.complements_prefix(i))
         for i in range(1, cfg.k + 1)
     ]
-    return lambda l, a, c: LOCI["open"](cfg.beta, a, c) and all(
+    return lambda l, a: LOCI["open"](cfg.beta, a) and all(
         intersect(l, node).dim == i for i, node in enumerate(lower_nodes)
     )
 
@@ -154,11 +154,11 @@ def chart_hits(
 
 
 def verify_chart_family(
-    cfg: FrameConfig, budget: int = DEFAULT_BUDGET, graphs: Sequence[Subspace] | None = None
+    cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
 ) -> EnumReport:
     """Every chart graph is hit by exactly one flag of the map-space
     family, with the forced chain; the reconstruction recovers the maps.
-    ``graphs`` is ``chart_graphs(cfg)``, built here if not given."""
+    ``graphs`` is ``chart_graphs(cfg)``."""
     report = EnumReport(
         "embres chart",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
@@ -166,8 +166,6 @@ def verify_chart_family(
     with timed(report):
         tuples = list(fixed_map_tuples(cfg))
         flags = [psi_embed(cfg, maps) for maps in tuples]
-        if graphs is None:
-            graphs = chart_graphs(cfg)
         hits = chart_hits(graphs, flags, cfg.p, budget)
         chart_ok = True
         unique_ok = True
@@ -200,7 +198,7 @@ def verify_chart_family(
 
 
 def verify_embedded_resolution(
-    cfg: FrameConfig, budget: int = DEFAULT_BUDGET, graphs: Sequence[Subspace] | None = None
+    cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
 ) -> EnumReport:
     """Point-level checks of the embedded-resolution contract.
 
@@ -209,7 +207,8 @@ def verify_embedded_resolution(
     (c) preimages of the cell all sit over the special grid point, whose
         fiber is the chain tower of the standard flag and projects onto
         the closed Schubert locus (empirical at this size).
-    ``graphs`` is ``chart_graphs(cfg)``, built here if not given.
+    ``graphs`` is ``chart_graphs(cfg)``.  The Grassmannian is walked
+    once, as its a cells, each point read at its cell's jump set.
     """
     report = EnumReport(
         "embres verify",
@@ -255,13 +254,12 @@ def verify_embedded_resolution(
         cell: list[Subspace] = []
         closed: set[Subspace] = set()
         in_cell = _cell_test(cfg)
-        for l in grassmannian(cfg, budget):
+        for a, l in grassmannian_cells(cfg, lambda a: True, True, budget):
             grass_points += 1
             covered = covered and l in census
-            a, c = schubert_position(l)
-            if in_cell(l, a, c):
+            if in_cell(l, a):
                 cell.append(l)
-            if LOCI["closed"](cfg.beta, a, c):
+            if LOCI["closed"](cfg.beta, a):
                 closed.add(l)
         report.counts["grassmannian_points"] = grass_points
         report.add(
@@ -274,8 +272,6 @@ def verify_embedded_resolution(
         chart_fail: list = []
         diag_graph_ok = True
         late = [cfg.complements_suffix(i + 1) for i in range(1, cfg.k + 1)]
-        if graphs is None:
-            graphs = chart_graphs(cfg)
         for gt in graphs:
             hits = census.get(gt, [])
             if len(hits) != 1:
@@ -312,11 +308,13 @@ def verify_embedded_resolution(
 
 def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """The chart-family and embedded-resolution checks as one report,
-    under the ``chart.`` and ``resolution.`` prefixes."""
+    under the ``chart.`` and ``resolution.`` prefixes.  The chart lies in
+    Gr_k, so an oversized Gr_k is refused before the chart is built."""
+    check_grassmannian(cfg, budget)
     graphs = chart_graphs(cfg)
     return merge_reports(
         "embres verify",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-        chart=verify_chart_family(cfg, budget, graphs),
-        resolution=verify_embedded_resolution(cfg, budget, graphs),
+        chart=verify_chart_family(cfg, graphs, budget),
+        resolution=verify_embedded_resolution(cfg, graphs, budget),
     )

@@ -8,7 +8,7 @@ complements) and its conjugate (maps into later-window complements plus
 the tail of the flag).  Both parametrizations are verified to be
 injective with image equal to the Schubert loci, where a point's locus
 is read off its Schubert position: the jumps of its intersections with
-the standard flag and co-flag.
+the standard flag and co-flag, fixed by the Schubert cell it lies in.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class FrameConfig:
     p: int
     beta: tuple[int, ...]
     frames: Flag = _derived()  # F_0 .. F_n
-    coframes: Flag = _derived()  # G^0 .. G^n
     windows: tuple[Subspace, ...] = _derived()
     lines: tuple[Subspace, ...] = _derived()
     complements: tuple[Subspace, ...] = _derived()  # within the windows
@@ -86,7 +85,6 @@ class FrameConfig:
     def __post_init__(self) -> None:
         n, p, k = self.n, self.p, self.k
         edges = (0,) + self.beta + (n,)
-        frames, coframes = standard_frames(n, p)
 
         def space(*blocks: Iterable[int]) -> Subspace:
             return coordinate_space(itertools.chain(*blocks), n, p)
@@ -94,8 +92,7 @@ class FrameConfig:
         firsts = edges[:k]  # the coordinate of each window's line
         comps = [range(edges[i] + 1, edges[i + 1]) for i in range(k)] + [range(edges[k], n)]
         derived = {
-            "frames": frames,
-            "coframes": coframes,
+            "frames": standard_frames(n, p),
             "windows": tuple(space(range(edges[i], edges[i + 1])) for i in range(k)),
             "lines": tuple(space((c,)) for c in firsts),
             "complements": tuple(space(c) for c in comps[:k]),
@@ -283,19 +280,6 @@ def coframe_slice(l: Subspace, q: int) -> Subspace:
     return Subspace(l.n, l.p, l.basis[j:], l.pivots[j:])
 
 
-def schubert_position(l: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The jump sets (a, c) of L against the standard flag and co-flag:
-    dim(L ∩ F_q) = #{a_j <= q} and dim(L ∩ G^q) = #{c_j > q}.
-
-    A vector lies in F_q when its last nonzero coordinate is at most q,
-    and in G^q when its first is past q.  The first nonzero coordinates
-    met in L are its pivots; the last ones are the pivots of L with the
-    coordinates reversed.  Both are 1-based and increasing.
-    """
-    _, reversed_pivots = rref([row[::-1] for row in l.basis], l.p)
-    return tuple(sorted(l.n - q for q in reversed_pivots)), tuple(q + 1 for q in l.pivots)
-
-
 def _leq(xs: Iterable[int], ys: Iterable[int]) -> bool:
     return all(x <= y for x, y in zip(xs, ys))
 
@@ -304,81 +288,77 @@ def _less(xs: Iterable[int], ys: Iterable[int]) -> bool:
     return all(x < y for x, y in zip(xs, ys))
 
 
-# Each locus of beta as a test on the Schubert position (a, c) of a point;
-# each test reads only one side, a or c (``vbeta_points`` relies on it).
+# Each locus of beta as a test on one side of a point's Schubert position:
+# the jump set a for the regular loci, c for the ``star_*`` ones, with
+# dim(L ∩ F_q) = #{a_j <= q} and dim(L ∩ G^q) = #{c_j > q}.
 # dim(L ∩ F_{b_i}) >= i is a_i <= b_i, and == i adds b_i < a_{i+1};
 # dim(L ∩ G^{b_i}) >= k-i is b_i < c_{i+1}, and == k-i adds c_i <= b_i;
 # the cell pins F_{b_i - 1} too, which leaves a = beta.
 LOCI = {
-    "cell": lambda b, a, c: a == b,
-    "open": lambda b, a, c: _leq(a, b) and _less(b, a[1:]),
-    "closed": lambda b, a, c: _leq(a, b),
-    "star_open": lambda b, a, c: _leq(c, b) and _less(b, c[1:]),
-    "star_closed": lambda b, a, c: _less(b, c[1:]),
+    "cell": lambda b, a: a == b,
+    "open": lambda b, a: _leq(a, b) and _less(b, a[1:]),
+    "closed": lambda b, a: _leq(a, b),
+    "star_open": lambda b, c: _leq(c, b) and _less(b, c[1:]),
+    "star_closed": lambda b, c: _less(b, c[1:]),
 }
 MODES = tuple(LOCI)
 
 
-def grassmannian_cells(
-    cfg: FrameConfig, keep: Callable[[tuple[int, ...]], bool], reverse: bool
-) -> Iterator[Subspace]:
-    """The Schubert cells of Gr_k(GF(p)^n) whose jump set passes ``keep``,
-    as one union in ``enumerate_subspaces`` order.
+def check_grassmannian(cfg: FrameConfig, budget: int) -> None:
+    """Refuse Gr_k(GF(p)^n) when it has more points than the budget.
+    Every walk of Gr_k or of a locus in it calls this before its first
+    point."""
+    total = gaussian_binomial(cfg.n, cfg.k, cfg.p)
+    if total > budget:
+        raise BudgetExceededError(f"Gr_{cfg.k}(GF({cfg.p})^{cfg.n}) has {total} points")
 
-    The jump set is c, or a with ``reverse``.  The c cell is the chart of
-    echelon forms with a 1 at each coordinate c_j - 1 (0-based), whose
-    points ``_echelon_forms`` builds canonical.  The same forms read with
-    the coordinates reversed give the a cells, and each of their points
-    takes one row reduction.
+
+def grassmannian_cells(
+    cfg: FrameConfig, keep: Callable[[tuple[int, ...]], bool], a_cells: bool, budget: int
+) -> Iterator[tuple[tuple[int, ...], Subspace]]:
+    """(jumps, L) for each point L of each Schubert cell of Gr_k(GF(p)^n)
+    whose jump set passes ``keep``, cell by cell, after
+    ``check_grassmannian``.
+
+    The jump set is a with ``a_cells``, else c.  The c cell is the chart
+    of echelon forms with a 1 at each coordinate c_j - 1 (0-based), whose
+    points ``_echelon_forms`` builds canonical: the first nonzero
+    coordinates met in L are its pivots.  The same forms read with the
+    coordinates reversed give the a cells, whose last nonzero coordinates
+    are a_j - 1; each of their points takes one row reduction, and its c
+    is its pivots + 1.
     """
+    check_grassmannian(cfg, budget)
     n, p = cfg.n, cfg.p
     full = full_space(n, p)
-    points: list[Subspace] = []
     for jumps in itertools.combinations(range(1, n + 1), cfg.k):
         if not keep(jumps):
             continue
-        if reverse:
-            forms = _echelon_forms(full, tuple(n - j for j in reversed(jumps)))
-            points += (span([row[::-1] for row in form.basis], n, p) for form in forms)
+        if a_cells:
+            for form in _echelon_forms(full, tuple(n - j for j in reversed(jumps))):
+                yield jumps, span([row[::-1] for row in form.basis], n, p)
         else:
-            points += _echelon_forms(full, tuple(j - 1 for j in jumps))
-    points.sort()
-    yield from points
-
-
-def grassmannian(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """All of Gr_k(GF(p)^n) in ``enumerate_subspaces`` order, refused
-    before any work when it has more points than the budget."""
-    k = cfg.k
-    total = gaussian_binomial(cfg.n, k, cfg.p)
-    if total > budget:
-        raise BudgetExceededError(f"Gr_{k}(GF({cfg.p})^{cfg.n}) has {total} points")
-    return grassmannian_cells(cfg, lambda jumps: True, reverse=False)
+            for l in _echelon_forms(full, tuple(j - 1 for j in jumps)):
+                yield jumps, l
 
 
 def vbeta_points(
     cfg: FrameConfig, mode: str, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Subspace]:
-    """Point sets of the Schubert loci in Gr_k(GF(p)^n), in enumeration order.
+    """Point sets of the Schubert loci in Gr_k(GF(p)^n), cell by cell.
 
     ``closed``/``open`` hold dim(L ∩ F_{b_i}) >= i / == i; ``cell``
     additionally pins the nodes one below each b_i; ``star_*`` use the
     co-flag G^{b_i} with k-i.  Refused like the whole Grassmannian.  The
-    locus is a union of Schubert cells, of the a cells or, for ``star_*``,
-    the c cells; each point is kept by its ``schubert_position``.
+    locus is the union of the a cells or, for ``star_*``, the c cells
+    whose jump set passes its test.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    grassmannian(cfg, budget)  # refuse an oversized Gr_k
-    keep = LOCI[mode]
-    reverse = not mode.startswith("star_")
-
-    def cell_kept(jumps: tuple[int, ...]) -> bool:
-        return keep(cfg.beta, jumps, None) if reverse else keep(cfg.beta, None, jumps)
-
-    for l in grassmannian_cells(cfg, cell_kept, reverse):
-        if keep(cfg.beta, *schubert_position(l)):
-            yield l
+    test = LOCI[mode]
+    a_cells = not mode.startswith("star_")
+    for _, l in grassmannian_cells(cfg, lambda jumps: test(cfg.beta, jumps), a_cells, budget):
+        yield l
 
 
 def window_line_tuples(cfg: FrameConfig) -> Iterator[tuple[Subspace, ...]]:
@@ -473,7 +453,7 @@ def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ..
 def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Injectivity, image identity and fiber compatibility of the
     graph-sum parametrization of the regular Schubert locus."""
-    grassmannian(cfg, budget)  # refuse an oversized Gr_k before enumerating inputs
+    check_grassmannian(cfg, budget)  # before enumerating inputs
     report = EnumReport(
         "grass verify-phi",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
@@ -508,7 +488,7 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Same checks for the conjugate parametrization."""
-    grassmannian(cfg, budget)  # refuse an oversized Gr_k before enumerating inputs
+    check_grassmannian(cfg, budget)  # before enumerating inputs
     report = EnumReport(
         "grass verify-phistar",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
@@ -547,11 +527,12 @@ def verify_transversal_identity(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) 
     with timed(report):
         # both meets lie in the closed locus
         meet, closed_meet = set(), set()
-        for l in vbeta_points(cfg, "closed", budget):
-            a, c = schubert_position(l)
-            if LOCI["open"](cfg.beta, a, c) and LOCI["star_open"](cfg.beta, a, c):
+        closed = grassmannian_cells(cfg, lambda a: LOCI["closed"](cfg.beta, a), True, budget)
+        for a, l in closed:
+            c = tuple(q + 1 for q in l.pivots)
+            if LOCI["open"](cfg.beta, a) and LOCI["star_open"](cfg.beta, c):
                 meet.add(l)
-            if LOCI["star_closed"](cfg.beta, a, c):
+            if LOCI["star_closed"](cfg.beta, c):
                 closed_meet.add(l)
         base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
         report.counts["intersection"] = len(meet)

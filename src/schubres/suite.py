@@ -172,8 +172,8 @@ def criterion_8_embedded_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport
             cfg = grassfib.make_frame(n, 2, beta)
             tag = f"n{n}_beta{'-'.join(map(str, beta))}"
             graphs = embres.chart_graphs(cfg)
-            r1 = embres.verify_chart_family(cfg, budget, graphs)
-            r2 = embres.verify_embedded_resolution(cfg, budget, graphs)
+            r1 = embres.verify_chart_family(cfg, graphs, budget)
+            r2 = embres.verify_embedded_resolution(cfg, graphs, budget)
             surj = {c.name: c for c in r2.checks}["hits_whole_grassmannian"]
             report.add(f"{tag}_chart_family", r1.passed)
             report.add(f"{tag}_embedded_resolution", r2.passed)

@@ -51,7 +51,9 @@ def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
 
     The top space ranges over its full Grassmannian; each lower space is
     a Grassmannian of the computed intersection, so only actual points
-    are visited.
+    are visited.  Below the top, l_i lies in l_{i+1} + complement(i+1),
+    so that intersection has dimension at most i + 1 + dim complement(i+1),
+    which bounds the level along with dim nested(i, i).
     """
     k = cfg.k
     zero = zero_subspace(cfg.n, cfg.p)
@@ -64,7 +66,10 @@ def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
             above = subspace_sum(c[-1], cfg.complement(i + 1))
             return zero, intersect(above, cfg.nested(i, i))
 
-        return Stage(spaces, 0, cfg.nested(i, i).dim, i)
+        up = cfg.nested(i, i).dim
+        if i < k:
+            up = min(up, i + 1 + cfg.complement(i + 1).dim)
+        return Stage(spaces, 0, up, i)
 
     for c in tower([level(i) for i in range(k, 0, -1)], cfg.p, budget):
         yield c[::-1]

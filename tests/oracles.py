@@ -34,7 +34,10 @@ from schubres.exactlin import (
     Vec,
     canonical_complement,
     contains,
+    coordinate_space,
     enumerate_between,
+    enumerate_subspaces,
+    full_space,
     gaussian_binomial,
     graph,
     intersect,
@@ -45,7 +48,7 @@ from schubres.exactlin import (
     tower_bound,
     zero_subspace,
 )
-from schubres.grassfib import FrameConfig, coframe_slice, grassmannian, schubert_position
+from schubres.grassfib import FrameConfig, coframe_slice
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -87,13 +90,33 @@ def vec_scale(c: int, v: Vec, p: int) -> Vec:
     return tuple((c * a) % p for a in v)
 
 
+def coflag(n: int, p: int) -> Flag:
+    """The decreasing flag G^q = <e_{q+1}..e_n>, indexed 0..n: the co-flag
+    whose meets the package reads off pivots without building it."""
+    return tuple(coordinate_space(range(q, n), n, p) for q in range(n + 1))
+
+
+def schubert_position(l: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The jump sets (a, c) of L against the standard flag and co-flag:
+    dim(L ∩ F_q) = #{a_j <= q} and dim(L ∩ G^q) = #{c_j > q}.
+
+    A vector lies in F_q when its last nonzero coordinate is at most q,
+    and in G^q when its first is past q.  The first nonzero coordinates
+    met in L are its pivots; the last ones are the pivots of L with the
+    coordinates reversed.  Both are 1-based and increasing.  The package
+    reads both off the Schubert cell a point comes from instead.
+    """
+    _, reversed_pivots = rref([row[::-1] for row in l.basis], l.p)
+    return tuple(sorted(l.n - q for q in reversed_pivots)), tuple(q + 1 for q in l.pivots)
+
+
 def frame_by_arithmetic(n: int, p: int, beta: tuple[int, ...]) -> dict:
     """The frame spaces and sum tables of ``FrameConfig`` by subspace
     arithmetic: window i is F_{b_i} ∩ G^{b_{i-1}}, line i the span of
     e_{b_{i-1}+1}, complement i its canonical complement in the window,
     and each table a run of ``subspace_sum``s.  Keyed like the
     ``FrameConfig`` fields, with the sum tables as tuples and a dict."""
-    frames, coframes = standard_frames(n, p)
+    frames, coframes = standard_frames(n, p), coflag(n, p)
     k = len(beta)
     prev = (0,) + beta
     windows = tuple(intersect(frames[beta[i]], coframes[prev[i]]) for i in range(k))
@@ -112,7 +135,6 @@ def frame_by_arithmetic(n: int, p: int, beta: tuple[int, ...]) -> dict:
     suffix = partial_sums(reversed(comps))[::-1]
     return {
         "frames": frames,
-        "coframes": coframes,
         "windows": windows,
         "lines": lines,
         "complements": complements,
@@ -303,7 +325,7 @@ def recover_lines_by_slices(cfg: FrameConfig, l: Subspace, star: bool) -> tuple[
 def complete_flag_stages(n: int, p: int) -> list[Stage]:
     """Complete flags as tower stages: each space extends the previous one
     by one dimension inside the whole space."""
-    frames, _ = standard_frames(n, p)
+    frames = standard_frames(n, p)
     return [
         Stage(lambda c: (c[-1] if c else frames[0], frames[n]), i, n, i + 1)
         for i in range(n)
@@ -444,7 +466,7 @@ def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
 def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
     """Flag component i is the subspace at the last occurrence of s_i,
     falling back to the fixed F_i for letters that never occur."""
-    frames, _ = standard_frames(word.n, p)
+    frames = standard_frames(word.n, p)
     occ = word.last_occurrences
     flag = [frames[i] if j is None else point[j - 1] for i, j in enumerate(occ, start=1)]
     return tuple(flag) + (frames[word.n],)
@@ -452,7 +474,7 @@ def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
 
 def bs_point_is_valid(point: BSPoint, word: ReducedWord, p: int) -> bool:
     """All incidence relations of the word hold for the point."""
-    frames, _ = standard_frames(word.n, p)
+    frames = standard_frames(word.n, p)
     inc = bs_incidence(word)
     letters = word.letters
     if len(point) != len(letters):
@@ -563,12 +585,13 @@ def enumerate_embres(
             yield pt, chain
 
 
-def cell_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """The points of Gr_k that pass ``embres._cell_test``: the cell whose
-    preimages lie over the special grid point."""
+def cell_points(cfg: FrameConfig) -> Iterator[Subspace]:
+    """The points of Gr_k that pass ``embres._cell_test``, each read at its
+    ``schubert_position``: the cell whose preimages lie over the special
+    grid point."""
     in_cell = _cell_test(cfg)
-    for l in grassmannian(cfg, budget):
-        if in_cell(l, *schubert_position(l)):
+    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), cfg.k):
+        if in_cell(l, schubert_position(l)[0]):
             yield l
 
 
@@ -578,7 +601,7 @@ def enumerate_grid_flat(
     """``biflag._enumerate_grid`` as one ``tower`` over every cell, each
     point's rows sliced out of its tuple of choices."""
     n = w.n
-    frames, _ = standard_frames(n, p)
+    frames = standard_frames(n, p)
     pinned = (frames[1:],) if pinned_last_row else ()
     for c in tower(grid_stages(w, p, pinned_last_row), p, budget):
         rows = tuple(c[i : i + n] for i in range(len(c) - n, -1, -n))

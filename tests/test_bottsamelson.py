@@ -45,7 +45,7 @@ class TestEnumerateBs:
         word = ReducedWord(4, ((i,), (), ()))
         pts = list(enumerate_bs(word, 2))
         assert len(pts) == 3  # lines between F_{i-1} and F_{i+1}
-        f, _ = standard_frames(4, 2)
+        f = standard_frames(4, 2)
         for (s,) in pts:
             assert s.dim == i
 
@@ -64,7 +64,7 @@ class TestEnumerateBs:
 class TestBsProjection:
     def test_empty_word_gives_standard_flag(self):
         word = bubblesort_word(identity(3))
-        f, _ = standard_frames(3, 2)
+        f = standard_frames(3, 2)
         assert bs_projection((), word, 2) == tuple(f[1:])
 
     def test_two_letter_word_components(self):

@@ -74,11 +74,20 @@ class TestExitCodes:
     def test_budget_exceeded_is_2(self, capsys):
         assert run(["biflag", "enumerate", "--perm", "4,3,2,1", "--budget", "2"]) == 2
 
-    @pytest.mark.parametrize("action", ["verify-phi", "verify-phistar"])
-    def test_oversized_grassmannian_refused_before_inputs(self, action, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["grass", "verify-phi"], id="verify-phi"),
+            pytest.param(["grass", "verify-phistar"], id="verify-phistar"),
+            pytest.param(["grass", "verify-transversal"], id="verify-transversal"),
+            pytest.param(["embres", "verify"], id="embres-verify"),
+        ],
+    )
+    def test_oversized_grassmannian_refused_before_inputs(self, command, capsys):
         # Gr_2(GF(3)^7) has 99463 points; the refusal must come before the
-        # 34992 inputs of the conjugate parametrization are enumerated
-        argv = ["grass", action, "--n", "7", "--beta", "2,4", "--field", "3"]
+        # 34992 inputs of the conjugate parametrization are enumerated, and
+        # before the 3^10 graphs of the embedded resolution's chart are built
+        argv = command + ["--n", "7", "--beta", "2,4", "--field", "3"]
         start = time.perf_counter()
         assert run(argv + ["--budget", "100"]) == 2
         assert time.perf_counter() - start < 1.0

@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from schubres.embres import (
+    chart_graphs,
     chart_hits,
     chart_maps,
     flag_of_grid,
@@ -148,7 +149,8 @@ class TestChart:
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_chart_family(self, beta):
-        rep = verify_chart_family(make_frame(4, 2, beta))
+        cfg = make_frame(4, 2, beta)
+        rep = verify_chart_family(cfg, chart_graphs(cfg))
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
@@ -244,17 +246,20 @@ class TestEmbeddedResolution:
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_n4(self, beta):
-        rep = verify_embedded_resolution(make_frame(4, 2, beta))
+        cfg = make_frame(4, 2, beta)
+        rep = verify_embedded_resolution(cfg, chart_graphs(cfg))
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
         surj = {c.name: c for c in rep.checks}["hits_whole_grassmannian"]
         assert surj.informational and surj.passed
 
     def test_k1_smoke(self):
-        rep = verify_embedded_resolution(make_frame(3, 2, (2,)))
+        cfg = make_frame(3, 2, (2,))
+        rep = verify_embedded_resolution(cfg, chart_graphs(cfg))
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
     def test_all_length2_indices_n4(self):
         for beta in itertools.combinations(range(1, 5), 2):
             cfg = make_frame(4, 2, beta)
-            for rep in (verify_chart_family(cfg), verify_embedded_resolution(cfg)):
+            graphs = chart_graphs(cfg)
+            for rep in (verify_chart_family(cfg, graphs), verify_embedded_resolution(cfg, graphs)):
                 assert rep.passed, (beta, [c.name for c in rep.checks if not c.passed])

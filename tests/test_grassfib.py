@@ -6,12 +6,14 @@ import operator
 
 import pytest
 from oracles import (
+    coflag,
     frame_by_arithmetic,
     frame_slice,
     graph_by_apply,
     moving_complements_by_arithmetic,
     project,
     recover_lines_by_slices,
+    schubert_position,
     zero_map,
 )
 
@@ -32,7 +34,7 @@ from schubres.grassfib import (
     _sum_all,
     base_point_count,
     coframe_slice,
-    grassmannian,
+    grassmannian_cells,
     MODES,
     hom_rank,
     make_frame,
@@ -44,7 +46,6 @@ from schubres.grassfib import (
     phi_targets,
     recover_lines_from_open,
     recover_lines_from_star,
-    schubert_position,
     vbeta_points,
     verify_phi,
     verify_phi_star,
@@ -76,8 +77,9 @@ def rank_filter(cfg, mode):
     """The brute-force locus filter: every point of Gr_k whose
     intersections with the flag nodes have the dimensions of ``mode``."""
     k = cfg.k
+    flags = {"frames": cfg.frames, "coframes": coflag(cfg.n, cfg.p)}
     checks = [
-        (getattr(cfg, family)[cfg.beta[i - 1] + shift], dim(i, k), compare)
+        (flags[family][cfg.beta[i - 1] + shift], dim(i, k), compare)
         for i in range(1, k + 1)
         for family, shift, dim, compare in RANK_CONDITIONS[mode]
     ]
@@ -117,12 +119,18 @@ def intersect_recover_open(cfg, l):
 
 def intersect_recover_star(cfg, l):
     """Base-point oracle: project L ∩ G^{b_{i-1}} into window i along G^{b_i}."""
+    coframes = coflag(cfg.n, cfg.p)
     out = []
     for i in range(1, cfg.k + 1):
-        prev = cfg.coframes[cfg.beta[i - 2]] if i >= 2 else cfg.coframes[0]
+        prev = coframes[cfg.beta[i - 2]] if i >= 2 else coframes[0]
         inter = intersect(l, prev)
-        out.append(project_subspace(inter, cfg.window(i), cfg.coframes[cfg.beta[i - 1]]))
+        out.append(project_subspace(inter, cfg.window(i), coframes[cfg.beta[i - 1]]))
     return tuple(out)
+
+
+def grassmannian(cfg, a_cells=True):
+    """Every point of Gr_k, walked as its a cells or as its c cells."""
+    return [l for _, l in grassmannian_cells(cfg, lambda jumps: True, a_cells, DEFAULT_BUDGET)]
 
 
 def transversal_by_walk(cfg, budget=DEFAULT_BUDGET):
@@ -136,9 +144,9 @@ def transversal_by_walk(cfg, budget=DEFAULT_BUDGET):
         meet, closed_meet = set(), set()
         for l in enumerate_subspaces(full_space(cfg.n, cfg.p), cfg.k):
             a, c = schubert_position(l)
-            if LOCI["open"](cfg.beta, a, c) and LOCI["star_open"](cfg.beta, a, c):
+            if LOCI["open"](cfg.beta, a) and LOCI["star_open"](cfg.beta, c):
                 meet.add(l)
-            if LOCI["closed"](cfg.beta, a, c) and LOCI["star_closed"](cfg.beta, a, c):
+            if LOCI["closed"](cfg.beta, a) and LOCI["star_closed"](cfg.beta, c):
                 closed_meet.add(l)
         base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
         report.counts["intersection"] = len(meet)
@@ -205,7 +213,7 @@ class TestFrameByCoordinates:
         # coordinates equals the one built by meets, complements and sums
         for cfg in all_frames(n, p):
             k, ref = cfg.k, frame_by_arithmetic(n, p, cfg.beta)
-            for name in ("frames", "coframes", "windows", "lines", "complements", "tail"):
+            for name in ("frames", "windows", "lines", "complements", "tail"):
                 assert getattr(cfg, name) == ref[name], (cfg.beta, name)
             assert tuple(map(cfg.lines_prefix, range(k + 1))) == ref["lines_prefix"]
             assert tuple(map(cfg.complements_prefix, range(k + 2))) == ref["complements_prefix"]
@@ -303,7 +311,7 @@ class TestPhiStar:
 class TestSchubertPosition:
     @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)] + [(4, 3)])
     def test_jumps_give_intersection_dims(self, n, p):
-        frames, coframes = standard_frames(n, p)
+        frames, coframes = standard_frames(n, p), coflag(n, p)
         for k in range(n + 1):
             for l in enumerate_subspaces(full_space(n, p), k):
                 a, c = schubert_position(l)
@@ -313,10 +321,31 @@ class TestSchubertPosition:
                     assert intersect(l, coframes[q]).dim == sum(x > q for x in c)
 
 
+class TestGrassmannianCells:
+    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)])
+    def test_points_have_their_cells_jump_set(self, n, p):
+        # every point of every a cell and every c cell, for every k, is at
+        # the Schubert position that the row reductions of the oracle read
+        for k in range(1, n + 1):
+            cfg = make_frame(n, p, tuple(range(1, k + 1)))
+            for a_cells in (True, False):
+                for jumps, l in grassmannian_cells(cfg, lambda j: True, a_cells, DEFAULT_BUDGET):
+                    a, c = schubert_position(l)
+                    assert jumps == (a if a_cells else c), (k, a_cells, l)
+
+    @pytest.mark.parametrize("a_cells", [True, False])
+    def test_refused_before_first_point(self, a_cells):
+        # Gr_2(GF(2)^4) has 35 points, however few cells are kept
+        cfg = make_frame(4, 2, (1, 2))
+        cells = grassmannian_cells(cfg, lambda j: False, a_cells, 34)
+        with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
+            next(cells)
+
+
 class TestEchelonSlices:
     @pytest.mark.parametrize("n,p", SLICE_SPACES)
     def test_slices_equal_intersections(self, n, p):
-        frames, coframes = standard_frames(n, p)
+        frames, coframes = standard_frames(n, p), coflag(n, p)
         for k in range(n + 1):
             for l in enumerate_subspaces(full_space(n, p), k):
                 for q in range(n + 1):
@@ -377,17 +406,19 @@ class TestVbetaPoints:
             for beta in itertools.combinations(range(1, n + 1), k):
                 cfg = make_frame(n, p, beta)
                 for mode in MODES:
-                    assert list(vbeta_points(cfg, mode)) == list(rank_filter(cfg, mode)), (
+                    assert sorted(vbeta_points(cfg, mode)) == list(rank_filter(cfg, mode)), (
                         beta,
                         mode,
                     )
 
     @pytest.mark.parametrize("n,p", ORACLE_SPACES)
     def test_grassmannian_is_enumerate_subspaces(self, n, p):
-        # the union of the echelon cells, in the same order
+        # the union of the echelon cells of either kind, once each
         for k in range(1, n + 1):
             cfg = make_frame(n, p, tuple(range(1, k + 1)))
-            assert list(grassmannian(cfg)) == list(enumerate_subspaces(full_space(n, p), k))
+            want = list(enumerate_subspaces(full_space(n, p), k))
+            assert sorted(grassmannian(cfg, a_cells=True)) == want
+            assert sorted(grassmannian(cfg, a_cells=False)) == want
 
     def test_closed_everything_for_trailing_beta(self):
         cfg = make_frame(4, 2, (3, 4))
@@ -416,7 +447,7 @@ class TestVbetaPoints:
         cfg = make_frame(4, 2, (1, 2))
         with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
             next(vbeta_points(cfg, mode, 34))
-        assert list(vbeta_points(cfg, mode, 35)) == list(rank_filter(cfg, mode))
+        assert sorted(vbeta_points(cfg, mode, 35)) == list(rank_filter(cfg, mode))
 
     def test_bad_mode(self):
         cfg = make_frame(4, 2, (2, 4))

@@ -1,11 +1,13 @@
 """Relaxed-incidence chain varieties and their grid resolutions."""
 
+import itertools
 import random
 
 import pytest
 from oracles import apply, compress_maps, gcal_membership, graph_tuple, zero_map
 
 from schubres.exactlin import (
+    BudgetExceededError,
     LinearMap,
     contains,
     graph,
@@ -131,6 +133,25 @@ class TestEnumerateGcal:
         opens2 = [pt for pt in enumerate_gcal(cfg2) if in_u(cfg2, pt)]
         opens3 = [pt for pt in enumerate_gcal(cfg3) if in_u(cfg3, pt)]
         assert len(opens2) == 3 and len(opens3) == 4
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_bound_at_least_count(self, p):
+        # refused one point below the count: the static bound is at least
+        # the count on every default frame with n <= 5
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for beta in itertools.combinations(range(1, n + 1), k):
+                    cfg = make_frame(n, p, beta)
+                    count = sum(1 for _ in enumerate_gcal(cfg))
+                    with pytest.raises(BudgetExceededError):
+                        next(enumerate_gcal(cfg, count - 1))
+
+    @pytest.mark.parametrize("n,p", [(6, 5), (7, 3)])
+    def test_runs_at_default_budget(self, n, p):
+        # 42 066 and 110 539 chain points, under bounds of 3 897 816 and
+        # 2 044 900; l_i lies in l_{i+1} + complement(i+1)
+        cfg = make_frame(n, p, (1, 3, 5))
+        assert gcal_membership(cfg, next(enumerate_gcal(cfg)))
 
 
 class TestEnumerateGhat:
