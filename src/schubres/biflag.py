@@ -20,9 +20,8 @@ all u <= w in the Bruhat order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -41,8 +40,7 @@ Flag = tuple[Subspace, ...]
 Row = tuple[Subspace, ...]
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     """A bioriented grid: ``grid[p-1][q-1]`` is the cell in row p, column q."""
 
     n: int

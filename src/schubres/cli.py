@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, suite, wflag
 from schubres.exactlin import DEFAULT_BUDGET, BudgetExceededError, check_field
@@ -43,7 +44,10 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` makes a
+    fresh namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="schubres",
         description="Exact finite-field verification of Schubert-variety resolutions",

@@ -3,8 +3,13 @@
 A subspace of GF(p)^n is stored through its canonical basis: the reduced
 row echelon form of any spanning set, zero rows dropped.  Canonical bases
 make equality and hashing structural, so subspaces deduplicate in sets
-and serve as dictionary keys directly.  All values are immutable and all
-operations are pure functions; results are cached and shared freely.
+and serve as dictionary keys directly.  The value types are slotted
+classes (``Subspace``) and NamedTuples (``LinearMap``, ``Stage``), never
+changed after construction; all operations are pure functions, and
+results are cached and shared freely.  ``Subspace`` is not frozen, since
+a frozen class pays one ``object.__setattr__`` per field on every
+construction and subspaces are built in every verifier's inner loop; no
+code outside the class writes its fields.
 
 Vectors are tuples of ints reduced mod p; matrices are tuples of row
 tuples.  Coordinates are 0-based throughout this module.
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -98,29 +102,62 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tuple[int, ...]]:
     return tuple(tuple(r) for r in mat[:row]), tuple(pivots)
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class Subspace:
     """A linear subspace of GF(p)^n in canonical reduced-row-echelon form.
 
-    Two subspaces are equal iff their canonical basis matrices are equal.
-    The dataclass ordering sorts same-shape subspaces lexicographically
-    on the canonical basis matrix, which fixes every enumeration order
-    in this package.  The hash is that of (n, p, basis, pivots), computed
-    on first use and stored in a slot that equality and ordering ignore.
+    Two subspaces are equal iff their canonical basis matrices are equal:
+    the basis fixes the pivots.  Subspaces sort on (n, p, basis), so
+    same-shape subspaces sort lexicographically on the canonical basis
+    matrix, which fixes every enumeration order in this package.  The
+    hash is that of (n, p, basis, pivots), computed on first use and
+    stored in a slot that equality, ordering and repr ignore.  No field
+    changes after construction (see the module docstring).
     """
 
-    n: int
-    p: int
-    basis: Rows
-    pivots: tuple[int, ...]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n", "p", "basis", "pivots", "_hash")
+
+    def __init__(self, n: int, p: int, basis: Rows, pivots: tuple[int, ...]) -> None:
+        self.n = n
+        self.p = p
+        self.basis = basis
+        self.pivots = pivots
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return self.basis == other.basis and self.n == other.n and self.p == other.p
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.n, self.p, self.basis) < (other.n, other.p, other.basis)
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.n, self.p, self.basis) <= (other.n, other.p, other.basis)
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.n, self.p, self.basis) > (other.n, other.p, other.basis)
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.n, self.p, self.basis) >= (other.n, other.p, other.basis)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.n, self.p, self.basis, self.pivots))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((self.n, self.p, self.basis, self.pivots))
         return h
+
+    def __repr__(self) -> str:
+        return f"Subspace(n={self.n!r}, p={self.p!r}, basis={self.basis!r}, pivots={self.pivots!r})"
 
     @property
     def dim(self) -> int:
@@ -266,8 +303,13 @@ def canonical_complement(inner: Subspace, outer: Subspace) -> Subspace:
     return span(rows, outer.n, outer.p)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class _LinearMapFields(NamedTuple):
+    domain: Subspace
+    target: Subspace
+    matrix: Rows
+
+
+class LinearMap(_LinearMapFields):
     """A linear map between subspaces in their canonical bases.
 
     ``matrix`` has target.dim rows and domain.dim columns; column j holds
@@ -275,15 +317,14 @@ class LinearMap:
     vector of the domain.
     """
 
-    domain: Subspace
-    target: Subspace
-    matrix: Rows
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.matrix) != self.target.dim:
+    def __new__(cls, domain: Subspace, target: Subspace, matrix: Rows) -> "LinearMap":
+        if len(matrix) != target.dim:
             raise ValueError("matrix row count != target dimension")
-        if any(len(r) != self.domain.dim for r in self.matrix):
+        if any(len(r) != domain.dim for r in matrix):
             raise ValueError("matrix column count != domain dimension")
+        return super().__new__(cls, domain, target, matrix)
 
 
 def enumerate_maps(domain: Subspace, target: Subspace) -> Iterator[LinearMap]:

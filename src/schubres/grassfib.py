@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from schubres.biflag import Flag, standard_frames
+from schubres.biflag import standard_frames
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -49,11 +48,6 @@ def check_multi_index(beta: tuple[int, ...], n: int) -> None:
         raise ValueError(f"multi-index {beta} out of range 1..{n}")
 
 
-def _derived():
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class FrameConfig:
     """The fixed frame of (n, p, beta), built from coordinates.
 
@@ -66,47 +60,57 @@ class FrameConfig:
     unit vectors, built canonical by ``coordinate_space`` once, when the
     frame is made from (n, p, beta).  The graphs, projections and base
     points of this module, ``wflag`` and ``embres`` are read off the
-    blocks.
+    blocks.  Frames are equal and hash alike by (n, p, beta).
     """
 
-    n: int
-    p: int
-    beta: tuple[int, ...]
-    frames: Flag = _derived()  # F_0 .. F_n
-    windows: tuple[Subspace, ...] = _derived()
-    lines: tuple[Subspace, ...] = _derived()
-    complements: tuple[Subspace, ...] = _derived()  # within the windows
-    tail: Subspace = _derived()
-    _lines_prefix: tuple[Subspace, ...] = _derived()
-    _complements_prefix: tuple[Subspace, ...] = _derived()
-    _complements_suffix: tuple[Subspace, ...] = _derived()
-    _nested: dict[tuple[int, int], Subspace] = _derived()
+    __slots__ = (
+        "n",
+        "p",
+        "beta",
+        "frames",  # F_0 .. F_n
+        "windows",
+        "lines",
+        "complements",  # within the windows
+        "tail",
+        "_lines_prefix",
+        "_complements_prefix",
+        "_complements_suffix",
+        "_nested",
+    )
 
-    def __post_init__(self) -> None:
-        n, p, k = self.n, self.p, self.k
-        edges = (0,) + self.beta + (n,)
+    def __init__(self, n: int, p: int, beta: tuple[int, ...]) -> None:
+        self.n, self.p, self.beta = n, p, beta
+        k = len(beta)
+        edges = (0,) + beta + (n,)
 
         def space(*blocks: Iterable[int]) -> Subspace:
             return coordinate_space(itertools.chain(*blocks), n, p)
 
         firsts = edges[:k]  # the coordinate of each window's line
         comps = [range(edges[i] + 1, edges[i + 1]) for i in range(k)] + [range(edges[k], n)]
-        derived = {
-            "frames": standard_frames(n, p),
-            "windows": tuple(space(range(edges[i], edges[i + 1])) for i in range(k)),
-            "lines": tuple(space((c,)) for c in firsts),
-            "complements": tuple(space(c) for c in comps[:k]),
-            "tail": space(comps[k]),
-            "_lines_prefix": tuple(space(firsts[:i]) for i in range(k + 1)),
-            "_complements_prefix": tuple(space(*comps[:i]) for i in range(k + 2)),
-            # entry i: complements i+1..k+1
-            "_complements_suffix": tuple(space(*comps[i:]) for i in range(k + 2)),
-            "_nested": {
-                (j, i): space(firsts[:j], *comps[i:]) for i in range(k + 1) for j in range(i + 1)
-            },
+        self.frames = standard_frames(n, p)
+        self.windows = tuple(space(range(edges[i], edges[i + 1])) for i in range(k))
+        self.lines = tuple(space((c,)) for c in firsts)
+        self.complements = tuple(space(c) for c in comps[:k])
+        self.tail = space(comps[k])
+        self._lines_prefix = tuple(space(firsts[:i]) for i in range(k + 1))
+        self._complements_prefix = tuple(space(*comps[:i]) for i in range(k + 2))
+        # entry i: complements i+1..k+1
+        self._complements_suffix = tuple(space(*comps[i:]) for i in range(k + 2))
+        self._nested = {
+            (j, i): space(firsts[:j], *comps[i:]) for i in range(k + 1) for j in range(i + 1)
         }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FrameConfig:
+            return NotImplemented
+        return (self.n, self.p, self.beta) == (other.n, other.p, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.beta))
+
+    def __repr__(self) -> str:
+        return f"FrameConfig(n={self.n!r}, p={self.p!r}, beta={self.beta!r})"
 
     @property
     def k(self) -> int:

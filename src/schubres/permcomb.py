@@ -10,22 +10,28 @@ starting from the identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from schubres.exactlin import InvariantError
 from schubres.report import EnumReport, timed
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class _PermutationFields(NamedTuple):
     one_line: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.one_line)
-        if sorted(self.one_line) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.one_line}")
+
+class Permutation(_PermutationFields):
+    """A permutation of 1..n in one-line notation, ordered and hashed as
+    the 1-tuple ``(one_line,)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, one_line: tuple[int, ...]) -> "Permutation":
+        n = len(one_line)
+        if sorted(one_line) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {one_line}")
+        return super().__new__(cls, one_line)
 
     @property
     def n(self) -> int:
@@ -94,33 +100,42 @@ def word_product(letters: tuple[int, ...], n: int) -> Permutation:
     return Permutation(ol)
 
 
-@dataclass(frozen=True)
 class ReducedWord:
     """A reduced word split into bubblesort blocks t_1, ..., t_{n-1}.
 
     Block t_s collects the letters that move the value w(n-s+1) into
     position n-s+1; the flattened letter sequence multiplies to w.
+    ``letters`` is that sequence and ``last_occurrences[i-1]`` the
+    1-based index of the last occurrence of s_i in it, or None when s_i
+    never occurs (the fixed space F_i is used then); both are computed
+    once, when the word is made.  Words are equal and hash alike by
+    (n, blocks).
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "blocks", "letters", "last_occurrences")
 
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(itertools.chain.from_iterable(self.blocks))
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        self.n = n
+        self.blocks = blocks
+        self.letters = tuple(itertools.chain.from_iterable(blocks))
+        last: list[int | None] = [None] * (n - 1)
+        for j, d in enumerate(self.letters, start=1):
+            last[d - 1] = j
+        self.last_occurrences = tuple(last)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ReducedWord:
+            return NotImplemented
+        return (self.n, self.blocks) == (other.n, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
+
+    def __repr__(self) -> str:
+        return f"ReducedWord(n={self.n!r}, blocks={self.blocks!r})"
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @cached_property
-    def last_occurrences(self) -> tuple[int | None, ...]:
-        """p(i) = 1-based index of the last occurrence of s_i in the word,
-        or None when s_i never occurs (the fixed space F_i is used then).
-        Computed once per word."""
-        out: list[int | None] = [None] * (self.n - 1)
-        for j, d in enumerate(self.letters, start=1):
-            out[d - 1] = j
-        return tuple(out)
+        return len(self.letters)
 
 
 def bubblesort_word(w: Permutation) -> ReducedWord:
@@ -144,8 +159,7 @@ def bubblesort_word(w: Permutation) -> ReducedWord:
     return ReducedWord(n, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class BSIncidence:
+class BSIncidence(NamedTuple):
     """Per-letter incidence data for a Bott-Samelson tower.
 
     For letter j, ``left[j-1]`` / ``right[j-1]`` hold the greatest

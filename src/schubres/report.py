@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from schubres.exactlin import Subspace
 
@@ -16,8 +15,7 @@ def subspace_witness(s: Subspace) -> list[list[int]]:
     return [list(row) for row in s.basis]
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One named pass/fail entry of a report.
 
     Informational checks record empirical observations (finite-field
@@ -29,7 +27,7 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
-    witnesses: list[Any] = field(default_factory=list)
+    witnesses: Sequence[Any] = ()
     informational: bool = False
 
     def as_dict(self) -> dict[str, Any]:
@@ -42,13 +40,39 @@ class Check:
         }
 
 
-@dataclass
 class EnumReport:
-    command: str
-    config: dict[str, Any]
-    counts: dict[str, Any] = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """A command's report: its configuration, counts, checks and wall time.
+
+    Reports are equal when all five fields are.
+    """
+
+    __slots__ = ("command", "config", "counts", "checks", "wall_time_s")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        command: str,
+        config: dict[str, Any],
+        counts: dict[str, Any] | None = None,
+        checks: list[Check] | None = None,
+        wall_time_s: float = 0.0,
+    ) -> None:
+        self.command = command
+        self.config = config
+        self.counts = {} if counts is None else counts
+        self.checks = [] if checks is None else checks
+        self.wall_time_s = wall_time_s
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EnumReport:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return (
+            f"EnumReport(command={self.command!r}, config={self.config!r}, "
+            f"counts={self.counts!r}, checks={self.checks!r}, wall_time_s={self.wall_time_s!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -59,10 +83,10 @@ class EnumReport:
         name: str,
         passed: bool,
         detail: str = "",
-        witnesses: list[Any] | None = None,
+        witnesses: Sequence[Any] = (),
         informational: bool = False,
     ) -> Check:
-        check = Check(name, bool(passed), detail, witnesses or [], informational)
+        check = Check(name, bool(passed), detail, witnesses, informational)
         self.checks.append(check)
         return check
 
@@ -87,7 +111,7 @@ def merge_reports(command: str, config: dict[str, Any], **parts: EnumReport) -> 
     merged = EnumReport(command, config)
     for prefix, part in parts.items():
         merged.counts.update(part.counts)
-        merged.checks += [replace(c, name=f"{prefix}.{c.name}") for c in part.checks]
+        merged.checks += [c._replace(name=f"{prefix}.{c.name}") for c in part.checks]
         merged.wall_time_s += part.wall_time_s
     return merged
 

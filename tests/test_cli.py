@@ -57,6 +57,15 @@ class TestDispatch:
         assert len(pairs) == len(set(pairs)) == len(REPORTS)
         assert set(pairs) == set(REPORTS)
 
+    def test_parser_is_built_once(self):
+        # one parser per process; each parse gives a fresh namespace
+        parser = build_parser()
+        assert build_parser() is parser
+        a = parser.parse_args(["biflag", "verify", "--perm", "2,1", "--field", "3"])
+        b = parser.parse_args(["biflag", "verify", "--perm", "1,2"])
+        assert a is not b
+        assert (a.perm, a.field, b.perm, b.field) == ("2,1", 3, "1,2", 2)
+
 
 class TestExitCodes:
     def test_invalid_perm_is_2(self, capsys):

@@ -186,6 +186,44 @@ class TestSubspaceHash:
         assert sorted(spaces, reverse=True) == sorted(fresh, reverse=True)
 
 
+def field_tuple(s):
+    return (s.n, s.p, s.basis, s.pivots)
+
+
+class TestSubspaceValueType:
+    def test_order_and_equality_are_field_tuples(self):
+        # every pair of subspaces of GF(2)^4, GF(2)^3 and GF(3)^3, all
+        # dimensions, also across n and p: each comparison agrees with the
+        # same comparison on (n, p, basis, pivots)
+        spaces = all_subspaces(4, 2) + all_subspaces(3, 2) + all_subspaces(3, 3)
+        for s in spaces:
+            for t in spaces:
+                ks, kt = field_tuple(s), field_tuple(t)
+                assert (s == t, s != t) == (ks == kt, ks != kt)
+                assert (s < t, s <= t, s > t, s >= t) == (ks < kt, ks <= kt, ks > kt, ks >= kt)
+        shuffled = spaces[:]
+        random.Random(0).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(shuffled, key=field_tuple)
+        assert sorted(shuffled, reverse=True) == sorted(shuffled, key=field_tuple, reverse=True)
+
+    def test_never_equals_its_field_tuple(self):
+        for s in all_subspaces(3, 2):
+            fields = field_tuple(s)
+            assert s != fields and fields != s and s != list(fields)
+            with pytest.raises(TypeError):
+                sorted([s, fields])
+
+    def test_linear_map_rejects_wrong_shape(self):
+        d, t = sp([E1, E2], 3), sp([E3], 3)
+        with pytest.raises(ValueError, match="matrix row count != target dimension"):
+            ex.LinearMap(d, t, ())
+        with pytest.raises(ValueError, match="matrix column count != domain dimension"):
+            ex.LinearMap(d, t, ((1,),))
+        a = ex.LinearMap(d, t, ((1, 0),))
+        assert (a.domain, a.target, a.matrix) == (d, t, ((1, 0),))
+        assert a == ex.LinearMap(d, t, ((1, 0),)) and hash(a) == hash((d, t, ((1, 0),)))
+
+
 class TestSumIntersectContains:
     def test_sum_of_axes(self):
         assert ex.subspace_sum(sp([E1], 3), sp([E2], 3)) == sp([E1, E2], 3)

@@ -1,9 +1,13 @@
 """Every name a module of the package imports is used in that module,
 every public module-level function or class, and every public method of a
 package class, is used somewhere in the package, and no module of the
-package holds an ``assert`` statement, which ``python -O`` strips."""
+package holds an ``assert`` statement, which ``python -O`` strips.
+Importing the CLI loads neither ``dataclasses`` nor what it brings in,
+and no code writes a subspace's fields after its constructor."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,3 +162,83 @@ def test_scanner_finds_asserts():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_asserts(path):
     assert assert_lines(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_ast():
+    # a fresh interpreter, without site or environment, that imports only the CLI
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import schubres.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+GUARDED_FIELDS = ("basis", "pivots", "_hash")
+
+
+def guarded_writes(modules: dict[str, ast.Module]) -> list[str]:
+    """``module:line`` of every ``object.__setattr__`` in the package's
+    ``modules``, and of every assignment or deletion of a ``basis``,
+    ``pivots`` or ``_hash`` attribute outside the class
+    ``exactlin.Subspace``, by statement or by ``setattr``.
+
+    Subspaces are dictionary and cache keys but not frozen, so no code
+    but their constructor and their lazy hash may write those fields.
+    """
+    out = []
+    for mod, tree in modules.items():
+        inside = set()
+        for cls in tree.body if mod == "exactlin" else ():
+            if isinstance(cls, ast.ClassDef) and cls.name == "Subspace":
+                inside = {id(node) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            hit = False
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                hit = getattr(node.value, "id", None) == "object"
+            elif isinstance(node, ast.Attribute) and node.attr in GUARDED_FIELDS:
+                hit = isinstance(node.ctx, (ast.Store, ast.Del)) and id(node) not in inside
+            elif isinstance(node, ast.Call) and len(node.args) > 1:
+                name = node.args[1]
+                hit = (
+                    getattr(node.func, "id", None) in ("setattr", "delattr")
+                    and isinstance(name, ast.Constant)
+                    and name.value in GUARDED_FIELDS
+                )
+            if hit:
+                out.append(f"{mod}:{node.lineno}")
+    return sorted(out)
+
+
+def test_scanner_finds_guarded_writes():
+    exactlin = (
+        "class Subspace:\n"
+        "    def __init__(self, basis):\n"
+        "        self.basis, self._hash = basis, None\n"
+        "class Other:\n"
+        "    def __init__(self, s):\n"
+        "        s.pivots = ()\n"
+    )
+    other = (
+        "s.basis += ()\n"
+        "object.__setattr__(s, 'n', 1)\n"
+        "setattr(s, '_hash', 0)\n"
+        "del s._hash\n"
+        "x = s.basis\n"
+        "setattr(s, 'n', 1)\n"
+    )
+    modules = {"exactlin": ast.parse(exactlin), "other": ast.parse(other)}
+    assert guarded_writes(modules) == [
+        "exactlin:6",
+        "other:1",
+        "other:2",
+        "other:3",
+        "other:4",
+    ]
+
+
+def test_no_guarded_writes():
+    assert guarded_writes(package_modules()) == []

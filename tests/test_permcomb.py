@@ -1,5 +1,7 @@
 """Permutation combinatorics: inversions, rank matrices, bubblesort words."""
 
+import itertools
+
 import pytest
 from oracles import bruhat_interval_oracle, cumulative_block_formula, identity
 
@@ -33,6 +35,42 @@ class TestBasics:
 
     def test_length_small(self):
         assert length(Permutation((2, 3, 1))) == 2
+
+
+class TestValueTypes:
+    def test_permutation_rejects_bad_input(self):
+        for bad in ((1, 1, 3), (2, 3), (0, 1)):
+            with pytest.raises(ValueError, match="not a permutation of 1.."):
+                Permutation(bad)
+
+    def test_permutation_hash_order_and_repr(self):
+        perms = list(all_permutations(4))
+        for u in perms:
+            assert hash(u) == hash((u.one_line,))
+            for v in perms:
+                assert (u < v, u <= v, u == v) == (
+                    u.one_line < v.one_line,
+                    u.one_line <= v.one_line,
+                    u.one_line == v.one_line,
+                )
+        assert repr(Permutation((2, 3, 1))) == "Permutation(one_line=(2, 3, 1))"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_word_letters_and_last_occurrences(self, n):
+        # both are stored when the word is made; they equal the letters
+        # flattened from the blocks and the last index of each letter
+        for w in all_permutations(n):
+            word = bubblesort_word(w)
+            letters = tuple(itertools.chain.from_iterable(word.blocks))
+            last = tuple(
+                max((j for j, d in enumerate(letters, start=1) if d == i), default=None)
+                for i in range(1, n)
+            )
+            assert word.letters == letters and len(word) == len(letters)
+            assert word.last_occurrences == last
+            assert word == ReducedWord(n, word.blocks)
+            assert hash(word) == hash((n, word.blocks))
+        assert repr(ReducedWord(3, ((1,), ()))) == "ReducedWord(n=3, blocks=((1,), ()))"
 
 
 class TestRankMatrix:

@@ -2,7 +2,7 @@
 
 import json
 
-from schubres.report import EnumReport, merge_reports
+from schubres.report import Check, EnumReport, merge_reports
 
 
 def test_passed_ignores_informational():
@@ -45,3 +45,13 @@ def test_merge_prefixes_checks_unites_counts_sums_times():
     assert merged.passed
     assert merged.wall_time_s == 0.75
     assert [c.name for c in a.checks] == ["ok"]
+
+
+def test_checks_without_witnesses_share_no_list():
+    a, b = Check("a", True), Check("b", True)
+    assert a.witnesses == b.witnesses == ()
+    assert not isinstance(a.witnesses, list)
+    rep = EnumReport("x", {})
+    rep.add("c", True)
+    rep.add("d", True, witnesses=[[[1]]])
+    assert [c["witnesses"] for c in json.loads(rep.to_json())["checks"]] == [[], [[[1]]]]
