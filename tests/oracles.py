@@ -19,7 +19,6 @@ from schubres.biflag import (
     grid_stages,
     project_to_flag,
     reconstruct_grid,
-    schubert_cells,
     standard_frames,
 )
 from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
@@ -648,8 +647,10 @@ def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> Enu
 
 
 def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """``biflag.verify_flres`` with the grid tower held as a list and every
-    image flag's fiber as a list of its points."""
+    """``biflag.verify_flres`` with the grid tower held as a list, every
+    image flag's fiber as a list of its points, and the closed variety
+    and the cell of w read off the walk over every complete flag, where
+    the package counts them by cell sizes."""
     report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
         points = list(enumerate_shat(w, p, budget))
@@ -666,24 +667,17 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
         outside = [flag for flag in by_flag if flag_position(flag) not in below]
         witness = [subspace_witness(s) for s in outside[0]] if outside else []
         report.add("image_in_closed_variety", not outside, witnesses=witness)
-        hits = dict.fromkeys(by_flag, False)
-        cell_points = closed_points = 0
-        bijective = recon_ok = True
-        for u, flag in schubert_cells(w, p, budget):
-            seen = hits.get(flag)
-            if seen or flag_position(flag) != u:
-                continue
-            if seen is not None:
-                hits[flag] = True
-            closed_points += 1
-            if u != w:
-                continue
-            cell_points += 1
-            fiber = by_flag.get(flag, [])
-            if len(fiber) != 1:
-                bijective = False
-            elif fiber[0] != reconstruct_grid(flag, w):
-                recon_ok = False
+        # the closed locus and the cell of w from the walk over every flag
+        position = {flag: flag_position(flag) for flag in enumerate_complete_flags(w.n, p)}
+        closed = {flag for flag, u in position.items() if u in below}
+        cell = [flag for flag, u in position.items() if u == w and flag in by_flag]
+        cell_points = len(cell)
+        bijective = all(len(by_flag[flag]) == 1 for flag in cell)
+        recon_ok = all(
+            by_flag[flag][0] == reconstruct_grid(flag, w)
+            for flag in cell
+            if len(by_flag[flag]) == 1
+        )
         report.counts["cell_points"] = cell_points
         report.counts["expected_cell_points"] = p ** length(w)
         report.add(
@@ -693,10 +687,10 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
         )
         report.add("cell_fibers_are_singletons", bijective)
         report.add("cell_fiber_is_intersection_grid", recon_ok)
-        report.counts["closed_points"] = closed_points
+        report.counts["closed_points"] = len(closed)
         report.add(
             "image_equals_closed_variety",
-            all(hits.values()) and closed_points == len(hits),
+            by_flag.keys() == closed,
             "point surjectivity observed at this field size",
             informational=True,
         )

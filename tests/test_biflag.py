@@ -2,7 +2,7 @@
 
 import json
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import zip_longest
 
 import oracles
@@ -25,7 +25,6 @@ from schubres.biflag import (
     grid_stages,
     project_to_flag,
     reconstruct_grid,
-    schubert_cells,
     standard_frames,
     verify_flres,
 )
@@ -207,10 +206,6 @@ class TestSchubertFlagPoints:
                 assert image == set(want)
 
 
-# spaces whose every Bruhat cell is checked against the walk over all flags
-CELL_SPACES = [(1, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
-
-
 def _without_time(text):
     report = json.loads(text)
     report.pop("wall_time_s")
@@ -219,41 +214,6 @@ def _without_time(text):
 
 def _longest(n):
     return Permutation(tuple(range(n, 0, -1)))
-
-
-class TestSchubertCells:
-    @pytest.mark.parametrize("n,p", CELL_SPACES)
-    def test_cells_equal_walk(self, n, p):
-        # grouped by u, the generated flags are the walk's flags at
-        # position u; sorted, they come in the walk's tower order
-        walk = defaultdict(list)
-        for flag in enumerate_complete_flags(n, p):
-            walk[flag_position(flag)].append(flag)
-        cells = defaultdict(list)
-        for u, flag in schubert_cells(_longest(n), p):
-            cells[u].append(flag)
-        assert {u: sorted(flags) for u, flags in cells.items()} == dict(walk)
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_cells_are_those_below(self, n):
-        for w in all_permutations(n):
-            got = Counter(u for u, _ in schubert_cells(w, 2))
-            assert got == {u: 2 ** length(u) for u in all_permutations(n) if bruhat_leq(u, w)}
-
-    @pytest.mark.parametrize(
-        "one_line",
-        [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (2, 4, 1, 3)],
-        ids=lambda one_line: "".join(map(str, one_line)),
-    )
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_budget_guard(self, one_line, p):
-        # the bound is exact: one point less is refused before the first
-        # point, the bound itself is accepted
-        w = Permutation(one_line)
-        bound = sum(p ** length(u) for u in all_permutations(w.n) if bruhat_leq(u, w))
-        with pytest.raises(BudgetExceededError):
-            next(schubert_cells(w, p, bound - 1))
-        assert len(list(schubert_cells(w, p, bound))) == bound
 
 
 class TestBruhatGeometry:
@@ -293,40 +253,6 @@ class TestVerifyFlres:
         assert len(cell) == 2 ** length(w)
         for flag in cell:
             assert grid_is_valid(reconstruct_grid(flag, w), w)
-
-    def test_repeated_flags_count_once(self, monkeypatch):
-        # a generator that yields every flag twice changes nothing
-        w = Permutation((2, 3, 1))
-        want = verify_flres(w, 2).to_json()
-
-        def twice(w, p, budget):
-            for u, flag in schubert_cells(w, p, budget):
-                yield u, flag
-                yield u, flag
-
-        monkeypatch.setattr(biflag, "schubert_cells", twice)
-        assert _without_time(verify_flres(w, 2).to_json()) == _without_time(want)
-
-    @pytest.mark.parametrize("fault", ["drop", "misplace"])
-    def test_faulty_generator_fails_cell_count(self, monkeypatch, fault):
-        # a flag missing from its cell, or yielded under another
-        # permutation, is not counted in the cell
-        w = Permutation((2, 3, 1))
-        other = Permutation((1, 3, 2))
-
-        def faulty(w, p, budget):
-            points = list(schubert_cells(w, p, budget))
-            u, flag = points.pop()  # the cell of w comes last
-            assert u == w
-            if fault == "misplace":
-                points.append((other, flag))
-            yield from points
-
-        monkeypatch.setattr(biflag, "schubert_cells", faulty)
-        rep = verify_flres(w, 2)
-        failed = {c.name for c in rep.checks if not c.passed}
-        assert "cell_count_is_p^l" in failed
-        assert not rep.passed
 
     @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 1, 2), (3, 2, 1)])
     def test_flag_meets_frame_at_least_grid(self, one_line):
@@ -418,23 +344,55 @@ class TestVerifyFlresStreams:
         assert "cell_fibers_are_singletons" in {c.name for c in got.checks if not c.passed}
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
 
-    def test_swapped_closed_flag_fails_surjectivity(self, monkeypatch):
-        # a closed walk that swaps an image flag for one outside the
-        # variety, at its own position, keeps the count but not the image
+    def test_wrong_grid_over_a_cell_flag(self, monkeypatch):
+        # a point over a cell flag whose other cells are not the flag's
+        # intersections with F_* keeps its flag but fails the inverse
         w = Permutation((2, 3, 1))
-        outside = next(f for u, f in schubert_cells(_longest(3), 2) if u == _longest(3))
-
-        def swapped(w, p, budget):
-            points = list(schubert_cells(w, p, budget))
-            points[0] = (_longest(3), outside)
-            yield from points
-
+        points = list(enumerate_shat(w, 2))
+        i = next(i for i, pt in enumerate(points) if flag_position(project_to_flag(pt)) == w)
+        zero = standard_frames(3, 2)[0]
+        points[i] = points[i]._replace(grid=tuple((zero, zero, row[-1]) for row in points[i].grid))
         for module in (biflag, oracles):
-            monkeypatch.setattr(module, "schubert_cells", swapped)
+            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
         got = verify_flres(w, 2)
-        surj = next(c for c in got.checks if c.name == "image_equals_closed_variety")
-        assert not surj.passed and got.counts["closed_points"] == 9  # as when not swapped
+        assert {c.name for c in got.checks if not c.passed} == {"cell_fiber_is_intersection_grid"}
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
+
+    def _drop_one_flag(self, monkeypatch, w, p, u):
+        """Both verifiers over a tower without the points over the first
+        image flag at position u."""
+        points = list(enumerate_shat(w, p))
+        dropped = next(f for f in map(project_to_flag, points) if flag_position(f) == u)
+        kept = [pt for pt in points if project_to_flag(pt) != dropped]
+        for module in (biflag, oracles):
+            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(kept))
+        got = verify_flres(w, p)
+        assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, p).to_json())
+        return got
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dropped_lower_flag_fails_surjectivity(self, monkeypatch, p):
+        # a flag of a lower cell missing from the image leaves the closed
+        # count as it was and makes the image smaller than the variety
+        w, u = Permutation((2, 3, 1)), Permutation((2, 1, 3))
+        want = verify_flres(w, p)
+        got = self._drop_one_flag(monkeypatch, w, p, u)
+        failed = {c.name for c in got.checks if not c.passed}
+        assert "image_equals_closed_variety" in failed
+        assert "image_in_closed_variety" not in failed
+        assert got.counts["closed_points"] == want.counts["closed_points"]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dropped_cell_flag_fails_cell_count(self, monkeypatch, p):
+        # a flag of the cell of w missing from the image leaves the cell
+        # one point short, while the fibers that remain are singletons
+        w = Permutation((2, 3, 1))
+        got = self._drop_one_flag(monkeypatch, w, p, w)
+        failed = {c.name for c in got.checks if not c.passed}
+        assert "cell_count_is_p^l" in failed
+        assert "cell_fibers_are_singletons" not in failed
+        assert got.counts["cell_points"] == p ** length(w) - 1
+        assert not got.passed
 
     def test_witness_is_first_outside_flag(self, monkeypatch):
         # with every position read as the longest word, every image flag

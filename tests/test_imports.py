@@ -1,9 +1,10 @@
-"""Every name a module of the package imports is used in that module,
-every public module-level function or class, and every public method of a
-package class, is used somewhere in the package, and no module of the
-package holds an ``assert`` statement, which ``python -O`` strips.
-Importing the CLI loads neither ``dataclasses`` nor what it brings in,
-and no code writes a subspace's fields after its constructor."""
+"""Every name a module of the package or of its tests imports is used in
+that module, every public module-level function or class, and every
+public method of a package class, is used somewhere in the package, and
+no module of the package holds an ``assert`` statement, which
+``python -O`` strips.  Importing the CLI loads neither ``dataclasses``
+nor what it brings in, and no code writes a subspace's fields after its
+constructor."""
 
 import ast
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schubres"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "schubres"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -114,7 +116,12 @@ def test_scanner_finds_unused_definitions():
     assert unused_definitions(modules) == ["a.recursive", "a.shadowed", "a.unused"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+# the package's modules and the test modules; no file name is in both
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: path.name,
+)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 

@@ -6,7 +6,6 @@ import pytest
 from oracles import bruhat_interval_oracle, cumulative_block_formula, identity
 
 from schubres.permcomb import (
-    BSIncidence,
     Permutation,
     ReducedWord,
     all_permutations,
