@@ -11,7 +11,6 @@ the standard flag.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator, Sequence
 
 from schubres.biflag import Flag
@@ -222,23 +221,28 @@ def verify_embedded_resolution(
             ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard,
         )
 
-        census: dict[Subspace, list[tuple[GHatPoint, KLChain]]] = {}
+        # per chain top, its one grid point, or None once a second pair tops it
+        first: dict[Subspace, GHatPoint | None] = {}
+        over_o, off_o = set(), set()
         fiber_sizes = set()
-        per_grid = 0
         grid_points = 0
+        total_pairs = 0
         incidence_ok = True
         for pt in enumerate_ghat(cfg, budget):
             grid_points += 1
             flag = flag_of_grid(cfg, pt)
+            tops = over_o if pt == o else off_o
             per_grid = 0
             for chain in kl_points(flag, cfg.p, budget):
                 per_grid += 1
-                census.setdefault(chain[-1], []).append((pt, chain))
+                top = chain[-1]
+                first[top] = None if top in first else pt
+                tops.add(top)
                 incidence_ok = incidence_ok and all(
                     contains(flag[i], chain[i]) for i in range(cfg.k)
                 )
             fiber_sizes.add(per_grid)
-        total_pairs = sum(len(v) for v in census.values())
+            total_pairs += per_grid
         report.counts["grid_points"] = grid_points
         report.counts["pairs"] = total_pairs
         report.add("chain_count_flag_independent", len(fiber_sizes) == 1)
@@ -256,7 +260,7 @@ def verify_embedded_resolution(
         in_cell = _cell_test(cfg)
         for a, l in grassmannian_cells(cfg, lambda a: True, True, budget):
             grass_points += 1
-            covered = covered and l in census
+            covered = covered and l in first
             if in_cell(l, a):
                 cell.append(l)
             if LOCI["closed"](cfg.beta, a):
@@ -264,7 +268,7 @@ def verify_embedded_resolution(
         report.counts["grassmannian_points"] = grass_points
         report.add(
             "hits_whole_grassmannian",
-            covered and len(census) == grass_points,
+            covered and len(first) == grass_points,
             "surjectivity observed at this field size",
             informational=True,
         )
@@ -273,27 +277,23 @@ def verify_embedded_resolution(
         diag_graph_ok = True
         late = [cfg.complements_suffix(i + 1) for i in range(1, cfg.k + 1)]
         for gt in graphs:
-            hits = census.get(gt, [])
-            if len(hits) != 1:
+            pt = first.get(gt)
+            if pt is None:
                 chart_fail.append(subspace_witness(gt))
                 continue
             # the unique preimage has graph-shaped diagonal cells: each
             # meets the late complements trivially
-            diag = pi_diag(hits[0][0])
+            diag = pi_diag(pt)
             if any(intersect(diag[i], late[i]).dim for i in range(cfg.k)):
                 diag_graph_ok = False
         report.add("chart_points_have_unique_preimage", not chart_fail, witnesses=chart_fail[:3])
         report.add("chart_preimage_diagonals_are_graphs", diag_graph_ok)
 
         report.counts["cell_points"] = len(cell)
-        over_o_only = all(
-            pt == o for l in cell for (pt, _) in census.get(l, [])
-        )
-        report.add("cell_preimage_over_special_point", over_o_only)
+        report.add("cell_preimage_over_special_point", off_o.isdisjoint(cell))
         cell_in_chart = all(in_chart(cfg, l) for l in cell)
         report.add("cell_inside_chart", cell_in_chart)
 
-        over_o = {chain[-1] for (pt, chain) in itertools.chain(*census.values()) if pt == o}
         standard_tower_tops = {chain[-1] for chain in kl_points(standard, cfg.p, budget)}
         report.add("special_fiber_is_standard_tower", over_o == standard_tower_tops)
         report.counts["closed_locus_points"] = len(closed)

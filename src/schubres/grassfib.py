@@ -24,6 +24,7 @@ from schubres.exactlin import (
     InvariantError,
     LinearMap,
     Subspace,
+    Vec,
     _echelon_forms,
     check_field,
     contains,
@@ -36,7 +37,6 @@ from schubres.exactlin import (
     rref,
     span,
     subspace_sum,
-    zero_subspace,
 )
 from schubres.report import EnumReport, subspace_witness, timed
 
@@ -176,13 +176,6 @@ def moving_complements(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[S
     return tuple(out) + (cfg.tail,)
 
 
-def _sum_all(spaces: Iterable[Subspace], n: int, p: int) -> Subspace:
-    out = zero_subspace(n, p)
-    for s in spaces:
-        out = subspace_sum(out, s)
-    return out
-
-
 def phi_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
     """Targets of the maps of ``phi`` on these lines: for line i >= 2, the
     sum of the moving complements of lines 1..i-1."""
@@ -197,32 +190,23 @@ def phi_star_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Sub
     return tuple(itertools.accumulate(reversed(comps[1:]), subspace_sum))[::-1]
 
 
-def _graph_sums(
-    cfg: FrameConfig,
-    lines: tuple[Subspace, ...],
-    targets: tuple[Subspace, ...],
-    maps: tuple[LinearMap, ...],
-) -> list[Subspace]:
-    """Suffix sums of the parts of ``phi`` or ``phi_star``: entry i is the
-    sum of parts i+1..k, so entry 0 is their whole sum.
+def _graph_rows(
+    lines: tuple[Subspace, ...], targets: tuple[Subspace, ...], maps: tuple[LinearMap, ...]
+) -> list[Vec]:
+    """The parts of ``phi`` or ``phi_star`` as rows, one per line.
 
     ``maps`` send the last len(maps) lines into ``targets``; the part of
     such a line is the graph of its map, and an earlier line is its own
     part.  A map out of a line is one matrix column, so its graph is the
-    one row ``graph_rows`` reads off that column.  Each sum extends the
-    next by one row, from the last line backwards, with no row reduction
-    of the whole.
+    one row ``graph_rows`` reads off that column.
     """
-    first = cfg.k - len(maps)
+    first = len(lines) - len(maps)
     rows = [line.basis[0] for line in lines[:first]]
     for i, (line, target, a) in enumerate(zip(lines[first:], targets, maps), start=first + 1):
         if a.domain != line or a.target != target:
             raise ValueError(f"map {i} has wrong domain or target")
         rows += graph_rows(a)
-    sums = [zero_subspace(cfg.n, cfg.p)]
-    for row in reversed(rows):
-        sums.append(sums[-1].extend(row))
-    return sums[::-1]
+    return rows
 
 
 def phi(
@@ -238,11 +222,11 @@ def phi(
     contributes itself.  The result meets F_{b_i} in dimension exactly i
     for every i, which ``verify_phi`` checks as
     ``image_equals_regular_locus``.  Each graph is one row, read off the
-    map's matrix (``_graph_sums``).
+    map's matrix (``_graph_rows``), and the rows are reduced.
     """
     if len(lines) != cfg.k or len(maps) != cfg.k - 1:
         raise ValueError("need k moving lines and k-1 maps")
-    return _graph_sums(cfg, lines, targets, maps)[0]
+    return span(_graph_rows(lines, targets, maps), cfg.n, cfg.p)
 
 
 def phi_star(
@@ -257,31 +241,22 @@ def phi_star(
     complements of lines i+1..k and the tail (``phi_star_targets``).  The
     result meets G^{b_i} in dimension exactly k-i, which
     ``verify_phi_star`` checks as ``image_equals_conjugate_locus``.  Each
-    graph is one row, read off the map's matrix (``_graph_sums``).  The
-    graph of map i starts in window i, and windows are disjoint blocks of
-    consecutive coordinates, so the meet with G^{b_i} is the sum of the
-    later graphs; a meet that is not raises InvariantError.
+    graph is one row, read off the map's matrix (``_graph_rows``).  Map i
+    leaves out every later line's pivot, so the rows are the canonical
+    basis: row i has a 1 at line i's pivot, in window i, and zeros before
+    it and at the other pivots, or InvariantError is raised.
     """
     k = cfg.k
     if len(lines) != k or len(maps) != k:
         raise ValueError("need k moving lines and k maps")
-    sums = _graph_sums(cfg, lines, targets, maps)
-    out = sums[0]
-    for i in range(1, k + 1):
-        if coframe_slice(out, cfg.beta[i - 1]) != sums[i]:
-            raise InvariantError(f"phi_star meets G^{cfg.beta[i - 1]} off the later graphs")
-    return out
-
-
-def coframe_slice(l: Subspace, q: int) -> Subspace:
-    """L ∩ G^q, read off the echelon form of L.
-
-    A vector of L starts at the first pivot among the canonical rows it
-    uses, so it lies in G^q exactly when it uses only rows with pivot at
-    least q (0-based).  Those rows are already a canonical basis.
-    """
-    j = bisect_left(l.pivots, q)
-    return Subspace(l.n, l.p, l.basis[j:], l.pivots[j:])
+    rows = _graph_rows(lines, targets, maps)
+    pivots = tuple(line.pivots[0] for line in lines)
+    for i, (row, q) in enumerate(zip(rows, pivots), start=1):
+        lo, hi = cfg.window_bounds(i)
+        # zeros before q cover the earlier pivots
+        if not lo <= q < hi or row[q] != 1 or any(row[:q]) or any(row[r] for r in pivots[i:]):
+            raise InvariantError(f"phi_star graph row {i} is not canonical at pivot {q}")
+    return Subspace(cfg.n, cfg.p, tuple(rows), pivots)
 
 
 def _leq(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -437,12 +412,12 @@ def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ..
     """The base-point of a conjugate member: project L ∩ G^{b_{i-1}}
     into window i along G^{b_i}.
 
-    L ∩ G^{b_{i-1}} is spanned by the canonical rows of L with pivot at
-    least b_{i-1} (``coframe_slice``).  Window i is the coordinates
-    b_{i-1}..b_i - 1, so the projection sends the rows with pivot past
-    the window to zero and cuts the others down to the window.  Those
-    keep their pivots, and the other rows are zero there, so the cut
-    rows are already a canonical basis.
+    A vector of L starts at the first pivot among the canonical rows it
+    uses, so the rows with pivot at least b_{i-1} span L ∩ G^{b_{i-1}}.
+    Window i is the coordinates b_{i-1}..b_i - 1, so the projection
+    sends the rows with pivot past the window to zero and cuts the others
+    down to the window.  Those keep their pivots, and the other rows are
+    zero there, so the cut rows are already a canonical basis.
     """
     n = l.n
     out = []
@@ -538,7 +513,11 @@ def verify_transversal_identity(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) 
                 meet.add(l)
             if LOCI["star_closed"](cfg.beta, c):
                 closed_meet.add(l)
-        base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
+        # lines in distinct windows, stacked, are the canonical basis of their sum
+        base = {
+            Subspace(cfg.n, cfg.p, tuple(l.basis[0] for l in ls), tuple(l.pivots[0] for l in ls))
+            for ls in window_line_tuples(cfg)
+        }
         report.counts["intersection"] = len(meet)
         report.counts["base_points"] = len(base)
         report.add("open_intersection_is_base", meet == base)

@@ -8,6 +8,7 @@ read-offs replace, and the subspace arithmetic (``frame_by_arithmetic``,
 charts replace."""
 
 import itertools
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from schubres import biflag, exactlin, permcomb
@@ -22,7 +23,14 @@ from schubres.biflag import (
     standard_frames,
 )
 from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
-from schubres.embres import KLChain, _cell_test, flag_of_grid, kl_points
+from schubres.embres import (
+    KLChain,
+    _cell_test,
+    flag_of_grid,
+    in_chart,
+    kl_points,
+    special_point,
+)
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -47,7 +55,7 @@ from schubres.exactlin import (
     tower_bound,
     zero_subspace,
 )
-from schubres.grassfib import FrameConfig, coframe_slice
+from schubres.grassfib import LOCI, FrameConfig, grassmannian_cells
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -60,7 +68,7 @@ from schubres.permcomb import (
     word_product,
 )
 from schubres.report import EnumReport, subspace_witness, timed
-from schubres.wflag import GCalPoint, GHatPoint, enumerate_ghat
+from schubres.wflag import GCalPoint, GHatPoint, enumerate_ghat, ghat_membership, pi_diag
 
 
 def clear_caches() -> None:
@@ -297,6 +305,25 @@ def window_part(s: Subspace, lo: int, hi: int) -> Subspace:
     the coordinates outside it: those coordinates set to zero."""
     rows = [(0,) * lo + row[lo:hi] + (0,) * (s.n - hi) for row in s.basis]
     return span(rows, s.n, s.p)
+
+
+def sum_all(spaces: Iterable[Subspace], n: int, p: int) -> Subspace:
+    """The sum of ``spaces``, one ``subspace_sum`` at a time."""
+    out = zero_subspace(n, p)
+    for s in spaces:
+        out = subspace_sum(out, s)
+    return out
+
+
+def coframe_slice(l: Subspace, q: int) -> Subspace:
+    """L ∩ G^q, read off the echelon form of L.
+
+    A vector of L starts at the first pivot among the canonical rows it
+    uses, so it lies in G^q exactly when it uses only rows with pivot at
+    least q (0-based).  Those rows are already a canonical basis.
+    """
+    j = bisect_left(l.pivots, q)
+    return Subspace(l.n, l.p, l.basis[j:], l.pivots[j:])
 
 
 def frame_slice(l: Subspace, q: int) -> Subspace:
@@ -692,6 +719,108 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
             "image_equals_closed_variety",
             by_flag.keys() == closed,
             "point surjectivity observed at this field size",
+            informational=True,
+        )
+    return report
+
+
+def verify_embedded_resolution_by_census(
+    cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
+) -> EnumReport:
+    """``embres.verify_embedded_resolution`` with a census: every
+    (grid point, chain) pair is kept in a list under its chain's top,
+    and each check reads the lists back.  ``graphs`` is
+    ``chart_graphs(cfg)``."""
+    report = EnumReport(
+        "embres verify",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        o = special_point(cfg)
+        standard = tuple(cfg.frames[b] for b in cfg.beta)
+        report.add(
+            "special_point_flag_is_standard",
+            ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard,
+        )
+
+        census: dict[Subspace, list[tuple[GHatPoint, KLChain]]] = {}
+        fiber_sizes = set()
+        grid_points = 0
+        incidence_ok = True
+        for pt in enumerate_ghat(cfg, budget):
+            grid_points += 1
+            flag = flag_of_grid(cfg, pt)
+            per_grid = 0
+            for chain in kl_points(flag, cfg.p, budget):
+                per_grid += 1
+                census.setdefault(chain[-1], []).append((pt, chain))
+                incidence_ok = incidence_ok and all(
+                    contains(flag[i], chain[i]) for i in range(cfg.k)
+                )
+            fiber_sizes.add(per_grid)
+        total_pairs = sum(len(v) for v in census.values())
+        report.counts["grid_points"] = grid_points
+        report.counts["pairs"] = total_pairs
+        report.add("chain_count_flag_independent", len(fiber_sizes) == 1)
+        report.add(
+            "pair_count_is_product",
+            total_pairs == grid_points * next(iter(fiber_sizes)),
+        )
+        report.add("pairs_satisfy_incidence", incidence_ok)
+
+        # one pass over the Grassmannian gives its size and both loci
+        grass_points = 0
+        covered = True
+        cell: list[Subspace] = []
+        closed: set[Subspace] = set()
+        in_cell = _cell_test(cfg)
+        for a, l in grassmannian_cells(cfg, lambda a: True, True, budget):
+            grass_points += 1
+            covered = covered and l in census
+            if in_cell(l, a):
+                cell.append(l)
+            if LOCI["closed"](cfg.beta, a):
+                closed.add(l)
+        report.counts["grassmannian_points"] = grass_points
+        report.add(
+            "hits_whole_grassmannian",
+            covered and len(census) == grass_points,
+            "surjectivity observed at this field size",
+            informational=True,
+        )
+
+        chart_fail: list = []
+        diag_graph_ok = True
+        late = [cfg.complements_suffix(i + 1) for i in range(1, cfg.k + 1)]
+        for gt in graphs:
+            hits = census.get(gt, [])
+            if len(hits) != 1:
+                chart_fail.append(subspace_witness(gt))
+                continue
+            # the unique preimage has graph-shaped diagonal cells: each
+            # meets the late complements trivially
+            diag = pi_diag(hits[0][0])
+            if any(intersect(diag[i], late[i]).dim for i in range(cfg.k)):
+                diag_graph_ok = False
+        report.add("chart_points_have_unique_preimage", not chart_fail, witnesses=chart_fail[:3])
+        report.add("chart_preimage_diagonals_are_graphs", diag_graph_ok)
+
+        report.counts["cell_points"] = len(cell)
+        over_o_only = all(
+            pt == o for l in cell for (pt, _) in census.get(l, [])
+        )
+        report.add("cell_preimage_over_special_point", over_o_only)
+        cell_in_chart = all(in_chart(cfg, l) for l in cell)
+        report.add("cell_inside_chart", cell_in_chart)
+
+        over_o = {chain[-1] for (pt, chain) in itertools.chain(*census.values()) if pt == o}
+        standard_tower_tops = {chain[-1] for chain in kl_points(standard, cfg.p, budget)}
+        report.add("special_fiber_is_standard_tower", over_o == standard_tower_tops)
+        report.counts["closed_locus_points"] = len(closed)
+        report.add(
+            "special_fiber_covers_closed_locus",
+            over_o == closed,
+            "chain-tower surjectivity observed at this field size",
             informational=True,
         )
     return report

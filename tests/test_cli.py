@@ -134,17 +134,19 @@ def run_optimized(script):
 
 class TestChecksSurviveOptimize:
     # python -O strips asserts; these checks must still stop the run
-    def test_phi_star_meet_check(self):
-        # a meet with G^{b_i} that keeps all of L is not the sum of the later graphs
+    def test_phi_star_canonical_row_check(self):
+        # a 1 at the first coordinate of every graph row is a nonzero
+        # entry before the pivot of row 1 of the first input, whose line 1
+        # is e2
         code, err = run_optimized(
             "import sys\n"
-            "from schubres import cli, grassfib\n"
+            "from schubres import cli, exactlin, grassfib\n"
             "assert False, 'asserts are on'\n"
-            "grassfib.coframe_slice = lambda l, q: l\n"
+            "grassfib.graph_rows = lambda a: [(1,) + r[1:] for r in exactlin.graph_rows(a)]\n"
             "sys.exit(cli.run(['grass', 'verify-phistar', '--n', '4', '--beta', '2,4']))\n"
         )
         assert code == 3, err
-        assert "internal error: InvariantError" in err
+        assert "internal error: InvariantError: phi_star graph row 1 is not canonical" in err
 
     def test_graph_dimension_check(self):
         # with the disjointness check fooled, the graph of -1 on a line

@@ -1,6 +1,7 @@
 """Chain towers over flag families and the embedded resolution checks."""
 
 import itertools
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     graph_tuple,
     kl_count_formula,
     reconstruct_map_tuple_by_projection,
+    verify_embedded_resolution_by_census,
     zero_map,
 )
 
@@ -263,3 +265,68 @@ class TestEmbeddedResolution:
             graphs = chart_graphs(cfg)
             for rep in (verify_chart_family(cfg, graphs), verify_embedded_resolution(cfg, graphs)):
                 assert rep.passed, (beta, [c.name for c in rep.checks if not c.passed])
+
+
+def without_time(report):
+    out = json.loads(report.to_json())
+    out.pop("wall_time_s")
+    return out
+
+
+def census_spaces():
+    """Every default frame of GF(2)^n, n <= 5, and of GF(3)^n, n <= 4."""
+    for n, p in [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)]:
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                yield make_frame(n, p, beta)
+
+
+def patch_both(monkeypatch, name, value):
+    """Replace ``name`` where the package and the census oracle read it."""
+    for module in ("schubres.embres", "oracles"):
+        monkeypatch.setattr(f"{module}.{name}", value)
+
+
+class TestStreamedPairs:
+    # the streamed verifier against the census it replaced
+    def test_reports_match_census(self):
+        for cfg in census_spaces():
+            graphs = chart_graphs(cfg)
+            got = verify_embedded_resolution(cfg, graphs)
+            want = verify_embedded_resolution_by_census(cfg, graphs)
+            assert without_time(got) == without_time(want), cfg
+
+    def faulty_reports(self, cfg):
+        graphs = chart_graphs(cfg)
+        got = verify_embedded_resolution(cfg, graphs)
+        assert without_time(got) == without_time(verify_embedded_resolution_by_census(cfg, graphs))
+        return {c.name: c.passed for c in got.checks}
+
+    def test_repeated_grid_point_fails_unique_preimage(self, monkeypatch):
+        # the special point, yielded twice, is the preimage of the graph
+        # of the zero chart map twice over
+        cfg = make_frame(4, 2, (2, 4))
+
+        def repeating(cfg, budget):
+            yield from enumerate_ghat(cfg, budget)
+            yield special_point(cfg)
+
+        patch_both(monkeypatch, "enumerate_ghat", repeating)
+        checks = self.faulty_reports(cfg)
+        assert not checks["chart_points_have_unique_preimage"]
+        assert checks["cell_preimage_over_special_point"]
+
+    def test_off_special_point_over_cell_fails(self, monkeypatch):
+        # one grid point other than the special one carries the standard
+        # flag, so its chains top the cell points too
+        cfg = make_frame(4, 2, (2, 4))
+        o = special_point(cfg)
+        victim = next(pt for pt in enumerate_ghat(cfg) if pt != o)
+        standard = flag_of_grid(cfg, o)
+
+        def flag(cfg, pt):
+            return standard if pt == victim else flag_of_grid(cfg, pt)
+
+        patch_both(monkeypatch, "flag_of_grid", flag)
+        checks = self.faulty_reports(cfg)
+        assert not checks["cell_preimage_over_special_point"]

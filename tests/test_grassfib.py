@@ -7,6 +7,7 @@ import operator
 import pytest
 from oracles import (
     coflag,
+    coframe_slice,
     frame_by_arithmetic,
     frame_slice,
     graph_by_apply,
@@ -14,6 +15,7 @@ from oracles import (
     project,
     recover_lines_by_slices,
     schubert_position,
+    sum_all,
     zero_map,
 )
 
@@ -21,6 +23,9 @@ from schubres.biflag import standard_frames
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    InvariantError,
+    LinearMap,
+    coordinate_space,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
@@ -31,9 +36,7 @@ from schubres.exactlin import (
 from schubres.grassfib import (
     FrameConfig,
     LOCI,
-    _sum_all,
     base_point_count,
-    coframe_slice,
     grassmannian_cells,
     MODES,
     hom_rank,
@@ -148,7 +151,7 @@ def transversal_by_walk(cfg, budget=DEFAULT_BUDGET):
                 meet.add(l)
             if LOCI["closed"](cfg.beta, a) and LOCI["star_closed"](cfg.beta, c):
                 closed_meet.add(l)
-        base = {_sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
+        base = {sum_all(lines, cfg.n, cfg.p) for lines in window_line_tuples(cfg)}
         report.counts["intersection"] = len(meet)
         report.counts["base_points"] = len(base)
         report.add("open_intersection_is_base", meet == base)
@@ -196,14 +199,14 @@ class TestMakeFrame:
             k = cfg.k
             comps = [cfg.complement(j) for j in range(1, k + 2)]
             for i in range(k + 1):
-                assert cfg.lines_prefix(i) == _sum_all(cfg.lines[:i], n, p)
+                assert cfg.lines_prefix(i) == sum_all(cfg.lines[:i], n, p)
                 for j in range(i + 1):
                     want = subspace_sum(cfg.lines_prefix(j), cfg.complements_suffix(i + 1))
                     assert cfg.nested(j, i) == want
             for i in range(k + 2):
-                assert cfg.complements_prefix(i) == _sum_all(comps[:i], n, p)
+                assert cfg.complements_prefix(i) == sum_all(comps[:i], n, p)
             for i in range(1, k + 3):
-                assert cfg.complements_suffix(i) == _sum_all(comps[i - 1 :], n, p)
+                assert cfg.complements_suffix(i) == sum_all(comps[i - 1 :], n, p)
 
 
 class TestFrameByCoordinates:
@@ -238,9 +241,9 @@ class TestMapTargets:
         for cfg in all_frames(n, p):
             for lines in window_line_tuples(cfg):
                 comps = moving_complements(cfg, lines)
-                want = tuple(_sum_all(comps[: i - 1], n, p) for i in range(2, cfg.k + 1))
+                want = tuple(sum_all(comps[: i - 1], n, p) for i in range(2, cfg.k + 1))
                 assert phi_targets(cfg, lines) == want
-                want = tuple(_sum_all(comps[i:], n, p) for i in range(1, cfg.k + 1))
+                want = tuple(sum_all(comps[i:], n, p) for i in range(1, cfg.k + 1))
                 assert phi_star_targets(cfg, lines) == want
 
 
@@ -295,6 +298,27 @@ class TestPhiStar:
         maps = (zero_map(cfg.line(1), targets[1]), zero_map(cfg.line(2), targets[1]))
         with pytest.raises(ValueError):
             phi_star(cfg, cfg.lines, targets, maps)
+
+    @pytest.mark.parametrize(
+        "swapped,images,row,pivot",
+        [
+            pytest.param(False, ((0,), ()), 1, 0, id="leading-entry"),
+            pytest.param(False, ((), (1,)), 2, 2, id="zeros-before-pivot"),
+            pytest.param(False, ((2,), ()), 1, 0, id="zeros-at-other-pivots"),
+            pytest.param(True, ((), ()), 1, 2, id="pivot-in-window"),
+        ],
+    )
+    def test_non_canonical_row_raises(self, swapped, images, row, pivot):
+        # each case breaks one condition of the row check alone.  At n=4,
+        # beta=(2,4), p=3 the lines are e1 and e3 (swapped: e3 and e1), and
+        # map i sends line i to the sum of the unit vectors at images[i],
+        # so the broken row is 2e1, e2+e3, e1+e3, or e3 as row 1
+        cfg = make_frame(4, 3, (2, 4))
+        lines = cfg.lines[::-1] if swapped else cfg.lines
+        targets = tuple(coordinate_space(img, 4, 3) for img in images)
+        maps = tuple(LinearMap(l, t, ((1,),) * t.dim) for l, t in zip(lines, targets))
+        with pytest.raises(InvariantError, match=f"row {row} is not canonical at pivot {pivot}"):
+            phi_star(cfg, lines, targets, maps)
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_phi_star_n4(self, beta):
@@ -370,10 +394,10 @@ class TestReadOffs:
     def test_graph_sums_match_apply_oracle(self, n, p):
         for cfg in all_frames(n, p):
             for lines, targets, maps in map_inputs(cfg, phi_targets):
-                want = _sum_all([lines[0]] + [graph_by_apply(a) for a in maps], n, p)
+                want = sum_all([lines[0]] + [graph_by_apply(a) for a in maps], n, p)
                 assert phi(cfg, lines, targets, maps) == want
             for lines, targets, maps in map_inputs(cfg, phi_star_targets):
-                want = _sum_all([graph_by_apply(a) for a in maps], n, p)
+                want = sum_all([graph_by_apply(a) for a in maps], n, p)
                 assert phi_star(cfg, lines, targets, maps) == want
 
     @pytest.mark.parametrize("n", range(1, 6))

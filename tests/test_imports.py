@@ -1,10 +1,10 @@
 """Every name a module of the package or of its tests imports is used in
-that module, every public module-level function or class, and every
-public method of a package class, is used somewhere in the package, and
-no module of the package holds an ``assert`` statement, which
-``python -O`` strips.  Importing the CLI loads neither ``dataclasses``
-nor what it brings in, and no code writes a subspace's fields after its
-constructor."""
+that module, every public module-level function or class, every private
+module-level function and every public method of a package class is
+used somewhere in the package, and no module of the package holds an
+``assert`` statement, which ``python -O`` strips.  Importing the CLI
+loads neither ``dataclasses`` nor what it brings in, and no code writes
+a subspace's fields after its constructor."""
 
 import ast
 import subprocess
@@ -30,8 +30,9 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def unused_definitions(modules: dict[str, ast.Module]) -> list[str]:
-    """``module.name`` of every public module-level function or class of
-    the package's ``modules`` that none of them uses.
+    """``module.name`` of every public module-level function or class,
+    and of every private one-underscore module-level function, of the
+    package's ``modules`` that none of them uses.
 
     A name is used when its own module loads it outside its definition,
     another module imports it by name (``from schubres.mod import name``),
@@ -42,9 +43,13 @@ def unused_definitions(modules: dict[str, ast.Module]) -> list[str]:
     for mod, tree in modules.items():
         package_modules = {}
         for stmt in tree.body:
-            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if is_def and not stmt.name.startswith("_"):
-                defined.add((mod, stmt.name))
+            is_func = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            is_def = is_func or isinstance(stmt, ast.ClassDef)
+            if is_def:
+                name = stmt.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not name.startswith("_") or is_func and not dunder:
+                    defined.add((mod, name))
             loads = {
                 node.id
                 for node in ast.walk(stmt)
@@ -105,6 +110,7 @@ def test_scanner_finds_unused_definitions():
         "def unused(): pass\n"
         "def recursive(): recursive()\n"
         "def _private(): pass\n"
+        "def __getattr__(name): pass\n"
         "class Loaded: pass\n"
         "x = Loaded\n"
         "def imported(): pass\n"
@@ -113,7 +119,7 @@ def test_scanner_finds_unused_definitions():
     )
     b = "from schubres.a import imported\nfrom schubres import a\na.read()\nshadowed = 1\nshadowed\n"
     modules = {"a": ast.parse(a), "b": ast.parse(b)}
-    assert unused_definitions(modules) == ["a.recursive", "a.shadowed", "a.unused"]
+    assert unused_definitions(modules) == ["a._private", "a.recursive", "a.shadowed", "a.unused"]
 
 
 # the package's modules and the test modules; no file name is in both
