@@ -11,12 +11,20 @@ Enumeration is by constraint propagation from the bottom row upward,
 never by filtering the ambient product, and is budget-guarded.
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
-decomposition: every complete flag has one position permutation u, read
-off a single echelon reduction, and lies in the cell of u, which has
-p^length(u) points; the closed variety of w is the union of the cells of
-all u <= w in the Bruhat order.  The verifier reads the position of each
-flag of the tower's image and checks the image against these cell sizes,
-so no flag outside the image is visited.
+decomposition: every complete flag has one position permutation u and
+lies in the cell of u, which has p^length(u) points; the closed variety
+of w is the union of the cells of all u <= w in the Bruhat order.  The
+verifier reads the position of each flag of the tower's image and
+checks the image against these cell sizes, so no flag outside the image
+is visited.
+
+Positions and intersection grids are read off one reverse echelon
+reduction per distinct subspace (``Reduction``): a basis whose rows end
+at distinct coordinates.  Their last coordinates are the subspace's
+jumps against the standard flag, and the rows ending at or before q span
+its meet with F_q.  ``verify_flres`` keeps the reductions in a dict for
+its one report, so each subspace of the image is reduced once however
+many flags share it, and no grid cell needs an intersection.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from schubres.exactlin import (
     BudgetExceededError,
     Stage,
     Subspace,
+    Vec,
     coordinate_space,
-    intersect,
     tower,
     tower_bound,
 )
@@ -39,6 +47,8 @@ from schubres.report import EnumReport, subspace_witness, timed
 
 Flag = tuple[Subspace, ...]
 Row = tuple[Subspace, ...]
+
+_UNSEEN = object()  # a dict default that no stored value equals
 
 
 class GridPoint(NamedTuple):
@@ -140,51 +150,114 @@ def project_to_flag(pt: GridPoint) -> Flag:
     return tuple([row[-1] for row in pt.grid])
 
 
-def flag_position(flag: Flag) -> Permutation:
+class Reduction(NamedTuple):
+    """A subspace l of GF(p)^n in reverse echelon form.
+
+    ``rows`` maps each jump q of l to a row of l whose last nonzero
+    coordinate is the q-th (1-based), scaled to 1 there.  The rows end
+    at distinct coordinates, so no combination of them cancels its last
+    term: l ∩ F_q is spanned by the rows ending at or before q, and the
+    jumps, where dim(l ∩ F_q) grows, are the keys.  ``jump_sum`` is their
+    sum.  ``meets`` is the row (l ∩ F_1, ..., l ∩ F_n), read off the rows
+    once ``reconstruct_grid`` asks for it.
+    """
+
+    rows: dict[int, Vec]
+    jump_sum: int
+    meets: Row | None = None
+
+
+# the zero space: no rows and no jumps
+_NO_ROWS = Reduction({}, 0)
+
+
+def _reduce(space: Subspace, prev: tuple[int, ...], red_below: Reduction) -> Reduction:
+    """The reduction of ``space`` from that of the hyperplane below it in
+    a flag, whose pivots are ``prev``.
+
+    Every nonzero vector of a subspace starts at one of its pivots, so
+    space's canonical row at the pivot the hyperplane lacks lies outside
+    it.  Reduced against the hyperplane's rows until its last nonzero
+    coordinate is new, that row ends at space's one extra jump.
+    """
+    p = space.p
+    new = next((i for i, (a, b) in enumerate(zip(prev, space.pivots)) if a != b), len(prev))
+    v: Sequence[int] = space.basis[new]
+    rows = red_below.rows
+    last = len(v)
+    while not v[last - 1]:
+        last -= 1
+    while last in rows:
+        # the row ending at ``last`` is 1 there, so this clears v's last entry
+        f = v[last - 1]
+        v = [(a - f * b) % p for a, b in zip(v, rows[last])]
+        while not v[last - 1]:
+            last -= 1
+    if v[last - 1] != 1:
+        inv = pow(v[last - 1], -1, p)
+        v = [a * inv % p for a in v]
+    return Reduction({**rows, last: tuple(v)}, red_below.jump_sum + last)
+
+
+def _reductions(flag: Flag, memo: dict[Subspace, Reduction]) -> list[Reduction]:
+    """The reduction of each space of the flag, from ``memo`` or made from
+    the space before it once per distinct space and kept there."""
+    out = []
+    prev: tuple[int, ...] = ()
+    red = _NO_ROWS
+    for space in flag:
+        got = memo.get(space)
+        if got is None:
+            got = memo[space] = _reduce(space, prev, red)
+        out.append(got)
+        prev, red = space.pivots, got
+    return out
+
+
+def flag_position(flag: Flag, memo: dict[Subspace, Reduction] | None = None) -> Permutation:
     """The permutation u with dim(l_p ∩ F_q) = rank_matrix(u)[p][q].
 
-    l_p has one pivot more than l_{p-1}, and its canonical row at that
-    pivot lies outside l_{p-1}.  Reduced against the earlier rows until
-    its last nonzero coordinate is new, that row puts the coordinate at
-    u(p).  The reduced rows span l_p and end at distinct coordinates, so
-    l_p ∩ F_q is spanned by those ending at or before q.  u(n) is the
-    value left over.
+    l_p has the jumps of l_{p-1} and one more, and u(p) is that one: the
+    difference of the two spaces' jump sums.  The jumps come from each
+    space's reverse echelon reduction (``Reduction``), looked up in
+    ``memo`` or made there from the space before it in the flag, so a
+    caller that keeps ``memo`` reduces each distinct subspace once.
     """
-    n = len(flag)
-    p = flag[0].p
-    # last nonzero coordinate -> (row, inverse of its entry there)
-    reduced: dict[int, tuple[Sequence[int], int]] = {}
-    one_line = []
-    prev: tuple[int, ...] = ()
-    for space in flag[:-1]:
-        new = next((i for i, (a, b) in enumerate(zip(prev, space.pivots)) if a != b), len(prev))
-        v = space.basis[new]
-        last = n - 1
-        while not v[last]:
-            last -= 1
-        while last in reduced:
-            row, inv = reduced[last]
-            f = v[last] * inv
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-            while not v[last]:
-                last -= 1
-        reduced[last] = v, pow(v[last], -1, p)
-        one_line.append(last + 1)
-        prev = space.pivots
-    one_line.append(n * (n + 1) // 2 - sum(one_line))
-    return Permutation(tuple(one_line))
+    sums = [0] + [red.jump_sum for red in _reductions(flag, {} if memo is None else memo)]
+    return Permutation(tuple(b - a for a, b in zip(sums, sums[1:])))
 
 
-def reconstruct_grid(flag: Flag, w: Permutation) -> GridPoint:
-    """The candidate preimage over the cell: cell (p, q) = l_p ∩ F_q."""
+def _meets(red: Reduction, n: int, p: int) -> Row:
+    """l ∩ F_1, ..., l ∩ F_n: F_q's meet is the previous one extended by
+    the row ending at q, if there is one; no row reduction."""
+    meet = standard_frames(n, p)[0]
+    out = []
+    for q in range(1, n + 1):
+        row = red.rows.get(q)
+        if row is not None:
+            meet = meet.extend(row)
+        out.append(meet)
+    return tuple(out)
+
+
+def reconstruct_grid(
+    flag: Flag, w: Permutation, memo: dict[Subspace, Reduction] | None = None
+) -> GridPoint:
+    """The candidate preimage over the cell: cell (p, q) = l_p ∩ F_q.
+
+    Row p is read off l_p's reverse echelon reduction, as the spans of
+    its rows ending at or before each q (``Reduction``); the reductions
+    and rows are kept in ``memo``, as ``flag_position`` keeps them.
+    """
     n = w.n
     p = flag[0].p
-    frames = standard_frames(n, p)
-    grid = tuple(
-        tuple(intersect(flag[row - 1], frames[col]) for col in range(1, n + 1))
-        for row in range(1, n + 1)
-    )
-    return GridPoint(n, p, grid)
+    memo = {} if memo is None else memo
+    grid = []
+    for space, red in zip(flag, _reductions(flag, memo)):
+        if red.meets is None:
+            red = memo[space] = red._replace(meets=_meets(red, n, p))
+        grid.append(red.meets)
+    return GridPoint(n, p, tuple(grid))
 
 
 def enumerate_report(
@@ -230,22 +303,24 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
     report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
         below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}
-        image: set[Flag] = set()
-        over_cell: dict[Flag, GridPoint | None] = {}
+        memo: dict[Subspace, Reduction] = {}
+        # image flag -> its one point over the cell of w, None once a second
+        # comes, False for a flag off the cell
+        fiber: dict[Flag, GridPoint | None | bool] = {}
         tower_points = 0
         outside = None
         for pt in enumerate_shat(w, p, budget):
             tower_points += 1
             flag = project_to_flag(pt)
-            if flag not in image:
-                image.add(flag)
-                u = flag_position(flag)
-                if u == w:
-                    over_cell[flag] = pt
-                elif outside is None and u not in below:
+            got = fiber.get(flag, _UNSEEN)
+            if got is _UNSEEN:
+                u = flag_position(flag, memo)
+                fiber[flag] = pt if u == w else False
+                if outside is None and u not in below:
                     outside = flag
-            elif flag in over_cell:
-                over_cell[flag] = None
+            elif got:
+                fiber[flag] = None
+        over_cell = {flag: pt for flag, pt in fiber.items() if pt is not False}
         expected = (p + 1) ** length(w)
         report.counts["tower_points"] = tower_points
         report.counts["expected_tower_points"] = expected
@@ -271,7 +346,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.add(
             "cell_fiber_is_intersection_grid",
             all(
-                pt == reconstruct_grid(flag, w)
+                pt == reconstruct_grid(flag, w, memo)
                 for flag, pt in over_cell.items()
                 if pt is not None
             ),
@@ -281,7 +356,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.counts["closed_points"] = closed_points
         report.add(
             "image_equals_closed_variety",
-            outside is None and len(image) == closed_points,
+            outside is None and len(fiber) == closed_points,
             "point surjectivity observed at this field size",
             informational=True,
         )

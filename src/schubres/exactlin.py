@@ -201,12 +201,6 @@ class Subspace:
         rows.insert(j, r)
         return Subspace(self.n, p, tuple(rows), self.pivots[:j] + (c,) + self.pivots[j:])
 
-    def coords(self, v: Vec) -> Vec | None:
-        """Coordinates of v in the canonical basis, or None if v is outside."""
-        if not self.contains_vector(v):
-            return None
-        return tuple(v[c] % self.p for c in self.pivots)
-
 
 def span(vectors: Iterable[Sequence[int]], n: int, p: int) -> Subspace:
     """Canonical subspace of GF(p)^n spanned by the given vectors."""
@@ -287,20 +281,21 @@ def contains(a: Subspace, b: Subspace) -> bool:
 def canonical_complement(inner: Subspace, outer: Subspace) -> Subspace:
     """The deterministic complement C with inner ⊕ C = outer.
 
-    C is spanned by the canonical basis rows of ``outer`` whose indices
-    are not pivot columns of ``inner`` rewritten in outer-coordinates.
+    C is spanned by the canonical rows of ``outer`` at the pivots that
+    are not pivots of ``inner``.  Every nonzero vector of a subspace
+    starts at one of its pivots, so inner ⊆ outer puts inner's pivots
+    among outer's; those rows of outer are reduced already, so they are
+    C's canonical basis, read off in O(dim outer) with no row reduction.
+    Raises ValueError when inner is not contained in outer.
     """
     _check_compatible(inner, outer)
     if not contains(outer, inner):
         raise ValueError("inner is not contained in outer")
-    coords = [outer.coords(v) for v in inner.basis]
-    if coords:
-        _, piv = rref(coords, inner.p)  # type: ignore[arg-type]
-        taken = set(piv)
-    else:
-        taken = set()
-    rows = [outer.basis[i] for i in range(outer.dim) if i not in taken]
-    return span(rows, outer.n, outer.p)
+    taken = set(inner.pivots)
+    kept = [i for i, c in enumerate(outer.pivots) if c not in taken]
+    return Subspace(
+        outer.n, outer.p, tuple(outer.basis[i] for i in kept), tuple(outer.pivots[i] for i in kept)
+    )
 
 
 class _LinearMapFields(NamedTuple):
@@ -432,8 +427,14 @@ def enumerate_subspaces(v: Subspace, j: int) -> Iterator[Subspace]:
 
 @lru_cache(maxsize=None)
 def _between_tuple(lower: Subspace, upper: Subspace, dim: int) -> tuple[Subspace, ...]:
+    """The sorted choices of ``enumerate_between``; a level forced to
+    lower's or upper's dimension has that space as its one choice."""
     if dim < lower.dim or dim > upper.dim or not contains(upper, lower):
         return ()
+    if dim == lower.dim:
+        return (lower,)
+    if dim == upper.dim:
+        return (upper,)
     comp = canonical_complement(lower, upper)
     out = [subspace_sum(lower, q) for q in _subspaces_tuple(comp, dim - lower.dim)]
     out.sort()

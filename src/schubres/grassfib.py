@@ -72,6 +72,7 @@ class FrameConfig:
         "lines",
         "complements",  # within the windows
         "tail",
+        "_edges",  # 0, b_1 .. b_k, n: the window boundaries
         "_lines_prefix",
         "_complements_prefix",
         "_complements_suffix",
@@ -81,7 +82,7 @@ class FrameConfig:
     def __init__(self, n: int, p: int, beta: tuple[int, ...]) -> None:
         self.n, self.p, self.beta = n, p, beta
         k = len(beta)
-        edges = (0,) + beta + (n,)
+        edges = self._edges = (0,) + beta + (n,)
 
         def space(*blocks: Iterable[int]) -> Subspace:
             return coordinate_space(itertools.chain(*blocks), n, p)
@@ -122,8 +123,7 @@ class FrameConfig:
     def window_bounds(self, i: int) -> tuple[int, int]:
         """Window i as the 0-based coordinates lo..hi-1, lo = b_{i-1} and
         hi = b_i; index k+1 gives the tail's, b_k..n-1."""
-        edges = (0,) + self.beta + (self.n,)
-        return edges[i - 1], edges[i]
+        return self._edges[i - 1], self._edges[i]
 
     def line(self, i: int) -> Subspace:
         return self.lines[i - 1]
@@ -203,7 +203,10 @@ def _graph_rows(
     first = len(lines) - len(maps)
     rows = [line.basis[0] for line in lines[:first]]
     for i, (line, target, a) in enumerate(zip(lines[first:], targets, maps), start=first + 1):
-        if a.domain != line or a.target != target:
+        # maps built on these very spaces pass on identity, without __eq__
+        if (a.domain is not line and a.domain != line) or (
+            a.target is not target and a.target != target
+        ):
             raise ValueError(f"map {i} has wrong domain or target")
         rows += graph_rows(a)
     return rows

@@ -3,9 +3,11 @@ fast paths are checked against; nothing in the package calls them.
 
 Among them is the generic linear-map path (``solve_coords``, ``project``,
 ``apply``, ``linear_map_from_pairs``) that the package's coordinate
-read-offs replace, and the subspace arithmetic (``frame_by_arithmetic``,
+read-offs replace, the subspace arithmetic (``frame_by_arithmetic``,
 ``subspaces_by_span``) that its coordinate-built frames and echelon
-charts replace."""
+charts replace, and the row reductions and intersections
+(``canonical_complement_by_coords``, ``reconstruct_grid_by_intersections``)
+that its pivot and reverse-echelon read-offs replace."""
 
 import itertools
 from bisect import bisect_left
@@ -19,7 +21,6 @@ from schubres.biflag import (
     flag_position,
     grid_stages,
     project_to_flag,
-    reconstruct_grid,
     standard_frames,
 )
 from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
@@ -203,6 +204,36 @@ def vectors(s: Subspace) -> Iterator[Vec]:
         yield v
 
 
+def coords(s: Subspace, v: Vec) -> Vec | None:
+    """Coordinates of v in the canonical basis of s, or None if v is outside."""
+    if not s.contains_vector(v):
+        return None
+    return tuple(v[c] % s.p for c in s.pivots)
+
+
+def canonical_complement_by_coords(inner: Subspace, outer: Subspace) -> Subspace:
+    """``exactlin.canonical_complement`` by row reduction: inner's basis
+    rewritten in outer's coordinates is reduced, and the complement is
+    spanned by outer's canonical rows at the indices that are not its
+    pivots."""
+    if not contains(outer, inner):
+        raise ValueError("inner is not contained in outer")
+    in_outer = [coords(outer, v) for v in inner.basis]
+    taken = set(rref(in_outer, inner.p)[1]) if in_outer else set()
+    rows = [outer.basis[i] for i in range(outer.dim) if i not in taken]
+    return span(rows, outer.n, outer.p)
+
+
+def between_by_complement(lower: Subspace, upper: Subspace, dim: int) -> tuple[Subspace, ...]:
+    """``exactlin.enumerate_between`` by the general path at every level,
+    the forced ones too: lower plus each subspace of its complement in
+    upper, sorted."""
+    if dim < lower.dim or dim > upper.dim or not contains(upper, lower):
+        return ()
+    comp = canonical_complement_by_coords(lower, upper)
+    return tuple(sorted(subspace_sum(lower, q) for q in subspaces_by_span(comp, dim - lower.dim)))
+
+
 def solve_coords(rows: Rows, v: Vec, p: int) -> Vec | None:
     """One solution x of sum_i x_i rows[i] = v, or None if inconsistent.
 
@@ -240,7 +271,7 @@ def project(v: Vec, onto: Subspace, along: Subspace) -> Vec:
 
 def apply(a: LinearMap, v: Vec) -> Vec:
     """A v, through v's coordinates in the domain's canonical basis."""
-    c = a.domain.coords(v)
+    c = coords(a.domain, v)
     if c is None:
         raise ValueError("vector outside map domain")
     p = a.domain.p
@@ -271,7 +302,7 @@ def linear_map_from_pairs(
         for coeff, (_, yi) in zip(c, pairs):
             if coeff:
                 y = vec_add(y, vec_scale(coeff, yi, p), p)
-        tc = target.coords(y)
+        tc = coords(target, y)
         if tc is None:
             raise ValueError("image vector outside the target")
         cols.append(tc)
@@ -450,6 +481,18 @@ def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
         tuple(intersect(flag[pp - 1], frames[q]).dim for q in range(1, n + 1))
         for pp in range(1, n + 1)
     )
+
+
+def reconstruct_grid_by_intersections(flag: Flag, w: Permutation) -> GridPoint:
+    """``biflag.reconstruct_grid`` by n^2 intersections l_p ∩ F_q."""
+    n = w.n
+    p = flag[0].p
+    frames = standard_frames(n, p)
+    grid = tuple(
+        tuple(intersect(flag[row - 1], frames[col]) for col in range(1, n + 1))
+        for row in range(1, n + 1)
+    )
+    return GridPoint(n, p, grid)
 
 
 def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
@@ -701,7 +744,7 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
         cell_points = len(cell)
         bijective = all(len(by_flag[flag]) == 1 for flag in cell)
         recon_ok = all(
-            by_flag[flag][0] == reconstruct_grid(flag, w)
+            by_flag[flag][0] == reconstruct_grid_by_intersections(flag, w)
             for flag in cell
             if len(by_flag[flag]) == 1
         )

@@ -14,6 +14,7 @@ from oracles import (
     flag_rank_profile,
     grid_is_valid,
     identity,
+    reconstruct_grid_by_intersections,
     verify_flres_by_lists,
 )
 
@@ -172,6 +173,21 @@ class TestFlagPosition:
         # complete flags: the Bruhat cells partition the flag manifold
         census = Counter(flag_position(flag) for flag in enumerate_complete_flags(n, p))
         assert dict(census) == {u: p ** length(u) for u in all_permutations(n)}
+
+
+class TestReconstructGrid:
+    @pytest.mark.parametrize("n,p", STREAM_SPACES)
+    def test_read_off_equals_intersections(self, n, p):
+        # on every cell flag, the grid read off the reverse echelon rows
+        # is the n^2 intersections' grid, with one memo for all flags as
+        # in verify_flres and with none; the memo keeps the positions
+        memo = {}
+        for flag in enumerate_complete_flags(n, p):
+            u = flag_position(flag, memo)
+            assert u == flag_position(flag)
+            want = reconstruct_grid_by_intersections(flag, u)
+            assert reconstruct_grid(flag, u, memo) == want
+            assert reconstruct_grid(flag, u) == want
 
 
 class TestSchubertFlagPoints:
@@ -399,7 +415,7 @@ class TestVerifyFlresStreams:
         # lies outside; the witness is the first one in tower order
         w = Permutation((2, 3, 1))
         for module in (biflag, oracles):
-            monkeypatch.setattr(module, "flag_position", lambda flag: _longest(3))
+            monkeypatch.setattr(module, "flag_position", lambda flag, memo=None: _longest(3))
         got = json.loads(verify_flres(w, 2).to_json())
         want = json.loads(verify_flres_by_lists(w, 2).to_json())
         check = next(c for c in got["checks"] if c["name"] == "image_in_closed_variety")

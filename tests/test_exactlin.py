@@ -6,6 +6,8 @@ import random
 import pytest
 from oracles import (
     apply,
+    between_by_complement,
+    canonical_complement_by_coords,
     linear_map_from_pairs,
     project,
     subspaces_by_span,
@@ -285,6 +287,20 @@ class TestCanonicalComplement:
         with pytest.raises(ValueError):
             ex.canonical_complement(sp([E3], 3), sp([E1, E2], 3))
 
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_equals_rref_oracle_exhaustive(self, n, p):
+        # read off outer's pivots, the complement is the rref oracle's,
+        # canonical with the same pivots; a pair out of order is refused
+        spaces = all_subspaces(n, p)
+        for inner, outer in itertools.product(spaces, repeat=2):
+            if not ex.contains(outer, inner):
+                with pytest.raises(ValueError):
+                    ex.canonical_complement(inner, outer)
+                continue
+            got = ex.canonical_complement(inner, outer)
+            want = canonical_complement_by_coords(inner, outer)
+            assert got == want and got.pivots == want.pivots
+
     def test_directness_exhaustive_gf2_cubed(self):
         spaces = all_subspaces(3, 2)
         for outer in spaces:
@@ -473,6 +489,21 @@ class TestEnumerateBetween:
 
     def test_incompatible_is_empty(self):
         assert list(ex.enumerate_between(sp([E3], 3), sp([E1, E2], 3), 2)) == []
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_forced_levels_equal_general_path(self, n, p):
+        # a level at lower's or upper's dimension is that space alone,
+        # as the complement path finds it; the other levels agree too
+        spaces = all_subspaces(n, p)
+        forced = 0
+        for lower, upper in itertools.product(spaces, repeat=2):
+            for d in range(n + 1):
+                got = tuple(ex.enumerate_between(lower, upper, d))
+                assert got == between_by_complement(lower, upper, d)
+                if got and d in (lower.dim, upper.dim):
+                    assert got == ((lower,) if d == lower.dim else (upper,))
+                    forced += 1
+        assert forced
 
 
 class TestGaussianBinomial:

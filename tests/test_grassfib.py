@@ -25,6 +25,7 @@ from schubres.exactlin import (
     BudgetExceededError,
     InvariantError,
     LinearMap,
+    Subspace,
     coordinate_space,
     enumerate_subspaces,
     full_space,
@@ -298,6 +299,23 @@ class TestPhiStar:
         maps = (zero_map(cfg.line(1), targets[1]), zero_map(cfg.line(2), targets[1]))
         with pytest.raises(ValueError):
             phi_star(cfg, cfg.lines, targets, maps)
+
+    def test_guard_compares_equal_copies(self):
+        # the domain and target guard passes maps on the given spaces by
+        # identity and maps on equal copies by value, and refuses a map
+        # out of another line
+        cfg = make_frame(4, 2, (1, 3))
+        targets = phi_star_targets(cfg, cfg.lines)
+
+        def copy(s):
+            return Subspace(s.n, s.p, s.basis, s.pivots)
+
+        maps = tuple(zero_map(l, t) for l, t in zip(cfg.lines, targets))
+        copies = tuple(zero_map(copy(l), copy(t)) for l, t in zip(cfg.lines, targets))
+        want = phi_star(cfg, cfg.lines, targets, maps)
+        assert phi_star(cfg, cfg.lines, targets, copies) == want
+        with pytest.raises(ValueError):
+            phi_star(cfg, cfg.lines, targets, (zero_map(cfg.line(2), targets[0]), maps[1]))
 
     @pytest.mark.parametrize(
         "swapped,images,row,pivot",
