@@ -26,6 +26,7 @@ from schubres.exactlin import (
     intersect,
     subspace_sum,
     tower,
+    tower_bound,
     zero_subspace,
 )
 from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, grassmannian_cells
@@ -43,17 +44,24 @@ from schubres.wflag import (
 KLChain = tuple[Subspace, ...]
 
 
+def kl_stages(flag: tuple[Subspace, ...], p: int) -> list[Stage]:
+    """The levels of ``kl_points``: L_i between L_{i-1} and the i-th flag
+    space.  For a flag, whose spaces are nested, L_{i-1} lies in the i-th
+    space at every node, so ``tower_bound`` of these levels is exactly
+    the number of chains."""
+    zero = zero_subspace(flag[0].n, p)
+    return [
+        Stage(lambda c, space=space: (c[-1] if c else zero, space), i, space.dim, i + 1)
+        for i, space in enumerate(flag)
+    ]
+
+
 def kl_points(
     flag: tuple[Subspace, ...], p: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[KLChain]:
     """Chains L_1 ⊂ ... ⊂ L_k with L_i inside the i-th flag space,
     dim L_i = i: the resolution tower of the flag's Schubert variety."""
-    zero = zero_subspace(flag[0].n, p)
-    stages = [
-        Stage(lambda c, space=space: (c[-1] if c else zero, space), i, space.dim, i + 1)
-        for i, space in enumerate(flag)
-    ]
-    yield from tower(stages, p, budget)
+    yield from tower(kl_stages(flag, p), p, budget)
 
 
 def psi_embed(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[Subspace, ...]:
@@ -141,15 +149,24 @@ def _cell_test(cfg: FrameConfig) -> Callable[[Subspace, tuple[int, ...]], bool]:
 
 def chart_hits(
     graphs: Iterable[Subspace], flags: Sequence[Flag], p: int, budget: int = DEFAULT_BUDGET
-) -> dict[Subspace, list[int]]:
-    """For each chart graph, the indices of the flags it meets in a chain
-    (dim(L ∩ flag[i]) >= i+1 for all i): the flags whose tower it tops."""
-    hits: dict[Subspace, list[int]] = {gt: [] for gt in graphs}
+) -> tuple[dict[Subspace, dict[int, int]], list[int]]:
+    """One walk of each flag's chain tower.
+
+    Returns, for each chart graph, the flags whose tower it tops (those
+    it meets in a chain, dim(L ∩ flag[i]) >= i+1 for all i) in flag
+    order, each with the number of its chains that top the graph; and
+    each flag's number of chains."""
+    hits: dict[Subspace, dict[int, int]] = {gt: {} for gt in graphs}
+    chains = []
     for idx, flag in enumerate(flags):
-        for top in {chain[-1] for chain in kl_points(flag, p, budget)}:
-            if top in hits:
-                hits[top].append(idx)
-    return hits
+        count = 0
+        for chain in kl_points(flag, p, budget):
+            count += 1
+            per_flag = hits.get(chain[-1])
+            if per_flag is not None:
+                per_flag[idx] = per_flag.get(idx, 0) + 1
+        chains.append(count)
+    return hits, chains
 
 
 def verify_chart_family(
@@ -157,35 +174,43 @@ def verify_chart_family(
 ) -> EnumReport:
     """Every chart graph is hit by exactly one flag of the map-space
     family, with the forced chain; the reconstruction recovers the maps.
-    ``graphs`` is ``chart_graphs(cfg)``."""
+    ``graphs`` is ``chart_graphs(cfg)``.
+
+    Both verdicts are read off the one walk of ``chart_hits``.  The
+    chains that top a graph gt have L_i ⊆ gt ∩ flag[i].  When every such
+    meet has dimension i+1 the chain is forced; when one is larger, the
+    lowest such level offers at least p+1 choices, each of which extends
+    up to gt.  So the chain is forced exactly when one chain tops gt.
+    That reading needs the walk to be complete, so each flag's chain
+    count must also equal ``tower_bound`` of its levels, which is exact
+    for a flag.
+    """
     report = EnumReport(
         "embres chart",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
     )
     with timed(report):
+        p = cfg.p
         tuples = list(fixed_map_tuples(cfg))
         flags = [psi_embed(cfg, maps) for maps in tuples]
-        hits = chart_hits(graphs, flags, cfg.p, budget)
+        hits, chains = chart_hits(graphs, flags, p, budget)
         chart_ok = True
         unique_ok = True
         recon_ok = True
-        chain_ok = True
+        chain_ok = all(
+            count == tower_bound(kl_stages(flag, p), p) for count, flag in zip(chains, flags)
+        )
         for t, gt in zip(chart_maps(cfg), graphs, strict=True):
             chart_ok = chart_ok and in_chart(cfg, gt)
             if len(hits[gt]) != 1:
                 unique_ok = False
                 continue
-            maps = tuples[hits[gt][0]]
+            ((idx, count),) = hits[gt].items()
             if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
-                m.matrix for m in maps
+                m.matrix for m in tuples[idx]
             ):
                 recon_ok = False
-            flag = flags[hits[gt][0]]
-            chain = tuple(intersect(gt, flag[i]) for i in range(cfg.k))
-            if chain[-1] != gt or any(
-                chain[i].dim != i + 1 for i in range(cfg.k)
-            ) or any(not contains(chain[i + 1], chain[i]) for i in range(cfg.k - 1)):
-                chain_ok = False
+            chain_ok = chain_ok and count == 1
         report.counts["chart_points"] = len(graphs)
         report.counts["family_flags"] = len(flags)
         report.add("graphs_lie_in_chart", chart_ok)

@@ -257,10 +257,70 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return a
 
 
+def _is_coordinate(s: Subspace) -> bool:
+    """True when s is a span of unit vectors.  Each canonical row is 1 at
+    its pivot, with entries in 0..p-1, so it is a unit vector exactly
+    when its entries sum to 1, and every row is one exactly when all the
+    entries sum to dim s."""
+    return sum(map(sum, s.basis)) == len(s.basis)
+
+
+def _meet_coordinates(a: Subspace, c: Subspace) -> Subspace:
+    """a ∩ c for a coordinate space c, by one elimination of a's rows on
+    the coordinates outside c.
+
+    A vector lies in c exactly when it vanishes outside c's pivots.  Each
+    outside coordinate takes a pivot row among the rows left and is
+    cleared from the others; the rows left at the end vanish outside c,
+    stay independent and number dim a minus the rank of a outside c, so
+    they span the meet.  Rows that no step changed are canonical rows of
+    a, and a subset of a reduced basis is reduced, so only a changed row
+    costs a row reduction.
+    """
+    p = a.p
+    inside = set(c.pivots)
+    rows = list(a.basis)
+    origin = list(range(len(rows)))  # index of the row in a's basis, -1 once changed
+    for col in range(a.n):
+        if col in inside:
+            continue
+        i = next((i for i, r in enumerate(rows) if r[col]), None)
+        if i is None:
+            continue
+        prow = rows.pop(i)
+        del origin[i]
+        inv = pow(prow[col], -1, p)
+        for j, r in enumerate(rows):
+            f = r[col]
+            if f:
+                f = f * inv % p
+                rows[j] = tuple([(x - f * y) % p for x, y in zip(r, prow)])
+                origin[j] = -1
+    if len(rows) == a.dim:
+        return a
+    if len(rows) == c.dim:
+        return c
+    if -1 not in origin:
+        return Subspace(a.n, p, tuple(rows), tuple(a.pivots[i] for i in origin))
+    basis, pivots = rref(rows, p)
+    return Subspace(a.n, p, basis, pivots)
+
+
 @lru_cache(maxsize=None)
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical form of a ∩ b, via row reduction of the doubled matrix."""
+    """Canonical form of a ∩ b.
+
+    When either operand is a coordinate space, as every frame space of
+    the package is, the meet is read off the other operand's rows by one
+    elimination on the coordinates outside it (``_meet_coordinates``).
+    Otherwise the doubled matrix [a a; b 0] is row reduced, and its rows
+    that vanish on the first half give the meet.
+    """
     _check_compatible(a, b)
+    if _is_coordinate(b):
+        return _meet_coordinates(a, b)
+    if _is_coordinate(a):
+        return _meet_coordinates(b, a)
     n = a.n
     zero = (0,) * n
     stacked = [u + u for u in a.basis] + [v + zero for v in b.basis]
@@ -336,17 +396,27 @@ def graph_rows(a: LinearMap) -> list[Vec]:
     """Rows spanning the graph {v + A v : v in domain}, one per domain row.
 
     A maps the j-th canonical row b_j of the domain to column j of the
-    matrix in target coordinates, so the j-th row is b_j + sum_r m[r][j] t_r,
-    t_r the target's canonical rows.
+    matrix in target coordinates.  Every map target in the package is a
+    coordinate space, whose r-th canonical row is the unit vector at its
+    r-th pivot, so the j-th row is b_j with column j's entries added at
+    the target's pivots; a zero column leaves b_j itself.  A target that
+    is not a coordinate space raises ValueError.
     """
-    p = a.domain.p
+    target = a.target
+    if not _is_coordinate(target):
+        raise ValueError("graph_rows needs a coordinate-space target")
+    p = target.p
+    pivots = target.pivots
     rows = []
-    for j, row in enumerate(a.domain.basis):
-        for r, t in enumerate(a.target.basis):
-            c = a.matrix[r][j]
-            if c:
-                row = tuple([(x + c * y) % p for x, y in zip(row, t)])
-        rows.append(row)
+    for j, b in enumerate(a.domain.basis):
+        row = None
+        for c, m in zip(pivots, a.matrix):
+            x = m[j]
+            if x:
+                if row is None:
+                    row = list(b)
+                row[c] = (row[c] + x) % p
+        rows.append(b if row is None else tuple(row))
     return rows
 
 

@@ -167,7 +167,7 @@ def u_dimension_formula(n: int, beta: tuple[int, ...]) -> int:
     )
 
 
-def build_lift(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
+def build_lift(cfg: FrameConfig, pt: GCalPoint, memo: dict | None = None) -> GHatPoint:
     """A deterministic section of the diagonal projection, for a point
     of the chain variety (not checked).
 
@@ -176,7 +176,10 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
     the right dimension, and otherwise the lexicographic completion of
     the projected left cell inside the cell above-right.  That the result
     is a grid point over ``pt`` is checked by the ``wflag verify`` and
-    ``wflag lift`` reports.
+    ``wflag lift`` reports.  A cell depends only on its two neighbours
+    and its place, so ``memo``, when given, keeps each step's cell under
+    (x, y, idx, c) and a caller that lifts many points over one frame
+    builds each distinct step once.
     """
     k = cfg.k
     diags: list[tuple[Subspace, ...]] = [tuple(pt)]
@@ -186,7 +189,14 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
         for idx in range(1, k - c + 1):
             x = prev[idx - 1]                # dimension idx, superscript idx+c-1
             y = prev[idx]                    # dimension idx+1, superscript idx+c
-            new.append(_pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c))
+            if memo is None:
+                z = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
+            else:
+                key = (x, y, idx, c)
+                z = memo.get(key)
+                if z is None:
+                    z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
+            new.append(z)
         diags.append(tuple(new))
     return tuple(
         tuple(diags[i - j][j - 1] for j in range(1, i + 1)) for i in range(1, k + 1)
@@ -203,22 +213,24 @@ def _pair_step(
     has no coordinate in that window and l_perp has coordinates only
     there, because windows are disjoint blocks of consecutive
     coordinates.  So the projection onto v_target along l_perp zeroes the
-    window.  A row of x that does not split that way between the two lies
-    outside v_target ⊕ l_perp and raises ValueError.
+    window.  Both are coordinate spaces, so a row of x splits between
+    them exactly when it has no nonzero entry outside the window at a
+    coordinate v_target lacks, and none inside the window at a coordinate
+    l_perp lacks; any other row raises ValueError.
     """
     inter = intersect(y, v_target)
     if inter.dim == x.dim:
         return inter
-    l_perp = cfg.complement(window)
     lo, hi = cfg.window_bounds(window)
+    onto = set(v_target.pivots)
+    along = set(cfg.complement(window).pivots)
     n = cfg.n
     rows = []
     for v in x.basis:
-        u = v[:lo] + (0,) * (hi - lo) + v[hi:]
-        w = (0,) * lo + v[lo:hi] + (0,) * (n - hi)
-        if not (v_target.contains_vector(u) and l_perp.contains_vector(w)):
-            raise ValueError("vector outside onto + along")
-        rows.append(u)
+        for col, e in enumerate(v):
+            if e and col not in (along if lo <= col < hi else onto):
+                raise ValueError("vector outside onto + along")
+        rows.append(v[:lo] + (0,) * (hi - lo) + v[hi:])
     z = span(rows, n, cfg.p)
     for row in y.basis:
         if z.dim == x.dim:
@@ -311,8 +323,11 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
         lands_ok = True
         for ghat_pt in enumerate_ghat(cfg, budget):
             diag = pi_diag(ghat_pt)
-            lands_ok = lands_ok and diag in gcal_set
-            fibers.setdefault(diag, []).append(ghat_pt)
+            fiber = fibers.get(diag)
+            if fiber is None:
+                fiber = fibers[diag] = []
+                lands_ok = lands_ok and diag in gcal_set
+            fiber.append(ghat_pt)
         report.counts["chain_points"] = len(gcal)
         report.counts["grid_points"] = sum(len(v) for v in fibers.values())
         report.counts["grid_formula"] = ghat_count_formula(cfg)
@@ -343,8 +358,9 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
 
         section_ok = True
         lift_in_fiber = True
+        steps: dict = {}  # build_lift's memo, for this report's frame only
         for pt in gcal:
-            grid = build_lift(cfg, pt)
+            grid = build_lift(cfg, pt, steps)
             section_ok = section_ok and pi_diag(grid) == pt
             lift_in_fiber = lift_in_fiber and grid in fibers.get(pt, [])
         report.add("lift_is_a_section", section_ok)

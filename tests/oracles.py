@@ -7,7 +7,9 @@ read-offs replace, the subspace arithmetic (``frame_by_arithmetic``,
 ``subspaces_by_span``) that its coordinate-built frames and echelon
 charts replace, and the row reductions and intersections
 (``canonical_complement_by_coords``, ``reconstruct_grid_by_intersections``)
-that its pivot and reverse-echelon read-offs replace."""
+that its pivot and reverse-echelon read-offs replace, and the
+intersections that ``embres`` reads off its chain walk instead
+(``forced_chain_by_intersections``)."""
 
 import itertools
 from bisect import bisect_left
@@ -642,6 +644,19 @@ def kl_count_formula(dims: tuple[int, ...], p: int) -> int:
     for i, d in enumerate(dims, start=1):
         total *= gaussian_binomial(d - (i - 1), 1, p)
     return total
+
+
+def forced_chain_by_intersections(cfg: FrameConfig, gt: Subspace, flag: Flag) -> bool:
+    """``embres.verify_chart_family``'s forced-chain verdict for one chart
+    graph and a flag whose tower it tops, by intersections: the meets
+    gt ∩ flag[i] form a chain that ends in gt, with dimension i+1 at
+    level i."""
+    chain = tuple(intersect(gt, flag[i]) for i in range(cfg.k))
+    return (
+        chain[-1] == gt
+        and all(chain[i].dim == i + 1 for i in range(cfg.k))
+        and all(contains(chain[i + 1], chain[i]) for i in range(cfg.k - 1))
+    )
 
 
 def enumerate_embres(

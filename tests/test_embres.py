@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     cell_points,
     enumerate_embres,
+    forced_chain_by_intersections,
     graph_tuple,
     kl_count_formula,
     reconstruct_map_tuple_by_projection,
@@ -144,16 +145,74 @@ class TestChart:
                 # a last flag that meets every graph in many chains
                 flags.append((full_space(n, 2),) * k)
                 graphs = [graph(t) for t in chart_maps(cfg)]
-                hits = chart_hits(graphs, flags, 2)
+                hits, chains = chart_hits(graphs, flags, 2)
                 assert list(hits) == graphs
                 for gt in graphs:
-                    assert hits[gt] == all_pairs_hits(cfg, flags, gt), (beta, gt)
+                    assert list(hits[gt]) == all_pairs_hits(cfg, flags, gt), (beta, gt)
+                assert chains == [sum(1 for _ in kl_points(flag, 2)) for flag in flags]
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_chart_family(self, beta):
         cfg = make_frame(4, 2, beta)
         rep = verify_chart_family(cfg, chart_graphs(cfg))
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+    def test_forced_chain_count_matches_intersections(self):
+        # one topping chain against the meets with the flag, for every
+        # chart graph and each flag that tops it; the full-space flag tops
+        # every graph, with more than one chain once k >= 2
+        for cfg in census_spaces():
+            flags = [psi_embed(cfg, maps) for maps in fixed_map_tuples(cfg)]
+            flags.append((full_space(cfg.n, cfg.p),) * cfg.k)
+            hits, _ = chart_hits(chart_graphs(cfg), flags, cfg.p)
+            for gt, per_flag in hits.items():
+                assert per_flag, (cfg, gt)
+                for idx, count in per_flag.items():
+                    want = forced_chain_by_intersections(cfg, gt, flags[idx])
+                    assert (count == 1) == want, (cfg, gt, idx)
+
+    def faulty_chart_checks(self, monkeypatch, fault):
+        # ``fault`` rewrites the chains of the first flag walked
+        cfg = make_frame(4, 2, (2, 4))
+        walked = []
+
+        def faulty(flag, p, budget):
+            chains = list(kl_points(flag, p, budget))
+            if not walked:
+                chains = fault(chains)
+            walked.append(flag)
+            yield from chains
+
+        monkeypatch.setattr("schubres.embres.kl_points", faulty)
+        rep = verify_chart_family(cfg, chart_graphs(cfg))
+        assert walked
+        return {c.name: c.passed for c in rep.checks}
+
+    def test_dropped_chain_fails_forced_chain(self, monkeypatch):
+        checks = self.faulty_chart_checks(monkeypatch, lambda chains: chains[1:])
+        assert not checks["forced_chain_is_valid"]
+
+    def test_repeated_chain_fails_forced_chain(self, monkeypatch):
+        checks = self.faulty_chart_checks(monkeypatch, lambda chains: chains + chains[:1])
+        assert not checks["forced_chain_is_valid"]
+
+    def test_unforced_chain_fails_forced_chain(self, monkeypatch):
+        # the zero tuple's flag starts at its own graph, the sum of the
+        # lines; the walk stays complete, and p+1 chains top that graph
+        cfg = make_frame(4, 2, (2, 4))
+        zero = zero_tuple(cfg)
+        gt = cfg.lines_prefix(2)
+        flag = (gt, psi_embed(cfg, zero)[1])
+
+        def embed(cfg, maps):
+            return flag if maps == zero else psi_embed(cfg, maps)
+
+        monkeypatch.setattr("schubres.embres.psi_embed", embed)
+        hits, _ = chart_hits(chart_graphs(cfg), [flag], cfg.p)
+        assert hits[gt] == {0: cfg.p + 1}
+        assert not forced_chain_by_intersections(cfg, gt, flag)
+        rep = verify_chart_family(cfg, chart_graphs(cfg))
+        assert not {c.name: c.passed for c in rep.checks}["forced_chain_is_valid"]
 
 
 class TestEnumerateEmbres:

@@ -265,6 +265,22 @@ class TestSumIntersectContains:
             assert ex.contains(s, a) and ex.contains(s, b)
             assert ex.contains(a, i) and ex.contains(b, i)
 
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_meet_with_coordinate_space_exhaustive(self, n, p):
+        # uncached, in both argument orders: the vectors of L that vanish
+        # outside C span L ∩ C, for every subspace L and coordinate space C
+        meet = ex.intersect.__wrapped__
+        for L in all_subspaces(n, p):
+            for r in range(n + 1):
+                for coords in itertools.combinations(range(n), r):
+                    c = ex.coordinate_space(coords, n, p)
+                    outside = [i for i in range(n) if i not in coords]
+                    inside = [v for v in vectors(L) if not any(v[i] for i in outside)]
+                    want = ex.span(inside, n, p)
+                    got, swapped = meet(L, c), meet(c, L)
+                    assert got == swapped == want, (L, coords)
+                    assert got.pivots == swapped.pivots == want.pivots
+
 
 class TestCanonicalComplement:
     def test_axis_pair(self):
@@ -367,6 +383,13 @@ class TestLinearMapsAndGraphs:
             ker_vecs = [v for v in vectors(d) if apply(a, v) == (0, 0, 0)]
             ker = ex.span(ker_vecs, 3, 2)
             assert ex.intersect(ex.graph(a), d) == ker
+
+    def test_graph_rows_rejects_non_coordinate_target(self):
+        # the graph exists, but its rows are read off only for a target
+        # spanned by unit vectors
+        d, t = sp([E1], 3), sp([(0, 1, 1)], 3)
+        with pytest.raises(ValueError, match="coordinate"):
+            ex.graph_rows(ex.LinearMap(d, t, ((1,),)))
 
     def test_overlapping_domain_target_rejected(self):
         d = sp([E1], 3)

@@ -205,6 +205,17 @@ class TestLift:
         for pt in enumerate_gcal(cfg):
             assert pi_diag(build_lift(cfg, pt)) == pt
 
+    @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (4, 3)])
+    def test_memo_gives_the_same_lift(self, n, p):
+        # one memo per frame, as ``wflag verify`` keeps it
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, p, beta)
+                memo = {}
+                for pt in enumerate_gcal(cfg):
+                    assert build_lift(cfg, pt, memo) == build_lift(cfg, pt), (beta, pt)
+                assert memo or k == 1
+
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("p", [2, 3])
     def test_pair_step_matches_span_oracle(self, n, p, monkeypatch):
@@ -217,8 +228,8 @@ class TestLift:
         lifts = []
         build = wflag.build_lift
 
-        def recording(cfg, pt):
-            lifts.append((cfg, pt, build(cfg, pt)))
+        def recording(cfg, pt, memo=None):
+            lifts.append((cfg, pt, build(cfg, pt, memo)))
             return lifts[-1][2]
 
         monkeypatch.setattr(wflag, "build_lift", recording)
