@@ -273,14 +273,11 @@ def _meet_coordinates(a: Subspace, c: Subspace) -> Subspace:
     outside coordinate takes a pivot row among the rows left and is
     cleared from the others; the rows left at the end vanish outside c,
     stay independent and number dim a minus the rank of a outside c, so
-    they span the meet.  Rows that no step changed are canonical rows of
-    a, and a subset of a reduced basis is reduced, so only a changed row
-    costs a row reduction.
+    they span the meet.
     """
     p = a.p
     inside = set(c.pivots)
     rows = list(a.basis)
-    origin = list(range(len(rows)))  # index of the row in a's basis, -1 once changed
     for col in range(a.n):
         if col in inside:
             continue
@@ -288,22 +285,17 @@ def _meet_coordinates(a: Subspace, c: Subspace) -> Subspace:
         if i is None:
             continue
         prow = rows.pop(i)
-        del origin[i]
         inv = pow(prow[col], -1, p)
         for j, r in enumerate(rows):
             f = r[col]
             if f:
                 f = f * inv % p
                 rows[j] = tuple([(x - f * y) % p for x, y in zip(r, prow)])
-                origin[j] = -1
     if len(rows) == a.dim:
         return a
     if len(rows) == c.dim:
         return c
-    if -1 not in origin:
-        return Subspace(a.n, p, tuple(rows), tuple(a.pivots[i] for i in origin))
-    basis, pivots = rref(rows, p)
-    return Subspace(a.n, p, basis, pivots)
+    return span(rows, a.n, p)
 
 
 @lru_cache(maxsize=None)

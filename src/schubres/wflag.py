@@ -177,11 +177,12 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint, memo: dict | None = None) -> GHa
     the projected left cell inside the cell above-right.  That the result
     is a grid point over ``pt`` is checked by the ``wflag verify`` and
     ``wflag lift`` reports.  A cell depends only on its two neighbours
-    and its place, so ``memo``, when given, keeps each step's cell under
-    (x, y, idx, c) and a caller that lifts many points over one frame
+    and its place, so ``memo`` keeps each step's cell under (x, y, idx, c)
+    and a caller that passes one dict for many points over one frame
     builds each distinct step once.
     """
     k = cfg.k
+    memo = {} if memo is None else memo
     diags: list[tuple[Subspace, ...]] = [tuple(pt)]
     for c in range(1, k):
         prev = diags[-1]
@@ -189,13 +190,10 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint, memo: dict | None = None) -> GHa
         for idx in range(1, k - c + 1):
             x = prev[idx - 1]                # dimension idx, superscript idx+c-1
             y = prev[idx]                    # dimension idx+1, superscript idx+c
-            if memo is None:
-                z = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
-            else:
-                key = (x, y, idx, c)
-                z = memo.get(key)
-                if z is None:
-                    z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
+            key = (x, y, idx, c)
+            z = memo.get(key)
+            if z is None:
+                z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
             new.append(z)
         diags.append(tuple(new))
     return tuple(
@@ -295,8 +293,9 @@ def lift_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         pts = list(enumerate_gcal(cfg, budget))
         section_ok = True
         member_ok = True
+        steps: dict = {}  # build_lift's memo, for this report's frame only
         for pt in pts:  # drawn from the chain variety, so lifted unchecked
-            grid = build_lift(cfg, pt)
+            grid = build_lift(cfg, pt, steps)
             section_ok = section_ok and pi_diag(grid) == pt
             member_ok = member_ok and ghat_membership(cfg, grid)
         report.counts["chain_points"] = len(pts)

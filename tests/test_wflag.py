@@ -207,7 +207,7 @@ class TestLift:
 
     @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (4, 3)])
     def test_memo_gives_the_same_lift(self, n, p):
-        # one memo per frame, as ``wflag verify`` keeps it
+        # one memo per frame, as ``wflag verify`` and ``wflag lift`` keep it
         for k in range(1, n + 1):
             for beta in itertools.combinations(range(1, n + 1), k):
                 cfg = make_frame(n, p, beta)
