@@ -7,13 +7,16 @@ Grassmannian; the pair-to-top-space map is one-to-one over the graph
 chart, and the preimage of the Schubert cell collapses onto the fiber
 over one special grid point, whose tower is exactly the chain tower of
 the standard flag.
+
+The flags of the graph chart's family are among the grid points' flags,
+so ``verify_report`` walks the grid once and reads the chart family's
+checks off the chains of the grid points that carry its flags.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from schubres.biflag import Flag
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     InvariantError,
@@ -29,8 +32,8 @@ from schubres.exactlin import (
     tower_bound,
     zero_subspace,
 )
-from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, grassmannian_cells
-from schubres.report import EnumReport, merge_reports, subspace_witness, timed
+from schubres.grassfib import LOCI, FrameConfig, grassmannian_cells
+from schubres.report import EnumReport, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
     build_lift,
@@ -147,160 +150,148 @@ def _cell_test(cfg: FrameConfig) -> Callable[[Subspace, tuple[int, ...]], bool]:
     )
 
 
-def chart_hits(
-    graphs: Iterable[Subspace], flags: Sequence[Flag], p: int, budget: int = DEFAULT_BUDGET
-) -> tuple[dict[Subspace, dict[int, int]], list[int]]:
-    """One walk of each flag's chain tower.
-
-    Returns, for each chart graph, the flags whose tower it tops (those
-    it meets in a chain, dim(L ∩ flag[i]) >= i+1 for all i) in flag
-    order, each with the number of its chains that top the graph; and
-    each flag's number of chains."""
-    hits: dict[Subspace, dict[int, int]] = {gt: {} for gt in graphs}
-    chains = []
-    for idx, flag in enumerate(flags):
-        count = 0
-        for chain in kl_points(flag, p, budget):
-            count += 1
-            per_flag = hits.get(chain[-1])
-            if per_flag is not None:
-                per_flag[idx] = per_flag.get(idx, 0) + 1
-        chains.append(count)
-    return hits, chains
+# a chart graph's entry once chains of two family flags top it
+_TOPPED_TWICE = (-1, 0)
 
 
-def verify_chart_family(
-    cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
-) -> EnumReport:
-    """Every chart graph is hit by exactly one flag of the map-space
-    family, with the forced chain; the reconstruction recovers the maps.
-    ``graphs`` is ``chart_graphs(cfg)``.
+def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """The chart-family and embedded-resolution checks, under the
+    ``chart.`` and ``resolution.`` prefixes, from one walk of the grid.
 
-    Both verdicts are read off the one walk of ``chart_hits``.  The
-    chains that top a graph gt have L_i ⊆ gt ∩ flag[i].  When every such
-    meet has dimension i+1 the chain is forced; when one is larger, the
-    lowest such level offers at least p+1 choices, each of which extends
-    up to gt.  So the chain is forced exactly when one chain tops gt.
-    That reading needs the walk to be complete, so each flag's chain
-    count must also equal ``tower_bound`` of its levels, which is exact
-    for a flag.
-    """
-    report = EnumReport(
-        "embres chart",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
-        p = cfg.p
-        tuples = list(fixed_map_tuples(cfg))
-        flags = [psi_embed(cfg, maps) for maps in tuples]
-        hits, chains = chart_hits(graphs, flags, p, budget)
-        chart_ok = True
-        unique_ok = True
-        recon_ok = True
-        chain_ok = all(
-            count == tower_bound(kl_stages(flag, p), p) for count, flag in zip(chains, flags)
-        )
-        for t, gt in zip(chart_maps(cfg), graphs, strict=True):
-            chart_ok = chart_ok and in_chart(cfg, gt)
-            if len(hits[gt]) != 1:
-                unique_ok = False
-                continue
-            ((idx, count),) = hits[gt].items()
-            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
-                m.matrix for m in tuples[idx]
-            ):
-                recon_ok = False
-            chain_ok = chain_ok and count == 1
-        report.counts["chart_points"] = len(graphs)
-        report.counts["family_flags"] = len(flags)
-        report.add("graphs_lie_in_chart", chart_ok)
-        report.add("unique_flag_per_chart_point", unique_ok)
-        report.add("map_tuple_reconstructed", recon_ok)
-        report.add("forced_chain_is_valid", chain_ok)
-        report.add("flags_distinct", len(set(flags)) == len(flags))
-    return report
+    Gr_k is walked first, as its a cells, so that the cell and the closed
+    locus are known during the grid walk; ``grassmannian_cells`` refuses
+    an oversized Gr_k before the chart, which lies in it, is built.  Each
+    grid point is paired with the chain tower over its flag.  The map to
+    the top space hits all of Gr_k (empirical), is one-to-one over the
+    chart, and sends only pairs over the special grid point to the cell.
+    That point's fiber is the chain tower of the standard flag, and it
+    projects onto the closed locus (empirical).
 
-
-def verify_embedded_resolution(
-    cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
-) -> EnumReport:
-    """Point-level checks of the embedded-resolution contract.
-
-    (a) the top-space map hits every Grassmannian point (empirical);
-    (b) chart points have exactly one preimage pair;
-    (c) preimages of the cell all sit over the special grid point, whose
-        fiber is the chain tower of the standard flag and projects onto
-        the closed Schubert locus (empirical at this size).
-    ``graphs`` is ``chart_graphs(cfg)``.  The Grassmannian is walked
-    once, as its a cells, each point read at its cell's jump set.
+    The first grid point that carries a family flag ``psi_embed(maps)``
+    also counts, per chart graph, the chains of that flag that top it.
+    Each graph must be topped by one family flag, whose maps the
+    reconstruction recovers, and by one of its chains.  Such a chain has
+    L_i ⊆ gt ∩ flag[i]; if some meet is larger than i+1, the lowest such
+    level offers p+1 choices that each extend up to gt, so one chain
+    means the chain is forced.  That needs each flag's walk complete: its
+    chain count must equal ``tower_bound`` of its levels, exact for a
+    flag, and a family flag that no grid point carries keeps 0 and fails.
     """
     report = EnumReport(
         "embres verify",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
     )
     with timed(report):
-        o = special_point(cfg)
-        standard = tuple(cfg.frames[b] for b in cfg.beta)
-        report.add(
-            "special_point_flag_is_standard",
-            ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard,
-        )
-
-        # per chain top, its one grid point, or None once a second pair tops it
-        first: dict[Subspace, GHatPoint | None] = {}
-        over_o, off_o = set(), set()
-        fiber_sizes = set()
-        grid_points = 0
-        total_pairs = 0
-        incidence_ok = True
-        for pt in enumerate_ghat(cfg, budget):
-            grid_points += 1
-            flag = flag_of_grid(cfg, pt)
-            tops = over_o if pt == o else off_o
-            per_grid = 0
-            for chain in kl_points(flag, cfg.p, budget):
-                per_grid += 1
-                top = chain[-1]
-                first[top] = None if top in first else pt
-                tops.add(top)
-                incidence_ok = incidence_ok and all(
-                    contains(flag[i], chain[i]) for i in range(cfg.k)
-                )
-            fiber_sizes.add(per_grid)
-            total_pairs += per_grid
-        report.counts["grid_points"] = grid_points
-        report.counts["pairs"] = total_pairs
-        report.add("chain_count_flag_independent", len(fiber_sizes) == 1)
-        report.add(
-            "pair_count_is_product",
-            total_pairs == grid_points * next(iter(fiber_sizes)),
-        )
-        report.add("pairs_satisfy_incidence", incidence_ok)
-
+        p, k = cfg.p, cfg.k
         # one pass over the Grassmannian gives its size and both loci
         grass_points = 0
-        covered = True
-        cell: list[Subspace] = []
+        cell: set[Subspace] = set()
         closed: set[Subspace] = set()
         in_cell = _cell_test(cfg)
         for a, l in grassmannian_cells(cfg, lambda a: True, True, budget):
             grass_points += 1
-            covered = covered and l in first
             if in_cell(l, a):
-                cell.append(l)
+                cell.add(l)
             if LOCI["closed"](cfg.beta, a):
                 closed.add(l)
-        report.counts["grassmannian_points"] = grass_points
+
+        graphs = chart_graphs(cfg)
+        tuples = list(fixed_map_tuples(cfg))
+        flags = [psi_embed(cfg, m) for m in tuples]
+        family = {flag: idx for idx, flag in enumerate(flags)}
+        # per family flag, its number of chains; per chart graph, None, or
+        # the one family flag whose chains top it and how many do
+        chains = [0] * len(flags)
+        hits: dict[Subspace, tuple[int, int] | None] = dict.fromkeys(graphs)
+
+        o = special_point(cfg)
+        standard = tuple(cfg.frames[b] for b in cfg.beta)
+        special_ok = ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard
+
+        # per chain top, its one grid point, or None once a second pair tops it
+        first: dict[Subspace, GHatPoint | None] = {}
+        over_o: set[Subspace] = set()
+        fiber_sizes = set()
+        grid_points = 0
+        total_pairs = 0
+        incidence_ok = True
+        cell_ok = True
+        for pt in enumerate_ghat(cfg, budget):
+            grid_points += 1
+            flag = flag_of_grid(cfg, pt)
+            idx = family.get(flag)
+            if idx is not None and chains[idx]:
+                idx = None
+            at_o = pt == o
+            per_grid = 0
+            # ``tower`` shares each chain's prefix with the chain before,
+            # so a level whose subspace is the same object is checked already
+            prev = (None,) * k
+            for chain in kl_points(flag, p, budget):
+                per_grid += 1
+                top = chain[-1]
+                first[top] = None if top in first else pt
+                if at_o:
+                    over_o.add(top)
+                elif top in cell:
+                    cell_ok = False
+                incidence_ok = incidence_ok and all(
+                    s is q or contains(f, s) for f, s, q in zip(flag, chain, prev)
+                )
+                prev = chain
+                if idx is not None and top in hits:
+                    entry = hits[top] or (idx, 0)
+                    hits[top] = (idx, entry[1] + 1) if entry[0] == idx else _TOPPED_TWICE
+            if idx is not None:
+                chains[idx] = per_grid
+            fiber_sizes.add(per_grid)
+            total_pairs += per_grid
+
+        unique_ok = True
+        recon_ok = True
+        forced_ok = all(
+            count == tower_bound(kl_stages(flag, p), p) for count, flag in zip(chains, flags)
+        )
+        for t, gt in zip(chart_maps(cfg), graphs, strict=True):
+            entry = hits[gt]
+            if entry is None or entry is _TOPPED_TWICE:
+                unique_ok = False
+                continue
+            idx, count = entry
+            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
+                m.matrix for m in tuples[idx]
+            ):
+                recon_ok = False
+            forced_ok = forced_ok and count == 1
+        report.counts["chart_points"] = len(graphs)
+        report.counts["family_flags"] = len(flags)
+        report.add("chart.graphs_lie_in_chart", all(in_chart(cfg, gt) for gt in graphs))
+        report.add("chart.unique_flag_per_chart_point", unique_ok)
+        report.add("chart.map_tuple_reconstructed", recon_ok)
+        report.add("chart.forced_chain_is_valid", forced_ok)
+        report.add("chart.flags_distinct", len(family) == len(flags))
+
+        report.add("resolution.special_point_flag_is_standard", special_ok)
+        report.counts["grid_points"] = grid_points
+        report.counts["pairs"] = total_pairs
+        report.add("resolution.chain_count_flag_independent", len(fiber_sizes) == 1)
         report.add(
-            "hits_whole_grassmannian",
-            covered and len(first) == grass_points,
+            "resolution.pair_count_is_product",
+            total_pairs == grid_points * next(iter(fiber_sizes)),
+        )
+        report.add("resolution.pairs_satisfy_incidence", incidence_ok)
+        report.counts["grassmannian_points"] = grass_points
+        # every chain top is a point of Gr_k, so equal sizes mean all are hit
+        report.add(
+            "resolution.hits_whole_grassmannian",
+            len(first) == grass_points,
             "surjectivity observed at this field size",
             informational=True,
         )
 
         chart_fail: list = []
         diag_graph_ok = True
-        late = [cfg.complements_suffix(i + 1) for i in range(1, cfg.k + 1)]
+        late = [cfg.complements_suffix(i + 1) for i in range(1, k + 1)]
         for gt in graphs:
             pt = first.get(gt)
             if pt is None:
@@ -309,37 +300,26 @@ def verify_embedded_resolution(
             # the unique preimage has graph-shaped diagonal cells: each
             # meets the late complements trivially
             diag = pi_diag(pt)
-            if any(intersect(diag[i], late[i]).dim for i in range(cfg.k)):
+            if any(intersect(diag[i], late[i]).dim for i in range(k)):
                 diag_graph_ok = False
-        report.add("chart_points_have_unique_preimage", not chart_fail, witnesses=chart_fail[:3])
-        report.add("chart_preimage_diagonals_are_graphs", diag_graph_ok)
+        report.add(
+            "resolution.chart_points_have_unique_preimage",
+            not chart_fail,
+            witnesses=chart_fail[:3],
+        )
+        report.add("resolution.chart_preimage_diagonals_are_graphs", diag_graph_ok)
 
         report.counts["cell_points"] = len(cell)
-        report.add("cell_preimage_over_special_point", off_o.isdisjoint(cell))
-        cell_in_chart = all(in_chart(cfg, l) for l in cell)
-        report.add("cell_inside_chart", cell_in_chart)
+        report.add("resolution.cell_preimage_over_special_point", cell_ok)
+        report.add("resolution.cell_inside_chart", all(in_chart(cfg, l) for l in cell))
 
-        standard_tower_tops = {chain[-1] for chain in kl_points(standard, cfg.p, budget)}
-        report.add("special_fiber_is_standard_tower", over_o == standard_tower_tops)
+        standard_tower_tops = {chain[-1] for chain in kl_points(standard, p, budget)}
+        report.add("resolution.special_fiber_is_standard_tower", over_o == standard_tower_tops)
         report.counts["closed_locus_points"] = len(closed)
         report.add(
-            "special_fiber_covers_closed_locus",
+            "resolution.special_fiber_covers_closed_locus",
             over_o == closed,
             "chain-tower surjectivity observed at this field size",
             informational=True,
         )
     return report
-
-
-def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """The chart-family and embedded-resolution checks as one report,
-    under the ``chart.`` and ``resolution.`` prefixes.  The chart lies in
-    Gr_k, so an oversized Gr_k is refused before the chart is built."""
-    check_grassmannian(cfg, budget)
-    graphs = chart_graphs(cfg)
-    return merge_reports(
-        "embres verify",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-        chart=verify_chart_family(cfg, graphs, budget),
-        resolution=verify_embedded_resolution(cfg, graphs, budget),
-    )

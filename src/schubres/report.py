@@ -104,18 +104,6 @@ class EnumReport:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def merge_reports(command: str, config: dict[str, Any], **parts: EnumReport) -> EnumReport:
-    """One report from several, in keyword order: each part's checks
-    renamed ``<keyword>.<name>``, the counts united (a later part wins a
-    shared key) and the wall times summed."""
-    merged = EnumReport(command, config)
-    for prefix, part in parts.items():
-        merged.counts.update(part.counts)
-        merged.checks += [c._replace(name=f"{prefix}.{c.name}") for c in part.checks]
-        merged.wall_time_s += part.wall_time_s
-    return merged
-
-
 @contextmanager
 def timed(report: EnumReport) -> Iterator[EnumReport]:
     start = time.perf_counter()

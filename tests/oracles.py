@@ -7,9 +7,11 @@ read-offs replace, the subspace arithmetic (``frame_by_arithmetic``,
 ``subspaces_by_span``) that its coordinate-built frames and echelon
 charts replace, and the row reductions and intersections
 (``canonical_complement_by_coords``, ``reconstruct_grid_by_intersections``)
-that its pivot and reverse-echelon read-offs replace, and the
+that its pivot and reverse-echelon read-offs replace, the
 intersections that ``embres`` reads off its chain walk instead
-(``forced_chain_by_intersections``)."""
+(``forced_chain_by_intersections``), and the walk of each family flag's
+own chain tower that ``embres`` reads off its grid walk instead
+(``verify_chart_family_by_flags``)."""
 
 import itertools
 from bisect import bisect_left
@@ -29,9 +31,13 @@ from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
 from schubres.embres import (
     KLChain,
     _cell_test,
+    chart_maps,
     flag_of_grid,
     in_chart,
     kl_points,
+    kl_stages,
+    psi_embed,
+    reconstruct_map_tuple,
     special_point,
 )
 from schubres.exactlin import (
@@ -71,7 +77,14 @@ from schubres.permcomb import (
     word_product,
 )
 from schubres.report import EnumReport, subspace_witness, timed
-from schubres.wflag import GCalPoint, GHatPoint, enumerate_ghat, ghat_membership, pi_diag
+from schubres.wflag import (
+    GCalPoint,
+    GHatPoint,
+    enumerate_ghat,
+    fixed_map_tuples,
+    ghat_membership,
+    pi_diag,
+)
 
 
 def clear_caches() -> None:
@@ -647,7 +660,7 @@ def kl_count_formula(dims: tuple[int, ...], p: int) -> int:
 
 
 def forced_chain_by_intersections(cfg: FrameConfig, gt: Subspace, flag: Flag) -> bool:
-    """``embres.verify_chart_family``'s forced-chain verdict for one chart
+    """``embres.verify_report``'s forced-chain verdict for one chart
     graph and a flag whose tower it tops, by intersections: the meets
     gt ∩ flag[i] form a chain that ends in gt, with dimension i+1 at
     level i."""
@@ -657,6 +670,71 @@ def forced_chain_by_intersections(cfg: FrameConfig, gt: Subspace, flag: Flag) ->
         and all(chain[i].dim == i + 1 for i in range(cfg.k))
         and all(contains(chain[i + 1], chain[i]) for i in range(cfg.k - 1))
     )
+
+
+def chart_hits(
+    graphs: Iterable[Subspace], flags: Sequence[Flag], p: int, budget: int = DEFAULT_BUDGET
+) -> tuple[dict[Subspace, dict[int, int]], list[int]]:
+    """One walk of each flag's own chain tower.
+
+    Returns, for each chart graph, the flags whose tower it tops (those
+    it meets in a chain, dim(L ∩ flag[i]) >= i+1 for all i) in flag
+    order, each with the number of its chains that top the graph; and
+    each flag's number of chains."""
+    hits: dict[Subspace, dict[int, int]] = {gt: {} for gt in graphs}
+    chains = []
+    for idx, flag in enumerate(flags):
+        count = 0
+        for chain in kl_points(flag, p, budget):
+            count += 1
+            per_flag = hits.get(chain[-1])
+            if per_flag is not None:
+                per_flag[idx] = per_flag.get(idx, 0) + 1
+        chains.append(count)
+    return hits, chains
+
+
+def verify_chart_family_by_flags(
+    cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
+) -> EnumReport:
+    """``embres.verify_report``'s chart checks, unprefixed, with each
+    family flag's chain tower walked on its own (``chart_hits``) instead
+    of at the grid point that carries the flag.  ``graphs`` is
+    ``chart_graphs(cfg)``."""
+    report = EnumReport(
+        "embres chart",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        p = cfg.p
+        tuples = list(fixed_map_tuples(cfg))
+        flags = [psi_embed(cfg, maps) for maps in tuples]
+        hits, chains = chart_hits(graphs, flags, p, budget)
+        chart_ok = True
+        unique_ok = True
+        recon_ok = True
+        chain_ok = all(
+            count == tower_bound(kl_stages(flag, p), p) for count, flag in zip(chains, flags)
+        )
+        for t, gt in zip(chart_maps(cfg), graphs, strict=True):
+            chart_ok = chart_ok and in_chart(cfg, gt)
+            if len(hits[gt]) != 1:
+                unique_ok = False
+                continue
+            ((idx, count),) = hits[gt].items()
+            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
+                m.matrix for m in tuples[idx]
+            ):
+                recon_ok = False
+            chain_ok = chain_ok and count == 1
+        report.counts["chart_points"] = len(graphs)
+        report.counts["family_flags"] = len(flags)
+        report.add("graphs_lie_in_chart", chart_ok)
+        report.add("unique_flag_per_chart_point", unique_ok)
+        report.add("map_tuple_reconstructed", recon_ok)
+        report.add("forced_chain_is_valid", chain_ok)
+        report.add("flags_distinct", len(set(flags)) == len(flags))
+    return report
 
 
 def enumerate_embres(
@@ -785,9 +863,9 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
 def verify_embedded_resolution_by_census(
     cfg: FrameConfig, graphs: Sequence[Subspace], budget: int = DEFAULT_BUDGET
 ) -> EnumReport:
-    """``embres.verify_embedded_resolution`` with a census: every
-    (grid point, chain) pair is kept in a list under its chain's top,
-    and each check reads the lists back.  ``graphs`` is
+    """``embres.verify_report``'s resolution checks, unprefixed, with a
+    census: every (grid point, chain) pair is kept in a list under its
+    chain's top, and each check reads the lists back.  ``graphs`` is
     ``chart_graphs(cfg)``."""
     report = EnumReport(
         "embres verify",

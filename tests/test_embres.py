@@ -1,24 +1,24 @@
 """Chain towers over flag families and the embedded resolution checks."""
 
 import itertools
-import json
 from types import SimpleNamespace
 
 import pytest
 from oracles import (
     cell_points,
+    chart_hits,
     enumerate_embres,
     forced_chain_by_intersections,
     graph_tuple,
     kl_count_formula,
     reconstruct_map_tuple_by_projection,
+    verify_chart_family_by_flags,
     verify_embedded_resolution_by_census,
     zero_map,
 )
 
 from schubres.embres import (
     chart_graphs,
-    chart_hits,
     chart_maps,
     flag_of_grid,
     in_chart,
@@ -26,8 +26,7 @@ from schubres.embres import (
     psi_embed,
     reconstruct_map_tuple,
     special_point,
-    verify_chart_family,
-    verify_embedded_resolution,
+    verify_report,
 )
 from schubres.exactlin import (
     contains,
@@ -50,6 +49,19 @@ def all_pairs_hits(cfg, flags, gt):
         for idx, flag in enumerate(flags)
         if all(intersect(gt, flag[i]).dim >= i + 1 for i in range(cfg.k))
     ]
+
+
+def part(report, prefix):
+    """The checks of ``report`` under ``prefix``, the prefix dropped."""
+    return [
+        c._replace(name=c.name.removeprefix(prefix))
+        for c in report.checks
+        if c.name.startswith(prefix)
+    ]
+
+
+def failed(report):
+    return [c.name for c in report.checks if not c.passed]
 
 
 def zero_tuple(cfg):
@@ -154,8 +166,8 @@ class TestChart:
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_chart_family(self, beta):
         cfg = make_frame(4, 2, beta)
-        rep = verify_chart_family(cfg, chart_graphs(cfg))
-        assert rep.passed, [c.name for c in rep.checks if not c.passed]
+        checks = part(verify_report(cfg), "chart.")
+        assert len(checks) == 5 and all(c.passed for c in checks), checks
 
     def test_forced_chain_count_matches_intersections(self):
         # one topping chain against the meets with the flag, for every
@@ -172,47 +184,76 @@ class TestChart:
                     assert (count == 1) == want, (cfg, gt, idx)
 
     def faulty_chart_checks(self, monkeypatch, fault):
-        # ``fault`` rewrites the chains of the first flag walked
+        # ``fault`` rewrites the chains of the first family flag walked
         cfg = make_frame(4, 2, (2, 4))
+        family = {psi_embed(cfg, maps) for maps in fixed_map_tuples(cfg)}
         walked = []
 
         def faulty(flag, p, budget):
             chains = list(kl_points(flag, p, budget))
-            if not walked:
+            if flag in family and not walked:
                 chains = fault(chains)
-            walked.append(flag)
+                walked.append(flag)
             yield from chains
 
         monkeypatch.setattr("schubres.embres.kl_points", faulty)
-        rep = verify_chart_family(cfg, chart_graphs(cfg))
+        rep = verify_report(cfg)
         assert walked
         return {c.name: c.passed for c in rep.checks}
 
     def test_dropped_chain_fails_forced_chain(self, monkeypatch):
         checks = self.faulty_chart_checks(monkeypatch, lambda chains: chains[1:])
-        assert not checks["forced_chain_is_valid"]
+        assert not checks["chart.forced_chain_is_valid"]
 
     def test_repeated_chain_fails_forced_chain(self, monkeypatch):
         checks = self.faulty_chart_checks(monkeypatch, lambda chains: chains + chains[:1])
-        assert not checks["forced_chain_is_valid"]
+        assert not checks["chart.forced_chain_is_valid"]
 
     def test_unforced_chain_fails_forced_chain(self, monkeypatch):
-        # the zero tuple's flag starts at its own graph, the sum of the
-        # lines; the walk stays complete, and p+1 chains top that graph
+        # the zero tuple's flag, carried by the special point, starts at
+        # its own graph, the sum of the lines; the walk stays complete,
+        # and p+1 chains top that graph
         cfg = make_frame(4, 2, (2, 4))
         zero = zero_tuple(cfg)
+        standard = psi_embed(cfg, zero)
         gt = cfg.lines_prefix(2)
-        flag = (gt, psi_embed(cfg, zero)[1])
+        flag = (gt, standard[1])
 
         def embed(cfg, maps):
             return flag if maps == zero else psi_embed(cfg, maps)
 
+        def grid_flag(cfg, pt):
+            got = flag_of_grid(cfg, pt)
+            return flag if got == standard else got
+
         monkeypatch.setattr("schubres.embres.psi_embed", embed)
+        monkeypatch.setattr("schubres.embres.flag_of_grid", grid_flag)
         hits, _ = chart_hits(chart_graphs(cfg), [flag], cfg.p)
         assert hits[gt] == {0: cfg.p + 1}
         assert not forced_chain_by_intersections(cfg, gt, flag)
-        rep = verify_chart_family(cfg, chart_graphs(cfg))
-        assert not {c.name: c.passed for c in rep.checks}["forced_chain_is_valid"]
+        checks = {c.name: c.passed for c in verify_report(cfg).checks}
+        assert not checks["chart.forced_chain_is_valid"]
+
+    def test_uncarried_family_flag_fails_closed(self, monkeypatch):
+        # no grid point carries the standard flag, the zero tuple's: its
+        # chain count stays 0, and the graph of the zero chart map, which
+        # only its chains top, is topped by no family flag
+        cfg = make_frame(4, 2, (2, 4))
+        standard = tuple(cfg.frames[b] for b in cfg.beta)
+        other = next(
+            f for f in (flag_of_grid(cfg, pt) for pt in enumerate_ghat(cfg)) if f != standard
+        )
+
+        def grid_flag(cfg, pt):
+            got = flag_of_grid(cfg, pt)
+            return other if got == standard else got
+
+        monkeypatch.setattr("schubres.embres.flag_of_grid", grid_flag)
+        rep = verify_report(cfg)
+        checks = {c.name: c.passed for c in rep.checks}
+        assert not checks["chart.forced_chain_is_valid"]
+        assert not checks["chart.unique_flag_per_chart_point"]
+        assert not rep.passed
 
 
 class TestEnumerateEmbres:
@@ -308,28 +349,43 @@ class TestEmbeddedResolution:
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_n4(self, beta):
         cfg = make_frame(4, 2, beta)
-        rep = verify_embedded_resolution(cfg, chart_graphs(cfg))
-        assert rep.passed, [c.name for c in rep.checks if not c.passed]
-        surj = {c.name: c for c in rep.checks}["hits_whole_grassmannian"]
+        rep = verify_report(cfg)
+        assert rep.passed, failed(rep)
+        surj = {c.name: c for c in rep.checks}["resolution.hits_whole_grassmannian"]
         assert surj.informational and surj.passed
 
     def test_k1_smoke(self):
-        cfg = make_frame(3, 2, (2,))
-        rep = verify_embedded_resolution(cfg, chart_graphs(cfg))
-        assert rep.passed, [c.name for c in rep.checks if not c.passed]
+        rep = verify_report(make_frame(3, 2, (2,)))
+        assert rep.passed, failed(rep)
 
     def test_all_length2_indices_n4(self):
         for beta in itertools.combinations(range(1, 5), 2):
-            cfg = make_frame(4, 2, beta)
-            graphs = chart_graphs(cfg)
-            for rep in (verify_chart_family(cfg, graphs), verify_embedded_resolution(cfg, graphs)):
-                assert rep.passed, (beta, [c.name for c in rep.checks if not c.passed])
+            rep = verify_report(make_frame(4, 2, beta))
+            assert rep.passed, (beta, failed(rep))
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_swapped_level_fails_incidence(self, monkeypatch, at):
+        # chain ``at`` of the first tower walked gets a first level outside
+        # the flag's first space; chain 1 shares chain 0's first level, the
+        # same object, so its swap is a change of object too
+        cfg = make_frame(4, 2, (2, 4))
+        walked = []
 
-def without_time(report):
-    out = json.loads(report.to_json())
-    out.pop("wall_time_s")
-    return out
+        def faulty(flag, p, budget):
+            chains = list(kl_points(flag, p, budget))
+            if not walked:
+                assert chains[1][0] is chains[0][0]
+                outside = next(
+                    l for l in enumerate_subspaces(full_space(4, p), 1) if not contains(flag[0], l)
+                )
+                chains[at] = (outside,) + chains[at][1:]
+                walked.append(flag)
+            yield from chains
+
+        monkeypatch.setattr("schubres.embres.kl_points", faulty)
+        rep = verify_report(cfg)
+        assert walked
+        assert failed(rep) == ["resolution.pairs_satisfy_incidence"]
 
 
 def census_spaces():
@@ -347,18 +403,22 @@ def patch_both(monkeypatch, name, value):
 
 
 class TestStreamedPairs:
-    # the streamed verifier against the census it replaced
+    # the one grid walk against the per-flag walk and the census it replaced
     def test_reports_match_census(self):
         for cfg in census_spaces():
             graphs = chart_graphs(cfg)
-            got = verify_embedded_resolution(cfg, graphs)
-            want = verify_embedded_resolution_by_census(cfg, graphs)
-            assert without_time(got) == without_time(want), cfg
+            got = verify_report(cfg)
+            for prefix, want in (
+                ("chart.", verify_chart_family_by_flags(cfg, graphs)),
+                ("resolution.", verify_embedded_resolution_by_census(cfg, graphs)),
+            ):
+                assert part(got, prefix) == want.checks, (cfg, prefix)
+                assert {key: got.counts[key] for key in want.counts} == want.counts, cfg
 
     def faulty_reports(self, cfg):
-        graphs = chart_graphs(cfg)
-        got = verify_embedded_resolution(cfg, graphs)
-        assert without_time(got) == without_time(verify_embedded_resolution_by_census(cfg, graphs))
+        got = verify_report(cfg)
+        want = verify_embedded_resolution_by_census(cfg, chart_graphs(cfg))
+        assert part(got, "resolution.") == want.checks
         return {c.name: c.passed for c in got.checks}
 
     def test_repeated_grid_point_fails_unique_preimage(self, monkeypatch):
@@ -372,8 +432,10 @@ class TestStreamedPairs:
 
         patch_both(monkeypatch, "enumerate_ghat", repeating)
         checks = self.faulty_reports(cfg)
-        assert not checks["chart_points_have_unique_preimage"]
-        assert checks["cell_preimage_over_special_point"]
+        assert not checks["resolution.chart_points_have_unique_preimage"]
+        assert checks["resolution.cell_preimage_over_special_point"]
+        # the repeat carries a family flag that is counted already
+        assert all(ok for name, ok in checks.items() if name.startswith("chart."))
 
     def test_off_special_point_over_cell_fails(self, monkeypatch):
         # one grid point other than the special one carries the standard
@@ -388,4 +450,4 @@ class TestStreamedPairs:
 
         patch_both(monkeypatch, "flag_of_grid", flag)
         checks = self.faulty_reports(cfg)
-        assert not checks["cell_preimage_over_special_point"]
+        assert not checks["resolution.cell_preimage_over_special_point"]

@@ -2,7 +2,7 @@
 
 import json
 
-from schubres.report import Check, EnumReport, merge_reports
+from schubres.report import Check, EnumReport
 
 
 def test_passed_ignores_informational():
@@ -28,23 +28,6 @@ def test_json_roundtrip_fields():
 
 def test_empty_report_passes():
     assert EnumReport("x", {}).passed
-
-
-def test_merge_prefixes_checks_unites_counts_sums_times():
-    a = EnumReport("a", {}, counts={"x": 1, "y": 2}, wall_time_s=0.5)
-    a.add("ok", True, detail="d")
-    b = EnumReport("b", {}, counts={"y": 3, "z": 4}, wall_time_s=0.25)
-    b.add("soft", False, informational=True)
-    merged = merge_reports("m", {"n": 1}, first=a, second=b)
-    assert (merged.command, merged.config) == ("m", {"n": 1})
-    assert list(merged.counts.items()) == [("x", 1), ("y", 3), ("z", 4)]
-    assert [(c.name, c.passed, c.detail, c.informational) for c in merged.checks] == [
-        ("first.ok", True, "d", False),
-        ("second.soft", False, "", True),
-    ]
-    assert merged.passed
-    assert merged.wall_time_s == 0.75
-    assert [c.name for c in a.checks] == ["ok"]
 
 
 def test_checks_without_witnesses_share_no_list():
