@@ -4,12 +4,12 @@ A subspace of GF(p)^n is stored through its canonical basis: the reduced
 row echelon form of any spanning set, zero rows dropped.  Canonical bases
 make equality and hashing structural, so subspaces deduplicate in sets
 and serve as dictionary keys directly.  The value types are slotted
-classes (``Subspace``) and NamedTuples (``LinearMap``, ``Stage``), never
-changed after construction; all operations are pure functions, and
-results are cached and shared freely.  ``Subspace`` is not frozen, since
-a frozen class pays one ``object.__setattr__`` per field on every
-construction and subspaces are built in every verifier's inner loop; no
-code outside the class writes its fields.
+classes (``Subspace``) and NamedTuples (``LinearMap``, ``Stage``,
+``Chart``), never changed after construction; all operations are pure
+functions, and results are cached and shared freely.  ``Subspace`` is
+not frozen, since a frozen class pays one ``object.__setattr__`` per
+field on every construction and subspaces are built in every verifier's
+inner loop; no code outside the class writes its fields.
 
 Vectors are tuples of ints reduced mod p; matrices are tuples of row
 tuples.  Coordinates are 0-based throughout this module.
@@ -438,6 +438,82 @@ def gaussian_binomial(m: int, j: int, p: int) -> int:
     return num // den
 
 
+class _ChartFields(NamedTuple):
+    n: int
+    p: int
+    pivots: tuple[int, ...]
+    offset: int
+    free: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    size: int
+
+
+class Chart(_ChartFields):
+    """One Schubert cell of Gr_k(GF(p)^n) as an affine chart whose
+    points are numbered from ``offset``.
+
+    The points are the reduced echelon forms with pivots ``pivots``: row
+    r is 1 at pivots[r], 0 before it and at the other pivots, and free at
+    each column of ``free[r]``, the columns past its pivot that are not
+    pivots.  The cell has ``size`` = p^(free entries) points.  ``rank``
+    reads the free entries as base-p digits, row by row and in each row
+    by column, the first the most significant: the order in which
+    ``_echelon_forms`` walks the cell of the whole space.  Row r's digits
+    weigh ``weights[r]``, p to the free entries of the rows after it.
+    ``unrank`` inverts ``rank``.  Read on coordinate-reversed rows, the
+    same charts number the cells of last nonzero coordinates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, pivots: tuple[int, ...], offset: int = 0) -> "Chart":
+        taken = set(pivots)
+        free = tuple(tuple(c for c in range(q + 1, n) if c not in taken) for q in pivots)
+        weights, size = [], 1
+        for cols in reversed(free):
+            weights.append(size)
+            size *= p ** len(cols)
+        return super().__new__(cls, n, p, pivots, offset, free, tuple(reversed(weights)), size)
+
+    def row_rank(self, r: int, row: Vec) -> int:
+        """Row r's share of the rank, offset left out: its free entries
+        as digits, weighed by the rows after it."""
+        p, x = self.p, 0
+        for c in self.free[r]:
+            x = x * p + row[c]
+        return x * self.weights[r]
+
+    def rank(self, rows: Rows) -> int:
+        """The number of the point with these canonical rows."""
+        return self.offset + sum(map(self.row_rank, range(len(rows)), rows))
+
+    def unrank(self, i: int) -> Subspace:
+        """The point numbered i, with the chart's rows as its basis."""
+        n, p = self.n, self.p
+        i -= self.offset
+        rows = []
+        for q, cols in zip(reversed(self.pivots), reversed(self.free)):
+            row = [0] * n
+            row[q] = 1
+            for c in reversed(cols):
+                i, row[c] = divmod(i, p)
+            rows.append(tuple(row))
+        return Subspace(n, p, tuple(reversed(rows)), self.pivots)
+
+
+def charts(n: int, k: int, p: int, keep: Callable[[tuple[int, ...]], bool]) -> list[Chart]:
+    """The charts of the Schubert cells of Gr_k(GF(p)^n) whose pivots
+    pass ``keep``, in ``combinations`` order of their pivots; each is
+    numbered on from the one before, so the kept points have the ranks
+    0..N-1, N their number."""
+    out, offset = [], 0
+    for pivots in itertools.combinations(range(n), k):
+        if keep(pivots):
+            out.append(Chart(n, p, pivots, offset))
+            offset += out[-1].size
+    return out
+
+
 def _echelon_forms(v: Subspace, piv: tuple[int, ...]) -> Iterator[Subspace]:
     """The Schubert cell of v with pivot rows ``piv``: each point's
     echelon form in v's canonical rows, one per choice of free entries.
@@ -448,12 +524,12 @@ def _echelon_forms(v: Subspace, piv: tuple[int, ...]) -> Iterator[Subspace]:
     pivot, 1 there and 0 at v's other pivots, so row r starts at its
     pivot and the rows are the reduced echelon form: every point is
     built canonical, with no row reduction.  Points run in the order of
-    their free entries, row by row; each row's choices are built once.
+    their free entries, row by row: the rank order of the cell's
+    ``Chart`` in v's rows.  Each row's choices are built once.
     """
     n, p, basis = v.n, v.p, v.basis
     choices = []
-    for q in piv:
-        free = [c for c in range(q + 1, v.dim) if c not in piv]
+    for q, free in zip(piv, Chart(v.dim, p, piv).free):
         rows = []
         for xs in itertools.product(range(p), repeat=len(free)):
             row = basis[q]

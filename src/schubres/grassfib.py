@@ -9,23 +9,31 @@ the tail of the flag).  Both parametrizations are verified to be
 injective with image equal to the Schubert loci, where a point's locus
 is read off its Schubert position: the jumps of its intersections with
 the standard flag and co-flag, fixed by the Schubert cell it lies in.
+
+A locus is a union of Schubert cells, and each cell is an affine chart
+of echelon forms (``exactlin.Chart``).  The verifiers rank each output
+on the charts of the locus cells and mark its rank in a bytearray the
+size of the locus, so they keep no set of Gr_k points and never walk
+the locus: the image is the locus when no output falls outside those
+cells and every rank is hit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from bisect import bisect_left
 from typing import Callable, Iterable, Iterator
 
 from schubres.biflag import standard_frames
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    Chart,
     InvariantError,
-    LinearMap,
     Subspace,
     Vec,
     _echelon_forms,
+    charts,
     check_field,
     contains,
     coordinate_space,
@@ -177,89 +185,31 @@ def moving_complements(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[S
 
 
 def phi_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
-    """Targets of the maps of ``phi`` on these lines: for line i >= 2, the
-    sum of the moving complements of lines 1..i-1."""
+    """Targets of the maps of ``verify_phi`` on these lines: for line
+    i >= 2, the sum of the moving complements of lines 1..i-1."""
     comps = moving_complements(cfg, lines)
     return tuple(itertools.accumulate(comps[: cfg.k - 1], subspace_sum))
 
 
 def phi_star_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
-    """Targets of the maps of ``phi_star`` on these lines: for line i, the
-    sum of the moving complements of lines i+1..k and the tail."""
+    """Targets of the maps of ``verify_phi_star`` on these lines: for
+    line i, the sum of the moving complements of lines i+1..k and the
+    tail."""
     comps = moving_complements(cfg, lines)
     return tuple(itertools.accumulate(reversed(comps[1:]), subspace_sum))[::-1]
 
 
-def _graph_rows(
-    lines: tuple[Subspace, ...], targets: tuple[Subspace, ...], maps: tuple[LinearMap, ...]
-) -> list[Vec]:
-    """The parts of ``phi`` or ``phi_star`` as rows, one per line.
-
-    ``maps`` send the last len(maps) lines into ``targets``; the part of
-    such a line is the graph of its map, and an earlier line is its own
-    part.  A map out of a line is one matrix column, so its graph is the
-    one row ``graph_rows`` reads off that column.
-    """
-    first = len(lines) - len(maps)
-    rows = [line.basis[0] for line in lines[:first]]
-    for i, (line, target, a) in enumerate(zip(lines[first:], targets, maps), start=first + 1):
-        # maps built on these very spaces pass on identity, without __eq__
-        if (a.domain is not line and a.domain != line) or (
-            a.target is not target and a.target != target
-        ):
-            raise ValueError(f"map {i} has wrong domain or target")
-        rows += graph_rows(a)
-    return rows
-
-
-def phi(
-    cfg: FrameConfig,
-    lines: tuple[Subspace, ...],
-    targets: tuple[Subspace, ...],
-    maps: tuple[LinearMap, ...],
-) -> Subspace:
-    """Sum of graphs of maps into earlier-window complements.
-
-    ``maps[i-2]`` sends line i into ``targets[i-2]``, the sum of the
-    complements of lines 1..i-1 (``phi_targets``); the first line
-    contributes itself.  The result meets F_{b_i} in dimension exactly i
-    for every i, which ``verify_phi`` checks as
-    ``image_equals_regular_locus``.  Each graph is one row, read off the
-    map's matrix (``_graph_rows``), and the rows are reduced.
-    """
-    if len(lines) != cfg.k or len(maps) != cfg.k - 1:
-        raise ValueError("need k moving lines and k-1 maps")
-    return span(_graph_rows(lines, targets, maps), cfg.n, cfg.p)
-
-
-def phi_star(
-    cfg: FrameConfig,
-    lines: tuple[Subspace, ...],
-    targets: tuple[Subspace, ...],
-    maps: tuple[LinearMap, ...],
-) -> Subspace:
-    """Sum of graphs of maps into later-window complements plus the tail.
-
-    ``maps[i-1]`` sends line i into ``targets[i-1]``, the sum of the
-    complements of lines i+1..k and the tail (``phi_star_targets``).  The
-    result meets G^{b_i} in dimension exactly k-i, which
-    ``verify_phi_star`` checks as ``image_equals_conjugate_locus``.  Each
-    graph is one row, read off the map's matrix (``_graph_rows``).  Map i
-    leaves out every later line's pivot, so the rows are the canonical
-    basis: row i has a 1 at line i's pivot, in window i, and zeros before
-    it and at the other pivots, or InvariantError is raised.
-    """
-    k = cfg.k
-    if len(lines) != k or len(maps) != k:
-        raise ValueError("need k moving lines and k maps")
-    rows = _graph_rows(lines, targets, maps)
-    pivots = tuple(line.pivots[0] for line in lines)
-    for i, (row, q) in enumerate(zip(rows, pivots), start=1):
-        lo, hi = cfg.window_bounds(i)
-        # zeros before q cover the earlier pivots
-        if not lo <= q < hi or row[q] != 1 or any(row[:q]) or any(row[r] for r in pivots[i:]):
-            raise InvariantError(f"phi_star graph row {i} is not canonical at pivot {q}")
-    return Subspace(cfg.n, cfg.p, tuple(rows), pivots)
+def _check_star_row(cfg: FrameConfig, i: int, row: Vec, pivots: tuple[int, ...]) -> None:
+    """Raise InvariantError unless ``row``, the graph of a map out of
+    moving line i (1-based) into ``phi_star_targets``, is the canonical
+    row of its line's pivot q among the lines' ``pivots``: q inside window
+    i, a 1 at q, and zeros before q and at the later pivots.  Map i
+    leaves out every later line's pivot, so this holds for every map."""
+    q = pivots[i - 1]
+    lo, hi = cfg.window_bounds(i)
+    # zeros before q cover the earlier pivots
+    if not lo <= q < hi or row[q] != 1 or any(row[:q]) or any(row[r] for r in pivots[i:]):
+        raise InvariantError(f"phi_star graph row {i} is not canonical at pivot {q}")
 
 
 def _leq(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -373,129 +323,177 @@ def hom_star_rank(cfg: FrameConfig) -> int:
     return total
 
 
-def map_inputs(
-    cfg: FrameConfig,
-    targets_of: Callable[[FrameConfig, tuple[Subspace, ...]], tuple[Subspace, ...]],
-) -> Iterator[tuple[tuple[Subspace, ...], tuple[Subspace, ...], tuple[LinearMap, ...]]]:
-    """(lines, targets, maps) for every tuple of moving lines and every
-    map tuple on them, with ``targets_of`` ``phi_targets`` or
-    ``phi_star_targets``.  The maps start from the last len(targets)
-    lines: lines 2..k for ``phi``, lines 1..k for ``phi_star``."""
-    for lines in window_line_tuples(cfg):
-        targets = targets_of(cfg, lines)
-        sources = lines[len(lines) - len(targets) :]
-        choices = [list(enumerate_maps(line, t)) for line, t in zip(sources, targets)]
-        for maps in itertools.product(*choices):
-            yield lines, targets, maps
+def _locus_charts(cfg: FrameConfig, mode: str) -> dict[tuple[int, ...], Chart]:
+    """The charts of the cells of a locus, keyed by their pivots and
+    numbered in ``charts`` order: for ``star_*`` the c cells, whose
+    pivots are c_j - 1, else the a cells on coordinate-reversed rows,
+    whose pivots are n - a_j."""
+    n, test, star = cfg.n, LOCI[mode], mode.startswith("star_")
+
+    def keep(piv: tuple[int, ...]) -> bool:
+        jumps = tuple(q + 1 for q in piv) if star else tuple(n - q for q in reversed(piv))
+        return test(cfg.beta, jumps)
+
+    return {c.pivots: c for c in charts(n, cfg.k, cfg.p, keep)}
 
 
-def recover_lines_from_open(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
-    """The base-point of a regular locus member: project L ∩ F_{b_i}
-    into window i along F_{b_{i-1}}.
+def _image_checks(
+    report: EnumReport,
+    inputs: int,
+    fiber_ok: bool,
+    hits: bytearray,
+    outside: set[Subspace],
+    table: dict[tuple[int, ...], Chart],
+    point: Callable[[Subspace], Subspace],
+    locus: str,
+    predicted: int,
+) -> None:
+    """The counts and checks both verifiers share, read off one byte per
+    locus rank (set when an output has that rank) and the set of outputs
+    outside the locus.
 
-    One row reduction of L with its coordinates reversed serves every
-    window.  Read back, its rows end at distinct coordinates, and a
-    vector of L ends at the last of the ends of the rows it uses, so the
-    rows ending before b_i span L ∩ F_{b_i}.  Window i is the coordinates
-    b_{i-1}..b_i - 1, so the projection sends a row that ends before the
-    window to zero and cuts one that ends inside it down to the window.
+    The distinct images are the ranks hit plus the outputs outside, and
+    the image equals the locus when no output is outside and every rank
+    is hit.  Its witnesses are the first three, sorted, of the outputs
+    outside and the points of the ranks not hit; ``point`` turns a
+    chart's point into the point of Gr_k.  The locus size is the sum of
+    its cells' sizes, which ``predicted`` must equal.
     """
-    n, p = l.n, l.p
-    rows, ends = rref([row[::-1] for row in l.basis], p)
-    rows = [(row[::-1], n - 1 - e) for row, e in zip(rows, ends)]
-    out = []
-    for i in range(1, cfg.k + 1):
-        lo, hi = cfg.window_bounds(i)
-        cut = [(0,) * lo + row[lo:hi] + (0,) * (n - hi) for row, e in rows if lo <= e < hi]
-        out.append(span(cut, n, p))
-    return tuple(out)
-
-
-def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
-    """The base-point of a conjugate member: project L ∩ G^{b_{i-1}}
-    into window i along G^{b_i}.
-
-    A vector of L starts at the first pivot among the canonical rows it
-    uses, so the rows with pivot at least b_{i-1} span L ∩ G^{b_{i-1}}.
-    Window i is the coordinates b_{i-1}..b_i - 1, so the projection
-    sends the rows with pivot past the window to zero and cuts the others
-    down to the window.  Those keep their pivots, and the other rows are
-    zero there, so the cut rows are already a canonical basis.
-    """
-    n = l.n
-    out = []
-    for i in range(1, cfg.k + 1):
-        lo, hi = cfg.window_bounds(i)
-        a, b = bisect_left(l.pivots, lo), bisect_left(l.pivots, hi)
-        rows = tuple((0,) * lo + row[lo:hi] + (0,) * (n - hi) for row in l.basis[a:b])
-        out.append(Subspace(n, l.p, rows, l.pivots[a:b]))
-    return tuple(out)
+    missed = hits.count(0)
+    distinct = len(hits) - missed + len(outside)
+    report.counts["inputs"] = inputs
+    report.counts["distinct_images"] = distinct
+    report.add("injective", distinct == inputs)
+    report.add("base_point_recovered", fiber_ok)
+    report.counts[f"{locus}_locus_points"] = len(hits)
+    witnesses = []
+    if missed or outside:
+        gaps = (
+            point(c.unrank(i))
+            for c in table.values()
+            for i in range(c.offset, c.offset + c.size)
+            if not hits[i]
+        )
+        first = heapq.nsmallest(3, itertools.chain(outside, gaps))
+        witnesses = [subspace_witness(s) for s in first]
+    report.add(f"image_equals_{locus}_locus", not missed and not outside, witnesses=witnesses)
+    report.counts["predicted_points"] = predicted
+    report.add("count_identity", len(hits) == predicted)
 
 
 def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Injectivity, image identity and fiber compatibility of the
-    graph-sum parametrization of the regular Schubert locus."""
+    graph-sum parametrization of the regular Schubert locus.
+
+    An input is k moving lines and maps sending line i >= 2 into the
+    moving complements of lines 1..i-1 (``phi_targets``); its output is
+    spanned by line 1 and the maps' graph rows, built once per map.  The
+    rows end in their own windows, so one row reduction of their
+    coordinate-reversed form gives the output's a cell (its pivots are
+    n - a_j), its rank on that cell's chart, and its base point: the
+    projection of L ∩ F_{b_i} into window i along F_{b_{i-1}} is the cut
+    of the one reduced row that ends in window i, when there is one.
+    """
     check_grassmannian(cfg, budget)  # before enumerating inputs
     report = EnumReport(
         "grass verify-phi",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
     )
     with timed(report):
-        inputs = 0
-        image: set[Subspace] = set()
-        fiber_ok = True
-        for lines, targets, maps in map_inputs(cfg, phi_targets):
-            out = phi(cfg, lines, targets, maps)
-            inputs += 1
-            image.add(out)
-            if recover_lines_from_open(cfg, out) != lines:
-                fiber_ok = False
-        report.counts["inputs"] = inputs
-        report.counts["distinct_images"] = len(image)
-        report.add("injective", len(image) == inputs)
-        report.add("base_point_recovered", fiber_ok)
-
-        open_set = set(vbeta_points(cfg, "open", budget))
-        report.counts["regular_locus_points"] = len(open_set)
-        report.add(
-            "image_equals_regular_locus",
-            image == open_set,
-            witnesses=[subspace_witness(s) for s in sorted(image ^ open_set)][:3],
+        n, p, k = cfg.n, cfg.p, cfg.k
+        table = _locus_charts(cfg, "open")
+        hits = bytearray(sum(c.size for c in table.values()))
+        outside: set[Subspace] = set()
+        inputs, fiber_ok = 0, True
+        # the reduced rows end in windows k..1: window k - r is the
+        # reversed coordinates n - b_{k-r} .. n - b_{k-r-1} - 1
+        cuts = [(n - hi, n - lo) for lo, hi in map(cfg.window_bounds, range(k, 0, -1))]
+        for lines in window_line_tuples(cfg):
+            backs = [line.basis[0][::-1] for line in reversed(lines)]
+            targets = phi_targets(cfg, lines)
+            choices = [[backs[-1]]] + [
+                [graph_rows(a)[0][::-1] for a in enumerate_maps(line, target)]
+                for line, target in zip(lines[1:], targets)
+            ]
+            for rows in itertools.product(*choices):
+                red, piv = rref(rows, p)
+                inputs += 1
+                chart = table.get(piv)
+                if chart is None:
+                    outside.add(span([row[::-1] for row in red], n, p))
+                else:
+                    hits[chart.rank(red)] = 1
+                # reduced row r is 1 at its end, so its cut is line k-r's
+                # part when it is that part over the line's entry there
+                fiber_ok = fiber_ok and len(piv) == k and all(
+                    lo <= q < hi and tuple([x * back[q] % p for x in row[lo:hi]]) == back[lo:hi]
+                    for row, q, (lo, hi), back in zip(red, piv, cuts, backs)
+                )
+        _image_checks(
+            report,
+            inputs,
+            fiber_ok,
+            hits,
+            outside,
+            table,
+            lambda s: span([row[::-1] for row in s.basis], n, p),
+            "regular",
+            base_point_count(cfg) * p ** hom_rank(cfg),
         )
-        predicted = base_point_count(cfg) * cfg.p ** hom_rank(cfg)
-        report.counts["predicted_points"] = predicted
-        report.add("count_identity", len(open_set) == predicted)
     return report
 
 
 def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """Same checks for the conjugate parametrization."""
+    """Same checks for the conjugate parametrization.
+
+    An input is k moving lines and maps sending line i into the moving
+    complements of lines i+1..k and the tail (``phi_star_targets``).
+    Each map's graph row is built and checked once per line tuple
+    (``_check_star_row``); the rows of an input are then the canonical
+    basis of its output, whose c cell is fixed by the lines' pivots.  So
+    the output's rank is its cell's offset plus one share per row, read
+    off the row when it is checked, and its base point is each row cut
+    down to its own window.
+    """
     check_grassmannian(cfg, budget)  # before enumerating inputs
     report = EnumReport(
         "grass verify-phistar",
         {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
     )
     with timed(report):
-        inputs = 0
-        image: set[Subspace] = set()
-        fiber_ok = True
-        for lines, targets, maps in map_inputs(cfg, phi_star_targets):
-            out = phi_star(cfg, lines, targets, maps)
-            inputs += 1
-            image.add(out)
-            if recover_lines_from_star(cfg, out) != lines:
-                fiber_ok = False
-        report.counts["inputs"] = inputs
-        report.counts["distinct_images"] = len(image)
-        report.add("injective", len(image) == inputs)
-        report.add("base_point_recovered", fiber_ok)
-
-        star_set = set(vbeta_points(cfg, "star_open", budget))
-        report.counts["conjugate_locus_points"] = len(star_set)
-        report.add("image_equals_conjugate_locus", image == star_set)
-        predicted = base_point_count(cfg) * cfg.p ** hom_star_rank(cfg)
-        report.counts["predicted_points"] = predicted
-        report.add("count_identity", len(star_set) == predicted)
+        n, p = cfg.n, cfg.p
+        table = _locus_charts(cfg, "star_open")
+        hits = bytearray(sum(c.size for c in table.values()))
+        outside: set[Subspace] = set()
+        inputs, fiber_ok = 0, True
+        for lines in window_line_tuples(cfg):
+            pivots = tuple(line.pivots[0] for line in lines)
+            chart = table.get(pivots)
+            choices = []
+            for i, (line, target) in enumerate(zip(lines, phi_star_targets(cfg, lines)), start=1):
+                lo, hi = cfg.window_bounds(i)
+                shares = []
+                for a in enumerate_maps(line, target):
+                    row = graph_rows(a)[0]
+                    _check_star_row(cfg, i, row, pivots)
+                    fiber_ok = fiber_ok and row[lo:hi] == line.basis[0][lo:hi]
+                    shares.append(row if chart is None else chart.row_rank(i - 1, row))
+                choices.append(shares)
+            if chart is None:
+                for rows in itertools.product(*choices):
+                    outside.add(Subspace(n, p, rows, pivots))
+                    inputs += 1
+                continue
+            ranks = [chart.offset]
+            for shares in choices:
+                ranks = [x + y for x in ranks for y in shares]
+            for x in ranks:
+                hits[x] = 1
+            inputs += len(ranks)
+        predicted = base_point_count(cfg) * p ** hom_star_rank(cfg)
+        _image_checks(
+            report, inputs, fiber_ok, hits, outside, table, lambda s: s, "conjugate", predicted
+        )
     return report
 
 

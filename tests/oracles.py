@@ -11,11 +11,15 @@ that its pivot and reverse-echelon read-offs replace, the
 intersections that ``embres`` reads off its chain walk instead
 (``forced_chain_by_intersections``), and the walk of each family flag's
 own chain tower that ``embres`` reads off its grid walk instead
-(``verify_chart_family_by_flags``)."""
+(``verify_chart_family_by_flags``).  The graph-sum maps ``phi`` and
+``phi_star``, their inputs and the base points they recover are here
+too, with the set-based verifiers built on them
+(``verify_phi_by_sets``, ``verify_phi_star_by_sets``) that
+``grassfib``'s ranks on Schubert-cell charts replace."""
 
 import itertools
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from schubres import biflag, exactlin, permcomb
 from schubres.biflag import (
@@ -43,6 +47,7 @@ from schubres.embres import (
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    InvariantError,
     LinearMap,
     Rows,
     Stage,
@@ -52,10 +57,12 @@ from schubres.exactlin import (
     contains,
     coordinate_space,
     enumerate_between,
+    enumerate_maps,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
     graph,
+    graph_rows,
     intersect,
     rref,
     span,
@@ -64,7 +71,19 @@ from schubres.exactlin import (
     tower_bound,
     zero_subspace,
 )
-from schubres.grassfib import LOCI, FrameConfig, grassmannian_cells
+from schubres.grassfib import (
+    LOCI,
+    FrameConfig,
+    base_point_count,
+    check_grassmannian,
+    grassmannian_cells,
+    hom_rank,
+    hom_star_rank,
+    phi_star_targets,
+    phi_targets,
+    vbeta_points,
+    window_line_tuples,
+)
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -374,7 +393,7 @@ def coframe_slice(l: Subspace, q: int) -> Subspace:
 
 def frame_slice(l: Subspace, q: int) -> Subspace:
     """L ∩ F_q, read off the echelon form of L with its coordinates
-    reversed, as ``grassfib.recover_lines_from_open`` reads it.
+    reversed, as ``recover_lines_from_open`` reads it.
 
     Read back, the rows of that form end at distinct coordinates, and a
     vector of L ends at the last of the ends of the rows it uses.  So
@@ -385,8 +404,8 @@ def frame_slice(l: Subspace, q: int) -> Subspace:
 
 
 def recover_lines_by_slices(cfg: FrameConfig, l: Subspace, star: bool) -> tuple[Subspace, ...]:
-    """``grassfib.recover_lines_from_open`` (``recover_lines_from_star``
-    with ``star``) as one echelon slice of L and one row reduction of its
+    """``recover_lines_from_open`` (``recover_lines_from_star`` with
+    ``star``) as one echelon slice of L and one row reduction of its
     window part per window."""
     bounds = zip((0,) + cfg.beta, cfg.beta)
     if star:
@@ -959,4 +978,276 @@ def verify_embedded_resolution_by_census(
             "chain-tower surjectivity observed at this field size",
             informational=True,
         )
+    return report
+
+
+def graph_sum_rows(
+    lines: tuple[Subspace, ...], targets: tuple[Subspace, ...], maps: tuple[LinearMap, ...]
+) -> list[Vec]:
+    """The parts of ``phi`` or ``phi_star`` as rows, one per line.
+
+    ``maps`` send the last len(maps) lines into ``targets``; the part of
+    such a line is the graph of its map, and an earlier line is its own
+    part.  A map out of a line is one matrix column, so its graph is the
+    one row ``graph_rows`` reads off that column.
+    """
+    first = len(lines) - len(maps)
+    rows = [line.basis[0] for line in lines[:first]]
+    for i, (line, target, a) in enumerate(zip(lines[first:], targets, maps), start=first + 1):
+        # maps built on these very spaces pass on identity, without __eq__
+        if (a.domain is not line and a.domain != line) or (
+            a.target is not target and a.target != target
+        ):
+            raise ValueError(f"map {i} has wrong domain or target")
+        rows += graph_rows(a)
+    return rows
+
+
+def phi(
+    cfg: FrameConfig,
+    lines: tuple[Subspace, ...],
+    targets: tuple[Subspace, ...],
+    maps: tuple[LinearMap, ...],
+) -> Subspace:
+    """Sum of graphs of maps into earlier-window complements.
+
+    ``maps[i-2]`` sends line i into ``targets[i-2]``, the sum of the
+    complements of lines 1..i-1 (``phi_targets``); the first line
+    contributes itself.  The result meets F_{b_i} in dimension exactly i
+    for every i, which ``verify_phi`` checks as
+    ``image_equals_regular_locus``.  Each graph is one row, read off the
+    map's matrix (``graph_sum_rows``), and the rows are reduced.
+    """
+    if len(lines) != cfg.k or len(maps) != cfg.k - 1:
+        raise ValueError("need k moving lines and k-1 maps")
+    return span(graph_sum_rows(lines, targets, maps), cfg.n, cfg.p)
+
+
+def phi_star(
+    cfg: FrameConfig,
+    lines: tuple[Subspace, ...],
+    targets: tuple[Subspace, ...],
+    maps: tuple[LinearMap, ...],
+) -> Subspace:
+    """Sum of graphs of maps into later-window complements plus the tail.
+
+    ``maps[i-1]`` sends line i into ``targets[i-1]``, the sum of the
+    complements of lines i+1..k and the tail (``phi_star_targets``).  The
+    result meets G^{b_i} in dimension exactly k-i, which
+    ``verify_phi_star`` checks as ``image_equals_conjugate_locus``.  Each
+    graph is one row, read off the map's matrix (``graph_sum_rows``).  Map i
+    leaves out every later line's pivot, so the rows are the canonical
+    basis: row i has a 1 at line i's pivot, in window i, and zeros before
+    it and at the other pivots, or InvariantError is raised.
+    """
+    k = cfg.k
+    if len(lines) != k or len(maps) != k:
+        raise ValueError("need k moving lines and k maps")
+    rows = graph_sum_rows(lines, targets, maps)
+    pivots = tuple(line.pivots[0] for line in lines)
+    for i, (row, q) in enumerate(zip(rows, pivots), start=1):
+        lo, hi = cfg.window_bounds(i)
+        # zeros before q cover the earlier pivots
+        if not lo <= q < hi or row[q] != 1 or any(row[:q]) or any(row[r] for r in pivots[i:]):
+            raise InvariantError(f"phi_star graph row {i} is not canonical at pivot {q}")
+    return Subspace(cfg.n, cfg.p, tuple(rows), pivots)
+
+
+def map_inputs(
+    cfg: FrameConfig,
+    targets_of: Callable[[FrameConfig, tuple[Subspace, ...]], tuple[Subspace, ...]],
+) -> Iterator[tuple[tuple[Subspace, ...], tuple[Subspace, ...], tuple[LinearMap, ...]]]:
+    """(lines, targets, maps) for every tuple of moving lines and every
+    map tuple on them, with ``targets_of`` ``phi_targets`` or
+    ``phi_star_targets``.  The maps start from the last len(targets)
+    lines: lines 2..k for ``phi``, lines 1..k for ``phi_star``."""
+    for lines in window_line_tuples(cfg):
+        targets = targets_of(cfg, lines)
+        sources = lines[len(lines) - len(targets) :]
+        choices = [list(enumerate_maps(line, t)) for line, t in zip(sources, targets)]
+        for maps in itertools.product(*choices):
+            yield lines, targets, maps
+
+
+def recover_lines_from_open(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
+    """The base-point of a regular locus member: project L ∩ F_{b_i}
+    into window i along F_{b_{i-1}}.
+
+    One row reduction of L with its coordinates reversed serves every
+    window.  Read back, its rows end at distinct coordinates, and a
+    vector of L ends at the last of the ends of the rows it uses, so the
+    rows ending before b_i span L ∩ F_{b_i}.  Window i is the coordinates
+    b_{i-1}..b_i - 1, so the projection sends a row that ends before the
+    window to zero and cuts one that ends inside it down to the window.
+    """
+    n, p = l.n, l.p
+    rows, ends = rref([row[::-1] for row in l.basis], p)
+    rows = [(row[::-1], n - 1 - e) for row, e in zip(rows, ends)]
+    out = []
+    for i in range(1, cfg.k + 1):
+        lo, hi = cfg.window_bounds(i)
+        cut = [(0,) * lo + row[lo:hi] + (0,) * (n - hi) for row, e in rows if lo <= e < hi]
+        out.append(span(cut, n, p))
+    return tuple(out)
+
+
+def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ...]:
+    """The base-point of a conjugate member: project L ∩ G^{b_{i-1}}
+    into window i along G^{b_i}.
+
+    A vector of L starts at the first pivot among the canonical rows it
+    uses, so the rows with pivot at least b_{i-1} span L ∩ G^{b_{i-1}}.
+    Window i is the coordinates b_{i-1}..b_i - 1, so the projection
+    sends the rows with pivot past the window to zero and cuts the others
+    down to the window.  Those keep their pivots, and the other rows are
+    zero there, so the cut rows are already a canonical basis.
+    """
+    n = l.n
+    out = []
+    for i in range(1, cfg.k + 1):
+        lo, hi = cfg.window_bounds(i)
+        a, b = bisect_left(l.pivots, lo), bisect_left(l.pivots, hi)
+        rows = tuple((0,) * lo + row[lo:hi] + (0,) * (n - hi) for row in l.basis[a:b])
+        out.append(Subspace(n, l.p, rows, l.pivots[a:b]))
+    return tuple(out)
+
+
+def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """Injectivity, image identity and fiber compatibility of the
+    graph-sum parametrization of the regular Schubert locus."""
+    check_grassmannian(cfg, budget)  # before enumerating inputs
+    report = EnumReport(
+        "grass verify-phi",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        inputs = 0
+        image: set[Subspace] = set()
+        fiber_ok = True
+        for lines, targets, maps in map_inputs(cfg, phi_targets):
+            out = phi(cfg, lines, targets, maps)
+            inputs += 1
+            image.add(out)
+            if recover_lines_from_open(cfg, out) != lines:
+                fiber_ok = False
+        report.counts["inputs"] = inputs
+        report.counts["distinct_images"] = len(image)
+        report.add("injective", len(image) == inputs)
+        report.add("base_point_recovered", fiber_ok)
+
+        open_set = set(vbeta_points(cfg, "open", budget))
+        report.counts["regular_locus_points"] = len(open_set)
+        report.add(
+            "image_equals_regular_locus",
+            image == open_set,
+            witnesses=[subspace_witness(s) for s in sorted(image ^ open_set)][:3],
+        )
+        predicted = base_point_count(cfg) * cfg.p ** hom_rank(cfg)
+        report.counts["predicted_points"] = predicted
+        report.add("count_identity", len(open_set) == predicted)
+    return report
+
+
+def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """Same checks for the conjugate parametrization."""
+    check_grassmannian(cfg, budget)  # before enumerating inputs
+    report = EnumReport(
+        "grass verify-phistar",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        inputs = 0
+        image: set[Subspace] = set()
+        fiber_ok = True
+        for lines, targets, maps in map_inputs(cfg, phi_star_targets):
+            out = phi_star(cfg, lines, targets, maps)
+            inputs += 1
+            image.add(out)
+            if recover_lines_from_star(cfg, out) != lines:
+                fiber_ok = False
+        report.counts["inputs"] = inputs
+        report.counts["distinct_images"] = len(image)
+        report.add("injective", len(image) == inputs)
+        report.add("base_point_recovered", fiber_ok)
+
+        star_set = set(vbeta_points(cfg, "star_open", budget))
+        report.counts["conjugate_locus_points"] = len(star_set)
+        report.add("image_equals_conjugate_locus", image == star_set)
+        predicted = base_point_count(cfg) * cfg.p ** hom_star_rank(cfg)
+        report.counts["predicted_points"] = predicted
+        report.add("count_identity", len(star_set) == predicted)
+    return report
+
+
+def verify_phi_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """``grassfib.verify_phi`` with a set of output subspaces, one
+    ``phi`` and one ``recover_lines_from_open`` per input, and the
+    regular locus enumerated into a second set."""
+    check_grassmannian(cfg, budget)  # before enumerating inputs
+    report = EnumReport(
+        "grass verify-phi",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        inputs = 0
+        image: set[Subspace] = set()
+        fiber_ok = True
+        for lines, targets, maps in map_inputs(cfg, phi_targets):
+            out = phi(cfg, lines, targets, maps)
+            inputs += 1
+            image.add(out)
+            if recover_lines_from_open(cfg, out) != lines:
+                fiber_ok = False
+        report.counts["inputs"] = inputs
+        report.counts["distinct_images"] = len(image)
+        report.add("injective", len(image) == inputs)
+        report.add("base_point_recovered", fiber_ok)
+
+        open_set = set(vbeta_points(cfg, "open", budget))
+        report.counts["regular_locus_points"] = len(open_set)
+        report.add(
+            "image_equals_regular_locus",
+            image == open_set,
+            witnesses=[subspace_witness(s) for s in sorted(image ^ open_set)][:3],
+        )
+        predicted = base_point_count(cfg) * cfg.p ** hom_rank(cfg)
+        report.counts["predicted_points"] = predicted
+        report.add("count_identity", len(open_set) == predicted)
+    return report
+
+
+def verify_phi_star_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """``grassfib.verify_phi_star`` with sets, as ``verify_phi_by_sets``;
+    the image check carries the first three of the sorted symmetric
+    difference as witnesses."""
+    check_grassmannian(cfg, budget)  # before enumerating inputs
+    report = EnumReport(
+        "grass verify-phistar",
+        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
+    )
+    with timed(report):
+        inputs = 0
+        image: set[Subspace] = set()
+        fiber_ok = True
+        for lines, targets, maps in map_inputs(cfg, phi_star_targets):
+            out = phi_star(cfg, lines, targets, maps)
+            inputs += 1
+            image.add(out)
+            if recover_lines_from_star(cfg, out) != lines:
+                fiber_ok = False
+        report.counts["inputs"] = inputs
+        report.counts["distinct_images"] = len(image)
+        report.add("injective", len(image) == inputs)
+        report.add("base_point_recovered", fiber_ok)
+
+        star_set = set(vbeta_points(cfg, "star_open", budget))
+        report.counts["conjugate_locus_points"] = len(star_set)
+        report.add(
+            "image_equals_conjugate_locus",
+            image == star_set,
+            witnesses=[subspace_witness(s) for s in sorted(image ^ star_set)][:3],
+        )
+        predicted = base_point_count(cfg) * cfg.p ** hom_star_rank(cfg)
+        report.counts["predicted_points"] = predicted
+        report.add("count_identity", len(star_set) == predicted)
     return report

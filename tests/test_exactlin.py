@@ -66,6 +66,61 @@ class TestEchelonCharts:
                 assert ex._subspaces_tuple(v, j) == subspaces_by_span(v, j), (v, j)
 
 
+CHART_SPACES = [(n, p) for p in (2, 3) for n in range(1, 6)]
+
+
+def reversed_form(l):
+    """L with its coordinates reversed, canonical there."""
+    return ex.span([row[::-1] for row in l.basis], l.n, l.p)
+
+
+class TestChart:
+    @pytest.mark.parametrize("n,p", CHART_SPACES)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["c-chart", "reversed-chart"])
+    def test_rank_and_unrank_invert_each_other(self, n, p, reverse):
+        # on all of Gr_k(GF(p)^n), for every k, the ranks are 0..N-1
+        full = ex.full_space(n, p)
+        for k in range(n + 1):
+            table = ex.charts(n, k, p, lambda piv: True)
+            by_pivots = {c.pivots: c for c in table}
+            ranks = set()
+            for l in ex.enumerate_subspaces(full, k):
+                form = reversed_form(l) if reverse else l
+                chart = by_pivots[form.pivots]
+                i = chart.rank(form.basis)
+                assert chart.unrank(i) == form
+                ranks.add(i)
+            total = ex.gaussian_binomial(n, k, p)
+            assert ranks == set(range(total))
+            for chart in table:
+                for i in range(chart.offset, chart.offset + chart.size):
+                    assert chart.rank(chart.unrank(i).basis) == i
+
+    @pytest.mark.parametrize("n,p", CHART_SPACES)
+    def test_echelon_walk_takes_ranks_in_order(self, n, p):
+        # each cell's walk yields offset..offset+size-1 in order; the sizes
+        # are the cells' counts and add up to the Gaussian binomial
+        full = ex.full_space(n, p)
+        for k in range(n + 1):
+            table = ex.charts(n, k, p, lambda piv: True)
+            assert [c.pivots for c in table] == list(itertools.combinations(range(n), k))
+            for chart in table:
+                walk = [chart.rank(s.basis) for s in ex._echelon_forms(full, chart.pivots)]
+                assert walk == list(range(chart.offset, chart.offset + chart.size))
+            assert sum(c.size for c in table) == ex.gaussian_binomial(n, k, p)
+
+    def test_offsets_cover_only_kept_cells(self):
+        # Gr_2(GF(3)^4) keeping the cells with first pivot 0: 3^4, 3^3
+        # and 3^2 of its 130 points
+        table = ex.charts(4, 2, 3, lambda piv: piv[0] == 0)
+        assert [(c.pivots, c.offset, c.size) for c in table] == [
+            ((0, 1), 0, 81),
+            ((0, 2), 81, 27),
+            ((0, 3), 108, 9),
+        ]
+        assert table[1].free == ((1, 3), (3,))
+
+
 class TestRref:
     def test_identity_is_fixed(self):
         ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

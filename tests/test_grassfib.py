@@ -5,17 +5,25 @@ import json
 import operator
 
 import pytest
+import oracles
 from oracles import (
     coflag,
     coframe_slice,
     frame_by_arithmetic,
     frame_slice,
     graph_by_apply,
+    map_inputs,
     moving_complements_by_arithmetic,
+    phi,
+    phi_star,
     project,
     recover_lines_by_slices,
+    recover_lines_from_open,
+    recover_lines_from_star,
     schubert_position,
     sum_all,
+    verify_phi_by_sets,
+    verify_phi_star_by_sets,
     zero_map,
 )
 
@@ -27,29 +35,28 @@ from schubres.exactlin import (
     LinearMap,
     Subspace,
     coordinate_space,
+    enumerate_maps,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
+    graph_rows,
     intersect,
     span,
     subspace_sum,
 )
+from schubres import grassfib
 from schubres.grassfib import (
     FrameConfig,
     LOCI,
+    _check_star_row,
     base_point_count,
     grassmannian_cells,
     MODES,
     hom_rank,
     make_frame,
-    map_inputs,
     moving_complements,
-    phi,
-    phi_star,
     phi_star_targets,
     phi_targets,
-    recover_lines_from_open,
-    recover_lines_from_star,
     vbeta_points,
     verify_phi,
     verify_phi_star,
@@ -330,13 +337,16 @@ class TestPhiStar:
         # each case breaks one condition of the row check alone.  At n=4,
         # beta=(2,4), p=3 the lines are e1 and e3 (swapped: e3 and e1), and
         # map i sends line i to the sum of the unit vectors at images[i],
-        # so the broken row is 2e1, e2+e3, e1+e3, or e3 as row 1
+        # so the broken row is 2e1, e2+e3, e1+e3, or e3 as row 1; the rows
+        # are checked in order, as the verifier checks them
         cfg = make_frame(4, 3, (2, 4))
         lines = cfg.lines[::-1] if swapped else cfg.lines
         targets = tuple(coordinate_space(img, 4, 3) for img in images)
         maps = tuple(LinearMap(l, t, ((1,),) * t.dim) for l, t in zip(lines, targets))
+        pivots = tuple(l.pivots[0] for l in lines)
         with pytest.raises(InvariantError, match=f"row {row} is not canonical at pivot {pivot}"):
-            phi_star(cfg, lines, targets, maps)
+            for i, a in enumerate(maps, start=1):
+                _check_star_row(cfg, i, graph_rows(a)[0], pivots)
 
     @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
     def test_verify_phi_star_n4(self, beta):
@@ -526,3 +536,121 @@ class TestTransversal:
         star_closed = set(vbeta_points(cfg, "star_closed"))
         assert f2_plane in closed
         assert f2_plane not in star_closed
+
+
+# (n, p) spaces on which the ranked verifiers are checked against the
+# set-based oracles, on every default frame
+RANKED_SPACES = [(n, p) for p in (2, 3) for n in range(1, 6)] + [(6, 2)]
+
+VERIFIERS = [
+    pytest.param(grassfib.verify_phi, verify_phi_by_sets, "open", "regular", id="phi"),
+    pytest.param(
+        grassfib.verify_phi_star, verify_phi_star_by_sets, "star_open", "conjugate", id="phistar"
+    ),
+]
+
+
+def check_of(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+class TestRankedVerifiers:
+    @pytest.mark.parametrize("n,p", RANKED_SPACES)
+    @pytest.mark.parametrize("ranked,by_sets,mode,locus", VERIFIERS)
+    def test_equal_to_set_oracle(self, ranked, by_sets, mode, locus, n, p):
+        # counts, checks and witnesses, field for field
+        for cfg in all_frames(n, p):
+            assert without_time(ranked(cfg)) == without_time(by_sets(cfg)), cfg.beta
+
+    @staticmethod
+    def both(monkeypatch, fault, ranked, by_sets, cfg):
+        """The ranked and the set-based report with ``fault`` run on the
+        list of maps of each call of ``enumerate_maps``, counted afresh
+        for each report."""
+
+        def patched():
+            calls = itertools.count()
+
+            def faulty(domain, target):
+                return iter(fault(next(calls), list(enumerate_maps(domain, target))))
+
+            monkeypatch.setattr(grassfib, "enumerate_maps", faulty)
+            monkeypatch.setattr(oracles, "enumerate_maps", faulty)
+
+        patched()
+        got = ranked(cfg)
+        patched()
+        assert without_time(got) == without_time(by_sets(cfg))
+        return got
+
+    @pytest.mark.parametrize("n,beta,p", [(4, (2, 4), 3), (5, (1, 3, 5), 2), (5, (2, 4), 2)])
+    @pytest.mark.parametrize("ranked,by_sets,mode,locus", VERIFIERS)
+    def test_two_inputs_with_one_output(
+        self, monkeypatch, ranked, by_sets, mode, locus, n, beta, p
+    ):
+        # the first map stands in for the second wherever there are two
+        def fault(call, maps):
+            return maps[:1] * 2 + maps[2:] if len(maps) > 1 else maps
+
+        got = self.both(monkeypatch, fault, ranked, by_sets, make_frame(n, p, beta))
+        assert not check_of(got, "injective").passed
+        assert got.counts["distinct_images"] < got.counts["inputs"]
+        image = check_of(got, f"image_equals_{locus}_locus")
+        assert not image.passed and image.witnesses
+
+    @pytest.mark.parametrize("n,beta,p", [(4, (2, 4), 3), (5, (1, 3, 5), 2), (5, (2, 4), 2)])
+    @pytest.mark.parametrize("ranked,by_sets,mode,locus", VERIFIERS)
+    def test_output_outside_locus(self, monkeypatch, ranked, by_sets, mode, locus, n, beta, p):
+        # the cell whose jump set is beta itself leaves the locus, so the
+        # outputs in it fall outside and the locus no longer has the
+        # predicted size
+        test = LOCI[mode]
+        monkeypatch.setitem(LOCI, mode, lambda b, jumps: test(b, jumps) and jumps != b)
+        cfg = make_frame(n, p, beta)
+        got = ranked(cfg)
+        assert without_time(got) == without_time(by_sets(cfg))
+        assert check_of(got, "injective").passed
+        assert not check_of(got, "count_identity").passed
+        image = check_of(got, f"image_equals_{locus}_locus")
+        assert not image.passed and image.witnesses
+
+    @pytest.mark.parametrize("ranked,by_sets,mode,locus", VERIFIERS)
+    def test_base_point_not_recovered(self, monkeypatch, ranked, by_sets, mode, locus):
+        # a graph row gains 1 just past its line's pivot when that is
+        # still in the line's window: the rows stay canonical and end in
+        # their windows, but such a line is read back as another line
+        cfg = make_frame(5, 3, (3, 5))
+
+        def faulty(a):
+            q, row = a.domain.pivots[0], graph_rows(a)[0]
+            if q + 1 < next(b for b in cfg.beta if b > q):
+                row = row[: q + 1] + ((row[q + 1] + 1) % cfg.p,) + row[q + 2 :]
+            return [row]
+
+        monkeypatch.setattr(grassfib, "graph_rows", faulty)
+        monkeypatch.setattr(oracles, "graph_rows", faulty)
+        got = ranked(cfg)
+        assert without_time(got) == without_time(by_sets(cfg))
+        assert not check_of(got, "base_point_recovered").passed
+
+    @pytest.mark.parametrize(
+        "ranked,by_sets,mode,locus,n,beta,p",
+        [
+            pytest.param(*v.values[:4], n, beta, p, id=f"{v.id}-{n}-{beta}-{p}")
+            for v, frames in zip(
+                VERIFIERS, [[(4, (2, 4), 3), (5, (2, 4), 2)], [(4, (2,), 3), (5, (3,), 2)]]
+            )
+            for n, beta, p in frames
+        ],
+    )
+    def test_dropped_input(self, monkeypatch, ranked, by_sets, mode, locus, n, beta, p):
+        # one map per input: phi's frames have k=2, phi_star's k=1; the
+        # first call loses its last map, so exactly one input is dropped
+        def fault(call, maps):
+            return maps[:-1] if call == 0 else maps
+
+        got = self.both(monkeypatch, fault, ranked, by_sets, make_frame(n, p, beta))
+        assert check_of(got, "injective").passed
+        assert got.counts["inputs"] == got.counts[f"{locus}_locus_points"] - 1
+        image = check_of(got, f"image_equals_{locus}_locus")
+        assert not image.passed and len(image.witnesses) == 1
