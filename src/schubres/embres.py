@@ -25,6 +25,7 @@ from schubres.exactlin import (
     Subspace,
     contains,
     enumerate_maps,
+    gaussian_binomial,
     graph,
     intersect,
     subspace_sum,
@@ -32,7 +33,7 @@ from schubres.exactlin import (
     tower_bound,
     zero_subspace,
 )
-from schubres.grassfib import LOCI, FrameConfig, grassmannian_cells
+from schubres.grassfib import LOCI, FrameConfig, closed_locus
 from schubres.report import EnumReport, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
@@ -137,9 +138,10 @@ def _cell_test(cfg: FrameConfig) -> Callable[[Subspace, tuple[int, ...]], bool]:
     the first i complements) in dimension i-1.  N_i is a complement of
     line i in F_{b_i}, not a standard flag space: the default line i is
     e_{b_{i-1}+1}, so for n=4, beta=(1,3), N_2 = <e1,e3> while
-    F_2 = <e1,e2>.  This cell therefore differs as a set from
-    ``vbeta_points(cfg, "cell")``, and it is the one whose preimages lie
-    over the special grid point.
+    F_2 = <e1,e2>.  This cell therefore differs as a set from the
+    standard one, ``LOCI["cell"]``, and it is the one whose preimages lie
+    over the special grid point.  It lies in the open locus, so a walk of
+    the closed locus meets all of it.
     """
     lower_nodes = [
         subspace_sum(cfg.lines_prefix(i - 1), cfg.complements_prefix(i))
@@ -158,14 +160,15 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """The chart-family and embedded-resolution checks, under the
     ``chart.`` and ``resolution.`` prefixes, from one walk of the grid.
 
-    Gr_k is walked first, as its a cells, so that the cell and the closed
-    locus are known during the grid walk; ``grassmannian_cells`` refuses
-    an oversized Gr_k before the chart, which lies in it, is built.  Each
-    grid point is paired with the chain tower over its flag.  The map to
-    the top space hits all of Gr_k (empirical), is one-to-one over the
-    chart, and sends only pairs over the special grid point to the cell.
-    That point's fiber is the chain tower of the standard flag, and it
-    projects onto the closed locus (empirical).
+    The closed locus is walked first (``closed_locus``), so that it and
+    the cell, which lies in it, are known during the grid walk; the walk
+    refuses an oversized Gr_k before the chart, which lies in it, is
+    built.  Gr_k itself is not walked: its size is the Gaussian binomial.
+    Each grid point is paired with the chain tower over its flag.  The
+    map to the top space hits all of Gr_k (empirical), is one-to-one
+    over the chart, and sends only pairs over the special grid point to
+    the cell.  That point's fiber is the chain tower of the standard
+    flag, and it projects onto the closed locus (empirical).
 
     The first grid point that carries a family flag ``psi_embed(maps)``
     also counts, per chart graph, the chains of that flag that top it.
@@ -183,17 +186,14 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     )
     with timed(report):
         p, k = cfg.p, cfg.k
-        # one pass over the Grassmannian gives its size and both loci
-        grass_points = 0
         cell: set[Subspace] = set()
         closed: set[Subspace] = set()
         in_cell = _cell_test(cfg)
-        for a, l in grassmannian_cells(cfg, lambda a: True, True, budget):
-            grass_points += 1
+        for a, l in closed_locus(cfg, budget):
+            closed.add(l)
             if in_cell(l, a):
                 cell.add(l)
-            if LOCI["closed"](cfg.beta, a):
-                closed.add(l)
+        grass_points = gaussian_binomial(cfg.n, k, p)
 
         graphs = chart_graphs(cfg)
         tuples = list(fixed_map_tuples(cfg))

@@ -11,11 +11,14 @@ is read off its Schubert position: the jumps of its intersections with
 the standard flag and co-flag, fixed by the Schubert cell it lies in.
 
 A locus is a union of Schubert cells, and each cell is an affine chart
-of echelon forms (``exactlin.Chart``).  The verifiers rank each output
-on the charts of the locus cells and mark its rank in a bytearray the
-size of the locus, so they keep no set of Gr_k points and never walk
-the locus: the image is the locus when no output falls outside those
-cells and every rank is hit.
+of echelon forms (``exactlin.Chart``); ``locus_charts`` is the one
+place that says which cells make up a locus.  The graph-sum verifiers
+rank each output on the charts of the locus cells and mark its rank in
+a bytearray the size of the locus, so they keep no set of Gr_k points
+and never walk the locus: the image is the locus when no output falls
+outside those cells and every rank is hit.  The closed locus is the
+only one walked point by point (``closed_locus``), and nothing walks
+all of Gr_k: its size is the Gaussian binomial.
 """
 
 from __future__ import annotations
@@ -233,64 +236,52 @@ LOCI = {
     "star_open": lambda b, c: _leq(c, b) and _less(b, c[1:]),
     "star_closed": lambda b, c: _less(b, c[1:]),
 }
-MODES = tuple(LOCI)
+
+
+def _jumps(n: int, pivots: tuple[int, ...], star: bool) -> tuple[int, ...]:
+    """The jump set of a cell, or of a point, with these pivots: c_j =
+    q + 1 when ``star``, else a_j = n - q of the pivots q of the
+    coordinate-reversed rows, increasing."""
+    return tuple(q + 1 for q in pivots) if star else tuple(n - q for q in reversed(pivots))
+
+
+def locus_charts(cfg: FrameConfig, mode: str) -> dict[tuple[int, ...], Chart]:
+    """The charts of the cells of a locus of ``LOCI``, keyed by their
+    pivots and numbered in ``charts`` order: for ``star_*`` the c cells,
+    whose pivots are c_j - 1, else the a cells on coordinate-reversed
+    rows, whose pivots are n - a_j."""
+    test, star = LOCI[mode], mode.startswith("star_")
+
+    def keep(piv: tuple[int, ...]) -> bool:
+        return test(cfg.beta, _jumps(cfg.n, piv, star))
+
+    return {c.pivots: c for c in charts(cfg.n, cfg.k, cfg.p, keep)}
 
 
 def check_grassmannian(cfg: FrameConfig, budget: int) -> None:
     """Refuse Gr_k(GF(p)^n) when it has more points than the budget.
-    Every walk of Gr_k or of a locus in it calls this before its first
-    point."""
+    Every walk of a locus in Gr_k, and every verifier that reads one,
+    calls this before its first point."""
     total = gaussian_binomial(cfg.n, cfg.k, cfg.p)
     if total > budget:
         raise BudgetExceededError(f"Gr_{cfg.k}(GF({cfg.p})^{cfg.n}) has {total} points")
 
 
-def grassmannian_cells(
-    cfg: FrameConfig, keep: Callable[[tuple[int, ...]], bool], a_cells: bool, budget: int
-) -> Iterator[tuple[tuple[int, ...], Subspace]]:
-    """(jumps, L) for each point L of each Schubert cell of Gr_k(GF(p)^n)
-    whose jump set passes ``keep``, cell by cell, after
-    ``check_grassmannian``.
+def closed_locus(cfg: FrameConfig, budget: int) -> Iterator[tuple[tuple[int, ...], Subspace]]:
+    """(a, L) for each point L of the closed Schubert locus, cell by cell
+    in ``locus_charts(cfg, "closed")`` order, after ``check_grassmannian``.
 
-    The jump set is a with ``a_cells``, else c.  The c cell is the chart
-    of echelon forms with a 1 at each coordinate c_j - 1 (0-based), whose
-    points ``_echelon_forms`` builds canonical: the first nonzero
-    coordinates met in L are its pivots.  The same forms read with the
-    coordinates reversed give the a cells, whose last nonzero coordinates
-    are a_j - 1; each of their points takes one row reduction, and its c
-    is its pivots + 1.
+    Each cell's points are its chart's echelon forms (``_echelon_forms``)
+    read with the coordinates reversed: the last nonzero coordinates met
+    in L are a_j - 1.  Reversed back, each point takes one row reduction.
     """
     check_grassmannian(cfg, budget)
     n, p = cfg.n, cfg.p
     full = full_space(n, p)
-    for jumps in itertools.combinations(range(1, n + 1), cfg.k):
-        if not keep(jumps):
-            continue
-        if a_cells:
-            for form in _echelon_forms(full, tuple(n - j for j in reversed(jumps))):
-                yield jumps, span([row[::-1] for row in form.basis], n, p)
-        else:
-            for l in _echelon_forms(full, tuple(j - 1 for j in jumps)):
-                yield jumps, l
-
-
-def vbeta_points(
-    cfg: FrameConfig, mode: str, budget: int = DEFAULT_BUDGET
-) -> Iterator[Subspace]:
-    """Point sets of the Schubert loci in Gr_k(GF(p)^n), cell by cell.
-
-    ``closed``/``open`` hold dim(L ∩ F_{b_i}) >= i / == i; ``cell``
-    additionally pins the nodes one below each b_i; ``star_*`` use the
-    co-flag G^{b_i} with k-i.  Refused like the whole Grassmannian.  The
-    locus is the union of the a cells or, for ``star_*``, the c cells
-    whose jump set passes its test.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    test = LOCI[mode]
-    a_cells = not mode.startswith("star_")
-    for _, l in grassmannian_cells(cfg, lambda jumps: test(cfg.beta, jumps), a_cells, budget):
-        yield l
+    for piv in locus_charts(cfg, "closed"):
+        a = _jumps(n, piv, False)
+        for form in _echelon_forms(full, piv):
+            yield a, span([row[::-1] for row in form.basis], n, p)
 
 
 def window_line_tuples(cfg: FrameConfig) -> Iterator[tuple[Subspace, ...]]:
@@ -321,20 +312,6 @@ def hom_star_rank(cfg: FrameConfig) -> int:
         total += sum(cfg.window(j).dim - 1 for j in range(i + 1, k + 1))
         total += cfg.tail.dim
     return total
-
-
-def _locus_charts(cfg: FrameConfig, mode: str) -> dict[tuple[int, ...], Chart]:
-    """The charts of the cells of a locus, keyed by their pivots and
-    numbered in ``charts`` order: for ``star_*`` the c cells, whose
-    pivots are c_j - 1, else the a cells on coordinate-reversed rows,
-    whose pivots are n - a_j."""
-    n, test, star = cfg.n, LOCI[mode], mode.startswith("star_")
-
-    def keep(piv: tuple[int, ...]) -> bool:
-        jumps = tuple(q + 1 for q in piv) if star else tuple(n - q for q in reversed(piv))
-        return test(cfg.beta, jumps)
-
-    return {c.pivots: c for c in charts(n, cfg.k, cfg.p, keep)}
 
 
 def _image_checks(
@@ -401,7 +378,7 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     )
     with timed(report):
         n, p, k = cfg.n, cfg.p, cfg.k
-        table = _locus_charts(cfg, "open")
+        table = locus_charts(cfg, "open")
         hits = bytearray(sum(c.size for c in table.values()))
         outside: set[Subspace] = set()
         inputs, fiber_ok = 0, True
@@ -462,7 +439,7 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
     )
     with timed(report):
         n, p = cfg.n, cfg.p
-        table = _locus_charts(cfg, "star_open")
+        table = locus_charts(cfg, "star_open")
         hits = bytearray(sum(c.size for c in table.values()))
         outside: set[Subspace] = set()
         inputs, fiber_ok = 0, True
@@ -507,9 +484,8 @@ def verify_transversal_identity(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) 
     with timed(report):
         # both meets lie in the closed locus
         meet, closed_meet = set(), set()
-        closed = grassmannian_cells(cfg, lambda a: LOCI["closed"](cfg.beta, a), True, budget)
-        for a, l in closed:
-            c = tuple(q + 1 for q in l.pivots)
+        for a, l in closed_locus(cfg, budget):
+            c = _jumps(cfg.n, l.pivots, True)
             if LOCI["open"](cfg.beta, a) and LOCI["star_open"](cfg.beta, c):
                 meet.add(l)
             if LOCI["star_closed"](cfg.beta, c):

@@ -202,7 +202,8 @@ def criterion_9_dimension_consistency(budget: int = DEFAULT_BUDGET) -> EnumRepor
             report.add(f"{tag}_formula_degree_is_dim", formula_degree == chain_dim)
             for p in (2, 3):
                 cfg = grassfib.make_frame(n, p, beta)
-                cells = sum(1 for _ in grassfib.vbeta_points(cfg, "cell", budget))
+                grassfib.check_grassmannian(cfg, budget)
+                cells = sum(c.size for c in grassfib.locus_charts(cfg, "cell").values())
                 report.add(f"{tag}_p{p}_cell_count", cells == p**cell_dim)
                 opens = sum(
                     1 for pt in wflag.enumerate_gcal(cfg, budget) if wflag.in_u(cfg, pt)

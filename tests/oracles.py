@@ -15,9 +15,13 @@ own chain tower that ``embres`` reads off its grid walk instead
 ``phi_star``, their inputs and the base points they recover are here
 too, with the set-based verifiers built on them
 (``verify_phi_by_sets``, ``verify_phi_star_by_sets``) that
-``grassfib``'s ranks on Schubert-cell charts replace."""
+``grassfib``'s ranks on Schubert-cell charts replace.  Their loci, like
+the ones the tests compare ``grassfib.locus_charts`` with, come from
+intersection dimensions (``rank_filter``), and the census oracle of
+``embres`` walks all of Gr_k: no oracle shares the walk it checks."""
 
 import itertools
+import operator
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -76,12 +80,10 @@ from schubres.grassfib import (
     FrameConfig,
     base_point_count,
     check_grassmannian,
-    grassmannian_cells,
     hom_rank,
     hom_star_rank,
     phi_star_targets,
     phi_targets,
-    vbeta_points,
     window_line_tuples,
 )
 from schubres.permcomb import (
@@ -150,6 +152,37 @@ def schubert_position(l: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     _, reversed_pivots = rref([row[::-1] for row in l.basis], l.p)
     return tuple(sorted(l.n - q for q in reversed_pivots)), tuple(q + 1 for q in l.pivots)
+
+
+# Per-index conditions of each locus: (flag family, node shift, dimension,
+# comparison) requires dim(L ∩ family[b_i + shift]) compared with dimension(i, k).
+RANK_CONDITIONS = {
+    "cell": (
+        ("frames", 0, lambda i, k: i, operator.eq),
+        ("frames", -1, lambda i, k: i - 1, operator.eq),
+    ),
+    "open": (("frames", 0, lambda i, k: i, operator.eq),),
+    "closed": (("frames", 0, lambda i, k: i, operator.ge),),
+    "star_open": (("coframes", 0, lambda i, k: k - i, operator.eq),),
+    "star_closed": (("coframes", 0, lambda i, k: k - i, operator.ge),),
+}
+
+
+def rank_filter(cfg: FrameConfig, mode: str) -> Iterator[Subspace]:
+    """The brute-force locus filter: every point of Gr_k, in
+    ``enumerate_subspaces`` order, whose intersections with the flag
+    nodes have the dimensions of ``mode``.  It reads neither ``LOCI`` nor
+    a Schubert cell, which ``grassfib.locus_charts`` is checked by."""
+    k = cfg.k
+    flags = {"frames": cfg.frames, "coframes": coflag(cfg.n, cfg.p)}
+    checks = [
+        (flags[family][cfg.beta[i - 1] + shift], dim(i, k), compare)
+        for i in range(1, k + 1)
+        for family, shift, dim, compare in RANK_CONDITIONS[mode]
+    ]
+    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), k):
+        if all(compare(intersect(l, node).dim, want) for node, want, compare in checks):
+            yield l
 
 
 def frame_by_arithmetic(n: int, p: int, beta: tuple[int, ...]) -> dict:
@@ -924,12 +957,14 @@ def verify_embedded_resolution_by_census(
         report.add("pairs_satisfy_incidence", incidence_ok)
 
         # one pass over the Grassmannian gives its size and both loci
+        check_grassmannian(cfg, budget)
         grass_points = 0
         covered = True
         cell: list[Subspace] = []
         closed: set[Subspace] = set()
         in_cell = _cell_test(cfg)
-        for a, l in grassmannian_cells(cfg, lambda a: True, True, budget):
+        for l in enumerate_subspaces(full_space(cfg.n, cfg.p), cfg.k):
+            a = schubert_position(l)[0]
             grass_points += 1
             covered = covered and l in census
             if in_cell(l, a):
@@ -1112,73 +1147,6 @@ def recover_lines_from_star(cfg: FrameConfig, l: Subspace) -> tuple[Subspace, ..
     return tuple(out)
 
 
-def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """Injectivity, image identity and fiber compatibility of the
-    graph-sum parametrization of the regular Schubert locus."""
-    check_grassmannian(cfg, budget)  # before enumerating inputs
-    report = EnumReport(
-        "grass verify-phi",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
-        inputs = 0
-        image: set[Subspace] = set()
-        fiber_ok = True
-        for lines, targets, maps in map_inputs(cfg, phi_targets):
-            out = phi(cfg, lines, targets, maps)
-            inputs += 1
-            image.add(out)
-            if recover_lines_from_open(cfg, out) != lines:
-                fiber_ok = False
-        report.counts["inputs"] = inputs
-        report.counts["distinct_images"] = len(image)
-        report.add("injective", len(image) == inputs)
-        report.add("base_point_recovered", fiber_ok)
-
-        open_set = set(vbeta_points(cfg, "open", budget))
-        report.counts["regular_locus_points"] = len(open_set)
-        report.add(
-            "image_equals_regular_locus",
-            image == open_set,
-            witnesses=[subspace_witness(s) for s in sorted(image ^ open_set)][:3],
-        )
-        predicted = base_point_count(cfg) * cfg.p ** hom_rank(cfg)
-        report.counts["predicted_points"] = predicted
-        report.add("count_identity", len(open_set) == predicted)
-    return report
-
-
-def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """Same checks for the conjugate parametrization."""
-    check_grassmannian(cfg, budget)  # before enumerating inputs
-    report = EnumReport(
-        "grass verify-phistar",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
-        inputs = 0
-        image: set[Subspace] = set()
-        fiber_ok = True
-        for lines, targets, maps in map_inputs(cfg, phi_star_targets):
-            out = phi_star(cfg, lines, targets, maps)
-            inputs += 1
-            image.add(out)
-            if recover_lines_from_star(cfg, out) != lines:
-                fiber_ok = False
-        report.counts["inputs"] = inputs
-        report.counts["distinct_images"] = len(image)
-        report.add("injective", len(image) == inputs)
-        report.add("base_point_recovered", fiber_ok)
-
-        star_set = set(vbeta_points(cfg, "star_open", budget))
-        report.counts["conjugate_locus_points"] = len(star_set)
-        report.add("image_equals_conjugate_locus", image == star_set)
-        predicted = base_point_count(cfg) * cfg.p ** hom_star_rank(cfg)
-        report.counts["predicted_points"] = predicted
-        report.add("count_identity", len(star_set) == predicted)
-    return report
-
-
 def verify_phi_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """``grassfib.verify_phi`` with a set of output subspaces, one
     ``phi`` and one ``recover_lines_from_open`` per input, and the
@@ -1203,7 +1171,7 @@ def verify_phi_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.add("injective", len(image) == inputs)
         report.add("base_point_recovered", fiber_ok)
 
-        open_set = set(vbeta_points(cfg, "open", budget))
+        open_set = set(rank_filter(cfg, "open"))
         report.counts["regular_locus_points"] = len(open_set)
         report.add(
             "image_equals_regular_locus",
@@ -1240,7 +1208,7 @@ def verify_phi_star_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
         report.add("injective", len(image) == inputs)
         report.add("base_point_recovered", fiber_ok)
 
-        star_set = set(vbeta_points(cfg, "star_open", budget))
+        star_set = set(rank_filter(cfg, "star_open"))
         report.counts["conjugate_locus_points"] = len(star_set)
         report.add(
             "image_equals_conjugate_locus",

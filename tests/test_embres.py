@@ -11,6 +11,7 @@ from oracles import (
     forced_chain_by_intersections,
     graph_tuple,
     kl_count_formula,
+    rank_filter,
     reconstruct_map_tuple_by_projection,
     verify_chart_family_by_flags,
     verify_embedded_resolution_by_census,
@@ -37,7 +38,7 @@ from schubres.exactlin import (
     intersect,
     subspace_sum,
 )
-from schubres.grassfib import make_frame, vbeta_points
+from schubres.grassfib import make_frame
 from schubres.wflag import enumerate_ghat, fixed_map_tuples, pi_diag
 
 
@@ -92,7 +93,7 @@ class TestKlPoints:
     def test_top_space_in_closed_locus(self):
         cfg = make_frame(4, 2, (2, 4))
         flag = tuple(cfg.frames[b] for b in cfg.beta)
-        closed = set(vbeta_points(cfg, "closed"))
+        closed = set(rank_filter(cfg, "closed"))
         for chain in kl_points(flag, 2):
             assert chain[-1] in closed
             for a, b in zip(chain, chain[1:]):
@@ -328,14 +329,14 @@ class TestCellPoints:
         for i, b in enumerate(cfg.beta, start=1):
             node = subspace_sum(window_end.lines_prefix(i - 1), window_end.complements_prefix(i))
             assert node == cfg.frames[b - 1]
-        assert set(cell_points(window_end)) == set(vbeta_points(cfg, "cell"))
+        assert set(cell_points(window_end)) == set(rank_filter(cfg, "cell"))
 
     def test_default_lines_give_equinumerous_cell(self):
         # first-vector lines tilt the completion away from the standard
         # flag; the two cells differ as sets but have the same size
         cfg = make_frame(4, 2, (2, 4))
         adapted = set(cell_points(cfg))
-        standard = set(vbeta_points(cfg, "cell"))
+        standard = set(rank_filter(cfg, "cell"))
         assert len(adapted) == len(standard) == 8
         assert adapted != standard
 

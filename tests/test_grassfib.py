@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import operator
 
 import pytest
 import oracles
@@ -17,6 +16,7 @@ from oracles import (
     phi,
     phi_star,
     project,
+    rank_filter,
     recover_lines_by_slices,
     recover_lines_from_open,
     recover_lines_from_star,
@@ -44,20 +44,19 @@ from schubres.exactlin import (
     span,
     subspace_sum,
 )
-from schubres import grassfib
+from schubres import embres, grassfib, suite
 from schubres.grassfib import (
     FrameConfig,
     LOCI,
     _check_star_row,
     base_point_count,
-    grassmannian_cells,
-    MODES,
+    closed_locus,
     hom_rank,
+    locus_charts,
     make_frame,
     moving_complements,
     phi_star_targets,
     phi_targets,
-    vbeta_points,
     verify_phi,
     verify_phi_star,
     verify_transversal_identity,
@@ -68,35 +67,6 @@ from schubres.report import EnumReport, timed
 
 def e(i, n):
     return tuple(1 if j == i - 1 else 0 for j in range(n))
-
-
-# Per-index conditions of each locus: (flag family, node shift, dimension,
-# comparison) requires dim(L ∩ family[b_i + shift]) compared with dimension(i, k).
-RANK_CONDITIONS = {
-    "cell": (
-        ("frames", 0, lambda i, k: i, operator.eq),
-        ("frames", -1, lambda i, k: i - 1, operator.eq),
-    ),
-    "open": (("frames", 0, lambda i, k: i, operator.eq),),
-    "closed": (("frames", 0, lambda i, k: i, operator.ge),),
-    "star_open": (("coframes", 0, lambda i, k: k - i, operator.eq),),
-    "star_closed": (("coframes", 0, lambda i, k: k - i, operator.ge),),
-}
-
-
-def rank_filter(cfg, mode):
-    """The brute-force locus filter: every point of Gr_k whose
-    intersections with the flag nodes have the dimensions of ``mode``."""
-    k = cfg.k
-    flags = {"frames": cfg.frames, "coframes": coflag(cfg.n, cfg.p)}
-    checks = [
-        (flags[family][cfg.beta[i - 1] + shift], dim(i, k), compare)
-        for i in range(1, k + 1)
-        for family, shift, dim, compare in RANK_CONDITIONS[mode]
-    ]
-    for l in enumerate_subspaces(full_space(cfg.n, cfg.p), k):
-        if all(compare(intersect(l, node).dim, want) for node, want, compare in checks):
-            yield l
 
 
 # (n, p) spaces on which every locus is checked against the oracle
@@ -139,9 +109,16 @@ def intersect_recover_star(cfg, l):
     return tuple(out)
 
 
-def grassmannian(cfg, a_cells=True):
-    """Every point of Gr_k, walked as its a cells or as its c cells."""
-    return [l for _, l in grassmannian_cells(cfg, lambda jumps: True, a_cells, DEFAULT_BUDGET)]
+def locus_points(cfg, mode):
+    """The points of a locus unranked off ``locus_charts``, the a cells'
+    spanned back from their coordinate-reversed rows."""
+    for chart in locus_charts(cfg, mode).values():
+        for i in range(chart.offset, chart.offset + chart.size):
+            s = chart.unrank(i)
+            if mode.startswith("star_"):
+                yield s
+            else:
+                yield span([row[::-1] for row in s.basis], cfg.n, cfg.p)
 
 
 def transversal_by_walk(cfg, budget=DEFAULT_BUDGET):
@@ -273,7 +250,7 @@ class TestPhi:
 
     def test_image_in_regular_locus(self):
         cfg = make_frame(4, 2, (2, 4))
-        regular = set(vbeta_points(cfg, "open"))
+        regular = set(rank_filter(cfg, "open"))
         for lines, targets, maps in map_inputs(cfg, phi_targets):
             assert phi(cfg, lines, targets, maps) in regular
 
@@ -355,7 +332,7 @@ class TestPhiStar:
 
     def test_inputs_cover_conjugate_locus(self):
         cfg = make_frame(4, 2, (1, 3))
-        star = set(vbeta_points(cfg, "star_open"))
+        star = set(rank_filter(cfg, "star_open"))
         got = {phi_star(cfg, *inputs) for inputs in map_inputs(cfg, phi_star_targets)}
         assert got == star
 
@@ -376,22 +353,21 @@ class TestSchubertPosition:
 class TestGrassmannianCells:
     @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)])
     def test_points_have_their_cells_jump_set(self, n, p):
-        # every point of every a cell and every c cell, for every k, is at
+        # every point of the closed locus of every frame, once each, is at
         # the Schubert position that the row reductions of the oracle read
-        for k in range(1, n + 1):
-            cfg = make_frame(n, p, tuple(range(1, k + 1)))
-            for a_cells in (True, False):
-                for jumps, l in grassmannian_cells(cfg, lambda j: True, a_cells, DEFAULT_BUDGET):
-                    a, c = schubert_position(l)
-                    assert jumps == (a if a_cells else c), (k, a_cells, l)
+        for cfg in all_frames(n, p):
+            seen = set()
+            for a, l in closed_locus(cfg, DEFAULT_BUDGET):
+                assert a == schubert_position(l)[0], (cfg.beta, l)
+                assert l not in seen
+                seen.add(l)
 
-    @pytest.mark.parametrize("a_cells", [True, False])
-    def test_refused_before_first_point(self, a_cells):
-        # Gr_2(GF(2)^4) has 35 points, however few cells are kept
+    def test_refused_before_first_point(self):
+        # Gr_2(GF(2)^4) has 35 points, however few are in the closed locus
         cfg = make_frame(4, 2, (1, 2))
-        cells = grassmannian_cells(cfg, lambda j: False, a_cells, 34)
+        points = closed_locus(cfg, 34)
         with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
-            next(cells)
+            next(points)
 
 
 class TestEchelonSlices:
@@ -408,9 +384,9 @@ class TestEchelonSlices:
     def test_recovered_lines_equal_projections(self, n, p):
         # on every regular and conjugate locus point of every frame
         for cfg in all_frames(n, p):
-            for l in vbeta_points(cfg, "open"):
+            for l in rank_filter(cfg, "open"):
                 assert recover_lines_from_open(cfg, l) == intersect_recover_open(cfg, l)
-            for l in vbeta_points(cfg, "star_open"):
+            for l in rank_filter(cfg, "star_open"):
                 assert recover_lines_from_star(cfg, l) == intersect_recover_star(cfg, l)
 
 
@@ -433,7 +409,7 @@ class TestReadOffs:
     def test_recovered_lines_match_slices(self, n, p):
         # on every point of Gr_k, not only on the loci the verifiers feed in
         for cfg in all_frames(n, p):
-            for l in grassmannian(cfg):
+            for l in enumerate_subspaces(full_space(n, p), cfg.k):
                 assert recover_lines_from_open(cfg, l) == recover_lines_by_slices(cfg, l, False)
                 assert recover_lines_from_star(cfg, l) == recover_lines_by_slices(cfg, l, True)
 
@@ -450,68 +426,75 @@ class TestReadOffs:
                     assert block == cfg.tail
 
 
+# The readers of each locus in the package, each called with a frame and
+# a budget.  The suite's first frame, n=4 beta=(2,4) at p=2, has Gr_2(GF(2)^4).
+LOCUS_READERS = {
+    "cell": lambda cfg, budget: suite.criterion_9_dimension_consistency(budget),
+    "open": grassfib.verify_phi,
+    "closed": embres.verify_report,
+    "star_open": grassfib.verify_phi_star,
+    "star_closed": grassfib.verify_transversal_identity,
+}
+
+
 class TestVbetaPoints:
     @pytest.mark.parametrize("n,p", ORACLE_SPACES)
     def test_same_points_as_rank_filter(self, n, p):
-        # every locus of every multi-index, same points in the same order
+        # every locus of every multi-index, unranked off its charts
         for k in range(1, n + 1):
             for beta in itertools.combinations(range(1, n + 1), k):
                 cfg = make_frame(n, p, beta)
-                for mode in MODES:
-                    assert sorted(vbeta_points(cfg, mode)) == list(rank_filter(cfg, mode)), (
+                for mode in LOCI:
+                    assert sorted(locus_points(cfg, mode)) == list(rank_filter(cfg, mode)), (
                         beta,
                         mode,
                     )
 
     @pytest.mark.parametrize("n,p", ORACLE_SPACES)
     def test_grassmannian_is_enumerate_subspaces(self, n, p):
-        # the union of the echelon cells of either kind, once each
+        # the closed locus of the trailing multi-index is all of Gr_k, and
+        # its walk takes each point once
         for k in range(1, n + 1):
-            cfg = make_frame(n, p, tuple(range(1, k + 1)))
+            cfg = make_frame(n, p, tuple(range(n - k + 1, n + 1)))
             want = list(enumerate_subspaces(full_space(n, p), k))
-            assert sorted(grassmannian(cfg, a_cells=True)) == want
-            assert sorted(grassmannian(cfg, a_cells=False)) == want
+            assert sorted(l for _, l in closed_locus(cfg, DEFAULT_BUDGET)) == want
 
     def test_closed_everything_for_trailing_beta(self):
         cfg = make_frame(4, 2, (3, 4))
-        assert len(list(vbeta_points(cfg, "closed"))) == gaussian_binomial(4, 2, 2)
+        sizes = [c.size for c in locus_charts(cfg, "closed").values()]
+        assert sum(sizes) == gaussian_binomial(4, 2, 2)
 
     @pytest.mark.parametrize(
         "n,beta,p", [(4, (2, 4), 2), (4, (1, 3), 2), (5, (1, 3, 5), 2), (4, (2, 4), 3)]
     )
     def test_cell_counts_are_p_powers(self, n, beta, p):
+        # the count the suite reads off the charts
         cfg = make_frame(n, p, beta)
-        cells = list(vbeta_points(cfg, "cell"))
+        cells = sum(c.size for c in locus_charts(cfg, "cell").values())
         dim = sum(b - (i + 1) for i, b in enumerate(beta))
-        assert len(cells) == p ** dim
+        assert cells == p ** dim
 
     def test_cell_within_open_within_closed(self):
         cfg = make_frame(4, 2, (2, 4))
-        cell = set(vbeta_points(cfg, "cell"))
-        open_ = set(vbeta_points(cfg, "open"))
-        closed = set(vbeta_points(cfg, "closed"))
+        cell = set(rank_filter(cfg, "cell"))
+        open_ = set(rank_filter(cfg, "open"))
+        closed = set(rank_filter(cfg, "closed"))
         assert cell <= open_ <= closed
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", LOCUS_READERS)
     def test_budget_guard_is_whole_grassmannian(self, mode):
-        # the locus is generated cell by cell, but the refusal is still
-        # the one of all of Gr_2(GF(2)^4), 35 points
+        # a locus is read off its cells, but every reader of it still
+        # refuses all of Gr_2(GF(2)^4), 35 points, before its first point
         cfg = make_frame(4, 2, (1, 2))
         with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
-            next(vbeta_points(cfg, mode, 34))
-        assert sorted(vbeta_points(cfg, mode, 35)) == list(rank_filter(cfg, mode))
-
-    def test_bad_mode(self):
-        cfg = make_frame(4, 2, (2, 4))
-        with pytest.raises(ValueError):
-            list(vbeta_points(cfg, "regular"))
+            LOCUS_READERS[mode](cfg, 34)
 
 
 class TestTransversal:
     def test_k1_reduces_to_window_lines(self):
         cfg = make_frame(3, 2, (2,))
-        open_ = set(vbeta_points(cfg, "open"))
-        star = set(vbeta_points(cfg, "star_open"))
+        open_ = set(rank_filter(cfg, "open"))
+        star = set(rank_filter(cfg, "star_open"))
         windows = {lines[0] for lines in window_line_tuples(cfg)}
         assert open_ & star == windows
 
@@ -532,8 +515,8 @@ class TestTransversal:
         # closed locus but not the open one; the star side must reject it
         cfg = make_frame(4, 2, (2, 4))
         f2_plane = cfg.frames[2]
-        closed = set(vbeta_points(cfg, "closed"))
-        star_closed = set(vbeta_points(cfg, "star_closed"))
+        closed = set(rank_filter(cfg, "closed"))
+        star_closed = set(rank_filter(cfg, "star_closed"))
         assert f2_plane in closed
         assert f2_plane not in star_closed
 
@@ -603,9 +586,14 @@ class TestRankedVerifiers:
     def test_output_outside_locus(self, monkeypatch, ranked, by_sets, mode, locus, n, beta, p):
         # the cell whose jump set is beta itself leaves the locus, so the
         # outputs in it fall outside and the locus no longer has the
-        # predicted size
-        test = LOCI[mode]
+        # predicted size; the oracle's filter drops the same points
+        test, side, oracle = LOCI[mode], int(mode.startswith("star_")), oracles.rank_filter
         monkeypatch.setitem(LOCI, mode, lambda b, jumps: test(b, jumps) and jumps != b)
+        monkeypatch.setattr(
+            oracles,
+            "rank_filter",
+            lambda cfg, m: (l for l in oracle(cfg, m) if schubert_position(l)[side] != cfg.beta),
+        )
         cfg = make_frame(n, p, beta)
         got = ranked(cfg)
         assert without_time(got) == without_time(by_sets(cfg))
