@@ -351,6 +351,8 @@ class TestSchubertPosition:
 
 
 class TestGrassmannianCells:
+    """``closed_locus``, the package's one walker of points of Gr_k."""
+
     @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)])
     def test_points_have_their_cells_jump_set(self, n, p):
         # every point of the closed locus of every frame, once each, is at
@@ -368,6 +370,8 @@ class TestGrassmannianCells:
         points = closed_locus(cfg, 34)
         with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
             next(points)
+        # and at exactly 35 it walks the whole locus
+        assert sorted(l for _, l in closed_locus(cfg, 35)) == list(rank_filter(cfg, "closed"))
 
 
 class TestEchelonSlices:
@@ -427,7 +431,8 @@ class TestReadOffs:
 
 
 # The readers of each locus in the package, each called with a frame and
-# a budget.  The suite's first frame, n=4 beta=(2,4) at p=2, has Gr_2(GF(2)^4).
+# a budget.  The suite's reader ignores the frame: its first frame, n=4
+# beta=(2,4) at p=2, has Gr_2(GF(2)^4), which the guard test asserts.
 LOCUS_READERS = {
     "cell": lambda cfg, budget: suite.criterion_9_dimension_consistency(budget),
     "open": grassfib.verify_phi,
@@ -438,6 +443,9 @@ LOCUS_READERS = {
 
 
 class TestVbetaPoints:
+    """The loci of ``LOCI`` as ``locus_charts`` describes them, and the
+    Gr_k guard of every reader of one."""
+
     @pytest.mark.parametrize("n,p", ORACLE_SPACES)
     def test_same_points_as_rank_filter(self, n, p):
         # every locus of every multi-index, unranked off its charts
@@ -485,9 +493,17 @@ class TestVbetaPoints:
     def test_budget_guard_is_whole_grassmannian(self, mode):
         # a locus is read off its cells, but every reader of it still
         # refuses all of Gr_2(GF(2)^4), 35 points, before its first point
+        assert suite.GRASS_CONFIGS[0] == (4, 2, (2, 4)), "the cell reader's first frame"
         cfg = make_frame(4, 2, (1, 2))
         with pytest.raises(BudgetExceededError, match=r"Gr_2\(GF\(2\)\^4\) has 35 points"):
             LOCUS_READERS[mode](cfg, 34)
+        # at exactly 35 the guard lets Gr_2(GF(2)^4) through; a reader may
+        # still refuse a larger walk after it (the suite's p=3 frames, the
+        # embres tower)
+        try:
+            LOCUS_READERS[mode](cfg, 35)
+        except BudgetExceededError as exc:
+            assert "Gr_2(GF(2)^4)" not in str(exc), exc
 
 
 class TestTransversal:
