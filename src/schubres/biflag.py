@@ -18,19 +18,21 @@ verifier reads the position of each flag of the tower's image and
 checks the image against these cell sizes, so no flag outside the image
 is visited.
 
-Positions and intersection grids are read off one reverse echelon
-reduction per distinct subspace (``Reduction``): a basis whose rows end
-at distinct coordinates.  Their last coordinates are the subspace's
-jumps against the standard flag, and the rows ending at or before q span
-its meet with F_q.  ``verify_flres`` keeps the reductions in a dict for
-its one report, so each subspace of the image is reduced once however
-many flags share it, and no grid cell needs an intersection.
+Positions and intersection grids are read off one row reduction of each
+distinct subspace's coordinate-reversed rows (``_ends``): a basis whose
+rows end at distinct coordinates.  Their last coordinates are the
+subspace's jumps against the standard flag, and the rows ending at or
+before q span its meet with F_q.  Each dimension dim(l_p ∩ F_q) depends
+on l_p alone, so each subspace is read on its own.  ``verify_flres``
+keeps each subspace's jump sum, and the meets of each subspace of a
+cell flag, in two dicts for its one report, so no grid cell needs an
+intersection.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -39,6 +41,7 @@ from schubres.exactlin import (
     Subspace,
     Vec,
     coordinate_space,
+    rref,
     tower,
     tower_bound,
 )
@@ -150,113 +153,61 @@ def project_to_flag(pt: GridPoint) -> Flag:
     return tuple([row[-1] for row in pt.grid])
 
 
-class Reduction(NamedTuple):
-    """A subspace l of GF(p)^n in reverse echelon form.
+def _ends(space: Subspace) -> dict[int, Vec]:
+    """A basis of ``space`` keyed by the 1-based coordinate where each row
+    ends, scaled to 1 there.
 
-    ``rows`` maps each jump q of l to a row of l whose last nonzero
-    coordinate is the q-th (1-based), scaled to 1 there.  The rows end
-    at distinct coordinates, so no combination of them cancels its last
-    term: l ∩ F_q is spanned by the rows ending at or before q, and the
-    jumps, where dim(l ∩ F_q) grows, are the keys.  ``jump_sum`` is their
-    sum.  ``meets`` is the row (l ∩ F_1, ..., l ∩ F_n), read off the rows
-    once ``reconstruct_grid`` asks for it.
+    One row reduction of the coordinate-reversed canonical rows makes the
+    rows end at distinct coordinates, so no combination of them cancels
+    its last term: the keys are the jumps of space against the standard
+    flag, and the rows ending at or before q span space ∩ F_q.
     """
-
-    rows: dict[int, Vec]
-    jump_sum: int
-    meets: Row | None = None
-
-
-# the zero space: no rows and no jumps
-_NO_ROWS = Reduction({}, 0)
+    n = space.n
+    rows, pivots = rref([row[::-1] for row in space.basis], space.p)
+    return {n - c: row[::-1] for row, c in zip(rows, pivots)}
 
 
-def _reduce(space: Subspace, prev: tuple[int, ...], red_below: Reduction) -> Reduction:
-    """The reduction of ``space`` from that of the hyperplane below it in
-    a flag, whose pivots are ``prev``.
-
-    Every nonzero vector of a subspace starts at one of its pivots, so
-    space's canonical row at the pivot the hyperplane lacks lies outside
-    it.  Reduced against the hyperplane's rows until its last nonzero
-    coordinate is new, that row ends at space's one extra jump.
-    """
-    p = space.p
-    new = next((i for i, (a, b) in enumerate(zip(prev, space.pivots)) if a != b), len(prev))
-    v: Sequence[int] = space.basis[new]
-    rows = red_below.rows
-    last = len(v)
-    while not v[last - 1]:
-        last -= 1
-    while last in rows:
-        # the row ending at ``last`` is 1 there, so this clears v's last entry
-        f = v[last - 1]
-        v = [(a - f * b) % p for a, b in zip(v, rows[last])]
-        while not v[last - 1]:
-            last -= 1
-    if v[last - 1] != 1:
-        inv = pow(v[last - 1], -1, p)
-        v = [a * inv % p for a in v]
-    return Reduction({**rows, last: tuple(v)}, red_below.jump_sum + last)
-
-
-def _reductions(flag: Flag, memo: dict[Subspace, Reduction]) -> list[Reduction]:
-    """The reduction of each space of the flag, from ``memo`` or made from
-    the space before it once per distinct space and kept there."""
-    out = []
-    prev: tuple[int, ...] = ()
-    red = _NO_ROWS
-    for space in flag:
-        got = memo.get(space)
-        if got is None:
-            got = memo[space] = _reduce(space, prev, red)
-        out.append(got)
-        prev, red = space.pivots, got
-    return out
-
-
-def flag_position(flag: Flag, memo: dict[Subspace, Reduction] | None = None) -> Permutation:
+def flag_position(flag: Flag, memo: dict[Subspace, int] | None = None) -> Permutation:
     """The permutation u with dim(l_p ∩ F_q) = rank_matrix(u)[p][q].
 
     l_p has the jumps of l_{p-1} and one more, and u(p) is that one: the
-    difference of the two spaces' jump sums.  The jumps come from each
-    space's reverse echelon reduction (``Reduction``), looked up in
-    ``memo`` or made there from the space before it in the flag, so a
-    caller that keeps ``memo`` reduces each distinct subspace once.
+    difference of the two spaces' jump sums (``_ends``).  ``memo`` keeps
+    each distinct space's sum, so a caller that keeps it reduces each
+    subspace once.
     """
-    sums = [0] + [red.jump_sum for red in _reductions(flag, {} if memo is None else memo)]
+    memo = {} if memo is None else memo
+    sums = [0]
+    for space in flag:
+        got = memo.get(space)
+        if got is None:
+            got = memo[space] = sum(_ends(space))
+        sums.append(got)
     return Permutation(tuple(b - a for a, b in zip(sums, sums[1:])))
 
 
-def _meets(red: Reduction, n: int, p: int) -> Row:
-    """l ∩ F_1, ..., l ∩ F_n: F_q's meet is the previous one extended by
-    the row ending at q, if there is one; no row reduction."""
-    meet = standard_frames(n, p)[0]
-    out = []
-    for q in range(1, n + 1):
-        row = red.rows.get(q)
-        if row is not None:
-            meet = meet.extend(row)
-        out.append(meet)
-    return tuple(out)
-
-
-def reconstruct_grid(
-    flag: Flag, w: Permutation, memo: dict[Subspace, Reduction] | None = None
-) -> GridPoint:
+def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> GridPoint:
     """The candidate preimage over the cell: cell (p, q) = l_p ∩ F_q.
 
-    Row p is read off l_p's reverse echelon reduction, as the spans of
-    its rows ending at or before each q (``Reduction``); the reductions
-    and rows are kept in ``memo``, as ``flag_position`` keeps them.
+    Row p is read off ``_ends(l_p)``: each meet is the one before,
+    extended by the row ending at q if there is one.  ``memo`` keeps
+    each distinct space's row, as ``flag_position`` keeps its sums.
     """
-    n = w.n
+    n = len(flag)
     p = flag[0].p
     memo = {} if memo is None else memo
     grid = []
-    for space, red in zip(flag, _reductions(flag, memo)):
-        if red.meets is None:
-            red = memo[space] = red._replace(meets=_meets(red, n, p))
-        grid.append(red.meets)
+    for space in flag:
+        row = memo.get(space)
+        if row is None:
+            ends = _ends(space)
+            meet = standard_frames(n, p)[0]
+            meets = []
+            for q in range(1, n + 1):
+                if q in ends:
+                    meet = meet.extend(ends[q])
+                meets.append(meet)
+            row = memo[space] = tuple(meets)
+        grid.append(row)
     return GridPoint(n, p, tuple(grid))
 
 
@@ -303,7 +254,8 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
     report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
         below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}
-        memo: dict[Subspace, Reduction] = {}
+        sums: dict[Subspace, int] = {}
+        grid_rows: dict[Subspace, Row] = {}
         # image flag -> its one point over the cell of w, None once a second
         # comes, False for a flag off the cell
         fiber: dict[Flag, GridPoint | None | bool] = {}
@@ -314,7 +266,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
             flag = project_to_flag(pt)
             got = fiber.get(flag, _UNSEEN)
             if got is _UNSEEN:
-                u = flag_position(flag, memo)
+                u = flag_position(flag, sums)
                 fiber[flag] = pt if u == w else False
                 if outside is None and u not in below:
                     outside = flag
@@ -346,7 +298,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.add(
             "cell_fiber_is_intersection_grid",
             all(
-                pt == reconstruct_grid(flag, w, memo)
+                pt == reconstruct_grid(flag, grid_rows)
                 for flag, pt in over_cell.items()
                 if pt is not None
             ),

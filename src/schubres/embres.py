@@ -15,11 +15,11 @@ checks off the chains of the grid points that carry its flags.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    InvariantError,
     LinearMap,
     Stage,
     Subspace,
@@ -66,20 +66,6 @@ def kl_points(
     """Chains L_1 ⊂ ... ⊂ L_k with L_i inside the i-th flag space,
     dim L_i = i: the resolution tower of the flag's Schubert variety."""
     yield from tower(kl_stages(flag, p), p, budget)
-
-
-def psi_embed(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[Subspace, ...]:
-    """Flag of the map tuple: i-th space is the sum of the first i graphs
-    and the first i complements.  Equals the chain-variety flag of the
-    compressed graphs; a dimension other than b_i raises InvariantError."""
-    out = []
-    acc = zero_subspace(cfg.n, cfg.p)
-    for i in range(1, cfg.k + 1):
-        acc = subspace_sum(acc, subspace_sum(graph(maps[i - 1]), cfg.complement(i)))
-        if acc.dim != cfg.beta[i - 1]:
-            raise InvariantError(f"psi_embed space {i} has dimension {acc.dim}, not b_{i}")
-        out.append(acc)
-    return tuple(out)
 
 
 def chart_maps(cfg: FrameConfig) -> Iterator[LinearMap]:
@@ -170,8 +156,9 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     the cell.  That point's fiber is the chain tower of the standard
     flag, and it projects onto the closed locus (empirical).
 
-    The first grid point that carries a family flag ``psi_embed(maps)``
-    also counts, per chart graph, the chains of that flag that top it.
+    The first grid point that carries a family flag (``psi_tilde`` of a
+    map tuple's accumulated graphs) also counts, per chart graph, the
+    chains of that flag that top it.
     Each graph must be topped by one family flag, whose maps the
     reconstruction recovers, and by one of its chains.  Such a chain has
     L_i ⊆ gt ∩ flag[i]; if some meet is larger than i+1, the lowest such
@@ -197,7 +184,8 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
         graphs = chart_graphs(cfg)
         tuples = list(fixed_map_tuples(cfg))
-        flags = [psi_embed(cfg, m) for m in tuples]
+        # space i of a tuple's flag sums its first i graphs and complements
+        flags = [psi_tilde(cfg, tuple(accumulate(map(graph, m), subspace_sum))) for m in tuples]
         family = {flag: idx for idx, flag in enumerate(flags)}
         # per family flag, its number of chains; per chart graph, None, or
         # the one family flag whose chains top it and how many do

@@ -11,9 +11,10 @@ that its pivot and reverse-echelon read-offs replace, the
 intersections that ``embres`` reads off its chain walk instead
 (``forced_chain_by_intersections``), and the walk of each family flag's
 own chain tower that ``embres`` reads off its grid walk instead
-(``verify_chart_family_by_flags``).  The graph-sum maps ``phi`` and
-``phi_star``, their inputs and the base points they recover are here
-too, with the set-based verifiers built on them
+(``verify_chart_family_by_flags``), with each family flag summed one
+graph and one complement at a time (``psi_embed``).  The graph-sum
+maps ``phi`` and ``phi_star``, their inputs and the base points they
+recover are here too, with the set-based verifiers built on them
 (``verify_phi_by_sets``, ``verify_phi_star_by_sets``) that
 ``grassfib``'s ranks on Schubert-cell charts replace.  Their loci, like
 the ones the tests compare ``grassfib.locus_charts`` with, come from
@@ -44,7 +45,6 @@ from schubres.embres import (
     in_chart,
     kl_points,
     kl_stages,
-    psi_embed,
     reconstruct_map_tuple,
     special_point,
 )
@@ -550,9 +550,9 @@ def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def reconstruct_grid_by_intersections(flag: Flag, w: Permutation) -> GridPoint:
+def reconstruct_grid_by_intersections(flag: Flag) -> GridPoint:
     """``biflag.reconstruct_grid`` by n^2 intersections l_p ∩ F_q."""
-    n = w.n
+    n = len(flag)
     p = flag[0].p
     frames = standard_frames(n, p)
     grid = tuple(
@@ -724,6 +724,22 @@ def forced_chain_by_intersections(cfg: FrameConfig, gt: Subspace, flag: Flag) ->
     )
 
 
+def psi_embed(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> tuple[Subspace, ...]:
+    """Flag of the map tuple: i-th space is the sum of the first i graphs
+    and the first i complements, summed one graph and one complement at
+    a time.  ``embres.verify_report`` reads the same flag off
+    ``psi_tilde`` of the accumulated graphs instead; a dimension other
+    than b_i raises InvariantError."""
+    out = []
+    acc = zero_subspace(cfg.n, cfg.p)
+    for i in range(1, cfg.k + 1):
+        acc = subspace_sum(acc, subspace_sum(graph(maps[i - 1]), cfg.complement(i)))
+        if acc.dim != cfg.beta[i - 1]:
+            raise InvariantError(f"psi_embed space {i} has dimension {acc.dim}, not b_{i}")
+        out.append(acc)
+    return tuple(out)
+
+
 def chart_hits(
     graphs: Iterable[Subspace], flags: Sequence[Flag], p: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[dict[Subspace, dict[int, int]], list[int]]:
@@ -889,7 +905,7 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
         cell_points = len(cell)
         bijective = all(len(by_flag[flag]) == 1 for flag in cell)
         recon_ok = all(
-            by_flag[flag][0] == reconstruct_grid_by_intersections(flag, w)
+            by_flag[flag][0] == reconstruct_grid_by_intersections(flag)
             for flag in cell
             if len(by_flag[flag]) == 1
         )

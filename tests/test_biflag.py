@@ -32,12 +32,13 @@ from schubres.biflag import (
 from schubres.exactlin import BudgetExceededError, intersect, tower_bound
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
 
-# every complete flag of these spaces is checked against the rank-profile oracle
-ORACLE_SPACES = [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3)]
+# every complete flag of these spaces is checked against the rank-profile
+# oracle; at p = 5 and 7 the reductions scale rows by inverses other than ±1
+ORACLE_SPACES = [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (3, 5), (3, 7)]
 
 # every permutation of these spaces, and the longest word of S_5 at p=2, is
 # walked row by row and checked against the flat tower and the list oracle
-STREAM_SPACES = [(3, 2), (3, 3), (4, 2), (4, 3)]
+STREAM_SPACES = [(3, 2), (3, 3), (4, 2), (4, 3), (3, 5), (3, 7)]
 
 
 def rank_filter(w, p, mode):
@@ -178,16 +179,16 @@ class TestFlagPosition:
 class TestReconstructGrid:
     @pytest.mark.parametrize("n,p", STREAM_SPACES)
     def test_read_off_equals_intersections(self, n, p):
-        # on every cell flag, the grid read off the reverse echelon rows
-        # is the n^2 intersections' grid, with one memo for all flags as
-        # in verify_flres and with none; the memo keeps the positions
-        memo = {}
+        # on every complete flag, the grid read off the reversed rows is
+        # the n^2 intersections' grid; positions and grids read with one
+        # memo for all flags, as verify_flres reads them, equal those
+        # read with none
+        sums, rows = {}, {}
         for flag in enumerate_complete_flags(n, p):
-            u = flag_position(flag, memo)
-            assert u == flag_position(flag)
-            want = reconstruct_grid_by_intersections(flag, u)
-            assert reconstruct_grid(flag, u, memo) == want
-            assert reconstruct_grid(flag, u) == want
+            assert flag_position(flag, sums) == flag_position(flag)
+            want = reconstruct_grid_by_intersections(flag)
+            assert reconstruct_grid(flag, rows) == want
+            assert reconstruct_grid(flag) == want
 
 
 class TestSchubertFlagPoints:
@@ -268,7 +269,7 @@ class TestVerifyFlres:
         cell = [flag for flag in enumerate_complete_flags(3, 2) if flag_position(flag) == w]
         assert len(cell) == 2 ** length(w)
         for flag in cell:
-            assert grid_is_valid(reconstruct_grid(flag, w), w)
+            assert grid_is_valid(reconstruct_grid(flag), w)
 
     @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 1, 2), (3, 2, 1)])
     def test_flag_meets_frame_at_least_grid(self, one_line):

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from schubres import grassfib
+from schubres import biflag, grassfib
 from schubres.cli import REPORTS, build_parser, run
+from schubres.permcomb import Permutation
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -161,8 +162,9 @@ class TestChecksSurviveOptimize:
         assert code == 1
         assert "InvariantError: graph has dimension 0, its domain 1" in err
 
-    def test_psi_embed_dimension_check(self):
-        # with the sums dropped, the first space of the flag is zero
+    def test_family_flag_dimension_check(self):
+        # with the graph sums dropped, each family flag space sums one
+        # graph and its complements, one dimension short from space 2 on
         code, err = run_optimized(
             "import sys\n"
             "from schubres import cli, embres\n"
@@ -171,7 +173,7 @@ class TestChecksSurviveOptimize:
             "sys.exit(cli.run(['embres', 'verify', '--n', '4', '--beta', '2,4']))\n"
         )
         assert code == 3, err
-        assert "internal error: InvariantError: psi_embed space 1 has dimension 0, not b_1" in err
+        assert "internal error: InvariantError: psi_tilde space 2 has dimension 3, not b_2" in err
 
     def test_psi_tilde_dimension_check(self):
         # with the complements dropped, space i is the i-dimensional l_i
@@ -283,6 +285,37 @@ class TestSuite:
         assert sum(1 for n in names if not n.endswith("-within-time")) == 10
         assert rep["passed"] is True
         assert captured.err.count("PASS") == 10
+
+
+class TestTextOutput:
+    # ``--no-json`` prints a verdict line and one line per check instead
+    # of the JSON report
+    def test_passing_report(self, capsys):
+        assert run(["biflag", "verify", "--perm", "2,3,1", "--no-json"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "biflag verify: PASS",
+            "  ok tower_count_is_(p+1)^l 9 vs 9",
+            "  ok image_in_closed_variety",
+            "  ok cell_count_is_p^l 4 vs 4",
+            "  ok cell_fibers_are_singletons",
+            "  ok cell_fiber_is_intersection_grid",
+            "  ok image_equals_closed_variety point surjectivity observed at this field size",
+        ]
+
+    def test_failing_report(self, capsys, monkeypatch):
+        # every flag read as the longest word lies outside the variety of
+        # 2,3,1 and off its cell
+        longest = Permutation((3, 2, 1))
+        monkeypatch.setattr(biflag, "flag_position", lambda flag, memo=None: longest)
+        assert run(["biflag", "verify", "--perm", "2,3,1", "--no-json"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "biflag verify: FAIL"
+        assert [line for line in lines if line.startswith("  FAIL ")] == [
+            "  FAIL image_in_closed_variety",
+            "  FAIL cell_count_is_p^l 0 vs 4",
+            "  FAIL image_equals_closed_variety point surjectivity observed at this field size",
+        ]
+        assert len(lines) == 7
 
 
 class TestReportHygiene:

@@ -11,6 +11,7 @@ from oracles import (
     forced_chain_by_intersections,
     graph_tuple,
     kl_count_formula,
+    psi_embed,
     rank_filter,
     reconstruct_map_tuple_by_projection,
     verify_chart_family_by_flags,
@@ -24,7 +25,6 @@ from schubres.embres import (
     flag_of_grid,
     in_chart,
     kl_points,
-    psi_embed,
     reconstruct_map_tuple,
     special_point,
     verify_report,
@@ -39,7 +39,7 @@ from schubres.exactlin import (
     subspace_sum,
 )
 from schubres.grassfib import make_frame
-from schubres.wflag import enumerate_ghat, fixed_map_tuples, pi_diag
+from schubres.wflag import enumerate_ghat, fixed_map_tuples, pi_diag, psi_tilde
 
 
 def all_pairs_hits(cfg, flags, gt):
@@ -117,11 +117,17 @@ class TestPsiEmbed:
         assert len(set(flags)) == len(flags)
 
     def test_matches_compressed_graph_flag(self):
-        from schubres.wflag import psi_tilde
-
         cfg = make_frame(4, 3, (1, 3))
         for maps in itertools.islice(fixed_map_tuples(cfg), 40):
             assert psi_embed(cfg, maps) == psi_tilde(cfg, graph_tuple(cfg, maps))
+
+    def test_matches_accumulated_graph_flag(self):
+        # the family flags of embres.verify_report: psi_tilde of the sums
+        # of the first i graphs, on every map tuple of every default frame
+        for cfg in census_spaces():
+            for maps in fixed_map_tuples(cfg):
+                got = psi_tilde(cfg, tuple(itertools.accumulate(map(graph, maps), subspace_sum)))
+                assert got == psi_embed(cfg, maps), (cfg, maps)
 
 
 class TestChart:
@@ -213,22 +219,18 @@ class TestChart:
     def test_unforced_chain_fails_forced_chain(self, monkeypatch):
         # the zero tuple's flag, carried by the special point, starts at
         # its own graph, the sum of the lines; the walk stays complete,
-        # and p+1 chains top that graph
+        # and p+1 chains top that graph; the family flags and the grid
+        # points' flags both come from psi_tilde, so one patch moves both
         cfg = make_frame(4, 2, (2, 4))
-        zero = zero_tuple(cfg)
-        standard = psi_embed(cfg, zero)
+        standard = psi_embed(cfg, zero_tuple(cfg))
         gt = cfg.lines_prefix(2)
         flag = (gt, standard[1])
 
-        def embed(cfg, maps):
-            return flag if maps == zero else psi_embed(cfg, maps)
-
-        def grid_flag(cfg, pt):
-            got = flag_of_grid(cfg, pt)
+        def tilde(cfg, pt):
+            got = psi_tilde(cfg, pt)
             return flag if got == standard else got
 
-        monkeypatch.setattr("schubres.embres.psi_embed", embed)
-        monkeypatch.setattr("schubres.embres.flag_of_grid", grid_flag)
+        monkeypatch.setattr("schubres.embres.psi_tilde", tilde)
         hits, _ = chart_hits(chart_graphs(cfg), [flag], cfg.p)
         assert hits[gt] == {0: cfg.p + 1}
         assert not forced_chain_by_intersections(cfg, gt, flag)
