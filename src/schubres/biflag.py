@@ -8,7 +8,11 @@ onto the Schubert variety of the flag manifold; the projection is a
 bijection over the Schubert cell, which is verified point by point here.
 
 Enumeration is by constraint propagation from the bottom row upward,
-never by filtering the ambient product, and is budget-guarded.
+never by filtering the ambient product, and is budget-guarded: a row's
+choices over each distinct row below it are built once per walk, left
+to right, and the points share them.  A verifier that reads a point
+therefore needs to redo only the rows whose objects differ from the
+last point's.
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
@@ -26,12 +30,15 @@ before q span its meet with F_q.  Each dimension dim(l_p ∩ F_q) depends
 on l_p alone, so each subspace is read on its own.  ``verify_flres``
 keeps each subspace's jump sum, and the meets of each subspace of a
 cell flag, in two dicts for its one report, so no grid cell needs an
-intersection.
+intersection.  It keys each image flag by one small int per row, given
+to each distinct last-column subspace, so a point costs about one
+subspace hash and only a new flag is projected and placed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import sub
 from typing import Iterator, NamedTuple
 
 from schubres.exactlin import (
@@ -41,8 +48,8 @@ from schubres.exactlin import (
     Subspace,
     Vec,
     coordinate_space,
+    enumerate_between,
     rref,
-    tower,
     tower_bound,
 )
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
@@ -97,38 +104,57 @@ def _enumerate_grid(
 ) -> Iterator[GridPoint]:
     """The tower of ``grid_stages``, in its order, one row at a time.
 
-    A row lies under the row below it and nothing else chosen, so each
-    row's choices over each distinct lower row come from ``tower`` once,
-    kept for this walk in a dict; the points share these row tuples.
+    A row lies under the row below it and nothing else chosen, so its
+    choices over each distinct lower row are built once, left to right
+    over ``enumerate_between``, and kept for this walk in a dict; the
+    points share these row tuples.  The rows are walked from the bottom
+    up with one stack of open levels, and each choice of row 1 completes
+    a point.
     """
     n = w.n
-    stages = grid_stages(w, p, pinned_last_row)
-    bound = tower_bound(stages, p)
+    bound = tower_bound(grid_stages(w, p, pinned_last_row), p)
     if bound > budget:
         raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+    d = rank_matrix(w)
     frames = standard_frames(n, p)
-    top = n - 1 if pinned_last_row else n
-    above_all = (frames[n],) * n
-    rows_over: dict[tuple[int, Row], tuple[Row, ...]] = {}  # (row, row below) -> choices
+    new_point = tuple.__new__  # GridPoint's own constructor, without its call layer
+    memo: dict[tuple[int, Row], tuple[Row, ...]] = {}  # (row, row below) -> choices
+
+    def rows_over(row: int, below: Row) -> tuple[Row, ...]:
+        got = memo.get((row, below))
+        if got is None:
+            dims = d[row]
+            rows = [(s,) for s in enumerate_between(frames[0], below[0], dims[1])]
+            for col in range(1, n):
+                upper, dim = below[col], dims[col + 1]
+                rows = [r + (s,) for r in rows for s in enumerate_between(r[-1], upper, dim)]
+            got = memo[row, below] = tuple(rows)
+        return got
+
     if pinned_last_row:
-        rows_over[n, above_all] = (frames[1:],)  # the pinned row
-
-    def walk(row: int, below: Row, chosen: tuple[Row, ...]) -> Iterator[GridPoint]:
-        level = rows_over.get((row, below))
-        if level is None:
-            row_stages = [
-                st._replace(spaces=lambda c, upper=upper: (c[-1] if c else frames[0], upper))
-                for st, upper in zip(stages[(top - row) * n : (top - row + 1) * n], below)
-            ]
-            level = rows_over[row, below] = tuple(tower(row_stages, p, budget))
+        top, fixed = n - 1, (frames[1:],)
+    else:
+        top, fixed = n, ()
+    if top == 0:
+        yield GridPoint(n, p, fixed)
+        return
+    # the top row lies under the pinned row, or under the whole space;
+    # stack[i] runs over the choices of row top - i, beside the rows below it
+    under = fixed[0] if fixed else (frames[n],) * n
+    stack = [(iter(rows_over(top, under)), fixed)]
+    while stack:
+        level, chosen = stack[-1]
+        row = top + 1 - len(stack)
         if row == 1:
+            stack.pop()
             for r in level:
-                yield GridPoint(n, p, (r,) + chosen)
+                yield new_point(GridPoint, (n, p, (r,) + chosen))
+            continue
+        r = next(level, None)
+        if r is None:
+            stack.pop()
         else:
-            for r in level:
-                yield from walk(row - 1, r, (r,) + chosen)
-
-    yield from walk(n, above_all, ())
+            stack.append((iter(rows_over(row - 1, r)), (r,) + chosen))
 
 
 def enumerate_flw(
@@ -182,7 +208,7 @@ def flag_position(flag: Flag, memo: dict[Subspace, int] | None = None) -> Permut
         if got is None:
             got = memo[space] = sum(_ends(space))
         sums.append(got)
-    return Permutation(tuple(b - a for a, b in zip(sums, sums[1:])))
+    return Permutation(tuple(map(sub, sums[1:], sums)))
 
 
 def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> GridPoint:
@@ -253,26 +279,37 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
     """
     report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
-        below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}
+        n = w.n
+        below = {u for u in all_permutations(n) if bruhat_leq(u, w)}
         sums: dict[Subspace, int] = {}
         grid_rows: dict[Subspace, Row] = {}
+        # a point's flag is keyed by one small int per row, read off the
+        # row's last cell when the row object differs from the last point's
+        index: dict[Subspace, int] = {}
+        rows: list[Row | None] = [None] * n
+        key = [0] * n
         # image flag -> its one point over the cell of w, None once a second
         # comes, False for a flag off the cell
-        fiber: dict[Flag, GridPoint | None | bool] = {}
+        fiber: dict[tuple[int, ...], GridPoint | None | bool] = {}
         tower_points = 0
         outside = None
         for pt in enumerate_shat(w, p, budget):
             tower_points += 1
-            flag = project_to_flag(pt)
-            got = fiber.get(flag, _UNSEEN)
+            for i, row in enumerate(pt.grid):
+                if row is not rows[i]:
+                    rows[i] = row
+                    key[i] = index.setdefault(row[-1], len(index))
+            flag_key = tuple(key)
+            got = fiber.get(flag_key, _UNSEEN)
             if got is _UNSEEN:
+                flag = project_to_flag(pt)
                 u = flag_position(flag, sums)
-                fiber[flag] = pt if u == w else False
+                fiber[flag_key] = pt if u == w else False
                 if outside is None and u not in below:
                     outside = flag
             elif got:
-                fiber[flag] = None
-        over_cell = {flag: pt for flag, pt in fiber.items() if pt is not False}
+                fiber[flag_key] = None
+        over_cell = [pt for pt in fiber.values() if pt is not False]
         expected = (p + 1) ** length(w)
         report.counts["tower_points"] = tower_points
         report.counts["expected_tower_points"] = expected
@@ -292,14 +329,12 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
             cell_points == p ** length(w),
             f"{cell_points} vs {p ** length(w)}",
         )
-        report.add(
-            "cell_fibers_are_singletons", all(pt is not None for pt in over_cell.values())
-        )
+        report.add("cell_fibers_are_singletons", all(pt is not None for pt in over_cell))
         report.add(
             "cell_fiber_is_intersection_grid",
             all(
-                pt == reconstruct_grid(flag, grid_rows)
-                for flag, pt in over_cell.items()
+                pt == reconstruct_grid(project_to_flag(pt), grid_rows)
+                for pt in over_cell
                 if pt is not None
             ),
         )

@@ -15,6 +15,7 @@ from itertools import zip_longest
 from typing import Iterator
 
 from schubres.biflag import (
+    Row,
     enumerate_shat,
     project_to_flag,
     standard_frames,
@@ -129,7 +130,10 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     every pair agrees and both walks end together; orders that ever
     differ fail, never pass.  Each pair must commute with both
     projections, and the images' first blocks must be the chains of the
-    independent chain tower.
+    independent chain tower.  The image and its flag are refreshed only
+    at the grid rows whose objects differ from the last point's, and a
+    first block is added only when grid row n-1 changed; each pair is
+    still compared whole, so a fault at any level of either tower shows.
     """
     report = EnumReport("bs iso", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
@@ -138,27 +142,54 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         # what is read of each point depends on w only: read it once
         cells = bs_cells(w)
         frames = standard_frames(n, p)
-        slots = word.last_occurrences
+        # flag space i is at the last s_i, or the fixed F_i without one
+        space_at = {
+            j - 1: i - 1 for i, j in enumerate(word.last_occurrences, start=1) if j is not None
+        }
+        # each grid row's (image position, column) and (flag index, column) pairs
+        reads = [
+            (
+                r,
+                [(j, c) for j, (r2, c) in enumerate(cells) if r2 == r],
+                [(space_at[j], c) for j, (r2, c) in enumerate(cells) if r2 == r and j in space_at],
+            )
+            for r in sorted({r for r, _ in cells})
+        ]
         m = n - w(n)
         grid_count = tower_count = 0
         injective = image_is_tower = commutes = True
         prev: BSPoint | None = None
         first_blocks: set[BSPoint] = set()
+        # the image and the flag are refreshed only at the rows whose objects
+        # differ from the last point's; the first block is read off grid row
+        # n-1 alone
+        img: list[Subspace | None] = [None] * len(cells)
+        flag = list(frames[1:])
+        rows: list[Row | None] = [None] * n
         for pt, b in zip_longest(enumerate_shat(w, p, budget), enumerate_bs(word, p, budget)):
             tower_count += b is not None
             if pt is None:
                 image_is_tower = False
                 continue
             grid_count += 1
-            img = tuple([pt.grid[r][c] for r, c in cells])
-            image_is_tower = image_is_tower and img == b
-            injective = injective and (prev is None or prev < img)
-            prev = img
-            # flag space i is at the last s_i, or the fixed F_i without one
-            flag = [frames[i] if j is None else img[j - 1] for i, j in enumerate(slots, start=1)]
-            commutes = commutes and project_to_flag(pt) == tuple(flag) + (frames[n],)
-            if m:
-                first_blocks.add(img[:m])
+            grid = pt.grid
+            first_changed = False
+            for r, read, spaces in reads:
+                row = grid[r]
+                if row is not rows[r]:
+                    rows[r] = row
+                    first_changed = first_changed or r == n - 2
+                    for j, c in read:
+                        img[j] = row[c]
+                    for i, c in spaces:
+                        flag[i] = row[c]
+            now = tuple(img)
+            image_is_tower = image_is_tower and now == b
+            injective = injective and (prev is None or prev < now)
+            prev = now
+            commutes = commutes and project_to_flag(pt) == tuple(flag)
+            if m and first_changed:
+                first_blocks.add(now[:m])
         expected = (p + 1) ** length(w)
         report.counts["grid_points"] = grid_count
         report.counts["tower_points"] = tower_count

@@ -69,16 +69,16 @@ class FrameConfig:
     complement means the tail.  ``nested(j, i)`` sums the first j lines
     and the complements past window i.  Each space and sum is the span of
     unit vectors, built canonical by ``coordinate_space`` once, when the
-    frame is made from (n, p, beta).  The graphs, projections and base
-    points of this module, ``wflag`` and ``embres`` are read off the
-    blocks.  Frames are equal and hash alike by (n, p, beta).
+    frame is made from (n, p, beta); the standard flag ``frames`` is read
+    on use.  The graphs, projections and base points of this module,
+    ``wflag`` and ``embres`` are read off the blocks.  Frames are equal
+    and hash alike by (n, p, beta).
     """
 
     __slots__ = (
         "n",
         "p",
         "beta",
-        "frames",  # F_0 .. F_n
         "windows",
         "lines",
         "complements",  # within the windows
@@ -100,7 +100,6 @@ class FrameConfig:
 
         firsts = edges[:k]  # the coordinate of each window's line
         comps = [range(edges[i] + 1, edges[i + 1]) for i in range(k)] + [range(edges[k], n)]
-        self.frames = standard_frames(n, p)
         self.windows = tuple(space(range(edges[i], edges[i + 1])) for i in range(k))
         self.lines = tuple(space((c,)) for c in firsts)
         self.complements = tuple(space(c) for c in comps[:k])
@@ -127,6 +126,12 @@ class FrameConfig:
     @property
     def k(self) -> int:
         return len(self.beta)
+
+    @property
+    def frames(self) -> tuple[Subspace, ...]:
+        """F_0 .. F_n.  Not built with the frame, which is made before any
+        budget is checked."""
+        return standard_frames(self.n, self.p)
 
     def window(self, i: int) -> Subspace:
         return self.windows[i - 1]

@@ -562,6 +562,12 @@ def reconstruct_grid_by_intersections(flag: Flag) -> GridPoint:
     return GridPoint(n, p, grid)
 
 
+def copied(pt: GridPoint) -> GridPoint:
+    """``pt`` with every row and every cell a new object of the same value."""
+    rows = (tuple(Subspace(s.n, s.p, s.basis, s.pivots) for s in row) for row in pt.grid)
+    return pt._replace(grid=tuple(rows))
+
+
 def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
     """Dimensions follow the rank matrix and all inclusions hold."""
     d = rank_matrix(w)

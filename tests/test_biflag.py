@@ -9,6 +9,7 @@ import oracles
 import pytest
 from oracles import (
     cell,
+    copied,
     enumerate_complete_flags,
     enumerate_grid_flat,
     flag_rank_profile,
@@ -325,10 +326,10 @@ class TestRowWalk:
         with pytest.raises(BudgetExceededError) as flat:
             next(enumerate_grid_flat(w, 3, pinned, budget=100))
 
-        def no_row(stages, p, budget):
+        def no_row(lower, upper, dim):
             raise AssertionError("a row was walked")
 
-        monkeypatch.setattr(biflag, "tower", no_row)
+        monkeypatch.setattr(biflag, "enumerate_between", no_row)
         walk = enumerate_shat if pinned else enumerate_flw
         with pytest.raises(BudgetExceededError) as rows:
             next(walk(w, 3, budget=100))
@@ -374,6 +375,38 @@ class TestVerifyFlresStreams:
         got = verify_flres(w, 2)
         assert {c.name for c in got.checks if not c.passed} == {"cell_fiber_is_intersection_grid"}
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
+
+    @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 2, 1), (2, 4, 1, 3)])
+    def test_equal_rows_as_distinct_objects_pass(self, monkeypatch, one_line):
+        # every row and cell of every point a fresh object of the same value:
+        # each flag is still keyed by value
+        w = Permutation(one_line)
+        points = [copied(pt) for pt in enumerate_shat(w, 2)]
+        for module in (biflag, oracles):
+            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
+        got = verify_flres(w, 2)
+        assert got.passed
+        assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
+
+    @pytest.mark.parametrize("over_cell", [True, False])
+    def test_same_flag_through_distinct_rows_is_one_flag(self, monkeypatch, over_cell):
+        # a copy of an earlier point, with rows of its own, adds a tower
+        # point but no image flag; over the cell it is a second point
+        w, p = Permutation((2, 3, 1)), 2
+        points = list(enumerate_shat(w, p))
+        again = next(
+            pt for pt in points if (flag_position(project_to_flag(pt)) == w) == over_cell
+        )
+        for module in (biflag, oracles):
+            monkeypatch.setattr(
+                module, "enumerate_shat", lambda w, p, b: iter(points + [copied(again)])
+            )
+        got = verify_flres(w, p)
+        failed = {c.name for c in got.checks if not c.passed}
+        want = {"tower_count_is_(p+1)^l", "cell_fibers_are_singletons"}
+        assert failed == (want if over_cell else want - {"cell_fibers_are_singletons"})
+        assert got.counts["cell_points"] == p ** length(w)
+        assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, p).to_json())
 
     def _drop_one_flag(self, monkeypatch, w, p, u):
         """Both verifiers over a tower without the points over the first

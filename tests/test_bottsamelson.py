@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import oracles
 import pytest
 from oracles import (
     bbs_iso_by_sets,
@@ -10,6 +11,7 @@ from oracles import (
     bs_projection,
     cell,
     clear_caches,
+    copied,
     grid_to_bs,
     identity,
 )
@@ -18,7 +20,7 @@ from schubres import bottsamelson
 from schubres.bottsamelson import bbs_iso, bs_cells, enumerate_bs, first_block_chains
 from schubres.biflag import enumerate_shat, standard_frames
 from schubres.report import EnumReport
-from schubres.exactlin import BudgetExceededError
+from schubres.exactlin import BudgetExceededError, enumerate_subspaces
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -207,6 +209,35 @@ class TestLockstep:
         failed = {c.name for c in bbs_iso(w, 2).checks if not c.passed}
         assert "map_image_is_tower" in failed
         assert ("map_is_injective" in failed) == (fault == "repeat")
+
+    def test_upper_level_fault_fails(self, monkeypatch):
+        # a tower point that differs from the one before it at a level the
+        # walk did not change there, while the grid walks on unchanged
+        w = Permutation((3, 2, 1))
+        word = bubblesort_word(w)
+        points = list(enumerate_bs(word, 2))
+        k = next(k for k in range(1, len(points)) if points[k][0] is points[k - 1][0])
+        used = {pt[0] for pt in points}
+        space = standard_frames(3, 2)[3]
+        other = next(s for s in enumerate_subspaces(space, points[k][0].dim) if s not in used)
+        points[k] = (other,) + points[k][1:]
+        for module in (bottsamelson, oracles):
+            monkeypatch.setattr(module, "enumerate_bs", lambda word, p, b: iter(points))
+        rep = bbs_iso(w, 2)
+        assert {c.name for c in rep.checks if not c.passed} == {"map_image_is_tower"}
+        assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))
+
+    @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 2, 1), (2, 4, 1, 3)])
+    def test_equal_rows_as_distinct_objects_pass(self, monkeypatch, one_line):
+        # every row and cell of every grid point a fresh object of the same
+        # value: no row is the last point's, and nothing else changes
+        w = Permutation(one_line)
+        points = [copied(pt) for pt in enumerate_shat(w, 2)]
+        for module in (bottsamelson, oracles):
+            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
+        rep = bbs_iso(w, 2)
+        assert rep.passed
+        assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))
 
     def test_traced_peak_is_small(self):
         # neither tower is held: 3^8 points at p=2 peak near 1 MiB, where

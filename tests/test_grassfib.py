@@ -171,6 +171,18 @@ class TestMakeFrame:
                 want = j + sum(cfg.window(t).dim - 1 for t in range(i + 1, 4))
                 assert cfg.nested(j, i).dim == want + cfg.tail.dim
 
+    def test_standard_flag_built_on_use(self, monkeypatch):
+        # a frame is made before its budget is checked, so making it must
+        # not build the n+1 spaces of the standard flag
+        def no_flag(n, p):
+            raise AssertionError("the standard flag was built")
+
+        monkeypatch.setattr(grassfib, "standard_frames", no_flag)
+        cfg = make_frame(8, 2, (1, 5))
+        assert cfg.tail.dim == 3
+        monkeypatch.undo()
+        assert cfg.frames is standard_frames(8, 2)
+
     def test_invalid_beta_rejected(self):
         with pytest.raises(ValueError):
             make_frame(4, 2, (2, 2))
