@@ -8,11 +8,11 @@ onto the Schubert variety of the flag manifold; the projection is a
 bijection over the Schubert cell, which is verified point by point here.
 
 Enumeration is by constraint propagation from the bottom row upward,
-never by filtering the ambient product, and is budget-guarded: a row's
-choices over each distinct row below it are built once per walk, left
-to right, and the points share them.  A verifier that reads a point
-therefore needs to redo only the rows whose objects differ from the
-last point's.
+never by filtering the ambient product, and is budget-guarded: the
+grid is ``exactlin.walk_rows`` over rows n..1, so a row's choices over
+each distinct row below it are built once per walk, left to right, and
+the points share them.  A verifier that reads a point therefore needs
+to redo only the rows whose objects differ from the last point's.
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
@@ -43,20 +43,19 @@ from typing import Iterator, NamedTuple
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
-    Stage,
+    Row,
+    RowSpec,
     Subspace,
     Vec,
     coordinate_space,
-    enumerate_between,
+    rows_bound,
     rref,
-    tower_bound,
+    walk_rows,
 )
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
 from schubres.report import EnumReport, subspace_witness, timed
 
 Flag = tuple[Subspace, ...]
-Row = tuple[Subspace, ...]
 
 _UNSEEN = object()  # a dict default that no stored value equals
 
@@ -76,92 +75,25 @@ def standard_frames(n: int, p: int) -> Flag:
     return tuple(coordinate_space(range(i), n, p) for i in range(n + 1))
 
 
-def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
-    """The grid tower as tower stages: rows from the bottom up, each left
-    to right; cell (row, col) lies between its left and lower neighbours."""
+def grid_rows(w: Permutation, p: int, pinned_last_row: bool) -> tuple[Row, list[RowSpec]]:
+    """The grid as ``walk_rows`` input: rows n..1, cell (row, col) of
+    dimension d[row][col] between its left and lower neighbours.  Row n
+    lies under the standard flag when pinned, which leaves it one choice,
+    and under the whole space otherwise."""
     n = w.n
     d = rank_matrix(w)
     frames = standard_frames(n, p)
-    top = n - 1 if pinned_last_row else n
-    stages = []
-    for row in range(top, 0, -1):
-        for col in range(1, n + 1):
-            # the left neighbour is the previous choice, the lower one n choices
-            # back; the top row lies under the pinned row or the whole space
-            fixed_upper = frames[col] if pinned_last_row else frames[n]
-
-            def spaces(c, row=row, col=col, fixed_upper=fixed_upper):
-                lower = c[-1] if col > 1 else frames[0]
-                return lower, c[-n] if row < top else fixed_upper
-
-            up = d[row + 1][col] if row < n else n
-            stages.append(Stage(spaces, d[row][col - 1], up, d[row][col]))
-    return stages
-
-
-def _enumerate_grid(
-    w: Permutation, p: int, pinned_last_row: bool, budget: int
-) -> Iterator[GridPoint]:
-    """The tower of ``grid_stages``, in its order, one row at a time.
-
-    A row lies under the row below it and nothing else chosen, so its
-    choices over each distinct lower row are built once, left to right
-    over ``enumerate_between``, and kept for this walk in a dict; the
-    points share these row tuples.  The rows are walked from the bottom
-    up with one stack of open levels, and each choice of row 1 completes
-    a point.
-    """
-    n = w.n
-    bound = tower_bound(grid_stages(w, p, pinned_last_row), p)
-    if bound > budget:
-        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
-    d = rank_matrix(w)
-    frames = standard_frames(n, p)
-    new_point = tuple.__new__  # GridPoint's own constructor, without its call layer
-    memo: dict[tuple[int, Row], tuple[Row, ...]] = {}  # (row, row below) -> choices
-
-    def rows_over(row: int, below: Row) -> tuple[Row, ...]:
-        got = memo.get((row, below))
-        if got is None:
-            dims = d[row]
-            rows = [(s,) for s in enumerate_between(frames[0], below[0], dims[1])]
-            for col in range(1, n):
-                upper, dim = below[col], dims[col + 1]
-                rows = [r + (s,) for r in rows for s in enumerate_between(r[-1], upper, dim)]
-            got = memo[row, below] = tuple(rows)
-        return got
-
-    if pinned_last_row:
-        top, fixed = n - 1, (frames[1:],)
-    else:
-        top, fixed = n, ()
-    if top == 0:
-        yield GridPoint(n, p, fixed)
-        return
-    # the top row lies under the pinned row, or under the whole space;
-    # stack[i] runs over the choices of row top - i, beside the rows below it
-    under = fixed[0] if fixed else (frames[n],) * n
-    stack = [(iter(rows_over(top, under)), fixed)]
-    while stack:
-        level, chosen = stack[-1]
-        row = top + 1 - len(stack)
-        if row == 1:
-            stack.pop()
-            for r in level:
-                yield new_point(GridPoint, (n, p, (r,) + chosen))
-            continue
-        r = next(level, None)
-        if r is None:
-            stack.pop()
-        else:
-            stack.append((iter(rows_over(row - 1, r)), (r,) + chosen))
+    under = frames[1:] if pinned_last_row else (frames[n],) * n
+    return under, [(d[row][1:], frames[0]) for row in range(n, 0, -1)]
 
 
 def enumerate_flw(
     w: Permutation, p: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[GridPoint]:
     """All GF(p) points of the bioriented flag grid of w."""
-    yield from _enumerate_grid(w, p, pinned_last_row=False, budget=budget)
+    n, new_point = w.n, tuple.__new__  # GridPoint's own constructor, without its call layer
+    for grid in walk_rows(*grid_rows(w, p, pinned_last_row=False), budget):
+        yield new_point(GridPoint, (n, p, grid))
 
 
 def enumerate_shat(
@@ -171,7 +103,9 @@ def enumerate_shat(
 
     The count is (p+1)^length(w): a tower of projective lines.
     """
-    yield from _enumerate_grid(w, p, pinned_last_row=True, budget=budget)
+    n, new_point = w.n, tuple.__new__
+    for grid in walk_rows(*grid_rows(w, p, pinned_last_row=True), budget):
+        yield new_point(GridPoint, (n, p, grid))
 
 
 def project_to_flag(pt: GridPoint) -> Flag:
@@ -253,7 +187,7 @@ def enumerate_report(
             name = "count_is_(p+1)^l"
         else:
             count = sum(1 for _ in enumerate_flw(w, p, budget))
-            expected = tower_bound(grid_stages(w, p, pinned_last_row=False), p)
+            expected = rows_bound(*grid_rows(w, p, pinned_last_row=False))
             name = "count_matches_cell_product"
         report.counts["points"] = count
         report.counts["expected"] = expected
@@ -282,7 +216,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         n = w.n
         below = {u for u in all_permutations(n) if bruhat_leq(u, w)}
         sums: dict[Subspace, int] = {}
-        grid_rows: dict[Subspace, Row] = {}
+        meet_rows: dict[Subspace, Row] = {}
         # a point's flag is keyed by one small int per row, read off the
         # row's last cell when the row object differs from the last point's
         index: dict[Subspace, int] = {}
@@ -333,7 +267,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         report.add(
             "cell_fiber_is_intersection_grid",
             all(
-                pt == reconstruct_grid(project_to_flag(pt), grid_rows)
+                pt == reconstruct_grid(project_to_flag(pt), meet_rows)
                 for pt in over_cell
                 if pt is not None
             ),

@@ -651,3 +651,70 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
             open_levels.pop()
         else:
             return
+
+
+Row = tuple[Subspace, ...]
+RowSpec = tuple[Sequence[int], Subspace]  # (dims, extra) of one row of ``walk_rows``
+
+
+def rows_bound(under: Row, rows: Sequence[RowSpec]) -> int:
+    """Point-count bound of ``walk_rows``: the product over its cells of
+    [up - lo choose dim - lo]_p, lo the dimension of the cell to the left
+    and up that of the cell below plus that of the row's ``extra``."""
+    total, below = 1, [s.dim for s in under]
+    for dims, extra in rows:
+        for lo, dim, up in zip((0, *dims), dims, below):
+            total *= gaussian_binomial(up + extra.dim - lo, dim - lo, under[0].p)
+        below = dims
+    return total
+
+
+def walk_rows(under: Row, rows: Sequence[RowSpec], budget: int) -> Iterator[tuple[Row, ...]]:
+    """Yield every grid of subspaces chosen one row at a time.
+
+    With ``rows[r] = (dims, extra)``, cell c of row r is a ``dims[c]``-
+    dimensional space between cell c-1 (zero for c = 0) and cell c of
+    the previous row (of ``under`` for the first row) plus ``extra``.
+    A row's choices over each distinct previous row are built once per
+    walk, left to right over ``enumerate_between``, and the points share
+    these row tuples.  The rows are walked with one stack; each point
+    lists its rows last-chosen first.  The whole walk is refused before
+    its first point when ``rows_bound`` exceeds the budget.
+    """
+    bound = rows_bound(under, rows)
+    if bound > budget:
+        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+    # a zero ``extra`` is the caller's own zero object: caches and comparisons
+    # that meet the caller's spaces then hit on identity
+    zero = next((extra for _, extra in rows if not extra.dim), None)
+    if zero is None:
+        zero = zero_subspace(under[0].n, under[0].p)
+    memos: list[dict[Row, tuple[Row, ...]]] = [{} for _ in rows]
+
+    def choices(r: int, below: Row) -> tuple[Row, ...]:
+        got = memos[r].get(below)
+        if got is None:
+            dims, extra = rows[r]
+            uppers = [subspace_sum(s, extra) for s in below[: len(dims)]] if extra.dim else below
+            built = [(s,) for s in enumerate_between(zero, uppers[0], dims[0])]
+            for c in range(1, len(dims)):
+                upper, dim = uppers[c], dims[c]
+                built = [b + (s,) for b in built for s in enumerate_between(b[-1], upper, dim)]
+            got = memos[r][below] = tuple(built)
+        return got
+
+    last = len(rows) - 1
+    # stack[r] runs over the choices of row r, beside the rows chosen before it
+    stack = [(iter(choices(0, under)), ())]
+    while stack:
+        level, chosen = stack[-1]
+        if len(stack) > last:
+            stack.pop()
+            for row in level:
+                yield (row,) + chosen
+            continue
+        row = next(level, None)
+        if row is None:
+            stack.pop()
+        else:
+            stack.append((iter(choices(len(stack), row)), (row,) + chosen))

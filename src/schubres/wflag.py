@@ -19,6 +19,8 @@ from schubres.exactlin import (
     DEFAULT_BUDGET,
     InvariantError,
     LinearMap,
+    Row,
+    RowSpec,
     Stage,
     Subspace,
     contains,
@@ -28,6 +30,7 @@ from schubres.exactlin import (
     span,
     subspace_sum,
     tower,
+    walk_rows,
     zero_subspace,
 )
 from schubres.grassfib import FrameConfig
@@ -85,33 +88,26 @@ def ghat_count_formula(cfg: FrameConfig) -> int:
     return total
 
 
+def ghat_rows(cfg: FrameConfig) -> tuple[Row, list[RowSpec]]:
+    """The grid as ``walk_rows`` input: rows k..1, row i of dimensions
+    1..i.  Row k lies under the nested spaces (nested(j, k))_j, and a
+    higher row i under the row below plus complement(i+1)."""
+    k = cfg.k
+    under = tuple(cfg.nested(j, k) for j in range(1, k + 1))
+    zero = zero_subspace(cfg.n, cfg.p)
+    rows = [(range(1, i + 1), cfg.complement(i + 1) if i < k else zero) for i in range(k, 0, -1)]
+    return under, rows
+
+
 def enumerate_ghat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GHatPoint]:
     """All grid points, built from the bottom row upward.
 
     The bottom row is a chain in the nested spaces; each higher row j-th
     cell sits between its left neighbour and the cell below plus the
-    complement of the interleaving line's window.
+    complement of the interleaving line's window; ``walk_rows`` walks
+    the rows, which the points share.
     """
-    k = cfg.k
-    zero = zero_subspace(cfg.n, cfg.p)
-
-    def cell(i: int, j: int) -> Stage:
-        # rows are chosen from k down to 1, so the cell below is i+1 choices back
-        def spaces(c: tuple[Subspace, ...]) -> tuple[Subspace, Subspace]:
-            lower = c[-1] if j > 1 else zero
-            if i == k:
-                return lower, cfg.nested(j, k)
-            return lower, subspace_sum(c[-i - 1], cfg.complement(i + 1))
-
-        gap = cfg.window(i + 1).dim - 1 if i < k else cfg.tail.dim
-        return Stage(spaces, j - 1, j + gap, j)
-
-    stages = [cell(i, j) for i in range(k, 0, -1) for j in range(1, i + 1)]
-    # row i holds the i choices that follow rows k..i+1
-    end = len(stages)
-    rows = [slice(end - i * (i + 1) // 2, end - i * (i - 1) // 2) for i in range(1, k + 1)]
-    for c in tower(stages, cfg.p, budget):
-        yield tuple(c[row] for row in rows)
+    yield from walk_rows(*ghat_rows(cfg), budget)
 
 
 def ghat_membership(cfg: FrameConfig, pt: GHatPoint) -> bool:

@@ -32,7 +32,6 @@ from schubres.biflag import (
     GridPoint,
     enumerate_shat,
     flag_position,
-    grid_stages,
     project_to_flag,
     standard_frames,
 )
@@ -831,17 +830,67 @@ def cell_points(cfg: FrameConfig) -> Iterator[Subspace]:
             yield l
 
 
+def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
+    """The grid tower as tower stages: rows from the bottom up, each left
+    to right; cell (row, col) lies between its left and lower neighbours."""
+    n = w.n
+    d = rank_matrix(w)
+    frames = standard_frames(n, p)
+    top = n - 1 if pinned_last_row else n
+    stages = []
+    for row in range(top, 0, -1):
+        for col in range(1, n + 1):
+            # the left neighbour is the previous choice, the lower one n choices
+            # back; the top row lies under the pinned row or the whole space
+            fixed_upper = frames[col] if pinned_last_row else frames[n]
+
+            def spaces(c, row=row, col=col, fixed_upper=fixed_upper):
+                lower = c[-1] if col > 1 else frames[0]
+                return lower, c[-n] if row < top else fixed_upper
+
+            up = d[row + 1][col] if row < n else n
+            stages.append(Stage(spaces, d[row][col - 1], up, d[row][col]))
+    return stages
+
+
 def enumerate_grid_flat(
     w: Permutation, p: int, pinned_last_row: bool, budget: int = DEFAULT_BUDGET
 ) -> Iterator[GridPoint]:
-    """``biflag._enumerate_grid`` as one ``tower`` over every cell, each
-    point's rows sliced out of its tuple of choices."""
+    """``biflag.enumerate_shat`` (``enumerate_flw`` unpinned) as one
+    ``tower`` over every cell, each point's rows sliced out of its tuple
+    of choices."""
     n = w.n
     frames = standard_frames(n, p)
     pinned = (frames[1:],) if pinned_last_row else ()
     for c in tower(grid_stages(w, p, pinned_last_row), p, budget):
         rows = tuple(c[i : i + n] for i in range(len(c) - n, -1, -n))
         yield GridPoint(n, p, rows + pinned)
+
+
+def enumerate_ghat_flat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GHatPoint]:
+    """``wflag.enumerate_ghat`` as one ``tower`` over every cell, rows k..1
+    each left to right, each point's rows sliced out of its tuple of
+    choices."""
+    k = cfg.k
+    zero = zero_subspace(cfg.n, cfg.p)
+
+    def cell(i: int, j: int) -> Stage:
+        # rows are chosen from k down to 1, so the cell below is i+1 choices back
+        def spaces(c: tuple[Subspace, ...]) -> tuple[Subspace, Subspace]:
+            lower = c[-1] if j > 1 else zero
+            if i == k:
+                return lower, cfg.nested(j, k)
+            return lower, subspace_sum(c[-i - 1], cfg.complement(i + 1))
+
+        gap = cfg.window(i + 1).dim - 1 if i < k else cfg.tail.dim
+        return Stage(spaces, j - 1, j + gap, j)
+
+    stages = [cell(i, j) for i in range(k, 0, -1) for j in range(1, i + 1)]
+    # row i holds the i choices that follow rows k..i+1
+    end = len(stages)
+    rows = [slice(end - i * (i + 1) // 2, end - i * (i - 1) // 2) for i in range(1, k + 1)]
+    for c in tower(stages, cfg.p, budget):
+        yield tuple(c[row] for row in rows)
 
 
 def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:

@@ -11,26 +11,28 @@ from oracles import (
     cell,
     copied,
     enumerate_complete_flags,
+    enumerate_ghat_flat,
     enumerate_grid_flat,
     flag_rank_profile,
     grid_is_valid,
+    grid_stages,
     identity,
     reconstruct_grid_by_intersections,
     verify_flres_by_lists,
 )
 
-from schubres import biflag
+from schubres import biflag, exactlin
 from schubres.biflag import (
     enumerate_flw,
     enumerate_shat,
     flag_position,
-    grid_stages,
+    grid_rows,
     project_to_flag,
     reconstruct_grid,
     standard_frames,
     verify_flres,
 )
-from schubres.exactlin import BudgetExceededError, intersect, tower_bound
+from schubres.exactlin import BudgetExceededError, intersect, rows_bound, tower_bound
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
 
 # every complete flag of these spaces is checked against the rank-profile
@@ -289,7 +291,8 @@ class TestVerifyFlres:
 
 
 class TestRowWalk:
-    """``_enumerate_grid`` against the flat tower over all cells."""
+    """The grids walked by ``exactlin.walk_rows`` against the flat tower
+    over all cells."""
 
     @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), *STREAM_SPACES])
     def test_pinned_order_is_flat_order(self, n, p):
@@ -318,23 +321,48 @@ class TestRowWalk:
         rows = {id(row) for pt in points for row in pt.grid}
         assert len(rows) < len(points) == 3 ** 6
 
+    def test_unpinned_points_share_rows(self):
+        points = list(enumerate_flw(Permutation((2, 3, 1)), 3))
+        rows = {id(row) for pt in points for row in pt.grid}
+        assert len(rows) < 3 * len(points)
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
     @pytest.mark.parametrize("pinned", [True, False])
-    def test_refused_before_first_point(self, monkeypatch, pinned):
-        # the whole tower is refused with the flat tower's message, and no
-        # row is walked first
-        w = _longest(4)
-        with pytest.raises(BudgetExceededError) as flat:
-            next(enumerate_grid_flat(w, 3, pinned, budget=100))
+    def test_row_bound_is_flat_tower_bound(self, n, p, pinned):
+        for w in all_permutations(n):
+            want = tower_bound(grid_stages(w, p, pinned), p)
+            assert rows_bound(*grid_rows(w, p, pinned)) == want, w
+
+    @staticmethod
+    def _refused_before_first_row(monkeypatch, rows, flat):
+        """The whole tower is refused with the flat tower's message, and
+        no row is walked first."""
+        with pytest.raises(BudgetExceededError) as flat_error:
+            next(flat)
 
         def no_row(lower, upper, dim):
             raise AssertionError("a row was walked")
 
-        monkeypatch.setattr(biflag, "enumerate_between", no_row)
+        monkeypatch.setattr(exactlin, "enumerate_between", no_row)
+        with pytest.raises(BudgetExceededError) as rows_error:
+            next(rows)
+        assert str(rows_error.value) == str(flat_error.value)
+        assert str(rows_error.value).startswith("tower needs up to ")
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_refused_before_first_point(self, monkeypatch, pinned):
+        w = _longest(4)
         walk = enumerate_shat if pinned else enumerate_flw
-        with pytest.raises(BudgetExceededError) as rows:
-            next(walk(w, 3, budget=100))
-        assert str(rows.value) == str(flat.value)
-        assert str(rows.value).startswith("tower needs up to ")
+        flat = enumerate_grid_flat(w, 3, pinned, budget=100)
+        self._refused_before_first_row(monkeypatch, walk(w, 3, budget=100), flat)
+
+    def test_ghat_refused_before_first_point(self, monkeypatch):
+        from schubres.grassfib import make_frame
+        from schubres.wflag import enumerate_ghat
+
+        cfg = make_frame(6, 3, (2, 4))
+        flat = enumerate_ghat_flat(cfg, budget=100)
+        self._refused_before_first_row(monkeypatch, enumerate_ghat(cfg, budget=100), flat)
 
 
 class TestVerifyFlresStreams:

@@ -623,8 +623,7 @@ BOUND_SPACES = [(3, 2), (3, 3), (4, 2)]
 def _bound_stage_lists(n, p):
     """Complete flags, and the pinned grid, Bott-Samelson and first-block
     towers of every permutation of S_n (unpinned grids too for n = 3)."""
-    from oracles import complete_flag_stages
-    from schubres.biflag import grid_stages
+    from oracles import complete_flag_stages, grid_stages
     from schubres.bottsamelson import bs_stages, first_block_stages
     from schubres.permcomb import all_permutations, bubblesort_word
 
@@ -689,19 +688,52 @@ class TestTower:
             for beta in itertools.combinations(range(1, n + 1), k)
         ]
 
-        def points():
+        def points(ghat):
             out = []
             for cfg in frames:
                 flag = tuple(cfg.frames[b] for b in cfg.beta)
                 out.append(list(embres.kl_points(flag, 2)))
                 out.append(list(wflag.enumerate_gcal(cfg)))
-                out.append(list(wflag.enumerate_ghat(cfg)))
+                out.append(list(ghat(cfg)))
             return out
 
-        got = points()
+        # enumerate_ghat walks rows, not a tower: check its flat oracle's tower
+        got = points(wflag.enumerate_ghat)
         monkeypatch.setattr(embres, "tower", oracles.recursive_tower)
         monkeypatch.setattr(wflag, "tower", oracles.recursive_tower)
-        assert got == points()
+        monkeypatch.setattr(oracles, "tower", oracles.recursive_tower)
+        assert got == points(oracles.enumerate_ghat_flat)
+
+
+def _standard_flags(n, p):
+    """Every standard partial flag (F_b)_b of GF(p)^n, b increasing."""
+    frames = [ex.coordinate_space(range(b), n, p) for b in range(n + 1)]
+    for k in range(1, n + 1):
+        for beta in itertools.combinations(range(1, n + 1), k):
+            yield tuple(frames[b] for b in beta)
+
+
+def _one_row(flag):
+    """A walk of one row under ``flag``: cell c of dimension c + 1."""
+    zero = ex.zero_subspace(flag[0].n, flag[0].p)
+    return flag, [(range(1, len(flag) + 1), zero)]
+
+
+class TestWalkRows:
+    @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(1, 5)])
+    def test_one_row_is_the_chain_tower(self, n, p):
+        from schubres.embres import kl_points
+
+        for flag in _standard_flags(n, p):
+            got = [pt[0] for pt in ex.walk_rows(*_one_row(flag), ex.DEFAULT_BUDGET)]
+            assert got == list(kl_points(flag, p)), flag
+
+    def test_budget_at_bound_runs(self):
+        under, rows = _one_row(tuple(ex.full_space(4, 2) for _ in range(3)))
+        bound = ex.rows_bound(under, rows)
+        assert len(list(ex.walk_rows(under, rows, bound))) == bound
+        with pytest.raises(ex.BudgetExceededError, match=f"tower needs up to {bound} points"):
+            next(ex.walk_rows(under, rows, bound - 1))
 
 
 def _enumerators():

@@ -4,7 +4,14 @@ import itertools
 import random
 
 import pytest
-from oracles import apply, compress_maps, gcal_membership, graph_tuple, zero_map
+from oracles import (
+    apply,
+    compress_maps,
+    enumerate_ghat_flat,
+    gcal_membership,
+    graph_tuple,
+    zero_map,
+)
 
 from schubres.exactlin import (
     BudgetExceededError,
@@ -12,6 +19,7 @@ from schubres.exactlin import (
     contains,
     graph,
     intersect,
+    rows_bound,
     subspace_sum,
 )
 from schubres.grassfib import make_frame
@@ -23,6 +31,7 @@ from schubres.wflag import (
     fixed_map_tuples,
     ghat_count_formula,
     ghat_membership,
+    ghat_rows,
     in_u,
     pi_diag,
     psi_tilde,
@@ -169,6 +178,37 @@ class TestEnumerateGhat:
     def test_count_matches_row_product(self):
         cfg = make_frame(5, 2, (2, 4))
         assert len(list(enumerate_ghat(cfg))) == ghat_count_formula(cfg) == 27
+
+
+def _default_frames(n, p):
+    return [
+        make_frame(n, p, beta)
+        for k in range(1, n + 1)
+        for beta in itertools.combinations(range(1, n + 1), k)
+    ]
+
+
+class TestGhatRowWalk:
+    """``enumerate_ghat``'s row walk against the flat tower over all cells."""
+
+    @pytest.mark.parametrize("n, p", [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)])
+    def test_order_is_flat_order(self, n, p):
+        for cfg in _default_frames(n, p):
+            assert list(enumerate_ghat(cfg)) == list(enumerate_ghat_flat(cfg)), cfg
+
+    def test_points_share_rows(self):
+        # a row is built once over each distinct row below it, where the
+        # flat tower slices fresh rows out of every point
+        points = list(enumerate_ghat(make_frame(5, 3, (1, 3, 5))))
+        rows = {id(row) for pt in points for row in pt}
+        assert len(rows) < 3 * len(points)
+        flat = list(enumerate_ghat_flat(make_frame(5, 3, (1, 3, 5))))
+        assert len({id(row) for pt in flat for row in pt}) == 3 * len(flat)
+
+    @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(1, 7)])
+    def test_row_bound_is_row_product(self, n, p):
+        for cfg in _default_frames(n, p):
+            assert rows_bound(*ghat_rows(cfg)) == ghat_count_formula(cfg), cfg
 
 
 class TestLift:
