@@ -3,13 +3,11 @@
 A subspace of GF(p)^n is stored through its canonical basis: the reduced
 row echelon form of any spanning set, zero rows dropped.  Canonical bases
 make equality and hashing structural, so subspaces deduplicate in sets
-and serve as dictionary keys directly.  The value types are slotted
-classes (``Subspace``) and NamedTuples (``LinearMap``, ``Stage``,
-``Chart``), never changed after construction; all operations are pure
-functions, and results are cached and shared freely.  ``Subspace`` is
-not frozen, since a frozen class pays one ``object.__setattr__`` per
-field on every construction and subspaces are built in every verifier's
-inner loop; no code outside the class writes its fields.
+and serve as dictionary keys directly.  Every value type here
+(``Subspace``, ``LinearMap``, ``Stage``, ``Chart``) is a NamedTuple,
+immutable and compared, hashed and sorted as its field tuple; all
+operations are pure functions, and results are cached and shared
+freely.
 
 Vectors are tuples of ints reduced mod p; matrices are tuples of row
 tuples.  Coordinates are 0-based throughout this module.
@@ -102,62 +100,24 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Rows, tuple[int, ...]]:
     return tuple(tuple(r) for r in mat[:row]), tuple(pivots)
 
 
-class Subspace:
+class _SubspaceFields(NamedTuple):
+    n: int
+    p: int
+    basis: Rows
+    pivots: tuple[int, ...]
+
+
+class Subspace(_SubspaceFields):
     """A linear subspace of GF(p)^n in canonical reduced-row-echelon form.
 
-    Two subspaces are equal iff their canonical basis matrices are equal:
-    the basis fixes the pivots.  Subspaces sort on (n, p, basis), so
+    A subspace is the tuple (n, p, basis, pivots): it hashes, compares
+    and sorts as that tuple.  The basis fixes the pivots, so two
+    subspaces are equal iff their canonical basis matrices are, and
     same-shape subspaces sort lexicographically on the canonical basis
-    matrix, which fixes every enumeration order in this package.  The
-    hash is that of (n, p, basis, pivots), computed on first use and
-    stored in a slot that equality, ordering and repr ignore.  No field
-    changes after construction (see the module docstring).
+    matrix, which fixes every enumeration order in this package.
     """
 
-    __slots__ = ("n", "p", "basis", "pivots", "_hash")
-
-    def __init__(self, n: int, p: int, basis: Rows, pivots: tuple[int, ...]) -> None:
-        self.n = n
-        self.p = p
-        self.basis = basis
-        self.pivots = pivots
-        self._hash = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        return self.basis == other.basis and self.n == other.n and self.p == other.p
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        return (self.n, self.p, self.basis) < (other.n, other.p, other.basis)
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        return (self.n, self.p, self.basis) <= (other.n, other.p, other.basis)
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        return (self.n, self.p, self.basis) > (other.n, other.p, other.basis)
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        return (self.n, self.p, self.basis) >= (other.n, other.p, other.basis)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.n, self.p, self.basis, self.pivots))
-        return h
-
-    def __repr__(self) -> str:
-        return f"Subspace(n={self.n!r}, p={self.p!r}, basis={self.basis!r}, pivots={self.pivots!r})"
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

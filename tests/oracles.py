@@ -7,7 +7,9 @@ read-offs replace, the subspace arithmetic (``frame_by_arithmetic``,
 ``subspaces_by_span``) that its coordinate-built frames and echelon
 charts replace, and the row reductions and intersections
 (``canonical_complement_by_coords``, ``reconstruct_grid_by_intersections``)
-that its pivot and reverse-echelon read-offs replace, the
+that its pivot and reverse-echelon read-offs replace, the meets with
+the standard flag that check them (``meet_by_elimination``), reduced
+by ``rref_by_elimination`` and never by the package's ``rref``, the
 intersections that ``embres`` reads off its chain walk instead
 (``forced_chain_by_intersections``), and the walk of each family flag's
 own chain tower that ``embres`` reads off its grid walk instead
@@ -539,26 +541,38 @@ def zero_map(domain: Subspace, target: Subspace) -> LinearMap:
     return LinearMap(domain, target, tuple((0,) * domain.dim for _ in range(target.dim)))
 
 
-def flag_rank_profile(flag: Flag, frames: Flag) -> tuple[tuple[int, ...], ...]:
-    """dim(l_p ∩ F_q) for p, q = 1..n by n^2 intersections: the slow
-    independent oracle for ``biflag.flag_position``."""
+def meet_by_elimination(l: Subspace, q: int) -> Subspace:
+    """l ∩ F_q, F_q = <e_1..e_q>, by ``rref_by_elimination`` alone, so
+    that no path of the package's ``rref`` is shared with ``biflag``.
+
+    l's rows are reduced with the coordinates past q moved first; the
+    reduced rows that vanish there span the meet, and a second reduction
+    gives its canonical basis."""
+    n, p = l.n, l.p
+    moved, _ = rref_by_elimination([row[q:] + row[:q] for row in l.basis], p)
+    rows = [m[n - q :] + (0,) * (n - q) for m in moved if not any(m[: n - q])]
+    basis, pivots = rref_by_elimination(rows, p)
+    return Subspace(n, p, basis, pivots)
+
+
+def flag_rank_profile(flag: Flag) -> tuple[tuple[int, ...], ...]:
+    """dim(l_p ∩ F_q) for p, q = 1..n by n^2 meets with the standard
+    flag: the slow independent oracle for ``biflag.flag_position``."""
     n = len(flag)
     return tuple(
-        tuple(intersect(flag[pp - 1], frames[q]).dim for q in range(1, n + 1))
+        tuple(meet_by_elimination(flag[pp - 1], q).dim for q in range(1, n + 1))
         for pp in range(1, n + 1)
     )
 
 
 def reconstruct_grid_by_intersections(flag: Flag) -> GridPoint:
-    """``biflag.reconstruct_grid`` by n^2 intersections l_p ∩ F_q."""
+    """``biflag.reconstruct_grid`` by n^2 meets l_p ∩ F_q."""
     n = len(flag)
-    p = flag[0].p
-    frames = standard_frames(n, p)
     grid = tuple(
-        tuple(intersect(flag[row - 1], frames[col]) for col in range(1, n + 1))
+        tuple(meet_by_elimination(flag[row - 1], col) for col in range(1, n + 1))
         for row in range(1, n + 1)
     )
-    return GridPoint(n, p, grid)
+    return GridPoint(n, flag[0].p, grid)
 
 
 def copied(pt: GridPoint) -> GridPoint:

@@ -225,22 +225,11 @@ class TestSubspaceHash:
     def test_hash_is_tuple_hash(self):
         for s in all_subspaces(3, 3):
             h = hash((s.n, s.p, s.basis, s.pivots))
-            assert hash(s) == h and hash(s) == h  # computed, then stored
+            assert hash(s) == h and hash(s) == h  # the same on every call
 
     def test_no_instance_dict(self):
         s = sp([E1, E2], 3)
         assert not hasattr(s, "__dict__")
-
-    def test_stored_hash_ignored_by_eq_order_and_repr(self):
-        spaces = all_subspaces(3, 2)
-        fresh = all_subspaces(3, 2)
-        for s in spaces[::2]:
-            hash(s)
-        for s, t in zip(spaces, fresh):
-            assert s == t and not s < t and not t < s and s <= t
-            assert repr(s) == repr(t)
-        assert sorted(spaces) == sorted(fresh)
-        assert sorted(spaces, reverse=True) == sorted(fresh, reverse=True)
 
 
 def field_tuple(s):
@@ -263,12 +252,14 @@ class TestSubspaceValueType:
         assert sorted(shuffled) == sorted(shuffled, key=field_tuple)
         assert sorted(shuffled, reverse=True) == sorted(shuffled, key=field_tuple, reverse=True)
 
-    def test_never_equals_its_field_tuple(self):
-        for s in all_subspaces(3, 2):
-            fields = field_tuple(s)
-            assert s != fields and fields != s and s != list(fields)
-            with pytest.raises(TypeError):
-                sorted([s, fields])
+    @pytest.mark.parametrize("field", ["n", "p", "basis", "pivots"])
+    def test_fields_cannot_be_set_or_deleted(self, field):
+        s = sp([E1, E2], 3)
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(s, field))
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+        assert field_tuple(s) == (3, 2, (E1, E2), (0, 1))
 
     def test_linear_map_rejects_wrong_shape(self):
         d, t = sp([E1, E2], 3), sp([E3], 3)
