@@ -2,7 +2,9 @@
 
 A grid point is an n x n array of subspaces whose dimensions follow the
 rank matrix of a permutation, increasing along rows and columns, with
-each cell contained in its right and lower neighbours.  Pinning the last
+each cell contained in its right and lower neighbours.  It is the tuple
+of rows that ``exactlin.walk_rows`` yields, row 1 first: ``pt[p-1][q-1]``
+is the cell in row p, column q, as in a W-flag grid.  Pinning the last
 row to the standard flag cuts out a tower whose last column projects
 onto the Schubert variety of the flag manifold; the projection is a
 bijection over the Schubert cell, which is verified point by point here.
@@ -13,6 +15,7 @@ grid is ``exactlin.walk_rows`` over rows n..1, so a row's choices over
 each distinct row below it are built once per walk, left to right, and
 the points share them.  A verifier that reads a point therefore needs
 to redo only the rows whose objects differ from the last point's.
+``verify_flres`` checks the tower's bound before it builds anything.
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import sub
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -47,6 +50,7 @@ from schubres.exactlin import (
     RowSpec,
     Subspace,
     Vec,
+    check_budget,
     coordinate_space,
     rows_bound,
     rref,
@@ -58,14 +62,6 @@ from schubres.report import EnumReport, subspace_witness, timed
 Flag = tuple[Subspace, ...]
 
 _UNSEEN = object()  # a dict default that no stored value equals
-
-
-class GridPoint(NamedTuple):
-    """A bioriented grid: ``grid[p-1][q-1]`` is the cell in row p, column q."""
-
-    n: int
-    p: int
-    grid: tuple[Row, ...]
 
 
 @lru_cache(maxsize=None)
@@ -89,28 +85,24 @@ def grid_rows(w: Permutation, p: int, pinned_last_row: bool) -> tuple[Row, list[
 
 def enumerate_flw(
     w: Permutation, p: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[GridPoint]:
+) -> Iterator[tuple[Row, ...]]:
     """All GF(p) points of the bioriented flag grid of w."""
-    n, new_point = w.n, tuple.__new__  # GridPoint's own constructor, without its call layer
-    for grid in walk_rows(*grid_rows(w, p, pinned_last_row=False), budget):
-        yield new_point(GridPoint, (n, p, grid))
+    yield from walk_rows(*grid_rows(w, p, pinned_last_row=False), budget)
 
 
 def enumerate_shat(
     w: Permutation, p: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[GridPoint]:
+) -> Iterator[tuple[Row, ...]]:
     """All GF(p) points with the bottom row pinned to the standard flag.
 
     The count is (p+1)^length(w): a tower of projective lines.
     """
-    n, new_point = w.n, tuple.__new__
-    for grid in walk_rows(*grid_rows(w, p, pinned_last_row=True), budget):
-        yield new_point(GridPoint, (n, p, grid))
+    yield from walk_rows(*grid_rows(w, p, pinned_last_row=True), budget)
 
 
-def project_to_flag(pt: GridPoint) -> Flag:
+def project_to_flag(pt: tuple[Row, ...]) -> Flag:
     """The last column of the grid, a complete flag."""
-    return tuple([row[-1] for row in pt.grid])
+    return tuple([row[-1] for row in pt])
 
 
 def _ends(space: Subspace) -> dict[int, Vec]:
@@ -145,7 +137,7 @@ def flag_position(flag: Flag, memo: dict[Subspace, int] | None = None) -> Permut
     return Permutation(tuple(map(sub, sums[1:], sums)))
 
 
-def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> GridPoint:
+def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> tuple[Row, ...]:
     """The candidate preimage over the cell: cell (p, q) = l_p ∩ F_q.
 
     Row p is read off ``_ends(l_p)``: each meet is the one before,
@@ -153,14 +145,13 @@ def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> Gri
     each distinct space's row, as ``flag_position`` keeps its sums.
     """
     n = len(flag)
-    p = flag[0].p
     memo = {} if memo is None else memo
     grid = []
     for space in flag:
         row = memo.get(space)
         if row is None:
             ends = _ends(space)
-            meet = standard_frames(n, p)[0]
+            meet = standard_frames(n, space.p)[0]
             meets = []
             for q in range(1, n + 1):
                 if q in ends:
@@ -168,7 +159,7 @@ def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> Gri
                 meets.append(meet)
             row = memo[space] = tuple(meets)
         grid.append(row)
-    return GridPoint(n, p, tuple(grid))
+    return tuple(grid)
 
 
 def enumerate_report(
@@ -214,6 +205,8 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
     report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
     with timed(report):
         n = w.n
+        # refuse an oversized tower before the Bruhat interval is built
+        check_budget(rows_bound(*grid_rows(w, p, pinned_last_row=True)), budget)
         below = {u for u in all_permutations(n) if bruhat_leq(u, w)}
         sums: dict[Subspace, int] = {}
         meet_rows: dict[Subspace, Row] = {}
@@ -224,12 +217,12 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         key = [0] * n
         # image flag -> its one point over the cell of w, None once a second
         # comes, False for a flag off the cell
-        fiber: dict[tuple[int, ...], GridPoint | None | bool] = {}
+        fiber: dict[tuple[int, ...], tuple[Row, ...] | None | bool] = {}
         tower_points = 0
         outside = None
         for pt in enumerate_shat(w, p, budget):
             tower_points += 1
-            for i, row in enumerate(pt.grid):
+            for i, row in enumerate(pt):
                 if row is not rows[i]:
                     rows[i] = row
                     key[i] = index.setdefault(row[-1], len(index))

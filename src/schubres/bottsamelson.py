@@ -24,7 +24,6 @@ from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, tower
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
-    bs_incidence,
     bubblesort_word,
     length,
 )
@@ -38,7 +37,6 @@ def bs_stages(word: ReducedWord, p: int) -> list[Stage]:
     between the latest earlier choices one dimension below and above, or
     the fixed flag spaces when no such letter precedes."""
     frames = standard_frames(word.n, p)
-    inc = bs_incidence(word)
 
     def stage(d: int, li: int | None, ri: int | None) -> Stage:
         def spaces(c: BSPoint) -> tuple[Subspace, Subspace]:
@@ -48,7 +46,7 @@ def bs_stages(word: ReducedWord, p: int) -> list[Stage]:
 
         return Stage(spaces, d - 1, d + 1, d)
 
-    return [stage(*letter) for letter in zip(word.letters, inc.left, inc.right)]
+    return [stage(*letter) for letter in zip(word.letters, word.left, word.right)]
 
 
 def enumerate_bs(
@@ -172,10 +170,9 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
                 image_is_tower = False
                 continue
             grid_count += 1
-            grid = pt.grid
             first_changed = False
             for r, read, spaces in reads:
-                row = grid[r]
+                row = pt[r]
                 if row is not rows[r]:
                     rows[r] = row
                     first_changed = first_changed or r == n - 2

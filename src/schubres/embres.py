@@ -23,17 +23,19 @@ from schubres.exactlin import (
     LinearMap,
     Stage,
     Subspace,
+    check_budget,
     contains,
     enumerate_maps,
     gaussian_binomial,
     graph,
     intersect,
+    rows_bound,
     subspace_sum,
     tower,
     tower_bound,
     zero_subspace,
 )
-from schubres.grassfib import LOCI, FrameConfig, closed_locus
+from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, closed_locus
 from schubres.report import EnumReport, subspace_witness, timed
 from schubres.wflag import (
     GHatPoint,
@@ -41,6 +43,7 @@ from schubres.wflag import (
     enumerate_ghat,
     fixed_map_tuples,
     ghat_membership,
+    ghat_rows,
     pi_diag,
     psi_tilde,
 )
@@ -146,10 +149,13 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """The chart-family and embedded-resolution checks, under the
     ``chart.`` and ``resolution.`` prefixes, from one walk of the grid.
 
-    The closed locus is walked first (``closed_locus``), so that it and
-    the cell, which lies in it, are known during the grid walk; the walk
-    refuses an oversized Gr_k before the chart, which lies in it, is
-    built.  Gr_k itself is not walked: its size is the Gaussian binomial.
+    Every bound is checked before the first walk, in the order the
+    walks would meet them: Gr_k, the grid's, then the chain tower's.
+    Every flag walked has the dimensions beta, so every chain tower has
+    the bound of the standard flag's.  The closed locus is walked first
+    (``closed_locus``), so that it and the cell, which lies in it, are
+    known during the grid walk.  Gr_k itself is not walked: its size is
+    the Gaussian binomial.
     Each grid point is paired with the chain tower over its flag.  The
     map to the top space hits all of Gr_k (empirical), is one-to-one
     over the chart, and sends only pairs over the special grid point to
@@ -164,8 +170,8 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     L_i ⊆ gt ∩ flag[i]; if some meet is larger than i+1, the lowest such
     level offers p+1 choices that each extend up to gt, so one chain
     means the chain is forced.  That needs each flag's walk complete: its
-    chain count must equal ``tower_bound`` of its levels, exact for a
-    flag, and a family flag that no grid point carries keeps 0 and fails.
+    chain count must equal the one chain bound, exact for a flag, and a
+    family flag that no grid point carries keeps 0 and fails.
     """
     report = EnumReport(
         "embres verify",
@@ -173,6 +179,11 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     )
     with timed(report):
         p, k = cfg.p, cfg.k
+        standard = tuple(cfg.frames[b] for b in cfg.beta)
+        check_grassmannian(cfg, budget)
+        check_budget(rows_bound(*ghat_rows(cfg)), budget)
+        chain_bound = tower_bound(kl_stages(standard, p), p)
+        check_budget(chain_bound, budget)
         cell: set[Subspace] = set()
         closed: set[Subspace] = set()
         in_cell = _cell_test(cfg)
@@ -193,7 +204,6 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         hits: dict[Subspace, tuple[int, int] | None] = dict.fromkeys(graphs)
 
         o = special_point(cfg)
-        standard = tuple(cfg.frames[b] for b in cfg.beta)
         special_ok = ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard
 
         # per chain top, its one grid point, or None once a second pair tops it
@@ -237,9 +247,7 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
         unique_ok = True
         recon_ok = True
-        forced_ok = all(
-            count == tower_bound(kl_stages(flag, p), p) for count, flag in zip(chains, flags)
-        )
+        forced_ok = all(count == chain_bound for count in chains)
         for t, gt in zip(chart_maps(cfg), graphs, strict=True):
             entry = hits[gt]
             if entry is None or entry is _TOPPED_TWICE:

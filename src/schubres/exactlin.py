@@ -32,6 +32,12 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured candidate budget."""
 
 
+def check_budget(bound: int, budget: int) -> None:
+    """Refuse a walk of up to ``bound`` points that exceeds the budget."""
+    if bound > budget:
+        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+
+
 class InvariantError(RuntimeError):
     """A computed value broke an invariant that holds for every valid
     input: a fault in the program, not in its configuration."""
@@ -581,9 +587,7 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
     budget.  The walk keeps one open iterator per level above the last
     and calls ``enumerate_between`` once per node.
     """
-    bound = tower_bound(stages, p)
-    if bound > budget:
-        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+    check_budget(tower_bound(stages, p), budget)
     last = len(stages) - 1
     if last < 0:
         yield ()
@@ -641,9 +645,7 @@ def walk_rows(under: Row, rows: Sequence[RowSpec], budget: int) -> Iterator[tupl
     lists its rows last-chosen first.  The whole walk is refused before
     its first point when ``rows_bound`` exceeds the budget.
     """
-    bound = rows_bound(under, rows)
-    if bound > budget:
-        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+    check_budget(rows_bound(under, rows), budget)
     # a zero ``extra`` is the caller's own zero object: caches and comparisons
     # that meet the caller's spaces then hit on identity
     zero = next((extra for _, extra in rows if not extra.dim), None)

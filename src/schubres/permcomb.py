@@ -1,4 +1,4 @@
-"""Permutation combinatorics: rank matrices, bubblesort words, incidence data.
+"""Permutation combinatorics: rank matrices, bubblesort words and their incidence.
 
 Permutations live in S_n with 1-based one-line notation w(1), ..., w(n).
 The composition convention is fixed once: right multiplication by the
@@ -107,21 +107,32 @@ class ReducedWord:
     position n-s+1; the flattened letter sequence multiplies to w.
     ``letters`` is that sequence and ``last_occurrences[i-1]`` the
     1-based index of the last occurrence of s_i in it, or None when s_i
-    never occurs (the fixed space F_i is used then); both are computed
-    once, when the word is made.  Words are equal and hash alike by
+    never occurs (the fixed space F_i is used then).  The word carries
+    its own Bott-Samelson incidence: for letter j = s_d, ``left[j-1]``
+    and ``right[j-1]`` are the latest earlier indices carrying s_{d-1}
+    and s_{d+1}, or None when there is none (the fixed spaces F_{d-1}
+    and F_{d+1} bound the choice then).  All are computed in one pass,
+    when the word is made.  Words are equal and hash alike by
     (n, blocks).
     """
 
-    __slots__ = ("n", "blocks", "letters", "last_occurrences")
+    __slots__ = ("n", "blocks", "letters", "last_occurrences", "left", "right")
 
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
         self.n = n
         self.blocks = blocks
         self.letters = tuple(itertools.chain.from_iterable(blocks))
-        last: list[int | None] = [None] * (n - 1)
+        # last[d] is the latest index so far carrying s_d; s_0 and s_n never occur
+        last: list[int | None] = [None] * (n + 1)
+        left: list[int | None] = []
+        right: list[int | None] = []
         for j, d in enumerate(self.letters, start=1):
-            last[d - 1] = j
-        self.last_occurrences = tuple(last)
+            left.append(last[d - 1])
+            right.append(last[d + 1])
+            last[d] = j
+        self.last_occurrences = tuple(last[1:n])
+        self.left = tuple(left)
+        self.right = tuple(right)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ReducedWord:
@@ -157,33 +168,6 @@ def bubblesort_word(w: Permutation) -> ReducedWord:
     if tuple(cur) != w.one_line:
         raise InvariantError(f"bubblesort of {w.one_line} ends at {tuple(cur)}")
     return ReducedWord(n, tuple(blocks))
-
-
-class BSIncidence(NamedTuple):
-    """Per-letter incidence data for a Bott-Samelson tower.
-
-    For letter j, ``left[j-1]`` / ``right[j-1]`` hold the greatest
-    earlier index carrying the letter s_{d_j - 1} / s_{d_j + 1}; None
-    means no such index, in which case the fixed spaces F_{d_j - 1} and
-    F_{d_j + 1} bound the chosen subspace.
-    """
-
-    n: int
-    letters: tuple[int, ...]
-    left: tuple[int | None, ...]
-    right: tuple[int | None, ...]
-
-
-def bs_incidence(word: ReducedWord) -> BSIncidence:
-    letters = word.letters
-    left: list[int | None] = []
-    right: list[int | None] = []
-    for j, d in enumerate(letters, start=1):
-        lj = next((i for i in range(j - 1, 0, -1) if letters[i - 1] == d - 1), None)
-        rj = next((i for i in range(j - 1, 0, -1) if letters[i - 1] == d + 1), None)
-        left.append(lj)
-        right.append(rj)
-    return BSIncidence(word.n, letters, tuple(left), tuple(right))
 
 
 def rank_matrix_report(w: Permutation) -> EnumReport:

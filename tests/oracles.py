@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from schubres import biflag, exactlin, permcomb
 from schubres.biflag import (
     Flag,
-    GridPoint,
     enumerate_shat,
     flag_position,
     project_to_flag,
@@ -54,6 +53,7 @@ from schubres.exactlin import (
     BudgetExceededError,
     InvariantError,
     LinearMap,
+    Row,
     Rows,
     Stage,
     Subspace,
@@ -92,7 +92,6 @@ from schubres.permcomb import (
     ReducedWord,
     all_permutations,
     bruhat_leq,
-    bs_incidence,
     bubblesort_word,
     length,
     rank_matrix,
@@ -565,26 +564,24 @@ def flag_rank_profile(flag: Flag) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def reconstruct_grid_by_intersections(flag: Flag) -> GridPoint:
+def reconstruct_grid_by_intersections(flag: Flag) -> tuple[Row, ...]:
     """``biflag.reconstruct_grid`` by n^2 meets l_p ∩ F_q."""
     n = len(flag)
-    grid = tuple(
+    return tuple(
         tuple(meet_by_elimination(flag[row - 1], col) for col in range(1, n + 1))
         for row in range(1, n + 1)
     )
-    return GridPoint(n, flag[0].p, grid)
 
 
-def copied(pt: GridPoint) -> GridPoint:
+def copied(pt: tuple[Row, ...]) -> tuple[Row, ...]:
     """``pt`` with every row and every cell a new object of the same value."""
-    rows = (tuple(Subspace(s.n, s.p, s.basis, s.pivots) for s in row) for row in pt.grid)
-    return pt._replace(grid=tuple(rows))
+    return tuple(tuple(Subspace(s.n, s.p, s.basis, s.pivots) for s in row) for row in pt)
 
 
-def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
+def grid_is_valid(pt: tuple[Row, ...], w: Permutation) -> bool:
     """Dimensions follow the rank matrix and all inclusions hold."""
     d = rank_matrix(w)
-    n = pt.n
+    n = len(pt)
     for row in range(1, n + 1):
         for col in range(1, n + 1):
             s = cell(pt, row, col)
@@ -597,21 +594,21 @@ def grid_is_valid(pt: GridPoint, w: Permutation) -> bool:
     return True
 
 
-def cell(pt: GridPoint, row: int, col: int) -> Subspace:
+def cell(pt: tuple[Row, ...], row: int, col: int) -> Subspace:
     """The cell of ``pt`` in row ``row``, column ``col``, both 1-based;
     row or column 0 is the zero subspace."""
     if row == 0 or col == 0:
-        return zero_subspace(pt.n, pt.p)
-    return pt.grid[row - 1][col - 1]
+        return zero_subspace(len(pt), pt[0][0].p)
+    return pt[row - 1][col - 1]
 
 
-def grid_to_bs(pt: GridPoint, w: Permutation) -> BSPoint:
+def grid_to_bs(pt: tuple[Row, ...], w: Permutation) -> BSPoint:
     """The tower coordinates of a pinned grid point, read cell by cell:
     stage s takes the entries of grid row n-s at the still-active
     columns larger than w(n-s+1), then retires that value's column."""
-    cols = list(range(1, pt.n + 1))
+    cols = list(range(1, len(pt) + 1))
     out: list[Subspace] = []
-    for row in range(pt.n - 1, 0, -1):
+    for row in range(len(pt) - 1, 0, -1):
         v = w(row + 1)
         out += [cell(pt, row, q) for q in cols if q > v]
         cols.remove(v)
@@ -627,16 +624,34 @@ def bs_projection(point: BSPoint, word: ReducedWord, p: int) -> Flag:
     return tuple(flag) + (frames[word.n],)
 
 
+def incidence_by_scan(
+    word: ReducedWord,
+) -> tuple[tuple[int | None, ...], tuple[int | None, ...], tuple[int | None, ...]]:
+    """``ReducedWord``'s ``left``, ``right`` and ``last_occurrences``, each
+    index found by its own backward scan of the letters: for letter j =
+    s_d, the latest index before j carrying s_{d-1}, and s_{d+1}; for
+    s_i, the latest index of all carrying it; None when there is none."""
+    letters = word.letters
+
+    def latest(before: int, d: int) -> int | None:
+        return next((i for i in range(before - 1, 0, -1) if letters[i - 1] == d), None)
+
+    left = tuple(latest(j, d - 1) for j, d in enumerate(letters, start=1))
+    right = tuple(latest(j, d + 1) for j, d in enumerate(letters, start=1))
+    last = tuple(latest(len(letters) + 1, i) for i in range(1, word.n))
+    return left, right, last
+
+
 def bs_point_is_valid(point: BSPoint, word: ReducedWord, p: int) -> bool:
     """All incidence relations of the word hold for the point."""
     frames = standard_frames(word.n, p)
-    inc = bs_incidence(word)
+    left, right, _ = incidence_by_scan(word)
     letters = word.letters
     if len(point) != len(letters):
         return False
     for j, d in enumerate(letters, start=1):
         s = point[j - 1]
-        li, ri = inc.left[j - 1], inc.right[j - 1]
+        li, ri = left[j - 1], right[j - 1]
         lower = point[li - 1] if li is not None else frames[d - 1]
         upper = point[ri - 1] if ri is not None else frames[d + 1]
         if s.dim != d or not contains(s, lower) or not contains(upper, s):
@@ -869,7 +884,7 @@ def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
 
 def enumerate_grid_flat(
     w: Permutation, p: int, pinned_last_row: bool, budget: int = DEFAULT_BUDGET
-) -> Iterator[GridPoint]:
+) -> Iterator[tuple[Row, ...]]:
     """``biflag.enumerate_shat`` (``enumerate_flw`` unpinned) as one
     ``tower`` over every cell, each point's rows sliced out of its tuple
     of choices."""
@@ -878,7 +893,7 @@ def enumerate_grid_flat(
     pinned = (frames[1:],) if pinned_last_row else ()
     for c in tower(grid_stages(w, p, pinned_last_row), p, budget):
         rows = tuple(c[i : i + n] for i in range(len(c) - n, -1, -n))
-        yield GridPoint(n, p, rows + pinned)
+        yield rows + pinned
 
 
 def enumerate_ghat_flat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GHatPoint]:
@@ -960,7 +975,7 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
         report.add(
             "tower_count_is_(p+1)^l", len(points) == expected, f"{len(points)} vs {expected}"
         )
-        by_flag: dict[Flag, list[GridPoint]] = {}
+        by_flag: dict[Flag, list[tuple[Row, ...]]] = {}
         for pt in points:
             by_flag.setdefault(project_to_flag(pt), []).append(pt)
         below = {u for u in all_permutations(w.n) if bruhat_leq(u, w)}

@@ -196,7 +196,7 @@ class TestOracleMeets:
             monkeypatch.setattr(oracles, name, refuse)
         for flag, grid in zip(flags, want):
             assert flag_rank_profile(flag) == tuple(tuple(s.dim for s in row) for row in grid)
-            assert reconstruct_grid_by_intersections(flag).grid == grid
+            assert reconstruct_grid_by_intersections(flag) == grid
 
 
 class TestReconstructGrid:
@@ -338,12 +338,12 @@ class TestRowWalk:
         # a row is built once over each distinct row below it, so the
         # points hold fewer row objects than there are points
         points = list(enumerate_shat(_longest(4), 2))
-        rows = {id(row) for pt in points for row in pt.grid}
+        rows = {id(row) for pt in points for row in pt}
         assert len(rows) < len(points) == 3 ** 6
 
     def test_unpinned_points_share_rows(self):
         points = list(enumerate_flw(Permutation((2, 3, 1)), 3))
-        rows = {id(row) for pt in points for row in pt.grid}
+        rows = {id(row) for pt in points for row in pt}
         assert len(rows) < 3 * len(points)
 
     @pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -385,6 +385,23 @@ class TestRowWalk:
         self._refused_before_first_row(monkeypatch, enumerate_ghat(cfg, budget=100), flat)
 
 
+class TestVerifyFlresBudget:
+    @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 2, 1), (2, 4, 1, 3)])
+    def test_refused_before_the_bruhat_interval(self, monkeypatch, one_line):
+        # the tower's bound is checked before ``bruhat_leq`` runs over S_n
+        w = Permutation(one_line)
+        bound = rows_bound(*grid_rows(w, 2, pinned_last_row=True))
+
+        def no_interval(u, v):
+            raise AssertionError("the Bruhat interval was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(biflag, "bruhat_leq", no_interval)
+            with pytest.raises(BudgetExceededError, match=f"^tower needs up to {bound} points"):
+                verify_flres(w, 2, bound - 1)
+        assert verify_flres(w, 2, bound).passed
+
+
 class TestVerifyFlresStreams:
     """The one-pass ``verify_flres`` against the list-based oracle."""
 
@@ -417,7 +434,7 @@ class TestVerifyFlresStreams:
         points = list(enumerate_shat(w, 2))
         i = next(i for i, pt in enumerate(points) if flag_position(project_to_flag(pt)) == w)
         zero = standard_frames(3, 2)[0]
-        points[i] = points[i]._replace(grid=tuple((zero, zero, row[-1]) for row in points[i].grid))
+        points[i] = tuple((zero, zero, row[-1]) for row in points[i])
         for module in (biflag, oracles):
             monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
         got = verify_flres(w, 2)

@@ -98,7 +98,7 @@ class TestBsCells:
         for w in all_permutations(n):
             cells = bs_cells(w)
             for pt in enumerate_shat(w, 2):
-                assert tuple(pt.grid[r][c] for r, c in cells) == grid_to_bs(pt, w)
+                assert tuple(pt[r][c] for r, c in cells) == grid_to_bs(pt, w)
 
 
 class TestBbsIso:

@@ -19,6 +19,7 @@ from oracles import (
     zero_map,
 )
 
+from schubres import embres
 from schubres.embres import (
     chart_graphs,
     chart_maps,
@@ -30,16 +31,18 @@ from schubres.embres import (
     verify_report,
 )
 from schubres.exactlin import (
+    BudgetExceededError,
     contains,
     coordinate_space,
     enumerate_subspaces,
     full_space,
     graph,
     intersect,
+    rows_bound,
     subspace_sum,
 )
 from schubres.grassfib import make_frame
-from schubres.wflag import enumerate_ghat, fixed_map_tuples, pi_diag, psi_tilde
+from schubres.wflag import enumerate_ghat, fixed_map_tuples, ghat_rows, pi_diag, psi_tilde
 
 
 def all_pairs_hits(cfg, flags, gt):
@@ -341,6 +344,29 @@ class TestCellPoints:
         standard = set(rank_filter(cfg, "cell"))
         assert len(adapted) == len(standard) == 8
         assert adapted != standard
+
+
+class TestBudget:
+    """Every bound is checked before the first walk, in the order the
+    walks would refuse: Gr_k, the grid, the chain tower."""
+
+    # |Gr_2(GF(2)^4)| = 35; beta=(1,2) has grid bound 49 and chain bound 1,
+    # beta=(3,4) grid bound 1 and chain bound 49
+    @pytest.mark.parametrize("beta, grid_bound", [((1, 2), 49), ((3, 4), 1)])
+    def test_refused_before_first_walk(self, monkeypatch, beta, grid_bound):
+        cfg = make_frame(4, 2, beta)
+        assert rows_bound(*ghat_rows(cfg)) == grid_bound
+
+        def no_walk(cfg, budget):
+            raise AssertionError("the closed locus was walked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(embres, "closed_locus", no_walk)
+            with pytest.raises(BudgetExceededError, match=r"^Gr_2\(GF\(2\)\^4\) has 35 points"):
+                verify_report(cfg, 34)
+            with pytest.raises(BudgetExceededError, match="^tower needs up to 49 points"):
+                verify_report(cfg, 48)
+        assert verify_report(cfg, 49).passed
 
 
 class TestEmbeddedResolution:

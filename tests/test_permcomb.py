@@ -3,14 +3,18 @@
 import itertools
 
 import pytest
-from oracles import bruhat_interval_oracle, cumulative_block_formula, identity
+from oracles import (
+    bruhat_interval_oracle,
+    cumulative_block_formula,
+    identity,
+    incidence_by_scan,
+)
 
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
     all_permutations,
     bruhat_leq,
-    bs_incidence,
     bubblesort_word,
     jump_points,
     length,
@@ -207,25 +211,39 @@ class TestLastOccurrence:
 
 class TestBSIncidence:
     def test_single_letter(self):
-        inc = bs_incidence(ReducedWord(2, ((1,),)))
-        assert inc.left == (None,)   # falls back to F_0
-        assert inc.right == (None,)  # falls back to F_2
+        word = ReducedWord(2, ((1,),))
+        assert word.left == (None,)   # falls back to F_0
+        assert word.right == (None,)  # falls back to F_2
 
     def test_ascending_word(self):
-        inc = bs_incidence(ReducedWord(3, ((1, 2), ())))
-        assert inc.left[1] == 1      # j=2 sees index 1 carrying s_1
-        assert inc.right[1] is None  # falls back to F_3
+        word = ReducedWord(3, ((1, 2), ()))
+        assert word.left[1] == 1      # j=2 sees index 1 carrying s_1
+        assert word.right[1] is None  # falls back to F_3
 
     def test_descending_word(self):
-        inc = bs_incidence(ReducedWord(3, ((2, 1), ())))
+        word = ReducedWord(3, ((2, 1), ()))
         # j=2 has d_2 = 1: no earlier s_0, but index 1 carries s_2
-        assert inc.left[1] is None
-        assert inc.right[1] == 1
+        assert word.left[1] is None
+        assert word.right[1] == 1
 
     def test_refs_precede_their_letter(self):
         for w in all_permutations(5):
-            inc = bs_incidence(bubblesort_word(w))
-            for j in range(1, len(inc.letters) + 1):
-                for ref in (inc.left[j - 1], inc.right[j - 1]):
+            word = bubblesort_word(w)
+            for j in range(1, len(word.letters) + 1):
+                for ref in (word.left[j - 1], word.right[j - 1]):
                     if ref is not None:
                         assert ref < j
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bubblesort_words_match_scan(self, n):
+        for w in all_permutations(n):
+            word = bubblesort_word(w)
+            assert (word.left, word.right, word.last_occurrences) == incidence_by_scan(word), w
+
+    def test_letter_sequences_match_scan(self):
+        # ``enumerate_bs`` accepts any word, so words that are not reduced count too
+        for size in range(6):
+            for letters in itertools.product((1, 2, 3), repeat=size):
+                word = ReducedWord(4, (letters,))
+                got = (word.left, word.right, word.last_occurrences)
+                assert got == incidence_by_scan(word), letters
