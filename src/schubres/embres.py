@@ -179,9 +179,9 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     )
     with timed(report):
         p, k = cfg.p, cfg.k
-        standard = tuple(cfg.frames[b] for b in cfg.beta)
         check_grassmannian(cfg, budget)
         check_budget(rows_bound(*ghat_rows(cfg)), budget)
+        standard = tuple(cfg.frames[b] for b in cfg.beta)
         chain_bound = tower_bound(kl_stages(standard, p), p)
         check_budget(chain_bound, budget)
         cell: set[Subspace] = set()

@@ -16,6 +16,7 @@ tuples.  Coordinates are 0-based throughout this module.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -32,10 +33,19 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured candidate budget."""
 
 
+def count_text(x: int) -> str:
+    """A count for a message: its digits up to 300 of them, past that a
+    power of ten, as Python 3.11 and later refuse to print an int of more
+    than 4 300 digits."""
+    return str(x) if x < 10**300 else f"about 10^{math.log10(x):.1f}"
+
+
 def check_budget(bound: int, budget: int) -> None:
     """Refuse a walk of up to ``bound`` points that exceeds the budget."""
     if bound > budget:
-        raise BudgetExceededError(f"tower needs up to {bound} points, budget is {budget}")
+        raise BudgetExceededError(
+            f"tower needs up to {count_text(bound)} points, budget is {count_text(budget)}"
+        )
 
 
 class InvariantError(RuntimeError):

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from schubres.biflag import standard_frames
 from schubres.exactlin import (
@@ -40,6 +41,7 @@ from schubres.exactlin import (
     check_field,
     contains,
     coordinate_space,
+    count_text,
     enumerate_maps,
     enumerate_subspaces,
     full_space,
@@ -59,69 +61,31 @@ def check_multi_index(beta: tuple[int, ...], n: int) -> None:
         raise ValueError(f"multi-index {beta} out of range 1..{n}")
 
 
-class FrameConfig:
-    """The fixed frame of (n, p, beta), built from coordinates.
+class _FrameFields(NamedTuple):
+    n: int
+    p: int
+    beta: tuple[int, ...]
 
-    Window i is the block of coordinates ``window_bounds(i)``, that is
-    F_{b_i} ∩ G^{b_{i-1}}.  Its line is the unit vector at its first
-    coordinate, its complement the unit vectors at the others, and the
-    tail G^{b_k} the block past the last window; index k+1 of a
-    complement means the tail.  ``nested(j, i)`` sums the first j lines
-    and the complements past window i.  Each space and sum is the span of
-    unit vectors, built canonical by ``coordinate_space`` once, when the
-    frame is made from (n, p, beta); the standard flag ``frames`` is read
-    on use.  The graphs, projections and base points of this module,
-    ``wflag`` and ``embres`` are read off the blocks.  Frames are equal
-    and hash alike by (n, p, beta).
+
+class FrameConfig(_FrameFields):
+    """The fixed frame of (n, p, beta), read off coordinates.
+
+    A frame is the tuple (n, p, beta): it hashes, compares and prints as
+    that tuple.  Window i is the block of coordinates
+    ``window_bounds(i)``, that is F_{b_i} ∩ G^{b_{i-1}}.  Its line is the
+    unit vector at its first coordinate, its complement the unit vectors
+    at the others, and the tail G^{b_k} the block past the last window;
+    index k+1 of a complement means the tail.  So every frame space,
+    window, line, complement or sum of them, is the span of the unit
+    vectors at some lines and complements (``_span``).  Each accessor
+    builds its space on first use and keeps it in a cache of its own, so
+    making a frame builds nothing, and a later call with the same
+    arguments returns the same object.  The graphs, projections and base
+    points of this module, ``wflag`` and ``embres`` are read off the
+    blocks.
     """
 
-    __slots__ = (
-        "n",
-        "p",
-        "beta",
-        "windows",
-        "lines",
-        "complements",  # within the windows
-        "tail",
-        "_edges",  # 0, b_1 .. b_k, n: the window boundaries
-        "_lines_prefix",
-        "_complements_prefix",
-        "_complements_suffix",
-        "_nested",
-    )
-
-    def __init__(self, n: int, p: int, beta: tuple[int, ...]) -> None:
-        self.n, self.p, self.beta = n, p, beta
-        k = len(beta)
-        edges = self._edges = (0,) + beta + (n,)
-
-        def space(*blocks: Iterable[int]) -> Subspace:
-            return coordinate_space(itertools.chain(*blocks), n, p)
-
-        firsts = edges[:k]  # the coordinate of each window's line
-        comps = [range(edges[i] + 1, edges[i + 1]) for i in range(k)] + [range(edges[k], n)]
-        self.windows = tuple(space(range(edges[i], edges[i + 1])) for i in range(k))
-        self.lines = tuple(space((c,)) for c in firsts)
-        self.complements = tuple(space(c) for c in comps[:k])
-        self.tail = space(comps[k])
-        self._lines_prefix = tuple(space(firsts[:i]) for i in range(k + 1))
-        self._complements_prefix = tuple(space(*comps[:i]) for i in range(k + 2))
-        # entry i: complements i+1..k+1
-        self._complements_suffix = tuple(space(*comps[i:]) for i in range(k + 2))
-        self._nested = {
-            (j, i): space(firsts[:j], *comps[i:]) for i in range(k + 1) for j in range(i + 1)
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FrameConfig:
-            return NotImplemented
-        return (self.n, self.p, self.beta) == (other.n, other.p, other.beta)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.beta))
-
-    def __repr__(self) -> str:
-        return f"FrameConfig(n={self.n!r}, p={self.p!r}, beta={self.beta!r})"
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -129,42 +93,57 @@ class FrameConfig:
 
     @property
     def frames(self) -> tuple[Subspace, ...]:
-        """F_0 .. F_n.  Not built with the frame, which is made before any
-        budget is checked."""
+        """F_0 .. F_n, the standard flag of (n, p)."""
         return standard_frames(self.n, self.p)
-
-    def window(self, i: int) -> Subspace:
-        return self.windows[i - 1]
 
     def window_bounds(self, i: int) -> tuple[int, int]:
         """Window i as the 0-based coordinates lo..hi-1, lo = b_{i-1} and
         hi = b_i; index k+1 gives the tail's, b_k..n-1."""
-        return self._edges[i - 1], self._edges[i]
+        beta = self.beta
+        return beta[i - 2] if i > 1 else 0, beta[i - 1] if i <= len(beta) else self.n
 
+    def _span(self, lines: Iterable[int], complements: Iterable[int]) -> Subspace:
+        """The sum of these lines and complements (k+1 the tail): the
+        unit vectors at the first coordinate of each line's window and at
+        the other coordinates of each complement's, all of the tail's."""
+        coords = [self.window_bounds(i)[0] for i in lines]
+        for i in complements:
+            lo, hi = self.window_bounds(i)
+            coords += range(lo + (i <= self.k), hi)
+        return coordinate_space(coords, self.n, self.p)
+
+    @lru_cache(maxsize=None)
+    def window(self, i: int) -> Subspace:
+        return self._span((i,), (i,))
+
+    @lru_cache(maxsize=None)
     def line(self, i: int) -> Subspace:
-        return self.lines[i - 1]
+        return self._span((i,), ())
 
+    @lru_cache(maxsize=None)
     def complement(self, i: int) -> Subspace:
         """Complement of line i in window i; index k+1 gives the tail."""
-        if i == self.k + 1:
-            return self.tail
-        return self.complements[i - 1]
+        return self._span((), (i,))
 
+    @lru_cache(maxsize=None)
     def lines_prefix(self, i: int) -> Subspace:
         """Sum of lines 1..i."""
-        return self._lines_prefix[i]
+        return self._span(range(1, i + 1), ())
 
+    @lru_cache(maxsize=None)
     def complements_prefix(self, i: int) -> Subspace:
         """Sum of complements 1..i."""
-        return self._complements_prefix[i]
+        return self._span((), range(1, i + 1))
 
+    @lru_cache(maxsize=None)
     def complements_suffix(self, i: int) -> Subspace:
         """Sum of complements i..k+1 (the tail included)."""
-        return self._complements_suffix[i - 1]
+        return self._span((), range(i, self.k + 2))
 
+    @lru_cache(maxsize=None)
     def nested(self, j: int, i: int) -> Subspace:
         """Sum of lines 1..j and complements i+1..k+1 (for j <= i)."""
-        return self._nested[j, i]
+        return self._span(range(1, j + 1), range(i + 1, self.k + 2))
 
 
 def make_frame(n: int, p: int, beta: tuple[int, ...]) -> FrameConfig:
@@ -189,7 +168,7 @@ def moving_complements(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[S
             raise ValueError(f"moving line {i} must be a line in window {i}")
         lo, hi = cfg.window_bounds(i)
         out.append(coordinate_space(set(range(lo, hi)) - set(line.pivots), cfg.n, cfg.p))
-    return tuple(out) + (cfg.tail,)
+    return tuple(out) + (cfg.complement(cfg.k + 1),)
 
 
 def phi_targets(cfg: FrameConfig, lines: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
@@ -269,7 +248,9 @@ def check_grassmannian(cfg: FrameConfig, budget: int) -> None:
     calls this before its first point."""
     total = gaussian_binomial(cfg.n, cfg.k, cfg.p)
     if total > budget:
-        raise BudgetExceededError(f"Gr_{cfg.k}(GF({cfg.p})^{cfg.n}) has {total} points")
+        raise BudgetExceededError(
+            f"Gr_{cfg.k}(GF({cfg.p})^{cfg.n}) has {count_text(total)} points"
+        )
 
 
 def closed_locus(cfg: FrameConfig, budget: int) -> Iterator[tuple[tuple[int, ...], Subspace]]:
@@ -315,7 +296,7 @@ def hom_star_rank(cfg: FrameConfig) -> int:
     total = 0
     for i in range(1, k + 1):
         total += sum(cfg.window(j).dim - 1 for j in range(i + 1, k + 1))
-        total += cfg.tail.dim
+        total += cfg.complement(k + 1).dim
     return total
 
 

@@ -156,7 +156,7 @@ def criterion_7_chain_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport:
                 "chain_points": rep.counts["chain_points"],
                 "multi_point_fibers": rep.counts["multi_point_fibers"],
             }
-            if cfg.tail.dim > 0 and k >= 2:
+            if cfg.complement(k + 1).dim > 0 and k >= 2:
                 report.add(
                     f"{tag}_multi_fiber_exists", rep.counts["multi_point_fibers"] >= 1
                 )

@@ -83,7 +83,7 @@ def ghat_count_formula(cfg: FrameConfig) -> int:
     k, p = cfg.k, cfg.p
     total = 1
     for i in range(1, k + 1):
-        c = cfg.window(i + 1).dim - 1 if i < k else cfg.tail.dim
+        c = cfg.window(i + 1).dim - 1 if i < k else cfg.complement(k + 1).dim
         total *= gaussian_binomial(c + 1, 1, p) ** i
     return total
 

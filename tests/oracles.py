@@ -109,10 +109,11 @@ from schubres.wflag import (
 
 
 def clear_caches() -> None:
-    """Empty every ``lru_cache`` of the package, so that a measurement
-    starts from the state of a fresh process."""
-    for mod in (exactlin, biflag, permcomb):
-        for obj in vars(mod).values():
+    """Empty every ``lru_cache`` of the package, the frame accessors'
+    included, so that a measurement starts from the state of a fresh
+    process."""
+    for owner in (exactlin, biflag, permcomb, FrameConfig):
+        for obj in vars(owner).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
 
@@ -189,8 +190,10 @@ def frame_by_arithmetic(n: int, p: int, beta: tuple[int, ...]) -> dict:
     """The frame spaces and sum tables of ``FrameConfig`` by subspace
     arithmetic: window i is F_{b_i} ∩ G^{b_{i-1}}, line i the span of
     e_{b_{i-1}+1}, complement i its canonical complement in the window,
-    and each table a run of ``subspace_sum``s.  Keyed like the
-    ``FrameConfig`` fields, with the sum tables as tuples and a dict."""
+    and each table a run of ``subspace_sum``s.  Keyed by the
+    ``FrameConfig`` accessor each entry is read by: windows, lines and
+    complements are its values at 1..k, the tail complement k+1, and the
+    sum tables are tuples from the accessor's first index and a dict."""
     frames, coframes = standard_frames(n, p), coflag(n, p)
     k = len(beta)
     prev = (0,) + beta
@@ -228,10 +231,10 @@ def frame_by_arithmetic(n: int, p: int, beta: tuple[int, ...]) -> dict:
 def moving_complements_by_arithmetic(
     cfg: FrameConfig, lines: tuple[Subspace, ...]
 ) -> tuple[Subspace, ...]:
-    """The canonical complement of each moving line in its window, tail
-    appended."""
+    """The canonical complement of each moving line in its window, the
+    tail G^{b_k} appended."""
     comps = (canonical_complement(l, cfg.window(i)) for i, l in enumerate(lines, start=1))
-    return tuple(comps) + (cfg.tail,)
+    return tuple(comps) + (coflag(cfg.n, cfg.p)[cfg.beta[-1]],)
 
 
 def subspaces_by_span(v: Subspace, j: int) -> tuple[Subspace, ...]:
@@ -911,7 +914,7 @@ def enumerate_ghat_flat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Itera
                 return lower, cfg.nested(j, k)
             return lower, subspace_sum(c[-i - 1], cfg.complement(i + 1))
 
-        gap = cfg.window(i + 1).dim - 1 if i < k else cfg.tail.dim
+        gap = cfg.window(i + 1).dim - 1 if i < k else cfg.n - cfg.beta[-1]
         return Stage(spaces, j - 1, j + gap, j)
 
     stages = [cell(i, j) for i in range(k, 0, -1) for j in range(1, i + 1)]

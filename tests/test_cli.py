@@ -16,6 +16,10 @@ from schubres.permcomb import Permutation
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
+# 61,60,...,1, whose grid bound at p=251 has over 4 300 digits, and 2,4,...,100
+DESCENT_61 = ",".join(map(str, range(61, 0, -1)))
+EVEN_100 = ",".join(map(str, range(2, 101, 2)))
+
 
 def run_json(capsys, argv):
     code = run(argv)
@@ -102,6 +106,23 @@ class TestExitCodes:
         assert run(argv + ["--budget", "100"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "Gr_2(GF(3)^7)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["biflag", "verify", "--perm", DESCENT_61], id="biflag-verify"),
+            pytest.param(["bs", "iso", "--perm", DESCENT_61], id="bs-iso"),
+            pytest.param(
+                ["grass", "verify-phi", "--n", "100", "--beta", EVEN_100, "--budget", "1"],
+                id="grass-verify-phi",
+            ),
+        ],
+    )
+    def test_bound_of_over_4300_digits_is_2(self, argv, capsys):
+        # Python 3.11 and later refuse str() of such a bound; the refusal
+        # prints it as a power of ten instead of failing as an internal error
+        assert run(argv + ["--field", "251"]) == 2
+        assert "points" in capsys.readouterr().err
 
     def test_non_prime_field_is_2(self, capsys):
         assert run(["biflag", "verify", "--perm", "2,1", "--field", "4"]) == 2

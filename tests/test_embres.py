@@ -19,7 +19,7 @@ from oracles import (
     zero_map,
 )
 
-from schubres import embres
+from schubres import embres, grassfib
 from schubres.embres import (
     chart_graphs,
     chart_maps,
@@ -367,6 +367,17 @@ class TestBudget:
             with pytest.raises(BudgetExceededError, match="^tower needs up to 49 points"):
                 verify_report(cfg, 48)
         assert verify_report(cfg, 49).passed
+
+    def test_grassmannian_refused_before_the_standard_flag(self, monkeypatch):
+        # |Gr_2(GF(2)^8)| = 10795; the refusal needs none of the n+1
+        # spaces of the standard flag
+        def no_flag(n, p):
+            raise AssertionError("the standard flag was built")
+
+        monkeypatch.setattr(grassfib, "standard_frames", no_flag)
+        cfg = make_frame(8, 2, (2, 4))
+        with pytest.raises(BudgetExceededError, match=r"^Gr_2\(GF\(2\)\^8\) has 10795 points"):
+            verify_report(cfg, 10794)
 
 
 class TestEmbeddedResolution:

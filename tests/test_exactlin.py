@@ -727,6 +727,20 @@ class TestWalkRows:
             next(ex.walk_rows(under, rows, bound - 1))
 
 
+class TestCheckBudget:
+    def test_refusal_of_a_huge_bound_prints(self):
+        # past 4 300 digits Python 3.11 and later refuse str() of an int,
+        # so the message gives such a bound as a power of ten
+        with pytest.raises(ex.BudgetExceededError) as exc:
+            ex.check_budget(10**5000, 1)
+        assert str(exc.value) == "tower needs up to about 10^5000.0 points, budget is 1"
+
+    def test_counts_exact_up_to_300_digits(self):
+        assert ex.count_text(10**300 - 1) == "9" * 300
+        assert ex.count_text(10**300) == "about 10^300.0"
+        assert ex.count_text(49) == "49"
+
+
 def _enumerators():
     from oracles import enumerate_complete_flags
     from schubres import biflag, bottsamelson, embres, wflag

@@ -83,6 +83,11 @@ def all_frames(n, p):
             yield make_frame(n, p, beta)
 
 
+def frame_lines(cfg):
+    """The lines 1..k of the frame."""
+    return tuple(cfg.line(i) for i in range(1, cfg.k + 1))
+
+
 def project_subspace(s, onto, along):
     """Image of a subspace under the projection onto ⊕ along -> onto."""
     return span([project(v, onto, along) for v in s.basis], s.n, s.p)
@@ -157,7 +162,7 @@ class TestMakeFrame:
         assert cfg.complement(1) == span([e(2, 4)], 4, 2)
         assert cfg.line(2) == span([e(3, 4)], 4, 2)
         assert cfg.complement(2) == span([e(4, 4)], 4, 2)
-        assert cfg.tail.dim == 0
+        assert cfg.complement(3).dim == 0
 
     def test_nested_spaces(self):
         cfg = make_frame(4, 2, (2, 4))
@@ -169,7 +174,7 @@ class TestMakeFrame:
         for i in range(1, 4):
             for j in range(1, i + 1):
                 want = j + sum(cfg.window(t).dim - 1 for t in range(i + 1, 4))
-                assert cfg.nested(j, i).dim == want + cfg.tail.dim
+                assert cfg.nested(j, i).dim == want + cfg.complement(4).dim
 
     def test_standard_flag_built_on_use(self, monkeypatch):
         # a frame is made before its budget is checked, so making it must
@@ -179,7 +184,7 @@ class TestMakeFrame:
 
         monkeypatch.setattr(grassfib, "standard_frames", no_flag)
         cfg = make_frame(8, 2, (1, 5))
-        assert cfg.tail.dim == 3
+        assert cfg.complement(3).dim == 3
         monkeypatch.undo()
         assert cfg.frames is standard_frames(8, 2)
 
@@ -191,12 +196,12 @@ class TestMakeFrame:
 
     @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)] + [(4, 3)])
     def test_frame_sums_match_fresh_sums(self, n, p):
-        # the sums built with the frame equal sums taken on demand
+        # the frame's sums equal the sums of its lines and complements
         for cfg in all_frames(n, p):
             k = cfg.k
             comps = [cfg.complement(j) for j in range(1, k + 2)]
             for i in range(k + 1):
-                assert cfg.lines_prefix(i) == sum_all(cfg.lines[:i], n, p)
+                assert cfg.lines_prefix(i) == sum_all(frame_lines(cfg)[:i], n, p)
                 for j in range(i + 1):
                     want = subspace_sum(cfg.lines_prefix(j), cfg.complements_suffix(i + 1))
                     assert cfg.nested(j, i) == want
@@ -213,8 +218,11 @@ class TestFrameByCoordinates:
         # coordinates equals the one built by meets, complements and sums
         for cfg in all_frames(n, p):
             k, ref = cfg.k, frame_by_arithmetic(n, p, cfg.beta)
-            for name in ("frames", "windows", "lines", "complements", "tail"):
-                assert getattr(cfg, name) == ref[name], (cfg.beta, name)
+            assert cfg.frames == ref["frames"]
+            assert tuple(map(cfg.window, range(1, k + 1))) == ref["windows"]
+            assert frame_lines(cfg) == ref["lines"]
+            assert tuple(map(cfg.complement, range(1, k + 1))) == ref["complements"]
+            assert cfg.complement(k + 1) == ref["tail"]
             assert tuple(map(cfg.lines_prefix, range(k + 1))) == ref["lines_prefix"]
             assert tuple(map(cfg.complements_prefix, range(k + 2))) == ref["complements_prefix"]
             assert tuple(map(cfg.complements_suffix, range(1, k + 3))) == ref["complements_suffix"]
@@ -228,6 +236,32 @@ class TestFrameByCoordinates:
         cfg = make_frame(5, 3, (2, 4))
         assert cfg == FrameConfig(5, 3, (2, 4))
         assert repr(cfg) == "FrameConfig(n=5, p=3, beta=(2, 4))"
+
+    def test_hashes_as_its_fields(self):
+        cfg = make_frame(5, 3, (2, 4))
+        assert hash(cfg) == hash((5, 3, (2, 4)))
+
+    def test_making_a_frame_builds_no_space(self, monkeypatch):
+        # a frame is made before any budget is checked, so making one with
+        # a hundred windows builds none of its spaces, and the Grassmannian
+        # refuses it from (n, p, beta) alone
+        def no_space(coords, n, p):
+            raise AssertionError("a frame space was built")
+
+        monkeypatch.setattr(grassfib, "coordinate_space", no_space)
+        cfg = make_frame(200, 2, tuple(range(2, 201, 2)))
+        with pytest.raises(BudgetExceededError, match=r"Gr_100\(GF\(2\)\^200\) has about 10\^"):
+            grassfib.check_grassmannian(cfg, 1)
+
+    def test_one_space_per_arguments(self):
+        # the walks compare frame spaces by identity first, so an equal
+        # frame made afresh gives back the very objects of the first one
+        first, again = make_frame(7, 2, (1, 3, 5)), make_frame(7, 2, (1, 3, 5))
+        calls = [("window", (1,)), ("line", (2,)), ("complement", (4,))]
+        calls += [("lines_prefix", (2,)), ("complements_prefix", (3,))]
+        calls += [("complements_suffix", (2,)), ("nested", (1, 2))]
+        for name, args in calls:
+            assert getattr(first, name)(*args) is getattr(again, name)(*args), name
 
 
 class TestMapTargets:
@@ -247,18 +281,20 @@ class TestMapTargets:
 class TestPhi:
     def test_zero_maps_give_line_sum(self):
         cfg = make_frame(4, 2, (2, 4))
-        comps = moving_complements(cfg, cfg.lines)
+        lines = frame_lines(cfg)
+        comps = moving_complements(cfg, lines)
         targets = (comps[0],)
-        assert phi_targets(cfg, cfg.lines) == targets
+        assert phi_targets(cfg, lines) == targets
         maps = (zero_map(cfg.line(2), comps[0]),)
-        assert phi(cfg, cfg.lines, targets, maps) == subspace_sum(cfg.line(1), cfg.line(2))
+        assert phi(cfg, lines, targets, maps) == subspace_sum(cfg.line(1), cfg.line(2))
 
     def test_wrong_target_rejected(self):
         cfg = make_frame(4, 2, (2, 4))
-        targets = phi_targets(cfg, cfg.lines)
+        lines = frame_lines(cfg)
+        targets = phi_targets(cfg, lines)
         maps = (zero_map(cfg.line(2), cfg.complement(2)),)
         with pytest.raises(ValueError):
-            phi(cfg, cfg.lines, targets, maps)
+            phi(cfg, lines, targets, maps)
 
     def test_image_in_regular_locus(self):
         cfg = make_frame(4, 2, (2, 4))
@@ -281,37 +317,40 @@ class TestPhi:
 class TestPhiStar:
     def test_zero_maps_give_line_sum(self):
         cfg = make_frame(4, 2, (1, 3))
-        comps = moving_complements(cfg, cfg.lines)
-        t2 = cfg.tail
-        t1 = subspace_sum(comps[1], cfg.tail)
-        assert phi_star_targets(cfg, cfg.lines) == (t1, t2)
+        lines = frame_lines(cfg)
+        comps = moving_complements(cfg, lines)
+        t2 = cfg.complement(3)
+        t1 = subspace_sum(comps[1], t2)
+        assert phi_star_targets(cfg, lines) == (t1, t2)
         maps = (zero_map(cfg.line(1), t1), zero_map(cfg.line(2), t2))
-        got = phi_star(cfg, cfg.lines, (t1, t2), maps)
+        got = phi_star(cfg, lines, (t1, t2), maps)
         assert got == subspace_sum(cfg.line(1), cfg.line(2))
 
     def test_wrong_target_rejected(self):
         cfg = make_frame(4, 2, (1, 3))
-        targets = phi_star_targets(cfg, cfg.lines)
+        lines = frame_lines(cfg)
+        targets = phi_star_targets(cfg, lines)
         maps = (zero_map(cfg.line(1), targets[1]), zero_map(cfg.line(2), targets[1]))
         with pytest.raises(ValueError):
-            phi_star(cfg, cfg.lines, targets, maps)
+            phi_star(cfg, lines, targets, maps)
 
     def test_guard_compares_equal_copies(self):
         # the domain and target guard passes maps on the given spaces by
         # identity and maps on equal copies by value, and refuses a map
         # out of another line
         cfg = make_frame(4, 2, (1, 3))
-        targets = phi_star_targets(cfg, cfg.lines)
+        lines = frame_lines(cfg)
+        targets = phi_star_targets(cfg, lines)
 
         def copy(s):
             return Subspace(s.n, s.p, s.basis, s.pivots)
 
-        maps = tuple(zero_map(l, t) for l, t in zip(cfg.lines, targets))
-        copies = tuple(zero_map(copy(l), copy(t)) for l, t in zip(cfg.lines, targets))
-        want = phi_star(cfg, cfg.lines, targets, maps)
-        assert phi_star(cfg, cfg.lines, targets, copies) == want
+        maps = tuple(zero_map(l, t) for l, t in zip(lines, targets))
+        copies = tuple(zero_map(copy(l), copy(t)) for l, t in zip(lines, targets))
+        want = phi_star(cfg, lines, targets, maps)
+        assert phi_star(cfg, lines, targets, copies) == want
         with pytest.raises(ValueError):
-            phi_star(cfg, cfg.lines, targets, (zero_map(cfg.line(2), targets[0]), maps[1]))
+            phi_star(cfg, lines, targets, (zero_map(cfg.line(2), targets[0]), maps[1]))
 
     @pytest.mark.parametrize(
         "swapped,images,row,pivot",
@@ -329,7 +368,7 @@ class TestPhiStar:
         # so the broken row is 2e1, e2+e3, e1+e3, or e3 as row 1; the rows
         # are checked in order, as the verifier checks them
         cfg = make_frame(4, 3, (2, 4))
-        lines = cfg.lines[::-1] if swapped else cfg.lines
+        lines = frame_lines(cfg)[::-1] if swapped else frame_lines(cfg)
         targets = tuple(coordinate_space(img, 4, 3) for img in images)
         maps = tuple(LinearMap(l, t, ((1,),) * t.dim) for l, t in zip(lines, targets))
         pivots = tuple(l.pivots[0] for l in lines)
@@ -439,7 +478,7 @@ class TestReadOffs:
                     assert block == cfg.window(i)
                     assert subspace_sum(cfg.line(i), cfg.complement(i)) == block
                 else:
-                    assert block == cfg.tail
+                    assert block == cfg.complement(cfg.k + 1)
 
 
 # The readers of each locus in the package, each called with a frame and
