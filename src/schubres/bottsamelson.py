@@ -20,7 +20,7 @@ from schubres.biflag import (
     project_to_flag,
     standard_frames,
 )
-from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, tower
+from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, chain_stages, tower
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -79,28 +79,15 @@ def bs_cells(w: Permutation) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def first_block_stages(w: Permutation, p: int) -> list[Stage]:
-    """Chains W_1 ⊂ ... ⊂ W_m with F_{w(n)-1} ⊆ W_j ⊆ F_{w(n)+j} and
-    dim W_j = w(n)+j-1, where m = n - w(n), as tower stages."""
-    n = w.n
-    v = w(n)
-    frames = standard_frames(n, p)
-    return [
-        Stage(
-            lambda c, j=j: (c[-1] if c else frames[v - 1], frames[v + j + 1]),
-            v + j - 1,
-            v + j + 1,
-            v + j,
-        )
-        for j in range(n - v)
-    ]
-
-
-def first_block_chains(w: Permutation, p: int) -> set[tuple[Subspace, ...]]:
+def first_block_chains(w: Permutation, p: int, budget: int) -> set[tuple[Subspace, ...]]:
     """Independent tower oracle for the first block's image: the
-    Kempf-Laksov-type chains of ``first_block_stages`` in the window
-    above F_{w(n)-1}."""
-    return set(tower(first_block_stages(w, p), p, DEFAULT_BUDGET))
+    Kempf-Laksov-type chains W_1 ⊂ ... ⊂ W_m above F_{w(n)-1} with
+    W_j ⊆ F_{w(n)+j}, where m = n - w(n).  There are (p+1)^m of them,
+    and m is at most length(w), so a walk within the budget has a first
+    block within it too."""
+    v = w(w.n)
+    frames = standard_frames(w.n, p)
+    return set(tower(chain_stages(frames[v - 1], frames[v + 1 :]), p, budget))
 
 
 def enumerate_report(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
@@ -199,7 +186,7 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         report.add("map_image_is_tower", image_is_tower)
         report.add("map_commutes_with_projections", commutes)
         if m > 0:
-            oracle = first_block_chains(w, p)
+            oracle = first_block_chains(w, p, budget)
             report.add(
                 "first_block_image_is_chain_tower",
                 first_blocks == oracle,

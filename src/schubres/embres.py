@@ -21,8 +21,8 @@ from typing import Callable, Iterator
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
-    Stage,
     Subspace,
+    chain_stages,
     check_budget,
     contains,
     enumerate_maps,
@@ -51,24 +51,12 @@ from schubres.wflag import (
 KLChain = tuple[Subspace, ...]
 
 
-def kl_stages(flag: tuple[Subspace, ...], p: int) -> list[Stage]:
-    """The levels of ``kl_points``: L_i between L_{i-1} and the i-th flag
-    space.  For a flag, whose spaces are nested, L_{i-1} lies in the i-th
-    space at every node, so ``tower_bound`` of these levels is exactly
-    the number of chains."""
-    zero = zero_subspace(flag[0].n, p)
-    return [
-        Stage(lambda c, space=space: (c[-1] if c else zero, space), i, space.dim, i + 1)
-        for i, space in enumerate(flag)
-    ]
-
-
 def kl_points(
     flag: tuple[Subspace, ...], p: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[KLChain]:
     """Chains L_1 ⊂ ... ⊂ L_k with L_i inside the i-th flag space,
     dim L_i = i: the resolution tower of the flag's Schubert variety."""
-    yield from tower(kl_stages(flag, p), p, budget)
+    yield from tower(chain_stages(zero_subspace(flag[0].n, p), flag), p, budget)
 
 
 def chart_maps(cfg: FrameConfig) -> Iterator[LinearMap]:
@@ -182,7 +170,7 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         check_grassmannian(cfg, budget)
         check_budget(rows_bound(*ghat_rows(cfg)), budget)
         standard = tuple(cfg.frames[b] for b in cfg.beta)
-        chain_bound = tower_bound(kl_stages(standard, p), p)
+        chain_bound = tower_bound(chain_stages(zero_subspace(cfg.n, p), standard), p)
         check_budget(chain_bound, budget)
         cell: set[Subspace] = set()
         closed: set[Subspace] = set()

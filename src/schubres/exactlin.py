@@ -589,6 +589,20 @@ def tower_bound(stages: Sequence[Stage], p: int) -> int:
     return total
 
 
+def chain_stages(base: Subspace, uppers: Sequence[Subspace]) -> list[Stage]:
+    """The Kempf-Laksov chain tower above ``base``: level i chooses a
+    space of dimension dim base + i between the previous choice (``base``
+    at level 1) and ``uppers[i-1]``.  When base lies in ``uppers[0]`` and
+    each upper space in the next, the previous choice lies in the upper
+    space at every node, so ``tower_bound`` of these levels is exactly
+    the number of chains."""
+    d = base.dim
+    return [
+        Stage(lambda c, upper=upper: (c[-1] if c else base, upper), d + i, upper.dim, d + i + 1)
+        for i, upper in enumerate(uppers)
+    ]
+
+
 def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspace, ...]]:
     """Yield every tuple of choices, one per stage, depth first.
 

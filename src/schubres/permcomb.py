@@ -112,8 +112,8 @@ class ReducedWord:
     and ``right[j-1]`` are the latest earlier indices carrying s_{d-1}
     and s_{d+1}, or None when there is none (the fixed spaces F_{d-1}
     and F_{d+1} bound the choice then).  All are computed in one pass,
-    when the word is made.  Words are equal and hash alike by
-    (n, blocks).
+    when the word is made; a word has no equality of its own, and its
+    length is its number of letters.
     """
 
     __slots__ = ("n", "blocks", "letters", "last_occurrences", "left", "right")
@@ -133,17 +133,6 @@ class ReducedWord:
         self.last_occurrences = tuple(last[1:n])
         self.left = tuple(left)
         self.right = tuple(right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ReducedWord:
-            return NotImplemented
-        return (self.n, self.blocks) == (other.n, other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
-
-    def __repr__(self) -> str:
-        return f"ReducedWord(n={self.n!r}, blocks={self.blocks!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -30,49 +30,23 @@ class Check(NamedTuple):
     witnesses: Sequence[Any] = ()
     informational: bool = False
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "witnesses": self.witnesses,
-            "informational": self.informational,
-        }
-
 
 class EnumReport:
     """A command's report: its configuration, counts, checks and wall time.
 
-    Reports are equal when all five fields are.
+    The one mutable class of the package: a command fills in its counts,
+    checks and wall time while it runs, and ``to_json`` serializes the
+    fields in that order, each check as its own fields.
     """
 
     __slots__ = ("command", "config", "counts", "checks", "wall_time_s")
-    __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        command: str,
-        config: dict[str, Any],
-        counts: dict[str, Any] | None = None,
-        checks: list[Check] | None = None,
-        wall_time_s: float = 0.0,
-    ) -> None:
+    def __init__(self, command: str, config: dict[str, Any]) -> None:
         self.command = command
         self.config = config
-        self.counts = {} if counts is None else counts
-        self.checks = [] if checks is None else checks
-        self.wall_time_s = wall_time_s
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not EnumReport:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        return (
-            f"EnumReport(command={self.command!r}, config={self.config!r}, "
-            f"counts={self.counts!r}, checks={self.checks!r}, wall_time_s={self.wall_time_s!r})"
-        )
+        self.counts: dict[str, Any] = {}
+        self.checks: list[Check] = []
+        self.wall_time_s = 0.0
 
     @property
     def passed(self) -> bool:
@@ -85,23 +59,21 @@ class EnumReport:
         detail: str = "",
         witnesses: Sequence[Any] = (),
         informational: bool = False,
-    ) -> Check:
-        check = Check(name, bool(passed), detail, witnesses, informational)
-        self.checks.append(check)
-        return check
+    ) -> None:
+        self.checks.append(Check(name, bool(passed), detail, witnesses, informational))
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "counts": self.counts,
-            "checks": [c.as_dict() for c in self.checks],
-            "passed": self.passed,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "command": self.command,
+                "config": self.config,
+                "counts": self.counts,
+                "checks": [c._asdict() for c in self.checks],
+                "passed": self.passed,
+                "wall_time_s": round(self.wall_time_s, 6),
+            },
+            indent=2,
+        )
 
 
 @contextmanager

@@ -56,7 +56,9 @@ def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
     a Grassmannian of the computed intersection, so only actual points
     are visited.  Below the top, l_i lies in l_{i+1} + complement(i+1),
     so that intersection has dimension at most i + 1 + dim complement(i+1),
-    which bounds the level along with dim nested(i, i).
+    which bounds the level along with dim nested(i, i).  Both dimensions
+    are read off ``window_bounds``, so no space is built before the
+    tower's budget check.
     """
     k = cfg.k
     zero = zero_subspace(cfg.n, cfg.p)
@@ -69,9 +71,11 @@ def enumerate_gcal(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
             above = subspace_sum(c[-1], cfg.complement(i + 1))
             return zero, intersect(above, cfg.nested(i, i))
 
-        up = cfg.nested(i, i).dim
+        # dim nested(i, i) = i + (n - b_i) - (k - i); dim complement(i+1) = hi - lo - 1
+        up = i + cfg.n - cfg.window_bounds(i)[1] - (k - i)
         if i < k:
-            up = min(up, i + 1 + cfg.complement(i + 1).dim)
+            lo, hi = cfg.window_bounds(i + 1)
+            up = min(up, i + hi - lo)
         return Stage(spaces, 0, up, i)
 
     for c in tower([level(i) for i in range(k, 0, -1)], cfg.p, budget):

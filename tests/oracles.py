@@ -44,7 +44,6 @@ from schubres.embres import (
     flag_of_grid,
     in_chart,
     kl_points,
-    kl_stages,
     reconstruct_map_tuple,
     special_point,
 )
@@ -59,6 +58,7 @@ from schubres.exactlin import (
     Subspace,
     Vec,
     canonical_complement,
+    chain_stages,
     contains,
     coordinate_space,
     enumerate_between,
@@ -453,10 +453,7 @@ def complete_flag_stages(n: int, p: int) -> list[Stage]:
     """Complete flags as tower stages: each space extends the previous one
     by one dimension inside the whole space."""
     frames = standard_frames(n, p)
-    return [
-        Stage(lambda c: (c[-1] if c else frames[0], frames[n]), i, n, i + 1)
-        for i in range(n)
-    ]
+    return chain_stages(frames[0], (frames[n],) * n)
 
 
 def enumerate_complete_flags(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Flag]:
@@ -819,7 +816,8 @@ def verify_chart_family_by_flags(
         unique_ok = True
         recon_ok = True
         chain_ok = all(
-            count == tower_bound(kl_stages(flag, p), p) for count, flag in zip(chains, flags)
+            count == tower_bound(chain_stages(zero_subspace(cfg.n, p), flag), p)
+            for count, flag in zip(chains, flags)
         )
         for t, gt in zip(chart_maps(cfg), graphs, strict=True):
             chart_ok = chart_ok and in_chart(cfg, gt)
@@ -953,7 +951,7 @@ def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> Enu
         m = w.n - w(w.n)
         if m > 0:
             first_blocks = {img[:m] for img in mapped}
-            oracle = first_block_chains(w, p)
+            oracle = first_block_chains(w, p, budget)
             report.add(
                 "first_block_image_is_chain_tower",
                 first_blocks == oracle,

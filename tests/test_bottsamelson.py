@@ -134,9 +134,21 @@ class TestBbsIso:
         assert rep.counts["grid_points"] == 4
         assert rep.counts["tower_points"] == 4
 
+    def test_first_block_oracle_walks_under_the_callers_budget(self, monkeypatch):
+        # the first block of 2341 has (p+1)^3 = 27 chains: the oracle is
+        # refused below that by the budget it is given, and bbs_iso gives
+        # its own, whatever the package default
+        w = Permutation((2, 3, 4, 1))
+        with pytest.raises(BudgetExceededError):
+            first_block_chains(w, 2, 26)
+        monkeypatch.setattr(bottsamelson, "DEFAULT_BUDGET", 5)
+        rep = bbs_iso(w, 2, 1000)
+        assert rep.passed
+        assert rep.checks[-1].detail == "27 chains vs oracle 27"
+
     def test_first_block_oracle_nonempty(self):
         w = Permutation((3, 1, 2))
-        chains = first_block_chains(w, 2)
+        chains = first_block_chains(w, 2, 3)
         # m = 0? w(3) = 2, so m = 1: lines between F_1 and F_3 of dim 2
         assert len(chains) == 3
 

@@ -603,8 +603,7 @@ def _mixed_stages(n, p):
 
 
 def _chain_stages(n, p):
-    full, zero = ex.full_space(n, p), ex.zero_subspace(n, p)
-    return [ex.Stage(lambda c: (c[-1] if c else zero, full), i, n, i + 1) for i in range(n - 1)]
+    return ex.chain_stages(ex.zero_subspace(n, p), (ex.full_space(n, p),) * (n - 1))
 
 
 # (n, p) spaces on which tower bounds are checked against point counts
@@ -615,15 +614,18 @@ def _bound_stage_lists(n, p):
     """Complete flags, and the pinned grid, Bott-Samelson and first-block
     towers of every permutation of S_n (unpinned grids too for n = 3)."""
     from oracles import complete_flag_stages, grid_stages
-    from schubres.bottsamelson import bs_stages, first_block_stages
+    from schubres.biflag import standard_frames
+    from schubres.bottsamelson import bs_stages
     from schubres.permcomb import all_permutations, bubblesort_word
 
+    frames = standard_frames(n, p)
     stage_lists = [complete_flag_stages(n, p)]
     for w in all_permutations(n):
+        v = w(n)
         stage_lists += [
             grid_stages(w, p, pinned_last_row=True),
             bs_stages(bubblesort_word(w), p),
-            first_block_stages(w, p),
+            ex.chain_stages(frames[v - 1], frames[v + 1 :]),
         ]
         if n == 3:  # the unpinned grids of S_4 take seconds
             stage_lists.append(grid_stages(w, p, pinned_last_row=False))
@@ -657,6 +659,17 @@ class TestTower:
 
     def test_no_stages_yield_one_empty_point(self):
         assert list(ex.tower([], 2, 1)) == [()]
+
+    def test_chain_stages_levels(self):
+        # level i chooses dim base + i between the previous choice (base
+        # first) and uppers[i-1], with lo = dim base + i - 1, up = dim uppers[i-1]
+        from schubres.biflag import standard_frames
+
+        frames = standard_frames(5, 2)
+        stages = ex.chain_stages(frames[1], frames[3:])
+        assert [(st.lo, st.up, st.dim) for st in stages] == [(1, 3, 2), (2, 4, 3), (3, 5, 4)]
+        assert stages[0].spaces([]) == (frames[1], frames[3])
+        assert stages[2].spaces([frames[2], frames[3]]) == (frames[3], frames[5])
 
     @pytest.mark.parametrize("n,p", BOUND_SPACES)
     def test_matches_recursive_oracle(self, n, p):

@@ -71,9 +71,6 @@ class TestValueTypes:
             )
             assert word.letters == letters and len(word) == len(letters)
             assert word.last_occurrences == last
-            assert word == ReducedWord(n, word.blocks)
-            assert hash(word) == hash((n, word.blocks))
-        assert repr(ReducedWord(3, ((1,), ()))) == "ReducedWord(n=3, blocks=((1,), ()))"
 
 
 class TestRankMatrix:

@@ -6,6 +6,7 @@ import random
 import pytest
 from oracles import (
     apply,
+    clear_caches,
     compress_maps,
     enumerate_ghat_flat,
     gcal_membership,
@@ -13,14 +14,17 @@ from oracles import (
     zero_map,
 )
 
+from schubres import grassfib, wflag
 from schubres.exactlin import (
     BudgetExceededError,
     LinearMap,
     contains,
+    gaussian_binomial,
     graph,
     intersect,
     rows_bound,
     subspace_sum,
+    tower_bound,
 )
 from schubres.grassfib import make_frame
 from schubres.wflag import (
@@ -154,6 +158,47 @@ class TestEnumerateGcal:
                     count = sum(1 for _ in enumerate_gcal(cfg))
                     with pytest.raises(BudgetExceededError):
                         next(enumerate_gcal(cfg, count - 1))
+
+    def test_refused_before_any_space_is_built(self, monkeypatch):
+        # the level bounds are read off the window bounds, so a frame of a
+        # hundred windows is refused before its first space is built
+        def no_space(coords, n, p):
+            raise AssertionError("a frame space was built")
+
+        clear_caches()
+        monkeypatch.setattr(grassfib, "coordinate_space", no_space)
+        cfg = make_frame(200, 2, tuple(range(2, 201, 2)))
+        with pytest.raises(BudgetExceededError):
+            next(enumerate_gcal(cfg, 1))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_level_bounds_equal_the_built_spaces(self, p, monkeypatch):
+        # each level's bound is min(dim nested(i, i), i + 1 + dim
+        # complement(i+1)), the top level's dim nested(k, k)
+        levels = []
+
+        def keep(stages, p, budget):
+            levels.append(stages)
+            return iter(())
+
+        monkeypatch.setattr(wflag, "tower", keep)
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for beta in itertools.combinations(range(1, n + 1), k):
+                    cfg = make_frame(n, p, beta)
+                    list(enumerate_gcal(cfg))
+                    want = []
+                    for i in range(k, 0, -1):
+                        up = cfg.nested(i, i).dim
+                        if i < k:
+                            up = min(up, i + 1 + cfg.complement(i + 1).dim)
+                        want.append((0, up, i))
+                    stages = levels.pop()
+                    assert [(st.lo, st.up, st.dim) for st in stages] == want, cfg
+                    bound = 1
+                    for lo, up, dim in want:
+                        bound *= gaussian_binomial(up - lo, dim - lo, p)
+                    assert tower_bound(stages, p) == bound, cfg
 
     @pytest.mark.parametrize("n,p", [(6, 5), (7, 3)])
     def test_runs_at_default_budget(self, n, p):
