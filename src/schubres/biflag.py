@@ -57,7 +57,7 @@ from schubres.exactlin import (
     walk_rows,
 )
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
-from schubres.report import EnumReport, subspace_witness, timed
+from schubres.report import EnumReport, perm_config, subspace_witness
 
 Flag = tuple[Subspace, ...]
 
@@ -167,11 +167,9 @@ def enumerate_report(
 ) -> EnumReport:
     """Point count of the pinned tower (``shat``) or of the full grid
     (``flw``) of w against its closed form."""
-    report = EnumReport(
-        "biflag enumerate",
-        {"perm": list(w.one_line), "field": p, "budget": budget, "variety": variety},
-    )
-    with timed(report):
+    with EnumReport(
+        "biflag enumerate", {**perm_config(w, p, budget), "variety": variety}
+    ) as report:
         if variety == "shat":
             count = sum(1 for _ in enumerate_shat(w, p, budget))
             expected = (p + 1) ** length(w)
@@ -202,8 +200,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
     image inside the closed variety is all of it exactly when it has
     the sum of p^length(u) over u <= w points.
     """
-    report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
-    with timed(report):
+    with EnumReport("biflag verify", perm_config(w, p, budget)) as report:
         n = w.n
         # refuse an oversized tower before the Bruhat interval is built
         check_budget(rows_bound(*grid_rows(w, p, pinned_last_row=True)), budget)

@@ -27,7 +27,7 @@ from schubres.permcomb import (
     bubblesort_word,
     length,
 )
-from schubres.report import EnumReport, timed
+from schubres.report import EnumReport, perm_config
 
 BSPoint = tuple[Subspace, ...]
 
@@ -93,8 +93,7 @@ def first_block_chains(w: Permutation, p: int, budget: int) -> set[tuple[Subspac
 def enumerate_report(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Point count of the Bott-Samelson tower of the bubblesort word of w
     against (p+1)^length(w)."""
-    report = EnumReport("bs enumerate", {"perm": list(w.one_line), "field": p, "budget": budget})
-    with timed(report):
+    with EnumReport("bs enumerate", perm_config(w, p, budget)) as report:
         word = bubblesort_word(w)
         count = sum(1 for _ in enumerate_bs(word, p, budget))
         expected = (p + 1) ** length(w)
@@ -120,8 +119,7 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     first block is added only when grid row n-1 changed; each pair is
     still compared whole, so a fault at any level of either tower shows.
     """
-    report = EnumReport("bs iso", {"perm": list(w.one_line), "field": p, "budget": budget})
-    with timed(report):
+    with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         n = w.n
         word = bubblesort_word(w)
         # what is read of each point depends on w only: read it once

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from schubres.exactlin import InvariantError
 from schubres.permcomb import Permutation, length, rank_matrix
-from schubres.report import EnumReport, timed
+from schubres.report import EnumReport
 
 Label = tuple[int, int]
 
@@ -97,8 +97,7 @@ def check_counts(w: Permutation) -> bool:
 def building_report(w: Permutation) -> EnumReport:
     """Non-redundant factor counts per floor, checked against the
     rank-matrix dedup oracle and the total length(w) + n - 1."""
-    report = EnumReport("building", {"perm": list(w.one_line)})
-    with timed(report):
+    with EnumReport("building", {"perm": list(w.one_line)}) as report:
         counts = nonredundant_counts(w)
         report.counts["per_level"] = list(counts)
         report.counts["total"] = sum(counts)

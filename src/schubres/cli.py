@@ -6,7 +6,8 @@ prints.
 
 Exit codes: 0 when all non-informational checks pass, 1 on a check
 failure (the report is still emitted), 2 on invalid configuration
-(including exceeded enumeration budgets), 3 on an internal error: any
+(including exceeded enumeration budgets and an ``--out`` path that
+cannot be opened for writing), 3 on an internal error: any
 other exception raised while a report is built, which is a fault in the
 program rather than in its input.
 """
@@ -27,8 +28,10 @@ class ConfigError(ValueError):
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Check --perm, --n/--beta and --field before any report is built,
-    storing the permutation as ``args.w`` and the frame as ``args.cfg``."""
+    """Check --perm, --n/--beta, --field and --out before any report is
+    built, storing the permutation as ``args.w`` and the frame as
+    ``args.cfg``.  --out is opened for appending, which creates a missing
+    file and leaves an existing one as it is until the report is written."""
     what = "bad --field"
     try:
         if getattr(args, "field", None) is not None:
@@ -42,6 +45,11 @@ def _validate(args: argparse.Namespace) -> None:
             args.cfg = grassfib.make_frame(args.n, args.field, beta)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if args.out is not None:
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -54,15 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, perm=False, frame=False, field_default=None):
+    def common(p: argparse.ArgumentParser, perm=False, frame=False, field=False, budget=False):
         if perm:
             p.add_argument("--perm", required=True, help="one-line notation, e.g. 2,3,1")
         if frame:
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--beta", required=True, help="multi-index, e.g. 2,4")
-        if field_default is not None:
-            p.add_argument("--field", type=int, default=field_default)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if field:
+            p.add_argument("--field", type=int, default=2)
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--json", action=argparse.BooleanOptionalAction, default=True)
         p.add_argument("--out", default=None, help="also write the JSON report here")
 
@@ -73,25 +82,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("biflag")
     p.add_argument("action", choices=["enumerate", "verify"])
     p.add_argument("--variety", choices=["shat", "flw"], default="shat")
-    common(p, perm=True, field_default=2)
+    common(p, perm=True, field=True, budget=True)
 
     p = sub.add_parser("bs")
     p.add_argument("action", choices=["enumerate", "iso"])
-    common(p, perm=True, field_default=2)
+    common(p, perm=True, field=True, budget=True)
 
     p = sub.add_parser("grass")
     p.add_argument("action", choices=["verify-phi", "verify-phistar", "verify-transversal"])
-    common(p, frame=True, field_default=2)
+    common(p, frame=True, field=True, budget=True)
 
     p = sub.add_parser("wflag")
     p.add_argument("action", choices=["enumerate", "lift", "verify"])
-    common(p, frame=True, field_default=2)
+    common(p, frame=True, field=True, budget=True)
 
     p = sub.add_parser("embres")
     p.add_argument("action", choices=["verify"])
-    common(p, frame=True, field_default=2)
+    common(p, frame=True, field=True, budget=True)
 
-    common(sub.add_parser("suite"))
+    common(sub.add_parser("suite"), budget=True)
     return parser
 
 

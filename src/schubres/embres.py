@@ -36,7 +36,7 @@ from schubres.exactlin import (
     zero_subspace,
 )
 from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, closed_locus
-from schubres.report import EnumReport, subspace_witness, timed
+from schubres.report import EnumReport, frame_config, subspace_witness
 from schubres.wflag import (
     GHatPoint,
     build_lift,
@@ -161,11 +161,7 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     chain count must equal the one chain bound, exact for a flag, and a
     family flag that no grid point carries keeps 0 and fails.
     """
-    report = EnumReport(
-        "embres verify",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("embres verify", frame_config(cfg, budget)) as report:
         p, k = cfg.p, cfg.k
         check_grassmannian(cfg, budget)
         check_budget(rows_bound(*ghat_rows(cfg)), budget)

@@ -51,7 +51,7 @@ from schubres.exactlin import (
     span,
     subspace_sum,
 )
-from schubres.report import EnumReport, subspace_witness, timed
+from schubres.report import EnumReport, frame_config, subspace_witness
 
 
 def check_multi_index(beta: tuple[int, ...], n: int) -> None:
@@ -358,11 +358,7 @@ def verify_phi(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     of the one reduced row that ends in window i, when there is one.
     """
     check_grassmannian(cfg, budget)  # before enumerating inputs
-    report = EnumReport(
-        "grass verify-phi",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("grass verify-phi", frame_config(cfg, budget)) as report:
         n, p, k = cfg.n, cfg.p, cfg.k
         table = locus_charts(cfg, "open")
         hits = bytearray(sum(c.size for c in table.values()))
@@ -419,11 +415,7 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
     down to its own window.
     """
     check_grassmannian(cfg, budget)  # before enumerating inputs
-    report = EnumReport(
-        "grass verify-phistar",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("grass verify-phistar", frame_config(cfg, budget)) as report:
         n, p = cfg.n, cfg.p
         table = locus_charts(cfg, "star_open")
         hits = bytearray(sum(c.size for c in table.values()))
@@ -463,11 +455,7 @@ def verify_phi_star(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepor
 def verify_transversal_identity(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """The two loci meet exactly in the window-line sums, and the closed
     loci meet no deeper than the open ones."""
-    report = EnumReport(
-        "grass verify-transversal",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("grass verify-transversal", frame_config(cfg, budget)) as report:
         # both meets lie in the closed locus
         meet, closed_meet = set(), set()
         for a, l in closed_locus(cfg, budget):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from schubres.exactlin import InvariantError
-from schubres.report import EnumReport, timed
+from schubres.report import EnumReport
 
 
 class _PermutationFields(NamedTuple):
@@ -163,8 +163,7 @@ def rank_matrix_report(w: Permutation) -> EnumReport:
     """The rank matrix of w and its jump points; checks that the matrix
     grows by 0 or 1 per step along rows and columns and that the jumps
     spell w."""
-    report = EnumReport("rankmatrix", {"perm": list(w.one_line)})
-    with timed(report):
+    with EnumReport("rankmatrix", {"perm": list(w.one_line)}) as report:
         d = rank_matrix(w)
         report.counts["matrix"] = [list(d[p][1:]) for p in range(1, w.n + 1)]
         report.counts["jump_points"] = list(jump_points(w))
@@ -181,8 +180,7 @@ def rank_matrix_report(w: Permutation) -> EnumReport:
 def bubblesort_report(w: Permutation) -> EnumReport:
     """The bubblesort word of w; checks that it multiplies to w and has
     length(w) letters."""
-    report = EnumReport("bubblesort", {"perm": list(w.one_line)})
-    with timed(report):
+    with EnumReport("bubblesort", {"perm": list(w.one_line)}) as report:
         word = bubblesort_word(w)
         report.counts["word"] = list(word.letters)
         report.counts["blocks"] = [list(b) for b in word.blocks]

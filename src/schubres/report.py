@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from schubres.exactlin import Subspace
+
+if TYPE_CHECKING:
+    from schubres.grassfib import FrameConfig
+    from schubres.permcomb import Permutation
 
 
 def subspace_witness(s: Subspace) -> list[list[int]]:
@@ -34,12 +37,14 @@ class Check(NamedTuple):
 class EnumReport:
     """A command's report: its configuration, counts, checks and wall time.
 
-    The one mutable class of the package: a command fills in its counts,
-    checks and wall time while it runs, and ``to_json`` serializes the
-    fields in that order, each check as its own fields.
+    The one mutable class of the package: a command fills in its counts
+    and checks inside one ``with EnumReport(command, config) as report:``
+    block, whose elapsed time becomes ``wall_time_s`` (an exception still
+    propagates), and ``to_json`` serializes the fields in that order,
+    each check as its own fields.
     """
 
-    __slots__ = ("command", "config", "counts", "checks", "wall_time_s")
+    __slots__ = ("command", "config", "counts", "checks", "wall_time_s", "_start")
 
     def __init__(self, command: str, config: dict[str, Any]) -> None:
         self.command = command
@@ -47,6 +52,13 @@ class EnumReport:
         self.counts: dict[str, Any] = {}
         self.checks: list[Check] = []
         self.wall_time_s = 0.0
+
+    def __enter__(self) -> EnumReport:
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.wall_time_s = time.perf_counter() - self._start
 
     @property
     def passed(self) -> bool:
@@ -76,10 +88,11 @@ class EnumReport:
         )
 
 
-@contextmanager
-def timed(report: EnumReport) -> Iterator[EnumReport]:
-    start = time.perf_counter()
-    try:
-        yield report
-    finally:
-        report.wall_time_s = time.perf_counter() - start
+def frame_config(cfg: FrameConfig, budget: int) -> dict[str, Any]:
+    """The run configuration of a report on a Grassmannian frame."""
+    return {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget}
+
+
+def perm_config(w: Permutation, p: int, budget: int) -> dict[str, Any]:
+    """The run configuration of a report that enumerates over a permutation."""
+    return {"perm": list(w.one_line), "field": p, "budget": budget}

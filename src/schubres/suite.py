@@ -9,7 +9,7 @@ import sys
 from schubres import biflag, bottsamelson, building, embres, exactlin, grassfib, wflag
 from schubres.exactlin import DEFAULT_BUDGET
 from schubres.permcomb import Permutation, all_permutations, length
-from schubres.report import EnumReport, timed
+from schubres.report import EnumReport
 
 SIGMA = Permutation((4, 8, 6, 2, 7, 3, 1, 5))
 
@@ -18,8 +18,7 @@ EMBRES_CONFIGS = [(4, 2, (2, 4)), (4, 2, (1, 3))]
 
 
 def criterion_1_sigma_example(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport("suite criterion-1", {"perm": list(SIGMA.one_line)})
-    with timed(report):
+    with EnumReport("suite criterion-1", {}) as report:
         counts = building.nonredundant_counts(SIGMA)
         raw = building.raw_factor_counts(SIGMA)
         l = length(SIGMA)
@@ -35,8 +34,7 @@ def criterion_1_sigma_example(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_2_building_sweep(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport("suite criterion-2", {"n_range": [2, 6]})
-    with timed(report):
+    with EnumReport("suite criterion-2", {}) as report:
         checked = 0
         ok = True
         witness = []
@@ -52,10 +50,7 @@ def criterion_2_building_sweep(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_3_tower_counts(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport(
-        "suite criterion-3", {"groups": ["S3", "S4"], "fields": [2, 3], "budget": budget}
-    )
-    with timed(report):
+    with EnumReport("suite criterion-3", {}) as report:
         checked = 0
         ok = True
         witness = []
@@ -75,8 +70,7 @@ def criterion_3_tower_counts(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_4_cell_bijectivity(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport("suite criterion-4", {"groups": ["S3", "S4"], "field": 2})
-    with timed(report):
+    with EnumReport("suite criterion-4", {}) as report:
         required = {
             "image_in_closed_variety",
             "cell_fibers_are_singletons",
@@ -102,8 +96,7 @@ def criterion_4_cell_bijectivity(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_5_tower_isomorphism(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport("suite criterion-5", {"groups": ["S3", "S4"], "field": 2})
-    with timed(report):
+    with EnumReport("suite criterion-5", {}) as report:
         ok = True
         witness = []
         cases = 0
@@ -122,10 +115,7 @@ def criterion_5_tower_isomorphism(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_6_graph_sum_images(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport(
-        "suite criterion-6", {"configs": [list(map(str, c)) for c in GRASS_CONFIGS]}
-    )
-    with timed(report):
+    with EnumReport("suite criterion-6", {}) as report:
         for n, k, beta in GRASS_CONFIGS:
             cfg = grassfib.make_frame(n, 2, beta)
             tag = f"n{n}_beta{'-'.join(map(str, beta))}"
@@ -143,10 +133,7 @@ def criterion_6_graph_sum_images(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_7_chain_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport(
-        "suite criterion-7", {"configs": [list(map(str, c)) for c in GRASS_CONFIGS]}
-    )
-    with timed(report):
+    with EnumReport("suite criterion-7", {}) as report:
         for n, k, beta in GRASS_CONFIGS:
             cfg = grassfib.make_frame(n, 2, beta)
             tag = f"n{n}_beta{'-'.join(map(str, beta))}"
@@ -164,10 +151,7 @@ def criterion_7_chain_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport:
 
 
 def criterion_8_embedded_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport(
-        "suite criterion-8", {"configs": [list(map(str, c)) for c in EMBRES_CONFIGS]}
-    )
-    with timed(report):
+    with EnumReport("suite criterion-8", {}) as report:
         for n, k, beta in EMBRES_CONFIGS:
             cfg = grassfib.make_frame(n, 2, beta)
             tag = f"n{n}_beta{'-'.join(map(str, beta))}"
@@ -186,11 +170,7 @@ def criterion_8_embedded_resolutions(budget: int = DEFAULT_BUDGET) -> EnumReport
 
 
 def criterion_9_dimension_consistency(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport(
-        "suite criterion-9",
-        {"configs": [list(map(str, c)) for c in GRASS_CONFIGS], "fields": [2, 3]},
-    )
-    with timed(report):
+    with EnumReport("suite criterion-9", {}) as report:
         for n, k, beta in GRASS_CONFIGS:
             tag = f"n{n}_beta{'-'.join(map(str, beta))}"
             cell_dim = sum(b - i for i, b in enumerate(beta, start=1))
@@ -215,8 +195,7 @@ def criterion_9_dimension_consistency(budget: int = DEFAULT_BUDGET) -> EnumRepor
 
 
 def criterion_10_exactlin_properties(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    report = EnumReport("suite criterion-10", {"exhaustive": "GF(2)^4", "random": "GF(3)^4"})
-    with timed(report):
+    with EnumReport("suite criterion-10", {}) as report:
         full2 = exactlin.full_space(4, 2)
         spaces2 = [
             s for j in range(5) for s in exactlin.enumerate_subspaces(full2, j)
@@ -313,14 +292,15 @@ CRITERIA = [
 
 
 def suite_report(budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """Every criterion as one report: its verdict and whether it ran within
-    its time limit.  The measured times go to stderr only, keeping the
-    report deterministic."""
-    merged = EnumReport("suite", {"budget": budget})
-    with timed(merged):
+    """Every criterion as one report: its verdict, with the name and
+    witnesses of each failing check of a failing criterion, and whether it
+    ran within its time limit.  The measured times go to stderr only,
+    keeping the report deterministic."""
+    with EnumReport("suite", {"budget": budget}) as merged:
         for name, fn, limit in CRITERIA:
             rep = fn(budget)
-            merged.add(name, rep.passed)
+            failed = [c for c in rep.checks if not c.passed and not c.informational]
+            merged.add(name, rep.passed, witnesses=[[c.name, list(c.witnesses)] for c in failed])
             merged.add(f"{name}-within-time", rep.wall_time_s < limit)
             merged.counts[name] = rep.counts
             print(

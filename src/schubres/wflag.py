@@ -34,7 +34,7 @@ from schubres.exactlin import (
     zero_subspace,
 )
 from schubres.grassfib import FrameConfig
-from schubres.report import EnumReport, subspace_witness, timed
+from schubres.report import EnumReport, frame_config, subspace_witness
 
 GCalPoint = tuple[Subspace, ...]
 GHatPoint = tuple[tuple[Subspace, ...], ...]  # row i (1-based) has i entries
@@ -262,11 +262,9 @@ def psi_tilde(cfg: FrameConfig, pt: GCalPoint) -> tuple[Subspace, ...]:
 def enumerate_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Point counts of the chain variety, its grid resolution and its
     open locus, the last two against their closed forms."""
-    report = EnumReport(
-        "wflag enumerate",
-        {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport(
+        "wflag enumerate", {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget}
+    ) as report:
         gcal = list(enumerate_gcal(cfg, budget))
         grid = sum(1 for _ in enumerate_ghat(cfg, budget))
         opens = sum(1 for pt in gcal if in_u(cfg, pt))
@@ -285,11 +283,9 @@ def enumerate_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRepo
 
 def lift_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """The lift of every chain point is a grid point over it."""
-    report = EnumReport(
-        "wflag lift",
-        {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport(
+        "wflag lift", {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget}
+    ) as report:
         pts = list(enumerate_gcal(cfg, budget))
         section_ok = True
         member_ok = True
@@ -311,11 +307,7 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
     closed form over the open locus, section property of the lift, and
     a census of the multi-point fibers off the open locus.
     """
-    report = EnumReport(
-        "wflag verify",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("wflag verify", frame_config(cfg, budget)) as report:
         gcal = list(enumerate_gcal(cfg, budget))
         gcal_set = set(gcal)
         fibers: dict[GCalPoint, list[GHatPoint]] = {}

@@ -97,7 +97,7 @@ from schubres.permcomb import (
     rank_matrix,
     word_product,
 )
-from schubres.report import EnumReport, subspace_witness, timed
+from schubres.report import EnumReport, frame_config, perm_config, subspace_witness
 from schubres.wflag import (
     GCalPoint,
     GHatPoint,
@@ -803,11 +803,7 @@ def verify_chart_family_by_flags(
     family flag's chain tower walked on its own (``chart_hits``) instead
     of at the grid point that carries the flag.  ``graphs`` is
     ``chart_graphs(cfg)``."""
-    report = EnumReport(
-        "embres chart",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("embres chart", frame_config(cfg, budget)) as report:
         p = cfg.p
         tuples = list(fixed_map_tuples(cfg))
         flags = [psi_embed(cfg, maps) for maps in tuples]
@@ -926,8 +922,7 @@ def enumerate_ghat_flat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Itera
 def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """``bottsamelson.bbs_iso`` with both towers held: the image of the
     grid tower as a set against the Bott-Samelson tower as a set."""
-    report = EnumReport("bs iso", {"perm": list(w.one_line), "field": p, "budget": budget})
-    with timed(report):
+    with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         word = bubblesort_word(w)
         grid_points = list(enumerate_shat(w, p, budget))
         bs_points = set(enumerate_bs(word, p, budget))
@@ -967,8 +962,7 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
     image flag's fiber as a list of its points, and the closed variety
     and the cell of w read off the walk over every complete flag, where
     the package counts them by cell sizes."""
-    report = EnumReport("biflag verify", {"perm": list(w.one_line), "field": p, "budget": budget})
-    with timed(report):
+    with EnumReport("biflag verify", perm_config(w, p, budget)) as report:
         points = list(enumerate_shat(w, p, budget))
         expected = (p + 1) ** length(w)
         report.counts["tower_points"] = len(points)
@@ -1020,11 +1014,7 @@ def verify_embedded_resolution_by_census(
     census: every (grid point, chain) pair is kept in a list under its
     chain's top, and each check reads the lists back.  ``graphs`` is
     ``chart_graphs(cfg)``."""
-    report = EnumReport(
-        "embres verify",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("embres verify", frame_config(cfg, budget)) as report:
         o = special_point(cfg)
         standard = tuple(cfg.frames[b] for b in cfg.beta)
         report.add(
@@ -1253,11 +1243,7 @@ def verify_phi_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumRe
     ``phi`` and one ``recover_lines_from_open`` per input, and the
     regular locus enumerated into a second set."""
     check_grassmannian(cfg, budget)  # before enumerating inputs
-    report = EnumReport(
-        "grass verify-phi",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("grass verify-phi", frame_config(cfg, budget)) as report:
         inputs = 0
         image: set[Subspace] = set()
         fiber_ok = True
@@ -1290,11 +1276,7 @@ def verify_phi_star_by_sets(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
     the image check carries the first three of the sorted symmetric
     difference as witnesses."""
     check_grassmannian(cfg, budget)  # before enumerating inputs
-    report = EnumReport(
-        "grass verify-phistar",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("grass verify-phistar", frame_config(cfg, budget)) as report:
         inputs = 0
         image: set[Subspace] = set()
         fiber_ok = True

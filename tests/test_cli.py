@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from schubres import biflag, grassfib
+from schubres import biflag, building, grassfib, suite
 from schubres.cli import REPORTS, build_parser, run
 from schubres.permcomb import Permutation
 
@@ -131,6 +131,12 @@ class TestExitCodes:
     def test_unknown_subcommand_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["rankmatrix", "building", "bubblesort"])
+    def test_budget_on_a_command_that_enumerates_nothing_is_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--perm", "2,1", "--budget", "5"])
         assert exc.value.code == 2
 
     def test_fault_in_a_verifier_is_3(self, capsys, monkeypatch):
@@ -308,6 +314,19 @@ class TestSuite:
         assert captured.err.count("PASS") == 10
 
 
+    def test_failing_criterion_carries_its_witnesses(self, capsys, monkeypatch):
+        sweep = [c for c in suite.CRITERIA if c[0] == "criterion-2-building-sweep"]
+        monkeypatch.setattr(suite, "CRITERIA", sweep)
+        check_counts = building.check_counts
+        monkeypatch.setattr(
+            building, "check_counts", lambda w: w.one_line != (2, 1) and check_counts(w)
+        )
+        code, rep = run_json(capsys, ["suite"])
+        assert code == 1
+        assert rep["checks"][0]["passed"] is False
+        assert rep["checks"][0]["witnesses"] == [["totals_and_oracle_agree", [[2, 1]]]]
+
+
 class TestTextOutput:
     # ``--no-json`` prints a verdict line and one line per check instead
     # of the JSON report
@@ -353,6 +372,32 @@ class TestReportHygiene:
         assert code == 0
         on_disk = json.loads(target.read_text())
         assert on_disk["counts"]["per_level"] == [2]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_out_is_2(self, where, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        assert run(["building", "--perm", "2,1", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_out_is_refused_before_the_build(self, capsys, monkeypatch, tmp_path):
+        # a built report would end as an internal error, exit 3
+        def broken(w, p, budget):
+            raise RuntimeError("the report was built")
+
+        monkeypatch.setattr(biflag, "verify_flres", broken)
+        target = tmp_path / "missing" / "x.json"
+        assert run(["biflag", "verify", "--perm", "2,1", "--out", str(target)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_refused_run_leaves_an_existing_out_file_intact(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old report\n")
+        argv = ["biflag", "enumerate", "--perm", "4,3,2,1", "--budget", "2"]
+        assert run(argv + ["--out", str(target)]) == 2
+        assert target.read_text() == "old report\n"
 
     def test_schema_fields(self, capsys):
         _, rep = run_json(capsys, ["building", "--perm", "2,1,3"])

@@ -62,7 +62,7 @@ from schubres.grassfib import (
     verify_transversal_identity,
     window_line_tuples,
 )
-from schubres.report import EnumReport, timed
+from schubres.report import EnumReport, frame_config
 
 
 def e(i, n):
@@ -129,11 +129,7 @@ def locus_points(cfg, mode):
 def transversal_by_walk(cfg, budget=DEFAULT_BUDGET):
     """``verify_transversal_identity`` over one walk of all of Gr_k: the
     oracle for the version that walks only the closed locus."""
-    report = EnumReport(
-        "grass verify-transversal",
-        {"n": cfg.n, "k": cfg.k, "beta": list(cfg.beta), "field": cfg.p, "budget": budget},
-    )
-    with timed(report):
+    with EnumReport("grass verify-transversal", frame_config(cfg, budget)) as report:
         meet, closed_meet = set(), set()
         for l in enumerate_subspaces(full_space(cfg.n, cfg.p), cfg.k):
             a, c = schubert_position(l)
