@@ -11,11 +11,14 @@ bijection over the Schubert cell, which is verified point by point here.
 
 Enumeration is by constraint propagation from the bottom row upward,
 never by filtering the ambient product, and is budget-guarded: the
-grid is ``exactlin.walk_rows`` over rows n..1, so a row's choices over
-each distinct row below it are built once per walk, left to right, and
-the points share them.  A verifier that reads a point therefore needs
-to redo only the rows whose objects differ from the last point's.
-``verify_flres`` checks the tower's bound before it builds anything.
+grid is an ``exactlin.RowGraph`` over rows n..1, so a row's choices over
+each distinct row below it are built once, left to right, and every
+equal row is one object.  The pinned grid's graph is kept for the next
+report of the same (w, p) (``shat_graph``), so ``bs iso`` after
+``biflag verify`` walks what the verify built.  The verifiers read it a
+fan at a time (``shat_fans``): rows 2..n once, then each choice of row
+1 over them.  ``verify_flres`` checks the tower's bound before it
+builds anything.
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
@@ -31,22 +34,25 @@ rows end at distinct coordinates.  Their last coordinates are the
 subspace's jumps against the standard flag, and the rows ending at or
 before q span its meet with F_q.  Each dimension dim(l_p ∩ F_q) depends
 on l_p alone, so each subspace is read on its own.  ``verify_flres``
-keeps each subspace's jump sum, and the meets of each subspace of a
-cell flag, in two dicts for its one report, so no grid cell needs an
-intersection.  It keys each image flag by one small int per row, given
-to each distinct last-column subspace, so a point costs about one
-subspace hash and only a new flag is projected and placed.
+keeps each last-column subspace's jump sum and a small int, and the
+meets of each subspace of a cell flag, in dicts for its one report, so
+no grid cell needs an intersection.  It reads each row object's int
+and sum once, keyed by its id, and keys each image flag by its rows'
+ints, so a point costs no subspace hash; a new flag's position is its
+rows' jump sums, and only the witness flag is projected.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
+from itertools import accumulate
 from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
+    Fan,
     Row,
+    RowGraph,
     RowSpec,
     Subspace,
     Vec,
@@ -54,6 +60,7 @@ from schubres.exactlin import (
     coordinate_space,
     rows_bound,
     rref,
+    walk_fans,
     walk_rows,
 )
 from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
@@ -100,6 +107,20 @@ def enumerate_shat(
     yield from walk_rows(*grid_rows(w, p, pinned_last_row=True), budget)
 
 
+@lru_cache(maxsize=1)
+def shat_graph(w: Permutation, p: int) -> RowGraph:
+    """The row graph of the pinned grid of w.  Only the last (w, p) is
+    kept, so a report that follows one of the same (w, p) walks the rows
+    that report built."""
+    return RowGraph(*grid_rows(w, p, pinned_last_row=True))
+
+
+def shat_fans(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Fan]:
+    """The points of ``enumerate_shat`` as ``exactlin.walk_fans`` of
+    ``shat_graph``: rows 2..n, then the choices of row 1 over them."""
+    return walk_fans(shat_graph(w, p), budget)
+
+
 def project_to_flag(pt: tuple[Row, ...]) -> Flag:
     """The last column of the grid, a complete flag."""
     return tuple([row[-1] for row in pt])
@@ -119,22 +140,14 @@ def _ends(space: Subspace) -> dict[int, Vec]:
     return {n - c: row[::-1] for row, c in zip(rows, pivots)}
 
 
-def flag_position(flag: Flag, memo: dict[Subspace, int] | None = None) -> Permutation:
-    """The permutation u with dim(l_p ∩ F_q) = rank_matrix(u)[p][q].
+def _jump_sum(space: Subspace) -> int:
+    """The sum of the jumps of ``space`` against the standard flag.
 
-    l_p has the jumps of l_{p-1} and one more, and u(p) is that one: the
-    difference of the two spaces' jump sums (``_ends``).  ``memo`` keeps
-    each distinct space's sum, so a caller that keeps it reduces each
-    subspace once.
+    A complete flag lies in the cell of the u with dim(l_p ∩ F_q) =
+    rank_matrix(u)[p][q]: l_p has the jumps of l_{p-1} and one more,
+    u(p), so the jump sum of l_p is u(1) + ... + u(p).
     """
-    memo = {} if memo is None else memo
-    sums = [0]
-    for space in flag:
-        got = memo.get(space)
-        if got is None:
-            got = memo[space] = sum(_ends(space))
-        sums.append(got)
-    return Permutation(tuple(map(sub, sums[1:], sums)))
+    return sum(_ends(space))
 
 
 def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> tuple[Row, ...]:
@@ -142,7 +155,8 @@ def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> tup
 
     Row p is read off ``_ends(l_p)``: each meet is the one before,
     extended by the row ending at q if there is one.  ``memo`` keeps
-    each distinct space's row, as ``flag_position`` keeps its sums.
+    each distinct space's row, so a caller that keeps it reduces each
+    subspace once.
     """
     n = len(flag)
     memo = {} if memo is None else memo
@@ -205,34 +219,53 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         # refuse an oversized tower before the Bruhat interval is built
         check_budget(rows_bound(*grid_rows(w, p, pinned_last_row=True)), budget)
         below = {u for u in all_permutations(n) if bruhat_leq(u, w)}
-        sums: dict[Subspace, int] = {}
+        # l_p has jump sum u(1) + ... + u(p), so a flag's jump sums name its
+        # position: it lies in the cell of w, or below w, when they are
+        # the prefix sums of w, or of some u <= w
+        cell_sums = tuple(accumulate(w.one_line))
+        below_sums = {tuple(accumulate(u.one_line)) for u in below}
         meet_rows: dict[Subspace, Row] = {}
-        # a point's flag is keyed by one small int per row, read off the
-        # row's last cell when the row object differs from the last point's
-        index: dict[Subspace, int] = {}
-        rows: list[Row | None] = [None] * n
-        key = [0] * n
-        # image flag -> its one point over the cell of w, None once a second
-        # comes, False for a flag off the cell
+        # each distinct last-column subspace's small int and jump sum, and
+        # each row object's, by id; a value holds its row, so the id stays
+        # the row's while the dict lives
+        spaces: dict[Subspace, tuple[int, int]] = {}
+        reads: dict[int, tuple[int, int, Row]] = {}
+
+        def read(row: Row) -> tuple[int, int, Row]:
+            space = row[-1]
+            got = spaces.get(space)
+            if got is None:
+                got = spaces[space] = (len(spaces), _jump_sum(space))
+            reads[id(row)] = got = (*got, row)
+            return got
+
+        # image flag, keyed by its rows' ints -> its one point over the cell
+        # of w, None once a second comes, False for a flag off the cell
         fiber: dict[tuple[int, ...], tuple[Row, ...] | None | bool] = {}
         tower_points = 0
         outside = None
-        for pt in enumerate_shat(w, p, budget):
-            tower_points += 1
-            for i, row in enumerate(pt):
+        # the ints and sums of rows 2..n, read again at a fan only for the
+        # rows whose objects differ from the last fan's
+        rows: list[Row | None] = [None] * (n - 1)
+        keys, jump_sums = [0] * (n - 1), [0] * (n - 1)
+        for upper, fan in shat_fans(w, p, budget):
+            tower_points += len(fan)
+            for i, row in enumerate(upper):
                 if row is not rows[i]:
                     rows[i] = row
-                    key[i] = index.setdefault(row[-1], len(index))
-            flag_key = tuple(key)
-            got = fiber.get(flag_key, _UNSEEN)
-            if got is _UNSEEN:
-                flag = project_to_flag(pt)
-                u = flag_position(flag, sums)
-                fiber[flag_key] = pt if u == w else False
-                if outside is None and u not in below:
-                    outside = flag
-            elif got:
-                fiber[flag_key] = None
+                    keys[i], jump_sums[i], _ = reads.get(id(row)) or read(row)
+            upper_keys, upper_sums = tuple(keys), tuple(jump_sums)
+            for row in fan:
+                k, s, _ = reads.get(id(row)) or read(row)
+                flag_key = (k,) + upper_keys
+                got = fiber.get(flag_key, _UNSEEN)
+                if got is _UNSEEN:
+                    sums = (s,) + upper_sums
+                    fiber[flag_key] = (row,) + upper if sums == cell_sums else False
+                    if outside is None and sums not in below_sums:
+                        outside = project_to_flag((row,) + upper)
+                elif got:
+                    fiber[flag_key] = None
         over_cell = [pt for pt in fiber.values() if pt is not False]
         expected = (p + 1) ** length(w)
         report.counts["tower_points"] = tower_points

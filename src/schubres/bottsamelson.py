@@ -11,13 +11,12 @@ recursing on the restricted bijection one row up.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Iterator
 
 from schubres.biflag import (
     Row,
-    enumerate_shat,
     project_to_flag,
+    shat_fans,
     standard_frames,
 )
 from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, chain_stages, tower
@@ -114,10 +113,12 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     every pair agrees and both walks end together; orders that ever
     differ fail, never pass.  Each pair must commute with both
     projections, and the images' first blocks must be the chains of the
-    independent chain tower.  The image and its flag are refreshed only
-    at the grid rows whose objects differ from the last point's, and a
-    first block is added only when grid row n-1 changed; each pair is
-    still compared whole, so a fault at any level of either tower shows.
+    independent chain tower.  The grid comes a fan at a time
+    (``shat_fans``): the image and flag entries of rows 2..n are
+    refreshed once per fan, at the rows whose objects differ from the
+    last fan's, and those of row 1 at every point; a first block is
+    added only when grid row n-1 changed.  Each pair is still compared
+    whole, so a fault at any level of either tower shows.
     """
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         n = w.n
@@ -132,46 +133,55 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         # each grid row's (image position, column) and (flag index, column) pairs
         reads = [
             (
-                r,
                 [(j, c) for j, (r2, c) in enumerate(cells) if r2 == r],
                 [(space_at[j], c) for j, (r2, c) in enumerate(cells) if r2 == r and j in space_at],
             )
-            for r in sorted({r for r, _ in cells})
+            for r in range(n)
         ]
+        fan_read, fan_spaces = reads[0]
         m = n - w(n)
+        # grid row n-1 holds the first block: with n = 2 it is row 1, which
+        # changes at every point
+        first_in_fan = m and n == 2
         grid_count = tower_count = 0
         injective = image_is_tower = commutes = True
         prev: BSPoint | None = None
         first_blocks: set[BSPoint] = set()
-        # the image and the flag are refreshed only at the rows whose objects
-        # differ from the last point's; the first block is read off grid row
-        # n-1 alone
         img: list[Subspace | None] = [None] * len(cells)
         flag = list(frames[1:])
         rows: list[Row | None] = [None] * n
-        for pt, b in zip_longest(enumerate_shat(w, p, budget), enumerate_bs(word, p, budget)):
-            tower_count += b is not None
-            if pt is None:
-                image_is_tower = False
-                continue
-            grid_count += 1
+        tower = enumerate_bs(word, p, budget)
+        for upper, fan in shat_fans(w, p, budget):
             first_changed = False
-            for r, read, spaces in reads:
-                row = pt[r]
+            for r, row in enumerate(upper, start=1):
                 if row is not rows[r]:
                     rows[r] = row
                     first_changed = first_changed or r == n - 2
+                    read, spaces = reads[r]
                     for j, c in read:
                         img[j] = row[c]
                     for i, c in spaces:
                         flag[i] = row[c]
-            now = tuple(img)
-            image_is_tower = image_is_tower and now == b
-            injective = injective and (prev is None or prev < now)
-            prev = now
-            commutes = commutes and project_to_flag(pt) == tuple(flag)
             if m and first_changed:
-                first_blocks.add(now[:m])
+                first_blocks.add(tuple(img[:m]))
+            for row in fan:
+                grid_count += 1
+                for j, c in fan_read:
+                    img[j] = row[c]
+                for i, c in fan_spaces:
+                    flag[i] = row[c]
+                now = tuple(img)
+                b = next(tower, None)
+                tower_count += b is not None
+                image_is_tower = image_is_tower and now == b
+                injective = injective and (prev is None or prev < now)
+                prev = now
+                commutes = commutes and project_to_flag((row,) + upper) == tuple(flag)
+                if first_in_fan:
+                    first_blocks.add(now[:m])
+        rest = sum(1 for _ in tower)
+        tower_count += rest
+        image_is_tower = image_is_tower and not rest
         expected = (p + 1) ** length(w)
         report.counts["grid_points"] = grid_count
         report.counts["tower_points"] = tower_count

@@ -131,7 +131,10 @@ REPORTS = {
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or an argument argparse refuses (2)
+        return 0 if exc.code is None else exc.code
     try:
         _validate(args)
         report = REPORTS[args.command, getattr(args, "action", None)](args)

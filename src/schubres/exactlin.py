@@ -657,50 +657,89 @@ def rows_bound(under: Row, rows: Sequence[RowSpec]) -> int:
     return total
 
 
-def walk_rows(under: Row, rows: Sequence[RowSpec], budget: int) -> Iterator[tuple[Row, ...]]:
-    """Yield every grid of subspaces chosen one row at a time.
+class RowGraph:
+    """The choices of each row of a grid, built once per distinct row below.
 
     With ``rows[r] = (dims, extra)``, cell c of row r is a ``dims[c]``-
     dimensional space between cell c-1 (zero for c = 0) and cell c of
     the previous row (of ``under`` for the first row) plus ``extra``.
-    A row's choices over each distinct previous row are built once per
-    walk, left to right over ``enumerate_between``, and the points share
-    these row tuples.  The rows are walked with one stack; each point
-    lists its rows last-chosen first.  The whole walk is refused before
-    its first point when ``rows_bound`` exceeds the budget.
+    ``choices(r, below)`` builds row r's choices over ``below`` on first
+    use, left to right over ``enumerate_between``, and keeps them.  Each
+    row it builds is interned, so equal rows are one object; the graph
+    holds them all, and keys its memos by their ids, so no lookup hashes
+    a row.  ``below`` is ``under`` for r = 0 and a row of the graph's
+    own choices otherwise.  Nothing is built before the first
+    ``choices`` call, so a walk can check ``rows_bound`` first.
     """
-    check_budget(rows_bound(under, rows), budget)
-    # a zero ``extra`` is the caller's own zero object: caches and comparisons
-    # that meet the caller's spaces then hit on identity
-    zero = next((extra for _, extra in rows if not extra.dim), None)
-    if zero is None:
-        zero = zero_subspace(under[0].n, under[0].p)
-    memos: list[dict[Row, tuple[Row, ...]]] = [{} for _ in rows]
 
-    def choices(r: int, below: Row) -> tuple[Row, ...]:
-        got = memos[r].get(below)
+    def __init__(self, under: Row, rows: Sequence[RowSpec]) -> None:
+        self.under = under
+        self.rows = rows
+        # a zero ``extra`` is the caller's own zero object: caches and
+        # comparisons that meet the caller's spaces then hit on identity
+        zero = next((extra for _, extra in rows if not extra.dim), None)
+        self.zero = zero_subspace(under[0].n, under[0].p) if zero is None else zero
+        self.interned: dict[Row, Row] = {}
+        self.memos: list[dict[int, tuple[Row, ...]]] = [{} for _ in rows]
+
+    def choices(self, r: int, below: Row) -> tuple[Row, ...]:
+        got = self.memos[r].get(id(below))
         if got is None:
-            dims, extra = rows[r]
+            dims, extra = self.rows[r]
             uppers = [subspace_sum(s, extra) for s in below[: len(dims)]] if extra.dim else below
-            built = [(s,) for s in enumerate_between(zero, uppers[0], dims[0])]
+            built = [(s,) for s in enumerate_between(self.zero, uppers[0], dims[0])]
             for c in range(1, len(dims)):
                 upper, dim = uppers[c], dims[c]
                 built = [b + (s,) for b in built for s in enumerate_between(b[-1], upper, dim)]
-            got = memos[r][below] = tuple(built)
+            intern = self.interned.setdefault
+            got = self.memos[r][id(below)] = tuple([intern(row, row) for row in built])
         return got
 
-    last = len(rows) - 1
+
+Fan = tuple[tuple[Row, ...], tuple[Row, ...]]  # (upper rows, last-row choices)
+
+
+def walk_fans(graph: RowGraph, budget: int) -> Iterator[Fan]:
+    """Yield every choice of all rows but the last, with the last row's
+    choices over it: ``(upper, fan)``, the upper rows last-chosen first
+    and the fan the graph's shared tuple of last-row choices.  The
+    points of the grid are ``(row,) + upper`` for each row of each fan,
+    in ``walk_rows`` order.  The whole walk is refused before anything
+    is built when ``rows_bound`` exceeds the budget.
+    """
+    check_budget(rows_bound(graph.under, graph.rows), budget)
+    choices, last = graph.choices, len(graph.rows) - 1
+    if not last:
+        yield (), choices(0, graph.under)
+        return
+    # fans come straight from the last row's memo when built: a method call
+    # per fan took a third of the walk's time on a grid of one-point fans
+    fans = graph.memos[last]
     # stack[r] runs over the choices of row r, beside the rows chosen before it
-    stack = [(iter(choices(0, under)), ())]
+    stack = [(iter(choices(0, graph.under)), ())]
     while stack:
         level, chosen = stack[-1]
-        if len(stack) > last:
+        if len(stack) == last:
             stack.pop()
             for row in level:
-                yield (row,) + chosen
+                fan = fans.get(id(row))
+                yield (row,) + chosen, choices(last, row) if fan is None else fan
             continue
         row = next(level, None)
         if row is None:
             stack.pop()
         else:
             stack.append((iter(choices(len(stack), row)), (row,) + chosen))
+
+
+def walk_rows(under: Row, rows: Sequence[RowSpec], budget: int) -> Iterator[tuple[Row, ...]]:
+    """Yield every grid of subspaces chosen one row at a time.
+
+    The grid is ``RowGraph(under, rows)``, walked by ``walk_fans``; each
+    point lists its rows last-chosen first, and the points share the
+    graph's row objects.  The whole walk is refused before its first
+    point when ``rows_bound`` exceeds the budget.
+    """
+    for upper, fan in walk_fans(RowGraph(under, rows), budget):
+        for row in fan:
+            yield (row,) + upper

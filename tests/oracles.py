@@ -32,7 +32,6 @@ from schubres import biflag, exactlin, permcomb
 from schubres.biflag import (
     Flag,
     enumerate_shat,
-    flag_position,
     project_to_flag,
     standard_frames,
 )
@@ -50,6 +49,7 @@ from schubres.embres import (
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    Fan,
     InvariantError,
     LinearMap,
     Row,
@@ -554,9 +554,18 @@ def meet_by_elimination(l: Subspace, q: int) -> Subspace:
     return Subspace(n, p, basis, pivots)
 
 
+def flag_position(flag: Flag) -> Permutation:
+    """The permutation u with dim(l_p ∩ F_q) = rank_matrix(u)[p][q], one
+    flag at a time: u(p) is the difference of the jump sums of l_p and
+    l_{p-1} (``biflag._jump_sum``, looked up at each call), where
+    ``verify_flres`` compares the sums themselves."""
+    sums = [0] + [biflag._jump_sum(space) for space in flag]
+    return Permutation(tuple(map(operator.sub, sums[1:], sums)))
+
+
 def flag_rank_profile(flag: Flag) -> tuple[tuple[int, ...], ...]:
     """dim(l_p ∩ F_q) for p, q = 1..n by n^2 meets with the standard
-    flag: the slow independent oracle for ``biflag.flag_position``."""
+    flag: the slow independent oracle for ``flag_position``."""
     n = len(flag)
     return tuple(
         tuple(meet_by_elimination(flag[pp - 1], q).dim for q in range(1, n + 1))
@@ -576,6 +585,15 @@ def reconstruct_grid_by_intersections(flag: Flag) -> tuple[Row, ...]:
 def copied(pt: tuple[Row, ...]) -> tuple[Row, ...]:
     """``pt`` with every row and every cell a new object of the same value."""
     return tuple(tuple(Subspace(s.n, s.p, s.basis, s.pivots) for s in row) for row in pt)
+
+
+def cut_into_fans(points: Iterable[tuple[Row, ...]]) -> Iterator[Fan]:
+    """``points`` as ``exactlin.walk_fans`` yields a grid's points: each
+    run of consecutive points whose rows 2..n are the same objects is one
+    fan: those rows, and the row 1 of each point of the run."""
+    for _, run in itertools.groupby(points, key=lambda pt: tuple(map(id, pt[1:]))):
+        run = list(run)
+        yield run[0][1:], tuple(pt[0] for pt in run)
 
 
 def grid_is_valid(pt: tuple[Row, ...], w: Permutation) -> bool:

@@ -10,9 +10,11 @@ import pytest
 from oracles import (
     cell,
     copied,
+    cut_into_fans,
     enumerate_complete_flags,
     enumerate_ghat_flat,
     enumerate_grid_flat,
+    flag_position,
     flag_rank_profile,
     grid_is_valid,
     grid_stages,
@@ -25,7 +27,6 @@ from schubres import biflag, exactlin
 from schubres.biflag import (
     enumerate_flw,
     enumerate_shat,
-    flag_position,
     grid_rows,
     project_to_flag,
     reconstruct_grid,
@@ -203,12 +204,10 @@ class TestReconstructGrid:
     @pytest.mark.parametrize("n,p", STREAM_SPACES)
     def test_read_off_equals_intersections(self, n, p):
         # on every complete flag, the grid read off the reversed rows is
-        # the n^2 intersections' grid; positions and grids read with one
-        # memo for all flags, as verify_flres reads them, equal those
-        # read with none
-        sums, rows = {}, {}
+        # the n^2 intersections' grid; grids read with one memo for all
+        # flags, as verify_flres reads them, equal those read with none
+        rows = {}
         for flag in enumerate_complete_flags(n, p):
-            assert flag_position(flag, sums) == flag_position(flag)
             want = reconstruct_grid_by_intersections(flag)
             assert reconstruct_grid(flag, rows) == want
             assert reconstruct_grid(flag) == want
@@ -402,6 +401,13 @@ class TestVerifyFlresBudget:
         assert verify_flres(w, 2, bound).passed
 
 
+def _feed(monkeypatch, points):
+    """Both verifiers over the grid tower ``points``: ``verify_flres``
+    reads it cut into fans, the list oracle point by point."""
+    monkeypatch.setattr(biflag, "shat_fans", lambda w, p, b: cut_into_fans(points))
+    monkeypatch.setattr(oracles, "enumerate_shat", lambda w, p, b: iter(points))
+
+
 class TestVerifyFlresStreams:
     """The one-pass ``verify_flres`` against the list-based oracle."""
 
@@ -421,8 +427,7 @@ class TestVerifyFlresStreams:
         w = Permutation((2, 3, 1))
         points = list(enumerate_shat(w, 2))
         twice = next(pt for pt in points if flag_position(project_to_flag(pt)) == w)
-        for module in (biflag, oracles):
-            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points + [twice]))
+        _feed(monkeypatch, points + [twice])
         got = verify_flres(w, 2)
         assert "cell_fibers_are_singletons" in {c.name for c in got.checks if not c.passed}
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
@@ -435,8 +440,7 @@ class TestVerifyFlresStreams:
         i = next(i for i, pt in enumerate(points) if flag_position(project_to_flag(pt)) == w)
         zero = standard_frames(3, 2)[0]
         points[i] = tuple((zero, zero, row[-1]) for row in points[i])
-        for module in (biflag, oracles):
-            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
+        _feed(monkeypatch, points)
         got = verify_flres(w, 2)
         assert {c.name for c in got.checks if not c.passed} == {"cell_fiber_is_intersection_grid"}
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
@@ -447,8 +451,7 @@ class TestVerifyFlresStreams:
         # each flag is still keyed by value
         w = Permutation(one_line)
         points = [copied(pt) for pt in enumerate_shat(w, 2)]
-        for module in (biflag, oracles):
-            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
+        _feed(monkeypatch, points)
         got = verify_flres(w, 2)
         assert got.passed
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, 2).to_json())
@@ -462,10 +465,7 @@ class TestVerifyFlresStreams:
         again = next(
             pt for pt in points if (flag_position(project_to_flag(pt)) == w) == over_cell
         )
-        for module in (biflag, oracles):
-            monkeypatch.setattr(
-                module, "enumerate_shat", lambda w, p, b: iter(points + [copied(again)])
-            )
+        _feed(monkeypatch, points + [copied(again)])
         got = verify_flres(w, p)
         failed = {c.name for c in got.checks if not c.passed}
         want = {"tower_count_is_(p+1)^l", "cell_fibers_are_singletons"}
@@ -479,8 +479,7 @@ class TestVerifyFlresStreams:
         points = list(enumerate_shat(w, p))
         dropped = next(f for f in map(project_to_flag, points) if flag_position(f) == u)
         kept = [pt for pt in points if project_to_flag(pt) != dropped]
-        for module in (biflag, oracles):
-            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(kept))
+        _feed(monkeypatch, kept)
         got = verify_flres(w, p)
         assert _without_time(got.to_json()) == _without_time(verify_flres_by_lists(w, p).to_json())
         return got
@@ -511,10 +510,15 @@ class TestVerifyFlresStreams:
 
     def test_witness_is_first_outside_flag(self, monkeypatch):
         # with every position read as the longest word, every image flag
-        # lies outside; the witness is the first one in tower order
+        # lies outside; the witness is the first one in tower order.  Both
+        # verifiers read positions off jump sums: give every space of
+        # dimension d the jumps n-d+1..n
         w = Permutation((2, 3, 1))
-        for module in (biflag, oracles):
-            monkeypatch.setattr(module, "flag_position", lambda flag, memo=None: _longest(3))
+        def longest(space):
+            return sum(range(space.n - space.dim + 1, space.n + 1))
+
+        monkeypatch.setattr(biflag, "_jump_sum", longest)
+        assert {flag_position(f) for f in enumerate_complete_flags(3, 2)} == {_longest(3)}
         got = json.loads(verify_flres(w, 2).to_json())
         want = json.loads(verify_flres_by_lists(w, 2).to_json())
         check = next(c for c in got["checks"] if c["name"] == "image_in_closed_variety")

@@ -12,6 +12,7 @@ from oracles import (
     cell,
     clear_caches,
     copied,
+    cut_into_fans,
     grid_to_bs,
     identity,
 )
@@ -172,6 +173,13 @@ def _without_time(report: EnumReport) -> dict:
     return out
 
 
+def _feed(monkeypatch, points):
+    """Both verifiers over the grid tower ``points``: ``bbs_iso`` reads it
+    cut into fans, the set oracle point by point."""
+    monkeypatch.setattr(bottsamelson, "shat_fans", lambda w, p, b: cut_into_fans(points))
+    monkeypatch.setattr(oracles, "enumerate_shat", lambda w, p, b: iter(points))
+
+
 class TestLockstep:
     """The streamed ``bbs_iso`` against the set-based oracle, and faults
     that put the two towers out of step."""
@@ -208,19 +216,17 @@ class TestLockstep:
     @pytest.mark.parametrize("fault", ["repeat", "short"])
     def test_out_of_step_grid_fails(self, monkeypatch, fault):
         w = Permutation((2, 3, 1))
-
-        def faulty(w, p, budget):
-            points = list(enumerate_shat(w, p, budget))
-            if fault == "repeat":
-                points[5] = points[4]  # two grid points with one image
-            else:
-                points.pop()
-            yield from points
-
-        monkeypatch.setattr(bottsamelson, "enumerate_shat", faulty)
-        failed = {c.name for c in bbs_iso(w, 2).checks if not c.passed}
+        points = list(enumerate_shat(w, 2))
+        if fault == "repeat":
+            points[5] = points[4]  # two grid points with one image
+        else:
+            points.pop()
+        _feed(monkeypatch, points)
+        rep = bbs_iso(w, 2)
+        failed = {c.name for c in rep.checks if not c.passed}
         assert "map_image_is_tower" in failed
         assert ("map_is_injective" in failed) == (fault == "repeat")
+        assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))
 
     def test_upper_level_fault_fails(self, monkeypatch):
         # a tower point that differs from the one before it at a level the
@@ -245,8 +251,7 @@ class TestLockstep:
         # value: no row is the last point's, and nothing else changes
         w = Permutation(one_line)
         points = [copied(pt) for pt in enumerate_shat(w, 2)]
-        for module in (bottsamelson, oracles):
-            monkeypatch.setattr(module, "enumerate_shat", lambda w, p, b: iter(points))
+        _feed(monkeypatch, points)
         rep = bbs_iso(w, 2)
         assert rep.passed
         assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))

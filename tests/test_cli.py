@@ -4,14 +4,17 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from oracles import clear_caches
 
-from schubres import biflag, building, grassfib, suite
+from schubres import biflag, building, exactlin, grassfib, suite
 from schubres.cli import REPORTS, build_parser, run
+from schubres.exactlin import rows_bound
 from schubres.permcomb import Permutation
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -81,9 +84,7 @@ class TestExitCodes:
 
     def test_k_option_is_rejected_2(self, capsys):
         # k is the length of --beta; there is no separate option for it
-        with pytest.raises(SystemExit) as exc:
-            run(["grass", "verify-phi", "--n", "4", "--k", "2", "--beta", "2,4"])
-        assert exc.value.code == 2
+        assert run(["grass", "verify-phi", "--n", "4", "--k", "2", "--beta", "2,4"]) == 2
 
     def test_budget_exceeded_is_2(self, capsys):
         assert run(["biflag", "enumerate", "--perm", "4,3,2,1", "--budget", "2"]) == 2
@@ -129,15 +130,19 @@ class TestExitCodes:
         assert run(["grass", "verify-phi", "--n", "4", "--beta", "2,4", "--field", "6"]) == 2
 
     def test_unknown_subcommand_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["frobnicate"])
-        assert exc.value.code == 2
+        assert run(["frobnicate"]) == 2
 
     @pytest.mark.parametrize("command", ["rankmatrix", "building", "bubblesort"])
     def test_budget_on_a_command_that_enumerates_nothing_is_2(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--perm", "2,1", "--budget", "5"])
-        assert exc.value.code == 2
+        # argparse refuses the option; run returns its code instead of
+        # raising, so a caller that runs many argvs in turn goes on
+        assert run([command, "--perm", "2,1", "--budget", "5"]) == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["biflag", "verify", "--help"]])
+    def test_help_is_0(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
     def test_fault_in_a_verifier_is_3(self, capsys, monkeypatch):
         # a ValueError raised once the configuration is valid is a fault
@@ -302,6 +307,57 @@ class TestVerifyCommands:
         assert any(n.startswith("resolution.") for n in names)
 
 
+class TestSharedGraph:
+    """``biflag verify`` and ``bs iso`` of one (w, p) walk one cached row
+    graph (``biflag.shat_graph``)."""
+
+    RUNS = [
+        ["biflag", "verify", "--perm", "2,4,1,3", "--field", "3"],
+        ["bs", "iso", "--perm", "2,4,1,3", "--field", "3"],
+        ["bs", "iso", "--perm", "3,4,1,2", "--field", "3"],
+        ["biflag", "verify", "--perm", "2,4,1,3", "--field", "2"],
+    ]
+
+    @staticmethod
+    def _masked(capsys, argv):
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        out, count = re.subn(r'"wall_time_s": [-+.0-9e]+', '"wall_time_s": _', text)
+        assert count == 1
+        return out
+
+    def test_reports_equal_those_from_empty_caches(self, capsys):
+        clear_caches()
+        chained = [self._masked(capsys, argv) for argv in self.RUNS]
+        # only the bs iso right after the biflag verify of its (w, p) hit
+        info = biflag.shat_graph.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+        for argv, text in zip(self.RUNS, chained):
+            clear_caches()
+            assert biflag.shat_graph.cache_info().currsize == 0
+            assert self._masked(capsys, argv) == text, argv
+
+    @pytest.mark.parametrize("command", [["biflag", "verify"], ["bs", "iso"]])
+    def test_budget_refused_before_any_row_with_the_graph_cached(
+        self, command, capsys, monkeypatch
+    ):
+        w = Permutation((2, 4, 1, 3))
+        bound = rows_bound(*biflag.grid_rows(w, 2, pinned_last_row=True))
+        argv = ["--perm", "2,4,1,3", "--field", "2"]
+        assert run(["biflag", "verify", *argv]) == 0
+        assert biflag.shat_graph.cache_info().currsize == 1
+        assert biflag.shat_graph(w, 2).memos[0]
+
+        def no_row(lower, upper, dim):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(exactlin, "enumerate_between", no_row)
+        capsys.readouterr()
+        assert run([*command, *argv, "--budget", str(bound - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: tower needs up to {bound} points, budget is {bound - 1}\n"
+
+
 class TestSuite:
     def test_suite_runs_all_criteria(self, capsys):
         code = run(["suite"])
@@ -344,9 +400,12 @@ class TestTextOutput:
 
     def test_failing_report(self, capsys, monkeypatch):
         # every flag read as the longest word lies outside the variety of
-        # 2,3,1 and off its cell
-        longest = Permutation((3, 2, 1))
-        monkeypatch.setattr(biflag, "flag_position", lambda flag, memo=None: longest)
+        # 2,3,1 and off its cell: each space of dimension d gets the jumps
+        # n-d+1..n
+        def longest(space):
+            return sum(range(space.n - space.dim + 1, space.n + 1))
+
+        monkeypatch.setattr(biflag, "_jump_sum", longest)
         assert run(["biflag", "verify", "--perm", "2,3,1", "--no-json"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "biflag verify: FAIL"

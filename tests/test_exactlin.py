@@ -740,6 +740,83 @@ class TestWalkRows:
             next(ex.walk_rows(under, rows, bound - 1))
 
 
+def _grid_specs():
+    """``walk_rows`` inputs: the pinned and unpinned grids of every
+    permutation of S_3 and S_4 at p = 2 and 3 (the unpinned ones up to
+    30 000 points: the longest of S_4 has 8.5 million at p = 3), and the
+    W-flag grid of every default frame with n <= 5 at p = 2 and n <= 4 at
+    p = 3."""
+    from schubres.biflag import grid_rows
+    from schubres.grassfib import make_frame
+    from schubres.permcomb import all_permutations
+    from schubres.wflag import ghat_rows
+
+    for p in (2, 3):
+        for n in (3, 4):
+            for w in all_permutations(n):
+                yield f"shat-{w.one_line}-p{p}", grid_rows(w, p, True)
+                flw = grid_rows(w, p, False)
+                if ex.rows_bound(*flw) <= 30_000:
+                    yield f"flw-{w.one_line}-p{p}", flw
+        for n in range(1, 6 if p == 2 else 5):
+            for k in range(1, n + 1):
+                for beta in itertools.combinations(range(1, n + 1), k):
+                    yield f"ghat-{n}-{beta}-p{p}", ghat_rows(make_frame(n, p, beta))
+
+
+class TestWalkFans:
+    """``walk_fans`` against the point walk over it."""
+
+    def test_fans_are_the_points_in_order(self):
+        for name, (under, rows) in _grid_specs():
+            graph = ex.RowGraph(under, rows)
+            fans = list(ex.walk_fans(graph, ex.DEFAULT_BUDGET))
+            points = [(row,) + upper for upper, fan in fans for row in fan]
+            assert points == list(ex.walk_rows(under, rows, ex.DEFAULT_BUDGET)), name
+            # a fan is the graph's own tuple of last-row choices
+            last = len(rows) - 1
+            for upper, fan in fans:
+                assert fan is graph.choices(last, upper[0] if upper else under), name
+            # one object per row value
+            objects = {}
+            for pt in points:
+                for row in pt:
+                    assert objects.setdefault(row, row) is row, name
+            assert len(objects) <= len(graph.interned)
+
+    def test_equal_rows_over_distinct_rows_below_are_one_object(self):
+        # the longest word of S_4 at p = 2: rows built over distinct rows
+        # below share their values, and the graph keeps one object each
+        from schubres.biflag import grid_rows
+        from schubres.permcomb import Permutation
+
+        graph = ex.RowGraph(*grid_rows(Permutation((4, 3, 2, 1)), 2, True))
+        built = [
+            row
+            for upper, fan in ex.walk_fans(graph, ex.DEFAULT_BUDGET)
+            for row in (*fan, *upper)
+        ]
+        assert len({id(row) for row in built}) == len(set(built)) == len(graph.interned)
+        memo_rows = [row for memo in graph.memos for rows in memo.values() for row in rows]
+        assert len(memo_rows) > len(graph.interned)
+
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        under, rows = _one_row(tuple(ex.full_space(4, 2) for _ in range(3)))
+        graph = ex.RowGraph(under, rows)
+        bound = ex.rows_bound(under, rows)
+        assert sum(len(fan) for _, fan in ex.walk_fans(graph, bound)) == bound
+
+        def no_row(lower, upper, dim):
+            raise AssertionError("a row was built")
+
+        # the graph is built: the bound is still checked first
+        monkeypatch.setattr(ex, "enumerate_between", no_row)
+        with pytest.raises(ex.BudgetExceededError, match=f"tower needs up to {bound} points"):
+            next(ex.walk_fans(graph, bound - 1))
+        with pytest.raises(ex.BudgetExceededError):
+            next(ex.walk_fans(ex.RowGraph(under, rows), bound - 1))
+
+
 class TestCheckBudget:
     def test_refusal_of_a_huge_bound_prints(self):
         # past 4 300 digits Python 3.11 and later refuse str() of an int,
