@@ -15,7 +15,6 @@ from typing import Iterator
 
 from schubres.biflag import (
     Row,
-    project_to_flag,
     shat_fans,
     standard_frames,
 )
@@ -117,8 +116,12 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     (``shat_fans``): the image and flag entries of rows 2..n are
     refreshed once per fan, at the rows whose objects differ from the
     last fan's, and those of row 1 at every point; a first block is
-    added only when grid row n-1 changed.  Each pair is still compared
-    whole, so a fault at any level of either tower shows.
+    added only when grid row n-1 changed.  Each pair of images is still
+    compared whole, so a fault at any level of either tower shows.  The
+    projections are compared space by space: l_1 and the flag spaces
+    written from row 1 at every point, and the others, which read rows
+    2..n alone, when one of the rows they read is refreshed, so every
+    pair of spaces is compared whenever it may have changed.
     """
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         n = w.n
@@ -139,6 +142,14 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
             for r in range(n)
         ]
         fan_read, fan_spaces = reads[0]
+        # l_{i+1} against flag space i: at each point for l_1 and the spaces
+        # written from row 1; for the others once their row, or the row
+        # that writes their space, is refreshed
+        at_points = [0] + [i for i, _ in fan_spaces if i]
+        at_rows = [
+            sorted({r, *(i for i, _ in spaces)}.difference(at_points))
+            for r, (_, spaces) in enumerate(reads)
+        ]
         m = n - w(n)
         # grid row n-1 holds the first block: with n = 2 it is row 1, which
         # changes at every point
@@ -152,17 +163,20 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         rows: list[Row | None] = [None] * n
         tower = enumerate_bs(word, p, budget)
         for upper, fan in shat_fans(w, p, budget):
-            first_changed = False
+            changed = []
             for r, row in enumerate(upper, start=1):
                 if row is not rows[r]:
                     rows[r] = row
-                    first_changed = first_changed or r == n - 2
+                    changed.append(r)
                     read, spaces = reads[r]
                     for j, c in read:
                         img[j] = row[c]
                     for i, c in spaces:
                         flag[i] = row[c]
-            if m and first_changed:
+            commutes = commutes and all(
+                rows[i][-1] == flag[i] for r in changed for i in at_rows[r]
+            )
+            if m and n - 2 in changed:
                 first_blocks.add(tuple(img[:m]))
             for row in fan:
                 grid_count += 1
@@ -170,13 +184,14 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
                     img[j] = row[c]
                 for i, c in fan_spaces:
                     flag[i] = row[c]
+                rows[0] = row
                 now = tuple(img)
                 b = next(tower, None)
                 tower_count += b is not None
                 image_is_tower = image_is_tower and now == b
                 injective = injective and (prev is None or prev < now)
                 prev = now
-                commutes = commutes and project_to_flag((row,) + upper) == tuple(flag)
+                commutes = commutes and all(rows[i][-1] == flag[i] for i in at_points)
                 if first_in_fan:
                     first_blocks.add(now[:m])
         rest = sum(1 for _ in tower)

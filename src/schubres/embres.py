@@ -21,18 +21,22 @@ from typing import Callable, Iterator
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
+    Row,
+    RowGraph,
+    SpaceNumbers,
     Subspace,
     chain_stages,
     check_budget,
     contains,
+    enumerate_between,
     enumerate_maps,
     gaussian_binomial,
     graph,
     intersect,
     rows_bound,
     subspace_sum,
-    tower,
     tower_bound,
+    walk_fans,
     zero_subspace,
 )
 from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, closed_locus
@@ -40,23 +44,34 @@ from schubres.report import EnumReport, frame_config, subspace_witness
 from schubres.wflag import (
     GHatPoint,
     build_lift,
-    enumerate_ghat,
     fixed_map_tuples,
     ghat_membership,
     ghat_rows,
     pi_diag,
+    psi_space,
     psi_tilde,
 )
 
-KLChain = tuple[Subspace, ...]
 
+def chain_tops(flag: tuple[Subspace, ...]) -> tuple[list[Subspace], bool]:
+    """The tops L_k of the chains L_1 ⊂ ... ⊂ L_k with L_i inside the
+    i-th flag space, dim L_i = i (the resolution tower of the flag's
+    Schubert variety), in depth-first order, and whether every level's
+    choices lie in their flag space.
 
-def kl_points(
-    flag: tuple[Subspace, ...], p: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[KLChain]:
-    """Chains L_1 ⊂ ... ⊂ L_k with L_i inside the i-th flag space,
-    dim L_i = i: the resolution tower of the flag's Schubert variety."""
-    yield from tower(chain_stages(zero_subspace(flag[0].n, p), flag), p, budget)
+    The tower is built a level at a time: each level's choices over each
+    choice of the level below come from ``enumerate_between``, and each
+    is checked against its flag space once, where it is built, not once
+    per chain through it; a choice that is the flag space itself lies in
+    it.  The caller checks the tower's bound
+    (``chain_stages``), which depends on the flag's dimensions alone.
+    """
+    level = [zero_subspace(flag[0].n, flag[0].p)]
+    ok = True
+    for i, space in enumerate(flag, start=1):
+        level = [s for below in level for s in enumerate_between(below, space, i)]
+        ok = ok and all(s is space or contains(space, s) for s in level)
+    return level, ok
 
 
 def chart_maps(cfg: FrameConfig) -> Iterator[LinearMap]:
@@ -100,10 +115,6 @@ def special_point(cfg: FrameConfig) -> GHatPoint:
     """The grid point over the all-lines diagonal (all maps zero)."""
     diag = tuple(cfg.lines_prefix(i) for i in range(1, cfg.k + 1))
     return build_lift(cfg, diag)
-
-
-def flag_of_grid(cfg: FrameConfig, pt: GHatPoint) -> tuple[Subspace, ...]:
-    return psi_tilde(cfg, pi_diag(pt))
 
 
 def _cell_test(cfg: FrameConfig) -> Callable[[Subspace, tuple[int, ...]], bool]:
@@ -168,66 +179,93 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         standard = tuple(cfg.frames[b] for b in cfg.beta)
         chain_bound = tower_bound(chain_stages(zero_subspace(cfg.n, p), standard), p)
         check_budget(chain_bound, budget)
-        cell: set[Subspace] = set()
-        closed: set[Subspace] = set()
+        ids = SpaceNumbers()
+        spaces = ids.spaces
+        cell: set[int] = set()
+        closed: set[int] = set()
         in_cell = _cell_test(cfg)
         for a, l in closed_locus(cfg, budget):
-            closed.add(l)
+            closed.add(ids[l])
             if in_cell(l, a):
-                cell.add(l)
+                cell.add(ids[l])
         grass_points = gaussian_binomial(cfg.n, k, p)
 
-        graphs = chart_graphs(cfg)
+        graphs = [ids[gt] for gt in chart_graphs(cfg)]
         tuples = list(fixed_map_tuples(cfg))
         # space i of a tuple's flag sums its first i graphs and complements
-        flags = [psi_tilde(cfg, tuple(accumulate(map(graph, m), subspace_sum))) for m in tuples]
+        flags = [
+            tuple(
+                ids[psi_space(cfg, i, s)]
+                for i, s in enumerate(accumulate(map(graph, m), subspace_sum), start=1)
+            )
+            for m in tuples
+        ]
         family = {flag: idx for idx, flag in enumerate(flags)}
         # per family flag, its number of chains; per chart graph, None, or
         # the one family flag whose chains top it and how many do
         chains = [0] * len(flags)
-        hits: dict[Subspace, tuple[int, int] | None] = dict.fromkeys(graphs)
+        hits: dict[int, tuple[int, int] | None] = dict.fromkeys(graphs)
 
         o = special_point(cfg)
-        special_ok = ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard
+        special_ok = ghat_membership(cfg, o) and psi_tilde(cfg, pi_diag(o)) == standard
+        at_o_rows = tuple(tuple([ids[s] for s in row]) for row in o)
 
-        # per chain top, its one grid point, or None once a second pair tops it
-        first: dict[Subspace, GHatPoint | None] = {}
-        over_o: set[Subspace] = set()
+        # id(row) -> (its cells' ints, the int of its flag space, row)
+        reads: dict[int, tuple[tuple[int, ...], int, Row]] = {}
+
+        def read(row: Row) -> tuple[tuple[int, ...], int, Row]:
+            got = reads[id(row)] = (
+                tuple([ids[s] for s in row]),
+                ids[psi_space(cfg, len(row), row[-1])],
+                row,
+            )
+            return got
+
+        # per chain top, the diagonal of its one grid point, or None once a
+        # second pair tops it
+        first: dict[int, tuple[int, ...] | None] = {}
+        over_o: set[int] = set()
         fiber_sizes = set()
         grid_points = 0
         total_pairs = 0
         incidence_ok = True
         cell_ok = True
-        for pt in enumerate_ghat(cfg, budget):
-            grid_points += 1
-            flag = flag_of_grid(cfg, pt)
-            idx = family.get(flag)
-            if idx is not None and chains[idx]:
-                idx = None
-            at_o = pt == o
-            per_grid = 0
-            # ``tower`` shares each chain's prefix with the chain before,
-            # so a level whose subspace is the same object is checked already
-            prev = (None,) * k
-            for chain in kl_points(flag, p, budget):
-                per_grid += 1
-                top = chain[-1]
-                first[top] = None if top in first else pt
-                if at_o:
-                    over_o.add(top)
-                elif top in cell:
-                    cell_ok = False
-                incidence_ok = incidence_ok and all(
-                    s is q or contains(f, s) for f, s, q in zip(flag, chain, prev)
-                )
-                prev = chain
-                if idx is not None and top in hits:
-                    entry = hits[top] or (idx, 0)
-                    hits[top] = (idx, entry[1] + 1) if entry[0] == idx else _TOPPED_TWICE
-            if idx is not None:
-                chains[idx] = per_grid
-            fiber_sizes.add(per_grid)
-            total_pairs += per_grid
+        rows: list[Row | None] = [None] * (k - 1)
+        cells: list[tuple[int, ...]] = [()] * (k - 1)
+        psis = [0] * (k - 1)
+        for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
+            for i, row in enumerate(upper):
+                if row is not rows[i]:
+                    rows[i] = row
+                    cells[i], psis[i], _ = reads.get(id(row)) or read(row)
+            upper_cells = tuple(cells)
+            upper_diag = tuple([c[-1] for c in upper_cells])
+            upper_flag = tuple(psis)
+            for row in fan:
+                grid_points += 1
+                lowest, psi, _ = reads.get(id(row)) or read(row)
+                flag = (psi,) + upper_flag
+                diag = lowest + upper_diag
+                idx = family.get(flag)
+                if idx is not None and chains[idx]:
+                    idx = None
+                at_o = (lowest,) + upper_cells == at_o_rows
+                tops, ok = chain_tops(tuple([spaces[f] for f in flag]))
+                incidence_ok = incidence_ok and ok
+                for top in tops:
+                    top = ids[top]
+                    first[top] = None if top in first else diag
+                    if at_o:
+                        over_o.add(top)
+                    elif top in cell:
+                        cell_ok = False
+                    if idx is not None and top in hits:
+                        entry = hits[top] or (idx, 0)
+                        hits[top] = (idx, entry[1] + 1) if entry[0] == idx else _TOPPED_TWICE
+                if idx is not None:
+                    chains[idx] = len(tops)
+                fiber_sizes.add(len(tops))
+                total_pairs += len(tops)
 
         unique_ok = True
         recon_ok = True
@@ -245,7 +283,7 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
             forced_ok = forced_ok and count == 1
         report.counts["chart_points"] = len(graphs)
         report.counts["family_flags"] = len(flags)
-        report.add("chart.graphs_lie_in_chart", all(in_chart(cfg, gt) for gt in graphs))
+        report.add("chart.graphs_lie_in_chart", all(in_chart(cfg, spaces[gt]) for gt in graphs))
         report.add("chart.unique_flag_per_chart_point", unique_ok)
         report.add("chart.map_tuple_reconstructed", recon_ok)
         report.add("chart.forced_chain_is_valid", forced_ok)
@@ -273,14 +311,13 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         diag_graph_ok = True
         late = [cfg.complements_suffix(i + 1) for i in range(1, k + 1)]
         for gt in graphs:
-            pt = first.get(gt)
-            if pt is None:
-                chart_fail.append(subspace_witness(gt))
+            diag = first.get(gt)
+            if diag is None:
+                chart_fail.append(subspace_witness(spaces[gt]))
                 continue
             # the unique preimage has graph-shaped diagonal cells: each
             # meets the late complements trivially
-            diag = pi_diag(pt)
-            if any(intersect(diag[i], late[i]).dim for i in range(k)):
+            if any(intersect(spaces[x], late[i]).dim for i, x in enumerate(diag)):
                 diag_graph_ok = False
         report.add(
             "resolution.chart_points_have_unique_preimage",
@@ -291,10 +328,12 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
         report.counts["cell_points"] = len(cell)
         report.add("resolution.cell_preimage_over_special_point", cell_ok)
-        report.add("resolution.cell_inside_chart", all(in_chart(cfg, l) for l in cell))
+        report.add(
+            "resolution.cell_inside_chart", all(in_chart(cfg, spaces[l]) for l in cell)
+        )
 
-        standard_tower_tops = {chain[-1] for chain in kl_points(standard, p, budget)}
-        report.add("resolution.special_fiber_is_standard_tower", over_o == standard_tower_tops)
+        standard_tops = {ids[top] for top in chain_tops(standard)[0]}
+        report.add("resolution.special_fiber_is_standard_tower", over_o == standard_tops)
         report.counts["closed_locus_points"] = len(closed)
         report.add(
             "resolution.special_fiber_covers_closed_locus",

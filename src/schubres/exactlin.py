@@ -149,9 +149,6 @@ class Subspace(_SubspaceFields):
                 w = [(a - f * b) % p for a, b in zip(w, row)]
         return tuple(w)
 
-    def contains_vector(self, v: Vec) -> bool:
-        return not any(self.reduce_vector(v))
-
     def extend(self, v: Vec) -> "Subspace":
         """Canonical form of self + <v>, without a fresh row reduction.
 
@@ -298,11 +295,23 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a."""
+    """True iff b is a subspace of a: each row of b reduces to zero on
+    a's canonical rows, as in ``reduce_vector``, inlined here because
+    the verifiers check every chain level this way.  Canonical rows have
+    their entries reduced mod p already."""
     _check_compatible(a, b)
-    if b.dim > a.dim:
+    if len(b.basis) > len(a.basis):
         return False
-    return all(a.contains_vector(v) for v in b.basis)
+    p = a.p
+    rows = list(zip(a.pivots, a.basis))
+    for v in b.basis:
+        for c, row in rows:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        if any(v):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -639,6 +648,25 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
             open_levels.pop()
         else:
             return
+
+
+class SpaceNumbers(dict):
+    """Each distinct subspace's small int, in the order first asked for.
+
+    ``ids[s]`` numbers s on its first lookup, and ``ids.spaces[i]`` is the
+    subspace numbered i.  A verifier that keys its points and fibers by
+    these ints hashes a subspace once per lookup here, and compares
+    points as tuples of ints.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.spaces: list[Subspace] = []
+
+    def __missing__(self, s: Subspace) -> int:
+        i = self[s] = len(self.spaces)
+        self.spaces.append(s)
+        return i
 
 
 Row = tuple[Subspace, ...]

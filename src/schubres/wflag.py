@@ -13,14 +13,16 @@ a deterministic section computed diagonal by diagonal.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     InvariantError,
     LinearMap,
     Row,
+    RowGraph,
     RowSpec,
+    SpaceNumbers,
     Stage,
     Subspace,
     contains,
@@ -30,6 +32,7 @@ from schubres.exactlin import (
     span,
     subspace_sum,
     tower,
+    walk_fans,
     walk_rows,
     zero_subspace,
 )
@@ -171,34 +174,52 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint, memo: dict | None = None) -> GHa
     """A deterministic section of the diagonal projection, for a point
     of the chain variety (not checked).
 
-    Built diagonal by diagonal: each new cell is the intersection of the
-    cell above-right with the nested space when that intersection has
-    the right dimension, and otherwise the lexicographic completion of
-    the projected left cell inside the cell above-right.  That the result
-    is a grid point over ``pt`` is checked by the ``wflag verify`` and
-    ``wflag lift`` reports.  A cell depends only on its two neighbours
-    and its place, so ``memo`` keeps each step's cell under (x, y, idx, c)
-    and a caller that passes one dict for many points over one frame
-    builds each distinct step once.
+    Built diagonal by diagonal (``_lift``): each new cell is the
+    intersection of the cell above-right with the nested space when that
+    intersection has the right dimension, and otherwise the
+    lexicographic completion of the projected left cell inside the cell
+    above-right (``_pair_step``).  That the result is a grid point over
+    ``pt`` is checked by the ``wflag verify`` and ``wflag lift`` reports.
+    A cell depends only on its two neighbours and its place, so ``memo``
+    keeps each step's cell under (x, y, idx, c) and a caller that passes
+    one dict for many points over one frame builds each distinct step
+    once.
     """
-    k = cfg.k
     memo = {} if memo is None else memo
-    diags: list[tuple[Subspace, ...]] = [tuple(pt)]
+
+    def cell(key: tuple[Subspace, Subspace, int, int]) -> Subspace:
+        z = memo.get(key)
+        if z is None:
+            x, y, idx, c = key
+            z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
+        return z
+
+    return _lift(cfg.k, pt, cell)
+
+
+def _lift(k: int, pt: tuple, cell: Callable[[tuple], object]) -> tuple:
+    """The rows of a lift, from its diagonal ``pt`` up: diagonal c holds
+    ``cell((x, y, idx, c))`` for idx = 1..k-c, x and y the cells idx and
+    idx+1 of diagonal c-1 (x of dimension idx and superscript idx+c-1,
+    y one more of each).  The cells are subspaces or their ints alike."""
+    diags = [tuple(pt)]
     for c in range(1, k):
         prev = diags[-1]
-        new = []
-        for idx in range(1, k - c + 1):
-            x = prev[idx - 1]                # dimension idx, superscript idx+c-1
-            y = prev[idx]                    # dimension idx+1, superscript idx+c
-            key = (x, y, idx, c)
-            z = memo.get(key)
-            if z is None:
-                z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
-            new.append(z)
-        diags.append(tuple(new))
-    return tuple(
-        tuple(diags[i - j][j - 1] for j in range(1, i + 1)) for i in range(1, k + 1)
-    )
+        diags.append(tuple([cell((prev[idx - 1], prev[idx], idx, c)) for idx in range(1, k - c + 1)]))
+    return tuple([tuple([diags[i - j][j - 1] for j in range(1, i + 1)]) for i in range(1, k + 1)])
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(*key)``: a lookup
+    that hits costs one dict lookup, and no call."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple) -> object:
+        got = self[key] = self.make(*key)
+        return got
 
 
 def _pair_step(
@@ -237,26 +258,19 @@ def _pair_step(
     return z
 
 
-def closed_form_fiber(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
-    """Over the open locus the fiber is forced: cell (j, i) is the
-    diagonal cell i intersected with the nested space (j, i)."""
-    k = cfg.k
-    return tuple(
-        tuple(intersect(pt[i - 1], cfg.nested(j, i)) for j in range(1, i + 1))
-        for i in range(1, k + 1)
-    )
+def psi_space(cfg: FrameConfig, i: int, l: Subspace) -> Subspace:
+    """Space i of a partial flag: l_i plus the first i complements; a
+    dimension other than b_i raises InvariantError."""
+    s = subspace_sum(l, cfg.complements_prefix(i))
+    if s.dim != cfg.beta[i - 1]:
+        raise InvariantError(f"psi_tilde space {i} has dimension {s.dim}, not b_{i}")
+    return s
 
 
 def psi_tilde(cfg: FrameConfig, pt: GCalPoint) -> tuple[Subspace, ...]:
-    """Partial flag with i-th space l_i plus the first i complements; a
-    dimension other than b_i raises InvariantError."""
-    out = []
-    for i in range(1, cfg.k + 1):
-        s = subspace_sum(pt[i - 1], cfg.complements_prefix(i))
-        if s.dim != cfg.beta[i - 1]:
-            raise InvariantError(f"psi_tilde space {i} has dimension {s.dim}, not b_{i}")
-        out.append(s)
-    return tuple(out)
+    """Partial flag with i-th space l_i plus the first i complements
+    (``psi_space``)."""
+    return tuple(psi_space(cfg, i, l) for i, l in enumerate(pt, start=1))
 
 
 def enumerate_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
@@ -306,58 +320,143 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
     Surjectivity of the diagonal projection, singleton fibers with the
     closed form over the open locus, section property of the lift, and
     a census of the multi-point fibers off the open locus.
+
+    Every check compares small ints, one per distinct subspace
+    (``SpaceNumbers``).  The chain variety is walked first, each point
+    keyed by its spaces' ints.  Whether a point lies in the open locus,
+    and its closed-form fiber, are read per (level i, l_i), because each
+    of their conditions reads one diagonal cell.  The grid is then read
+    a fan at a time (``walk_fans``): rows 2..k once per fan, and each row
+    object's cell ints once, through a dict keyed by its id.  A grid
+    point is the tuple of its rows' int tuples, and its diagonal their
+    last cells.  A fiber keeps only its size: the first point over an
+    open chain point is compared with the closed form, and the points
+    over a chain point with its lift until one equals it.  A lift that
+    equals a point over its chain point is a section there; the lifts of
+    the others are built on ints after the walk.  The multi-point
+    witness is the first such fiber in grid order.
+
+    A grid point is the lift of its diagonal exactly when each cell
+    (r, j), r > j, is the ``_pair_step`` of the cells (r-1, j) and
+    (r, j+1), as ``_lift`` builds it.  Only the cell (2, 1) reads row 1,
+    so the other cells are compared once per fan, in order of r - j,
+    and only after the cells they read are known to be the lift's: every
+    step is taken on a pair that some lift takes it on.
     """
     with EnumReport("wflag verify", frame_config(cfg, budget)) as report:
-        gcal = list(enumerate_gcal(cfg, budget))
-        gcal_set = set(gcal)
-        fibers: dict[GCalPoint, list[GHatPoint]] = {}
+        k = cfg.k
+        ids = SpaceNumbers()
+        spaces = ids.spaces
+
+        # per (level i, int of l_i): the ints of l_i ∩ nested(j, i), j < i,
+        # and whether each has dimension j
+        def level(i: int, c: int) -> tuple[tuple[int, ...], bool]:
+            meets = tuple([ids[intersect(spaces[c], cfg.nested(j, i))] for j in range(1, i)])
+            return meets, all(spaces[x].dim == j for j, x in enumerate(meets, start=1))
+
+        levels = _Memo(level)
+        # row i of the closed-form fiber, which ends in l_i ∩ nested(i, i)
+        closed_rows = _Memo(
+            lambda i, c: levels[i, c][0] + (ids[intersect(spaces[c], cfg.nested(i, i))],)
+        )
+        # ``_pair_step`` on ints, keyed by (x, y, idx, c)
+        steps = _Memo(
+            lambda x, y, idx, c: ids[
+                _pair_step(cfg, spaces[x], spaces[y], cfg.nested(idx, idx + c), idx + c)
+            ]
+        )
+
+        # per chain point, True until a grid point over it equals its lift
+        lifting: dict[tuple[int, ...], bool] = {}
+        opens: set[tuple[int, ...]] = set()
+        chain_points = open_points = 0
+        for pt in enumerate_gcal(cfg, budget):
+            chain_points += 1
+            g = tuple([ids[s] for s in pt])
+            lifting[g] = True
+            for i in range(1, k):
+                if not levels[i + 1, g[i]][1]:
+                    break
+            else:
+                open_points += 1
+                opens.add(g)
+
+        reads: dict[int, tuple[tuple[int, ...], Row]] = {}  # id(row) -> (its cells' ints, row)
+
+        def read(row: Row) -> tuple[tuple[int, ...], Row]:
+            got = reads[id(row)] = (tuple([ids[s] for s in row]), row)
+            return got
+
+        # the cells (r, j) of rows 3..k, in order of r - j
+        upper_steps = sorted(
+            ((r, j) for r in range(3, k + 1) for j in range(1, r)), key=lambda rj: rj[0] - rj[1]
+        )
+        fibers: dict[tuple[int, ...], int] = {}  # per diagonal, its number of grid points
+        not_closed: set[tuple[int, ...]] = set()
         lands_ok = True
-        for ghat_pt in enumerate_ghat(cfg, budget):
-            diag = pi_diag(ghat_pt)
-            fiber = fibers.get(diag)
-            if fiber is None:
-                fiber = fibers[diag] = []
-                lands_ok = lands_ok and diag in gcal_set
-            fiber.append(ghat_pt)
-        report.counts["chain_points"] = len(gcal)
-        report.counts["grid_points"] = sum(len(v) for v in fibers.values())
+        rows: list[Row | None] = [None] * (k - 1)
+        cells: list[tuple[int, ...]] = [()] * (k - 1)
+        for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
+            for i, row in enumerate(upper):
+                if row is not rows[i]:
+                    rows[i] = row
+                    cells[i] = (reads.get(id(row)) or read(row))[0]
+            # cells[r - 2] holds row r; whether rows 2..k are the lift's
+            # there, decided at the first point that needs it
+            up = tuple(cells)
+            upper_diag = tuple([c[-1] for c in up])
+            upper_lifted = None
+            for row in fan:
+                first = (reads.get(id(row)) or read(row))[0]
+                diag = first + upper_diag
+                size = fibers.get(diag)
+                if size is None:
+                    fibers[diag] = 1
+                    lands_ok = lands_ok and diag in lifting
+                    if diag in opens:
+                        closed = tuple([closed_rows[i, c] for i, c in enumerate(diag, start=1)])
+                        if closed != (first,) + up:
+                            not_closed.add(diag)
+                else:
+                    fibers[diag] = size + 1
+                if lifting.get(diag) and (k == 1 or up[0][0] == steps[first[0], up[0][1], 1, 1]):
+                    if upper_lifted is None:
+                        upper_lifted = all(
+                            up[r - 2][j - 1] == steps[up[r - 3][j - 1], up[r - 2][j], j, r - j]
+                            for r, j in upper_steps
+                        )
+                    if upper_lifted:
+                        lifting[diag] = False
+        report.counts["chain_points"] = chain_points
+        report.counts["grid_points"] = sum(fibers.values())
         report.counts["grid_formula"] = ghat_count_formula(cfg)
         report.add("projection_lands_in_chain_variety", lands_ok)
-        report.add("projection_onto", set(fibers) == gcal_set)
+        report.add("projection_onto", fibers.keys() == lifting.keys())
         report.add(
             "grid_count_matches_row_product",
             report.counts["grid_points"] == report.counts["grid_formula"],
         )
 
-        open_pts = [pt for pt in gcal if in_u(cfg, pt)]
-        report.counts["open_locus_points"] = len(open_pts)
+        report.counts["open_locus_points"] = open_points
         report.counts["open_locus_formula"] = u_count_formula(cfg.n, cfg.p, cfg.beta)
         report.add(
             "open_locus_count_matches_formula",
-            len(open_pts) == report.counts["open_locus_formula"],
+            open_points == report.counts["open_locus_formula"],
         )
-        singleton_ok = True
-        closed_ok = True
-        for pt in open_pts:
-            fiber = fibers.get(pt, [])
-            if len(fiber) != 1:
-                singleton_ok = False
-            elif fiber[0] != closed_form_fiber(cfg, pt):
-                closed_ok = False
-        report.add("open_fibers_are_singletons", singleton_ok)
-        report.add("open_fibers_match_closed_form", closed_ok)
+        report.add("open_fibers_are_singletons", all(fibers.get(g) == 1 for g in opens))
+        report.add(
+            "open_fibers_match_closed_form",
+            not any(fibers.get(g) == 1 for g in not_closed),
+        )
 
-        section_ok = True
-        lift_in_fiber = True
-        steps: dict = {}  # build_lift's memo, for this report's frame only
-        for pt in gcal:
-            grid = build_lift(cfg, pt, steps)
-            section_ok = section_ok and pi_diag(grid) == pt
-            lift_in_fiber = lift_in_fiber and grid in fibers.get(pt, [])
-        report.add("lift_is_a_section", section_ok)
-        report.add("lift_lands_in_enumerated_grid", lift_in_fiber)
+        unlifted = [g for g, left in lifting.items() if left]
+        report.add(
+            "lift_is_a_section",
+            all(tuple([row[-1] for row in _lift(k, g, steps.__getitem__)]) == g for g in unlifted),
+        )
+        report.add("lift_lands_in_enumerated_grid", not unlifted)
 
-        multi = {pt: len(f) for pt, f in fibers.items() if len(f) > 1}
+        multi = [diag for diag, size in fibers.items() if size > 1]
         report.counts["multi_point_fibers"] = len(multi)
         # a fiber can branch only at a pair (i, i+1) whose interleaving
         # complement is nonzero with later complements left to land in;
@@ -370,7 +469,7 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
             report.add(
                 "off_locus_multi_fiber_exists",
                 bool(multi),
-                witnesses=[subspace_witness(s) for s in next(iter(multi), ())],
+                witnesses=[subspace_witness(spaces[x]) for x in next(iter(multi), ())],
             )
         else:
             report.add(

@@ -25,6 +25,7 @@ intersection dimensions (``rank_filter``), and the census oracle of
 
 import itertools
 import operator
+from itertools import accumulate
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -37,12 +38,11 @@ from schubres.biflag import (
 )
 from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
 from schubres.embres import (
-    KLChain,
+    _TOPPED_TWICE,
     _cell_test,
+    chart_graphs,
     chart_maps,
-    flag_of_grid,
     in_chart,
-    kl_points,
     reconstruct_map_tuple,
     special_point,
 )
@@ -59,6 +59,7 @@ from schubres.exactlin import (
     Vec,
     canonical_complement,
     chain_stages,
+    check_budget,
     contains,
     coordinate_space,
     enumerate_between,
@@ -69,6 +70,7 @@ from schubres.exactlin import (
     graph,
     graph_rows,
     intersect,
+    rows_bound,
     rref,
     span,
     subspace_sum,
@@ -81,6 +83,7 @@ from schubres.grassfib import (
     FrameConfig,
     base_point_count,
     check_grassmannian,
+    closed_locus,
     hom_rank,
     hom_star_rank,
     phi_star_targets,
@@ -101,10 +104,17 @@ from schubres.report import EnumReport, frame_config, perm_config, subspace_witn
 from schubres.wflag import (
     GCalPoint,
     GHatPoint,
+    build_lift,
+    enumerate_gcal,
     enumerate_ghat,
     fixed_map_tuples,
+    ghat_count_formula,
     ghat_membership,
+    ghat_rows,
+    in_u,
     pi_diag,
+    psi_tilde,
+    u_count_formula,
 )
 
 
@@ -276,7 +286,7 @@ def vectors(s: Subspace) -> Iterator[Vec]:
 
 def coords(s: Subspace, v: Vec) -> Vec | None:
     """Coordinates of v in the canonical basis of s, or None if v is outside."""
-    if not s.contains_vector(v):
+    if any(s.reduce_vector(v)):
         return None
     return tuple(v[c] % s.p for c in s.pivots)
 
@@ -755,12 +765,119 @@ def graph_tuple(cfg: FrameConfig, maps: tuple[LinearMap, ...]) -> GCalPoint:
     return pt
 
 
+def closed_form_fiber(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
+    """Over the open locus the fiber is forced: cell (j, i) is the
+    diagonal cell i intersected with the nested space (j, i)."""
+    k = cfg.k
+    return tuple(
+        tuple(intersect(pt[i - 1], cfg.nested(j, i)) for j in range(1, i + 1))
+        for i in range(1, k + 1)
+    )
+
+
+def verify_chain_resolution_by_points(
+    cfg: FrameConfig, budget: int = DEFAULT_BUDGET
+) -> EnumReport:
+    """``wflag.verify_chain_resolution`` by a walk of ``enumerate_ghat``,
+    point by point: each fiber a list of grid points keyed by the
+    diagonal's subspaces, the open locus read by ``in_u``, the closed
+    form by ``closed_form_fiber`` and each chain point's lift by
+    ``build_lift``, all on subspaces."""
+    with EnumReport("wflag verify", frame_config(cfg, budget)) as report:
+        gcal = list(enumerate_gcal(cfg, budget))
+        gcal_set = set(gcal)
+        fibers: dict[GCalPoint, list[GHatPoint]] = {}
+        lands_ok = True
+        for ghat_pt in enumerate_ghat(cfg, budget):
+            diag = pi_diag(ghat_pt)
+            fiber = fibers.get(diag)
+            if fiber is None:
+                fiber = fibers[diag] = []
+                lands_ok = lands_ok and diag in gcal_set
+            fiber.append(ghat_pt)
+        report.counts["chain_points"] = len(gcal)
+        report.counts["grid_points"] = sum(len(v) for v in fibers.values())
+        report.counts["grid_formula"] = ghat_count_formula(cfg)
+        report.add("projection_lands_in_chain_variety", lands_ok)
+        report.add("projection_onto", set(fibers) == gcal_set)
+        report.add(
+            "grid_count_matches_row_product",
+            report.counts["grid_points"] == report.counts["grid_formula"],
+        )
+
+        open_pts = [pt for pt in gcal if in_u(cfg, pt)]
+        report.counts["open_locus_points"] = len(open_pts)
+        report.counts["open_locus_formula"] = u_count_formula(cfg.n, cfg.p, cfg.beta)
+        report.add(
+            "open_locus_count_matches_formula",
+            len(open_pts) == report.counts["open_locus_formula"],
+        )
+        singleton_ok = True
+        closed_ok = True
+        for pt in open_pts:
+            fiber = fibers.get(pt, [])
+            if len(fiber) != 1:
+                singleton_ok = False
+            elif fiber[0] != closed_form_fiber(cfg, pt):
+                closed_ok = False
+        report.add("open_fibers_are_singletons", singleton_ok)
+        report.add("open_fibers_match_closed_form", closed_ok)
+
+        section_ok = True
+        lift_in_fiber = True
+        steps: dict = {}
+        for pt in gcal:
+            grid = build_lift(cfg, pt, steps)
+            section_ok = section_ok and pi_diag(grid) == pt
+            lift_in_fiber = lift_in_fiber and grid in fibers.get(pt, [])
+        report.add("lift_is_a_section", section_ok)
+        report.add("lift_lands_in_enumerated_grid", lift_in_fiber)
+
+        multi = {pt: len(f) for pt, f in fibers.items() if len(f) > 1}
+        report.counts["multi_point_fibers"] = len(multi)
+        freedom = any(
+            cfg.complement(i + 1).dim and cfg.complements_suffix(i + 2).dim
+            for i in range(1, cfg.k)
+        )
+        if freedom:
+            report.add(
+                "off_locus_multi_fiber_exists",
+                bool(multi),
+                witnesses=[subspace_witness(s) for s in next(iter(multi), ())],
+            )
+        else:
+            report.add(
+                "off_locus_multi_fiber_exists",
+                not multi,
+                "no branching pair; projection bijective",
+            )
+    return report
+
+
 def kl_count_formula(dims: tuple[int, ...], p: int) -> int:
     """Tower point count from the flag dimensions alone."""
     total = 1
     for i, d in enumerate(dims, start=1):
         total *= gaussian_binomial(d - (i - 1), 1, p)
     return total
+
+
+KLChain = tuple[Subspace, ...]
+
+
+def kl_points(
+    flag: tuple[Subspace, ...], p: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[KLChain]:
+    """Chains L_1 ⊂ ... ⊂ L_k with L_i inside the i-th flag space,
+    dim L_i = i, as one ``tower``: the resolution tower of the flag's
+    Schubert variety, whose tops ``embres.chain_tops`` builds a level at
+    a time."""
+    yield from tower(chain_stages(zero_subspace(flag[0].n, p), flag), p, budget)
+
+
+def flag_of_grid(cfg: FrameConfig, pt: GHatPoint) -> tuple[Subspace, ...]:
+    """The partial flag of a grid point: ``psi_tilde`` of its diagonal."""
+    return psi_tilde(cfg, pi_diag(pt))
 
 
 def forced_chain_by_intersections(cfg: FrameConfig, gt: Subspace, flag: Flag) -> bool:
@@ -862,6 +979,155 @@ def enumerate_embres(
         flag = flag_of_grid(cfg, pt)
         for chain in kl_points(flag, cfg.p, budget):
             yield pt, chain
+
+
+def embres_verify_by_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """``embres.verify_report`` by a walk of ``enumerate_ghat``, point by
+    point: each point's flag read by ``flag_of_grid``, its chains walked
+    by ``kl_points``, and every flag, chain top and grid point keyed by
+    its subspaces."""
+    with EnumReport("embres verify", frame_config(cfg, budget)) as report:
+        p, k = cfg.p, cfg.k
+        check_grassmannian(cfg, budget)
+        check_budget(rows_bound(*ghat_rows(cfg)), budget)
+        standard = tuple(cfg.frames[b] for b in cfg.beta)
+        chain_bound = tower_bound(chain_stages(zero_subspace(cfg.n, p), standard), p)
+        check_budget(chain_bound, budget)
+        cell: set[Subspace] = set()
+        closed: set[Subspace] = set()
+        in_cell = _cell_test(cfg)
+        for a, l in closed_locus(cfg, budget):
+            closed.add(l)
+            if in_cell(l, a):
+                cell.add(l)
+        grass_points = gaussian_binomial(cfg.n, k, p)
+
+        graphs = chart_graphs(cfg)
+        tuples = list(fixed_map_tuples(cfg))
+        # space i of a tuple's flag sums its first i graphs and complements
+        flags = [psi_tilde(cfg, tuple(accumulate(map(graph, m), subspace_sum))) for m in tuples]
+        family = {flag: idx for idx, flag in enumerate(flags)}
+        # per family flag, its number of chains; per chart graph, None, or
+        # the one family flag whose chains top it and how many do
+        chains = [0] * len(flags)
+        hits: dict[Subspace, tuple[int, int] | None] = dict.fromkeys(graphs)
+
+        o = special_point(cfg)
+        special_ok = ghat_membership(cfg, o) and flag_of_grid(cfg, o) == standard
+
+        # per chain top, its one grid point, or None once a second pair tops it
+        first: dict[Subspace, GHatPoint | None] = {}
+        over_o: set[Subspace] = set()
+        fiber_sizes = set()
+        grid_points = 0
+        total_pairs = 0
+        incidence_ok = True
+        cell_ok = True
+        for pt in enumerate_ghat(cfg, budget):
+            grid_points += 1
+            flag = flag_of_grid(cfg, pt)
+            idx = family.get(flag)
+            if idx is not None and chains[idx]:
+                idx = None
+            at_o = pt == o
+            per_grid = 0
+            # ``tower`` shares each chain's prefix with the chain before,
+            # so a level whose subspace is the same object is checked already
+            prev = (None,) * k
+            for chain in kl_points(flag, p, budget):
+                per_grid += 1
+                top = chain[-1]
+                first[top] = None if top in first else pt
+                if at_o:
+                    over_o.add(top)
+                elif top in cell:
+                    cell_ok = False
+                incidence_ok = incidence_ok and all(
+                    s is q or contains(f, s) for f, s, q in zip(flag, chain, prev)
+                )
+                prev = chain
+                if idx is not None and top in hits:
+                    entry = hits[top] or (idx, 0)
+                    hits[top] = (idx, entry[1] + 1) if entry[0] == idx else _TOPPED_TWICE
+            if idx is not None:
+                chains[idx] = per_grid
+            fiber_sizes.add(per_grid)
+            total_pairs += per_grid
+
+        unique_ok = True
+        recon_ok = True
+        forced_ok = all(count == chain_bound for count in chains)
+        for t, gt in zip(chart_maps(cfg), graphs, strict=True):
+            entry = hits[gt]
+            if entry is None or entry is _TOPPED_TWICE:
+                unique_ok = False
+                continue
+            idx, count = entry
+            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
+                m.matrix for m in tuples[idx]
+            ):
+                recon_ok = False
+            forced_ok = forced_ok and count == 1
+        report.counts["chart_points"] = len(graphs)
+        report.counts["family_flags"] = len(flags)
+        report.add("chart.graphs_lie_in_chart", all(in_chart(cfg, gt) for gt in graphs))
+        report.add("chart.unique_flag_per_chart_point", unique_ok)
+        report.add("chart.map_tuple_reconstructed", recon_ok)
+        report.add("chart.forced_chain_is_valid", forced_ok)
+        report.add("chart.flags_distinct", len(family) == len(flags))
+
+        report.add("resolution.special_point_flag_is_standard", special_ok)
+        report.counts["grid_points"] = grid_points
+        report.counts["pairs"] = total_pairs
+        report.add("resolution.chain_count_flag_independent", len(fiber_sizes) == 1)
+        report.add(
+            "resolution.pair_count_is_product",
+            total_pairs == grid_points * next(iter(fiber_sizes)),
+        )
+        report.add("resolution.pairs_satisfy_incidence", incidence_ok)
+        report.counts["grassmannian_points"] = grass_points
+        # every chain top is a point of Gr_k, so equal sizes mean all are hit
+        report.add(
+            "resolution.hits_whole_grassmannian",
+            len(first) == grass_points,
+            "surjectivity observed at this field size",
+            informational=True,
+        )
+
+        chart_fail: list = []
+        diag_graph_ok = True
+        late = [cfg.complements_suffix(i + 1) for i in range(1, k + 1)]
+        for gt in graphs:
+            pt = first.get(gt)
+            if pt is None:
+                chart_fail.append(subspace_witness(gt))
+                continue
+            # the unique preimage has graph-shaped diagonal cells: each
+            # meets the late complements trivially
+            diag = pi_diag(pt)
+            if any(intersect(diag[i], late[i]).dim for i in range(k)):
+                diag_graph_ok = False
+        report.add(
+            "resolution.chart_points_have_unique_preimage",
+            not chart_fail,
+            witnesses=chart_fail[:3],
+        )
+        report.add("resolution.chart_preimage_diagonals_are_graphs", diag_graph_ok)
+
+        report.counts["cell_points"] = len(cell)
+        report.add("resolution.cell_preimage_over_special_point", cell_ok)
+        report.add("resolution.cell_inside_chart", all(in_chart(cfg, l) for l in cell))
+
+        standard_tower_tops = {chain[-1] for chain in kl_points(standard, p, budget)}
+        report.add("resolution.special_fiber_is_standard_tower", over_o == standard_tower_tops)
+        report.counts["closed_locus_points"] = len(closed)
+        report.add(
+            "resolution.special_fiber_covers_closed_locus",
+            over_o == closed,
+            "chain-tower surjectivity observed at this field size",
+            informational=True,
+        )
+    return report
 
 
 def cell_points(cfg: FrameConfig) -> Iterator[Subspace]:

@@ -113,18 +113,31 @@ class TestBbsIso:
             rep = bbs_iso(w, 2)
             assert rep.passed, (w, [c.name for c in rep.checks if not c.passed])
 
-    def test_wrong_dimension_projection_fails_commute_check(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "one_line, last",
+        [
+            # l_1 against a plane of row 2, compared at every point
+            ((2, 3, 1), (2, 2)),
+            # the plane against a line written from row 1 at every point
+            ((3, 2, 1), (3, 3)),
+            # l_2 against a 3-space of row 3, compared once per fan
+            ((4, 3, 2, 1), (6, 3, 3)),
+        ],
+    )
+    def test_wrong_dimension_projection_fails_commute_check(self, monkeypatch, one_line, last):
         # neither projection checks the dimensions of its components; the
-        # report's commute check catches a component of the wrong one
-        w = Permutation((2, 3, 1))
-        right = bottsamelson.project_to_flag
+        # report's commute check catches a component of the wrong one:
+        # the Bott-Samelson flag reads a space where another s_i last
+        # occurs, which leaves both towers and the image as they are
+        w = Permutation(one_line)
+        right = bottsamelson.bubblesort_word
 
-        def wrong(pt):
-            flag = right(pt)
-            return (flag[1],) + flag[1:]
+        def wrong(w):
+            word = right(w)
+            word.last_occurrences = last
+            return word
 
-        assert wrong(next(enumerate_shat(w, 2)))[0].dim == 2
-        monkeypatch.setattr(bottsamelson, "project_to_flag", wrong)
+        monkeypatch.setattr(bottsamelson, "bubblesort_word", wrong)
         rep = bbs_iso(w, 2)
         failed = [c.name for c in rep.checks if not c.passed]
         assert failed == ["map_commutes_with_projections"]

@@ -1,16 +1,23 @@
 """Chain towers over flag families and the embedded resolution checks."""
 
 import itertools
+import json
 from types import SimpleNamespace
 
+import oracles
 import pytest
 from oracles import (
     cell_points,
     chart_hits,
+    copied,
+    cut_into_fans,
+    embres_verify_by_points,
     enumerate_embres,
+    flag_of_grid,
     forced_chain_by_intersections,
     graph_tuple,
     kl_count_formula,
+    kl_points,
     psi_embed,
     rank_filter,
     reconstruct_map_tuple_by_projection,
@@ -21,11 +28,10 @@ from oracles import (
 
 from schubres import embres, grassfib
 from schubres.embres import (
+    chain_tops,
     chart_graphs,
     chart_maps,
-    flag_of_grid,
     in_chart,
-    kl_points,
     reconstruct_map_tuple,
     special_point,
     verify_report,
@@ -42,7 +48,14 @@ from schubres.exactlin import (
     subspace_sum,
 )
 from schubres.grassfib import make_frame
-from schubres.wflag import enumerate_ghat, fixed_map_tuples, ghat_rows, pi_diag, psi_tilde
+from schubres.wflag import (
+    enumerate_ghat,
+    fixed_map_tuples,
+    ghat_rows,
+    pi_diag,
+    psi_space,
+    psi_tilde,
+)
 
 
 def all_pairs_hits(cfg, flags, gt):
@@ -92,6 +105,20 @@ class TestKlPoints:
         ]
         counts = {len(list(kl_points(flag, 2))) for flag in flags}
         assert counts == {21}
+
+    @pytest.mark.parametrize("n, p", [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)])
+    def test_chain_tops_are_the_tower_tops(self, n, p):
+        # the level-by-level tops, in order, against the tower's chains,
+        # over every standard flag and every grid flag of every frame
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, p, beta)
+                flags = {tuple(cfg.frames[b] for b in beta)}
+                flags.update(flag_of_grid(cfg, pt) for pt in itertools.islice(enumerate_ghat(cfg), 20))
+                for flag in flags:
+                    tops, ok = chain_tops(flag)
+                    assert ok
+                    assert tops == [chain[-1] for chain in kl_points(flag, p)], (beta, flag)
 
     def test_top_space_in_closed_locus(self):
         cfg = make_frame(4, 2, (2, 4))
@@ -194,19 +221,19 @@ class TestChart:
                     assert (count == 1) == want, (cfg, gt, idx)
 
     def faulty_chart_checks(self, monkeypatch, fault):
-        # ``fault`` rewrites the chains of the first family flag walked
+        # ``fault`` rewrites the chain tops of the first family flag walked
         cfg = make_frame(4, 2, (2, 4))
         family = {psi_embed(cfg, maps) for maps in fixed_map_tuples(cfg)}
         walked = []
 
-        def faulty(flag, p, budget):
-            chains = list(kl_points(flag, p, budget))
+        def faulty(flag):
+            tops, ok = chain_tops(flag)
             if flag in family and not walked:
-                chains = fault(chains)
+                tops = fault(tops)
                 walked.append(flag)
-            yield from chains
+            return tops, ok
 
-        monkeypatch.setattr("schubres.embres.kl_points", faulty)
+        monkeypatch.setattr(embres, "chain_tops", faulty)
         rep = verify_report(cfg)
         assert walked
         return {c.name: c.passed for c in rep.checks}
@@ -223,17 +250,19 @@ class TestChart:
         # the zero tuple's flag, carried by the special point, starts at
         # its own graph, the sum of the lines; the walk stays complete,
         # and p+1 chains top that graph; the family flags and the grid
-        # points' flags both come from psi_tilde, so one patch moves both
+        # points' flags both read their spaces off psi_space, so one patch
+        # moves both: with beta = (2, 4) space 2 is the whole space, so
+        # exactly the flags equal to the standard one change
         cfg = make_frame(4, 2, (2, 4))
         standard = psi_embed(cfg, zero_tuple(cfg))
         gt = cfg.lines_prefix(2)
         flag = (gt, standard[1])
 
-        def tilde(cfg, pt):
-            got = psi_tilde(cfg, pt)
-            return flag if got == standard else got
+        def space(cfg, i, l):
+            got = psi_space(cfg, i, l)
+            return gt if i == 1 and got == standard[0] else got
 
-        monkeypatch.setattr("schubres.embres.psi_tilde", tilde)
+        monkeypatch.setattr(embres, "psi_space", space)
         hits, _ = chart_hits(chart_graphs(cfg), [flag], cfg.p)
         assert hits[gt] == {0: cfg.p + 1}
         assert not forced_chain_by_intersections(cfg, gt, flag)
@@ -241,20 +270,15 @@ class TestChart:
         assert not checks["chart.forced_chain_is_valid"]
 
     def test_uncarried_family_flag_fails_closed(self, monkeypatch):
-        # no grid point carries the standard flag, the zero tuple's: its
-        # chain count stays 0, and the graph of the zero chart map, which
-        # only its chains top, is topped by no family flag
+        # no grid point carries the standard flag, the zero tuple's: the
+        # grid is fed without its carriers, so that flag's chain count
+        # stays 0, and the graph of the zero chart map, which only its
+        # chains top, is topped by no family flag
         cfg = make_frame(4, 2, (2, 4))
         standard = tuple(cfg.frames[b] for b in cfg.beta)
-        other = next(
-            f for f in (flag_of_grid(cfg, pt) for pt in enumerate_ghat(cfg)) if f != standard
-        )
-
-        def grid_flag(cfg, pt):
-            got = flag_of_grid(cfg, pt)
-            return other if got == standard else got
-
-        monkeypatch.setattr("schubres.embres.flag_of_grid", grid_flag)
+        points = [pt for pt in enumerate_ghat(cfg) if flag_of_grid(cfg, pt) != standard]
+        assert len(points) < sum(1 for _ in enumerate_ghat(cfg))
+        monkeypatch.setattr(embres, "walk_fans", lambda graph, budget: cut_into_fans(points))
         rep = verify_report(cfg)
         checks = {c.name: c.passed for c in rep.checks}
         assert not checks["chart.forced_chain_is_valid"]
@@ -405,27 +429,52 @@ class TestEmbeddedResolution:
 
     @pytest.mark.parametrize("at", [0, 1])
     def test_swapped_level_fails_incidence(self, monkeypatch, at):
-        # chain ``at`` of the first tower walked gets a first level outside
-        # the flag's first space; chain 1 shares chain 0's first level, the
-        # same object, so its swap is a change of object too
+        # the first level computed gets its choice ``at`` swapped for a
+        # line outside the flag's first space; the level above it is read
+        # off the choice it replaced, so every chain top stays as it was
         cfg = make_frame(4, 2, (2, 4))
-        walked = []
+        between = embres.enumerate_between
+        swapped = {}
 
-        def faulty(flag, p, budget):
-            chains = list(kl_points(flag, p, budget))
-            if not walked:
-                assert chains[1][0] is chains[0][0]
+        def faulty(lower, upper, dim):
+            choices = list(between(swapped.get(lower, lower), upper, dim))
+            if dim == 1 and not swapped:
                 outside = next(
-                    l for l in enumerate_subspaces(full_space(4, p), 1) if not contains(flag[0], l)
+                    l for l in enumerate_subspaces(full_space(4, 2), 1) if not contains(upper, l)
                 )
-                chains[at] = (outside,) + chains[at][1:]
-                walked.append(flag)
-            yield from chains
+                swapped[outside] = choices[at]
+                choices[at] = outside
+            return iter(choices)
 
-        monkeypatch.setattr("schubres.embres.kl_points", faulty)
+        monkeypatch.setattr(embres, "enumerate_between", faulty)
         rep = verify_report(cfg)
-        assert walked
+        assert swapped
         assert failed(rep) == ["resolution.pairs_satisfy_incidence"]
+
+    def test_spliced_top_level_fails_incidence(self, monkeypatch):
+        # one top level gets a plane outside the flag's top space spliced
+        # in after its choices: with beta = (1, 3) that space is not the
+        # whole space, so the spliced chain breaks the incidence
+        cfg = make_frame(4, 2, (1, 3))
+        between = embres.enumerate_between
+        spliced = []
+
+        def faulty(lower, upper, dim):
+            choices = list(between(lower, upper, dim))
+            if dim == 2 and not spliced:
+                outside = next(
+                    l
+                    for l in enumerate_subspaces(full_space(4, 2), 2)
+                    if contains(l, lower) and not contains(upper, l)
+                )
+                spliced.append(outside)
+                choices.append(outside)
+            return iter(choices)
+
+        monkeypatch.setattr(embres, "enumerate_between", faulty)
+        rep = verify_report(cfg)
+        assert spliced
+        assert "resolution.pairs_satisfy_incidence" in failed(rep)
 
 
 def census_spaces():
@@ -436,10 +485,17 @@ def census_spaces():
                 yield make_frame(n, p, beta)
 
 
-def patch_both(monkeypatch, name, value):
-    """Replace ``name`` where the package and the census oracle read it."""
-    for module in ("schubres.embres", "oracles"):
-        monkeypatch.setattr(f"{module}.{name}", value)
+def feed_both(monkeypatch, points):
+    """Both verifiers over the grid ``points``: ``verify_report`` reads
+    them cut into fans, the census oracle point by point."""
+    monkeypatch.setattr(embres, "walk_fans", lambda graph, budget: cut_into_fans(points))
+    monkeypatch.setattr(oracles, "enumerate_ghat", lambda cfg, budget: iter(points))
+
+
+def without_time(report):
+    out = json.loads(report.to_json())
+    out.pop("wall_time_s")
+    return out
 
 
 class TestStreamedPairs:
@@ -455,22 +511,43 @@ class TestStreamedPairs:
                 assert part(got, prefix) == want.checks, (cfg, prefix)
                 assert {key: got.counts[key] for key in want.counts} == want.counts, cfg
 
+    @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(2, 6)])
+    def test_same_report_as_point_walk(self, n, p):
+        # every default frame: the fan walk on ints against the point walk
+        # on subspaces it replaced, byte for byte but for the wall time
+        for k in range(1, n + 1):
+            for beta in itertools.combinations(range(1, n + 1), k):
+                cfg = make_frame(n, p, beta)
+                assert without_time(verify_report(cfg)) == without_time(
+                    embres_verify_by_points(cfg)
+                ), beta
+
     def faulty_reports(self, cfg):
         got = verify_report(cfg)
         want = verify_embedded_resolution_by_census(cfg, chart_graphs(cfg))
         assert part(got, "resolution.") == want.checks
         return {c.name: c.passed for c in got.checks}
 
+    @pytest.mark.parametrize("beta", [(2, 4), (1, 3)])
+    def test_equal_rows_as_distinct_objects_pass(self, monkeypatch, beta):
+        # every other point's rows and cells are new objects of the same
+        # values: the reads by row id give the same ints
+        cfg = make_frame(4, 2, beta)
+        want = without_time(verify_report(cfg))
+        points = [copied(pt) if i % 2 else pt for i, pt in enumerate(enumerate_ghat(cfg))]
+        feed_both(monkeypatch, points)
+        got = verify_report(cfg)
+        assert got.passed
+        assert without_time(got) == want
+        assert part(got, "resolution.") == verify_embedded_resolution_by_census(
+            cfg, chart_graphs(cfg)
+        ).checks
+
     def test_repeated_grid_point_fails_unique_preimage(self, monkeypatch):
-        # the special point, yielded twice, is the preimage of the graph
-        # of the zero chart map twice over
+        # the special point, fed twice, is the preimage of the graph of
+        # the zero chart map twice over
         cfg = make_frame(4, 2, (2, 4))
-
-        def repeating(cfg, budget):
-            yield from enumerate_ghat(cfg, budget)
-            yield special_point(cfg)
-
-        patch_both(monkeypatch, "enumerate_ghat", repeating)
+        feed_both(monkeypatch, list(enumerate_ghat(cfg)) + [special_point(cfg)])
         checks = self.faulty_reports(cfg)
         assert not checks["resolution.chart_points_have_unique_preimage"]
         assert checks["resolution.cell_preimage_over_special_point"]
@@ -479,15 +556,15 @@ class TestStreamedPairs:
 
     def test_off_special_point_over_cell_fails(self, monkeypatch):
         # one grid point other than the special one carries the standard
-        # flag, so its chains top the cell points too
-        cfg = make_frame(4, 2, (2, 4))
+        # flag: its rows end in the special point's diagonal, so its
+        # chains top the cell points too; with beta = (2, 4) at n = 4 the
+        # cell (2, 1) is forced, so n = 5 leaves the point room to differ
+        cfg = make_frame(5, 2, (2, 4))
         o = special_point(cfg)
-        victim = next(pt for pt in enumerate_ghat(cfg) if pt != o)
-        standard = flag_of_grid(cfg, o)
-
-        def flag(cfg, pt):
-            return standard if pt == victim else flag_of_grid(cfg, pt)
-
-        patch_both(monkeypatch, "flag_of_grid", flag)
+        points = list(enumerate_ghat(cfg))
+        i, victim = next((i, pt) for i, pt in enumerate(points) if pt[1][0] != o[1][0])
+        points[i] = tuple(row[:-1] + (o_row[-1],) for row, o_row in zip(victim, o))
+        assert points[i] != o and flag_of_grid(cfg, points[i]) == flag_of_grid(cfg, o)
+        feed_both(monkeypatch, points)
         checks = self.faulty_reports(cfg)
         assert not checks["resolution.cell_preimage_over_special_point"]

@@ -1,16 +1,22 @@
 """Relaxed-incidence chain varieties and their grid resolutions."""
 
 import itertools
+import json
 import random
 
 import pytest
+import oracles
 from oracles import (
     apply,
     clear_caches,
+    closed_form_fiber,
     compress_maps,
+    copied,
+    cut_into_fans,
     enumerate_ghat_flat,
     gcal_membership,
     graph_tuple,
+    verify_chain_resolution_by_points,
     zero_map,
 )
 
@@ -19,6 +25,8 @@ from schubres.exactlin import (
     BudgetExceededError,
     LinearMap,
     contains,
+    enumerate_subspaces,
+    full_space,
     graph,
     intersect,
     rows_bound,
@@ -27,7 +35,6 @@ from schubres.exactlin import (
 from schubres.grassfib import make_frame
 from schubres.wflag import (
     build_lift,
-    closed_form_fiber,
     enumerate_gcal,
     enumerate_ghat,
     fixed_map_tuples,
@@ -74,7 +81,7 @@ class TestCompressMaps:
             y = apply(maps[0], x1)
             dropped = apply(b2, x1)
             diff = tuple((a - c) % 3 for a, c in zip(y, dropped))
-            assert cfg.complement(2).contains_vector(diff)
+            assert not any(cfg.complement(2).reduce_vector(diff))
             x2 = cfg.line(2).basis[0]
             assert apply(b2, x2) == apply(maps[1], x2)
 
@@ -298,27 +305,24 @@ class TestLift:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("p", [2, 3])
     def test_pair_step_matches_span_oracle(self, n, p, monkeypatch):
-        # every lift that ``wflag verify`` builds over the default frames
-        import itertools
-
+        # every step that ``wflag verify`` takes over the default frames,
+        # on the subspaces it hands ``_pair_step``
         import oracles
-        from schubres import wflag
 
-        lifts = []
-        build = wflag.build_lift
+        calls = []
+        step = wflag._pair_step
 
-        def recording(cfg, pt, memo=None):
-            lifts.append((cfg, pt, build(cfg, pt, memo)))
-            return lifts[-1][2]
+        def recording(cfg, x, y, v_target, window):
+            calls.append((cfg, x, y, v_target, window, step(cfg, x, y, v_target, window)))
+            return calls[-1][-1]
 
-        monkeypatch.setattr(wflag, "build_lift", recording)
+        monkeypatch.setattr(wflag, "_pair_step", recording)
         for k in range(1, n + 1):
             for beta in itertools.combinations(range(1, n + 1), k):
                 verify_chain_resolution(make_frame(n, p, beta))
-        assert lifts
-        monkeypatch.setattr(wflag, "_pair_step", oracles.pair_step_by_span)
-        for cfg, pt, grid in lifts:
-            assert build(cfg, pt) == grid
+        assert calls or n < 3
+        for cfg, x, y, v_target, window, z in calls:
+            assert oracles.pair_step_by_span(cfg, x, y, v_target, window) == z
 
 
 class TestInU:
@@ -429,3 +433,72 @@ class TestVerify:
         rep = verify_chain_resolution(cfg)
         assert rep.counts["multi_point_fibers"] == 0
         assert rep.counts["grid_points"] == rep.counts["chain_points"]
+
+
+def without_time(report):
+    out = json.loads(report.to_json())
+    out.pop("wall_time_s")
+    return out
+
+
+def feed_both(monkeypatch, points):
+    """Both verifiers over the grid ``points``: ``verify_chain_resolution``
+    reads them cut into fans, the point-walk oracle point by point."""
+    monkeypatch.setattr(wflag, "walk_fans", lambda graph, budget: cut_into_fans(points))
+    monkeypatch.setattr(oracles, "enumerate_ghat", lambda cfg, budget: iter(points))
+
+
+class TestFanWalk:
+    """The fan walk on ints against the point walk on subspaces it
+    replaced, and grids fed to both."""
+
+    @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(2, 6)] + [(6, 2)])
+    def test_same_report_as_point_walk(self, n, p):
+        for cfg in _default_frames(n, p):
+            got = without_time(verify_chain_resolution(cfg))
+            assert got == without_time(verify_chain_resolution_by_points(cfg)), cfg
+
+    @pytest.mark.parametrize("beta", [(1, 3), (1, 3, 5), (2, 4)])
+    def test_equal_rows_as_distinct_objects_pass(self, monkeypatch, beta):
+        # every other point's rows and cells are new objects of the same
+        # values: the reads by row id give the same ints
+        cfg = make_frame(5, 2, beta)
+        want = without_time(verify_chain_resolution(cfg))
+        points = [copied(pt) if i % 2 else pt for i, pt in enumerate(enumerate_ghat(cfg))]
+        feed_both(monkeypatch, points)
+        got = verify_chain_resolution(cfg)
+        assert got.passed
+        assert without_time(got) == want == without_time(verify_chain_resolution_by_points(cfg))
+
+    @pytest.mark.parametrize("beta", [(1, 3), (2, 4), (1, 3, 5)])
+    def test_diagonal_off_the_chain_variety_fails(self, monkeypatch, beta):
+        # one point's row 1 is a line outside nested(1, 1): its diagonal is
+        # no chain point, and the fiber it left may lose its lift
+        cfg = make_frame(5, 2, beta)
+        outside = next(
+            l for l in enumerate_subspaces(full_space(5, 2), 1) if not contains(cfg.nested(1, 1), l)
+        )
+        points = list(enumerate_ghat(cfg))
+        points[3] = ((outside,),) + points[3][1:]
+        assert not gcal_membership(cfg, pi_diag(points[3]))
+        feed_both(monkeypatch, points)
+        got = verify_chain_resolution(cfg)
+        failed = [c.name for c in got.checks if not c.passed]
+        assert "projection_lands_in_chain_variety" in failed
+        assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
+
+    def test_dropped_lift_fails_lift_check(self, monkeypatch):
+        # the lift of the first chain point with a multi-point fiber is
+        # dropped from the grid: the fiber keeps a point, the lift is gone
+        cfg = make_frame(5, 2, (1, 3))
+        points = list(enumerate_ghat(cfg))
+        diags = [pi_diag(pt) for pt in points]
+        multi = next(d for d in diags if diags.count(d) > 1)
+        lift = build_lift(cfg, multi)
+        points.remove(lift)
+        feed_both(monkeypatch, points)
+        got = verify_chain_resolution(cfg)
+        checks = {c.name: c.passed for c in got.checks}
+        assert not checks["lift_lands_in_enumerated_grid"]
+        assert checks["projection_onto"] and checks["lift_is_a_section"]
+        assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
