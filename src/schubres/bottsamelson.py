@@ -118,10 +118,8 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     last fan's, and those of row 1 at every point; a first block is
     added only when grid row n-1 changed.  Each pair of images is still
     compared whole, so a fault at any level of either tower shows.  The
-    projections are compared space by space: l_1 and the flag spaces
-    written from row 1 at every point, and the others, which read rows
-    2..n alone, when one of the rows they read is refreshed, so every
-    pair of spaces is compared whenever it may have changed.
+    projections are compared space by space whenever one may change:
+    at every point where row 1 writes, else when a row is refreshed.
     """
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         n = w.n
@@ -142,9 +140,7 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
             for r in range(n)
         ]
         fan_read, fan_spaces = reads[0]
-        # l_{i+1} against flag space i: at each point for l_1 and the spaces
-        # written from row 1; for the others once their row, or the row
-        # that writes their space, is refreshed
+        # l_{i+1} against flag space i, at each point or per refreshed row
         at_points = [0] + [i for i, _ in fan_spaces if i]
         at_rows = [
             sorted({r, *(i for i, _ in spaces)}.difference(at_points))

@@ -9,8 +9,10 @@ over one special grid point, whose tower is exactly the chain tower of
 the standard flag.
 
 The flags of the graph chart's family are among the grid points' flags,
-so ``verify_report`` walks the grid once and reads the chart family's
-checks off the chains of the grid points that carry its flags.
+so ``verify_report`` walks the grid once, a fan of its row graph at a
+time, and reads the chart family's checks off the chains of the grid
+points that carry its flags; each grid row's flag space is read once,
+and every flag, chain top and point is keyed by small ints.
 """
 
 from __future__ import annotations
@@ -59,11 +61,9 @@ def chain_tops(flag: tuple[Subspace, ...]) -> tuple[list[Subspace], bool]:
     Schubert variety), in depth-first order, and whether every level's
     choices lie in their flag space.
 
-    The tower is built a level at a time: each level's choices over each
-    choice of the level below come from ``enumerate_between``, and each
-    is checked against its flag space once, where it is built, not once
-    per chain through it; a choice that is the flag space itself lies in
-    it.  The caller checks the tower's bound
+    The tower is built a level at a time from ``enumerate_between``, and
+    each choice is checked against its flag space once, where it is
+    built, not once per chain through it.  The caller checks the bound
     (``chain_stages``), which depends on the flag's dimensions alone.
     """
     level = [zero_subspace(flag[0].n, flag[0].p)]
@@ -171,6 +171,11 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     means the chain is forced.  That needs each flag's walk complete: its
     chain count must equal the one chain bound, exact for a flag, and a
     family flag that no grid point carries keeps 0 and fails.
+
+    Every subspace is read as a small int (``SpaceNumbers``), so flags,
+    chain tops and points are keyed by ints.  The grid is read a fan at
+    a time, each row object once, by its id, with the int of its flag
+    space (``psi_space`` of its last cell).
     """
     with EnumReport("embres verify", frame_config(cfg, budget)) as report:
         p, k = cfg.p, cfg.k
@@ -230,17 +235,11 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         total_pairs = 0
         incidence_ok = True
         cell_ok = True
-        rows: list[Row | None] = [None] * (k - 1)
-        cells: list[tuple[int, ...]] = [()] * (k - 1)
-        psis = [0] * (k - 1)
         for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
-            for i, row in enumerate(upper):
-                if row is not rows[i]:
-                    rows[i] = row
-                    cells[i], psis[i], _ = reads.get(id(row)) or read(row)
-            upper_cells = tuple(cells)
-            upper_diag = tuple([c[-1] for c in upper_cells])
-            upper_flag = tuple(psis)
+            got = [reads.get(id(row)) or read(row) for row in upper]
+            upper_cells = tuple([cells for cells, _, _ in got])
+            upper_diag = tuple([cells[-1] for cells, _, _ in got])
+            upper_flag = tuple([psi for _, psi, _ in got])
             for row in fan:
                 grid_points += 1
                 lowest, psi, _ = reads.get(id(row)) or read(row)
@@ -252,8 +251,7 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
                 at_o = (lowest,) + upper_cells == at_o_rows
                 tops, ok = chain_tops(tuple([spaces[f] for f in flag]))
                 incidence_ok = incidence_ok and ok
-                for top in tops:
-                    top = ids[top]
+                for top in map(ids.__getitem__, tops):
                     first[top] = None if top in first else diag
                     if at_o:
                         over_o.add(top)

@@ -296,9 +296,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subspace of a: each row of b reduces to zero on
-    a's canonical rows, as in ``reduce_vector``, inlined here because
-    the verifiers check every chain level this way.  Canonical rows have
-    their entries reduced mod p already."""
+    a's canonical rows (``reduce_vector``, inlined)."""
     _check_compatible(a, b)
     if len(b.basis) > len(a.basis):
         return False
@@ -651,13 +649,8 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
 
 
 class SpaceNumbers(dict):
-    """Each distinct subspace's small int, in the order first asked for.
-
-    ``ids[s]`` numbers s on its first lookup, and ``ids.spaces[i]`` is the
-    subspace numbered i.  A verifier that keys its points and fibers by
-    these ints hashes a subspace once per lookup here, and compares
-    points as tuples of ints.
-    """
+    """``ids[s]`` numbers each distinct subspace on its first lookup, 0
+    up, and ``ids.spaces[i]`` is the subspace numbered i."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -7,7 +7,9 @@ the space of graph tuples of compressed maps and is singular in general.
 Its resolution is a lower-triangular grid of subspaces with strict
 inclusions along rows and relaxed inclusions between rows; the diagonal
 projection is onto, is one-to-one over an explicit open set, and admits
-a deterministic section computed diagonal by diagonal.
+a deterministic section computed diagonal by diagonal.  ``wflag
+verify`` reads the grid a fan of its row graph at a time and keys every
+point and fiber by small ints, one per distinct subspace.
 """
 
 from __future__ import annotations
@@ -174,44 +176,38 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint, memo: dict | None = None) -> GHa
     """A deterministic section of the diagonal projection, for a point
     of the chain variety (not checked).
 
-    Built diagonal by diagonal (``_lift``): each new cell is the
-    intersection of the cell above-right with the nested space when that
-    intersection has the right dimension, and otherwise the
-    lexicographic completion of the projected left cell inside the cell
-    above-right (``_pair_step``).  That the result is a grid point over
-    ``pt`` is checked by the ``wflag verify`` and ``wflag lift`` reports.
-    A cell depends only on its two neighbours and its place, so ``memo``
-    keeps each step's cell under (x, y, idx, c) and a caller that passes
-    one dict for many points over one frame builds each distinct step
-    once.
+    Built diagonal by diagonal: each new cell is the intersection of the
+    cell above-right with the nested space when that intersection has
+    the right dimension, and otherwise the lexicographic completion of
+    the projected left cell inside the cell above-right.  That the result
+    is a grid point over ``pt`` is checked by the ``wflag verify`` and
+    ``wflag lift`` reports.  A cell depends only on its two neighbours
+    and its place, so ``memo`` keeps each step's cell under (x, y, idx, c)
+    and a caller that passes one dict for many points over one frame
+    builds each distinct step once.
     """
+    k = cfg.k
     memo = {} if memo is None else memo
-
-    def cell(key: tuple[Subspace, Subspace, int, int]) -> Subspace:
-        z = memo.get(key)
-        if z is None:
-            x, y, idx, c = key
-            z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
-        return z
-
-    return _lift(cfg.k, pt, cell)
-
-
-def _lift(k: int, pt: tuple, cell: Callable[[tuple], object]) -> tuple:
-    """The rows of a lift, from its diagonal ``pt`` up: diagonal c holds
-    ``cell((x, y, idx, c))`` for idx = 1..k-c, x and y the cells idx and
-    idx+1 of diagonal c-1 (x of dimension idx and superscript idx+c-1,
-    y one more of each).  The cells are subspaces or their ints alike."""
-    diags = [tuple(pt)]
+    diags: list[tuple[Subspace, ...]] = [tuple(pt)]
     for c in range(1, k):
         prev = diags[-1]
-        diags.append(tuple([cell((prev[idx - 1], prev[idx], idx, c)) for idx in range(1, k - c + 1)]))
-    return tuple([tuple([diags[i - j][j - 1] for j in range(1, i + 1)]) for i in range(1, k + 1)])
+        new = []
+        for idx in range(1, k - c + 1):
+            x = prev[idx - 1]                # dimension idx, superscript idx+c-1
+            y = prev[idx]                    # dimension idx+1, superscript idx+c
+            key = (x, y, idx, c)
+            z = memo.get(key)
+            if z is None:
+                z = memo[key] = _pair_step(cfg, x, y, cfg.nested(idx, idx + c), idx + c)
+            new.append(z)
+        diags.append(tuple(new))
+    return tuple(
+        tuple(diags[i - j][j - 1] for j in range(1, i + 1)) for i in range(1, k + 1)
+    )
 
 
 class _Memo(dict):
-    """A dict that fills a missing key with ``make(*key)``: a lookup
-    that hits costs one dict lookup, and no call."""
+    """A dict that fills a missing key with ``make(*key)``."""
 
     def __init__(self, make: Callable) -> None:
         super().__init__()
@@ -321,27 +317,15 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
     closed form over the open locus, section property of the lift, and
     a census of the multi-point fibers off the open locus.
 
-    Every check compares small ints, one per distinct subspace
-    (``SpaceNumbers``).  The chain variety is walked first, each point
-    keyed by its spaces' ints.  Whether a point lies in the open locus,
-    and its closed-form fiber, are read per (level i, l_i), because each
-    of their conditions reads one diagonal cell.  The grid is then read
-    a fan at a time (``walk_fans``): rows 2..k once per fan, and each row
-    object's cell ints once, through a dict keyed by its id.  A grid
-    point is the tuple of its rows' int tuples, and its diagonal their
-    last cells.  A fiber keeps only its size: the first point over an
-    open chain point is compared with the closed form, and the points
-    over a chain point with its lift until one equals it.  A lift that
-    equals a point over its chain point is a section there; the lifts of
-    the others are built on ints after the walk.  The multi-point
-    witness is the first such fiber in grid order.
-
-    A grid point is the lift of its diagonal exactly when each cell
-    (r, j), r > j, is the ``_pair_step`` of the cells (r-1, j) and
-    (r, j+1), as ``_lift`` builds it.  Only the cell (2, 1) reads row 1,
-    so the other cells are compared once per fan, in order of r - j,
-    and only after the cells they read are known to be the lift's: every
-    step is taken on a pair that some lift takes it on.
+    Every subspace is read as a small int (``SpaceNumbers``); a chain
+    point is a tuple of ints, and a grid point the tuple of its rows'.
+    The open locus and the closed form are read per (level, l_i).  The
+    grid is read a fan at a time, each row object once, by its id, and a
+    fiber keeps only its size.  A grid point is the lift of its diagonal
+    exactly when each cell (r, j), r > j, is the ``_pair_step`` of the
+    cells (r-1, j) and (r, j+1), as ``build_lift`` builds it; only (2, 1)
+    reads row 1, so the rest is compared once per fan, in order of
+    r - j, and every step is one that some lift takes.
     """
     with EnumReport("wflag verify", frame_config(cfg, budget)) as report:
         k = cfg.k
@@ -387,23 +371,15 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
             got = reads[id(row)] = (tuple([ids[s] for s in row]), row)
             return got
 
-        # the cells (r, j) of rows 3..k, in order of r - j
-        upper_steps = sorted(
-            ((r, j) for r in range(3, k + 1) for j in range(1, r)), key=lambda rj: rj[0] - rj[1]
-        )
+        # the cells (r, j) of rows 3..k, diagonal c = r - j by diagonal
+        upper_steps = [(j + c, j) for c in range(1, k) for j in range(1, k - c + 1) if j + c > 2]
         fibers: dict[tuple[int, ...], int] = {}  # per diagonal, its number of grid points
         not_closed: set[tuple[int, ...]] = set()
         lands_ok = True
-        rows: list[Row | None] = [None] * (k - 1)
-        cells: list[tuple[int, ...]] = [()] * (k - 1)
         for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
-            for i, row in enumerate(upper):
-                if row is not rows[i]:
-                    rows[i] = row
-                    cells[i] = (reads.get(id(row)) or read(row))[0]
-            # cells[r - 2] holds row r; whether rows 2..k are the lift's
-            # there, decided at the first point that needs it
-            up = tuple(cells)
+            # up[r - 2] holds row r; whether rows 2..k are the lift's there
+            # is decided at the first point that needs it
+            up = tuple([(reads.get(id(row)) or read(row))[0] for row in upper])
             upper_diag = tuple([c[-1] for c in up])
             upper_lifted = None
             for row in fan:
@@ -449,10 +425,9 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
             not any(fibers.get(g) == 1 for g in not_closed),
         )
 
-        unlifted = [g for g, left in lifting.items() if left]
+        unlifted = [tuple([spaces[x] for x in g]) for g, left in lifting.items() if left]
         report.add(
-            "lift_is_a_section",
-            all(tuple([row[-1] for row in _lift(k, g, steps.__getitem__)]) == g for g in unlifted),
+            "lift_is_a_section", all(pi_diag(build_lift(cfg, pt)) == pt for pt in unlifted)
         )
         report.add("lift_lands_in_enumerated_grid", not unlifted)
 

@@ -21,7 +21,12 @@ recover are here too, with the set-based verifiers built on them
 ``grassfib``'s ranks on Schubert-cell charts replace.  Their loci, like
 the ones the tests compare ``grassfib.locus_charts`` with, come from
 intersection dimensions (``rank_filter``), and the census oracle of
-``embres`` walks all of Gr_k: no oracle shares the walk it checks."""
+``embres`` walks all of Gr_k: no oracle shares the walk it checks.
+The point walks that ``wflag verify`` and ``embres verify`` replaced by
+fans of small ints are here as well (``verify_chain_resolution_by_points``,
+``embres_verify_by_points``), with the subspace-keyed pieces they read:
+the closed-form fiber, each grid point's flag and the chain tower as one
+``tower`` (``closed_form_fiber``, ``flag_of_grid``, ``kl_points``)."""
 
 import itertools
 import operator

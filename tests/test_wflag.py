@@ -487,10 +487,12 @@ class TestFanWalk:
         assert "projection_lands_in_chain_variety" in failed
         assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
 
-    def test_dropped_lift_fails_lift_check(self, monkeypatch):
+    @pytest.mark.parametrize("n, beta", [(5, (1, 3)), (6, (1, 3, 5))])
+    def test_dropped_lift_fails_lift_check(self, monkeypatch, n, beta):
         # the lift of the first chain point with a multi-point fiber is
-        # dropped from the grid: the fiber keeps a point, the lift is gone
-        cfg = make_frame(5, 2, (1, 3))
+        # dropped from the grid: the fiber keeps a point, the lift is gone;
+        # with k = 3 the cells of rows 2..3 are compared once per fan
+        cfg = make_frame(n, 2, beta)
         points = list(enumerate_ghat(cfg))
         diags = [pi_diag(pt) for pt in points]
         multi = next(d for d in diags if diags.count(d) > 1)
@@ -501,4 +503,24 @@ class TestFanWalk:
         checks = {c.name: c.passed for c in got.checks}
         assert not checks["lift_lands_in_enumerated_grid"]
         assert checks["projection_onto"] and checks["lift_is_a_section"]
+        assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
+
+    def test_wrong_upper_cell_fails_lift_check(self, monkeypatch):
+        # a chain point's lift is fed with its cell (3, 1) swapped for
+        # another line: rows 1 and 2 are still the lift's, so only the
+        # cells compared once per fan show that it is not
+        cfg = make_frame(5, 2, (1, 3, 5))
+        points = list(enumerate_ghat(cfg))
+        i, lift = next(
+            (i, pt) for i, pt in enumerate(points) if pt == build_lift(cfg, pi_diag(pt))
+        )
+        other = next(
+            l for l in enumerate_subspaces(lift[2][1], 1) if l != lift[2][0]
+        )
+        points[i] = lift[:2] + ((other,) + lift[2][1:],)
+        feed_both(monkeypatch, points)
+        got = verify_chain_resolution(cfg)
+        checks = {c.name: c.passed for c in got.checks}
+        assert not checks["lift_lands_in_enumerated_grid"]
+        assert checks["projection_lands_in_chain_variety"] and checks["lift_is_a_section"]
         assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
