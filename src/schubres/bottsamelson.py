@@ -118,8 +118,8 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     last fan's, and those of row 1 at every point; a first block is
     added only when grid row n-1 changed.  Each pair of images is still
     compared whole, so a fault at any level of either tower shows.  The
-    projections are compared space by space whenever one may change:
-    at every point where row 1 writes, else when a row is refreshed.
+    projections are compared space by space: those that row 1 writes at
+    every point, and the others, which read rows 2..n alone, per fan.
     """
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         n = w.n
@@ -140,12 +140,10 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
             for r in range(n)
         ]
         fan_read, fan_spaces = reads[0]
-        # l_{i+1} against flag space i, at each point or per refreshed row
+        # l_{i+1} against flag space i: at every point where row 1 writes
+        # it (and for l_1), and once per fan for the others
         at_points = [0] + [i for i, _ in fan_spaces if i]
-        at_rows = [
-            sorted({r, *(i for i, _ in spaces)}.difference(at_points))
-            for r, (_, spaces) in enumerate(reads)
-        ]
+        at_fans = [i for i in range(1, n) if i not in at_points]
         m = n - w(n)
         # grid row n-1 holds the first block: with n = 2 it is row 1, which
         # changes at every point
@@ -159,20 +157,18 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         rows: list[Row | None] = [None] * n
         tower = enumerate_bs(word, p, budget)
         for upper, fan in shat_fans(w, p, budget):
-            changed = []
+            first_changed = False
             for r, row in enumerate(upper, start=1):
                 if row is not rows[r]:
                     rows[r] = row
-                    changed.append(r)
+                    first_changed = first_changed or r == n - 2
                     read, spaces = reads[r]
                     for j, c in read:
                         img[j] = row[c]
                     for i, c in spaces:
                         flag[i] = row[c]
-            commutes = commutes and all(
-                rows[i][-1] == flag[i] for r in changed for i in at_rows[r]
-            )
-            if m and n - 2 in changed:
+            commutes = commutes and all(rows[i][-1] == flag[i] for i in at_fans)
+            if m and first_changed:
                 first_blocks.add(tuple(img[:m]))
             for row in fan:
                 grid_count += 1

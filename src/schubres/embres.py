@@ -9,10 +9,9 @@ over one special grid point, whose tower is exactly the chain tower of
 the standard flag.
 
 The flags of the graph chart's family are among the grid points' flags,
-so ``verify_report`` walks the grid once, a fan of its row graph at a
-time, and reads the chart family's checks off the chains of the grid
-points that carry its flags; each grid row's flag space is read once,
-and every flag, chain top and point is keyed by small ints.
+so ``verify_report`` walks the grid once, a fan at a time, and reads
+the chart family's checks off the chains of the grid points that carry
+its flags.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from typing import Callable, Iterator
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
-    Row,
-    RowGraph,
+    Memo,
     SpaceNumbers,
     Subspace,
     chain_stages,
@@ -38,7 +36,6 @@ from schubres.exactlin import (
     rows_bound,
     subspace_sum,
     tower_bound,
-    walk_fans,
     zero_subspace,
 )
 from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, closed_locus
@@ -47,6 +44,7 @@ from schubres.wflag import (
     GHatPoint,
     build_lift,
     fixed_map_tuples,
+    ghat_fans,
     ghat_membership,
     ghat_rows,
     pi_diag,
@@ -56,16 +54,10 @@ from schubres.wflag import (
 
 
 def chain_tops(flag: tuple[Subspace, ...]) -> tuple[list[Subspace], bool]:
-    """The tops L_k of the chains L_1 ⊂ ... ⊂ L_k with L_i inside the
-    i-th flag space, dim L_i = i (the resolution tower of the flag's
-    Schubert variety), in depth-first order, and whether every level's
-    choices lie in their flag space.
-
-    The tower is built a level at a time from ``enumerate_between``, and
-    each choice is checked against its flag space once, where it is
-    built, not once per chain through it.  The caller checks the bound
-    (``chain_stages``), which depends on the flag's dimensions alone.
-    """
+    """The tops of the chains L_1 ⊂ ... ⊂ L_k, L_i of dimension i inside
+    flag space i, in depth-first order, and whether each level's choices
+    lie in their flag space, checked once per choice as it is built.
+    The caller checks the tower's bound (``chain_stages``)."""
     level = [zero_subspace(flag[0].n, flag[0].p)]
     ok = True
     for i, space in enumerate(flag, start=1):
@@ -172,10 +164,8 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     chain count must equal the one chain bound, exact for a flag, and a
     family flag that no grid point carries keeps 0 and fails.
 
-    Every subspace is read as a small int (``SpaceNumbers``), so flags,
-    chain tops and points are keyed by ints.  The grid is read a fan at
-    a time, each row object once, by its id, with the int of its flag
-    space (``psi_space`` of its last cell).
+    Flags, chain tops and points are keyed by subspace ints, the grid
+    is read by ``ghat_fans``, and a flag space once per last cell.
     """
     with EnumReport("embres verify", frame_config(cfg, budget)) as report:
         p, k = cfg.p, cfg.k
@@ -213,18 +203,10 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
         o = special_point(cfg)
         special_ok = ghat_membership(cfg, o) and psi_tilde(cfg, pi_diag(o)) == standard
-        at_o_rows = tuple(tuple([ids[s] for s in row]) for row in o)
+        o_rows = tuple(tuple([ids[s] for s in row]) for row in o)
 
-        # id(row) -> (its cells' ints, the int of its flag space, row)
-        reads: dict[int, tuple[tuple[int, ...], int, Row]] = {}
-
-        def read(row: Row) -> tuple[tuple[int, ...], int, Row]:
-            got = reads[id(row)] = (
-                tuple([ids[s] for s in row]),
-                ids[psi_space(cfg, len(row), row[-1])],
-                row,
-            )
-            return got
+        # the int of flag space i of a grid point whose row i ends in l
+        psis = Memo(lambda i, l: ids[psi_space(cfg, i, spaces[l])])
 
         # per chain top, the diagonal of its one grid point, or None once a
         # second pair tops it
@@ -235,20 +217,17 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         total_pairs = 0
         incidence_ok = True
         cell_ok = True
-        for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
-            got = [reads.get(id(row)) or read(row) for row in upper]
-            upper_cells = tuple([cells for cells, _, _ in got])
-            upper_diag = tuple([cells[-1] for cells, _, _ in got])
-            upper_flag = tuple([psi for _, psi, _ in got])
-            for row in fan:
+        for up, fan in ghat_fans(cfg, ids, budget):
+            upper_diag = tuple([c[-1] for c in up])
+            upper_flag = tuple([psis[i, c[-1]] for i, c in enumerate(up, start=2)])
+            for lowest in fan:
                 grid_points += 1
-                lowest, psi, _ = reads.get(id(row)) or read(row)
-                flag = (psi,) + upper_flag
+                flag = (psis[1, lowest[0]],) + upper_flag
                 diag = lowest + upper_diag
                 idx = family.get(flag)
                 if idx is not None and chains[idx]:
                     idx = None
-                at_o = (lowest,) + upper_cells == at_o_rows
+                at_o = (lowest,) + up == o_rows
                 tops, ok = chain_tops(tuple([spaces[f] for f in flag]))
                 incidence_ok = incidence_ok and ok
                 for top in map(ids.__getitem__, tops):

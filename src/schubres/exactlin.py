@@ -295,8 +295,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a: each row of b reduces to zero on
-    a's canonical rows (``reduce_vector``, inlined)."""
+    """True iff b is a subspace of a."""
     _check_compatible(a, b)
     if len(b.basis) > len(a.basis):
         return False
@@ -646,6 +645,18 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
             open_levels.pop()
         else:
             return
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``make(*key)``."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple) -> object:
+        got = self[key] = self.make(*key)
+        return got
 
 
 class SpaceNumbers(dict):

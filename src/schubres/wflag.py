@@ -7,9 +7,7 @@ the space of graph tuples of compressed maps and is singular in general.
 Its resolution is a lower-triangular grid of subspaces with strict
 inclusions along rows and relaxed inclusions between rows; the diagonal
 projection is onto, is one-to-one over an explicit open set, and admits
-a deterministic section computed diagonal by diagonal.  ``wflag
-verify`` reads the grid a fan of its row graph at a time and keys every
-point and fiber by small ints, one per distinct subspace.
+a deterministic section computed diagonal by diagonal.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from schubres.exactlin import (
     DEFAULT_BUDGET,
     InvariantError,
     LinearMap,
+    Memo,
     Row,
     RowGraph,
     RowSpec,
@@ -119,6 +118,33 @@ def enumerate_ghat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
     yield from walk_rows(*ghat_rows(cfg), budget)
 
 
+IntRows = tuple[tuple[int, ...], ...]  # grid rows, each as its cells' ints
+
+
+def ghat_fans(
+    cfg: FrameConfig, ids: SpaceNumbers, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[IntRows, IntRows]]:
+    """``walk_fans`` of the grid's ``RowGraph`` with each row as its
+    cells' ints (``ids``).  Each row object and fan is read once, keyed
+    by its id in a dict whose value holds it, so no row is hashed."""
+    reads: dict[int, tuple[tuple, tuple]] = {}
+
+    def read(obj: tuple, ints: Callable[[tuple], tuple]) -> tuple:
+        got = reads.get(id(obj))
+        if got is None:
+            got = reads[id(obj)] = (ints(obj), obj)
+        return got[0]
+
+    def cells(row: Row) -> tuple[int, ...]:
+        return tuple([ids[s] for s in row])
+
+    def rows(fan: tuple[Row, ...]) -> IntRows:
+        return tuple([read(row, cells) for row in fan])
+
+    for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
+        yield rows(upper), read(fan, rows)
+
+
 def ghat_membership(cfg: FrameConfig, pt: GHatPoint) -> bool:
     k = cfg.k
     if len(pt) != k or any(len(pt[i - 1]) != i for i in range(1, k + 1)):
@@ -204,18 +230,6 @@ def build_lift(cfg: FrameConfig, pt: GCalPoint, memo: dict | None = None) -> GHa
     return tuple(
         tuple(diags[i - j][j - 1] for j in range(1, i + 1)) for i in range(1, k + 1)
     )
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(*key)``."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: tuple) -> object:
-        got = self[key] = self.make(*key)
-        return got
 
 
 def _pair_step(
@@ -317,15 +331,12 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
     closed form over the open locus, section property of the lift, and
     a census of the multi-point fibers off the open locus.
 
-    Every subspace is read as a small int (``SpaceNumbers``); a chain
-    point is a tuple of ints, and a grid point the tuple of its rows'.
-    The open locus and the closed form are read per (level, l_i).  The
-    grid is read a fan at a time, each row object once, by its id, and a
-    fiber keeps only its size.  A grid point is the lift of its diagonal
-    exactly when each cell (r, j), r > j, is the ``_pair_step`` of the
-    cells (r-1, j) and (r, j+1), as ``build_lift`` builds it; only (2, 1)
-    reads row 1, so the rest is compared once per fan, in order of
-    r - j, and every step is one that some lift takes.
+    Points are tuples of subspace ints, the grid is read by
+    ``ghat_fans``, and a fiber keeps only its size.  The open locus and
+    the closed form are read per (level, l_i).  A grid point is its
+    diagonal's lift when each cell (r, j), r > j, is the ``_pair_step``
+    of (r-1, j) and (r, j+1); only (2, 1) reads row 1, so the rest is
+    compared once per fan, by r - j, on cells known to be the lift's.
     """
     with EnumReport("wflag verify", frame_config(cfg, budget)) as report:
         k = cfg.k
@@ -338,13 +349,13 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
             meets = tuple([ids[intersect(spaces[c], cfg.nested(j, i))] for j in range(1, i)])
             return meets, all(spaces[x].dim == j for j, x in enumerate(meets, start=1))
 
-        levels = _Memo(level)
+        levels = Memo(level)
         # row i of the closed-form fiber, which ends in l_i ∩ nested(i, i)
-        closed_rows = _Memo(
+        closed_rows = Memo(
             lambda i, c: levels[i, c][0] + (ids[intersect(spaces[c], cfg.nested(i, i))],)
         )
         # ``_pair_step`` on ints, keyed by (x, y, idx, c)
-        steps = _Memo(
+        steps = Memo(
             lambda x, y, idx, c: ids[
                 _pair_step(cfg, spaces[x], spaces[y], cfg.nested(idx, idx + c), idx + c)
             ]
@@ -365,25 +376,17 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
                 open_points += 1
                 opens.add(g)
 
-        reads: dict[int, tuple[tuple[int, ...], Row]] = {}  # id(row) -> (its cells' ints, row)
-
-        def read(row: Row) -> tuple[tuple[int, ...], Row]:
-            got = reads[id(row)] = (tuple([ids[s] for s in row]), row)
-            return got
-
         # the cells (r, j) of rows 3..k, diagonal c = r - j by diagonal
         upper_steps = [(j + c, j) for c in range(1, k) for j in range(1, k - c + 1) if j + c > 2]
         fibers: dict[tuple[int, ...], int] = {}  # per diagonal, its number of grid points
         not_closed: set[tuple[int, ...]] = set()
         lands_ok = True
-        for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
+        for up, fan in ghat_fans(cfg, ids, budget):
             # up[r - 2] holds row r; whether rows 2..k are the lift's there
             # is decided at the first point that needs it
-            up = tuple([(reads.get(id(row)) or read(row))[0] for row in upper])
             upper_diag = tuple([c[-1] for c in up])
             upper_lifted = None
-            for row in fan:
-                first = (reads.get(id(row)) or read(row))[0]
+            for first in fan:
                 diag = first + upper_diag
                 size = fibers.get(diag)
                 if size is None:

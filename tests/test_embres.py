@@ -26,7 +26,7 @@ from oracles import (
     zero_map,
 )
 
-from schubres import embres, grassfib
+from schubres import embres, grassfib, wflag
 from schubres.embres import (
     chain_tops,
     chart_graphs,
@@ -278,7 +278,7 @@ class TestChart:
         standard = tuple(cfg.frames[b] for b in cfg.beta)
         points = [pt for pt in enumerate_ghat(cfg) if flag_of_grid(cfg, pt) != standard]
         assert len(points) < sum(1 for _ in enumerate_ghat(cfg))
-        monkeypatch.setattr(embres, "walk_fans", lambda graph, budget: cut_into_fans(points))
+        monkeypatch.setattr(wflag, "walk_fans", lambda graph, budget: cut_into_fans(points))
         rep = verify_report(cfg)
         checks = {c.name: c.passed for c in rep.checks}
         assert not checks["chart.forced_chain_is_valid"]
@@ -488,7 +488,7 @@ def census_spaces():
 def feed_both(monkeypatch, points):
     """Both verifiers over the grid ``points``: ``verify_report`` reads
     them cut into fans, the census oracle point by point."""
-    monkeypatch.setattr(embres, "walk_fans", lambda graph, budget: cut_into_fans(points))
+    monkeypatch.setattr(wflag, "walk_fans", lambda graph, budget: cut_into_fans(points))
     monkeypatch.setattr(oracles, "enumerate_ghat", lambda cfg, budget: iter(points))
 
 
