@@ -187,14 +187,14 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
 
         graphs = [ids[gt] for gt in chart_graphs(cfg)]
         tuples = list(fixed_map_tuples(cfg))
-        # space i of a tuple's flag sums its first i graphs and complements
-        flags = [
-            tuple(
-                ids[psi_space(cfg, i, s)]
-                for i, s in enumerate(accumulate(map(graph, m), subspace_sum), start=1)
-            )
-            for m in tuples
-        ]
+        # space i of a tuple's flag sums its first i graphs and complements;
+        # the tuples share their maps, so each map's graph is built once
+        graph_of: dict[LinearMap, Subspace] = {}
+        flags = []
+        for m in tuples:
+            graphs_m = [graph_of.get(a) or graph_of.setdefault(a, graph(a)) for a in m]
+            sums = accumulate(graphs_m, subspace_sum)
+            flags.append(tuple(ids[psi_space(cfg, i, s)] for i, s in enumerate(sums, start=1)))
         family = {flag: idx for idx, flag in enumerate(flags)}
         # per family flag, its number of chains; per chart graph, None, or
         # the one family flag whose chains top it and how many do

@@ -113,34 +113,30 @@ class TestBbsIso:
             rep = bbs_iso(w, 2)
             assert rep.passed, (w, [c.name for c in rep.checks if not c.passed])
 
-    @pytest.mark.parametrize(
-        "one_line, last",
-        [
-            # l_1 against a plane of row 2, compared at every point
-            ((2, 3, 1), (2, 2)),
-            # the plane against a line written from row 1 at every point
-            ((3, 2, 1), (3, 3)),
-            # l_2 against a 3-space of row 3, compared once per fan
-            ((4, 3, 2, 1), (6, 3, 3)),
-        ],
-    )
-    def test_wrong_dimension_projection_fails_commute_check(self, monkeypatch, one_line, last):
+    def test_wrong_dimension_projection_fails_commute_check(self, monkeypatch):
         # neither projection checks the dimensions of its components; the
         # report's commute check catches a component of the wrong one:
         # the Bott-Samelson flag reads a space where another s_i last
         # occurs, which leaves both towers and the image as they are
-        w = Permutation(one_line)
         right = bottsamelson.bubblesort_word
+        for one_line, last in [
+            # l_1 against a plane of row 2, compared at every point
+            ((2, 3, 1), (2, 2)),
+            # the plane against a line written from row 1, at every point
+            ((3, 2, 1), (3, 3)),
+            # l_2 against a 3-space of row 3, compared once per fan
+            ((4, 3, 2, 1), (6, 3, 3)),
+        ]:
 
-        def wrong(w):
-            word = right(w)
-            word.last_occurrences = last
-            return word
+            def wrong(w, last=last):
+                word = right(w)
+                word.last_occurrences = last
+                return word
 
-        monkeypatch.setattr(bottsamelson, "bubblesort_word", wrong)
-        rep = bbs_iso(w, 2)
-        failed = [c.name for c in rep.checks if not c.passed]
-        assert failed == ["map_commutes_with_projections"]
+            monkeypatch.setattr(bottsamelson, "bubblesort_word", wrong)
+            rep = bbs_iso(Permutation(one_line), 2)
+            failed = [c.name for c in rep.checks if not c.passed]
+            assert failed == ["map_commutes_with_projections"], one_line
 
     def test_simple_transposition_gf3(self):
         rep = bbs_iso(Permutation((2, 1, 3)), 3)
