@@ -22,8 +22,6 @@ from typing import Callable, Iterator
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
-    Memo,
-    SpaceNumbers,
     Subspace,
     chain_stages,
     check_budget,
@@ -42,6 +40,8 @@ from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, closed_locu
 from schubres.report import EnumReport, frame_config, subspace_witness
 from schubres.wflag import (
     GHatPoint,
+    Memo,
+    SpaceNumbers,
     build_lift,
     fixed_map_tuples,
     ghat_fans,

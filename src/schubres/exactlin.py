@@ -647,32 +647,6 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
             return
 
 
-class Memo(dict):
-    """A dict that fills a missing key with ``make(*key)``."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: tuple) -> object:
-        got = self[key] = self.make(*key)
-        return got
-
-
-class SpaceNumbers(dict):
-    """``ids[s]`` numbers each distinct subspace on its first lookup, 0
-    up, and ``ids.spaces[i]`` is the subspace numbered i."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.spaces: list[Subspace] = []
-
-    def __missing__(self, s: Subspace) -> int:
-        i = self[s] = len(self.spaces)
-        self.spaces.append(s)
-        return i
-
-
 Row = tuple[Subspace, ...]
 RowSpec = tuple[Sequence[int], Subspace]  # (dims, extra) of one row of ``walk_rows``
 

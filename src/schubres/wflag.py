@@ -19,11 +19,9 @@ from schubres.exactlin import (
     DEFAULT_BUDGET,
     InvariantError,
     LinearMap,
-    Memo,
     Row,
     RowGraph,
     RowSpec,
-    SpaceNumbers,
     Stage,
     Subspace,
     contains,
@@ -42,6 +40,32 @@ from schubres.report import EnumReport, frame_config, subspace_witness
 
 GCalPoint = tuple[Subspace, ...]
 GHatPoint = tuple[tuple[Subspace, ...], ...]  # row i (1-based) has i entries
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``make(*key)``."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple) -> object:
+        got = self[key] = self.make(*key)
+        return got
+
+
+class SpaceNumbers(dict):
+    """``ids[s]`` numbers each distinct subspace on its first lookup, 0
+    up, and ``ids.spaces[i]`` is the subspace numbered i."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.spaces: list[Subspace] = []
+
+    def __missing__(self, s: Subspace) -> int:
+        i = self[s] = len(self.spaces)
+        self.spaces.append(s)
+        return i
 
 
 def fixed_map_tuples(cfg: FrameConfig) -> Iterator[tuple[LinearMap, ...]]:
