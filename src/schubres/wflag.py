@@ -400,7 +400,7 @@ def verify_chain_resolution(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
                 open_points += 1
                 opens.add(g)
 
-        # the cells (r, j) of rows 3..k, diagonal c = r - j by diagonal
+        # the cells (r, j) of rows 3..k, in order of their diagonal r - j
         upper_steps = [(j + c, j) for c in range(1, k) for j in range(1, k - c + 1) if j + c > 2]
         fibers: dict[tuple[int, ...], int] = {}  # per diagonal, its number of grid points
         not_closed: set[tuple[int, ...]] = set()
