@@ -7,7 +7,8 @@ the space of graph tuples of compressed maps and is singular in general.
 Its resolution is a lower-triangular grid of subspaces with strict
 inclusions along rows and relaxed inclusions between rows; the diagonal
 projection is onto, is one-to-one over an explicit open set, and admits
-a deterministic section computed diagonal by diagonal.
+a deterministic section computed diagonal by diagonal.  ``wflag verify``
+reads the grid a fan at a time with every subspace as a small int.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ the closed-form fiber, each grid point's flag and the chain tower as one
 
 import itertools
 import operator
+import re
 from itertools import accumulate
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
@@ -121,6 +122,12 @@ from schubres.wflag import (
     psi_tilde,
     u_count_formula,
 )
+
+
+def report_text(report: EnumReport) -> str:
+    """The report's JSON text with its wall time masked, to compare two
+    reports byte for byte."""
+    return re.sub(r'"wall_time_s": [-+.0-9e]+', '"wall_time_s": _', report.to_json())
 
 
 def clear_caches() -> None:

@@ -1,7 +1,6 @@
 """Chain towers over flag families and the embedded resolution checks."""
 
 import itertools
-import json
 from types import SimpleNamespace
 
 import oracles
@@ -21,6 +20,7 @@ from oracles import (
     psi_embed,
     rank_filter,
     reconstruct_map_tuple_by_projection,
+    report_text,
     verify_chart_family_by_flags,
     verify_embedded_resolution_by_census,
     zero_map,
@@ -492,12 +492,6 @@ def feed_both(monkeypatch, points):
     monkeypatch.setattr(oracles, "enumerate_ghat", lambda cfg, budget: iter(points))
 
 
-def without_time(report):
-    out = json.loads(report.to_json())
-    out.pop("wall_time_s")
-    return out
-
-
 class TestStreamedPairs:
     # the one grid walk against the per-flag walk and the census it replaced
     def test_reports_match_census(self):
@@ -518,7 +512,7 @@ class TestStreamedPairs:
         for k in range(1, n + 1):
             for beta in itertools.combinations(range(1, n + 1), k):
                 cfg = make_frame(n, p, beta)
-                assert without_time(verify_report(cfg)) == without_time(
+                assert report_text(verify_report(cfg)) == report_text(
                     embres_verify_by_points(cfg)
                 ), beta
 
@@ -533,12 +527,12 @@ class TestStreamedPairs:
         # every other point's rows and cells are new objects of the same
         # values: the reads by row id give the same ints
         cfg = make_frame(4, 2, beta)
-        want = without_time(verify_report(cfg))
+        want = report_text(verify_report(cfg))
         points = [copied(pt) if i % 2 else pt for i, pt in enumerate(enumerate_ghat(cfg))]
         feed_both(monkeypatch, points)
         got = verify_report(cfg)
         assert got.passed
-        assert without_time(got) == want
+        assert report_text(got) == want
         assert part(got, "resolution.") == verify_embedded_resolution_by_census(
             cfg, chart_graphs(cfg)
         ).checks

@@ -1,11 +1,10 @@
 """Relaxed-incidence chain varieties and their grid resolutions."""
 
 import itertools
-import json
 import random
 
-import pytest
 import oracles
+import pytest
 from oracles import (
     apply,
     clear_caches,
@@ -16,6 +15,7 @@ from oracles import (
     enumerate_ghat_flat,
     gcal_membership,
     graph_tuple,
+    report_text,
     verify_chain_resolution_by_points,
     zero_map,
 )
@@ -435,12 +435,6 @@ class TestVerify:
         assert rep.counts["grid_points"] == rep.counts["chain_points"]
 
 
-def without_time(report):
-    out = json.loads(report.to_json())
-    out.pop("wall_time_s")
-    return out
-
-
 def feed_both(monkeypatch, points):
     """Both verifiers over the grid ``points``: ``verify_chain_resolution``
     reads them cut into fans, the point-walk oracle point by point."""
@@ -455,20 +449,20 @@ class TestFanWalk:
     @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(2, 6)] + [(6, 2)])
     def test_same_report_as_point_walk(self, n, p):
         for cfg in _default_frames(n, p):
-            got = without_time(verify_chain_resolution(cfg))
-            assert got == without_time(verify_chain_resolution_by_points(cfg)), cfg
+            got = report_text(verify_chain_resolution(cfg))
+            assert got == report_text(verify_chain_resolution_by_points(cfg)), cfg
 
     @pytest.mark.parametrize("beta", [(1, 3), (1, 3, 5), (2, 4)])
     def test_equal_rows_as_distinct_objects_pass(self, monkeypatch, beta):
         # every other point's rows and cells are new objects of the same
         # values: the reads by row id give the same ints
         cfg = make_frame(5, 2, beta)
-        want = without_time(verify_chain_resolution(cfg))
+        want = report_text(verify_chain_resolution(cfg))
         points = [copied(pt) if i % 2 else pt for i, pt in enumerate(enumerate_ghat(cfg))]
         feed_both(monkeypatch, points)
         got = verify_chain_resolution(cfg)
         assert got.passed
-        assert without_time(got) == want == without_time(verify_chain_resolution_by_points(cfg))
+        assert report_text(got) == want == report_text(verify_chain_resolution_by_points(cfg))
 
     @pytest.mark.parametrize("beta", [(1, 3), (2, 4), (1, 3, 5)])
     def test_diagonal_off_the_chain_variety_fails(self, monkeypatch, beta):
@@ -485,7 +479,7 @@ class TestFanWalk:
         got = verify_chain_resolution(cfg)
         failed = [c.name for c in got.checks if not c.passed]
         assert "projection_lands_in_chain_variety" in failed
-        assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
+        assert report_text(got) == report_text(verify_chain_resolution_by_points(cfg))
 
     @pytest.mark.parametrize("n, beta", [(5, (1, 3)), (6, (1, 3, 5))])
     def test_dropped_lift_fails_lift_check(self, monkeypatch, n, beta):
@@ -503,7 +497,7 @@ class TestFanWalk:
         checks = {c.name: c.passed for c in got.checks}
         assert not checks["lift_lands_in_enumerated_grid"]
         assert checks["projection_onto"] and checks["lift_is_a_section"]
-        assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
+        assert report_text(got) == report_text(verify_chain_resolution_by_points(cfg))
 
     def test_wrong_upper_cell_fails_lift_check(self, monkeypatch):
         # a chain point's lift is fed with its cell (3, 1) swapped for
@@ -523,4 +517,4 @@ class TestFanWalk:
         checks = {c.name: c.passed for c in got.checks}
         assert not checks["lift_lands_in_enumerated_grid"]
         assert checks["projection_lands_in_chain_variety"] and checks["lift_is_a_section"]
-        assert without_time(got) == without_time(verify_chain_resolution_by_points(cfg))
+        assert report_text(got) == report_text(verify_chain_resolution_by_points(cfg))
