@@ -149,6 +149,9 @@ class Subspace(_SubspaceFields):
                 w = [(a - f * b) % p for a, b in zip(w, row)]
         return tuple(w)
 
+    def contains_vector(self, v: Vec) -> bool:
+        return not any(self.reduce_vector(v))
+
     def extend(self, v: Vec) -> "Subspace":
         """Canonical form of self + <v>, without a fresh row reduction.
 
@@ -297,18 +300,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subspace of a."""
     _check_compatible(a, b)
-    if len(b.basis) > len(a.basis):
+    if b.dim > a.dim:
         return False
-    p = a.p
-    rows = list(zip(a.pivots, a.basis))
-    for v in b.basis:
-        for c, row in rows:
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        if any(v):
-            return False
-    return True
+    return all(a.contains_vector(v) for v in b.basis)
 
 
 @lru_cache(maxsize=None)

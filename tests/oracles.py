@@ -298,7 +298,7 @@ def vectors(s: Subspace) -> Iterator[Vec]:
 
 def coords(s: Subspace, v: Vec) -> Vec | None:
     """Coordinates of v in the canonical basis of s, or None if v is outside."""
-    if any(s.reduce_vector(v)):
+    if not s.contains_vector(v):
         return None
     return tuple(v[c] % s.p for c in s.pivots)
 
