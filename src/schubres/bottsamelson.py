@@ -118,8 +118,8 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     last fan's, and those of row 1 at every point; a first block is
     added only when grid row n-1 changed.  Each pair of images is still
     compared whole, so a fault at any level of either tower shows.  The
-    projections are compared space by space: those that row 1 writes at
-    every point, and the others, which read rows 2..n alone, per fan.
+    projections are compared space by space: l_1 at every point, the
+    others when a row they read is refreshed.
     """
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         n = w.n
@@ -140,10 +140,12 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
             for r in range(n)
         ]
         fan_read, fan_spaces = reads[0]
-        # l_{i+1} against flag space i: at every point where row 1 writes
-        # it (and for l_1), and once per fan for the others
-        at_points = [0] + [i for i, _ in fan_spaces if i]
-        at_fans = [i for i in range(1, n) if i not in at_points]
+        # l_{i+1} is compared with flag space i: l_1 at every point, and each
+        # other space once its row or the row that writes it is refreshed
+        # and the fan's rows are all written; row 1 can write only space 0,
+        # as its cells have dimension at most 1
+        writer = {i: r for r, (_, spaces) in enumerate(reads) for i, _ in spaces}
+        at_rows = [[i for i in range(1, n) if r in (i, writer.get(i))] for r in range(n)]
         m = n - w(n)
         # grid row n-1 holds the first block: with n = 2 it is row 1, which
         # changes at every point
@@ -157,18 +159,20 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         rows: list[Row | None] = [None] * n
         tower = enumerate_bs(word, p, budget)
         for upper, fan in shat_fans(w, p, budget):
-            first_changed = False
+            refreshed = []
             for r, row in enumerate(upper, start=1):
                 if row is not rows[r]:
                     rows[r] = row
-                    first_changed = first_changed or r == n - 2
+                    refreshed.append(r)
                     read, spaces = reads[r]
                     for j, c in read:
                         img[j] = row[c]
                     for i, c in spaces:
                         flag[i] = row[c]
-            commutes = commutes and all(rows[i][-1] == flag[i] for i in at_fans)
-            if m and first_changed:
+            for r in refreshed:
+                for i in at_rows[r]:
+                    commutes = commutes and rows[i][-1] == flag[i]
+            if m and n - 2 in refreshed:
                 first_blocks.add(tuple(img[:m]))
             for row in fan:
                 grid_count += 1
@@ -176,14 +180,13 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
                     img[j] = row[c]
                 for i, c in fan_spaces:
                     flag[i] = row[c]
-                rows[0] = row
                 now = tuple(img)
                 b = next(tower, None)
                 tower_count += b is not None
                 image_is_tower = image_is_tower and now == b
                 injective = injective and (prev is None or prev < now)
                 prev = now
-                commutes = commutes and all(rows[i][-1] == flag[i] for i in at_points)
+                commutes = commutes and row[-1] == flag[0]
                 if first_in_fan:
                     first_blocks.add(now[:m])
         rest = sum(1 for _ in tower)

@@ -122,7 +122,7 @@ class TestBbsIso:
         for one_line, last in [
             # l_1 against a plane of row 2, compared at every point
             ((2, 3, 1), (2, 2)),
-            # the plane against a line written from row 1, at every point
+            # space 2 read off row 1, which leaves space 1 the fixed F_1
             ((3, 2, 1), (3, 3)),
             # l_2 against a 3-space of row 3, compared once per fan
             ((4, 3, 2, 1), (6, 3, 3)),
