@@ -15,10 +15,9 @@ grid is an ``exactlin.RowGraph`` over rows n..1, so a row's choices over
 each distinct row below it are built once, left to right, and every
 equal row is one object.  The pinned grid's graph is kept for the next
 report of the same (w, p) (``shat_graph``), so ``bs iso`` after
-``biflag verify`` walks what the verify built.  The verifiers read it a
-fan at a time (``shat_fans``): rows 2..n once, then each choice of row
-1 over them.  ``verify_flres`` checks the tower's bound before it
-builds anything.
+``biflag verify`` reads the rows the verify built.  ``verify_flres``
+checks the tower's bound before it builds anything, then reads the graph
+a fan at a time (``exactlin.walk_fans``).
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
@@ -33,13 +32,7 @@ distinct subspace's coordinate-reversed rows (``_ends``): a basis whose
 rows end at distinct coordinates.  Their last coordinates are the
 subspace's jumps against the standard flag, and the rows ending at or
 before q span its meet with F_q.  Each dimension dim(l_p ∩ F_q) depends
-on l_p alone, so each subspace is read on its own.  ``verify_flres``
-keeps each last-column subspace's jump sum and a small int, and the
-meets of each subspace of a cell flag, in dicts for its one report, so
-no grid cell needs an intersection.  It reads each row object's int
-and sum once, keyed by its id, and keys each image flag by its rows'
-ints, so a point costs no subspace hash; a new flag's position is its
-rows' jump sums, and only the witness flag is projected.
+on l_p alone, so each subspace is read on its own, once per report.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    Fan,
     Row,
     RowGraph,
     RowSpec,
@@ -113,12 +105,6 @@ def shat_graph(w: Permutation, p: int) -> RowGraph:
     kept, so a report that follows one of the same (w, p) walks the rows
     that report built."""
     return RowGraph(*grid_rows(w, p, pinned_last_row=True))
-
-
-def shat_fans(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Fan]:
-    """The points of ``enumerate_shat`` as ``exactlin.walk_fans`` of
-    ``shat_graph``: rows 2..n, then the choices of row 1 over them."""
-    return walk_fans(shat_graph(w, p), budget)
 
 
 def project_to_flag(pt: tuple[Row, ...]) -> Flag:
@@ -248,7 +234,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         # rows whose objects differ from the last fan's
         rows: list[Row | None] = [None] * (n - 1)
         keys, jump_sums = [0] * (n - 1), [0] * (n - 1)
-        for upper, fan in shat_fans(w, p, budget):
+        for upper, fan in walk_fans(shat_graph(w, p), budget):
             tower_points += len(fan)
             for i, row in enumerate(upper):
                 if row is not rows[i]:

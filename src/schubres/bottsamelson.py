@@ -6,25 +6,28 @@ subspaces one dimension below and above (fixed flag spaces when no such
 letter precedes).  For the bubblesort word of w the tower is isomorphic
 to the pinned bioriented grid of w: the isomorphism reads selected grid
 entries block by block, deleting the column of the value just placed and
-recursing on the restricted bijection one row up.
+recursing on the restricted bijection one row up.  ``bbs_iso`` checks
+the isomorphism on the states of the grid's row graph, not point by point.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import eq, itemgetter, lt
+from typing import Iterator, Sequence
 
-from schubres.biflag import (
+from schubres.biflag import shat_graph, standard_frames
+from schubres.exactlin import (
+    DEFAULT_BUDGET,
     Row,
-    shat_fans,
-    standard_frames,
+    SpaceNumbers,
+    Stage,
+    Subspace,
+    chain_stages,
+    check_budget,
+    enumerate_between,
+    tower,
 )
-from schubres.exactlin import DEFAULT_BUDGET, Stage, Subspace, chain_stages, tower
-from schubres.permcomb import (
-    Permutation,
-    ReducedWord,
-    bubblesort_word,
-    length,
-)
+from schubres.permcomb import Permutation, ReducedWord, bubblesort_word, length
 from schubres.report import EnumReport, perm_config
 
 BSPoint = tuple[Subspace, ...]
@@ -95,106 +98,128 @@ def enumerate_report(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> En
         word = bubblesort_word(w)
         count = sum(1 for _ in enumerate_bs(word, p, budget))
         expected = (p + 1) ** length(w)
-        report.counts["points"] = count
-        report.counts["expected"] = expected
-        report.counts["word"] = list(word.letters)
+        report.counts.update(points=count, expected=expected, word=list(word.letters))
         report.add("count_is_(p+1)^l", count == expected)
     return report
+
+
+def block_choices(stages: Sequence[Stage], start: int, bounds: dict[int, Subspace]) -> list:
+    """The tower choices of letters ``start``, ``start + 1``, ... (``stages``) over the
+    spaces ``bounds`` of the earlier letters they read, in ``enumerate_bs`` order."""
+    prefix = [bounds.get(x) for x in range(start)]
+    built: list[BSPoint] = [()]
+    for st in stages:
+        ends = [st.spaces(prefix + list(b)) for b in built]
+        built = [b + (s,) for b, e in zip(built, ends) for s in enumerate_between(*e, st.dim)]
+    return built
 
 
 def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     """Verify the grid tower and the bubblesort tower are one resolution.
 
-    The entries at ``bs_cells(w)`` send ``enumerate_shat(w)`` onto
-    ``enumerate_bs`` of the bubblesort word in the same order, so the
-    towers are walked in lockstep and neither is kept: the map is
-    injective when its images increase strictly, and onto the tower when
-    every pair agrees and both walks end together; orders that ever
-    differ fail, never pass.  Each pair must commute with both
-    projections, and the images' first blocks must be the chains of the
-    independent chain tower.  The grid comes a fan at a time
-    (``shat_fans``): the image and flag entries of rows 2..n are
-    refreshed once per fan, at the rows whose objects differ from the
-    last fan's, and those of row 1 at every point; a first block is
-    added only when grid row n-1 changed.  Each pair of images is still
-    compared whole, so a fault at any level of either tower shows.  The
-    projections are compared space by space: l_1 at every point, the
-    others when a row they read is refreshed.
+    Rows are numbered as in ``bs_cells``, row n being the standard flag
+    under the pinned row; block g is the letters read off row g.  The row
+    graph (``shat_graph``) is walked from the pinned row up by states: a
+    row and the ints of the cells below it that rows above it read.  At
+    each state the row's choices, read at ``bs_cells``, must increase
+    strictly and be block g's choices over the carried bounds
+    (``block_choices``) in order, and each flag space's sides are compared
+    when the second is chosen.  Grid points are path counts per state;
+    tower points are counted over the tower's own states, its carried
+    letters alone.  States of both kinds are grouped by their bounds, so
+    each block's choices are taken once per bounds.
     """
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
+        expected = (p + 1) ** length(w)
+        check_budget(expected, budget)
         n = w.n
         word = bubblesort_word(w)
-        # what is read of each point depends on w only: read it once
         cells = bs_cells(w)
-        frames = standard_frames(n, p)
-        # flag space i is at the last s_i, or the fixed F_i without one
-        space_at = {
-            j - 1: i - 1 for i, j in enumerate(word.last_occurrences, start=1) if j is not None
-        }
-        # each grid row's (image position, column) and (flag index, column) pairs
-        reads = [
-            (
-                [(j, c) for j, (r2, c) in enumerate(cells) if r2 == r],
-                [(space_at[j], c) for j, (r2, c) in enumerate(cells) if r2 == r and j in space_at],
-            )
-            for r in range(n)
-        ]
-        fan_read, fan_spaces = reads[0]
-        # l_{i+1} is compared with flag space i: l_1 at every point, and each
-        # other space once its row or the row that writes it is refreshed
-        # and the fan's rows are all written; row 1 can write only space 0,
-        # as its cells have dimension at most 1
-        writer = {i: r for r, (_, spaces) in enumerate(reads) for i, _ in spaces}
-        at_rows = [[i for i in range(1, n) if r in (i, writer.get(i))] for r in range(n)]
-        m = n - w(n)
-        # grid row n-1 holds the first block: with n = 2 it is row 1, which
-        # changes at every point
-        first_in_fan = m and n == 2
-        grid_count = tower_count = 0
+        stages = bs_stages(word, p)
+        # block g is the letters lo[g] <= j < lo[g - 1]; lo[-1] ends the word
+        lo = [sum(r > g for r, _ in cells) for g in range(n)] + [len(cells)]
+        # the earlier letters whose spaces block g reads as bounds
+        bounds_of = [{x - 1 for x in xs if x} for xs in zip(word.left, word.right)]
+        ext = [sorted({x for j in range(lo[g], lo[g - 1]) for x in bounds_of[j] if x < lo[g]})
+               for g in range(n)]
+        # flag space i compares cell (i, n-1) with the cell at the last
+        # s_{i+1}, or F_{i+1} = cell (n, i), in the row chosen second: within
+        # that row (same), or against a cell of a row below (far)
+        same, far = [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, j in enumerate(word.last_occurrences + (None,)):
+            (g, c), pos = sorted([(i, n - 1), cells[j - 1] if j else (n, i)])
+            (same if pos[0] == g else far)[g].append((c, pos))
+        needs = {(g, cells[x]) for g in range(n) for x in ext[g]}
+        needs |= {(g, pos) for g in range(n) for _, pos in far[g]}
+        # a state at row h carries the ints of the cells below h that rows
+        # above h read; the tower, once block h is chosen, those of the
+        # letters of blocks h, h+1, ... that blocks above h read
+        carry = [sorted({pos for g, pos in needs if g < h < pos[0]}) for h in range(n + 1)]
+        bs_carry = [sorted({x for e in ext[:h] for x in e if x < lo[h - 1]}) for h in range(n + 1)]
+
+        ids = SpaceNumbers()
+        spaces = ids.spaces
+
+        def ints(row: Row, carried: tuple[int, ...], at: list[int]) -> tuple[int, ...]:
+            return tuple([ids[row[k]] if k < n else carried[k - n] for k in at])
+
+        graph = shat_graph(w, p)
+        grid_count = 0
         injective = image_is_tower = commutes = True
-        prev: BSPoint | None = None
         first_blocks: set[BSPoint] = set()
-        img: list[Subspace | None] = [None] * len(cells)
-        flag = list(frames[1:])
-        rows: list[Row | None] = [None] * n
-        tower = enumerate_bs(word, p, budget)
-        for upper, fan in shat_fans(w, p, budget):
-            refreshed = []
-            for r, row in enumerate(upper, start=1):
-                if row is not rows[r]:
-                    rows[r] = row
-                    refreshed.append(r)
-                    read, spaces = reads[r]
-                    for j, c in read:
-                        img[j] = row[c]
-                    for i, c in spaces:
-                        flag[i] = row[c]
-            for r in refreshed:
-                for i in at_rows[r]:
-                    commutes = commutes and rows[i][-1] == flag[i]
-            if m and n - 2 in refreshed:
-                first_blocks.add(tuple(img[:m]))
-            for row in fan:
-                grid_count += 1
-                for j, c in fan_read:
-                    img[j] = row[c]
-                for i, c in fan_spaces:
-                    flag[i] = row[c]
-                now = tuple(img)
-                b = next(tower, None)
-                tower_count += b is not None
-                image_is_tower = image_is_tower and now == b
-                injective = injective and (prev is None or prev < now)
-                prev = now
-                commutes = commutes and row[-1] == flag[0]
-                if first_in_fan:
-                    first_blocks.add(now[:m])
-        rest = sum(1 for _ in tower)
-        tower_count += rest
-        image_is_tower = image_is_tower and not rest
-        expected = (p + 1) ** length(w)
-        report.counts["grid_points"] = grid_count
-        report.counts["tower_points"] = tower_count
+        # grid states: (row id, carried) -> [paths, row, carried]; tower states: carried -> paths
+        states, bs_states = {(): [1, graph.under, ()]}, {(): 1}
+        for g in range(n - 1, -1, -1):
+            # a carried cell is read off the state's row, or its k-th int
+            where = {pos: n + k for k, pos in enumerate(carry[g + 1])}
+            where.update({(g + 1, c): c for c in range(n)})
+            bound_at = [where[cells[x]] for x in ext[g]]
+            far_at = [(c, where[pos]) for c, pos in far[g]]
+            carry_at = [where[pos] for pos in carry[g]]
+            cols = [c for _, c in cells[lo[g] : lo[g - 1]]]
+            read = itemgetter(*cols) if len(cols) > 1 else lambda row: tuple([row[c] for c in cols])
+            before, after = bs_carry[g + 1], bs_carry[g]
+            bs_bound_at = [n + before.index(x) for x in ext[g]]
+            kept_at = [n + before.index(x) for x in after if x < lo[g]]
+            new_at = [x - lo[g] for x in after if x >= lo[g]]
+            grid_by: dict[tuple[int, ...], list] = {}
+            for state in states.values():
+                grid_by.setdefault(ints(*state[1:], bound_at), []).append(state)
+            bs_by: dict[tuple[int, ...], list] = {}
+            for carried, count in bs_states.items():
+                bs_by.setdefault(ints((), carried, bs_bound_at), []).append((carried, count))
+            states, bs_states = {}, {}
+            for key in dict.fromkeys([*grid_by, *bs_by]):
+                bounds = dict(zip(ext[g], map(spaces.__getitem__, key)))
+                choices = block_choices(stages[lo[g] : lo[g - 1]], lo[g], bounds)
+                for count, row, carried in grid_by.get(key, ()):
+                    children = graph.choices(n - 1 - g, row)
+                    reads = list(map(read, children))
+                    image_is_tower = image_is_tower and reads == choices
+                    injective = injective and all(map(lt, reads, reads[1:]))
+                    for c, k in far_at:
+                        side = row[k] if k < n else spaces[carried[k - n]]
+                        commutes = commutes and all(map(side.__eq__, map(itemgetter(c), children)))
+                    for c, (_, q) in same[g]:
+                        left, right = map(itemgetter(c), children), map(itemgetter(q), children)
+                        commutes = commutes and all(map(eq, left, right))
+                    if g == n - 2:
+                        first_blocks.update(reads)
+                    if not g:
+                        grid_count += count * len(children)
+                        continue
+                    onward = ints(row, carried, carry_at)
+                    for child in children:
+                        states.setdefault((id(child), onward), [0, child, onward])[0] += count
+                new = [tuple([ids[b[i]] for i in new_at]) for b in choices]
+                for carried, count in bs_by.get(key, ()):
+                    kept = ints((), carried, kept_at)
+                    for b in new:
+                        b = kept + b
+                        bs_states[b] = bs_states.get(b, 0) + count
+        tower_count = sum(bs_states.values())
+
+        report.counts.update(grid_points=grid_count, tower_points=tower_count)
         report.add(
             "counts_match_(p+1)^l",
             grid_count == expected == tower_count,
@@ -203,13 +228,11 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         report.add("map_is_injective", injective)
         report.add("map_image_is_tower", image_is_tower)
         report.add("map_commutes_with_projections", commutes)
-        if m > 0:
-            oracle = first_block_chains(w, p, budget)
-            report.add(
-                "first_block_image_is_chain_tower",
-                first_blocks == oracle,
-                f"{len(first_blocks)} chains vs oracle {len(oracle)}",
-            )
-        else:
-            report.add("first_block_image_is_chain_tower", True, "empty first block")
+        oracle = first_block_chains(w, p, budget) if n > w(n) else set()
+        detail = f"{len(first_blocks)} chains vs oracle {len(oracle)}"
+        report.add(
+            "first_block_image_is_chain_tower",
+            not oracle or first_blocks == oracle,
+            detail if oracle else "empty first block",
+        )
     return report

@@ -6,12 +6,8 @@ chain tower over its induced flag yields a family covering the whole
 Grassmannian; the pair-to-top-space map is one-to-one over the graph
 chart, and the preimage of the Schubert cell collapses onto the fiber
 over one special grid point, whose tower is exactly the chain tower of
-the standard flag.
-
-The flags of the graph chart's family are among the grid points' flags,
-so ``verify_report`` walks the grid once, a fan at a time, and reads
-the chart family's checks off the chains of the grid points that carry
-its flags.
+the standard flag.  ``verify_report`` checks both from one walk of the
+grid: the chart family's flags are among the grid points' flags.
 """
 
 from __future__ import annotations
@@ -22,6 +18,8 @@ from typing import Callable, Iterator
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
+    Rows,
+    SpaceNumbers,
     Subspace,
     chain_stages,
     check_budget,
@@ -41,7 +39,6 @@ from schubres.report import EnumReport, frame_config, subspace_witness
 from schubres.wflag import (
     GHatPoint,
     Memo,
-    SpaceNumbers,
     build_lift,
     fixed_map_tuples,
     ghat_fans,
@@ -84,8 +81,8 @@ def in_chart(cfg: FrameConfig, l: Subspace) -> bool:
     return intersect(l, cfg.complements_suffix(1)).dim == 0
 
 
-def reconstruct_map_tuple(cfg: FrameConfig, t: LinearMap) -> tuple[LinearMap, ...]:
-    """Project the restrictions of a chart map onto the late complements.
+def reconstruct_map_tuple(cfg: FrameConfig, t: LinearMap) -> tuple[Rows, ...]:
+    """The matrices of a chart map's restrictions, projected onto the late complements.
 
     Windows are disjoint blocks of consecutive coordinates, and lines and
     complements are unit vectors in them.  So the chart's domain basis
@@ -93,14 +90,12 @@ def reconstruct_map_tuple(cfg: FrameConfig, t: LinearMap) -> tuple[LinearMap, ..
     coordinates in order, the early complements 1..i taking the first
     ``complements_prefix(i).dim``.  The restriction to line i is column
     i-1 of the matrix, and the projection along the early complements
-    drops their rows: map i is the rest of that column.
+    drops their rows: map i's matrix is the rest of that column.
     """
-    out = []
-    for i in range(1, cfg.k + 1):
-        skip = cfg.complements_prefix(i).dim
-        column = tuple((row[i - 1],) for row in t.matrix[skip:])
-        out.append(LinearMap(cfg.line(i), cfg.complements_suffix(i + 1), column))
-    return tuple(out)
+    return tuple(
+        tuple((row[i - 1],) for row in t.matrix[cfg.complements_prefix(i).dim :])
+        for i in range(1, cfg.k + 1)
+    )
 
 
 def special_point(cfg: FrameConfig) -> GHatPoint:
@@ -253,9 +248,7 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
                 unique_ok = False
                 continue
             idx, count = entry
-            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
-                m.matrix for m in tuples[idx]
-            ):
+            if reconstruct_map_tuple(cfg, t) != tuple(m.matrix for m in tuples[idx]):
                 recon_ok = False
             forced_ok = forced_ok and count == 1
         report.counts["chart_points"] = len(graphs)

@@ -178,6 +178,20 @@ class Subspace(_SubspaceFields):
         return Subspace(self.n, p, tuple(rows), self.pivots[:j] + (c,) + self.pivots[j:])
 
 
+class SpaceNumbers(dict):
+    """``ids[s]`` numbers each distinct subspace on its first lookup, 0
+    up, and ``ids.spaces[i]`` is the subspace numbered i."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.spaces: list[Subspace] = []
+
+    def __missing__(self, s: Subspace) -> int:
+        i = self[s] = len(self.spaces)
+        self.spaces.append(s)
+        return i
+
+
 def span(vectors: Iterable[Sequence[int]], n: int, p: int) -> Subspace:
     """Canonical subspace of GF(p)^n spanned by the given vectors."""
     check_field(p)
@@ -305,6 +319,15 @@ def contains(a: Subspace, b: Subspace) -> bool:
     return all(a.contains_vector(v) for v in b.basis)
 
 
+def _pivot_complement(inner: Subspace, outer: Subspace) -> Subspace:
+    """``canonical_complement`` for an inner space known to lie in outer."""
+    taken = set(inner.pivots)
+    kept = [i for i, c in enumerate(outer.pivots) if c not in taken]
+    return Subspace(
+        outer.n, outer.p, tuple(outer.basis[i] for i in kept), tuple(outer.pivots[i] for i in kept)
+    )
+
+
 @lru_cache(maxsize=None)
 def canonical_complement(inner: Subspace, outer: Subspace) -> Subspace:
     """The deterministic complement C with inner ⊕ C = outer.
@@ -319,11 +342,7 @@ def canonical_complement(inner: Subspace, outer: Subspace) -> Subspace:
     _check_compatible(inner, outer)
     if not contains(outer, inner):
         raise ValueError("inner is not contained in outer")
-    taken = set(inner.pivots)
-    kept = [i for i, c in enumerate(outer.pivots) if c not in taken]
-    return Subspace(
-        outer.n, outer.p, tuple(outer.basis[i] for i in kept), tuple(outer.pivots[i] for i in kept)
-    )
+    return _pivot_complement(inner, outer)
 
 
 class _LinearMapFields(NamedTuple):
@@ -549,7 +568,7 @@ def _between_tuple(lower: Subspace, upper: Subspace, dim: int) -> tuple[Subspace
         return (lower,)
     if dim == upper.dim:
         return (upper,)
-    comp = canonical_complement(lower, upper)
+    comp = _pivot_complement(lower, upper)
     out = [subspace_sum(lower, q) for q in _subspaces_tuple(comp, dim - lower.dim)]
     out.sort()
     return tuple(out)

@@ -202,23 +202,21 @@ def criterion_10_exactlin_properties(budget: int = DEFAULT_BUDGET) -> EnumReport
         ]
         report.counts["gf2_subspaces"] = len(spaces2)
 
-        modular_ok = all(
-            a.dim + b.dim
-            == exactlin.subspace_sum(a, b).dim + exactlin.intersect(a, b).dim
-            for a, b in itertools.product(spaces2, repeat=2)
-        )
-        report.add("modularity_exhaustive_gf2_4", modular_ok)
+        def modular(a: exactlin.Subspace, b: exactlin.Subspace) -> bool:
+            return a.dim + b.dim == exactlin.subspace_sum(a, b).dim + exactlin.intersect(a, b).dim
 
-        comp_ok = True
-        for outer in spaces2:
-            for j in range(outer.dim + 1):
-                for inner in exactlin.enumerate_subspaces(outer, j):
-                    c = exactlin.canonical_complement(inner, outer)
-                    if (
-                        exactlin.subspace_sum(inner, c) != outer
-                        or exactlin.intersect(inner, c).dim != 0
-                    ):
-                        comp_ok = False
+        def direct(inner: exactlin.Subspace, outer: exactlin.Subspace) -> bool:
+            c = exactlin.canonical_complement(inner, outer)
+            return exactlin.subspace_sum(inner, c) == outer and not exactlin.intersect(inner, c).dim
+
+        pairs = itertools.product(spaces2, repeat=2)
+        report.add("modularity_exhaustive_gf2_4", all(modular(a, b) for a, b in pairs))
+        comp_ok = all(
+            direct(inner, outer)
+            for outer in spaces2
+            for j in range(outer.dim + 1)
+            for inner in exactlin.enumerate_subspaces(outer, j)
+        )
         report.add("complement_directness_exhaustive_gf2_4", comp_ok)
 
         gb_ok = all(
@@ -245,8 +243,7 @@ def criterion_10_exactlin_properties(budget: int = DEFAULT_BUDGET) -> EnumReport
             rows_b = [[rng.randrange(3) for _ in range(4)] for _ in range(rng.randrange(1, 5))]
             a = exactlin.span(rows_a, 4, 3)
             b = exactlin.span(rows_b, 4, 3)
-            if a.dim + b.dim != exactlin.subspace_sum(a, b).dim + exactlin.intersect(a, b).dim:
-                random_ok = False
+            random_ok = random_ok and modular(a, b)
             cases += 1
         for _ in range(3000):
             rows = [[rng.randrange(3) for _ in range(4)] for _ in range(3)]
@@ -260,12 +257,7 @@ def criterion_10_exactlin_properties(budget: int = DEFAULT_BUDGET) -> EnumReport
             )
             subs = exactlin._subspaces_tuple(outer, rng.randrange(0, outer.dim + 1))
             inner = subs[rng.randrange(len(subs))]
-            c = exactlin.canonical_complement(inner, outer)
-            if (
-                exactlin.subspace_sum(inner, c) != outer
-                or exactlin.intersect(inner, c).dim != 0
-            ):
-                random_ok = False
+            random_ok = random_ok and direct(inner, outer)
             cases += 1
         gb3_ok = all(
             len(exactlin._subspaces_tuple(full3, j)) == exactlin.gaussian_binomial(4, j, 3)

@@ -23,6 +23,7 @@ from schubres.exactlin import (
     Row,
     RowGraph,
     RowSpec,
+    SpaceNumbers,
     Stage,
     Subspace,
     contains,
@@ -53,20 +54,6 @@ class Memo(dict):
     def __missing__(self, key: tuple) -> object:
         got = self[key] = self.make(*key)
         return got
-
-
-class SpaceNumbers(dict):
-    """``ids[s]`` numbers each distinct subspace on its first lookup, 0
-    up, and ``ids.spaces[i]`` is the subspace numbered i."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.spaces: list[Subspace] = []
-
-    def __missing__(self, s: Subspace) -> int:
-        i = self[s] = len(self.spaces)
-        self.spaces.append(s)
-        return i
 
 
 def fixed_map_tuples(cfg: FrameConfig) -> Iterator[tuple[LinearMap, ...]]:

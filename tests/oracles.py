@@ -26,7 +26,9 @@ The point walks that ``wflag verify`` and ``embres verify`` replaced by
 fans of small ints are here as well (``verify_chain_resolution_by_points``,
 ``embres_verify_by_points``), with the subspace-keyed pieces they read:
 the closed-form fiber, each grid point's flag and the chain tower as one
-``tower`` (``closed_form_fiber``, ``flag_of_grid``, ``kl_points``)."""
+``tower`` (``closed_form_fiber``, ``flag_of_grid``, ``kl_points``).  So
+is the lockstep walk of the grid and Bott-Samelson towers that ``bs
+iso`` replaced by row-graph states (``bbs_iso_by_lockstep``)."""
 
 import itertools
 import operator
@@ -42,7 +44,7 @@ from schubres.biflag import (
     project_to_flag,
     standard_frames,
 )
-from schubres.bottsamelson import BSPoint, enumerate_bs, first_block_chains
+from schubres.bottsamelson import BSPoint, bs_cells, enumerate_bs, first_block_chains
 from schubres.embres import (
     _TOPPED_TWICE,
     _cell_test,
@@ -82,6 +84,7 @@ from schubres.exactlin import (
     subspace_sum,
     tower,
     tower_bound,
+    walk_fans,
     zero_subspace,
 )
 from schubres.grassfib import (
@@ -409,9 +412,10 @@ def linear_map_from_pairs(
 def reconstruct_map_tuple_by_projection(
     cfg: FrameConfig, t: LinearMap
 ) -> tuple[LinearMap, ...]:
-    """``embres.reconstruct_map_tuple`` by applying t to each line,
-    projecting the image onto the late complements along the early ones
-    and solving for the map that sends the line there."""
+    """The maps whose matrices ``embres.reconstruct_map_tuple`` reads off,
+    found by applying t to each line, projecting the image onto the late
+    complements along the early ones and solving for the map that sends
+    the line there."""
     out = []
     for i in range(1, cfg.k + 1):
         x = cfg.line(i).basis[0]
@@ -968,9 +972,7 @@ def verify_chart_family_by_flags(
                 unique_ok = False
                 continue
             ((idx, count),) = hits[gt].items()
-            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
-                m.matrix for m in tuples[idx]
-            ):
+            if reconstruct_map_tuple(cfg, t) != tuple(m.matrix for m in tuples[idx]):
                 recon_ok = False
             chain_ok = chain_ok and count == 1
         report.counts["chart_points"] = len(graphs)
@@ -1075,9 +1077,7 @@ def embres_verify_by_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
                 unique_ok = False
                 continue
             idx, count = entry
-            if tuple(m.matrix for m in reconstruct_map_tuple(cfg, t)) != tuple(
-                m.matrix for m in tuples[idx]
-            ):
+            if reconstruct_map_tuple(cfg, t) != tuple(m.matrix for m in tuples[idx]):
                 recon_ok = False
             forced_ok = forced_ok and count == 1
         report.counts["chart_points"] = len(graphs)
@@ -1242,6 +1242,109 @@ def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> Enu
         m = w.n - w(w.n)
         if m > 0:
             first_blocks = {img[:m] for img in mapped}
+            oracle = first_block_chains(w, p, budget)
+            report.add(
+                "first_block_image_is_chain_tower",
+                first_blocks == oracle,
+                f"{len(first_blocks)} chains vs oracle {len(oracle)}",
+            )
+        else:
+            report.add("first_block_image_is_chain_tower", True, "empty first block")
+    return report
+
+
+def bbs_iso_by_lockstep(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
+    """``bottsamelson.bbs_iso`` by walking both towers point by point, in
+    lockstep: the fans of the grid's row graph (``biflag.shat_graph``),
+    read at ``bs_cells``, against ``enumerate_bs``, neither tower kept.
+    The map is injective when its images increase strictly and onto the
+    tower when every pair agrees and both walks end together.  The image
+    and flag entries of rows 2..n are refreshed once per fan, at the rows
+    whose objects differ from the last fan's, those of row 1 at every
+    point, and each flag space is compared when a row it reads is
+    refreshed."""
+    with EnumReport("bs iso", perm_config(w, p, budget)) as report:
+        n = w.n
+        word = bubblesort_word(w)
+        cells = bs_cells(w)
+        frames = standard_frames(n, p)
+        # flag space i is at the last s_i, or the fixed F_i without one
+        space_at = {
+            j - 1: i - 1 for i, j in enumerate(word.last_occurrences, start=1) if j is not None
+        }
+        # each grid row's (image position, column) and (flag index, column) pairs
+        reads = [
+            (
+                [(j, c) for j, (r2, c) in enumerate(cells) if r2 == r],
+                [(space_at[j], c) for j, (r2, c) in enumerate(cells) if r2 == r and j in space_at],
+            )
+            for r in range(n)
+        ]
+        fan_read, fan_spaces = reads[0]
+        # l_{i+1} is compared with flag space i: l_1 at every point, and each
+        # other space once its row or the row that writes it is refreshed
+        # and the fan's rows are all written; row 1 can write only space 0,
+        # as its cells have dimension at most 1
+        writer = {i: r for r, (_, spaces) in enumerate(reads) for i, _ in spaces}
+        at_rows = [[i for i in range(1, n) if r in (i, writer.get(i))] for r in range(n)]
+        m = n - w(n)
+        # grid row n-1 holds the first block: with n = 2 it is row 1, which
+        # changes at every point
+        first_in_fan = m and n == 2
+        grid_count = tower_count = 0
+        injective = image_is_tower = commutes = True
+        prev: BSPoint | None = None
+        first_blocks: set[BSPoint] = set()
+        img: list[Subspace | None] = [None] * len(cells)
+        flag = list(frames[1:])
+        rows: list[Row | None] = [None] * n
+        points = enumerate_bs(word, p, budget)
+        for upper, fan in walk_fans(biflag.shat_graph(w, p), budget):
+            refreshed = []
+            for r, row in enumerate(upper, start=1):
+                if row is not rows[r]:
+                    rows[r] = row
+                    refreshed.append(r)
+                    read, spaces = reads[r]
+                    for j, c in read:
+                        img[j] = row[c]
+                    for i, c in spaces:
+                        flag[i] = row[c]
+            for r in refreshed:
+                for i in at_rows[r]:
+                    commutes = commutes and rows[i][-1] == flag[i]
+            if m and n - 2 in refreshed:
+                first_blocks.add(tuple(img[:m]))
+            for row in fan:
+                grid_count += 1
+                for j, c in fan_read:
+                    img[j] = row[c]
+                for i, c in fan_spaces:
+                    flag[i] = row[c]
+                now = tuple(img)
+                b = next(points, None)
+                tower_count += b is not None
+                image_is_tower = image_is_tower and now == b
+                injective = injective and (prev is None or prev < now)
+                prev = now
+                commutes = commutes and row[-1] == flag[0]
+                if first_in_fan:
+                    first_blocks.add(now[:m])
+        rest = sum(1 for _ in points)
+        tower_count += rest
+        image_is_tower = image_is_tower and not rest
+        expected = (p + 1) ** length(w)
+        report.counts["grid_points"] = grid_count
+        report.counts["tower_points"] = tower_count
+        report.add(
+            "counts_match_(p+1)^l",
+            grid_count == expected == tower_count,
+            f"{grid_count}, {tower_count} vs {expected}",
+        )
+        report.add("map_is_injective", injective)
+        report.add("map_image_is_tower", image_is_tower)
+        report.add("map_commutes_with_projections", commutes)
+        if m > 0:
             oracle = first_block_chains(w, p, budget)
             report.add(
                 "first_block_image_is_chain_tower",

@@ -404,7 +404,7 @@ class TestVerifyFlresBudget:
 def _feed(monkeypatch, points):
     """Both verifiers over the grid tower ``points``: ``verify_flres``
     reads it cut into fans, the list oracle point by point."""
-    monkeypatch.setattr(biflag, "shat_fans", lambda w, p, b: cut_into_fans(points))
+    monkeypatch.setattr(biflag, "walk_fans", lambda graph, b: cut_into_fans(points))
     monkeypatch.setattr(oracles, "enumerate_shat", lambda w, p, b: iter(points))
 
 

@@ -1,27 +1,27 @@
 """Bott-Samelson towers and the bubblesort grid isomorphism."""
 
-import json
 import tracemalloc
+from types import SimpleNamespace
 
 import oracles
 import pytest
 from oracles import (
+    bbs_iso_by_lockstep,
     bbs_iso_by_sets,
     bs_point_is_valid,
     bs_projection,
     cell,
     clear_caches,
     copied,
-    cut_into_fans,
     grid_to_bs,
     identity,
+    report_text,
 )
 
-from schubres import bottsamelson
+from schubres import biflag, bottsamelson
 from schubres.bottsamelson import bbs_iso, bs_cells, enumerate_bs, first_block_chains
-from schubres.biflag import enumerate_shat, standard_frames
-from schubres.report import EnumReport
-from schubres.exactlin import BudgetExceededError, enumerate_subspaces
+from schubres.biflag import enumerate_shat, grid_rows, standard_frames
+from schubres.exactlin import BudgetExceededError, RowGraph, enumerate_subspaces, walk_fans
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -126,6 +126,8 @@ class TestBbsIso:
             ((3, 2, 1), (3, 3)),
             # l_2 against a 3-space of row 3, compared once per fan
             ((4, 3, 2, 1), (6, 3, 3)),
+            # l_2 against the line beside it in its own row
+            ((2, 3, 1), (1, 1)),
         ]:
 
             def wrong(w, last=last):
@@ -176,94 +178,164 @@ class TestBbsIso:
         assert sizes == {3 ** (length(w) - m)}
 
 
-def _without_time(report: EnumReport) -> dict:
-    out = json.loads(report.to_json())
-    out.pop("wall_time_s")
-    return out
+def _wrap_graph(monkeypatch, w, p, fault):
+    """Both deciders and both oracles over the pinned grid of (w, p), with
+    the choices of each graph level r over a row ``below`` passed through
+    ``fault(r, below, choices)``."""
+    graph = RowGraph(*grid_rows(w, p, pinned_last_row=True))
+    wrapped = SimpleNamespace(
+        under=graph.under,
+        rows=graph.rows,
+        memos=[{} for _ in graph.rows],  # empty, so walk_fans asks for every fan
+        choices=lambda r, below: fault(r, below, graph.choices(r, below)),
+    )
+    for module in (bottsamelson, biflag):
+        monkeypatch.setattr(module, "shat_graph", lambda w, p: wrapped)
+    monkeypatch.setattr(
+        oracles,
+        "enumerate_shat",
+        lambda w, p, b: ((row,) + up for up, fan in walk_fans(wrapped, b) for row in fan),
+    )
 
 
-def _feed(monkeypatch, points):
-    """Both verifiers over the grid tower ``points``: ``bbs_iso`` reads it
-    cut into fans, the set oracle point by point."""
-    monkeypatch.setattr(bottsamelson, "shat_fans", lambda w, p, b: cut_into_fans(points))
-    monkeypatch.setattr(oracles, "enumerate_shat", lambda w, p, b: iter(points))
+def _once(level, change):
+    """A fault that changes the choices over one row at graph level
+    ``level``: the first row seen there with two choices or more."""
+    hit = []
+
+    def fault(r, below, got):
+        if r == level and len(got) > 1 and (not hit or hit[0] is below):
+            hit[:] = [below]
+            return change(got)
+        return got
+
+    return fault
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
 
 
 class TestLockstep:
-    """The streamed ``bbs_iso`` against the set-based oracle, and faults
-    that put the two towers out of step."""
+    """The state decider against the lockstep and set oracles, and faults
+    at its two seams: the row graph it walks, and each block's
+    Bott-Samelson choices (``block_choices``)."""
 
-    @pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
     def test_same_report_as_set_oracle(self, n, p):
         for w in all_permutations(n):
-            assert _without_time(bbs_iso(w, p)) == _without_time(bbs_iso_by_sets(w, p)), w
+            text = report_text(bbs_iso(w, p))
+            assert text == report_text(bbs_iso_by_lockstep(w, p)), w
+            assert text == report_text(bbs_iso_by_sets(w, p)), w
 
     def test_same_report_longest_s5(self):
         w = Permutation((5, 4, 3, 2, 1))
-        assert _without_time(bbs_iso(w, 2)) == _without_time(bbs_iso_by_sets(w, 2))
+        assert report_text(bbs_iso(w, 2)) == report_text(bbs_iso_by_sets(w, 2))
 
     @pytest.mark.parametrize("fault", ["repeat", "swap", "short"])
     def test_out_of_step_tower_fails(self, monkeypatch, fault):
+        # every block of two choices or more: one repeated, the first two
+        # swapped, or the last dropped
         w = Permutation((2, 3, 1))
+        right = bottsamelson.block_choices
 
-        def faulty(word, p, budget):
-            points = list(enumerate_bs(word, p, budget))
-            if fault == "repeat":
-                points.insert(4, points[4])
-            elif fault == "swap":
-                points[3], points[4] = points[4], points[3]
-            else:
-                points.pop()
-            yield from points
+        def faulty(stages, start, bounds):
+            got = right(stages, start, bounds)
+            if len(got) > 1:
+                if fault == "repeat":
+                    got.insert(1, got[1])
+                elif fault == "swap":
+                    got[0], got[1] = got[1], got[0]
+                else:
+                    got.pop()
+            return got
 
-        monkeypatch.setattr(bottsamelson, "enumerate_bs", faulty)
+        monkeypatch.setattr(bottsamelson, "block_choices", faulty)
         rep = bbs_iso(w, 2)
-        failed = {c.name for c in rep.checks if not c.passed}
-        assert failed & {"map_is_injective", "map_image_is_tower"}
-        assert not rep.passed
+        counts = set() if fault == "swap" else {"counts_match_(p+1)^l"}
+        assert _failed(rep) == {"map_image_is_tower"} | counts
 
     @pytest.mark.parametrize("fault", ["repeat", "short"])
     def test_out_of_step_grid_fails(self, monkeypatch, fault):
+        # the choices of row 1 of 231 over the pinned row, the first block:
+        # the first in place of the second, or the last dropped
         w = Permutation((2, 3, 1))
-        points = list(enumerate_shat(w, 2))
-        if fault == "repeat":
-            points[5] = points[4]  # two grid points with one image
-        else:
-            points.pop()
-        _feed(monkeypatch, points)
+        repeat = fault == "repeat"
+        change = (lambda got: got[:1] * 2 + got[2:]) if repeat else (lambda got: got[:-1])
+        _wrap_graph(monkeypatch, w, 2, _once(1, change))
         rep = bbs_iso(w, 2)
-        failed = {c.name for c in rep.checks if not c.passed}
+        failed = _failed(rep)
         assert "map_image_is_tower" in failed
-        assert ("map_is_injective" in failed) == (fault == "repeat")
-        assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))
+        assert ("map_is_injective" in failed) == repeat
+        assert report_text(rep) == report_text(bbs_iso_by_lockstep(w, 2))
+        assert report_text(rep) == report_text(bbs_iso_by_sets(w, 2))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_reordered_choices_fail(self, monkeypatch, level):
+        # a state whose row choices come in another order: the same set, so
+        # only the set oracle, which sees no order, passes
+        w = Permutation((3, 2, 1))
+        _wrap_graph(monkeypatch, w, 2, _once(level, lambda got: got[1::-1] + got[2:]))
+        rep = bbs_iso(w, 2)
+        assert _failed(rep) == {"map_is_injective", "map_image_is_tower"}
+        assert report_text(rep) == report_text(bbs_iso_by_lockstep(w, 2))
+        assert bbs_iso_by_sets(w, 2).passed
 
     def test_upper_level_fault_fails(self, monkeypatch):
-        # a tower point that differs from the one before it at a level the
-        # walk did not change there, while the grid walks on unchanged
+        # one choice of the two-letter block of 321 with its first space, a
+        # line of F_2, replaced by a line outside F_2: no later block reads
+        # that letter, so both counts hold and only the image differs
         w = Permutation((3, 2, 1))
-        word = bubblesort_word(w)
-        points = list(enumerate_bs(word, 2))
-        k = next(k for k in range(1, len(points)) if points[k][0] is points[k - 1][0])
-        used = {pt[0] for pt in points}
-        space = standard_frames(3, 2)[3]
-        other = next(s for s in enumerate_subspaces(space, points[k][0].dim) if s not in used)
-        points[k] = (other,) + points[k][1:]
-        for module in (bottsamelson, oracles):
-            monkeypatch.setattr(module, "enumerate_bs", lambda word, p, b: iter(points))
-        rep = bbs_iso(w, 2)
-        assert {c.name for c in rep.checks if not c.passed} == {"map_image_is_tower"}
-        assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))
+        right = bottsamelson.block_choices
+        lines = list(enumerate_subspaces(standard_frames(3, 2)[3], 1))
+
+        def faulty(stages, start, bounds):
+            got = right(stages, start, bounds)
+            if len(stages) == 2:
+                other = next(s for s in lines if s not in {b[0] for b in got})
+                got[1] = (other,) + got[1][1:]
+            return got
+
+        monkeypatch.setattr(bottsamelson, "block_choices", faulty)
+        assert _failed(bbs_iso(w, 2)) == {"map_image_is_tower"}
+
+    def test_replaced_bound_fails(self, monkeypatch):
+        # the last block of 321 reads the plane of the block before it; over
+        # another plane its lines differ from the grid's
+        w = Permutation((3, 2, 1))
+        right = bottsamelson.block_choices
+        planes = list(enumerate_subspaces(standard_frames(3, 2)[3], 2))
+
+        def faulty(stages, start, bounds):
+            for x, s in bounds.items():
+                bounds = {**bounds, x: next(t for t in planes if t != s)}
+            return right(stages, start, bounds)
+
+        monkeypatch.setattr(bottsamelson, "block_choices", faulty)
+        assert _failed(bbs_iso(w, 2)) == {"map_image_is_tower"}
 
     @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 2, 1), (2, 4, 1, 3)])
     def test_equal_rows_as_distinct_objects_pass(self, monkeypatch, one_line):
-        # every row and cell of every grid point a fresh object of the same
-        # value: no row is the last point's, and nothing else changes
+        # every row the graph gives is a fresh object of the same value, and
+        # so is each of its cells: no state is keyed by a row another state
+        # reached, and nothing else changes
         w = Permutation(one_line)
-        points = [copied(pt) for pt in enumerate_shat(w, 2)]
-        _feed(monkeypatch, points)
+        originals = {}
+
+        def fresh(r, below, got):
+            for row in got:
+                originals.setdefault(row, row)
+            return tuple(copied((row,))[0] for row in got)
+
+        _wrap_graph(monkeypatch, w, 2, fresh)
+        wrapped = bottsamelson.shat_graph(w, 2)
+        choices = wrapped.choices
+        # the graph's memo is keyed by row id, so it is asked with its own row
+        wrapped.choices = lambda r, below: choices(r, originals.get(below, below))
         rep = bbs_iso(w, 2)
         assert rep.passed
-        assert _without_time(rep) == _without_time(bbs_iso_by_sets(w, 2))
+        assert report_text(rep) == report_text(bbs_iso_by_lockstep(w, 2))
+        assert report_text(rep) == report_text(bbs_iso_by_sets(w, 2))
 
     def test_traced_peak_is_small(self):
         # neither tower is held: 3^8 points at p=2 peak near 1 MiB, where

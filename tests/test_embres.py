@@ -164,8 +164,8 @@ class TestChart:
     def test_zero_map_reconstruction(self):
         cfg = make_frame(4, 2, (2, 4))
         t = next(chart_maps(cfg))  # the zero chart map
-        maps = reconstruct_map_tuple(cfg, t)
-        assert all(all(x == 0 for row in m.matrix for x in row) for m in maps)
+        matrices = reconstruct_map_tuple(cfg, t)
+        assert all(all(x == 0 for row in m for x in row) for m in matrices)
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("p", [2, 3])
@@ -175,8 +175,8 @@ class TestChart:
             for beta in itertools.combinations(range(1, n + 1), k):
                 cfg = make_frame(n, p, beta)
                 for t in chart_maps(cfg):
-                    assert reconstruct_map_tuple(cfg, t) == reconstruct_map_tuple_by_projection(
-                        cfg, t
+                    assert reconstruct_map_tuple(cfg, t) == tuple(
+                        m.matrix for m in reconstruct_map_tuple_by_projection(cfg, t)
                     )
 
     def test_chart_membership_criterion(self):
