@@ -17,7 +17,8 @@ equal row is one object.  The pinned grid's graph is kept for the next
 report of the same (w, p) (``shat_graph``), so ``bs iso`` after
 ``biflag verify`` reads the rows the verify built.  ``verify_flres``
 checks the tower's bound before it builds anything, then reads the graph
-a fan at a time (``exactlin.walk_fans``).
+a fan at a time (``exactlin.walk_fans``), each row as its cells' ints
+(``SpaceNumbers.row``).
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
@@ -43,9 +44,11 @@ from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
+    Memo,
     Row,
     RowGraph,
     RowSpec,
+    SpaceNumbers,
     Subspace,
     Vec,
     check_budget,
@@ -211,20 +214,10 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         cell_sums = tuple(accumulate(w.one_line))
         below_sums = {tuple(accumulate(u.one_line)) for u in below}
         meet_rows: dict[Subspace, Row] = {}
-        # each distinct last-column subspace's small int and jump sum, and
-        # each row object's, by id; a value holds its row, so the id stays
-        # the row's while the dict lives
-        spaces: dict[Subspace, tuple[int, int]] = {}
-        reads: dict[int, tuple[int, int, Row]] = {}
-
-        def read(row: Row) -> tuple[int, int, Row]:
-            space = row[-1]
-            got = spaces.get(space)
-            if got is None:
-                got = spaces[space] = (len(spaces), _jump_sum(space))
-            reads[id(row)] = got = (*got, row)
-            return got
-
+        # each row as its cells' ints, and each last-column int's jump sum
+        ids = SpaceNumbers()
+        row_ints = ids.row
+        jump_sums = Memo(lambda k: _jump_sum(ids.spaces[k]))
         # image flag, keyed by its rows' ints -> its one point over the cell
         # of w, None once a second comes, False for a flag off the cell
         fiber: dict[tuple[int, ...], tuple[Row, ...] | None | bool] = {}
@@ -233,22 +226,23 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         # the ints and sums of rows 2..n, read again at a fan only for the
         # rows whose objects differ from the last fan's
         rows: list[Row | None] = [None] * (n - 1)
-        keys, jump_sums = [0] * (n - 1), [0] * (n - 1)
+        keys, sums = [0] * (n - 1), [0] * (n - 1)
         for upper, fan in walk_fans(shat_graph(w, p), budget):
             tower_points += len(fan)
             for i, row in enumerate(upper):
                 if row is not rows[i]:
                     rows[i] = row
-                    keys[i], jump_sums[i], _ = reads.get(id(row)) or read(row)
-            upper_keys, upper_sums = tuple(keys), tuple(jump_sums)
+                    k = keys[i] = row_ints(row)[-1]
+                    sums[i] = jump_sums[k]
+            upper_keys, upper_sums = tuple(keys), tuple(sums)
             for row in fan:
-                k, s, _ = reads.get(id(row)) or read(row)
+                k = row_ints(row)[-1]
                 flag_key = (k,) + upper_keys
                 got = fiber.get(flag_key, _UNSEEN)
                 if got is _UNSEEN:
-                    sums = (s,) + upper_sums
-                    fiber[flag_key] = (row,) + upper if sums == cell_sums else False
-                    if outside is None and sums not in below_sums:
+                    flag_sums = (jump_sums[k],) + upper_sums
+                    fiber[flag_key] = (row,) + upper if flag_sums == cell_sums else False
+                    if outside is None and flag_sums not in below_sums:
                         outside = project_to_flag((row,) + upper)
                 elif got:
                     fiber[flag_key] = None

@@ -7,7 +7,7 @@ letter precedes).  For the bubblesort word of w the tower is isomorphic
 to the pinned bioriented grid of w: the isomorphism reads selected grid
 entries block by block, deleting the column of the value just placed and
 recursing on the restricted bijection one row up.  ``bbs_iso`` checks
-the isomorphism on the states of the grid's row graph, not point by point.
+the isomorphism on the row graph's states, keyed by rows' cell ints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 from schubres.biflag import shat_graph, standard_frames
 from schubres.exactlin import (
     DEFAULT_BUDGET,
-    Row,
     SpaceNumbers,
     Stage,
     Subspace,
@@ -120,7 +119,8 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
     Rows are numbered as in ``bs_cells``, row n being the standard flag
     under the pinned row; block g is the letters read off row g.  The row
     graph (``shat_graph``) is walked from the pinned row up by states: a
-    row and the ints of the cells below it that rows above it read.  At
+    row, as its cells' ints (``SpaceNumbers.row``), and the ints of the
+    cells below it that rows above it read.  At
     each state the row's choices, read at ``bs_cells``, must increase
     strictly and be block g's choices over the carried bounds
     (``block_choices``) in order, and each flag space's sides are compared
@@ -160,17 +160,18 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         ids = SpaceNumbers()
         spaces = ids.spaces
 
-        def ints(row: Row, carried: tuple[int, ...], at: list[int]) -> tuple[int, ...]:
-            return tuple([ids[row[k]] if k < n else carried[k - n] for k in at])
+        def ints(xs: tuple[int, ...], at: list[int]) -> tuple[int, ...]:
+            return tuple([xs[k] for k in at])
 
         graph = shat_graph(w, p)
         grid_count = 0
         injective = image_is_tower = commutes = True
         first_blocks: set[BSPoint] = set()
-        # grid states: (row id, carried) -> [paths, row, carried]; tower states: carried -> paths
-        states, bs_states = {(): [1, graph.under, ()]}, {(): 1}
+        # grid states: the ints of a row's cells (``ids.row``), then the carried
+        # ints -> [paths, row, those ints]; tower states: carried -> paths
+        states, bs_states = {(): [1, graph.under, ids.row(graph.under)]}, {(): 1}
         for g in range(n - 1, -1, -1):
-            # a carried cell is read off the state's row, or its k-th int
+            # a state's ints are its row's cells, then the k-th carried at n + k
             where = {pos: n + k for k, pos in enumerate(carry[g + 1])}
             where.update({(g + 1, c): c for c in range(n)})
             bound_at = [where[cells[x]] for x in ext[g]]
@@ -179,26 +180,26 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
             cols = [c for _, c in cells[lo[g] : lo[g - 1]]]
             read = itemgetter(*cols) if len(cols) > 1 else lambda row: tuple([row[c] for c in cols])
             before, after = bs_carry[g + 1], bs_carry[g]
-            bs_bound_at = [n + before.index(x) for x in ext[g]]
-            kept_at = [n + before.index(x) for x in after if x < lo[g]]
+            bs_bound_at = [before.index(x) for x in ext[g]]
+            kept_at = [before.index(x) for x in after if x < lo[g]]
             new_at = [x - lo[g] for x in after if x >= lo[g]]
             grid_by: dict[tuple[int, ...], list] = {}
             for state in states.values():
-                grid_by.setdefault(ints(*state[1:], bound_at), []).append(state)
+                grid_by.setdefault(ints(state[2], bound_at), []).append(state)
             bs_by: dict[tuple[int, ...], list] = {}
             for carried, count in bs_states.items():
-                bs_by.setdefault(ints((), carried, bs_bound_at), []).append((carried, count))
+                bs_by.setdefault(ints(carried, bs_bound_at), []).append((carried, count))
             states, bs_states = {}, {}
             for key in dict.fromkeys([*grid_by, *bs_by]):
                 bounds = dict(zip(ext[g], map(spaces.__getitem__, key)))
                 choices = block_choices(stages[lo[g] : lo[g - 1]], lo[g], bounds)
-                for count, row, carried in grid_by.get(key, ()):
+                for count, row, state_ints in grid_by.get(key, ()):
                     children = graph.choices(n - 1 - g, row)
                     reads = list(map(read, children))
                     image_is_tower = image_is_tower and reads == choices
                     injective = injective and all(map(lt, reads, reads[1:]))
                     for c, k in far_at:
-                        side = row[k] if k < n else spaces[carried[k - n]]
+                        side = row[k] if k < n else spaces[state_ints[k]]
                         commutes = commutes and all(map(side.__eq__, map(itemgetter(c), children)))
                     for c, (_, q) in same[g]:
                         left, right = map(itemgetter(c), children), map(itemgetter(q), children)
@@ -208,12 +209,13 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
                     if not g:
                         grid_count += count * len(children)
                         continue
-                    onward = ints(row, carried, carry_at)
+                    onward = ints(state_ints, carry_at)
                     for child in children:
-                        states.setdefault((id(child), onward), [0, child, onward])[0] += count
+                        state = ids.row(child) + onward
+                        states.setdefault(state, [0, child, state])[0] += count
                 new = [tuple([ids[b[i]] for i in new_at]) for b in choices]
                 for carried, count in bs_by.get(key, ()):
-                    kept = ints((), carried, kept_at)
+                    kept = ints(carried, kept_at)
                     for b in new:
                         b = kept + b
                         bs_states[b] = bs_states.get(b, 0) + count

@@ -9,13 +9,16 @@ failure (the report is still emitted), 2 on invalid configuration
 (including exceeded enumeration budgets and an ``--out`` path that
 cannot be opened for writing), 3 on an internal error: any
 other exception raised while a report is built, which is a fault in the
-program rather than in its input.
+program rather than in its input.  On exit 2 or 3 an ``--out`` file that
+the run created is removed again, and an existing one is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from functools import lru_cache
 
 from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, suite, wflag
@@ -31,7 +34,7 @@ def _validate(args: argparse.Namespace) -> None:
     """Check --perm, --n/--beta, --field and --out before any report is
     built, storing the permutation as ``args.w`` and the frame as
     ``args.cfg``.  --out is opened for appending, which creates a missing
-    file and leaves an existing one as it is until the report is written."""
+    file (``args.new_out``) and leaves an existing one as it is."""
     what = "bad --field"
     try:
         if getattr(args, "field", None) is not None:
@@ -46,10 +49,19 @@ def _validate(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     if args.out is not None:
+        args.new_out = not os.path.exists(args.out)
         try:
             open(args.out, "a").close()
         except OSError as exc:
             raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
+
+
+def _no_report(args: argparse.Namespace, code: int) -> int:
+    """``code``, once a new --out file is removed: it stays only with a report."""
+    if getattr(args, "new_out", False):
+        with suppress(OSError):
+            os.remove(args.out)
+    return code
 
 
 @lru_cache(maxsize=None)
@@ -140,13 +152,13 @@ def run(argv: list[str] | None = None) -> int:
         report = REPORTS[args.command, getattr(args, "action", None)](args)
     except (ConfigError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _no_report(args, 2)
     except Exception as exc:
         import traceback  # loaded only on this path: it adds to every run's memory
 
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
-        return 3
+        return _no_report(args, 3)
     text = report.to_json()
     if args.json:
         print(text)

@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     LinearMap,
+    Memo,
     Rows,
     SpaceNumbers,
     Subspace,
@@ -38,7 +39,6 @@ from schubres.grassfib import LOCI, FrameConfig, check_grassmannian, closed_locu
 from schubres.report import EnumReport, frame_config, subspace_witness
 from schubres.wflag import (
     GHatPoint,
-    Memo,
     build_lift,
     fixed_map_tuples,
     ghat_fans,
@@ -69,11 +69,6 @@ def chart_maps(cfg: FrameConfig) -> Iterator[LinearMap]:
     domain = cfg.lines_prefix(cfg.k)
     target = cfg.complements_suffix(1)
     yield from enumerate_maps(domain, target)
-
-
-def chart_graphs(cfg: FrameConfig) -> list[Subspace]:
-    """The graph of each chart map, in ``chart_maps`` order."""
-    return [graph(t) for t in chart_maps(cfg)]
 
 
 def in_chart(cfg: FrameConfig, l: Subspace) -> bool:
@@ -127,7 +122,7 @@ def _cell_test(cfg: FrameConfig) -> Callable[[Subspace, tuple[int, ...]], bool]:
     )
 
 
-# a chart graph's entry once chains of two family flags top it
+# a chain top's entry once chains of two family flags top it
 _TOPPED_TWICE = (-1, 0)
 
 
@@ -149,10 +144,10 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     flag, and it projects onto the closed locus (empirical).
 
     The first grid point that carries a family flag (``psi_tilde`` of a
-    map tuple's accumulated graphs) also counts, per chart graph, the
-    chains of that flag that top it.
-    Each graph must be topped by one family flag, whose maps the
-    reconstruction recovers, and by one of its chains.  Such a chain has
+    map tuple's accumulated graphs) also counts, per chain top, the
+    chains of that flag that top it.  One pass over the chart then reads
+    them: each chart graph must be topped by one family flag, whose maps
+    the reconstruction recovers, and by one of its chains.  Such a chain has
     L_i ⊆ gt ∩ flag[i]; if some meet is larger than i+1, the lowest such
     level offers p+1 choices that each extend up to gt, so one chain
     means the chain is forced.  That needs each flag's walk complete: its
@@ -180,7 +175,6 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
                 cell.add(ids[l])
         grass_points = gaussian_binomial(cfg.n, k, p)
 
-        graphs = [ids[gt] for gt in chart_graphs(cfg)]
         tuples = list(fixed_map_tuples(cfg))
         # space i of a tuple's flag sums its first i graphs and complements;
         # the tuples share their maps, so each map's graph is built once
@@ -191,14 +185,14 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
             sums = accumulate(graphs_m, subspace_sum)
             flags.append(tuple(ids[psi_space(cfg, i, s)] for i, s in enumerate(sums, start=1)))
         family = {flag: idx for idx, flag in enumerate(flags)}
-        # per family flag, its number of chains; per chart graph, None, or
-        # the one family flag whose chains top it and how many do
+        # per family flag, its number of chains; per top of a family flag's
+        # chains, the one family flag whose chains top it and how many do
         chains = [0] * len(flags)
-        hits: dict[int, tuple[int, int] | None] = dict.fromkeys(graphs)
+        hits: dict[int, tuple[int, int]] = {}
 
         o = special_point(cfg)
         special_ok = ghat_membership(cfg, o) and psi_tilde(cfg, pi_diag(o)) == standard
-        o_rows = tuple(tuple([ids[s] for s in row]) for row in o)
+        o_rows = tuple(map(ids.row, o))
 
         # the int of flag space i of a grid point whose row i ends in l
         psis = Memo(lambda i, l: ids[psi_space(cfg, i, spaces[l])])
@@ -208,10 +202,8 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
         first: dict[int, tuple[int, ...] | None] = {}
         over_o: set[int] = set()
         fiber_sizes = set()
-        grid_points = 0
-        total_pairs = 0
-        incidence_ok = True
-        cell_ok = True
+        grid_points = total_pairs = 0
+        incidence_ok = cell_ok = True
         for up, fan in ghat_fans(cfg, ids, budget):
             upper_diag = tuple([c[-1] for c in up])
             upper_flag = tuple([psis[i, c[-1]] for i, c in enumerate(up, start=2)])
@@ -231,29 +223,43 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
                         over_o.add(top)
                     elif top in cell:
                         cell_ok = False
-                    if idx is not None and top in hits:
-                        entry = hits[top] or (idx, 0)
+                    if idx is not None:
+                        entry = hits.get(top, (idx, 0))
                         hits[top] = (idx, entry[1] + 1) if entry[0] == idx else _TOPPED_TWICE
                 if idx is not None:
                     chains[idx] = len(tops)
                 fiber_sizes.add(len(tops))
                 total_pairs += len(tops)
 
-        unique_ok = True
-        recon_ok = True
+        # one pass over the chart: each graph lies in it, is topped by one
+        # family flag, whose maps the reconstruction recovers, and by one of
+        # its chains, and has one preimage, whose diagonal cells meet the
+        # late complements trivially, as a graph's do
+        graphs_ok = unique_ok = recon_ok = diag_graph_ok = True
         forced_ok = all(count == chain_bound for count in chains)
-        for t, gt in zip(chart_maps(cfg), graphs, strict=True):
-            entry = hits[gt]
+        chart_fail: list = []
+        late = [cfg.complements_suffix(i + 1) for i in range(1, k + 1)]
+        for chart_points, t in enumerate(chart_maps(cfg), start=1):
+            gt = graph(t)
+            graphs_ok = graphs_ok and in_chart(cfg, gt)
+            # a graph that no chain tops has no int yet, and no entry
+            g = ids.get(gt)
+            entry = hits.get(g)
             if entry is None or entry is _TOPPED_TWICE:
                 unique_ok = False
-                continue
-            idx, count = entry
-            if reconstruct_map_tuple(cfg, t) != tuple(m.matrix for m in tuples[idx]):
-                recon_ok = False
-            forced_ok = forced_ok and count == 1
-        report.counts["chart_points"] = len(graphs)
+            else:
+                idx, count = entry
+                if reconstruct_map_tuple(cfg, t) != tuple(m.matrix for m in tuples[idx]):
+                    recon_ok = False
+                forced_ok = forced_ok and count == 1
+            diag = first.get(g)
+            if diag is None:
+                chart_fail.append(subspace_witness(gt))
+            elif any(intersect(spaces[x], late[i]).dim for i, x in enumerate(diag)):
+                diag_graph_ok = False
+        report.counts["chart_points"] = chart_points
         report.counts["family_flags"] = len(flags)
-        report.add("chart.graphs_lie_in_chart", all(in_chart(cfg, spaces[gt]) for gt in graphs))
+        report.add("chart.graphs_lie_in_chart", graphs_ok)
         report.add("chart.unique_flag_per_chart_point", unique_ok)
         report.add("chart.map_tuple_reconstructed", recon_ok)
         report.add("chart.forced_chain_is_valid", forced_ok)
@@ -277,18 +283,6 @@ def verify_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
             informational=True,
         )
 
-        chart_fail: list = []
-        diag_graph_ok = True
-        late = [cfg.complements_suffix(i + 1) for i in range(1, k + 1)]
-        for gt in graphs:
-            diag = first.get(gt)
-            if diag is None:
-                chart_fail.append(subspace_witness(spaces[gt]))
-                continue
-            # the unique preimage has graph-shaped diagonal cells: each
-            # meets the late complements trivially
-            if any(intersect(spaces[x], late[i]).dim for i, x in enumerate(diag)):
-                diag_graph_ok = False
         report.add(
             "resolution.chart_points_have_unique_preimage",
             not chart_fail,

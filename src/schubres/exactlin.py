@@ -10,7 +10,8 @@ operations are pure functions, and results are cached and shared
 freely.
 
 Vectors are tuples of ints reduced mod p; matrices are tuples of row
-tuples.  Coordinates are 0-based throughout this module.
+tuples.  Coordinates are 0-based throughout this module.  The verifiers
+read subspaces and grid rows as small ints through ``SpaceNumbers``.
 """
 
 from __future__ import annotations
@@ -180,16 +181,38 @@ class Subspace(_SubspaceFields):
 
 class SpaceNumbers(dict):
     """``ids[s]`` numbers each distinct subspace on its first lookup, 0
-    up, and ``ids.spaces[i]`` is the subspace numbered i."""
+    up, and ``ids.spaces[i]`` is the subspace numbered i.  ``ids.row(row)``
+    is a row's cells' numbers, read once per row object, keyed by its id
+    in a dict whose value holds the row, so the id stays the row's."""
 
     def __init__(self) -> None:
         super().__init__()
         self.spaces: list[Subspace] = []
+        self.rows: dict[int, tuple[tuple[int, ...], Row]] = {}
 
     def __missing__(self, s: Subspace) -> int:
         i = self[s] = len(self.spaces)
         self.spaces.append(s)
         return i
+
+    def row(self, row: Row) -> tuple[int, ...]:
+        got = self.rows.get(id(row))
+        if got is None:
+            got = self.rows[id(row)] = (tuple([self[s] for s in row]), row)
+        return got[0]
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``make(*key)``, or with
+    ``make(key)`` for a key that is not a tuple."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: object) -> object:
+        got = self[key] = self.make(*key) if type(key) is tuple else self.make(key)
+        return got
 
 
 def span(vectors: Iterable[Sequence[int]], n: int, p: int) -> Subspace:

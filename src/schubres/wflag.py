@@ -8,18 +8,19 @@ Its resolution is a lower-triangular grid of subspaces with strict
 inclusions along rows and relaxed inclusions between rows; the diagonal
 projection is onto, is one-to-one over an explicit open set, and admits
 a deterministic section computed diagonal by diagonal.  ``wflag verify``
-reads the grid a fan at a time with every subspace as a small int.
+reads the grid a fan at a time, each row as its cells' ints.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
     InvariantError,
     LinearMap,
+    Memo,
     Row,
     RowGraph,
     RowSpec,
@@ -42,18 +43,6 @@ from schubres.report import EnumReport, frame_config, subspace_witness
 
 GCalPoint = tuple[Subspace, ...]
 GHatPoint = tuple[tuple[Subspace, ...], ...]  # row i (1-based) has i entries
-
-
-class Memo(dict):
-    """A dict that fills a missing key with ``make(*key)``."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: tuple) -> object:
-        got = self[key] = self.make(*key)
-        return got
 
 
 def fixed_map_tuples(cfg: FrameConfig) -> Iterator[tuple[LinearMap, ...]]:
@@ -133,28 +122,12 @@ def enumerate_ghat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[G
 IntRows = tuple[tuple[int, ...], ...]  # grid rows, each as its cells' ints
 
 
-def ghat_fans(
-    cfg: FrameConfig, ids: SpaceNumbers, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[IntRows, IntRows]]:
+def ghat_fans(cfg: FrameConfig, ids: SpaceNumbers, budget: int) -> Iterator[tuple[IntRows, IntRows]]:
     """``walk_fans`` of the grid's ``RowGraph`` with each row as its
-    cells' ints (``ids``).  Each row object and fan is read once, keyed
-    by its id in a dict whose value holds it, so no row is hashed."""
-    reads: dict[int, tuple[tuple, tuple]] = {}
-
-    def read(obj: tuple, ints: Callable[[tuple], tuple]) -> tuple:
-        got = reads.get(id(obj))
-        if got is None:
-            got = reads[id(obj)] = (ints(obj), obj)
-        return got[0]
-
-    def cells(row: Row) -> tuple[int, ...]:
-        return tuple([ids[s] for s in row])
-
-    def rows(fan: tuple[Row, ...]) -> IntRows:
-        return tuple([read(row, cells) for row in fan])
-
+    cells' ints (``ids.row``)."""
+    read = ids.row
     for upper, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget):
-        yield rows(upper), read(fan, rows)
+        yield tuple(map(read, upper)), tuple(map(read, fan))
 
 
 def ghat_membership(cfg: FrameConfig, pt: GHatPoint) -> bool:

@@ -48,7 +48,6 @@ from schubres.bottsamelson import BSPoint, bs_cells, enumerate_bs, first_block_c
 from schubres.embres import (
     _TOPPED_TWICE,
     _cell_test,
-    chart_graphs,
     chart_maps,
     in_chart,
     reconstruct_map_tuple,
@@ -61,6 +60,7 @@ from schubres.exactlin import (
     InvariantError,
     LinearMap,
     Row,
+    RowGraph,
     Rows,
     Stage,
     Subspace,
@@ -622,6 +622,28 @@ def cut_into_fans(points: Iterable[tuple[Row, ...]]) -> Iterator[Fan]:
         yield run[0][1:], tuple(pt[0] for pt in run)
 
 
+def row_factor_mismatches(graph: RowGraph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+    """The memo keys of ``graph`` after a full ``walk_fans``, and how many
+    of them do not hold exactly their row's factor of ``rows_bound`` in
+    distinct rows.
+
+    In a grid whose rows have a zero ``extra``, as the pinned grid's do,
+    each cell's lower bound, its left neighbour, lies in its upper bound,
+    the cell below, so every level of a row offers exactly its Gaussian
+    binomial: the number of choices over every row below is that row's
+    factor of the bound.  The graph interns its rows, so distinct rows
+    are distinct objects.  A key that fails shows ``enumerate_between``
+    incomplete, or repeating a choice, over that row.
+    """
+    for _ in walk_fans(graph, budget):
+        pass
+    under, rows = graph.under, graph.rows
+    bounds = [rows_bound(under, rows[:r]) for r in range(len(rows) + 1)]
+    factors = [b // a for a, b in zip(bounds, bounds[1:])]
+    held = [(f, choices) for memo, f in zip(graph.memos, factors) for choices in memo.values()]
+    return len(held), sum(not len(c) == len(set(map(id, c))) == f for f, c in held)
+
+
 def grid_is_valid(pt: tuple[Row, ...], w: Permutation) -> bool:
     """Dimensions follow the rank matrix and all inclusions hold."""
     d = rank_matrix(w)
@@ -945,6 +967,11 @@ def chart_hits(
                 per_flag[idx] = per_flag.get(idx, 0) + 1
         chains.append(count)
     return hits, chains
+
+
+def chart_graphs(cfg: FrameConfig) -> list[Subspace]:
+    """The graph of each chart map, in ``chart_maps`` order."""
+    return [graph(t) for t in chart_maps(cfg)]
 
 
 def verify_chart_family_by_flags(

@@ -20,6 +20,7 @@ from oracles import (
     grid_stages,
     identity,
     reconstruct_grid_by_intersections,
+    row_factor_mismatches,
     verify_flres_by_lists,
 )
 
@@ -382,6 +383,37 @@ class TestRowWalk:
         cfg = make_frame(6, 3, (2, 4))
         flat = enumerate_ghat_flat(cfg, budget=100)
         self._refused_before_first_row(monkeypatch, enumerate_ghat(cfg, budget=100), flat)
+
+
+class TestRowGraphSelfCheck:
+    """After a full walk of the pinned grid's row graph, every row below
+    holds exactly its row's factor of ``rows_bound`` in distinct rows.
+    The W-flag grid is left out: its nonzero ``extra`` makes its factor
+    only a bound."""
+
+    SPACES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+
+    def test_every_key_holds_its_factor(self):
+        keys = 0
+        for n, p in self.SPACES:
+            for w in all_permutations(n):
+                got, bad = row_factor_mismatches(exactlin.RowGraph(*grid_rows(w, p, True)))
+                assert bad == 0, (w, p)
+                keys += got
+        assert keys == 19_262
+
+    def test_dropped_choice_fails(self, monkeypatch):
+        # an ``enumerate_between`` that drops the last of two or more choices
+        between = exactlin.enumerate_between
+
+        def short(lower, upper, dim):
+            got = list(between(lower, upper, dim))
+            return iter(got[:-1] if len(got) > 1 else got)
+
+        monkeypatch.setattr(exactlin, "enumerate_between", short)
+        for w in (Permutation((2, 1)), Permutation((2, 3, 1)), _longest(4)):
+            keys, bad = row_factor_mismatches(exactlin.RowGraph(*grid_rows(w, 2, True)))
+            assert 0 < bad <= keys, w
 
 
 class TestVerifyFlresBudget:

@@ -458,6 +458,34 @@ class TestReportHygiene:
         assert run(argv + ["--out", str(target)]) == 2
         assert target.read_text() == "old report\n"
 
+    def test_refused_run_leaves_no_new_out_file(self, capsys, tmp_path):
+        # the writability check creates the file; with no report it goes again
+        target = tmp_path / "new.json"
+        argv = ["biflag", "verify", "--perm", "9,8,7,6,5,4,3,2,1", "--field", "2"]
+        assert run(argv + ["--out", str(target)]) == 2
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_crashed_run_leaves_no_new_out_file(self, capsys, monkeypatch, tmp_path):
+        def broken(w, p, budget):
+            raise RuntimeError("a fault in the verifier")
+
+        monkeypatch.setattr(biflag, "verify_flres", broken)
+        target = tmp_path / "new.json"
+        assert run(["biflag", "verify", "--perm", "2,1", "--out", str(target)]) == 3
+        assert "internal error: RuntimeError" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_crashed_run_leaves_an_existing_out_file_intact(self, capsys, monkeypatch, tmp_path):
+        def broken(w, p, budget):
+            raise RuntimeError("a fault in the verifier")
+
+        monkeypatch.setattr(biflag, "verify_flres", broken)
+        target = tmp_path / "report.json"
+        target.write_text("old report\n")
+        assert run(["biflag", "verify", "--perm", "2,1", "--out", str(target)]) == 3
+        assert target.read_text() == "old report\n"
+
     def test_schema_fields(self, capsys):
         _, rep = run_json(capsys, ["building", "--perm", "2,1,3"])
         assert set(rep) == {"command", "config", "counts", "checks", "passed", "wall_time_s"}

@@ -7,6 +7,7 @@ import oracles
 import pytest
 from oracles import (
     cell_points,
+    chart_graphs,
     chart_hits,
     copied,
     cut_into_fans,
@@ -29,7 +30,6 @@ from oracles import (
 from schubres import embres, grassfib, wflag
 from schubres.embres import (
     chain_tops,
-    chart_graphs,
     chart_maps,
     in_chart,
     reconstruct_map_tuple,

@@ -816,6 +816,77 @@ class TestWalkFans:
             next(ex.walk_fans(ex.RowGraph(under, rows), bound - 1))
 
 
+class _Counted(ex.Subspace):
+    """A subspace that counts how often it is hashed."""
+
+    __slots__ = ()
+    hashes = [0]
+
+    def __hash__(self):
+        self.hashes[0] += 1
+        return super().__hash__()
+
+
+class TestSpaceNumbers:
+    """``SpaceNumbers``, the one reader of rows and subspaces."""
+
+    def test_spaces_numbered_in_first_lookup_order(self):
+        a, b = sp([E1], 3), sp([E2], 3)
+        ids = ex.SpaceNumbers()
+        assert (ids[b], ids[a], ids[sp([E2], 3)]) == (0, 1, 0)
+        assert ids.spaces == [b, a]
+
+    def test_row_read_twice_hashes_its_cells_once(self):
+        row = tuple(_Counted(*sp(vecs, 3)) for vecs in ([E1], [E1, E2], [E1, E2, E3]))
+        ids = ex.SpaceNumbers()
+        _Counted.hashes[0] = 0
+        got = ids.row(row)
+        hashes = _Counted.hashes[0]
+        assert got == (0, 1, 2) and hashes > 0
+        # the second read is one lookup by the row's id: no cell is hashed
+        assert ids.row(row) is got
+        assert _Counted.hashes[0] == hashes
+        assert ids.spaces == list(row)
+
+    def test_equal_rows_as_distinct_objects_get_equal_ints(self):
+        from oracles import copied
+
+        from schubres.biflag import enumerate_shat
+        from schubres.permcomb import Permutation
+
+        ids = ex.SpaceNumbers()
+        for pt in enumerate_shat(Permutation((2, 4, 1, 3)), 2):
+            twin = copied(pt)
+            assert [ids.row(row) for row in twin] == [ids.row(row) for row in pt]
+            assert all(a is not b for a, b in zip(twin, pt))
+
+    def test_fed_row_is_numbered_like_any_other(self):
+        # rows no ``RowGraph`` built, each dropped once read: the reader
+        # holds each one, so a new row never takes the id of a freed one
+        ids = ex.SpaceNumbers()
+        lines = [s for s in all_subspaces(3, 2) if s.dim == 1]
+        for i in range(50):
+            row = (lines[i % 7], lines[2 * i % 7], lines[3 * i % 7])
+            assert ids.row(row) == (ids[row[0]], ids[row[1]], ids[row[2]]), i
+            del row
+        graph = ex.RowGraph(*_one_row(tuple(ex.full_space(3, 2) for _ in range(2))))
+        for upper, fan in ex.walk_fans(graph, ex.DEFAULT_BUDGET):
+            for row in fan:
+                assert ids.row(row) == tuple(ids[s] for s in row)
+
+
+class TestMemo:
+    def test_tuple_key_is_unpacked_and_made_once(self):
+        calls = []
+        memo = ex.Memo(lambda i, j: calls.append((i, j)) or i * j)
+        assert (memo[2, 3], memo[2, 3], memo[3, 2]) == (6, 6, 6)
+        assert calls == [(2, 3), (3, 2)]
+
+    def test_other_key_is_passed_whole(self):
+        memo = ex.Memo(lambda k: k + 1)
+        assert memo[4] == 5 and dict(memo) == {4: 5}
+
+
 class TestCheckBudget:
     def test_refusal_of_a_huge_bound_prints(self):
         # past 4 300 digits Python 3.11 and later refuse str() of an int,
