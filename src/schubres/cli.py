@@ -9,8 +9,8 @@ failure (the report is still emitted), 2 on invalid configuration
 (including exceeded enumeration budgets and an ``--out`` path that
 cannot be opened for writing), 3 on an internal error: any
 other exception raised while a report is built, which is a fault in the
-program rather than in its input.  On exit 2 or 3 an ``--out`` file that
-the run created is removed again, and an existing one is left as it was.
+program rather than in its input.  A run that exits 2 or 3 leaves no
+new ``--out`` file, and an existing one as it was.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import suppress
 from functools import lru_cache
 
 from schubres import biflag, bottsamelson, building, embres, grassfib, permcomb, suite, wflag
@@ -33,8 +32,9 @@ class ConfigError(ValueError):
 def _validate(args: argparse.Namespace) -> None:
     """Check --perm, --n/--beta, --field and --out before any report is
     built, storing the permutation as ``args.w`` and the frame as
-    ``args.cfg``.  --out is opened for appending, which creates a missing
-    file (``args.new_out``) and leaves an existing one as it is."""
+    ``args.cfg``.  --out is opened for appending, which leaves an existing
+    file as it is; a file that this creates is removed again, so a run
+    that writes no report leaves none."""
     what = "bad --field"
     try:
         if getattr(args, "field", None) is not None:
@@ -49,19 +49,13 @@ def _validate(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     if args.out is not None:
-        args.new_out = not os.path.exists(args.out)
+        new = not os.path.exists(args.out)
         try:
             open(args.out, "a").close()
+            if new:
+                os.remove(args.out)
         except OSError as exc:
             raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
-
-
-def _no_report(args: argparse.Namespace, code: int) -> int:
-    """``code``, once a new --out file is removed: it stays only with a report."""
-    if getattr(args, "new_out", False):
-        with suppress(OSError):
-            os.remove(args.out)
-    return code
 
 
 @lru_cache(maxsize=None)
@@ -152,13 +146,13 @@ def run(argv: list[str] | None = None) -> int:
         report = REPORTS[args.command, getattr(args, "action", None)](args)
     except (ConfigError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _no_report(args, 2)
+        return 2
     except Exception as exc:
         import traceback  # loaded only on this path: it adds to every run's memory
 
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
-        return _no_report(args, 3)
+        return 3
     text = report.to_json()
     if args.json:
         print(text)

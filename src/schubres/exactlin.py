@@ -185,6 +185,8 @@ class SpaceNumbers(dict):
     is a row's cells' numbers, read once per row object, keyed by its id
     in a dict whose value holds the row, so the id stays the row's."""
 
+    __slots__ = ("spaces", "rows")  # a read per point: slots look up faster
+
     def __init__(self) -> None:
         super().__init__()
         self.spaces: list[Subspace] = []
@@ -203,8 +205,7 @@ class SpaceNumbers(dict):
 
 
 class Memo(dict):
-    """A dict that fills a missing key with ``make(*key)``, or with
-    ``make(key)`` for a key that is not a tuple."""
+    """A dict that fills a missing key with ``make(*key)``, a non-tuple one with ``make(key)``."""
 
     def __init__(self, make: Callable) -> None:
         super().__init__()
