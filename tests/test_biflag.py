@@ -386,10 +386,10 @@ class TestRowWalk:
 
 
 class TestRowGraphSelfCheck:
-    """After a full walk of the pinned grid's row graph, every row below
-    holds exactly its row's factor of ``rows_bound`` in distinct rows.
-    The W-flag grid is left out: its nonzero ``extra`` makes its factor
-    only a bound."""
+    """After a full walk of the pinned grid's row graph, the choices over
+    every row below are exactly their row's factor of ``rows_bound``
+    distinct rows.  The W-flag grid is left out: its nonzero ``extra``
+    makes its factor only a bound."""
 
     SPACES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
 
