@@ -171,7 +171,7 @@ def bbs_iso(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumReport:
         # ints -> [paths, row, those ints]; tower states: carried -> paths
         states, bs_states = {(): [1, graph.under, ids.row(graph.under)]}, {(): 1}
         for g in range(n - 1, -1, -1):
-            # a row is read once, as a new state's, so the last level's reads go
+            # a row is read once, when a state is made of it: drop older reads
             ids.rows.clear()
             # a state's ints are its row's cells, then the k-th carried at n + k
             where = {pos: n + k for k, pos in enumerate(carry[g + 1])}

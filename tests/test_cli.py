@@ -459,7 +459,7 @@ class TestReportHygiene:
         assert target.read_text() == "old report\n"
 
     def test_refused_run_leaves_no_new_out_file(self, capsys, tmp_path):
-        # the writability check creates the file; with no report it goes again
+        # the writability check creates the file, then removes it again
         target = tmp_path / "new.json"
         argv = ["biflag", "verify", "--perm", "9,8,7,6,5,4,3,2,1", "--field", "2"]
         assert run(argv + ["--out", str(target)]) == 2
