@@ -2,12 +2,13 @@
 
 A grid point is an n x n array of subspaces whose dimensions follow the
 rank matrix of a permutation, increasing along rows and columns, with
-each cell contained in its right and lower neighbours.  It is the tuple
-of rows that ``exactlin.walk_rows`` yields, row 1 first: ``pt[p-1][q-1]``
-is the cell in row p, column q, as in a W-flag grid.  Pinning the last
-row to the standard flag cuts out a tower whose last column projects
-onto the Schubert variety of the flag manifold; the projection is a
-bijection over the Schubert cell, which is verified point by point here.
+each cell contained in its right and lower neighbours.  It is a tuple
+of rows, row 1 first (``(row,) + upper`` over an ``exactlin.walk_fans``
+fan): ``pt[p-1][q-1]`` is the cell in row p, column q.  Pinning the
+last row to the standard flag cuts out a tower whose last column
+projects onto the Schubert variety of the flag manifold; the projection
+is a bijection over the Schubert cell, which is verified point by point
+here.
 
 Enumeration is by constraint propagation from the bottom row upward,
 never by filtering the ambient product, and is budget-guarded: the
@@ -15,15 +16,15 @@ grid is an ``exactlin.RowGraph`` over rows n..1, so a row's choices over
 each distinct row below it are built once, left to right, and every
 equal row is one object.  The pinned grid's graph is kept for the next
 report of the same (w, p) (``shat_graph``), so ``bs iso`` after
-``biflag verify`` reads the rows the verify built.  ``verify_flres``
-checks the tower's bound before it builds anything, then reads the graph
-a fan at a time (``exactlin.walk_fans``), each row as its cells' ints
-(``SpaceNumbers.row``).
+``biflag verify`` reads the rows the verify built.  A walk checks the
+bound before it builds anything, then reads the graph a fan at a time
+(``exactlin.walk_fans``): the count adds up the fan sizes, and
+``verify_flres`` reads each row as its cells' ints (``SpaceNumbers.row``).
 
 Schubert cells and varieties of the flag manifold come from the Bruhat
 decomposition: every complete flag has one position permutation u and
 lies in the cell of u, which has p^length(u) points; the closed variety
-of w is the union of the cells of all u <= w in the Bruhat order.  The
+of w is the union of the cells of all u <= w (``bruhat_interval``).  The
 verifier reads the position of each flag of the tower's image and
 checks the image against these cell sizes, so no flag outside the image
 is visited.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator
 
 from schubres.exactlin import (
     DEFAULT_BUDGET,
@@ -56,9 +56,8 @@ from schubres.exactlin import (
     rows_bound,
     rref,
     walk_fans,
-    walk_rows,
 )
-from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
+from schubres.permcomb import Permutation, bruhat_interval, length, rank_matrix
 from schubres.report import EnumReport, perm_config, subspace_witness
 
 Flag = tuple[Subspace, ...]
@@ -74,7 +73,7 @@ def standard_frames(n: int, p: int) -> Flag:
 
 
 def grid_rows(w: Permutation, p: int, pinned_last_row: bool) -> tuple[Row, list[RowSpec]]:
-    """The grid as ``walk_rows`` input: rows n..1, cell (row, col) of
+    """The grid as ``RowGraph`` input: rows n..1, cell (row, col) of
     dimension d[row][col] between its left and lower neighbours.  Row n
     lies under the standard flag when pinned, which leaves it one choice,
     and under the whole space otherwise."""
@@ -83,23 +82,6 @@ def grid_rows(w: Permutation, p: int, pinned_last_row: bool) -> tuple[Row, list[
     frames = standard_frames(n, p)
     under = frames[1:] if pinned_last_row else (frames[n],) * n
     return under, [(d[row][1:], frames[0]) for row in range(n, 0, -1)]
-
-
-def enumerate_flw(
-    w: Permutation, p: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[Row, ...]]:
-    """All GF(p) points of the bioriented flag grid of w."""
-    yield from walk_rows(*grid_rows(w, p, pinned_last_row=False), budget)
-
-
-def enumerate_shat(
-    w: Permutation, p: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[Row, ...]]:
-    """All GF(p) points with the bottom row pinned to the standard flag.
-
-    The count is (p+1)^length(w): a tower of projective lines.
-    """
-    yield from walk_rows(*grid_rows(w, p, pinned_last_row=True), budget)
 
 
 @lru_cache(maxsize=1)
@@ -168,19 +150,20 @@ def reconstruct_grid(flag: Flag, memo: dict[Subspace, Row] | None = None) -> tup
 def enumerate_report(
     w: Permutation, variety: str, p: int, budget: int = DEFAULT_BUDGET
 ) -> EnumReport:
-    """Point count of the pinned tower (``shat``) or of the full grid
-    (``flw``) of w against its closed form."""
+    """Point count, the sum of the fan sizes, of the pinned tower
+    (``shat``) or of the full grid (``flw``) of w against its closed form."""
     with EnumReport(
         "biflag enumerate", {**perm_config(w, p, budget), "variety": variety}
     ) as report:
         if variety == "shat":
-            count = sum(1 for _ in enumerate_shat(w, p, budget))
+            graph = shat_graph(w, p)
             expected = (p + 1) ** length(w)
             name = "count_is_(p+1)^l"
         else:
-            count = sum(1 for _ in enumerate_flw(w, p, budget))
-            expected = rows_bound(*grid_rows(w, p, pinned_last_row=False))
+            graph = RowGraph(*grid_rows(w, p, pinned_last_row=False))
+            expected = rows_bound(graph.under, graph.rows)
             name = "count_matches_cell_product"
+        count = sum(len(fan) for _, fan in walk_fans(graph, budget))
         report.counts["points"] = count
         report.counts["expected"] = expected
         report.add(name, count == expected)
@@ -207,7 +190,7 @@ def verify_flres(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> EnumRe
         n = w.n
         # refuse an oversized tower before the Bruhat interval is built
         check_budget(rows_bound(*grid_rows(w, p, pinned_last_row=True)), budget)
-        below = {u for u in all_permutations(n) if bruhat_leq(u, w)}
+        below = bruhat_interval(w)
         # l_p has jump sum u(1) + ... + u(p), so a flag's jump sums name its
         # position: it lies in the cell of w, or below w, when they are
         # the prefix sums of w, or of some u <= w

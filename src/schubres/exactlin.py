@@ -685,11 +685,11 @@ def tower(stages: Sequence[Stage], p: int, budget: int) -> Iterator[tuple[Subspa
 
 
 Row = tuple[Subspace, ...]
-RowSpec = tuple[Sequence[int], Subspace]  # (dims, extra) of one row of ``walk_rows``
+RowSpec = tuple[Sequence[int], Subspace]  # (dims, extra) of one row of a ``RowGraph``
 
 
 def rows_bound(under: Row, rows: Sequence[RowSpec]) -> int:
-    """Point-count bound of ``walk_rows``: the product over its cells of
+    """Point-count bound of a ``RowGraph``: the product over its cells of
     [up - lo choose dim - lo]_p, lo the dimension of the cell to the left
     and up that of the cell below plus that of the row's ``extra``."""
     total, below = 1, [s.dim for s in under]
@@ -746,9 +746,10 @@ def walk_fans(graph: RowGraph, budget: int) -> Iterator[Fan]:
     """Yield every choice of all rows but the last, with the last row's
     choices over it: ``(upper, fan)``, the upper rows last-chosen first
     and the fan the graph's shared tuple of last-row choices.  The
-    points of the grid are ``(row,) + upper`` for each row of each fan,
-    in ``walk_rows`` order.  The whole walk is refused before anything
-    is built when ``rows_bound`` exceeds the budget.
+    points of the grid, as many as the fan sizes add up to, are
+    ``(row,) + upper`` for each row of each fan.  The whole walk is
+    refused before anything is built when ``rows_bound`` exceeds the
+    budget.
     """
     check_budget(rows_bound(graph.under, graph.rows), budget)
     choices, last = graph.choices, len(graph.rows) - 1
@@ -773,16 +774,3 @@ def walk_fans(graph: RowGraph, budget: int) -> Iterator[Fan]:
             stack.pop()
         else:
             stack.append((iter(choices(len(stack), row)), (row,) + chosen))
-
-
-def walk_rows(under: Row, rows: Sequence[RowSpec], budget: int) -> Iterator[tuple[Row, ...]]:
-    """Yield every grid of subspaces chosen one row at a time.
-
-    The grid is ``RowGraph(under, rows)``, walked by ``walk_fans``; each
-    point lists its rows last-chosen first, and the points share the
-    graph's row objects.  The whole walk is refused before its first
-    point when ``rows_bound`` exceeds the budget.
-    """
-    for upper, fan in walk_fans(RowGraph(under, rows), budget):
-        for row in fan:
-            yield (row,) + upper

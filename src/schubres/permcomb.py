@@ -74,17 +74,6 @@ def jump_points(w: Permutation) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order via entrywise rank-matrix comparison: u <= w iff
-    d^u(p,q) >= d^w(p,q) everywhere (the identity is the minimum)."""
-    if u.n != w.n:
-        raise ValueError("permutations of different sizes")
-    du, dw = rank_matrix(u), rank_matrix(w)
-    return all(
-        du[p][q] >= dw[p][q] for p in range(1, u.n + 1) for q in range(1, u.n + 1)
-    )
-
-
 def apply_letter(one_line: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Right multiplication by s_i: swap positions i, i+1 (1-based)."""
     ol = list(one_line)
@@ -157,6 +146,17 @@ def bubblesort_word(w: Permutation) -> ReducedWord:
     if tuple(cur) != w.one_line:
         raise InvariantError(f"bubblesort of {w.one_line} ends at {tuple(cur)}")
     return ReducedWord(n, tuple(blocks))
+
+
+def bruhat_interval(w: Permutation) -> frozenset[Permutation]:
+    """The lower Bruhat interval [e, w]: the products of the subwords of
+    the bubblesort word of w (the subword property, Björner and Brenti,
+    Combinatorics of Coxeter Groups, Thm 2.2.2), built a letter at a
+    time, S <- S ∪ S·s, so no permutation outside it is visited."""
+    below = {tuple(range(1, w.n + 1))}
+    for i in bubblesort_word(w).letters:
+        below |= {apply_letter(one_line, i) for one_line in below}
+    return frozenset(map(Permutation, below))
 
 
 def rank_matrix_report(w: Permutation) -> EnumReport:

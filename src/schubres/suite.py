@@ -57,7 +57,8 @@ def criterion_3_tower_counts(budget: int = DEFAULT_BUDGET) -> EnumReport:
         for n, p in itertools.product((3, 4), (2, 3)):
             for w in all_permutations(n):
                 expected = (p + 1) ** length(w)
-                grid = sum(1 for _ in biflag.enumerate_shat(w, p, budget))
+                fans = exactlin.walk_fans(biflag.shat_graph(w, p), budget)
+                grid = sum(len(fan) for _, fan in fans)
                 word = bottsamelson.bubblesort_word(w)
                 tower = sum(1 for _ in bottsamelson.enumerate_bs(word, p, budget))
                 checked += 1

@@ -35,7 +35,6 @@ from schubres.exactlin import (
     subspace_sum,
     tower,
     walk_fans,
-    walk_rows,
     zero_subspace,
 )
 from schubres.grassfib import FrameConfig
@@ -98,25 +97,16 @@ def ghat_count_formula(cfg: FrameConfig) -> int:
 
 
 def ghat_rows(cfg: FrameConfig) -> tuple[Row, list[RowSpec]]:
-    """The grid as ``walk_rows`` input: rows k..1, row i of dimensions
-    1..i.  Row k lies under the nested spaces (nested(j, k))_j, and a
-    higher row i under the row below plus complement(i+1)."""
+    """The grid as ``RowGraph`` input: rows k..1, row i of dimensions
+    1..i, built from the bottom row upward.  Row k lies under the nested
+    spaces (nested(j, k))_j, a chain in them; a higher row i lies under
+    the row below plus complement(i+1), the complement of the
+    interleaving line's window."""
     k = cfg.k
     under = tuple(cfg.nested(j, k) for j in range(1, k + 1))
     zero = zero_subspace(cfg.n, cfg.p)
     rows = [(range(1, i + 1), cfg.complement(i + 1) if i < k else zero) for i in range(k, 0, -1)]
     return under, rows
-
-
-def enumerate_ghat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GHatPoint]:
-    """All grid points, built from the bottom row upward.
-
-    The bottom row is a chain in the nested spaces; each higher row j-th
-    cell sits between its left neighbour and the cell below plus the
-    complement of the interleaving line's window; ``walk_rows`` walks
-    the rows, which the points share.
-    """
-    yield from walk_rows(*ghat_rows(cfg), budget)
 
 
 IntRows = tuple[tuple[int, ...], ...]  # grid rows, each as its cells' ints
@@ -269,15 +259,18 @@ def psi_tilde(cfg: FrameConfig, pt: GCalPoint) -> tuple[Subspace, ...]:
 
 
 def enumerate_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """Point counts of the chain variety, its grid resolution and its
-    open locus, the last two against their closed forms."""
+    """Point counts of the chain variety, walked once, of its grid
+    resolution (the sum of the fan sizes) and of its open locus, the last
+    two against their closed forms."""
     with EnumReport(
         "wflag enumerate", {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget}
     ) as report:
-        gcal = list(enumerate_gcal(cfg, budget))
-        grid = sum(1 for _ in enumerate_ghat(cfg, budget))
-        opens = sum(1 for pt in gcal if in_u(cfg, pt))
-        report.counts["chain_points"] = len(gcal)
+        chain = opens = 0
+        for pt in enumerate_gcal(cfg, budget):
+            chain += 1
+            opens += in_u(cfg, pt)
+        grid = sum(len(fan) for _, fan in walk_fans(RowGraph(*ghat_rows(cfg)), budget))
+        report.counts["chain_points"] = chain
         report.counts["grid_points"] = grid
         report.counts["open_locus_points"] = opens
         report.counts["grid_formula"] = ghat_count_formula(cfg)
@@ -295,15 +288,16 @@ def lift_report(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
     with EnumReport(
         "wflag lift", {"n": cfg.n, "beta": list(cfg.beta), "field": cfg.p, "budget": budget}
     ) as report:
-        pts = list(enumerate_gcal(cfg, budget))
+        chain = 0
         section_ok = True
         member_ok = True
         steps: dict = {}  # build_lift's memo, for this report's frame only
-        for pt in pts:  # drawn from the chain variety, so lifted unchecked
+        for pt in enumerate_gcal(cfg, budget):  # chain points, so lifted unchecked
+            chain += 1
             grid = build_lift(cfg, pt, steps)
             section_ok = section_ok and pi_diag(grid) == pt
             member_ok = member_ok and ghat_membership(cfg, grid)
-        report.counts["chain_points"] = len(pts)
+        report.counts["chain_points"] = chain
         report.add("lift_is_a_section", section_ok)
         report.add("lift_lands_in_grid_variety", member_ok)
     return report

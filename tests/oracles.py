@@ -28,7 +28,13 @@ fans of small ints are here as well (``verify_chain_resolution_by_points``,
 the closed-form fiber, each grid point's flag and the chain tower as one
 ``tower`` (``closed_form_fiber``, ``flag_of_grid``, ``kl_points``).  So
 is the lockstep walk of the grid and Bott-Samelson towers that ``bs
-iso`` replaced by row-graph states (``bbs_iso_by_lockstep``)."""
+iso`` replaced by row-graph states (``bbs_iso_by_lockstep``).  The grid
+points every oracle here walks come from the flat towers, one ``tower``
+over every cell (``enumerate_grid_flat``, ``enumerate_ghat_flat``), not
+from the row graph the package walks; ``fan_points`` spells out a row
+graph's fans as points for the tests that need the graph's own rows.
+The rank-matrix Bruhat order that ``permcomb.bruhat_interval``'s
+subwords replace is here too (``bruhat_leq``)."""
 
 import itertools
 import operator
@@ -38,12 +44,7 @@ from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
 from schubres import biflag, exactlin, permcomb
-from schubres.biflag import (
-    Flag,
-    enumerate_shat,
-    project_to_flag,
-    standard_frames,
-)
+from schubres.biflag import Flag, project_to_flag, standard_frames
 from schubres.bottsamelson import BSPoint, bs_cells, enumerate_bs, first_block_chains
 from schubres.embres import (
     _TOPPED_TWICE,
@@ -103,7 +104,6 @@ from schubres.permcomb import (
     Permutation,
     ReducedWord,
     all_permutations,
-    bruhat_leq,
     bubblesort_word,
     length,
     rank_matrix,
@@ -115,7 +115,6 @@ from schubres.wflag import (
     GHatPoint,
     build_lift,
     enumerate_gcal,
-    enumerate_ghat,
     fixed_map_tuples,
     ghat_count_formula,
     ghat_membership,
@@ -622,6 +621,14 @@ def cut_into_fans(points: Iterable[tuple[Row, ...]]) -> Iterator[Fan]:
         yield run[0][1:], tuple(pt[0] for pt in run)
 
 
+def fan_points(graph: RowGraph, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[Row, ...]]:
+    """The points of ``graph``'s grid, ``(row,) + upper`` for each row of
+    each fan of ``walk_fans``, sharing the graph's row objects."""
+    for upper, fan in walk_fans(graph, budget):
+        for row in fan:
+            yield (row,) + upper
+
+
 def row_factor_mismatches(graph: RowGraph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """The memo keys of ``graph`` after a full ``walk_fans``, and how many
     of them do not hold exactly their row's factor of ``rows_bound`` in
@@ -741,6 +748,17 @@ def cumulative_block_formula(w: Permutation) -> tuple[int, ...]:
     return tuple(out)
 
 
+def bruhat_leq(u: Permutation, w: Permutation) -> bool:
+    """Bruhat order via entrywise rank-matrix comparison: u <= w iff
+    d^u(p,q) >= d^w(p,q) everywhere (the identity is the minimum)."""
+    if u.n != w.n:
+        raise ValueError("permutations of different sizes")
+    du, dw = rank_matrix(u), rank_matrix(w)
+    return all(
+        du[p][q] >= dw[p][q] for p in range(1, u.n + 1) for q in range(1, u.n + 1)
+    )
+
+
 def bruhat_interval_oracle(w: Permutation) -> frozenset[Permutation]:
     """Subword oracle for the lower Bruhat interval: the set of products
     of all subwords of one fixed reduced word of w."""
@@ -816,8 +834,8 @@ def closed_form_fiber(cfg: FrameConfig, pt: GCalPoint) -> GHatPoint:
 def verify_chain_resolution_by_points(
     cfg: FrameConfig, budget: int = DEFAULT_BUDGET
 ) -> EnumReport:
-    """``wflag.verify_chain_resolution`` by a walk of ``enumerate_ghat``,
-    point by point: each fiber a list of grid points keyed by the
+    """``wflag.verify_chain_resolution`` by a walk of the flat grid tower
+    (``enumerate_ghat_flat``), point by point: each fiber a list of grid points keyed by the
     diagonal's subspaces, the open locus read by ``in_u``, the closed
     form by ``closed_form_fiber`` and each chain point's lift by
     ``build_lift``, all on subspaces."""
@@ -826,7 +844,7 @@ def verify_chain_resolution_by_points(
         gcal_set = set(gcal)
         fibers: dict[GCalPoint, list[GHatPoint]] = {}
         lands_ok = True
-        for ghat_pt in enumerate_ghat(cfg, budget):
+        for ghat_pt in enumerate_ghat_flat(cfg, budget):
             diag = pi_diag(ghat_pt)
             fiber = fibers.get(diag)
             if fiber is None:
@@ -1016,17 +1034,17 @@ def enumerate_embres(
     cfg: FrameConfig, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[GHatPoint, KLChain]]:
     """All pairs (grid point, chain over its flag)."""
-    for pt in enumerate_ghat(cfg, budget):
+    for pt in enumerate_ghat_flat(cfg, budget):
         flag = flag_of_grid(cfg, pt)
         for chain in kl_points(flag, cfg.p, budget):
             yield pt, chain
 
 
 def embres_verify_by_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> EnumReport:
-    """``embres.verify_report`` by a walk of ``enumerate_ghat``, point by
-    point: each point's flag read by ``flag_of_grid``, its chains walked
-    by ``kl_points``, and every flag, chain top and grid point keyed by
-    its subspaces."""
+    """``embres.verify_report`` by a walk of the flat grid tower
+    (``enumerate_ghat_flat``), point by point: each point's flag read by
+    ``flag_of_grid``, its chains walked by ``kl_points``, and every flag,
+    chain top and grid point keyed by its subspaces."""
     with EnumReport("embres verify", frame_config(cfg, budget)) as report:
         p, k = cfg.p, cfg.k
         check_grassmannian(cfg, budget)
@@ -1064,7 +1082,7 @@ def embres_verify_by_points(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> E
         total_pairs = 0
         incidence_ok = True
         cell_ok = True
-        for pt in enumerate_ghat(cfg, budget):
+        for pt in enumerate_ghat_flat(cfg, budget):
             grid_points += 1
             flag = flag_of_grid(cfg, pt)
             idx = family.get(flag)
@@ -1205,9 +1223,9 @@ def grid_stages(w: Permutation, p: int, pinned_last_row: bool) -> list[Stage]:
 def enumerate_grid_flat(
     w: Permutation, p: int, pinned_last_row: bool, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[Row, ...]]:
-    """``biflag.enumerate_shat`` (``enumerate_flw`` unpinned) as one
-    ``tower`` over every cell, each point's rows sliced out of its tuple
-    of choices."""
+    """The points of the pinned grid of w (of the full grid unpinned),
+    ``biflag.grid_rows``, as one ``tower`` over every cell, each point's
+    rows sliced out of its tuple of choices."""
     n = w.n
     frames = standard_frames(n, p)
     pinned = (frames[1:],) if pinned_last_row else ()
@@ -1217,9 +1235,9 @@ def enumerate_grid_flat(
 
 
 def enumerate_ghat_flat(cfg: FrameConfig, budget: int = DEFAULT_BUDGET) -> Iterator[GHatPoint]:
-    """``wflag.enumerate_ghat`` as one ``tower`` over every cell, rows k..1
-    each left to right, each point's rows sliced out of its tuple of
-    choices."""
+    """The points of the W-flag grid, ``wflag.ghat_rows``, as one
+    ``tower`` over every cell, rows k..1 each left to right, each point's
+    rows sliced out of its tuple of choices."""
     k = cfg.k
     zero = zero_subspace(cfg.n, cfg.p)
 
@@ -1247,7 +1265,7 @@ def bbs_iso_by_sets(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) -> Enu
     grid tower as a set against the Bott-Samelson tower as a set."""
     with EnumReport("bs iso", perm_config(w, p, budget)) as report:
         word = bubblesort_word(w)
-        grid_points = list(enumerate_shat(w, p, budget))
+        grid_points = list(enumerate_grid_flat(w, p, True, budget))
         bs_points = set(enumerate_bs(word, p, budget))
         expected = (p + 1) ** length(w)
         report.counts["grid_points"] = len(grid_points)
@@ -1389,7 +1407,7 @@ def verify_flres_by_lists(w: Permutation, p: int, budget: int = DEFAULT_BUDGET) 
     and the cell of w read off the walk over every complete flag, where
     the package counts them by cell sizes."""
     with EnumReport("biflag verify", perm_config(w, p, budget)) as report:
-        points = list(enumerate_shat(w, p, budget))
+        points = list(enumerate_grid_flat(w, p, True, budget))
         expected = (p + 1) ** length(w)
         report.counts["tower_points"] = len(points)
         report.counts["expected_tower_points"] = expected
@@ -1452,7 +1470,7 @@ def verify_embedded_resolution_by_census(
         fiber_sizes = set()
         grid_points = 0
         incidence_ok = True
-        for pt in enumerate_ghat(cfg, budget):
+        for pt in enumerate_ghat_flat(cfg, budget):
             grid_points += 1
             flag = flag_of_grid(cfg, pt)
             per_grid = 0

@@ -12,8 +12,8 @@ from oracles import (
     copied,
     cut_into_fans,
     enumerate_complete_flags,
-    enumerate_ghat_flat,
     enumerate_grid_flat,
+    fan_points,
     flag_position,
     flag_rank_profile,
     grid_is_valid,
@@ -24,18 +24,18 @@ from oracles import (
     verify_flres_by_lists,
 )
 
-from schubres import biflag, exactlin
+from schubres import biflag, exactlin, permcomb, wflag
 from schubres.biflag import (
-    enumerate_flw,
-    enumerate_shat,
+    enumerate_report,
     grid_rows,
     project_to_flag,
     reconstruct_grid,
     standard_frames,
     verify_flres,
 )
-from schubres.exactlin import BudgetExceededError, intersect, rows_bound, tower_bound
-from schubres.permcomb import Permutation, all_permutations, bruhat_leq, length, rank_matrix
+from schubres.exactlin import BudgetExceededError, RowGraph, intersect, rows_bound, tower_bound
+from schubres.grassfib import make_frame
+from schubres.permcomb import Permutation, all_permutations, length, rank_matrix
 
 # every complete flag of these spaces is checked against the rank-profile
 # oracle; at p = 5 and 7 the reductions scale rows by inverses other than ±1
@@ -86,52 +86,52 @@ class TestStandardFrames:
 class TestEnumerateFlw:
     def test_identity_gives_complete_flags(self):
         # (q+1)(q^2+q+1) flags for n=3, q=2
-        pts = list(enumerate_flw(identity(3), 2))
+        pts = list(enumerate_grid_flat(identity(3), 2, False))
         assert len(pts) == 21
         assert len(list(enumerate_complete_flags(3, 2))) == 21
 
     def test_transposition_n2(self):
         # two free cells, a line each: the top-right cell and the
         # unpinned bottom-left cell
-        pts = list(enumerate_flw(Permutation((2, 1)), 2))
+        pts = list(enumerate_grid_flat(Permutation((2, 1)), 2, False))
         assert len(pts) == 9
         for pt in pts:
             assert cell(pt, 1, 1).dim == 0
             assert cell(pt, 1, 2).dim == 1
         # pinning the bottom row leaves the single free line
-        assert len(list(enumerate_shat(Permutation((2, 1)), 2))) == 3
+        assert len(list(enumerate_grid_flat(Permutation((2, 1)), 2, True))) == 3
 
     def test_all_points_valid(self):
         w = Permutation((2, 3, 1))
-        for pt in enumerate_flw(w, 2):
+        for pt in enumerate_grid_flat(w, 2, False):
             assert grid_is_valid(pt, w)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            list(enumerate_flw(identity(4), 3, budget=10))
+            enumerate_report(identity(4), "flw", 3, budget=10)
 
     def test_estimate_matches_actual(self):
         for w in all_permutations(3):
             est = tower_bound(grid_stages(w, 2, pinned_last_row=False), 2)
-            assert est == len(list(enumerate_flw(w, 2)))
+            assert est == enumerate_report(w, "flw", 2).counts["points"]
 
 
 class TestEnumerateShat:
     def test_identity_single_point(self):
-        pts = list(enumerate_shat(identity(3), 2))
+        pts = list(enumerate_grid_flat(identity(3), 2, True))
         assert len(pts) == 1
 
     def test_cycle_nine_points(self):
-        pts = list(enumerate_shat(Permutation((2, 3, 1)), 2))
+        pts = list(enumerate_grid_flat(Permutation((2, 3, 1)), 2, True))
         assert len(pts) == 9
 
     def test_transposition_gf3(self):
-        assert len(list(enumerate_shat(Permutation((2, 1)), 3))) == 4
+        assert len(list(enumerate_grid_flat(Permutation((2, 1)), 3, True))) == 4
 
     def test_bottom_row_pinned(self):
         w = Permutation((3, 1, 2))
         f = standard_frames(3, 2)
-        for pt in enumerate_shat(w, 2):
+        for pt in enumerate_grid_flat(w, 2, True):
             for q in range(1, 4):
                 assert cell(pt, 3, q) == f[q]
             assert grid_is_valid(pt, w)
@@ -139,27 +139,27 @@ class TestEnumerateShat:
     @pytest.mark.parametrize("p", [2, 3])
     def test_counts_all_s3(self, p):
         for w in all_permutations(3):
-            got = len(list(enumerate_shat(w, p)))
+            got = enumerate_report(w, "shat", p).counts["points"]
             assert got == (p + 1) ** length(w)
 
     def test_deep_tower_s5_longest_word(self):
         w = Permutation((5, 4, 3, 2, 1))
-        assert sum(1 for _ in enumerate_shat(w, 2)) == 3 ** 10
+        assert enumerate_report(w, "shat", 2).counts["points"] == 3 ** 10
 
 
 class TestProjection:
     def test_identity_projects_to_standard_flag(self):
         f = standard_frames(3, 2)
-        (pt,) = enumerate_shat(identity(3), 2)
+        (pt,) = enumerate_grid_flat(identity(3), 2, True)
         assert project_to_flag(pt) == tuple(f[1:])
 
     def test_projection_dims(self):
-        for pt in enumerate_shat(Permutation((2, 3, 1)), 2):
+        for pt in enumerate_grid_flat(Permutation((2, 3, 1)), 2, True):
             flag = project_to_flag(pt)
             assert [s.dim for s in flag] == [1, 2, 3]
 
     def test_transposition_hits_three_lines(self):
-        lines = {project_to_flag(pt)[0] for pt in enumerate_shat(Permutation((2, 1)), 2)}
+        lines = {project_to_flag(pt)[0] for pt in enumerate_grid_flat(Permutation((2, 1)), 2, True)}
         assert len(lines) == 3
 
 
@@ -242,7 +242,7 @@ class TestSchubertFlagPoints:
             if mode == "closed":
                 # the closed locus the report counted equals the tower image
                 # (image_equals_closed_variety), so the oracle must too
-                image = {project_to_flag(pt) for pt in enumerate_shat(w, p)}
+                image = {project_to_flag(pt) for pt in enumerate_grid_flat(w, p, True)}
                 assert image == set(want)
 
 
@@ -264,10 +264,11 @@ class TestBruhatGeometry:
         perms = list(all_permutations(3))
         for w in perms:
             inside = Counter(flag_position(flag) for flag in rank_filter(w, 2, "closed"))
+            below = permcomb.bruhat_interval(w)
             for u in perms:
                 # a cell lies wholly inside the closed locus or misses it
                 assert inside[u] in (0, 2 ** length(u))
-                assert (inside[u] > 0) == bruhat_leq(u, w)
+                assert (inside[u] > 0) == (u in below)
 
 
 class TestVerifyFlres:
@@ -301,7 +302,7 @@ class TestVerifyFlres:
         w = Permutation(one_line)
         d = rank_matrix(w)
         f = standard_frames(3, 2)
-        for pt in enumerate_shat(w, 2):
+        for pt in enumerate_grid_flat(w, 2, True):
             flag = project_to_flag(pt)
             for p in range(1, 4):
                 for q in range(1, 4):
@@ -310,19 +311,35 @@ class TestVerifyFlres:
                     assert (inter.dim == d[p][q]) == (inter == cell(pt, p, q))
 
 
+def _graph(w, p, pinned):
+    """The row graph of the pinned or the full grid of w."""
+    return biflag.shat_graph(w, p) if pinned else RowGraph(*grid_rows(w, p, pinned))
+
+
 class TestRowWalk:
-    """The grids walked by ``exactlin.walk_rows`` against the flat tower
-    over all cells."""
+    """The grids walked fan by fan (``exactlin.walk_fans``) against the
+    flat tower over all cells, and the count reports built on them."""
 
     @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), *STREAM_SPACES])
     def test_pinned_order_is_flat_order(self, n, p):
         for w in all_permutations(n):
-            assert list(enumerate_shat(w, p)) == list(enumerate_grid_flat(w, p, True)), w
+            assert list(fan_points(_graph(w, p, True))) == list(enumerate_grid_flat(w, p, True)), w
 
     def test_pinned_order_longest_s5(self):
         w = _longest(5)
-        pairs = zip_longest(enumerate_shat(w, 2), enumerate_grid_flat(w, 2, True))
+        pairs = zip_longest(fan_points(_graph(w, 2, True)), enumerate_grid_flat(w, 2, True))
         assert all(a == b for a, b in pairs)
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_count_report_is_flat_count(self, n, p, pinned):
+        # the full grids of S_4 stop at 30 000 points, as in test_exactlin's
+        # fan checks: the longest word's has 8.5 million at p = 3
+        variety = "shat" if pinned else "flw"
+        for w in all_permutations(n):
+            if rows_bound(*grid_rows(w, p, pinned)) <= 30_000:
+                got = enumerate_report(w, variety, p).counts["points"]
+                assert got == sum(1 for _ in enumerate_grid_flat(w, p, pinned)), w
 
     # the full grid of S_4 at p=3 has 18.5 million points, and that of the
     # longest word of S_4 at p=2 230 thousand; the S_4 case stops at length 3
@@ -332,17 +349,18 @@ class TestRowWalk:
     def test_unpinned_order_is_flat_order(self, n, p, max_length):
         for w in all_permutations(n):
             if length(w) <= max_length:
-                assert list(enumerate_flw(w, p)) == list(enumerate_grid_flat(w, p, False)), w
+                got = list(fan_points(_graph(w, p, False)))
+                assert got == list(enumerate_grid_flat(w, p, False)), w
 
     def test_points_share_rows(self):
         # a row is built once over each distinct row below it, so the
         # points hold fewer row objects than there are points
-        points = list(enumerate_shat(_longest(4), 2))
+        points = list(fan_points(_graph(_longest(4), 2, True)))
         rows = {id(row) for pt in points for row in pt}
         assert len(rows) < len(points) == 3 ** 6
 
     def test_unpinned_points_share_rows(self):
-        points = list(enumerate_flw(Permutation((2, 3, 1)), 3))
+        points = list(fan_points(_graph(Permutation((2, 3, 1)), 3, False)))
         rows = {id(row) for pt in points for row in pt}
         assert len(rows) < 3 * len(points)
 
@@ -354,35 +372,37 @@ class TestRowWalk:
             assert rows_bound(*grid_rows(w, p, pinned)) == want, w
 
     @staticmethod
-    def _refused_before_first_row(monkeypatch, rows, flat):
-        """The whole tower is refused with the flat tower's message, and
-        no row is walked first."""
+    def _refused_before_first_row(monkeypatch, count, flat):
+        """The count report ``count`` is refused with the message of the
+        tower ``flat``, and no row of its grid is built first."""
         with pytest.raises(BudgetExceededError) as flat_error:
             next(flat)
 
-        def no_row(lower, upper, dim):
+        def no_row(graph, r, below):
             raise AssertionError("a row was walked")
 
-        monkeypatch.setattr(exactlin, "enumerate_between", no_row)
+        monkeypatch.setattr(RowGraph, "choices", no_row)
         with pytest.raises(BudgetExceededError) as rows_error:
-            next(rows)
+            count()
         assert str(rows_error.value) == str(flat_error.value)
         assert str(rows_error.value).startswith("tower needs up to ")
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_refused_before_first_point(self, monkeypatch, pinned):
         w = _longest(4)
-        walk = enumerate_shat if pinned else enumerate_flw
+        variety = "shat" if pinned else "flw"
         flat = enumerate_grid_flat(w, 3, pinned, budget=100)
-        self._refused_before_first_row(monkeypatch, walk(w, 3, budget=100), flat)
+        count = lambda: enumerate_report(w, variety, 3, budget=100)
+        self._refused_before_first_row(monkeypatch, count, flat)
 
     def test_ghat_refused_before_first_point(self, monkeypatch):
-        from schubres.grassfib import make_frame
-        from schubres.wflag import enumerate_ghat
-
+        # the chain variety is walked first, and no frame's chain tower has
+        # a bound below its grid's: an oversized frame is refused by it
         cfg = make_frame(6, 3, (2, 4))
-        flat = enumerate_ghat_flat(cfg, budget=100)
-        self._refused_before_first_row(monkeypatch, enumerate_ghat(cfg, budget=100), flat)
+        assert rows_bound(*wflag.ghat_rows(cfg)) > 100
+        flat = wflag.enumerate_gcal(cfg, budget=100)
+        count = lambda: wflag.enumerate_report(cfg, budget=100)
+        self._refused_before_first_row(monkeypatch, count, flat)
 
 
 class TestRowGraphSelfCheck:
@@ -403,41 +423,78 @@ class TestRowGraphSelfCheck:
         assert keys == 19_262
 
     def test_dropped_choice_fails(self, monkeypatch):
-        # an ``enumerate_between`` that drops the last of two or more choices
-        between = exactlin.enumerate_between
-
-        def short(lower, upper, dim):
-            got = list(between(lower, upper, dim))
-            return iter(got[:-1] if len(got) > 1 else got)
-
-        monkeypatch.setattr(exactlin, "enumerate_between", short)
+        monkeypatch.setattr(exactlin, "enumerate_between", _drop_last(exactlin.enumerate_between))
         for w in (Permutation((2, 1)), Permutation((2, 3, 1)), _longest(4)):
             keys, bad = row_factor_mismatches(exactlin.RowGraph(*grid_rows(w, 2, True)))
             assert 0 < bad <= keys, w
+
+    def test_dropped_choice_fails_count_reports(self, monkeypatch):
+        # the pinned grid's graph is built afresh, not read from the cache
+        monkeypatch.setattr(exactlin, "enumerate_between", _drop_last(exactlin.enumerate_between))
+        monkeypatch.setattr(biflag, "shat_graph", lambda w, p: RowGraph(*grid_rows(w, p, True)))
+        checks = {"shat": "count_is_(p+1)^l", "flw": "count_matches_cell_product"}
+        for w in (Permutation((2, 1)), Permutation((2, 3, 1)), _longest(4)):
+            for variety, check in checks.items():
+                assert _failed(enumerate_report(w, variety, 2)) == {check}, (w, variety)
+        for beta in ((2,), (1, 3), (2, 4), (1, 3, 4)):
+            report = wflag.enumerate_report(make_frame(4, 2, beta))
+            assert "grid_count_matches_row_product" in _failed(report), beta
+
+
+def _drop_last(between):
+    """An ``enumerate_between`` that drops the last of two or more choices."""
+
+    def short(lower, upper, dim):
+        got = list(between(lower, upper, dim))
+        return iter(got[:-1] if len(got) > 1 else got)
+
+    return short
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
 
 
 class TestVerifyFlresBudget:
     @pytest.mark.parametrize("one_line", [(2, 3, 1), (3, 2, 1), (2, 4, 1, 3)])
     def test_refused_before_the_bruhat_interval(self, monkeypatch, one_line):
-        # the tower's bound is checked before ``bruhat_leq`` runs over S_n
+        # the tower's bound is checked before ``bruhat_interval`` runs
         w = Permutation(one_line)
         bound = rows_bound(*grid_rows(w, 2, pinned_last_row=True))
 
-        def no_interval(u, v):
+        def no_interval(v):
             raise AssertionError("the Bruhat interval was built")
 
         with monkeypatch.context() as patch:
-            patch.setattr(biflag, "bruhat_leq", no_interval)
+            patch.setattr(biflag, "bruhat_interval", no_interval)
             with pytest.raises(BudgetExceededError, match=f"^tower needs up to {bound} points"):
                 verify_flres(w, 2, bound - 1)
         assert verify_flres(w, 2, bound).passed
+
+    def test_identity_of_s10_visits_no_other_permutation(self, monkeypatch):
+        # a one-point tower reads a one-element interval, not S_10; the scan
+        # is refused in permcomb and as a name imported into biflag
+        def no_scan(n):
+            raise AssertionError("S_n was scanned")
+
+        for module in (permcomb, biflag):
+            monkeypatch.setattr(module, "all_permutations", no_scan, raising=False)
+        report = verify_flres(identity(10), 2)
+        assert report.passed
+        assert report.counts["tower_points"] == report.counts["closed_points"] == 1
+
+
+def _graph_points(w, p):
+    """The pinned grid's points with the row graph's own rows, so that
+    ``cut_into_fans`` cuts them into the graph's fans."""
+    return list(fan_points(_graph(w, p, True)))
 
 
 def _feed(monkeypatch, points):
     """Both verifiers over the grid tower ``points``: ``verify_flres``
     reads it cut into fans, the list oracle point by point."""
     monkeypatch.setattr(biflag, "walk_fans", lambda graph, b: cut_into_fans(points))
-    monkeypatch.setattr(oracles, "enumerate_shat", lambda w, p, b: iter(points))
+    monkeypatch.setattr(oracles, "enumerate_grid_flat", lambda w, p, pinned, b: iter(points))
 
 
 class TestVerifyFlresStreams:
@@ -457,7 +514,7 @@ class TestVerifyFlresStreams:
     def test_two_points_over_a_cell_flag(self, monkeypatch):
         # a tower that yields a point over the cell twice loses the bijection
         w = Permutation((2, 3, 1))
-        points = list(enumerate_shat(w, 2))
+        points = _graph_points(w, 2)
         twice = next(pt for pt in points if flag_position(project_to_flag(pt)) == w)
         _feed(monkeypatch, points + [twice])
         got = verify_flres(w, 2)
@@ -468,7 +525,7 @@ class TestVerifyFlresStreams:
         # a point over a cell flag whose other cells are not the flag's
         # intersections with F_* keeps its flag but fails the inverse
         w = Permutation((2, 3, 1))
-        points = list(enumerate_shat(w, 2))
+        points = _graph_points(w, 2)
         i = next(i for i, pt in enumerate(points) if flag_position(project_to_flag(pt)) == w)
         zero = standard_frames(3, 2)[0]
         points[i] = tuple((zero, zero, row[-1]) for row in points[i])
@@ -482,7 +539,7 @@ class TestVerifyFlresStreams:
         # every row and cell of every point a fresh object of the same value:
         # each flag is still keyed by value
         w = Permutation(one_line)
-        points = [copied(pt) for pt in enumerate_shat(w, 2)]
+        points = [copied(pt) for pt in _graph_points(w, 2)]
         _feed(monkeypatch, points)
         got = verify_flres(w, 2)
         assert got.passed
@@ -493,7 +550,7 @@ class TestVerifyFlresStreams:
         # a copy of an earlier point, with rows of its own, adds a tower
         # point but no image flag; over the cell it is a second point
         w, p = Permutation((2, 3, 1)), 2
-        points = list(enumerate_shat(w, p))
+        points = _graph_points(w, p)
         again = next(
             pt for pt in points if (flag_position(project_to_flag(pt)) == w) == over_cell
         )
@@ -508,7 +565,7 @@ class TestVerifyFlresStreams:
     def _drop_one_flag(self, monkeypatch, w, p, u):
         """Both verifiers over a tower without the points over the first
         image flag at position u."""
-        points = list(enumerate_shat(w, p))
+        points = _graph_points(w, p)
         dropped = next(f for f in map(project_to_flag, points) if flag_position(f) == u)
         kept = [pt for pt in points if project_to_flag(pt) != dropped]
         _feed(monkeypatch, kept)

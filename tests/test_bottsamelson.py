@@ -13,6 +13,8 @@ from oracles import (
     cell,
     clear_caches,
     copied,
+    enumerate_grid_flat,
+    fan_points,
     grid_to_bs,
     identity,
     report_text,
@@ -20,8 +22,8 @@ from oracles import (
 
 from schubres import biflag, bottsamelson
 from schubres.bottsamelson import bbs_iso, bs_cells, enumerate_bs, first_block_chains
-from schubres.biflag import enumerate_shat, grid_rows, standard_frames
-from schubres.exactlin import BudgetExceededError, RowGraph, enumerate_subspaces, walk_fans
+from schubres.biflag import grid_rows, standard_frames
+from schubres.exactlin import BudgetExceededError, RowGraph, enumerate_subspaces
 from schubres.permcomb import (
     Permutation,
     ReducedWord,
@@ -81,14 +83,14 @@ class TestBsProjection:
 class TestGridToBs:
     def test_n2(self):
         w = Permutation((2, 1))
-        for pt in enumerate_shat(w, 2):
+        for pt in enumerate_grid_flat(w, 2, True):
             (v1,) = grid_to_bs(pt, w)
             assert v1 == cell(pt, 1, 2)
 
     def test_image_is_valid(self):
         w = Permutation((3, 1, 2))
         word = bubblesort_word(w)
-        for pt in enumerate_shat(w, 2):
+        for pt in enumerate_grid_flat(w, 2, True):
             assert bs_point_is_valid(grid_to_bs(pt, w), word, 2)
 
 
@@ -98,7 +100,7 @@ class TestBsCells:
         # the cells, read once per w, pick the entries grid_to_bs reads per point
         for w in all_permutations(n):
             cells = bs_cells(w)
-            for pt in enumerate_shat(w, 2):
+            for pt in enumerate_grid_flat(w, 2, True):
                 assert tuple(pt[r][c] for r, c in cells) == grid_to_bs(pt, w)
 
 
@@ -192,9 +194,7 @@ def _wrap_graph(monkeypatch, w, p, fault):
     for module in (bottsamelson, biflag):
         monkeypatch.setattr(module, "shat_graph", lambda w, p: wrapped)
     monkeypatch.setattr(
-        oracles,
-        "enumerate_shat",
-        lambda w, p, b: ((row,) + up for up, fan in walk_fans(wrapped, b) for row in fan),
+        oracles, "enumerate_grid_flat", lambda w, p, pinned, b: fan_points(wrapped, b)
     )
 
 

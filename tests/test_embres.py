@@ -13,6 +13,8 @@ from oracles import (
     cut_into_fans,
     embres_verify_by_points,
     enumerate_embres,
+    enumerate_ghat_flat,
+    fan_points,
     flag_of_grid,
     forced_chain_by_intersections,
     graph_tuple,
@@ -38,6 +40,7 @@ from schubres.embres import (
 )
 from schubres.exactlin import (
     BudgetExceededError,
+    RowGraph,
     contains,
     coordinate_space,
     enumerate_subspaces,
@@ -49,7 +52,6 @@ from schubres.exactlin import (
 )
 from schubres.grassfib import make_frame
 from schubres.wflag import (
-    enumerate_ghat,
     fixed_map_tuples,
     ghat_rows,
     pi_diag,
@@ -114,7 +116,8 @@ class TestKlPoints:
             for beta in itertools.combinations(range(1, n + 1), k):
                 cfg = make_frame(n, p, beta)
                 flags = {tuple(cfg.frames[b] for b in beta)}
-                flags.update(flag_of_grid(cfg, pt) for pt in itertools.islice(enumerate_ghat(cfg), 20))
+                grid = itertools.islice(enumerate_ghat_flat(cfg), 20)
+                flags.update(flag_of_grid(cfg, pt) for pt in grid)
                 for flag in flags:
                     tops, ok = chain_tops(flag)
                     assert ok
@@ -276,8 +279,9 @@ class TestChart:
         # chains top, is topped by no family flag
         cfg = make_frame(4, 2, (2, 4))
         standard = tuple(cfg.frames[b] for b in cfg.beta)
-        points = [pt for pt in enumerate_ghat(cfg) if flag_of_grid(cfg, pt) != standard]
-        assert len(points) < sum(1 for _ in enumerate_ghat(cfg))
+        grid = _graph_points(cfg)
+        points = [pt for pt in grid if flag_of_grid(cfg, pt) != standard]
+        assert len(points) < len(grid)
         monkeypatch.setattr(wflag, "walk_fans", lambda graph, budget: cut_into_fans(points))
         rep = verify_report(cfg)
         checks = {c.name: c.passed for c in rep.checks}
@@ -290,7 +294,7 @@ class TestEnumerateEmbres:
     def test_pair_count_is_product(self):
         cfg = make_frame(4, 2, (1, 3))
         pairs = list(enumerate_embres(cfg))
-        grid = list(enumerate_ghat(cfg))
+        grid = list(enumerate_ghat_flat(cfg))
         assert len(pairs) == len(grid) * kl_count_formula((1, 3), 2)
 
     def test_pairs_satisfy_incidence(self):
@@ -485,11 +489,17 @@ def census_spaces():
                 yield make_frame(n, p, beta)
 
 
+def _graph_points(cfg):
+    """The grid's points with its row graph's own rows, so that
+    ``cut_into_fans`` cuts them into the graph's fans."""
+    return list(fan_points(RowGraph(*ghat_rows(cfg))))
+
+
 def feed_both(monkeypatch, points):
     """Both verifiers over the grid ``points``: ``verify_report`` reads
     them cut into fans, the census oracle point by point."""
     monkeypatch.setattr(wflag, "walk_fans", lambda graph, budget: cut_into_fans(points))
-    monkeypatch.setattr(oracles, "enumerate_ghat", lambda cfg, budget: iter(points))
+    monkeypatch.setattr(oracles, "enumerate_ghat_flat", lambda cfg, budget: iter(points))
 
 
 class TestStreamedPairs:
@@ -528,7 +538,7 @@ class TestStreamedPairs:
         # values: the reads by row id give the same ints
         cfg = make_frame(4, 2, beta)
         want = report_text(verify_report(cfg))
-        points = [copied(pt) if i % 2 else pt for i, pt in enumerate(enumerate_ghat(cfg))]
+        points = [copied(pt) if i % 2 else pt for i, pt in enumerate(_graph_points(cfg))]
         feed_both(monkeypatch, points)
         got = verify_report(cfg)
         assert got.passed
@@ -541,7 +551,7 @@ class TestStreamedPairs:
         # the special point, fed twice, is the preimage of the graph of
         # the zero chart map twice over
         cfg = make_frame(4, 2, (2, 4))
-        feed_both(monkeypatch, list(enumerate_ghat(cfg)) + [special_point(cfg)])
+        feed_both(monkeypatch, _graph_points(cfg) + [special_point(cfg)])
         checks = self.faulty_reports(cfg)
         assert not checks["resolution.chart_points_have_unique_preimage"]
         assert checks["resolution.cell_preimage_over_special_point"]
@@ -555,7 +565,7 @@ class TestStreamedPairs:
         # cell (2, 1) is forced, so n = 5 leaves the point room to differ
         cfg = make_frame(5, 2, (2, 4))
         o = special_point(cfg)
-        points = list(enumerate_ghat(cfg))
+        points = _graph_points(cfg)
         i, victim = next((i, pt) for i, pt in enumerate(points) if pt[1][0] != o[1][0])
         points[i] = tuple(row[:-1] + (o_row[-1],) for row, o_row in zip(victim, o))
         assert points[i] != o and flag_of_grid(cfg, points[i]) == flag_of_grid(cfg, o)

@@ -701,8 +701,8 @@ class TestTower:
                 out.append(list(ghat(cfg)))
             return out
 
-        # enumerate_ghat walks rows, not a tower: check its flat oracle's tower
-        got = points(wflag.enumerate_ghat)
+        # the grid's row graph walks rows, not a tower: check its flat oracle's tower
+        got = points(lambda cfg: oracles.fan_points(ex.RowGraph(*wflag.ghat_rows(cfg))))
         monkeypatch.setattr(wflag, "tower", oracles.recursive_tower)
         monkeypatch.setattr(oracles, "tower", oracles.recursive_tower)
         assert got == points(oracles.enumerate_ghat_flat)
@@ -723,28 +723,37 @@ def _one_row(flag):
 
 
 class TestWalkRows:
+    """``walk_fans`` on grids of one row, and at its budget boundary."""
+
     @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(1, 5)])
     def test_one_row_is_the_chain_tower(self, n, p):
         from oracles import kl_points
 
         for flag in _standard_flags(n, p):
-            got = [pt[0] for pt in ex.walk_rows(*_one_row(flag), ex.DEFAULT_BUDGET)]
-            assert got == list(kl_points(flag, p)), flag
+            ((upper, fan),) = ex.walk_fans(ex.RowGraph(*_one_row(flag)), ex.DEFAULT_BUDGET)
+            assert upper == () and list(fan) == list(kl_points(flag, p)), flag
 
-    def test_budget_at_bound_runs(self):
+    def test_budget_at_bound_runs(self, monkeypatch):
         under, rows = _one_row(tuple(ex.full_space(4, 2) for _ in range(3)))
         bound = ex.rows_bound(under, rows)
-        assert len(list(ex.walk_rows(under, rows, bound))) == bound
+        assert sum(len(fan) for _, fan in ex.walk_fans(ex.RowGraph(under, rows), bound)) == bound
+
+        def no_choices(graph, r, below):
+            raise AssertionError("a row's choices were asked for")
+
+        monkeypatch.setattr(ex.RowGraph, "choices", no_choices)
         with pytest.raises(ex.BudgetExceededError, match=f"tower needs up to {bound} points"):
-            next(ex.walk_rows(under, rows, bound - 1))
+            next(ex.walk_fans(ex.RowGraph(under, rows), bound - 1))
 
 
 def _grid_specs():
-    """``walk_rows`` inputs: the pinned and unpinned grids of every
-    permutation of S_3 and S_4 at p = 2 and 3 (the unpinned ones up to
-    30 000 points: the longest of S_4 has 8.5 million at p = 3), and the
-    W-flag grid of every default frame with n <= 5 at p = 2 and n <= 4 at
-    p = 3."""
+    """``RowGraph`` inputs with the flat tower over the same grid: the
+    pinned and unpinned grids of every permutation of S_3 and S_4 at p = 2
+    and 3 (the unpinned ones up to 30 000 points: the longest of S_4 has
+    8.5 million at p = 3), and the W-flag grid of every default frame
+    with n <= 5 at p = 2 and n <= 4 at p = 3."""
+    from oracles import enumerate_ghat_flat, enumerate_grid_flat
+
     from schubres.biflag import grid_rows
     from schubres.grassfib import make_frame
     from schubres.permcomb import all_permutations
@@ -753,25 +762,26 @@ def _grid_specs():
     for p in (2, 3):
         for n in (3, 4):
             for w in all_permutations(n):
-                yield f"shat-{w.one_line}-p{p}", grid_rows(w, p, True)
-                flw = grid_rows(w, p, False)
-                if ex.rows_bound(*flw) <= 30_000:
-                    yield f"flw-{w.one_line}-p{p}", flw
+                for pinned, name in ((True, "shat"), (False, "flw")):
+                    spec = grid_rows(w, p, pinned)
+                    if pinned or ex.rows_bound(*spec) <= 30_000:
+                        yield f"{name}-{w.one_line}-p{p}", spec, enumerate_grid_flat(w, p, pinned)
         for n in range(1, 6 if p == 2 else 5):
             for k in range(1, n + 1):
                 for beta in itertools.combinations(range(1, n + 1), k):
-                    yield f"ghat-{n}-{beta}-p{p}", ghat_rows(make_frame(n, p, beta))
+                    cfg = make_frame(n, p, beta)
+                    yield f"ghat-{n}-{beta}-p{p}", ghat_rows(cfg), enumerate_ghat_flat(cfg)
 
 
 class TestWalkFans:
-    """``walk_fans`` against the point walk over it."""
+    """``walk_fans`` against the flat towers over all cells."""
 
     def test_fans_are_the_points_in_order(self):
-        for name, (under, rows) in _grid_specs():
+        for name, (under, rows), flat in _grid_specs():
             graph = ex.RowGraph(under, rows)
             fans = list(ex.walk_fans(graph, ex.DEFAULT_BUDGET))
             points = [(row,) + upper for upper, fan in fans for row in fan]
-            assert points == list(ex.walk_rows(under, rows, ex.DEFAULT_BUDGET)), name
+            assert points == list(flat), name
             # a fan is the graph's own tuple of last-row choices
             last = len(rows) - 1
             for upper, fan in fans:
@@ -849,13 +859,12 @@ class TestSpaceNumbers:
         assert ids.spaces == list(row)
 
     def test_equal_rows_as_distinct_objects_get_equal_ints(self):
-        from oracles import copied
+        from oracles import copied, enumerate_grid_flat
 
-        from schubres.biflag import enumerate_shat
         from schubres.permcomb import Permutation
 
         ids = ex.SpaceNumbers()
-        for pt in enumerate_shat(Permutation((2, 4, 1, 3)), 2):
+        for pt in enumerate_grid_flat(Permutation((2, 4, 1, 3)), 2, True):
             twin = copied(pt)
             assert [ids.row(row) for row in twin] == [ids.row(row) for row in pt]
             assert all(a is not b for a, b in zip(twin, pt))
@@ -902,7 +911,7 @@ class TestCheckBudget:
 
 
 def _enumerators():
-    from oracles import enumerate_complete_flags, kl_points
+    from oracles import enumerate_complete_flags, fan_points, kl_points
     from schubres import biflag, bottsamelson, wflag
     from schubres.grassfib import make_frame
     from schubres.permcomb import Permutation, bubblesort_word
@@ -910,14 +919,16 @@ def _enumerators():
     w = Permutation((3, 1, 2))
     cfg = make_frame(4, 2, (2, 4))
     flag = tuple(cfg.frames[b] for b in cfg.beta)
+    # the three grids, the full and pinned grids of w and the W-flag grid
+    # of cfg, are walked fan by fan over their row graphs
     return {
-        "enumerate_flw": lambda b: biflag.enumerate_flw(w, 2, b),
-        "enumerate_shat": lambda b: biflag.enumerate_shat(w, 2, b),
+        "enumerate_flw": lambda b: fan_points(ex.RowGraph(*biflag.grid_rows(w, 2, False)), b),
+        "enumerate_shat": lambda b: fan_points(biflag.shat_graph(w, 2), b),
         "enumerate_complete_flags": lambda b: enumerate_complete_flags(3, 2, b),
         "enumerate_bs": lambda b: bottsamelson.enumerate_bs(bubblesort_word(w), 2, b),
         "kl_points": lambda b: kl_points(flag, 2, b),
         "enumerate_gcal": lambda b: wflag.enumerate_gcal(cfg, b),
-        "enumerate_ghat": lambda b: wflag.enumerate_ghat(cfg, b),
+        "enumerate_ghat": lambda b: fan_points(ex.RowGraph(*wflag.ghat_rows(cfg)), b),
     }
 
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from oracles import (
     bruhat_interval_oracle,
+    bruhat_leq,
     cumulative_block_formula,
     identity,
     incidence_by_scan,
@@ -14,7 +15,7 @@ from schubres.permcomb import (
     Permutation,
     ReducedWord,
     all_permutations,
-    bruhat_leq,
+    bruhat_interval,
     bubblesort_word,
     jump_points,
     length,
@@ -144,6 +145,22 @@ class TestBruhat:
         for w in perms:
             for u in perms:
                 assert bruhat_leq(u, w) == (u in intervals[w])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_interval_matches_rank_matrix_oracle(self, n):
+        perms = list(all_permutations(n))
+        for w in perms:
+            assert bruhat_interval(w) == {u for u in perms if bruhat_leq(u, w)}, w
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_interval_matches_subword_oracle(self, n):
+        for w in all_permutations(n):
+            assert bruhat_interval(w) == bruhat_interval_oracle(w), w
+
+    def test_interval_of_sigma(self):
+        # the paper's example: 9 360 elements, read off 18 letters
+        below = bruhat_interval(SIGMA)
+        assert len(below) == 9360 and SIGMA in below and identity(8) in below
 
 
 class TestBubblesort:

@@ -13,6 +13,7 @@ from oracles import (
     copied,
     cut_into_fans,
     enumerate_ghat_flat,
+    fan_points,
     gcal_membership,
     graph_tuple,
     report_text,
@@ -24,6 +25,7 @@ from schubres import grassfib, wflag
 from schubres.exactlin import (
     BudgetExceededError,
     LinearMap,
+    RowGraph,
     contains,
     enumerate_subspaces,
     full_space,
@@ -36,7 +38,7 @@ from schubres.grassfib import make_frame
 from schubres.wflag import (
     build_lift,
     enumerate_gcal,
-    enumerate_ghat,
+    enumerate_report,
     fixed_map_tuples,
     ghat_count_formula,
     ghat_membership,
@@ -212,18 +214,19 @@ class TestEnumerateGcal:
 class TestEnumerateGhat:
     def test_k1_matches_gcal(self):
         cfg = make_frame(4, 2, (2,))
-        ghat = [pi_diag(pt) for pt in enumerate_ghat(cfg)]
+        ghat = [pi_diag(pt) for pt in enumerate_ghat_flat(cfg)]
         assert sorted(ghat) == sorted(enumerate_gcal(cfg))
 
     def test_diag_lands_in_gcal(self):
         cfg = make_frame(4, 2, (1, 3))
-        for pt in enumerate_ghat(cfg):
+        for pt in enumerate_ghat_flat(cfg):
             assert ghat_membership(cfg, pt)
             assert gcal_membership(cfg, pi_diag(pt))
 
     def test_count_matches_row_product(self):
         cfg = make_frame(5, 2, (2, 4))
-        assert len(list(enumerate_ghat(cfg))) == ghat_count_formula(cfg) == 27
+        assert enumerate_report(cfg).counts["grid_points"] == ghat_count_formula(cfg) == 27
+        assert sum(1 for _ in enumerate_ghat_flat(cfg)) == 27
 
 
 def _default_frames(n, p):
@@ -234,18 +237,31 @@ def _default_frames(n, p):
     ]
 
 
+def _graph_points(cfg):
+    """The grid's points with its row graph's own rows, so that
+    ``cut_into_fans`` cuts them into the graph's fans."""
+    return list(fan_points(RowGraph(*ghat_rows(cfg))))
+
+
 class TestGhatRowWalk:
-    """``enumerate_ghat``'s row walk against the flat tower over all cells."""
+    """The grid's row graph, walked fan by fan, against the flat tower
+    over all cells."""
 
     @pytest.mark.parametrize("n, p", [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)])
     def test_order_is_flat_order(self, n, p):
         for cfg in _default_frames(n, p):
-            assert list(enumerate_ghat(cfg)) == list(enumerate_ghat_flat(cfg)), cfg
+            assert _graph_points(cfg) == list(enumerate_ghat_flat(cfg)), cfg
+
+    @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3) for n in range(1, 6)])
+    def test_count_report_is_flat_count(self, n, p):
+        for cfg in _default_frames(n, p):
+            got = enumerate_report(cfg).counts["grid_points"]
+            assert got == sum(1 for _ in enumerate_ghat_flat(cfg)), cfg
 
     def test_points_share_rows(self):
         # a row is built once over each distinct row below it, where the
         # flat tower slices fresh rows out of every point
-        points = list(enumerate_ghat(make_frame(5, 3, (1, 3, 5))))
+        points = _graph_points(make_frame(5, 3, (1, 3, 5)))
         rows = {id(row) for pt in points for row in pt}
         assert len(rows) < 3 * len(points)
         flat = list(enumerate_ghat_flat(make_frame(5, 3, (1, 3, 5))))
@@ -439,7 +455,7 @@ def feed_both(monkeypatch, points):
     """Both verifiers over the grid ``points``: ``verify_chain_resolution``
     reads them cut into fans, the point-walk oracle point by point."""
     monkeypatch.setattr(wflag, "walk_fans", lambda graph, budget: cut_into_fans(points))
-    monkeypatch.setattr(oracles, "enumerate_ghat", lambda cfg, budget: iter(points))
+    monkeypatch.setattr(oracles, "enumerate_ghat_flat", lambda cfg, budget: iter(points))
 
 
 class TestFanWalk:
@@ -458,7 +474,7 @@ class TestFanWalk:
         # values: the reads by row id give the same ints
         cfg = make_frame(5, 2, beta)
         want = report_text(verify_chain_resolution(cfg))
-        points = [copied(pt) if i % 2 else pt for i, pt in enumerate(enumerate_ghat(cfg))]
+        points = [copied(pt) if i % 2 else pt for i, pt in enumerate(_graph_points(cfg))]
         feed_both(monkeypatch, points)
         got = verify_chain_resolution(cfg)
         assert got.passed
@@ -472,7 +488,7 @@ class TestFanWalk:
         outside = next(
             l for l in enumerate_subspaces(full_space(5, 2), 1) if not contains(cfg.nested(1, 1), l)
         )
-        points = list(enumerate_ghat(cfg))
+        points = _graph_points(cfg)
         points[3] = ((outside,),) + points[3][1:]
         assert not gcal_membership(cfg, pi_diag(points[3]))
         feed_both(monkeypatch, points)
@@ -487,7 +503,7 @@ class TestFanWalk:
         # dropped from the grid: the fiber keeps a point, the lift is gone;
         # with k = 3 the cells of rows 2..3 are compared once per fan
         cfg = make_frame(n, 2, beta)
-        points = list(enumerate_ghat(cfg))
+        points = _graph_points(cfg)
         diags = [pi_diag(pt) for pt in points]
         multi = next(d for d in diags if diags.count(d) > 1)
         lift = build_lift(cfg, multi)
@@ -504,7 +520,7 @@ class TestFanWalk:
         # another line: rows 1 and 2 are still the lift's, so only the
         # cells compared once per fan show that it is not
         cfg = make_frame(5, 2, (1, 3, 5))
-        points = list(enumerate_ghat(cfg))
+        points = _graph_points(cfg)
         i, lift = next(
             (i, pt) for i, pt in enumerate(points) if pt == build_lift(cfg, pi_diag(pt))
         )
