@@ -835,10 +835,10 @@ def verify_chain_resolution_by_points(
     cfg: FrameConfig, budget: int = DEFAULT_BUDGET
 ) -> EnumReport:
     """``wflag.verify_chain_resolution`` by a walk of the flat grid tower
-    (``enumerate_ghat_flat``), point by point: each fiber a list of grid points keyed by the
-    diagonal's subspaces, the open locus read by ``in_u``, the closed
-    form by ``closed_form_fiber`` and each chain point's lift by
-    ``build_lift``, all on subspaces."""
+    (``enumerate_ghat_flat``), point by point: each fiber a list of grid
+    points keyed by the diagonal's subspaces, the open locus read by
+    ``in_u``, the closed form by ``closed_form_fiber`` and each chain
+    point's lift by ``build_lift``, all on subspaces."""
     with EnumReport("wflag verify", frame_config(cfg, budget)) as report:
         gcal = list(enumerate_gcal(cfg, budget))
         gcal_set = set(gcal)
